@@ -28,7 +28,7 @@
 //!   by key, collapse equal keys, stream every overlapping visited run
 //!   once (two-pointer merge, counted in `ddd.merge_bytes`), and
 //!   assign fresh ids to the unmatched remainder in sorted-key order —
-//!   exactly the order `canonize_frontier` would have produced, so the
+//!   exactly the order the resident strategy's sort would have produced, so the
 //!   resulting CSR is byte-identical to the resident path's.
 //!
 //! The RAM high-water mark of this path is one frontier (keys +
@@ -76,7 +76,7 @@ impl DedupSink for &Interner {
 /// A worker-local candidate set of the external-memory path: inserts
 /// cannot fail, duplicates collapse per worker, and the returned index
 /// is local until [`resolve_level`] maps it to a canonical id.
-impl DedupSink for CandSet {
+impl DedupSink for &mut CandSet {
     fn intern_key(
         &mut self,
         key: &[u64],
@@ -215,11 +215,6 @@ impl Frontier {
         self.absorbing.len()
     }
 
-    /// Whether the level is empty — the BFS termination test.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.absorbing.is_empty()
-    }
-
     /// The packed key of the level's `i`-th state.
     pub(crate) fn key(&self, i: usize) -> &[u64] {
         &self.keys[i * self.words..(i + 1) * self.words]
@@ -311,7 +306,7 @@ pub(crate) struct LevelResolution {
 /// Determinism: candidate membership and the match verdicts are model
 /// properties (the visited set after level `ℓ` is the same set the
 /// resident interner would hold), and id assignment is by sorted key —
-/// the same total order `canonize_frontier` sorts by — so the ids, and
+/// the same total order the resident strategy sorts a level by — so the ids, and
 /// everything derived from them, are identical to the resident path.
 pub(crate) fn resolve_level(
     workers: &[&CandSet],

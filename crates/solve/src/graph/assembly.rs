@@ -1,0 +1,350 @@
+//! The output side of the streaming pipeline: worker-local transition
+//! chains, and the [`Assembly`] that streams each closed BFS level —
+//! canonical state by canonical state — into the packed-state store,
+//! the flat transition arena, and (optionally) the generator.
+
+use std::sync::Arc;
+
+use ctsim_san::{ActivityId, SanModel};
+
+use super::driver::{Abort, Dedup};
+use super::{PackedStates, Transition};
+use crate::arena::{RowLoc, SegStore};
+use crate::backend::GeneratorBackend;
+use crate::ctmc::CtmcAcc;
+use crate::kron::KronAcc;
+use crate::linop::Generator;
+use crate::spill::SpillShared;
+use crate::SolveError;
+
+/// Transitions per worker-local chain segment (see [`WorkerChain`]).
+const CHAIN_SEG: usize = 1 << 14;
+
+/// Nominal elements per segment of the final transition arena
+/// (~1.3 MB of `Transition`s — the spill paging unit).
+const TRANS_SEG: usize = 1 << 15;
+
+/// Nominal `u64` words per segment of the packed-state store.
+const PACKED_SEG: usize = 1 << 16;
+
+/// Where one provisional state's transition run sits inside one
+/// worker's chain.
+#[derive(Clone, Copy)]
+struct Run {
+    prov: u32,
+    seg: u32,
+    off: u32,
+    len: u32,
+}
+
+/// A worker's per-level transition storage: fixed-capacity segments
+/// appended back to back (no per-state heap allocation, no shared
+/// allocator traffic between workers) plus the run index locating each
+/// expanded state's row. Chains are recycled level to level through
+/// `Assembly::chain_pool` — the emission clears them and hands them
+/// back, so the steady state allocates no per-level buffers at all
+/// (which also keeps the allocator's resident footprint flat: the old
+/// per-level churn left the heap fragmented at peak).
+#[derive(Default)]
+pub(super) struct WorkerChain {
+    segs: Vec<Vec<Transition>>,
+    runs: Vec<Run>,
+    /// Index of the segment currently being filled (≤ `segs.len()`).
+    cur: usize,
+}
+
+impl WorkerChain {
+    /// Appends one state's row. Rows never straddle segments; a row
+    /// longer than [`CHAIN_SEG`] gets a dedicated oversized segment.
+    pub(super) fn push_row(&mut self, prov: usize, row: &[Transition]) {
+        if row.is_empty() {
+            return; // an absent run reads back as an empty row
+        }
+        while self.cur < self.segs.len()
+            && self.segs[self.cur].len() + row.len() > self.segs[self.cur].capacity()
+        {
+            self.cur += 1;
+        }
+        if self.cur == self.segs.len() {
+            self.segs.push(Vec::with_capacity(CHAIN_SEG.max(row.len())));
+        }
+        let seg = &mut self.segs[self.cur];
+        let off = seg.len();
+        seg.extend_from_slice(row);
+        self.runs.push(Run {
+            prov: prov as u32,
+            seg: self.cur as u32,
+            off: off as u32,
+            len: row.len() as u32,
+        });
+    }
+
+    /// Transitions appended since the last reset.
+    pub(super) fn num_transitions(&self) -> usize {
+        self.runs.iter().map(|r| r.len as usize).sum()
+    }
+
+    /// Clears content, keeping every buffer's capacity for reuse.
+    fn reset(&mut self) {
+        for s in &mut self.segs {
+            s.clear();
+        }
+        self.runs.clear();
+        self.cur = 0;
+    }
+}
+
+/// Locates one provisional state's transition run inside a level's
+/// worker chains (`chain == u16::MAX` marks an absorbing state with no
+/// run).
+#[derive(Clone, Copy)]
+struct RunSlot {
+    chain: u16,
+    seg: u16,
+    off: u32,
+    len: u32,
+}
+
+impl RunSlot {
+    const NONE: RunSlot = RunSlot {
+        chain: u16::MAX,
+        seg: 0,
+        off: 0,
+        len: 0,
+    };
+}
+
+/// The streaming generator accumulator behind
+/// [`super::StateSpace::explore_ctmc`] and friends: one variant per
+/// [`GeneratorBackend`], fed the same canonical rows, producing the
+/// matching [`Generator`] representation.
+pub(super) enum GenSink {
+    Csr(CtmcAcc, Vec<(usize, f64)>),
+    Kron(KronAcc),
+}
+
+impl GenSink {
+    /// With a spill backend the CSR accumulator pages its entry
+    /// segments out under the shared budget ([`CtmcAcc::new_paged`]);
+    /// the Kronecker descriptor is already tiny and stays resident.
+    fn new(backend: GeneratorBackend, spill: Option<Arc<SpillShared>>) -> Self {
+        match backend {
+            GeneratorBackend::Csr => GenSink::Csr(
+                match spill {
+                    Some(s) => CtmcAcc::new_paged(s),
+                    None => CtmcAcc::new(),
+                },
+                Vec::new(),
+            ),
+            GeneratorBackend::Kron => GenSink::Kron(KronAcc::new()),
+        }
+    }
+
+    fn push_row(&mut self, src: usize, outs: &[Transition]) -> Result<(), ActivityId> {
+        match self {
+            GenSink::Csr(acc, scratch) => acc.push_row(src, outs, scratch),
+            GenSink::Kron(acc) => acc.push_row(src, outs),
+        }
+    }
+
+    pub(super) fn finish(self, initial_pairs: &[(usize, f64)]) -> Generator {
+        match self {
+            GenSink::Csr(acc, _) => Generator::Csr(acc.finish(initial_pairs)),
+            GenSink::Kron(acc) => Generator::Kron(acc.finish(initial_pairs)),
+        }
+    }
+}
+
+/// Opens the spill-mode canonical packed-state store: `words` per row,
+/// pageable under the shared budget.
+pub(super) fn packed_store(words: usize, spill: Arc<SpillShared>) -> SegStore<u64> {
+    let mut store = SegStore::new(states_per_seg(words) * words, Some(spill));
+    store.set_io_sites("pack.page_in", "pack.page_out");
+    store
+}
+
+/// Seals a [`packed_store`] into the finished state table.
+pub(super) fn seal_packed(mut store: SegStore<u64>, words: usize) -> PackedStates {
+    store.finish();
+    PackedStates::Store {
+        store,
+        per_seg: states_per_seg(words),
+    }
+}
+
+fn states_per_seg(words: usize) -> usize {
+    (PACKED_SEG / words).max(1)
+}
+
+/// One fully expanded BFS level queued for emission: its id range
+/// (canonical and provisional numbering share a level's contiguous
+/// block), every worker's transition chain, and what the dedup strategy
+/// kept to read the level's visit order, keys and target ids back
+/// ([`Dedup::Level`]).
+pub(super) struct PendingLevel<L> {
+    pub(super) lo: usize,
+    pub(super) hi: usize,
+    pub(super) chains: Vec<WorkerChain>,
+    pub(super) data: L,
+}
+
+/// The output side of the streaming pipeline: the canonical packed
+/// states (held in the strategy's [`Dedup::States`]), the flat
+/// transition arena, and (optionally) the CTMC generator accumulated
+/// row by row as levels are emitted.
+pub(super) struct Assembly<'m, D: Dedup> {
+    model: &'m SanModel,
+    pub(super) states: D::States,
+    pub(super) trans: SegStore<Transition>,
+    pub(super) row_locs: Vec<RowLoc>,
+    pub(super) absorbing: Vec<bool>,
+    pub(super) total_trans: usize,
+    pub(super) gen: Option<GenSink>,
+    merge_buf: Vec<Transition>,
+    runs_buf: Vec<RunSlot>,
+    /// Emptied worker chains awaiting reuse by a later level.
+    pub(super) chain_pool: Vec<WorkerChain>,
+    /// Spent level buffers awaiting reuse ([`Dedup::recycle`]).
+    pub(super) level_pool: Vec<D::Level>,
+}
+
+impl<'m, D: Dedup> Assembly<'m, D> {
+    pub(super) fn new(
+        model: &'m SanModel,
+        states: D::States,
+        want: Option<GeneratorBackend>,
+        spill: Option<Arc<SpillShared>>,
+    ) -> Self {
+        Assembly {
+            model,
+            states,
+            trans: SegStore::new(TRANS_SEG, spill.clone()),
+            row_locs: Vec::new(),
+            absorbing: Vec::new(),
+            total_trans: 0,
+            gen: want.map(|b| GenSink::new(b, spill)),
+            merge_buf: Vec::new(),
+            runs_buf: Vec::new(),
+            chain_pool: Vec::new(),
+            level_pool: Vec::new(),
+        }
+    }
+
+    /// Indexes one level's worker chains by provisional id into
+    /// `runs_buf` (absorbing states keep [`RunSlot::NONE`]).
+    fn index_runs(&mut self, lo: usize, hi: usize, chains: &[WorkerChain]) {
+        self.runs_buf.clear();
+        self.runs_buf.resize(hi - lo, RunSlot::NONE);
+        for (ci, chain) in chains.iter().enumerate() {
+            for r in &chain.runs {
+                self.runs_buf[r.prov as usize - lo] = RunSlot {
+                    chain: ci as u16,
+                    seg: r.seg as u16,
+                    off: r.off,
+                    len: r.len,
+                };
+            }
+        }
+    }
+
+    /// Streams one explored level into the canonical stores: states in
+    /// packed-key order, per-row retarget → sort → merge, and one
+    /// generator row per state when a CTMC is being built. In parallel
+    /// explorations this runs *while the next level is still being
+    /// expanded* — the explore → CSR handoff is pipelined, not serial.
+    ///
+    /// The visit order, each state's key and absorbing flag, and the
+    /// map from the ids the chains carry (provisional intern ids or
+    /// worker-local candidate indices) to canonical ids are read
+    /// through the strategy; canonical ids are `lo + rank` either way.
+    pub(super) fn emit_level(
+        &mut self,
+        dedup: &D,
+        level: PendingLevel<D::Level>,
+    ) -> Result<(), Abort> {
+        let PendingLevel {
+            lo,
+            hi,
+            chains,
+            data,
+        } = level;
+        let _csr_span = ctsim_obs::span("csr", "csr_build_level")
+            .arg("lo", lo)
+            .arg("states", hi - lo);
+        self.index_runs(lo, hi, &chains);
+        for rank in 0..(hi - lo) {
+            let src = lo + rank;
+            debug_assert_eq!(src, self.row_locs.len(), "levels emitted in order");
+            let (i, absorbing) = dedup.emit_state(&mut self.states, &data, lo, rank);
+            self.absorbing.push(absorbing);
+            self.merge_buf.clear();
+            let slot = self.runs_buf[i];
+            if slot.chain != u16::MAX {
+                let seg = &chains[slot.chain as usize].segs[slot.seg as usize];
+                self.merge_buf
+                    .extend_from_slice(&seg[slot.off as usize..(slot.off + slot.len) as usize]);
+                let map = dedup.target_map(&data, slot.chain as usize);
+                for t in &mut self.merge_buf {
+                    t.target = map[t.target] as usize;
+                }
+                merge_outgoing(&mut self.merge_buf);
+            }
+            if let Some(acc) = &mut self.gen {
+                acc.push_row(src, &self.merge_buf).map_err(|a| {
+                    Abort::Solve(SolveError::NonMarkovian {
+                        activity: self.model.activity_name(a).to_string(),
+                    })
+                })?;
+            }
+            let loc = self.trans.append_row(&self.merge_buf);
+            self.row_locs.push(loc);
+            self.total_trans += self.merge_buf.len();
+        }
+        // Recycle the emitted level's chains instead of freeing them:
+        // the next levels reuse the same capacity, keeping the resident
+        // footprint flat instead of fragmenting the heap at peak.
+        for mut chain in chains {
+            chain.reset();
+            self.chain_pool.push(chain);
+        }
+        self.level_pool.extend(D::recycle(data));
+        Ok(())
+    }
+}
+
+/// Sorts and merges one source state's transitions in place: duplicate
+/// `(activity, target, completes)` outcomes within each activity's
+/// contiguous run are folded by summing `prob` in sorted order, so the
+/// floating-point result is independent of discovery interleaving.
+/// Duplicates always share the same stage `rate` — one activity's row
+/// transitions all come from one `completions` call with one base rate
+/// — so the fold keeps `rate` untouched, which is what makes a
+/// rate-only rebuild bit-identical to a fresh exploration. Must be
+/// called with canonical target ids.
+fn merge_outgoing(outs: &mut Vec<Transition>) {
+    let mut i = 0;
+    while i < outs.len() {
+        let mut j = i + 1;
+        while j < outs.len() && outs[j].activity == outs[i].activity {
+            j += 1;
+        }
+        if j - i > 1 {
+            outs[i..j].sort_unstable_by_key(|t| (t.target, t.completes));
+        }
+        i = j;
+    }
+    // In-place fold of adjacent duplicates (`prev` is the retained
+    // element), so the common no-duplicate case allocates nothing.
+    outs.dedup_by(|cur, prev| {
+        if prev.activity == cur.activity
+            && prev.target == cur.target
+            && prev.completes == cur.completes
+        {
+            debug_assert_eq!(prev.rate.to_bits(), cur.rate.to_bits());
+            prev.prob += cur.prob;
+            true
+        } else {
+            false
+        }
+    });
+}

@@ -1,0 +1,718 @@
+//! Layer 1: the reachability graph of a [`SanModel`].
+//!
+//! Explores every marking reachable from the model's initial marking.
+//! Markings in which an instantaneous activity is enabled ("vanishing"
+//! markings) are never materialised as states: they are eliminated on
+//! the fly by recursively distributing their probability mass over the
+//! instantaneous choices (highest priority first, weight-proportional
+//! within a priority level, then case probabilities) until only
+//! "tangible" markings remain — exactly the race the simulator resolves
+//! by sampling, resolved here in distribution.
+//!
+//! # Phase-type expansion
+//!
+//! With [`ReachOptions::ph_order`] ≥ 1, non-exponential timed activities
+//! no longer poison the analytic path: each one is replaced by its
+//! [`PhaseType`](ctsim_stoch::PhaseType) fit (hyper-Erlang, matched
+//! moments — see `ctsim_stoch::phase`), and the state vector gains one
+//! *phase counter*
+//! per expanded activity, appended after the place markings. A counter
+//! is `0` while its activity is disabled; on enabling it jumps to the
+//! first stage of a probabilistically chosen branch (the PH initial
+//! distribution — a branching of the state like a vanishing
+//! resolution), then walks through the branch's exponential stages.
+//! Completing the last stage fires the activity's cases exactly like a
+//! native exponential completion. Counters mirror the simulator's
+//! "restart" reactivation policy, judged at tangible markings: an
+//! activity continuously enabled across a completion keeps its phase
+//! (its sampled clock keeps running), one that is disabled resets to 0
+//! and re-enters afresh when next enabled.
+//!
+//! Everything downstream is unchanged: the expanded graph is still a
+//! CTMC, each [`Transition`] carrying the exponential stage `rate` and
+//! its branching `prob` separately; the generator contribution is
+//! their product ([`Transition::q`]). Keeping the base rate pure lets
+//! [`StateSpace::rebuild_rates`] rewrite rates in place when only the
+//! model's timing parameters change between solves.
+//!
+//! # Compact state encoding
+//!
+//! States are stored bit-packed: the extended token vector (places,
+//! then phase counters) is encoded into a few `u64` words by
+//! `pack::StateLayout` — phase fields at their
+//! statically known width, place fields on an adaptive width ladder
+//! that restarts the exploration wider on overflow. A ~40-field
+//! consensus state packs into 3 words (24 bytes) instead of an
+//! `Arc<[u32]>`'s 160-byte payload plus header, roughly a 4–8× cut in
+//! per-state memory; packed words are also what the intern table
+//! hashes and compares.
+//!
+//! # Concurrent exploration, streamed assembly
+//!
+//! Exploration fans out across [`ReachOptions::threads`] workers in a
+//! level-synchronous breadth-first sweep, but — unlike the former
+//! explore-then-sequentially-merge design — workers intern newly
+//! discovered states **directly** into a sharded lock-free state table
+//! (`intern::Interner`) while expanding: there is no serial merge phase left
+//! to cap the speedup.
+//!
+//! Transitions never touch the heap per state: each worker appends the
+//! rows it generates into its own chain of fixed-capacity segments
+//! (`WorkerChain`), and when a level finishes it is renumbered and
+//! **streamed** into the final flat arena (`arena::SegStore`)
+//! — and, through [`StateSpace::explore_ctmc`], straight into the CSR
+//! generator — *while the workers already expand the next level*. The
+//! former `Vec<Vec<Transition>>` representation (one heap allocation
+//! and ~40 bytes of `Vec` bookkeeping per state, plus a full
+//! post-exploration copy) is gone; assembly is a per-level permutation
+//! into contiguous storage. With [`ReachOptions::spill`] set, cold
+//! arena segments additionally page out to a temp file under a RAM
+//! budget, which is what lets spaces larger than memory explore.
+//!
+//! The price of concurrent interning is that state ids become
+//! race-ordered ("provisional"); determinism is restored by a
+//! canonical renumbering applied level by level:
+//!
+//! 1. The reachable state *set*, every state's successor distribution,
+//!    and every state's BFS level (its distance from the initial
+//!    states) are functions of the model alone — no interleaving can
+//!    change them.
+//! 2. States are renumbered by `(BFS level, packed key)` — a total
+//!    order with no reference to discovery order. A level's membership
+//!    is fixed the moment the previous level has been fully expanded,
+//!    so the renumbering (and everything downstream of it) can run
+//!    level-by-level behind the exploration front.
+//! 3. Per-source transition lists are computed sequentially inside one
+//!    worker each; after retargeting to canonical ids they are sorted
+//!    with a deterministic comparator and duplicate targets are merged
+//!    by summing in that sorted order, so even the floating-point
+//!    accumulation order is fixed.
+//!
+//! The resulting state numbering, transition lists, and CSR generator
+//! are therefore byte-identical for every thread count — property-
+//! tested at 1/2/4/8/16 threads. (When exploration *fails*, the error
+//! value can depend on which worker tripped first; only results are
+//! guaranteed deterministic, not the identity of racing errors.)
+//!
+//! # One driver, two dedup strategies
+//!
+//! The sweep exists once: `driver::drive` owns the level loop, the
+//! worker claim loop, the overlap of emission with expansion, and the
+//! abort merge, generic over a `driver::Dedup` strategy that owns only
+//! what differs between the resident intern table (`driver::Resident`)
+//! and external-memory delayed duplicate detection
+//! (`driver::External`, over `crate::ddd`): the frontier, the id a
+//! successor key is given, and how a closed level's ids become
+//! canonical. Successor generation (`expand`) and emission
+//! (`assembly`) are shared code, so the two engines can only differ in
+//! *where an id comes from* — and both number states by
+//! `(BFS level, packed key)`.
+//!
+//! The module is split by stage: `expand` (phase plans, successor
+//! generation, vanishing resolution), `driver` (the loop and the two
+//! strategies), `assembly` (canonical emission into the transition
+//! arena and the generator), and this file (options, [`Transition`],
+//! the [`StateSpace`] API, [`GraphParts`], the rate-only rebuild).
+
+mod assembly;
+mod driver;
+mod expand;
+
+use ctsim_san::{ActivityId, Marking, SanModel, Timing};
+use ctsim_stoch::Dist;
+
+use crate::arena::{RowLoc, RowRef, SegStore};
+use crate::backend::GeneratorBackend;
+use crate::ctmc::Ctmc;
+use crate::intern::Interner;
+use crate::linop::Generator;
+use crate::pack::StateLayout;
+use crate::spill::{SpillOptions, SpillRecord};
+use crate::SolveError;
+
+use expand::{AbsorbFn, Expansion, ExpansionShape};
+
+/// Exploration limits and expansion/parallelism knobs.
+#[derive(Debug, Clone)]
+pub struct ReachOptions {
+    /// Abort with [`SolveError::StateSpaceTooLarge`] beyond this many
+    /// tangible states.
+    pub max_states: usize,
+    /// Abort with [`SolveError::VanishingLoop`] when a chain of
+    /// instantaneous firings exceeds this depth (two instantaneous
+    /// activities feeding each other tokens, the analytic analogue of
+    /// the simulator's instantaneous-livelock guard).
+    pub max_vanishing_depth: usize,
+    /// Phase-type expansion order for non-exponential timed activities:
+    /// the per-branch stage budget handed to
+    /// [`PhaseType::fit`](ctsim_stoch::PhaseType::fit). `0`
+    /// (the default) disables expansion, restoring the strict behaviour
+    /// where any reachable non-exponential activity makes the CTMC
+    /// build fail with [`SolveError::NonMarkovian`].
+    pub ph_order: u32,
+    /// Worker threads for the exploration (`0` = one per available
+    /// core, `1` = in-place sequential). The result is identical — to
+    /// the byte — for every value; this is purely a wall-clock knob.
+    pub threads: usize,
+    /// Page cold transition/state segments to a temp file under this
+    /// RAM budget (see [`SpillOptions`]). `None` (the default) keeps
+    /// everything resident. Results are identical — to the byte — with
+    /// spill on or off; this trades wall-clock for peak memory on
+    /// spaces that do not fit in RAM.
+    pub spill: Option<SpillOptions>,
+}
+
+impl Default for ReachOptions {
+    fn default() -> Self {
+        Self {
+            max_states: 1 << 20,
+            max_vanishing_depth: 4096,
+            ph_order: 0,
+            threads: 1,
+            spill: None,
+        }
+    }
+}
+
+/// One probabilistic transition of the reachability graph: completing
+/// `activity` (or, for expanded activities, one exponential stage of
+/// it) in the source state leads to tangible state `target` with
+/// probability `prob` (case probability × vanishing-path probability ×
+/// phase-entry probability; the `prob`s of one activity in one source
+/// state sum to 1).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Transition {
+    /// The timed activity whose (stage) completion triggers the move.
+    pub activity: ActivityId,
+    /// Branching probability of this particular outcome.
+    pub prob: f64,
+    /// Exponential event rate (1/ms) of the stage whose completion
+    /// drives this move: the phase-stage rate for expanded activities,
+    /// `1/mean` for native exponentials. The generator-matrix
+    /// contribution is `rate * prob` ([`Transition::q`]). `NaN` when
+    /// the source activity is non-exponential and expansion is
+    /// disabled — the CTMC build turns that into
+    /// [`SolveError::NonMarkovian`].
+    pub rate: f64,
+    /// Whether this move completes the activity (fires its cases).
+    /// `false` only for internal phase advances of expanded activities
+    /// — impulse rewards must ignore those.
+    pub completes: bool,
+    /// Index of the destination state.
+    pub target: usize,
+}
+
+impl Transition {
+    /// Generator-matrix contribution of this transition (1/ms): the
+    /// exponential stage rate weighted by the branching probability.
+    #[inline]
+    pub fn q(&self) -> f64 {
+        self.rate * self.prob
+    }
+}
+
+impl SpillRecord for Transition {
+    // prob f64 + rate f64 + target u32 + activity u32 + completes u8.
+    const BYTES: usize = 25;
+
+    fn store(&self, out: &mut [u8]) {
+        out[0..8].copy_from_slice(&self.prob.to_le_bytes());
+        out[8..16].copy_from_slice(&self.rate.to_le_bytes());
+        out[16..20].copy_from_slice(&(self.target as u32).to_le_bytes());
+        out[20..24].copy_from_slice(&(self.activity.index() as u32).to_le_bytes());
+        out[24] = u8::from(self.completes);
+    }
+
+    fn load(bytes: &[u8]) -> Self {
+        let f = |r: std::ops::Range<usize>| f64::from_le_bytes(bytes[r].try_into().expect("8B"));
+        let u = |r: std::ops::Range<usize>| u32::from_le_bytes(bytes[r].try_into().expect("4B"));
+        Self {
+            prob: f(0..8),
+            rate: f(8..16),
+            target: u(16..20) as usize,
+            activity: ActivityId::from_index(u(20..24) as usize),
+            completes: bytes[24] != 0,
+        }
+    }
+}
+
+/// The tangible reachable state space of a model.
+///
+/// With phase-type expansion active, each state vector is the flat
+/// place marking followed by one phase counter per expanded activity;
+/// [`StateSpace::marking`] exposes only the place prefix. States are
+/// stored bit-packed ([`StateSpace::packed_state`]); decode one with
+/// [`StateSpace::tokens`].
+///
+/// State numbering is canonical — BFS level first, packed key within a
+/// level — and identical for every [`ReachOptions::threads`] value.
+pub struct StateSpace<'m> {
+    model: &'m SanModel,
+    /// Number of places — the length of the marking prefix of each
+    /// state vector.
+    base: usize,
+    /// Number of appended phase counters (0 without expansion).
+    pub phase_slots: usize,
+    /// The bit layout shared by all packed states.
+    layout: StateLayout,
+    /// Canonically ordered packed states — either a spillable copy or
+    /// a zero-copy view into the intern arena.
+    packed: PackedStates,
+    /// The flat transition arena: every state's merged outgoing
+    /// transitions, canonical order, each row one contiguous slice.
+    trans: SegStore<Transition>,
+    /// Per-state row location in `trans` (empty row for absorbing
+    /// states).
+    row_locs: Vec<RowLoc>,
+    /// Total transitions across all rows.
+    total_trans: usize,
+    /// Initial probability distribution over tangible states (the
+    /// initial marking's vanishing chain may branch probabilistically,
+    /// as may phase entry).
+    pub initial: Vec<(usize, f64)>,
+    /// Marks states at which the absorbing predicate held (if one was
+    /// given); their outgoing transitions are suppressed.
+    pub absorbing: Vec<bool>,
+    /// The expansion order this space was explored at
+    /// ([`ReachOptions::ph_order`]).
+    ph_order: u32,
+    /// Structural fingerprint of the expansion — what
+    /// [`StateSpace::rebuild_rates`] validates against.
+    shape: ExpansionShape,
+}
+
+impl std::fmt::Debug for StateSpace<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StateSpace")
+            .field("model", &self.model.name())
+            .field("states", &self.len())
+            .field("phase_slots", &self.phase_slots)
+            .field("words_per_state", &self.layout.words())
+            .field("transitions", &self.total_trans)
+            .finish()
+    }
+}
+
+/// How the canonical packed states are stored.
+///
+/// By default the exploration's intern arena *is* the state storage:
+/// the `StateSpace` keeps it (hash tables dropped) plus the canonical
+/// → provisional permutation, so the states exist exactly once in
+/// memory. Spill mode instead writes a canonical-order copy into a
+/// spillable segmented store and frees the arena, so the state table
+/// itself can page to disk under the RAM budget.
+enum PackedStates {
+    /// Spill mode: canonical-order copy, `words` per row, pageable.
+    Store {
+        store: SegStore<u64>,
+        /// Rows per segment (fixed-width rows ⇒ location is pure
+        /// arithmetic).
+        per_seg: usize,
+    },
+    /// Default: the intern arena, read through the permutation.
+    Interned { interner: Interner, perm: Vec<u32> },
+}
+
+impl PackedStates {
+    /// Reads state `i`'s packed words (`words` per state) into `buf`
+    /// without borrowing the whole `StateSpace` — the rate rebuild
+    /// decodes states while the transition arena is mutably borrowed.
+    fn read_into(&self, words: usize, i: usize, buf: &mut [u64]) {
+        match self {
+            PackedStates::Store { store, per_seg } => {
+                let row = store.row(RowLoc {
+                    seg: (i / per_seg) as u32,
+                    off: ((i % per_seg) * words) as u32,
+                    len: words as u32,
+                });
+                buf.copy_from_slice(&row);
+            }
+            PackedStates::Interned { interner, perm } => {
+                interner.read_state(perm[i] as usize, buf);
+            }
+        }
+    }
+}
+
+/// The model-independent payload of an explored [`StateSpace`] — what a
+/// [`crate::cache::GraphCache`] stores between campaign grid points.
+/// Detach with [`StateSpace::into_parts`], re-attach to a (possibly
+/// re-parameterised) model with [`StateSpace::from_parts`], then
+/// rewrite rates with [`StateSpace::rebuild_rates`].
+pub struct GraphParts {
+    base: usize,
+    phase_slots: usize,
+    ph_order: u32,
+    layout: StateLayout,
+    packed: PackedStates,
+    trans: SegStore<Transition>,
+    row_locs: Vec<RowLoc>,
+    total_trans: usize,
+    initial: Vec<(usize, f64)>,
+    absorbing: Vec<bool>,
+    shape: ExpansionShape,
+}
+
+impl GraphParts {
+    /// Number of tangible states in the detached graph.
+    pub fn num_states(&self) -> usize {
+        self.row_locs.len()
+    }
+
+    /// Total transitions in the detached graph.
+    pub fn num_transitions(&self) -> usize {
+        self.total_trans
+    }
+}
+
+impl std::fmt::Debug for GraphParts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GraphParts")
+            .field("states", &self.num_states())
+            .field("transitions", &self.total_trans)
+            .field("ph_order", &self.ph_order)
+            .finish()
+    }
+}
+
+impl<'m> StateSpace<'m> {
+    /// Explores the full tangible state space (no absorbing predicate).
+    pub fn explore(model: &'m SanModel, opts: &ReachOptions) -> Result<Self, SolveError> {
+        Self::explore_inner(model, opts, None, None).map(|(ss, _)| ss)
+    }
+
+    /// [`StateSpace::explore`] with the CTMC generator built *in the
+    /// same pass*: each BFS level's CSR rows are assembled as soon as
+    /// the level is canonically renumbered (overlapping the exploration
+    /// of the next level), so the explore → CSR phases pipeline instead
+    /// of running serially. The result is byte-identical to exploring
+    /// first and calling [`Ctmc::from_state_space`](crate::Ctmc::from_state_space)
+    /// afterwards.
+    pub fn explore_ctmc(
+        model: &'m SanModel,
+        opts: &ReachOptions,
+    ) -> Result<(Self, Ctmc), SolveError> {
+        Self::explore_inner(model, opts, None, Some(GeneratorBackend::Csr)).map(|(ss, gen)| {
+            match gen {
+                Some(Generator::Csr(q)) => (ss, q),
+                // Invariant: `GenSink::new(Csr)` only ever finishes into `Generator::Csr`.
+                _ => unreachable!("csr generator requested"),
+            }
+        })
+    }
+
+    /// [`StateSpace::explore_ctmc`] generalized over the generator
+    /// representation: the returned [`Generator`] is the CSR matrix or
+    /// the factored Kronecker-style descriptor
+    /// ([`KronGenerator`](crate::KronGenerator)) per `backend`, built
+    /// in the same streaming pass.
+    pub fn explore_gen(
+        model: &'m SanModel,
+        opts: &ReachOptions,
+        backend: GeneratorBackend,
+    ) -> Result<(Self, Generator), SolveError> {
+        Self::explore_inner(model, opts, None, Some(backend))
+            .map(|(ss, gen)| (ss, gen.expect("generator requested")))
+    }
+
+    /// [`StateSpace::explore_absorbing`] with the CTMC generator built
+    /// in the same streaming pass — see [`StateSpace::explore_ctmc`].
+    pub fn explore_absorbing_ctmc(
+        model: &'m SanModel,
+        opts: &ReachOptions,
+        absorb: impl Fn(&Marking) -> bool + Sync,
+    ) -> Result<(Self, Ctmc), SolveError> {
+        Self::explore_inner(model, opts, Some(&absorb), Some(GeneratorBackend::Csr)).map(
+            |(ss, gen)| match gen {
+                Some(Generator::Csr(q)) => (ss, q),
+                // Invariant: `GenSink::new(Csr)` only ever finishes into `Generator::Csr`.
+                _ => unreachable!("csr generator requested"),
+            },
+        )
+    }
+
+    /// [`StateSpace::explore_absorbing_ctmc`] generalized over the
+    /// generator representation — see [`StateSpace::explore_gen`].
+    pub fn explore_absorbing_gen(
+        model: &'m SanModel,
+        opts: &ReachOptions,
+        backend: GeneratorBackend,
+        absorb: impl Fn(&Marking) -> bool + Sync,
+    ) -> Result<(Self, Generator), SolveError> {
+        Self::explore_inner(model, opts, Some(&absorb), Some(backend))
+            .map(|(ss, gen)| (ss, gen.expect("generator requested")))
+    }
+
+    /// Explores the state space, treating every tangible marking for
+    /// which `absorb` holds as absorbing (no outgoing transitions).
+    ///
+    /// This is how first-passage ("time until the predicate holds")
+    /// quantities are solved: make the goal states absorbing and read
+    /// the absorbed probability mass off the transient solution.
+    ///
+    /// The predicate is evaluated on tangible markings only — the same
+    /// instants at which the simulator's `run_until` evaluates its stop
+    /// predicate — so it should be stable under instantaneous firings
+    /// (e.g. a monotone "place ever marked" test).
+    pub fn explore_absorbing(
+        model: &'m SanModel,
+        opts: &ReachOptions,
+        absorb: impl Fn(&Marking) -> bool + Sync,
+    ) -> Result<Self, SolveError> {
+        Self::explore_inner(model, opts, Some(&absorb), None).map(|(ss, _)| ss)
+    }
+
+    fn explore_inner(
+        model: &'m SanModel,
+        opts: &ReachOptions,
+        absorb: Option<&AbsorbFn<'_>>,
+        want: Option<GeneratorBackend>,
+    ) -> Result<(Self, Option<Generator>), SolveError> {
+        // All spill read-back failures below (packed states, transition
+        // arena, paged CSR) surface typed through this boundary.
+        crate::catch_spill(|| driver::explore(model, opts, absorb, want))
+    }
+
+    /// The model this space was explored from.
+    pub fn model(&self) -> &'m SanModel {
+        self.model
+    }
+
+    /// Number of tangible states.
+    pub fn len(&self) -> usize {
+        self.row_locs.len()
+    }
+
+    /// Whether the space is empty (never true after exploration).
+    pub fn is_empty(&self) -> bool {
+        self.row_locs.is_empty()
+    }
+
+    /// The merged outgoing transitions of state `i`, as one contiguous
+    /// row slice of the flat transition arena (empty for absorbing
+    /// states). The guard keeps a spilled segment alive while the row
+    /// is borrowed; without spill it is a plain slice borrow.
+    pub fn outgoing(&self, i: usize) -> RowRef<'_, Transition> {
+        self.trans.row(self.row_locs[i])
+    }
+
+    /// Total number of transitions.
+    pub fn num_transitions(&self) -> usize {
+        self.total_trans
+    }
+
+    /// Number of places (the marking prefix length of each state
+    /// vector; phase counters follow).
+    pub fn num_places(&self) -> usize {
+        self.base
+    }
+
+    /// Packed words per state.
+    pub fn words_per_state(&self) -> usize {
+        self.layout.words()
+    }
+
+    /// The raw packed words of state `i` (compare with
+    /// [`StateSpace::packed_words`] for the whole space).
+    pub fn packed_state(&self, i: usize) -> RowRef<'_, u64> {
+        let w = self.layout.words();
+        match &self.packed {
+            PackedStates::Store { store, per_seg } => store.row(RowLoc {
+                seg: (i / per_seg) as u32,
+                off: ((i % per_seg) * w) as u32,
+                len: w as u32,
+            }),
+            PackedStates::Interned { interner, perm } => {
+                let mut buf = vec![0u64; w];
+                interner.read_state(perm[i] as usize, &mut buf);
+                RowRef::owned(buf)
+            }
+        }
+    }
+
+    /// Every state's packed words, canonical order, back to back —
+    /// byte-comparable across explorations to assert reproducibility.
+    /// Collects (and, under spill, reloads) the whole array; meant for
+    /// determinism asserts, not hot paths.
+    pub fn packed_words(&self) -> Vec<u64> {
+        match &self.packed {
+            PackedStates::Store { store, .. } => store.collect_all(),
+            PackedStates::Interned { interner, perm } => {
+                let w = self.layout.words();
+                let mut out = vec![0u64; perm.len() * w];
+                for (rank, &prov) in perm.iter().enumerate() {
+                    interner.read_state(prov as usize, &mut out[rank * w..(rank + 1) * w]);
+                }
+                out
+            }
+        }
+    }
+
+    /// Decodes state `i` into its extended token vector (places, then
+    /// phase counters).
+    pub fn tokens(&self, i: usize) -> Vec<u32> {
+        self.layout.decode_vec(&self.packed_state(i))
+    }
+
+    /// Materialises state `i` as a [`Marking`] (for reward evaluation).
+    /// Phase counters are not part of the marking.
+    pub fn marking(&self, i: usize) -> Marking {
+        let tokens = self.tokens(i);
+        self.model.marking_from(&tokens[..self.base])
+    }
+
+    /// Detaches the model-independent payload of this space so it can
+    /// outlive the model borrow (e.g. in a [`crate::cache::GraphCache`]
+    /// between campaign grid points).
+    pub fn into_parts(self) -> GraphParts {
+        GraphParts {
+            base: self.base,
+            phase_slots: self.phase_slots,
+            ph_order: self.ph_order,
+            layout: self.layout,
+            packed: self.packed,
+            trans: self.trans,
+            row_locs: self.row_locs,
+            total_trans: self.total_trans,
+            initial: self.initial,
+            absorbing: self.absorbing,
+            shape: self.shape,
+        }
+    }
+
+    /// Re-attaches cached [`GraphParts`] to a model. The model must
+    /// have the same net dimensions the graph was explored with (full
+    /// structural equality is the caller's contract — campaign drivers
+    /// key caches by the structural parameters that generated the
+    /// model); call [`StateSpace::rebuild_rates`] afterwards if the
+    /// model's timing parameters changed.
+    pub fn from_parts(model: &'m SanModel, parts: GraphParts) -> Result<Self, SolveError> {
+        if model.num_places() != parts.base || model.num_activities() != parts.shape.activities {
+            return Err(SolveError::StructureMismatch {
+                reason: format!(
+                    "model has {} places / {} activities, cached graph was explored with {} / {}",
+                    model.num_places(),
+                    model.num_activities(),
+                    parts.base,
+                    parts.shape.activities
+                ),
+            });
+        }
+        Ok(Self {
+            model,
+            base: parts.base,
+            phase_slots: parts.phase_slots,
+            layout: parts.layout,
+            packed: parts.packed,
+            trans: parts.trans,
+            row_locs: parts.row_locs,
+            total_trans: parts.total_trans,
+            initial: parts.initial,
+            absorbing: parts.absorbing,
+            ph_order: parts.ph_order,
+            shape: parts.shape,
+        })
+    }
+
+    /// Re-evaluates every transition's stage rate from the (possibly
+    /// re-parameterised) model, in place, without re-exploring — the
+    /// rate-only rebuild of the campaign engine. When two grid points
+    /// share structure (same net, same `ph_order`, same expansion
+    /// shape) but differ in timing parameters, the reachability graph
+    /// and its CSR sparsity are identical; only rate values change.
+    ///
+    /// Stage rates are a pure function of `(activity, source state)`
+    /// and the duplicate fold in `merge_outgoing` never mixes them, so
+    /// the rewritten transitions — and a CSR rebuilt from them via
+    /// [`Ctmc::rebuild_values`] — are bit-identical to a fresh
+    /// exploration of the new model. The initial distribution and
+    /// absorbing marks are rate-independent and stay valid as-is.
+    ///
+    /// Fails with [`SolveError::StructureMismatch`] when the new
+    /// model's expansion shape differs (e.g. a distribution change
+    /// moved the moment-matching fit to a different branch structure);
+    /// the caller should fall back to a cold exploration. On error the
+    /// space may hold partially rewritten rates — discard it.
+    pub fn rebuild_rates(&mut self) -> Result<(), SolveError> {
+        crate::catch_spill(|| self.rebuild_rates_inner())
+    }
+
+    fn rebuild_rates_inner(&mut self) -> Result<(), SolveError> {
+        let expansion = Expansion::build(self.model, self.ph_order)?;
+        let shape = expansion.shape(self.model);
+        if shape != self.shape {
+            return Err(SolveError::StructureMismatch {
+                reason: "phase-type expansion shape changed between grid points".to_string(),
+            });
+        }
+        // Base rate of each unexpanded activity (NaN for
+        // non-exponential ones — surfaces as `NonMarkovian` at the CTMC
+        // build, exactly like a cold exploration).
+        let unexpanded: Vec<f64> = self
+            .model
+            .activity_ids()
+            .map(|a| match self.model.timing(a) {
+                Timing::Timed(Dist::Exp { mean }) => 1.0 / mean,
+                _ => f64::NAN,
+            })
+            .collect();
+        let layout = &self.layout;
+        let packed = &self.packed;
+        let words = layout.words();
+        let mut key = vec![0u64; words];
+        let mut ext = vec![0u32; layout.num_fields()];
+        self.trans.update_rows(&self.row_locs, |i, row| {
+            if row.is_empty() {
+                return;
+            }
+            packed.read_into(words, i, &mut key);
+            layout.decode(&key, &mut ext);
+            for t in row {
+                let idx = t.activity.index();
+                t.rate = match expansion.plans[idx].as_ref() {
+                    Some(plan) => {
+                        // A transition of an expanded activity exists
+                        // only while its phase counter is active.
+                        let phase = ext[expansion.slots[idx]];
+                        debug_assert!(phase >= 1, "active expanded activity has phase 0");
+                        plan.rates[(phase - 1) as usize]
+                    }
+                    None => unexpanded[idx],
+                };
+            }
+        });
+        if ctsim_obs::enabled() {
+            ctsim_obs::counter_add("graph_cache.rate_rebuilds", 1);
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ctsim_san::{Activity, Case, SanBuilder};
+    use ctsim_stoch::Dist;
+
+    /// p --exp--> q: two states, one transition.
+    #[test]
+    fn two_state_chain() {
+        let mut b = SanBuilder::new("m");
+        let p = b.place("p", 1);
+        let q = b.place("q", 0);
+        b.add_activity(
+            Activity::timed("t", Dist::Exp { mean: 2.0 })
+                .input(p, 1)
+                .case(Case::with_prob(1.0).output(q, 1)),
+        );
+        let m = b.build().unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        assert_eq!(ss.len(), 2);
+        assert_eq!(ss.initial, vec![(0, 1.0)]);
+        assert_eq!(ss.outgoing(0).len(), 1);
+        assert_eq!(ss.outgoing(0)[0].target, 1);
+        assert!((ss.outgoing(0)[0].rate - 0.5).abs() < 1e-12);
+        assert!(ss.outgoing(0)[0].completes);
+        assert!(ss.outgoing(1).is_empty(), "q-state is dead");
+    }
+}

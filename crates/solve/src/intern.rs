@@ -32,7 +32,7 @@
 //!
 //! Interned ids are **provisional**: they depend on the race outcomes
 //! and are only made deterministic by the canonical renumbering pass in
-//! `graph.rs` (sort by BFS level, then packed key). Nothing outside the
+//! `graph/driver.rs` (sort by BFS level, then packed key). Nothing outside the
 //! exploration ever observes a provisional id.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -158,7 +158,7 @@ impl Interner {
     /// worker keeps the CAS contention negligible) so a sequential
     /// exploration of a hundred-state model does not pay the fixed
     /// setup of a 64-shard table. Shard count never affects results —
-    /// the canonical renumbering in `graph.rs` erases every trace of
+    /// the canonical renumbering in `graph/driver.rs` erases every trace of
     /// the table layout.
     pub(crate) fn new(words: usize, max_states: usize, workers: usize) -> Self {
         // Beyond ~2³¹ states the exploration is hopeless anyway; the

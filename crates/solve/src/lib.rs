@@ -142,6 +142,14 @@
 //! knob, exactly like the replication fan-out in `ctsim_san::replicate`
 //! (see `graph` module docs for the full argument).
 //!
+//! The sweep is written once: `graph/driver.rs` holds the
+//! level-synchronous loop, generic (statically dispatched) over the
+//! dedup strategy — resident intern table or external-memory
+//! sort-merge — so the two engines share successor generation
+//! (`graph/expand.rs`) and canonical emission (`graph/assembly.rs`)
+//! and can differ only in where a state's id comes from; `graph/mod.rs`
+//! keeps the options and the [`StateSpace`] API.
+//!
 //! # Solver backends
 //!
 //! The linear-algebra layer behind [`steady_state`] and

@@ -1,36 +1,18 @@
-//! Benchmark support crate: shared helpers for the Criterion benches
-//! that regenerate the paper's tables and figures at reduced scale.
-//!
-//! The benches live in `benches/`:
-//!
-//! * `fig6_delay_cdf` — message-delay measurement campaign (Fig. 6),
-//! * `fig7_latency` — class-1 latency, measurement and simulation
-//!   (Fig. 7 / §5.2),
-//! * `table1_crash_latency` — crash scenarios (Table 1),
-//! * `fig8_qos` — failure-detector QoS estimation (Fig. 8),
-//! * `fig9_latency_vs_timeout` — class-3 latency and the SAN
-//!   two-state-FD model (Fig. 9),
-//! * `engine_micro` — SAN simulator, event queue, and cluster-runtime
-//!   microbenchmarks.
-
-use ctsim_experiments::Scale;
-
-/// The scale every figure bench runs at.
-pub const BENCH_SCALE: Scale = Scale::Quick;
-
-/// A fixed seed so benchmark workloads are identical across runs.
-pub const BENCH_SEED: u64 = 0xBE7C;
+//! Measurement support shared by the repository's benchmark
+//! (`ctbench/`) and `examples/explore_scaling.rs`: the counting global
+//! allocator in [`alloc_counter`], the sole source of the end-to-end
+//! `peak_heap_bytes` metric.
 
 pub mod alloc_counter {
     //! A counting global allocator for peak-memory benchmarking.
     //!
-    //! Install it in a bench target with
+    //! Install it in a binary with
     //! `#[global_allocator] static A: CountingAlloc = CountingAlloc;`
     //! then bracket a workload with [`reset_peak`] / [`peak_bytes`] to
     //! measure its peak live heap. Unlike an RSS sample the counter is
     //! exact, immune to allocator caching, and deterministic for a
-    //! deterministic workload — which is what lets `bench_check` gate
-    //! peak-memory regressions as tightly as throughput ones.
+    //! deterministic workload — which is what lets `ctbench` bound
+    //! `peak_heap_bytes` far more tightly than its wall-clock metrics.
 
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicUsize, Ordering};

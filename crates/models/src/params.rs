@@ -209,8 +209,7 @@ impl SanParams {
 
     /// The paper's smallest simulated size, `n = 3`, on the real
     /// (deterministic/bi-modal) parameters — the preset behind the CI
-    /// scalability gate (`repro analytic --n 3`) and the
-    /// `concurrent_intern` benchmarks.
+    /// scalability gate (`repro analytic --n 3`).
     pub fn paper_n3() -> Self {
         Self::paper_baseline(3)
     }

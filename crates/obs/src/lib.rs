@@ -4,9 +4,9 @@
 //! with exporters for a human-readable run summary, a JSON metrics
 //! document, and a chrome://tracing (`trace_event`) file.
 //!
-//! Like the `crates/compat/` shims, this crate is built for the
+//! Like the `crates/compat/` shim, this crate is built for the
 //! offline workspace: no `tracing`, no `serde` — the exporters
-//! hand-roll their JSON exactly like the bench writer does.
+//! hand-roll their JSON.
 //!
 //! # Disabled-mode overhead guarantee
 //!
@@ -17,10 +17,12 @@
 //! relaxed atomic load and a predictable branch** — no clock read, no
 //! allocation, no lock. Instrumented hot loops additionally guard
 //! their argument construction behind [`enabled`] so a disabled build
-//! pays nothing for `format!`/`Vec` work either. The CI bench gate
-//! (`bench_check`) runs the n = 3 exploration with telemetry disabled
-//! and fails on any measurable throughput regression, which keeps this
-//! guarantee enforced rather than aspirational.
+//! pays nothing for `format!`/`Vec` work either. The benchmark
+//! (`ctbench/`) times every workload with telemetry disabled — those
+//! are the `op_s` figures its bounds apply to — and once more traced,
+//! reporting the ratio as `trace.overhead_ratio`; a clock read on a
+//! disabled hot path would show in the first, the recorder's own cost
+//! in the second.
 //!
 //! # Capturing a trace
 //!

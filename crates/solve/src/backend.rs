@@ -65,8 +65,7 @@ impl SolverBackend {
         SolverBackend::Krylov,
     ];
 
-    /// The kebab-case name used by `--solver`, CI matrix entries, and
-    /// bench row names.
+    /// The kebab-case name used by `--solver` and CI matrix entries.
     pub fn name(self) -> &'static str {
         match self {
             SolverBackend::GaussSeidel => "gauss-seidel",

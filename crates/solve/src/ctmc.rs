@@ -676,21 +676,14 @@ impl Ctmc {
     }
 
     /// Dense row-vector product `out = x · Q` (1/ms units), gathered
-    /// over the cached incoming view. See [`Ctmc::vec_mul_threads`]
-    /// for the sharded variant — this is the single-worker call.
+    /// over the cached incoming view on one worker;
+    /// [`LinOp::apply_transposed`](crate::LinOp::apply_transposed) is
+    /// the sharded product.
     ///
     /// # Panics
     /// Panics if slice lengths disagree with the state count.
     pub fn vec_mul(&self, x: &[f64], out: &mut [f64]) {
         crate::spmv::vec_mul(self, x, out, 1);
-    }
-
-    /// [`Ctmc::vec_mul`] sharded over `threads` workers (`0` = one per
-    /// core). Every output element is gathered by exactly one worker
-    /// in a fixed order, so the result is bit-identical for every
-    /// `threads` value.
-    pub fn vec_mul_threads(&self, x: &[f64], out: &mut [f64], threads: usize) {
-        crate::spmv::vec_mul(self, x, out, threads);
     }
 
     /// The cached column-oriented (incoming) view: for each state, its
@@ -700,14 +693,6 @@ impl Ctmc {
     /// no longer pay the transpose each call.
     pub fn incoming_view(&self) -> &Incoming {
         self.incoming.get_or_init(|| Incoming::build(self))
-    }
-
-    /// The incoming view as per-state vectors. Prefer
-    /// [`Ctmc::incoming_view`], which is cached and allocation-free;
-    /// this adapter survives for callers that want owned lists.
-    pub fn incoming(&self) -> Vec<Vec<(usize, f64)>> {
-        let view = self.incoming_view();
-        (0..self.n).map(|j| view.column(j).to_vec()).collect()
     }
 }
 

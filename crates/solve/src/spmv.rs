@@ -137,7 +137,7 @@ where
 /// order that makes the product shardable *and* bit-identical for
 /// every thread count — the property every parallel backend rests on —
 /// at the cost of always touching all `nnz` entries (tracked by the
-/// `analytic_n2_transient_cdf_point` bench row).
+/// benchmark's `cdf_point_s`).
 pub(crate) fn vec_mul(ctmc: &Ctmc, x: &[f64], out: &mut [f64], threads: usize) {
     assert_eq!(x.len(), ctmc.num_states());
     assert_eq!(out.len(), ctmc.num_states());

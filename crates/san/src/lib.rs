@@ -27,7 +27,12 @@
 //!   least the arc's multiplicity and every input-gate predicate is true.
 //! * Enabled **instantaneous** activities complete before any timed
 //!   activity, highest priority first, ties broken randomly in proportion
-//!   to their weights.
+//!   to their weights. The tie-break is one uniform draw walked over the
+//!   tied activities in *first-touch order*: the order in which the
+//!   marking changes since the last timed completion first reached them
+//!   through a place they depend on (declaration order at time zero).
+//!   That order is part of the semantics — a replication's samples
+//!   depend on it to the bit — see [`sim`].
 //! * An enabled **timed** activity samples its delay upon becoming
 //!   enabled. If it becomes disabled before completion the sample is
 //!   discarded ("restart" reactivation policy); a fresh delay is drawn

@@ -386,6 +386,9 @@ pub struct SanModel {
     pub(crate) activities: Vec<ActivityDef>,
     /// place index -> activities whose enabling depends on that place.
     pub(crate) dependents: Vec<Vec<ActivityId>>,
+    /// activity index -> whether it is instantaneous: what the simulator
+    /// asks of every dependent it visits, without loading the definition.
+    pub(crate) instantaneous: Vec<bool>,
 }
 
 impl fmt::Debug for SanModel {
@@ -659,12 +662,18 @@ impl SanBuilder {
                 dependents[p].push(id);
             }
         }
+        let instantaneous = self
+            .activities
+            .iter()
+            .map(|a| matches!(a.timing, Timing::Instantaneous { .. }))
+            .collect();
         Ok(SanModel {
             name: self.name,
             place_names: self.place_names,
             initial: self.initial,
             activities: self.activities,
             dependents,
+            instantaneous,
         })
     }
 }

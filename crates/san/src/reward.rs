@@ -7,6 +7,8 @@
 //! each with its own RNG substream, reduced to a scalar by a caller
 //! reward function.
 
+use std::sync::Mutex;
+
 use ctsim_stoch::{OnlineStats, SimRng};
 
 use crate::model::SanModel;
@@ -37,81 +39,106 @@ impl Replications {
     }
 }
 
-/// Minimum replication count before threads are worth spawning.
-const PARALLEL_THRESHOLD: usize = 64;
+/// Replications handed to a worker at a time. Small enough that a slow
+/// core costs the run at most one block of waiting, large enough that
+/// the hand-out lock and the per-block telemetry are noise.
+const BLOCK: usize = 64;
 
 /// Runs `reps` independent replications of `model`.
 ///
-/// Each replication gets a fresh [`Simulator`] seeded from substream
-/// `rep_index` of `seed`, so results are reproducible and insensitive to
-/// the number of replications requested. The `reward` closure drives the
-/// run (typically via [`Simulator::run_until`]) and returns the scalar to
-/// record, or `None` to discard the replication.
+/// Replication `i` runs on a [`Simulator`] seeded from substream `i` of
+/// `seed` and in its just-created state, so results are reproducible and
+/// insensitive to the number of replications requested. The `reward`
+/// closure drives the run (typically via [`Simulator::run_until`]) and
+/// returns the scalar to record, or `None` to discard the replication.
 ///
-/// Replications are fanned out across `std::thread` workers (one
-/// contiguous index chunk per worker). Because every replication derives
-/// its RNG purely from `(seed, rep_index)` and per-replication results
-/// are collected back in index order, the outcome is bit-identical to a
-/// sequential run regardless of worker count or scheduling.
+/// Replications are handed out to `std::thread` workers in blocks of 64
+/// consecutive indices, a worker taking the next block whenever it
+/// finishes one, so an uneven host slows the run by at most one block
+/// instead of by its slowest share. Each worker keeps one
+/// simulator and [`Simulator::reset`]s it between replications — after
+/// the first, a replication allocates nothing — and writes each result
+/// into the slot of its index in one pre-sized vector. Because every
+/// replication derives its RNG purely from `(seed, index)`, starts from
+/// a reset simulator, and lands in its own slot, the outcome is
+/// bit-identical to a sequential loop over new simulators, whatever the
+/// worker count, the block-to-worker assignment or the scheduling.
 pub fn replicate(
     model: &SanModel,
     reps: usize,
     seed: u64,
     reward: impl Fn(&mut Simulator<'_>) -> Option<f64> + Sync,
 ) -> Replications {
-    let root = SimRng::new(seed);
-    let run_one = |i: usize| {
-        let rng = root.substream(i as u64);
-        let mut sim = Simulator::new(model, rng);
-        reward(&mut sim)
-    };
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(1)
-        .min(reps / (PARALLEL_THRESHOLD / 2).max(1))
-        .max(1);
+        .unwrap_or(1);
+    replicate_on(workers, model, reps, seed, |_, sim| reward(sim))
+}
+
+/// [`replicate`] on at most `workers` threads, with the replication
+/// index passed to `reward` — the seam the tests use to show that
+/// neither changes a sample.
+fn replicate_on(
+    workers: usize,
+    model: &SanModel,
+    reps: usize,
+    seed: u64,
+    reward: impl Fn(usize, &mut Simulator<'_>) -> Option<f64> + Sync,
+) -> Replications {
+    let root = SimRng::new(seed);
+    let workers = workers.min(reps.div_ceil(BLOCK)).max(1);
     let _span = ctsim_obs::span("sim", "replicate")
         .arg("reps", reps)
         .arg("workers", workers);
-    // One `replication_batch` span per contiguous index chunk — the
-    // unit of work a replication worker owns.
-    let run_batch = |lo: usize, hi: usize| {
-        let t0 = if ctsim_obs::enabled() {
-            ctsim_obs::now_us()
-        } else {
-            0
-        };
-        let out: Vec<Option<f64>> = (lo..hi).map(run_one).collect();
-        if ctsim_obs::enabled() {
-            ctsim_obs::record_span(
-                "sim",
-                "replication_batch",
-                t0,
-                vec![("lo", lo.into()), ("hi", hi.into())],
-            );
-        }
-        out
-    };
-    let results: Vec<Option<f64>> = if workers <= 1 || reps < PARALLEL_THRESHOLD {
-        run_batch(0, reps)
-    } else {
-        let chunk = reps.div_ceil(workers);
-        let mut chunks: Vec<Vec<Option<f64>>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(reps);
-                    let run_batch = &run_batch;
-                    scope.spawn(move || run_batch(lo, hi))
-                })
-                .collect();
-            for h in handles {
-                chunks.push(h.join().expect("replication worker panicked"));
+    let mut results: Vec<Option<f64>> = vec![None; reps];
+    let blocks = Mutex::new(results.chunks_mut(BLOCK).enumerate());
+    // One `replication_batch` span and one counter update per block —
+    // the unit of work a replication worker takes.
+    let work = || {
+        // Seeded per replication, by `reset`.
+        let mut sim = Simulator::new(model, root.clone());
+        loop {
+            let next = blocks
+                .lock()
+                .expect("taking a block cannot panic, so the lock is never poisoned")
+                .next();
+            let Some((block, slots)) = next else {
+                return;
+            };
+            let lo = block * BLOCK;
+            let t0 = if ctsim_obs::enabled() {
+                ctsim_obs::now_us()
+            } else {
+                0
+            };
+            let (mut completions, mut evals) = (0, 0);
+            for (i, slot) in (lo..).zip(slots.iter_mut()) {
+                sim.reset(root.substream(i as u64));
+                *slot = reward(i, &mut sim);
+                let (c, e) = sim.work_counts();
+                completions += c;
+                evals += e;
             }
-        });
-        chunks.into_iter().flatten().collect()
+            if ctsim_obs::enabled() {
+                ctsim_obs::record_span(
+                    "sim",
+                    "replication_batch",
+                    t0,
+                    vec![("lo", lo.into()), ("hi", (lo + slots.len()).into())],
+                );
+                ctsim_obs::counter_add("sim.completions", completions);
+                ctsim_obs::counter_add("sim.enabling_evals", evals);
+            }
+        }
     };
+    // The calling thread is one of the workers; the scope joins the
+    // others and passes a worker's panic on.
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
+    });
     let mut stats = OnlineStats::new();
     let mut samples = Vec::with_capacity(reps);
     let mut discarded = 0;
@@ -216,6 +243,49 @@ mod tests {
         }
         assert_eq!(r.stats.mean().to_bits(), stats.mean().to_bits());
         assert_eq!(r.stats.count(), 500);
+    }
+
+    /// A worker recycles one simulator, so whatever a replication does
+    /// to it — a rate reward, a trace, a forced marking, a run — must be
+    /// gone when the next one starts; and a sample must not depend on
+    /// which worker ran it, at block boundaries in particular.
+    #[test]
+    fn reuse_leaks_nothing_and_worker_count_changes_no_bit() {
+        let m = exp_model(1.5);
+        let (p, q) = (m.place("p").unwrap(), m.place("q").unwrap());
+        let horizon = SimTime::from_secs(1e3);
+        // Even indices dirty the simulator: they start with two tokens
+        // and stop at the second completion, integrating a reward and
+        // tracing along the way.
+        let reward = |i: usize, sim: &mut Simulator<'_>| {
+            assert_eq!(sim.now(), SimTime::ZERO);
+            assert_eq!(sim.marking(), &m.initial_marking());
+            assert!(sim.firing_counts().iter().all(|&c| c == 0));
+            assert!(sim.trace().is_empty());
+            assert_eq!((sim.reward_integral(), sim.time_average()), (0.0, 0.0));
+            if i % 2 == 0 {
+                sim.force_marking(p, 2);
+                sim.set_rate_reward(move |mk| mk.get(p) as f64);
+                sim.record_trace(true);
+                let out = sim.run_until(|mk| mk.get(q) > 1, horizon);
+                assert_eq!(sim.trace().len(), 2);
+                Some(out.time.as_ms() + sim.reward_integral())
+            } else {
+                let out = sim.run_until(|mk| mk.get(q) > 0, horizon);
+                assert_eq!(sim.reward_integral(), 0.0, "no reward was registered");
+                Some(out.time.as_ms())
+            }
+        };
+        let root = SimRng::new(77);
+        for reps in [63, 64, 65, 1000] {
+            let fresh: Vec<f64> = (0..reps)
+                .map(|i| reward(i, &mut Simulator::new(&m, root.substream(i as u64))).unwrap())
+                .collect();
+            for workers in [1, 2, 5] {
+                let r = replicate_on(workers, &m, reps, 77, reward);
+                assert_eq!(r.samples, fresh, "{reps} reps on {workers} workers");
+            }
+        }
     }
 
     #[test]

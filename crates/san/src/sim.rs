@@ -1,11 +1,48 @@
 //! Discrete-event simulation solver for SAN models.
 //!
-//! The solver maintains the set of enabled activities incrementally:
-//! whenever a place changes, only the activities registered as depending
-//! on that place (input arcs ∪ declared gate read sets) are re-examined.
-//! This is what makes campaign-scale simulation of the paper's large
-//! consensus model (hundreds of places and activities per process pair)
-//! tractable.
+//! # What is cached
+//!
+//! Every activity has a cached enabling verdict — for an instantaneous
+//! activity an `enabled` flag (the enabled ones are also kept in a small
+//! list), for a timed one whether a completion is pending in the event
+//! queue — and one **watch** saying which marking change can overturn
+//! that verdict:
+//!
+//! * a *place*, when the last evaluation stopped at an input arc that
+//!   place cannot satisfy (the first such arc): whatever else moves, the
+//!   activity stays disabled until that place does;
+//! * *every dependency* (input-arc places ∪ declared gate read sets)
+//!   otherwise — all arcs are satisfied, so the verdict now hangs on the
+//!   gate predicates, which are opaque closures and are therefore
+//!   re-run whenever any declared read changes.
+//!
+//! When a completion changes place `p`, every dependent of `p` is
+//! visited, but only those watching `p` are marked dirty and later
+//! re-evaluated. In the paper's consensus model a token entering a
+//! `cpu`/`net` resource place has 55–70 dependents, all but one or two
+//! of which are blocked on an *empty queue place* the change did not
+//! touch; skipping them is what makes replicated simulation of the
+//! large models (hundreds of places and activities per process pair)
+//! cheap.
+//!
+//! # Tie order
+//!
+//! Which of several enabled instantaneous activities completes is part
+//! of the model's semantics, so it is pinned down to the bit. The visit
+//! to `p`'s dependents stamps each with a **first-touch position** the
+//! first time it is reached within a *settle* — the span from one timed
+//! completion until no instantaneous activity is enabled and the timed
+//! ones are rescheduled. (At the start of a run every activity is
+//! touched once, in declaration order.) Among the enabled activities of
+//! the highest priority, weights are summed, the single `rng.unit()`
+//! draw is taken, and the weighted walk proceeds **in first-touch
+//! order**. Timed activities that became enabled during the settle
+//! sample their delays in first-touch order too, which also fixes their
+//! FIFO order in the event queue.
+//!
+//! A gate predicate that reads a place missing from its declared read
+//! set makes the cache go stale silently. Debug builds re-evaluate every
+//! activity touched during a settle and panic on a stale verdict.
 
 use ctsim_des::{EventHandle, EventQueue, SimDuration, SimTime};
 use ctsim_stoch::SimRng;
@@ -41,11 +78,40 @@ pub struct RunOutcome {
     pub completions: u64,
 }
 
+/// Watch value meaning "any dependency": every input arc was satisfied
+/// at the last evaluation. Place indices stay below it.
+const WATCH_ANY: u32 = u32::MAX;
+
+/// Per-activity enabling cache (see the module docs).
+#[derive(Debug, Clone, Copy)]
+struct Cached {
+    /// First-touch position; belongs to the current settle iff it is
+    /// `>= Simulator::settle_start`.
+    pos: u64,
+    /// The place whose change can overturn the verdict, or [`WATCH_ANY`].
+    watch: u32,
+    /// Instantaneous activities only: the cached verdict. (A timed
+    /// activity's verdict is `pending[a].is_some()`.)
+    enabled: bool,
+    /// Queued for re-evaluation.
+    dirty: bool,
+}
+
+impl Cached {
+    const UNTOUCHED: Cached = Cached {
+        pos: 0,
+        watch: WATCH_ANY,
+        enabled: false,
+        dirty: false,
+    };
+}
+
 /// A simulation run over a [`SanModel`].
 ///
 /// Holds the current marking, the pending-event set of sampled timed
-/// activities, and the RNG. Create one per replication (the model itself
-/// is shared immutably).
+/// activities, and the RNG. Use one per replication (the model itself
+/// is shared immutably) — a new one, or the previous one after
+/// [`Simulator::reset`].
 pub struct Simulator<'m> {
     model: &'m SanModel,
     marking: Marking,
@@ -55,12 +121,23 @@ pub struct Simulator<'m> {
     rng: SimRng,
     firing_counts: Vec<u64>,
     completions: u64,
+    /// Enabling evaluations so far (telemetry; see `reward::replicate`).
+    enabling_evals: u64,
+    cache: Vec<Cached>,
+    /// Next first-touch position to hand out. It only grows during a
+    /// run, so a stamp from an earlier settle can never look current.
+    next_pos: u64,
+    /// First position of the settle in progress.
+    settle_start: u64,
+    dirty_instantaneous: Vec<ActivityId>,
+    dirty_timed: Vec<ActivityId>,
+    /// The instantaneous activities whose cached verdict is "enabled".
+    enabled_instantaneous: Vec<ActivityId>,
+    /// Debug builds only: every activity touched in this settle.
+    touched: Vec<ActivityId>,
     // Scratch buffers, reused across steps.
     changed_scratch: Vec<usize>,
-    in_candidates: Vec<bool>,
-    candidates: Vec<ActivityId>,
-    affected_timed: Vec<ActivityId>,
-    in_affected: Vec<bool>,
+    ties: Vec<(u64, ActivityId, f64)>,
     trace: Option<Vec<(SimTime, ActivityId)>>,
     rate_reward: Option<RewardFn>,
     reward_integral: f64,
@@ -85,6 +162,10 @@ impl<'m> Simulator<'m> {
     /// initial marking.
     pub fn new(model: &'m SanModel, rng: SimRng) -> Self {
         let n_act = model.num_activities();
+        assert!(
+            model.num_places() < WATCH_ANY as usize,
+            "place indices must fit the watch field"
+        );
         Self {
             model,
             marking: model.initial_marking(),
@@ -93,11 +174,16 @@ impl<'m> Simulator<'m> {
             rng,
             firing_counts: vec![0; n_act],
             completions: 0,
+            enabling_evals: 0,
+            cache: vec![Cached::UNTOUCHED; n_act],
+            next_pos: 1,
+            settle_start: 1,
+            dirty_instantaneous: Vec::new(),
+            dirty_timed: Vec::new(),
+            enabled_instantaneous: Vec::new(),
+            touched: Vec::new(),
             changed_scratch: Vec::new(),
-            in_candidates: vec![false; n_act],
-            candidates: Vec::new(),
-            affected_timed: Vec::new(),
-            in_affected: vec![false; n_act],
+            ties: Vec::new(),
             trace: None,
             rate_reward: None,
             reward_integral: 0.0,
@@ -105,6 +191,34 @@ impl<'m> Simulator<'m> {
             initialized: false,
             max_instantaneous_burst: 1_000_000,
         }
+    }
+
+    /// Rewinds this simulator to what [`Simulator::new`] would return
+    /// for the same model and `rng` — initial marking, time zero, no
+    /// pending events, zero counts, no rate reward, tracing off —
+    /// keeping every buffer, so a replication loop that recycles one
+    /// simulator allocates nothing in steady state. A run after `reset`
+    /// is bit-identical to the same run on a new simulator.
+    pub fn reset(&mut self, rng: SimRng) {
+        self.marking.assign(&self.model.initial);
+        self.queue.reset();
+        self.pending.fill(None);
+        self.rng = rng;
+        self.firing_counts.fill(0);
+        self.completions = 0;
+        self.enabling_evals = 0;
+        self.cache.fill(Cached::UNTOUCHED);
+        self.next_pos = 1;
+        self.settle_start = 1;
+        self.dirty_instantaneous.clear();
+        self.dirty_timed.clear();
+        self.enabled_instantaneous.clear();
+        self.touched.clear();
+        self.trace = None;
+        self.rate_reward = None;
+        self.reward_integral = 0.0;
+        self.reward_last = SimTime::ZERO;
+        self.initialized = false;
     }
 
     /// Current simulation time.
@@ -138,6 +252,12 @@ impl<'m> Simulator<'m> {
     /// Number of completions of one activity.
     pub fn firings_of(&self, a: ActivityId) -> u64 {
         self.firing_counts[a.index()]
+    }
+
+    /// Completions and enabling evaluations since creation or the last
+    /// reset — the engine's "useful work" and "attempts".
+    pub(crate) fn work_counts(&self) -> (u64, u64) {
+        (self.completions, self.enabling_evals)
     }
 
     /// Registers a rate reward: a function of the marking whose value
@@ -199,12 +319,8 @@ impl<'m> Simulator<'m> {
         if !self.initialized {
             self.initialized = true;
             // Everything must be examined once.
-            for i in 0..self.model.num_activities() {
-                let id = ActivityId(i);
-                match self.model.activities[i].timing {
-                    Timing::Instantaneous { .. } => self.push_candidate(id),
-                    Timing::Timed(_) => self.push_affected(id),
-                }
+            for a in self.model.activity_ids() {
+                self.touch(a, WATCH_ANY);
             }
             if !self.settle_instantaneous() {
                 return self.outcome(StopReason::InstantaneousLivelock);
@@ -254,35 +370,80 @@ impl<'m> Simulator<'m> {
         }
     }
 
-    fn push_candidate(&mut self, a: ActivityId) {
-        if !self.in_candidates[a.index()] {
-            self.in_candidates[a.index()] = true;
-            self.candidates.push(a);
+    /// Visits activity `a` because place `p` changed (`WATCH_ANY`: for
+    /// the initial examination). Stamps its first-touch position if this
+    /// is the first visit of the settle, and queues it for re-evaluation
+    /// if `p` is what it watches.
+    fn touch(&mut self, a: ActivityId, p: u32) {
+        let c = &mut self.cache[a.index()];
+        if c.pos < self.settle_start {
+            c.pos = self.next_pos;
+            self.next_pos += 1;
+            if cfg!(debug_assertions) {
+                self.touched.push(a);
+            }
+        }
+        if !c.dirty && (c.watch == WATCH_ANY || c.watch == p) {
+            c.dirty = true;
+            if self.model.instantaneous[a.index()] {
+                self.dirty_instantaneous.push(a);
+            } else {
+                self.dirty_timed.push(a);
+            }
         }
     }
 
-    fn push_affected(&mut self, a: ActivityId) {
-        if !self.in_affected[a.index()] {
-            self.in_affected[a.index()] = true;
-            self.affected_timed.push(a);
-        }
-    }
-
-    /// Routes marking changes into the instantaneous-candidate and
-    /// affected-timed worklists.
+    /// Routes marking changes to the dependents of each changed place.
     fn absorb_changes(&mut self) {
+        let model = self.model;
         let mut changed = std::mem::take(&mut self.changed_scratch);
         self.marking.drain_changed(&mut changed);
         for p in changed.drain(..) {
-            for idx in 0..self.model.dependents[p].len() {
-                let a = self.model.dependents[p][idx];
-                match self.model.activities[a.index()].timing {
-                    Timing::Instantaneous { .. } => self.push_candidate(a),
-                    Timing::Timed(_) => self.push_affected(a),
-                }
+            for &a in &model.dependents[p] {
+                self.touch(a, p as u32);
             }
         }
         self.changed_scratch = changed;
+    }
+
+    /// Evaluates `a`'s enabling against the marking and records what to
+    /// watch from here on.
+    fn evaluate(&mut self, a: ActivityId) -> bool {
+        self.enabling_evals += 1;
+        let def = &self.model.activities[a.index()];
+        let c = &mut self.cache[a.index()];
+        c.dirty = false;
+        if let Some(&(p, _)) = def.inputs.iter().find(|&&(p, n)| self.marking.get(p) < n) {
+            c.watch = p.index() as u32;
+            return false;
+        }
+        c.watch = WATCH_ANY;
+        def.input_gates.iter().all(|g| (g.pred)(&self.marking))
+    }
+
+    /// Debug builds: the cached verdict of every activity of one kind
+    /// touched in this settle must equal a fresh evaluation.
+    fn debug_check_cache(&self, instantaneous: bool) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        for &a in &self.touched {
+            if self.model.instantaneous[a.index()] != instantaneous {
+                continue;
+            }
+            let cached = if instantaneous {
+                self.cache[a.index()].enabled
+            } else {
+                self.pending[a.index()].is_some()
+            };
+            assert_eq!(
+                cached,
+                self.model.is_enabled(a, &self.marking),
+                "cached enabling of activity `{}` is stale: a gate read set \
+                 is probably incomplete",
+                self.model.activity_name(a)
+            );
+        }
     }
 
     /// Completes one activity: consume inputs, run input-gate functions,
@@ -312,55 +473,74 @@ impl<'m> Simulator<'m> {
         self.absorb_changes();
     }
 
+    /// Re-evaluates the dirty instantaneous activities and brings the
+    /// enabled list in line.
+    fn refresh_instantaneous(&mut self) {
+        let mut dirty = std::mem::take(&mut self.dirty_instantaneous);
+        for a in dirty.drain(..) {
+            let enabled = self.evaluate(a);
+            if enabled == self.cache[a.index()].enabled {
+                continue;
+            }
+            self.cache[a.index()].enabled = enabled;
+            if enabled {
+                self.enabled_instantaneous.push(a);
+            } else {
+                let at = self
+                    .enabled_instantaneous
+                    .iter()
+                    .position(|&e| e == a)
+                    .expect("an enabled activity is in the enabled list");
+                self.enabled_instantaneous.swap_remove(at);
+            }
+        }
+        self.dirty_instantaneous = dirty;
+        self.debug_check_cache(true);
+    }
+
     /// Fires enabled instantaneous activities until none remain, highest
-    /// priority first, random weighted tie-break. Returns `false` on
-    /// livelock.
+    /// priority first, random weighted tie-break in first-touch order.
+    /// Returns `false` on livelock.
     fn settle_instantaneous(&mut self) -> bool {
         let mut burst = 0u64;
         loop {
-            // Find the highest priority among enabled candidates.
+            self.refresh_instantaneous();
+            // The enabled activities of the highest priority.
+            let ties = &mut self.ties;
+            ties.clear();
             let mut best_prio = 0u32;
-            let mut any = false;
-            let mut total_weight = 0.0f64;
-            for &a in &self.candidates {
-                if let Timing::Instantaneous { priority, weight } =
+            for &a in &self.enabled_instantaneous {
+                let Timing::Instantaneous { priority, weight } =
                     self.model.activities[a.index()].timing
-                {
-                    if self.model.is_enabled(a, &self.marking) {
-                        if !any || priority > best_prio {
-                            any = true;
-                            best_prio = priority;
-                            total_weight = weight;
-                        } else if priority == best_prio {
-                            total_weight += weight;
-                        }
-                    }
+                else {
+                    unreachable!("the enabled list only holds instantaneous activities")
+                };
+                if ties.is_empty() || priority > best_prio {
+                    best_prio = priority;
+                    ties.clear();
+                } else if priority < best_prio {
+                    continue;
                 }
+                ties.push((self.cache[a.index()].pos, a, weight));
             }
-            if !any {
-                // Settle finished: clear the candidate worklist.
-                for a in self.candidates.drain(..) {
-                    self.in_candidates[a.index()] = false;
-                }
+            let Some(&(_, mut chosen, _)) = ties.first() else {
                 return true;
+            };
+            // Weighted choice, in first-touch order: the weight sum, the
+            // one draw and the walk all depend on it.
+            ties.sort_unstable_by_key(|&(pos, ..)| pos);
+            let mut total_weight = ties[0].2;
+            for &(_, _, weight) in &ties[1..] {
+                total_weight += weight;
             }
-            // Weighted choice among enabled candidates at best_prio.
             let mut pick = self.rng.unit() * total_weight;
-            let mut chosen: Option<ActivityId> = None;
-            for &a in &self.candidates {
-                if let Timing::Instantaneous { priority, weight } =
-                    self.model.activities[a.index()].timing
-                {
-                    if priority == best_prio && self.model.is_enabled(a, &self.marking) {
-                        chosen = Some(a);
-                        if pick < weight {
-                            break;
-                        }
-                        pick -= weight;
-                    }
+            for &(_, a, weight) in ties.iter() {
+                chosen = a;
+                if pick < weight {
+                    break;
                 }
+                pick -= weight;
             }
-            let chosen = chosen.expect("an enabled candidate exists");
             self.fire(chosen);
             burst += 1;
             if burst > self.max_instantaneous_burst {
@@ -369,20 +549,19 @@ impl<'m> Simulator<'m> {
         }
     }
 
-    /// Brings timed-activity scheduling in line with the marking for all
-    /// affected activities ("restart" reactivation policy).
+    /// Brings timed-activity scheduling in line with the marking for the
+    /// dirty timed activities ("restart" reactivation policy), in
+    /// first-touch order, and ends the settle.
     fn sync_timed(&mut self) {
-        let affected = std::mem::take(&mut self.affected_timed);
-        for a in &affected {
-            self.in_affected[a.index()] = false;
-        }
-        for a in affected {
-            let enabled = self.model.is_enabled(a, &self.marking);
+        let mut dirty = std::mem::take(&mut self.dirty_timed);
+        dirty.sort_unstable_by_key(|a| self.cache[a.index()].pos);
+        for a in dirty.drain(..) {
+            let enabled = self.evaluate(a);
             let scheduled = self.pending[a.index()].is_some();
             match (enabled, scheduled) {
                 (true, false) => {
                     let Timing::Timed(dist) = &self.model.activities[a.index()].timing else {
-                        unreachable!("affected_timed only holds timed activities")
+                        unreachable!("dirty_timed only holds timed activities")
                     };
                     let delay = SimDuration::from_ms(dist.sample(&mut self.rng));
                     self.pending[a.index()] = Some(self.queue.schedule_in(delay, a));
@@ -394,6 +573,10 @@ impl<'m> Simulator<'m> {
                 _ => {}
             }
         }
+        self.dirty_timed = dirty;
+        self.debug_check_cache(false);
+        self.touched.clear();
+        self.settle_start = self.next_pos;
     }
 }
 
@@ -733,6 +916,330 @@ mod tests {
         }
         let frac = wins as f64 / n as f64;
         assert!((frac - 0.75).abs() < 0.03, "weighted win fraction {frac}");
+    }
+}
+
+/// The tie-order contract, checked against the simulator this module's
+/// cached enabling replaced: that one kept a candidate list in
+/// first-touch order and re-evaluated every candidate twice per
+/// instantaneous firing. It is kept here, test-only, as the oracle.
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use crate::model::{Activity, Case, InputGate, OutputGate, PlaceId, SanBuilder};
+    use ctsim_stoch::Dist;
+    use proptest::prelude::*;
+
+    struct Oracle<'m> {
+        model: &'m SanModel,
+        marking: Marking,
+        queue: EventQueue<ActivityId>,
+        pending: Vec<Option<EventHandle>>,
+        rng: SimRng,
+        firing_counts: Vec<u64>,
+        candidates: Vec<ActivityId>,
+        affected_timed: Vec<ActivityId>,
+        listed: Vec<bool>,
+        trace: Vec<(SimTime, ActivityId)>,
+    }
+
+    impl<'m> Oracle<'m> {
+        fn new(model: &'m SanModel, rng: SimRng) -> Self {
+            let n_act = model.num_activities();
+            Self {
+                model,
+                marking: model.initial_marking(),
+                queue: EventQueue::new(),
+                pending: vec![None; n_act],
+                rng,
+                firing_counts: vec![0; n_act],
+                candidates: Vec::new(),
+                affected_timed: Vec::new(),
+                listed: vec![false; n_act],
+                trace: Vec::new(),
+            }
+        }
+
+        /// `run_until(|_| false, horizon)`.
+        fn run(&mut self, horizon: SimTime) -> (SimTime, StopReason) {
+            for a in self.model.activity_ids() {
+                self.list(a);
+            }
+            self.settle();
+            self.sync_timed();
+            loop {
+                let Some(t) = self.queue.peek_time() else {
+                    return (self.queue.now(), StopReason::Deadlock);
+                };
+                if t > horizon {
+                    return (horizon, StopReason::Horizon);
+                }
+                let (_, act) = self.queue.pop().unwrap();
+                self.pending[act.index()] = None;
+                self.fire(act);
+                self.settle();
+                self.sync_timed();
+            }
+        }
+
+        fn list(&mut self, a: ActivityId) {
+            if !std::mem::replace(&mut self.listed[a.index()], true) {
+                match self.model.timing(a) {
+                    Timing::Instantaneous { .. } => self.candidates.push(a),
+                    Timing::Timed(_) => self.affected_timed.push(a),
+                }
+            }
+        }
+
+        fn fire(&mut self, a: ActivityId) {
+            let cases = self.model.num_cases(a);
+            let mut chosen = cases - 1;
+            if cases > 1 {
+                let mut u = self.rng.unit();
+                for i in 0..cases {
+                    if u < self.model.case_prob(a, i) {
+                        chosen = i;
+                        break;
+                    }
+                    u -= self.model.case_prob(a, i);
+                }
+            }
+            self.model.fire_case(&mut self.marking, a, chosen);
+            self.firing_counts[a.index()] += 1;
+            self.trace.push((self.queue.now(), a));
+            let mut changed = Vec::new();
+            self.marking.drain_changed(&mut changed);
+            for p in changed {
+                for i in 0..self.model.dependents[p].len() {
+                    self.list(self.model.dependents[p][i]);
+                }
+            }
+        }
+
+        /// The double scan: every candidate evaluated for the best
+        /// priority and weight sum, then again for the weighted walk.
+        fn settle(&mut self) {
+            let enabled_at = |s: &Self, a: ActivityId| match *s.model.timing(a) {
+                Timing::Instantaneous { priority, weight } if s.model.is_enabled(a, &s.marking) => {
+                    Some((priority, weight))
+                }
+                _ => None,
+            };
+            loop {
+                let mut best: Option<(u32, f64)> = None;
+                for &a in &self.candidates {
+                    if let Some((priority, weight)) = enabled_at(self, a) {
+                        best = Some(match best {
+                            Some((p, total)) if priority == p => (p, total + weight),
+                            Some((p, total)) if priority < p => (p, total),
+                            _ => (priority, weight),
+                        });
+                    }
+                }
+                let Some((best_prio, total_weight)) = best else {
+                    for a in self.candidates.drain(..) {
+                        self.listed[a.index()] = false;
+                    }
+                    return;
+                };
+                let mut pick = self.rng.unit() * total_weight;
+                let mut chosen = None;
+                for &a in &self.candidates {
+                    if let Some((priority, weight)) = enabled_at(self, a) {
+                        if priority == best_prio {
+                            chosen = Some(a);
+                            if pick < weight {
+                                break;
+                            }
+                            pick -= weight;
+                        }
+                    }
+                }
+                self.fire(chosen.unwrap());
+            }
+        }
+
+        fn sync_timed(&mut self) {
+            for a in std::mem::take(&mut self.affected_timed) {
+                self.listed[a.index()] = false;
+                let enabled = self.model.is_enabled(a, &self.marking);
+                match (enabled, self.pending[a.index()]) {
+                    (true, None) => {
+                        let Timing::Timed(dist) = self.model.timing(a) else {
+                            unreachable!()
+                        };
+                        let delay = SimDuration::from_ms(dist.sample(&mut self.rng));
+                        self.pending[a.index()] = Some(self.queue.schedule_in(delay, a));
+                    }
+                    (false, Some(h)) => {
+                        self.queue.cancel(h);
+                        self.pending[a.index()] = None;
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    /// A random closed job shop shaped like the paper's model: jobs
+    /// queue for a few shared resource places through instantaneous
+    /// acquires (equal and mixed priorities, unequal weights, the
+    /// resource arc before or after the queue arc), are served by timed
+    /// two-case activities that release the resource and either finish
+    /// or retry, and recycle. A `hold` place, raised and lowered by
+    /// timed activities, inhibits some acquires and services through
+    /// gate predicates (so timed services are disabled mid-flight and
+    /// restart), and an instantaneous `flush` with a two-place read set
+    /// clears the `done` places through its gate function.
+    fn random_shop(shape: u64) -> SanModel {
+        let mut g = SimRng::new(shape);
+        let mut pick = |n: usize| g.index(n);
+        let mut b = SanBuilder::new("shop");
+        let resources: Vec<PlaceId> = (0..1 + pick(3))
+            .map(|r| b.place(format!("res{r}"), 1 + pick(2) as u32))
+            .collect();
+        let hold = b.place("hold", 0);
+        let jobs = 3 + pick(6);
+        let wait: Vec<PlaceId> = (0..jobs)
+            .map(|j| b.place(format!("wait{j}"), pick(3) as u32))
+            .collect();
+        let done: Vec<PlaceId> = (0..jobs).map(|j| b.place(format!("done{j}"), 0)).collect();
+        let unheld = move || InputGate::predicate(vec![hold], move |m: &Marking| m.get(hold) == 0);
+        let dist = |k: usize, scale: f64| match k {
+            0 => Dist::Det(0.25 * scale),
+            1 => Dist::Det(0.5 * scale),
+            2 => Dist::Exp { mean: 0.4 * scale },
+            _ => Dist::Uniform {
+                lo: 0.1 * scale,
+                hi: 0.6 * scale,
+            },
+        };
+        for j in 0..jobs {
+            let res = resources[pick(resources.len())];
+            let busy = b.place(format!("busy{j}"), 0);
+            let mut acquire = Activity::instantaneous(format!("acquire{j}"))
+                .priority([0, 0, 0, 1, 2][pick(5)])
+                .weight([0.5, 1.0, 2.0, 3.5][pick(4)]);
+            acquire = if pick(2) == 0 {
+                acquire.input(res, 1).input(wait[j], 1)
+            } else {
+                acquire.input(wait[j], 1).input(res, 1)
+            };
+            if pick(4) == 0 {
+                acquire = acquire.input_gate(unheld());
+            }
+            b.add_activity(acquire.case(Case::with_prob(1.0).output(busy, 1)));
+            let mut serve = Activity::timed(format!("serve{j}"), dist(pick(4), 1.0)).input(busy, 1);
+            if pick(2) == 0 {
+                serve = serve.input_gate(unheld());
+            }
+            let p_done = [0.5, 0.7, 0.9][pick(3)];
+            b.add_activity(
+                serve
+                    .case(Case::with_prob(p_done).output(done[j], 1).output(res, 1))
+                    .case(
+                        Case::with_prob(1.0 - p_done)
+                            .output(wait[j], 1)
+                            .output(res, 1),
+                    ),
+            );
+            b.add_activity(
+                Activity::timed(format!("recycle{j}"), dist(pick(4), 2.0))
+                    .input(done[j], 1)
+                    .case(Case::with_prob(1.0).output(wait[pick(jobs)], 1)),
+            );
+        }
+        b.add_activity(
+            Activity::timed("raise", dist(pick(4), 3.0))
+                .input_gate(unheld())
+                .case(
+                    Case::with_prob(1.0).gate(OutputGate::new(vec![hold], move |m| m.set(hold, 1))),
+                ),
+        );
+        b.add_activity(Activity::timed("lower", dist(pick(4), 1.5)).input(hold, 1));
+        let (da, db, back) = (done[pick(jobs)], done[pick(jobs)], wait[pick(jobs)]);
+        b.add_activity(
+            Activity::instantaneous("flush")
+                .priority(3)
+                .input_gate(
+                    InputGate::predicate(vec![da, db], move |m| m.get(da) + m.get(db) >= 3)
+                        .with_func(vec![da, db], move |m| {
+                            m.set(da, 0);
+                            m.set(db, 0);
+                        }),
+                )
+                .case(Case::with_prob(1.0).output(back, 2)),
+        );
+        b.build().expect("the shop is a valid model")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Same completions at the same instants, same final marking,
+        /// same firing counts as the oracle — for a new simulator and
+        /// for one recycled with `reset`.
+        #[test]
+        fn cached_enabling_reproduces_the_candidate_scan(
+            shape in 0u64..1_000_000,
+            seeds in proptest::collection::vec(0u64..1_000_000, 3..6),
+        ) {
+            let model = random_shop(shape);
+            let horizon = SimTime::from_ms(40.0);
+            let mut recycled = Simulator::new(&model, SimRng::new(0));
+            recycled.record_trace(true);
+            recycled.run_until(|_| false, SimTime::from_ms(3.0));
+            for seed in seeds {
+                let mut oracle = Oracle::new(&model, SimRng::new(seed));
+                let (time, reason) = oracle.run(horizon);
+                prop_assert!(oracle.trace.len() > 20, "only {} completions", oracle.trace.len());
+
+                let mut fresh = Simulator::new(&model, SimRng::new(seed));
+                recycled.reset(SimRng::new(seed));
+                for sim in [&mut fresh, &mut recycled] {
+                    sim.record_trace(true);
+                    let out = sim.run_until(|_| false, horizon);
+                    prop_assert_eq!((out.time, out.reason), (time, reason));
+                    prop_assert_eq!(out.completions, oracle.trace.len() as u64);
+                    prop_assert_eq!(sim.trace(), &oracle.trace[..]);
+                    prop_assert_eq!(sim.marking().tokens(), oracle.marking.tokens());
+                    prop_assert_eq!(sim.firing_counts(), &oracle.firing_counts[..]);
+                }
+            }
+        }
+    }
+
+    /// What the oracle's rescans diagnosed for free: a predicate that
+    /// reads a place outside its declared read set. `lurker` declares
+    /// `q` but also reads `hidden`, which `setter` raises in the same
+    /// settle; its cached verdict goes stale and the debug check must
+    /// say why.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "`lurker` is stale: a gate read set is probably incomplete")]
+    fn incomplete_read_set_is_diagnosed() {
+        let mut b = SanBuilder::new("m");
+        let p = b.place("p", 1);
+        let q = b.place("q", 0);
+        let go = b.place("go", 0);
+        let hidden = b.place("hidden", 0);
+        b.add_activity(
+            Activity::timed("t", Dist::Det(1.0))
+                .input(p, 1)
+                .case(Case::with_prob(1.0).output(q, 1).output(go, 1)),
+        );
+        b.add_activity(
+            Activity::instantaneous("setter")
+                .input(go, 1)
+                .case(Case::with_prob(1.0).output(hidden, 1)),
+        );
+        b.add_activity(
+            Activity::instantaneous("lurker").input_gate(InputGate::predicate(vec![q], move |m| {
+                m.get(q) > 0 && m.get(hidden) > 0
+            })),
+        );
+        let m = b.build().unwrap();
+        Simulator::new(&m, SimRng::new(1)).run_until(|_| false, SimTime::from_ms(5.0));
     }
 }
 

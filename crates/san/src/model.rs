@@ -37,12 +37,30 @@ impl ActivityId {
 }
 
 /// The token count of every place: the SAN's state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Marking {
     tokens: Vec<u32>,
-    // Places written since the last `drain_changed`; used by the
-    // simulator for incremental enabling checks.
+    // Places written since the last `drain_changed` / `assign`: what
+    // both engines drive their incremental enabling checks from (the
+    // simulator drains it per firing, the solver lets it accumulate
+    // from a source state to each of its successors).
     changed: Vec<usize>,
+}
+
+impl Clone for Marking {
+    fn clone(&self) -> Self {
+        Self {
+            tokens: self.tokens.clone(),
+            changed: self.changed.clone(),
+        }
+    }
+
+    /// Copies tokens *and* change log into `self`'s existing buffers,
+    /// so hot loops that recycle markings allocate nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.tokens.clone_from(&source.tokens);
+        self.changed.clone_from(&source.changed);
+    }
 }
 
 impl Marking {
@@ -121,6 +139,16 @@ impl Marking {
         self.tokens.iter().map(|&t| t as u64).sum()
     }
 
+    /// The change log: the index ([`PlaceId::index`]) of every place
+    /// written since this marking was created, [`assign`](Self::assign)ed
+    /// or last drained by the simulator — in write order, a place once
+    /// per write. A clone carries its source's log along, so a chain of
+    /// clone-and-fire steps accumulates every place that may differ
+    /// from the marking the chain started at.
+    pub fn changed_places(&self) -> &[usize] {
+        &self.changed
+    }
+
     pub(crate) fn drain_changed(&mut self, out: &mut Vec<usize>) {
         out.append(&mut self.changed);
     }
@@ -156,8 +184,14 @@ type MarkFn = Box<dyn Fn(&mut Marking) + Send + Sync>;
 /// An input gate: an enabling predicate plus a marking-changing function
 /// run when the activity completes.
 ///
-/// The `reads` set must list every place the predicate looks at — the
-/// simulator re-evaluates the predicate only when one of them changes.
+/// The `reads` set must list every place the predicate looks at: both
+/// engines re-evaluate the predicate only when one of them changes —
+/// the simulator between firings, the analytic exploration between a
+/// state and its successors — so a place the predicate reads but does
+/// not declare leaves a stale verdict behind and a silently wrong
+/// trajectory or reachability graph. Debug builds of both engines
+/// re-evaluate every activity and panic naming the one whose verdict
+/// went stale; release builds do not look.
 /// The `writes` set must list every place the function may change.
 pub struct InputGate {
     pub(crate) reads: Vec<PlaceId>,
@@ -509,6 +543,21 @@ impl SanModel {
         for og in &case.gates {
             (og.func)(marking);
         }
+    }
+
+    /// The activities whose enabling can change when the place with
+    /// index `place` ([`PlaceId::index`]) is written: those with an
+    /// input arc from it or an input gate declaring it in `reads`,
+    /// declaration order. The one dependency index both the simulator
+    /// and the analytic exploration re-evaluate enabling from.
+    pub fn dependents(&self, place: usize) -> &[ActivityId] {
+        &self.dependents[place]
+    }
+
+    /// Whether `activity` is instantaneous — without loading its
+    /// definition, which is what a walk over [`Self::dependents`] wants.
+    pub fn is_instantaneous(&self, activity: ActivityId) -> bool {
+        self.instantaneous[activity.0]
     }
 
     /// Checks whether `activity` is enabled in `marking`: all input arcs

@@ -572,7 +572,7 @@ fn drive<'m, D: Dedup>(
     let mut pending: Option<PendingLevel<D::Level>> = None;
     let mut worker_states: Vec<Worker<D::Local>> = (0..workers)
         .map(|_| Worker {
-            scratch: Scratch::new(layout),
+            scratch: explorer.scratch(),
             chain: WorkerChain::default(),
             local: dedup.local(),
         })
@@ -707,6 +707,18 @@ fn drive<'m, D: Dedup>(
             ctsim_obs::counter_add("explore.levels", 1);
             ctsim_obs::counter_add("explore.transitions", transitions as u64);
             ctsim_obs::counter_add("explore.dedup_hits", dedup_hits as u64);
+            // The workers' own counts of successor-generation work,
+            // plain fields on the hot path, folded in once per level.
+            let (mut evals, mut vanishing, mut patches) = (0, 0, 0);
+            for st in worker_states.iter_mut() {
+                let c = std::mem::take(&mut st.scratch.counts);
+                evals += c.enabling_evals;
+                vanishing += c.vanishing_markings;
+                patches += c.key_patches;
+            }
+            ctsim_obs::counter_add("explore.enabling_evals", evals);
+            ctsim_obs::counter_add("explore.vanishing_markings", vanishing);
+            ctsim_obs::counter_add("explore.key_patches", patches);
         }
         level_idx += 1;
         // Hand emptied chains from an emitted level back to the

@@ -1,8 +1,53 @@
 //! Successor generation: the phase-type expansion plan of a model and
-//! the firing / vanishing-resolution / phase-advance code that turns
-//! one tangible state into its outgoing transitions. Generic over the
-//! [`DedupSink`] a successor key is interned through, so every dedup
-//! strategy of [`super::driver`] monomorphizes this one code path.
+//! the code that turns one tangible state into its outgoing
+//! transitions. Generic over the [`DedupSink`] a successor key is
+//! interned through, so every dedup strategy of [`super::driver`]
+//! monomorphizes this one code path.
+//!
+//! # A successor is a difference from its source
+//!
+//! A firing moves a handful of places, so nothing here scans every
+//! activity or re-encodes every field per successor. Three things are
+//! carried from the source state to each successor, and only what the
+//! firings in between can have changed is re-evaluated — found through
+//! [`SanModel::dependents`] (the index the simulator uses) and the
+//! change log a [`Marking`] accumulates as it is cloned and fired:
+//!
+//! * **Enabled instantaneous activities.** The source is tangible, so
+//!   none is enabled there. Each worklist entry of
+//!   `resolve_vanishing` carries the set enabled in its marking; a
+//!   firing re-evaluates only the instantaneous dependents of the
+//!   places it wrote.
+//! * **Phase counters.** Copied wholesale (they ride in the key);
+//!   `successor_keys` re-evaluates the completed activity and the
+//!   expanded dependents of the places written along the whole firing
+//!   chain. Any other expanded activity reads no place that moved, so
+//!   its counter — non-zero exactly when enabled — is already right.
+//! * **The packed key.** The source's words with the moved place
+//!   fields and changed counters rewritten by the overflow-checked
+//!   [`StateLayout::patch`]; an overflow is [`Abort::Pack`], the same
+//!   widen-and-restart a full encode would ask for.
+//!
+//! # Why the order is unchanged
+//!
+//! Which instantaneous activities tie at the highest priority, the
+//! order their weights are summed and their outcomes pushed in, and
+//! the order branch-entry splits multiply out in all reach the result
+//! (duplicate outcomes are folded by floating-point addition in row
+//! order). Enabled sets and the counter re-evaluation set are bitsets
+//! over declaration-order ordinals, walked ascending, and the worklist
+//! is a stack as before — so every order is that of a scan over all
+//! activities. Level 0 (`seed_initial`) is the same delta, from the
+//! initial marking with zero counters and everything re-evaluated.
+//!
+//! # What keeps it honest
+//!
+//! Carrying a verdict over is sound only if every gate predicate
+//! declares the places it reads. Debug builds therefore re-evaluate
+//! every activity on every resolved marking (`assert_fresh`) and panic
+//! naming the stale one. The full-rescan generation this replaced is
+//! kept test-only in `oracle.rs`, and a differential test holds the
+//! two to bit-identical state spaces.
 
 use ctsim_san::{ActivityId, Marking, SanModel, Timing};
 use ctsim_stoch::{Dist, PhaseType};
@@ -176,6 +221,62 @@ type SlotShape = (usize, Vec<bool>, Vec<(u32, u64)>);
 
 pub(super) type AbsorbFn<'a> = dyn Fn(&Marking) -> bool + Sync + 'a;
 
+/// Per place, the ordinals of the activities of one kind whose enabling
+/// depends on it — [`SanModel::dependents`] filtered and flattened, so
+/// a walk over a changed place touches one contiguous run.
+struct PlaceIndex {
+    /// `items[off[p]..off[p + 1]]` belongs to place `p`.
+    off: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl PlaceIndex {
+    /// Keeps the dependents `ordinal` maps to `Some`, in declaration
+    /// order.
+    fn build(model: &SanModel, ordinal: impl Fn(ActivityId) -> Option<usize>) -> Self {
+        let mut off = vec![0u32];
+        let mut items = Vec::new();
+        for place in 0..model.num_places() {
+            items.extend(
+                model
+                    .dependents(place)
+                    .iter()
+                    .filter_map(|&a| ordinal(a))
+                    .map(|k| k as u32),
+            );
+            off.push(items.len() as u32);
+        }
+        Self { off, items }
+    }
+
+    fn of(&self, place: usize) -> &[u32] {
+        &self.items[self.off[place] as usize..self.off[place + 1] as usize]
+    }
+}
+
+fn set_bit(bits: &mut [u64], i: usize, on: bool) {
+    let mask = 1u64 << (i % 64);
+    bits[i / 64] = (bits[i / 64] & !mask) | (u64::from(on) << (i % 64));
+}
+
+fn bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] >> (i % 64) & 1 != 0
+}
+
+/// The set bits of `bits`, ascending.
+fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + b
+            })
+        })
+    })
+}
+
 /// Shared read-only context for successor computation.
 pub(super) struct Explorer<'m, 'a> {
     pub(super) model: &'m SanModel,
@@ -184,64 +285,108 @@ pub(super) struct Explorer<'m, 'a> {
     absorb: Option<&'a AbsorbFn<'a>>,
     pub(super) layout: &'a StateLayout,
     base: usize,
-    /// Timed activities, declaration order.
-    timed: Vec<ActivityId>,
     /// Instantaneous activities with their priority and weight,
-    /// declaration order — precomputed so vanishing resolution does
-    /// not re-filter the whole activity list per visited marking.
+    /// declaration order. An activity's position here is its ordinal in
+    /// the enabled sets of [`Vanish`], so ascending ordinal *is*
+    /// declaration order.
     instantaneous: Vec<(ActivityId, u32, f64)>,
+    /// Per place: ordinals of the instantaneous dependents.
+    inst_deps: PlaceIndex,
+    /// Per place: slot ordinals (`slot - base`) of the expanded
+    /// dependents.
+    phase_deps: PlaceIndex,
+    /// Timed activities without a phase plan and their event rate,
+    /// declaration order. Unexpanded non-exponential activities keep
+    /// the strict contract: explore fine, carry a NaN rate, fail at the
+    /// CTMC build.
+    unexpanded: Vec<(ActivityId, f64)>,
+    /// Run the full-rescan oracle instead of the delta path.
+    #[cfg(test)]
+    oracle: bool,
+}
+
+/// Work counters of successor generation: plain per-worker fields the
+/// driver sums into `explore.*` telemetry when a level closes (level-0
+/// seeding is not counted, as for `explore.transitions`).
+#[derive(Default)]
+pub(super) struct Counts {
+    /// `is_enabled` calls (debug-build staleness checks excluded).
+    pub(super) enabling_evals: u64,
+    /// Markings with an enabled instantaneous activity, resolved away.
+    pub(super) vanishing_markings: u64,
+    /// Packed fields rewritten while deriving successor keys.
+    pub(super) key_patches: u64,
+}
+
+/// The decoded source state of the expansion in progress.
+struct Source {
+    /// Extended state vector: places, then phase counters.
+    ext: Vec<u32>,
+    /// The place prefix as a marking, change log empty.
+    marking: Marking,
+    /// Fields of the non-zero phase counters, ascending — the enabled
+    /// expanded activities in declaration order.
+    active: Vec<usize>,
+}
+
+/// Buffers of vanishing resolution. The worklist is a stack; `sets`
+/// holds one enabled set (a bitset over instantaneous ordinals, `cur`'s
+/// length in words) per worklist entry, pushed and popped in step.
+struct Vanish {
+    work: Vec<(Marking, f64, usize)>,
+    sets: Vec<u64>,
+    /// The enabled set of the marking being resolved.
+    cur: Vec<u64>,
+    /// Ordinals already re-evaluated for the firing at hand.
+    seen: Vec<u64>,
+    /// Highest-priority enabled instantaneous activities.
+    level: Vec<(ActivityId, f64)>,
+}
+
+/// The packed keys one tangible marking fans out to (`words` each,
+/// more than one only after a phase-entry branch split) with their
+/// probabilities; the spares are the split's staging buffers.
+struct KeySet {
+    keys: Vec<u64>,
+    probs: Vec<f64>,
+    spare_keys: Vec<u64>,
+    spare_probs: Vec<f64>,
+    /// Slot ordinals whose counter must be re-evaluated.
+    dirty: Vec<u64>,
 }
 
 /// Per-worker reusable buffers. One `Scratch` lives as long as its
 /// worker slot — across every BFS level — so the steady-state hot path
 /// allocates nothing per state.
 pub(super) struct Scratch {
-    /// Packed-key buffer (one state).
-    key: Vec<u64>,
-    /// The packed key of the source state being expanded (kept intact
-    /// so phase-advance successors can be derived by patching it).
+    /// The packed key of the source state being expanded (kept intact:
+    /// every successor key is this one with the moved fields patched).
     pub(super) src_key: Vec<u64>,
-    /// Decoded extended state vector of the source being expanded.
-    ext: Vec<u32>,
     /// The source state's outgoing transitions being generated.
     pub(super) row: Vec<Transition>,
-    /// Tangible `(tokens, prob)` outcomes of one case resolution.
-    outs: Vec<(Vec<u32>, f64)>,
-    /// Vanishing-resolution output of one case.
-    dist: Vec<(Marking, f64)>,
-    /// Recycled extended-state vectors (all `num_fields` long): the
-    /// per-outcome buffers live only from `continue_phases` to the
-    /// encode in `completions`, so a small pool removes the last
-    /// per-transition allocation of the hot path.
-    pool: Vec<Vec<u32>>,
-    /// Phase-entry branch-split staging buffer (`continue_phases`).
-    split: Vec<(Vec<u32>, f64)>,
-    /// Vanishing-resolution worklist (`resolve_vanishing`).
-    vwork: Vec<(Marking, f64, usize)>,
-    /// Highest-priority enabled instantaneous activities
-    /// (`resolve_vanishing`).
-    vlevel: Vec<(ActivityId, f64)>,
+    pub(super) counts: Counts,
+    src: Source,
+    vanish: Vanish,
+    /// Vanishing-resolution output of one firing.
+    tangible: Vec<(Marking, f64)>,
     /// Recycled `Marking`s: the expansion materialises a marking per
-    /// fired case and per vanishing step — reusing their buffers
-    /// removes a few heap allocations per generated transition.
+    /// fired case and per vanishing step.
     mpool: Vec<Marking>,
+    keys: KeySet,
+    /// `(sink id, probability)` of one firing's interned outcomes.
+    targets: Vec<(usize, f64)>,
+    #[cfg(test)]
+    oracle: oracle::Buffers,
 }
 
-impl Scratch {
-    pub(super) fn new(layout: &StateLayout) -> Self {
-        Self {
-            key: vec![0; layout.words()],
-            src_key: vec![0; layout.words()],
-            ext: vec![0; layout.num_fields()],
-            row: Vec::new(),
-            outs: Vec::new(),
-            dist: Vec::new(),
-            pool: Vec::new(),
-            split: Vec::new(),
-            vwork: Vec::new(),
-            vlevel: Vec::new(),
-            mpool: Vec::new(),
+/// A copy of `from`, change log included, in a recycled buffer.
+fn recycled(pool: &mut Vec<Marking>, from: &Marking) -> Marking {
+    match pool.pop() {
+        Some(mut m) => {
+            m.clone_from(from);
+            m
         }
+        None => from.clone(),
     }
 }
 
@@ -253,59 +398,104 @@ impl<'m, 'a> Explorer<'m, 'a> {
         absorb: Option<&'a AbsorbFn<'a>>,
         layout: &'a StateLayout,
     ) -> Self {
+        let base = model.num_places();
+        let instantaneous: Vec<(ActivityId, u32, f64)> = model
+            .activity_ids()
+            .filter_map(|a| match *model.timing(a) {
+                Timing::Instantaneous { priority, weight } => Some((a, priority, weight)),
+                Timing::Timed(_) => None,
+            })
+            .collect();
         Self {
             model,
             opts,
             expansion,
             absorb,
             layout,
-            base: model.num_places(),
-            timed: model
+            base,
+            inst_deps: PlaceIndex::build(model, |a| {
+                model
+                    .is_instantaneous(a)
+                    .then(|| instantaneous.partition_point(|&(i, ..)| i < a))
+            }),
+            phase_deps: PlaceIndex::build(model, |a| {
+                expansion.plans[a.index()]
+                    .is_some()
+                    .then(|| expansion.slots[a.index()] - base)
+            }),
+            unexpanded: model
                 .activity_ids()
-                .filter(|&a| matches!(model.timing(a), Timing::Timed(_)))
-                .collect(),
-            instantaneous: model
-                .activity_ids()
-                .filter_map(|a| match *model.timing(a) {
-                    Timing::Instantaneous { priority, weight } => Some((a, priority, weight)),
-                    Timing::Timed(_) => None,
+                .filter(|a| expansion.plans[a.index()].is_none())
+                .filter_map(|a| match model.timing(a) {
+                    Timing::Timed(Dist::Exp { mean }) => Some((a, 1.0 / mean)),
+                    Timing::Timed(_) => Some((a, f64::NAN)),
+                    Timing::Instantaneous { .. } => None,
                 })
                 .collect(),
+            instantaneous,
+            #[cfg(test)]
+            oracle: oracle::selected(),
+        }
+    }
+
+    pub(super) fn scratch(&self) -> Scratch {
+        let words = self.layout.words();
+        Scratch {
+            src_key: vec![0; words],
+            row: Vec::new(),
+            counts: Counts::default(),
+            src: Source {
+                ext: vec![0; self.layout.num_fields()],
+                marking: self.model.initial_marking(),
+                active: Vec::new(),
+            },
+            vanish: Vanish {
+                work: Vec::new(),
+                sets: Vec::new(),
+                cur: vec![0; self.instantaneous.len().div_ceil(64)],
+                seen: vec![0; self.instantaneous.len().div_ceil(64)],
+                level: Vec::new(),
+            },
+            tangible: Vec::new(),
+            mpool: Vec::new(),
+            keys: KeySet {
+                keys: Vec::new(),
+                probs: Vec::new(),
+                spare_keys: Vec::new(),
+                spare_probs: Vec::new(),
+                dirty: vec![0; self.expansion.num_slots().div_ceil(64)],
+            },
+            targets: Vec::new(),
+            #[cfg(test)]
+            oracle: oracle::Buffers::new(self.layout),
         }
     }
 
     /// Level 0: resolves the initial marking's vanishing chain (and
     /// phase entry) into the initial tangible states, interns them
     /// through `sink`, and returns the initial distribution over the
-    /// sink's ids (one entry per distinct state).
+    /// sink's ids (one entry per distinct state). The same delta as any
+    /// other expansion, taken from a source that is the initial marking
+    /// with all-zero phase counters and with *every* activity in the
+    /// re-evaluation set — nothing is known to be disabled there.
     pub(super) fn seed_initial<S: DedupSink>(
         &self,
         sink: &mut S,
     ) -> Result<Vec<(usize, f64)>, Abort> {
-        let init_marking = self
-            .model
-            .marking_from(self.model.initial_marking().tokens());
-        let mut init_dist: Vec<(Marking, f64)> = Vec::new();
-        let (mut vwork, mut vlevel) = (Vec::new(), Vec::new());
-        let mut mpool: Vec<Marking> = Vec::new();
-        self.resolve_vanishing(
-            init_marking,
-            1.0,
-            &mut init_dist,
-            &mut vwork,
-            &mut vlevel,
-            &mut mpool,
-        )?;
-        let mut ext: Vec<(Vec<u32>, f64)> = Vec::new();
-        let mut pool: Vec<Vec<u32>> = Vec::new();
-        let mut split: Vec<(Vec<u32>, f64)> = Vec::new();
-        for (marking, p) in init_dist {
-            self.continue_phases(None, None, &marking, p, &mut ext, &mut pool, &mut split);
+        #[cfg(test)]
+        if self.oracle {
+            return self.oracle_seed_initial(sink);
         }
-        let mut key = vec![0u64; self.layout.words()];
+        // A new scratch holds the initial marking and zero counters.
+        let mut scratch = self.scratch();
+        let start = scratch.src.marking.clone();
+        scratch.src.ext[..self.base].copy_from_slice(start.tokens());
+        self.layout
+            .encode(&scratch.src.ext, &mut scratch.src_key)
+            .map_err(|_| Abort::Pack)?;
+        self.settle(sink, &mut scratch, start, 1.0, None, true)?;
         let mut initial: Vec<(usize, f64)> = Vec::new();
-        for (tokens, p) in ext {
-            let id = self.intern_tokens(sink, &tokens, &mut key)?;
+        for (id, p) in scratch.targets.drain(..) {
             match initial.iter_mut().find(|(i, _)| *i == id) {
                 Some((_, q)) => *q += p,
                 None => initial.push((id, p)),
@@ -316,186 +506,31 @@ impl<'m, 'a> Explorer<'m, 'a> {
 }
 
 impl Explorer<'_, '_> {
-    /// Whether the tangible place prefix of `tokens` is absorbing.
-    fn is_absorbing(&self, tokens: &[u32]) -> bool {
-        self.absorb
-            .is_some_and(|f| f(&self.model.marking_from(&tokens[..self.base])))
-    }
-
-    /// Encodes `tokens` and hands it to the deduplicator, returning the
-    /// sink's id for it: the provisional intern id on the resident
-    /// path, a worker-local candidate index on the external-memory one.
-    fn intern_tokens<S: DedupSink>(
+    /// Hands `key` to the deduplicator, returning the sink's id for it:
+    /// the provisional intern id on the resident path, a worker-local
+    /// candidate index on the external-memory one.
+    fn intern<S: DedupSink>(
         &self,
         sink: &mut S,
-        tokens: &[u32],
-        key: &mut [u64],
+        key: &[u64],
+        absorbing: bool,
     ) -> Result<usize, Abort> {
-        self.layout.encode(tokens, key).map_err(|_| Abort::Pack)?;
-        sink.intern_key(key, || self.is_absorbing(tokens))
-            .map_err(|_| {
-                Abort::Solve(SolveError::StateSpaceTooLarge {
-                    limit: self.opts.max_states,
-                })
+        sink.intern_key(key, || absorbing).map_err(|_| {
+            Abort::Solve(SolveError::StateSpaceTooLarge {
+                limit: self.opts.max_states,
             })
+        })
     }
 
-    /// Draws a `num_fields`-long buffer with zeroed phase slots from
-    /// the recycle pool (the place prefix is always overwritten by the
-    /// caller, so only the suffix needs clearing).
-    fn fresh_ext(&self, pool: &mut Vec<Vec<u32>>) -> Vec<u32> {
-        match pool.pop() {
-            Some(mut v) => {
-                v[self.base..].fill(0);
-                v
-            }
-            None => vec![0u32; self.base + self.expansion.num_slots()],
-        }
-    }
-
-    /// Distributes phase counters over a freshly reached tangible place
-    /// marking: kept where an activity other than `completed` stayed
-    /// enabled (its clock keeps running), re-entered (branch split)
-    /// where an activity is newly enabled or just completed, zero where
-    /// disabled. Absorbing markings get all-zero counters — their
-    /// future is irrelevant, and canonicalising them merges states.
-    ///
-    /// Appends its outcomes to `out`, treating `out[start..]` as its
-    /// working set so the common single-outcome path allocates nothing
-    /// (`split` is a reused staging buffer for the branch-split case).
-    #[allow(clippy::too_many_arguments)]
-    fn continue_phases(
-        &self,
-        old_ext: Option<&[u32]>,
-        completed: Option<ActivityId>,
-        marking: &Marking,
-        prob: f64,
-        out: &mut Vec<(Vec<u32>, f64)>,
-        pool: &mut Vec<Vec<u32>>,
-        split: &mut Vec<(Vec<u32>, f64)>,
-    ) {
-        let slots = self.expansion.num_slots();
-        let start = out.len();
-        let mut ext = self.fresh_ext(pool);
-        ext[..self.base].copy_from_slice(marking.tokens());
-        out.push((ext, prob));
-        if slots == 0 {
-            return;
-        }
-        if self.absorb.is_some_and(|f| f(marking)) {
-            return;
-        }
-        for &(a, slot) in &self.expansion.expanded {
-            if !self.model.is_enabled(a, marking) {
-                continue; // counter stays 0
-            }
-            // A non-zero counter in the old state means the activity
-            // was enabled there (the exploration invariant), so its
-            // clock keeps running unless it is the one that completed.
-            let keep = completed != Some(a) && old_ext.is_some_and(|o| o[slot] >= 1);
-            if keep {
-                let old = old_ext.expect("keep implies old state")[slot];
-                for (e, _) in &mut out[start..] {
-                    e[slot] = old;
-                }
-                continue;
-            }
-            let starts = &self.expansion.plans[a.index()]
-                .as_ref()
-                .expect("expanded activity has a plan")
-                .starts;
-            if let [(phase, _)] = starts.as_slice() {
-                for (e, _) in &mut out[start..] {
-                    e[slot] = *phase;
-                }
-                continue;
-            }
-            // Entry splits over >1 branches: expand every current
-            // outcome, preserving the (deterministic) order — per
-            // outcome, the non-final branches first, then the final
-            // branch reusing the original buffer.
-            split.clear();
-            split.extend(out.drain(start..));
-            let (&(last_phase, last_bp), rest) =
-                starts.split_last().expect("non-empty entry distribution");
-            for (e, p) in split.drain(..) {
-                for &(phase, bp) in rest {
-                    let mut e2 = self.fresh_ext(pool);
-                    e2.copy_from_slice(&e);
-                    e2[slot] = phase;
-                    out.push((e2, p * bp));
-                }
-                let mut e = e;
-                e[slot] = last_phase;
-                out.push((e, p * last_bp));
-            }
-        }
-    }
-
-    /// Emits the completion outcomes of activity `a` from `ext`, where
-    /// `base_rate` is the exponential rate of the completing event.
-    /// Transitions are appended to `trans` (the caller's reused row
-    /// buffer — `scratch.row`, temporarily taken out of the scratch).
-    fn completions<S: DedupSink>(
-        &self,
-        sink: &mut S,
-        ext: &[u32],
-        a: ActivityId,
-        base_rate: f64,
-        scratch: &mut Scratch,
-        trans: &mut Vec<Transition>,
-    ) -> Result<(), Abort> {
-        for case in 0..self.model.num_cases(a) {
-            let case_p = self.model.case_prob(a, case);
-            if case_p <= 0.0 {
-                continue;
-            }
-            let mut after = match scratch.mpool.pop() {
-                Some(mut m) => {
-                    m.assign(&ext[..self.base]);
-                    m
-                }
-                None => self.model.marking_from(&ext[..self.base]),
-            };
-            self.model.fire_case(&mut after, a, case);
-            scratch.dist.clear();
-            {
-                let Scratch {
-                    dist,
-                    vwork,
-                    vlevel,
-                    mpool,
-                    ..
-                } = scratch;
-                self.resolve_vanishing(after, case_p, dist, vwork, vlevel, mpool)?;
-            }
-            let Scratch {
-                dist,
-                outs,
-                pool,
-                split,
-                key,
-                mpool,
-                ..
-            } = scratch;
-            outs.clear();
-            for (marking, p) in dist.drain(..) {
-                self.continue_phases(Some(ext), Some(a), &marking, p, outs, pool, split);
-                mpool.push(marking);
-            }
-            for (tokens, p) in outs.drain(..) {
-                let target = self.intern_tokens(sink, &tokens, key)?;
-                pool.push(tokens);
-                trans.push(Transition {
-                    activity: a,
-                    prob: p,
-                    rate: base_rate,
-                    completes: true,
-                    target,
-                });
-            }
-        }
-        Ok(())
+    /// The stale-read guard of debug builds: a verdict carried over
+    /// instead of re-evaluated must equal a fresh evaluation, or some
+    /// gate predicate reads a place missing from its declared `reads`.
+    fn assert_fresh(&self, a: ActivityId, carried: bool, marking: &Marking) {
+        assert!(
+            self.model.is_enabled(a, marking) == carried,
+            "`{}` is stale: a gate read set is probably incomplete",
+            self.model.activity_name(a)
+        );
     }
 
     /// Computes every outgoing transition of the tangible state whose
@@ -510,139 +545,263 @@ impl Explorer<'_, '_> {
         sink: &mut S,
         scratch: &mut Scratch,
     ) -> Result<(), Abort> {
-        self.layout.decode(&scratch.src_key, &mut scratch.ext);
-        let ext = std::mem::take(&mut scratch.ext);
-        let mut row = std::mem::take(&mut scratch.row);
-        row.clear();
-        let result = self.successors_of_ext(sink, &ext, scratch, &mut row);
-        scratch.ext = ext;
-        scratch.row = row;
-        result
-    }
-
-    fn successors_of_ext<S: DedupSink>(
-        &self,
-        sink: &mut S,
-        ext: &[u32],
-        scratch: &mut Scratch,
-        trans: &mut Vec<Transition>,
-    ) -> Result<(), Abort> {
-        let marking = match scratch.mpool.pop() {
-            Some(mut m) => {
-                m.assign(&ext[..self.base]);
-                m
-            }
-            None => self.model.marking_from(&ext[..self.base]),
-        };
-        for &a in &self.timed {
-            match &self.expansion.plans[a.index()] {
-                Some(plan) => {
-                    // An expanded activity's enabledness is already
-                    // written in its phase counter (`continue_phases`
-                    // sets it non-zero exactly when enabled), so the
-                    // marking does not need to be consulted at all.
-                    let slot = self.expansion.slots[a.index()];
-                    let phase = ext[slot];
-                    if phase == 0 {
-                        continue;
-                    }
-                    debug_assert!(
-                        self.model.is_enabled(a, &marking),
-                        "phase counter out of sync with enabling"
-                    );
-                    let rate = plan.rates[(phase - 1) as usize];
-                    if plan.last[(phase - 1) as usize] {
-                        self.completions(sink, ext, a, rate, scratch, trans)?;
-                    } else {
-                        // Fast path for internal phase advances: the
-                        // target's packed key is the source key with
-                        // one phase field bumped — no token-vector
-                        // materialisation, no re-encode (and phase
-                        // fields are exactly sized, so the patch can
-                        // never overflow). The place prefix is
-                        // unchanged, so the target's absorbing verdict
-                        // equals the (expanded, hence non-absorbing)
-                        // source's: false.
-                        let Scratch { key, src_key, .. } = scratch;
-                        key.copy_from_slice(src_key);
-                        self.layout.patch(key, slot, phase + 1);
-                        let target = sink.intern_key(key, || false).map_err(|_| {
-                            Abort::Solve(SolveError::StateSpaceTooLarge {
-                                limit: self.opts.max_states,
-                            })
-                        })?;
-                        trans.push(Transition {
-                            activity: a,
-                            prob: 1.0,
-                            rate,
-                            completes: false,
-                            target,
-                        });
+        #[cfg(test)]
+        if self.oracle {
+            return self.oracle_successors(sink, scratch);
+        }
+        let base = self.base;
+        scratch.row.clear();
+        let src = &mut scratch.src;
+        self.layout.decode(&scratch.src_key, &mut src.ext);
+        src.marking.assign(&src.ext[..base]);
+        src.active.clear();
+        src.active
+            .extend((base..src.ext.len()).filter(|&f| src.ext[f] != 0));
+        // Enabled timed activities in declaration order (the order of
+        // the row's activity runs): an expanded one is enabled exactly
+        // when its phase counter is non-zero, so those come from
+        // `active` without consulting the marking; the unexpanded ones
+        // are asked. Both lists ascend, so this is a two-way merge.
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let expanded = scratch
+                .src
+                .active
+                .get(i)
+                .map(|&field| self.expansion.expanded[field - base]);
+            let plain = self.unexpanded.get(j).copied();
+            match (expanded, plain) {
+                (Some((a, field)), plain) if plain.map_or(true, |(u, _)| a < u) => {
+                    i += 1;
+                    self.advance_phase(sink, scratch, a, field)?;
+                }
+                (_, Some((a, rate))) => {
+                    j += 1;
+                    scratch.counts.enabling_evals += 1;
+                    if self.model.is_enabled(a, &scratch.src.marking) {
+                        self.completions(sink, scratch, a, rate)?;
                     }
                 }
-                None => {
-                    if !self.model.is_enabled(a, &marking) {
-                        continue;
-                    }
-                    let Timing::Timed(dist) = self.model.timing(a) else {
-                        unreachable!("timed list only holds timed activities")
-                    };
-                    // Unexpanded non-exponential activities keep the
-                    // strict contract: explore fine, carry a NaN rate,
-                    // fail at the CTMC build.
-                    let base_rate = match *dist {
-                        Dist::Exp { mean } => 1.0 / mean,
-                        _ => f64::NAN,
-                    };
-                    self.completions(sink, ext, a, base_rate, scratch, trans)?;
+                // Both lists are spent (an expanded activity facing no
+                // plain one is taken by the first arm).
+                _ => return Ok(()),
+            }
+        }
+    }
+
+    /// One stage completion of the expanded activity `a`, whose counter
+    /// (at `field`) is non-zero in the source: an internal phase
+    /// advance, or — from the last stage of its branch — the activity's
+    /// completion.
+    fn advance_phase<S: DedupSink>(
+        &self,
+        sink: &mut S,
+        scratch: &mut Scratch,
+        a: ActivityId,
+        field: usize,
+    ) -> Result<(), Abort> {
+        debug_assert!(
+            self.model.is_enabled(a, &scratch.src.marking),
+            "phase counter out of sync with enabling"
+        );
+        let plan = self.expansion.plans[a.index()]
+            .as_ref()
+            .expect("expanded activity has a plan");
+        let phase = scratch.src.ext[field];
+        let rate = plan.rates[(phase - 1) as usize];
+        if plan.last[(phase - 1) as usize] {
+            return self.completions(sink, scratch, a, rate);
+        }
+        // The target is the source with one phase field bumped. The
+        // place prefix is unchanged, so the target's absorbing verdict
+        // equals the (expanded, hence non-absorbing) source's: false.
+        let key = &mut scratch.keys.keys;
+        key.clear();
+        key.extend_from_slice(&scratch.src_key);
+        self.layout
+            .patch(key, field, phase + 1)
+            .expect("phase fields are sized for their plan");
+        scratch.counts.key_patches += 1;
+        let target = self.intern(sink, key, false)?;
+        scratch.row.push(Transition {
+            activity: a,
+            prob: 1.0,
+            rate,
+            completes: false,
+            target,
+        });
+        Ok(())
+    }
+
+    /// Appends the completion outcomes of activity `a` in the source
+    /// state to `scratch.row`, where `rate` is the exponential rate of
+    /// the completing event.
+    fn completions<S: DedupSink>(
+        &self,
+        sink: &mut S,
+        scratch: &mut Scratch,
+        a: ActivityId,
+        rate: f64,
+    ) -> Result<(), Abort> {
+        for case in 0..self.model.num_cases(a) {
+            let case_p = self.model.case_prob(a, case);
+            if case_p <= 0.0 {
+                continue;
+            }
+            let mut after = recycled(&mut scratch.mpool, &scratch.src.marking);
+            self.model.fire_case(&mut after, a, case);
+            self.settle(sink, scratch, after, case_p, Some(a), false)?;
+            let Scratch { row, targets, .. } = scratch;
+            row.extend(targets.drain(..).map(|(target, prob)| Transition {
+                activity: a,
+                prob,
+                rate,
+                completes: true,
+                target,
+            }));
+        }
+        Ok(())
+    }
+
+    /// Turns `after` — the source marking plus one firing, its change
+    /// log holding what the firing wrote — into interned tangible
+    /// successor states, left in `scratch.targets` in resolution order.
+    /// `seed` marks the level-0 call, where no verdict can be carried
+    /// over from a source.
+    fn settle<S: DedupSink>(
+        &self,
+        sink: &mut S,
+        scratch: &mut Scratch,
+        after: Marking,
+        prob: f64,
+        completed: Option<ActivityId>,
+        seed: bool,
+    ) -> Result<(), Abort> {
+        let Scratch {
+            src_key,
+            src,
+            vanish,
+            tangible,
+            mpool,
+            keys,
+            targets,
+            counts,
+            ..
+        } = scratch;
+        tangible.clear();
+        targets.clear();
+        self.resolve_vanishing(vanish, mpool, counts, after, prob, seed, tangible)?;
+        for (marking, p) in tangible.drain(..) {
+            let absorbing =
+                self.successor_keys(src_key, src, keys, counts, &marking, p, completed, seed)?;
+            for (key, &p) in keys.keys.chunks_exact(src_key.len()).zip(&keys.probs) {
+                targets.push((self.intern(sink, key, absorbing)?, p));
+            }
+            mpool.push(marking);
+        }
+        Ok(())
+    }
+
+    /// Re-evaluates the instantaneous dependents of `places` in
+    /// `marking`, each once, and records the verdicts in `set`.
+    fn reevaluate(
+        &self,
+        marking: &Marking,
+        places: &[usize],
+        set: &mut [u64],
+        seen: &mut [u64],
+        counts: &mut Counts,
+    ) {
+        seen.fill(0);
+        for &place in places {
+            for &k in self.inst_deps.of(place) {
+                let k = k as usize;
+                if !bit(seen, k) {
+                    set_bit(seen, k, true);
+                    let (a, ..) = self.instantaneous[k];
+                    set_bit(set, k, self.model.is_enabled(a, marking));
+                    counts.enabling_evals += 1;
                 }
             }
         }
-        scratch.mpool.push(marking);
-        Ok(())
     }
-}
 
-impl Explorer<'_, '_> {
     /// Distributes the probability mass of a possibly-vanishing marking
-    /// over the tangible markings its instantaneous chains lead to.
-    /// Iterative (explicit worklist) so deep instantaneous cascades
-    /// cannot overflow the call stack. The worklist carries `Marking`s
-    /// end to end — no token-vector round-trips on this hot path — and
-    /// the worklist/race buffers are caller-provided scratch, reused
-    /// across every resolution a worker performs.
+    /// over the tangible markings its instantaneous chains lead to, in
+    /// the order a depth-first walk (last pushed, first resolved)
+    /// reaches them. Iterative (explicit worklist) so deep
+    /// instantaneous cascades cannot overflow the call stack.
+    ///
+    /// Every worklist entry carries the set of instantaneous activities
+    /// enabled in its marking. The source of `start` is tangible, so
+    /// its set is empty by definition and `start`'s holds whichever
+    /// dependents of the places in its change log evaluate enabled;
+    /// after each firing only the dependents of the places that firing
+    /// wrote are asked again. Sets are walked in ascending ordinal —
+    /// declaration order — so which activities tie at the highest
+    /// priority, the order their weights are summed in, and the order
+    /// outcomes are pushed are those of a scan over every instantaneous
+    /// activity. Markings are cloned with their change log, so a
+    /// tangible result's log lists every place that may differ from the
+    /// source.
+    #[allow(clippy::too_many_arguments)]
     fn resolve_vanishing(
         &self,
-        marking: Marking,
-        prob: f64,
-        out: &mut Vec<(Marking, f64)>,
-        work: &mut Vec<(Marking, f64, usize)>,
-        level: &mut Vec<(ActivityId, f64)>,
+        vanish: &mut Vanish,
         mpool: &mut Vec<Marking>,
+        counts: &mut Counts,
+        start: Marking,
+        prob: f64,
+        seed: bool,
+        out: &mut Vec<(Marking, f64)>,
     ) -> Result<(), SolveError> {
         let model = self.model;
         if self.instantaneous.is_empty() {
             // No instantaneous activities anywhere: every marking is
             // tangible, skip the worklist entirely.
-            out.push((marking, prob));
+            out.push((start, prob));
             return Ok(());
         }
+        let Vanish {
+            work,
+            sets,
+            cur,
+            seen,
+            level,
+        } = vanish;
+        let set_words = cur.len();
         work.clear();
-        work.push((marking, prob, 0));
+        sets.clear();
+        sets.resize(set_words, 0);
+        if seed {
+            for (k, &(a, ..)) in self.instantaneous.iter().enumerate() {
+                set_bit(sets, k, model.is_enabled(a, &start));
+            }
+            counts.enabling_evals += self.instantaneous.len() as u64;
+        } else {
+            self.reevaluate(&start, start.changed_places(), sets, seen, counts);
+        }
+        work.push((start, prob, 0));
         while let Some((marking, prob, depth)) = work.pop() {
+            let top = sets.len() - set_words;
+            cur.copy_from_slice(&sets[top..]);
+            sets.truncate(top);
             if depth > self.opts.max_vanishing_depth {
                 return Err(SolveError::VanishingLoop {
                     depth: self.opts.max_vanishing_depth,
                 });
             }
+            if cfg!(debug_assertions) {
+                for (k, &(a, ..)) in self.instantaneous.iter().enumerate() {
+                    self.assert_fresh(a, bit(cur, k), &marking);
+                }
+            }
             // The enabled instantaneous activities at the highest
             // priority.
             let mut best_prio = 0u32;
             level.clear();
-            for &(a, priority, weight) in &self.instantaneous {
-                if !model.is_enabled(a, &marking) {
-                    continue;
-                }
+            for k in ones(cur) {
+                let (a, priority, weight) = self.instantaneous[k];
                 if level.is_empty() || priority > best_prio {
                     best_prio = priority;
                     level.clear();
@@ -655,6 +814,7 @@ impl Explorer<'_, '_> {
                 out.push((marking, prob));
                 continue;
             }
+            counts.vanishing_markings += 1;
             let total_weight: f64 = level.iter().map(|&(_, w)| w).sum();
             for &(a, w) in level.iter() {
                 let pick = prob * w / total_weight;
@@ -663,14 +823,18 @@ impl Explorer<'_, '_> {
                     if case_p <= 0.0 {
                         continue;
                     }
-                    let mut after = match mpool.pop() {
-                        Some(mut m) => {
-                            m.assign(marking.tokens());
-                            m
-                        }
-                        None => model.marking_from(marking.tokens()),
-                    };
+                    let mut after = recycled(mpool, &marking);
+                    let written = after.changed_places().len();
                     model.fire_case(&mut after, a, case);
+                    let top = sets.len();
+                    sets.extend_from_slice(cur);
+                    self.reevaluate(
+                        &after,
+                        &after.changed_places()[written..],
+                        &mut sets[top..],
+                        seen,
+                        counts,
+                    );
                     work.push((after, pick * case_p, depth + 1));
                 }
             }
@@ -679,7 +843,139 @@ impl Explorer<'_, '_> {
         }
         Ok(())
     }
+
+    /// Builds in `keys` the packed key(s) of the tangible `marking`
+    /// reached from the source, and returns its absorbing verdict.
+    ///
+    /// A key starts as the source's and gets the fields that moved
+    /// rewritten. Places: those in `marking`'s change log, which spans
+    /// the whole firing chain. Phase counters: copied over with the
+    /// key, then re-evaluated for the `completed` activity and the
+    /// expanded dependents of the logged places only — any other
+    /// activity reads no place that moved, so it is enabled now exactly
+    /// if it was in the source, which is what its carried counter
+    /// (non-zero exactly when enabled) already says. A re-evaluated
+    /// counter is kept where an activity other than `completed` stayed
+    /// enabled (its clock keeps running), re-entered (branch split)
+    /// where an activity is newly enabled or just completed, zero where
+    /// disabled. Re-evaluation runs in slot order, so branch-entry
+    /// splits multiply out in the order of a scan over every expanded
+    /// activity. Absorbing markings get all-zero counters — their
+    /// future is irrelevant, and canonicalising them merges states.
+    #[allow(clippy::too_many_arguments)]
+    fn successor_keys(
+        &self,
+        src_key: &[u64],
+        src: &Source,
+        keys: &mut KeySet,
+        counts: &mut Counts,
+        marking: &Marking,
+        prob: f64,
+        completed: Option<ActivityId>,
+        seed: bool,
+    ) -> Result<bool, Abort> {
+        let layout = self.layout;
+        let words = src_key.len();
+        let KeySet {
+            keys,
+            probs,
+            spare_keys,
+            spare_probs,
+            dirty,
+        } = keys;
+        keys.clear();
+        keys.extend_from_slice(src_key);
+        probs.clear();
+        probs.push(prob);
+        let changed = marking.changed_places();
+        for &place in changed {
+            layout
+                .patch(keys, place, marking.tokens()[place])
+                .map_err(|_| Abort::Pack)?;
+        }
+        counts.key_patches += changed.len() as u64;
+        let absorbing = self.absorb.is_some_and(|f| f(marking));
+        let slots = self.expansion.num_slots();
+        if slots == 0 {
+            return Ok(absorbing);
+        }
+        let put = |key: &mut [u64], field: usize, phase: u32| {
+            layout
+                .patch(key, field, phase)
+                .expect("phase fields are sized for their plan");
+        };
+        if absorbing {
+            for &field in &src.active {
+                put(keys, field, 0);
+            }
+            counts.key_patches += src.active.len() as u64;
+            return Ok(true);
+        }
+        dirty.fill(0);
+        if seed {
+            (0..slots).for_each(|k| set_bit(dirty, k, true));
+        } else {
+            if let Some(a) = completed.filter(|a| self.expansion.plans[a.index()].is_some()) {
+                set_bit(dirty, self.expansion.slots[a.index()] - self.base, true);
+            }
+            for &place in changed {
+                for &k in self.phase_deps.of(place) {
+                    set_bit(dirty, k as usize, true);
+                }
+            }
+        }
+        for k in ones(dirty) {
+            let (a, field) = self.expansion.expanded[k];
+            let old = src.ext[field];
+            counts.enabling_evals += 1;
+            let entry: &[(u32, f64)] = if !self.model.is_enabled(a, marking) {
+                if old == 0 {
+                    continue;
+                }
+                &[(0, 1.0)]
+            } else if completed != Some(a) && old >= 1 {
+                continue; // its clock keeps running
+            } else {
+                &self.expansion.plans[a.index()]
+                    .as_ref()
+                    .expect("expanded activity has a plan")
+                    .starts
+            };
+            counts.key_patches += (keys.len() / words * entry.len()) as u64;
+            if let [(phase, _)] = entry {
+                for key in keys.chunks_exact_mut(words) {
+                    put(key, field, *phase);
+                }
+                continue;
+            }
+            // Entry splits over >1 branches: every current outcome
+            // fans out, outcome-major, branches in plan order.
+            spare_keys.clear();
+            spare_probs.clear();
+            for (key, &p) in keys.chunks_exact(words).zip(probs.iter()) {
+                for &(phase, bp) in entry {
+                    let at = spare_keys.len();
+                    spare_keys.extend_from_slice(key);
+                    put(&mut spare_keys[at..], field, phase);
+                    spare_probs.push(p * bp);
+                }
+            }
+            std::mem::swap(keys, spare_keys);
+            std::mem::swap(probs, spare_probs);
+        }
+        if cfg!(debug_assertions) {
+            // Both directions, every expanded activity: a non-zero
+            // counter implies enabled, and enabled implies non-zero.
+            for &(a, field) in &self.expansion.expanded {
+                self.assert_fresh(a, layout.field(&keys[..words], field) != 0, marking);
+            }
+        }
+        Ok(false)
+    }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

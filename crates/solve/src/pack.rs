@@ -57,8 +57,8 @@ pub struct StateLayout {
     place_rung: usize,
 }
 
-/// Raised by [`StateLayout::encode`] when a field value does not fit
-/// its bit width; the exploration reacts by widening the place fields
+/// Raised by [`StateLayout::encode`] and [`StateLayout::patch`] when a
+/// field value does not fit its bit width; the exploration reacts by widening the place fields
 /// and restarting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PackOverflow;
@@ -125,10 +125,9 @@ impl StateLayout {
     /// Packs `values` (one per field) into `out`, which must hold
     /// exactly [`Self::words`] words.
     ///
-    /// This is the hottest few nanoseconds of the exploration engine
-    /// (one call per generated transition), so the loop accumulates
-    /// each word in a register and folds the per-field overflow checks
-    /// into one branchless OR tested at the end.
+    /// The loop accumulates each word in a register and folds the
+    /// per-field overflow checks into one branchless OR tested at the
+    /// end.
     pub(crate) fn encode(&self, values: &[u32], out: &mut [u64]) -> Result<(), PackOverflow> {
         debug_assert_eq!(values.len(), self.fields.len());
         debug_assert_eq!(out.len(), self.words);
@@ -156,16 +155,32 @@ impl StateLayout {
         Ok(())
     }
 
-    /// Overwrites one field of an already-encoded state in place — the
-    /// fast path for successors that differ from their source in a
-    /// single field (phase advances). The value must fit the field's
-    /// width; phase fields are sized exactly for their plan, so a
-    /// within-plan phase can never overflow.
-    pub(crate) fn patch(&self, words: &mut [u64], field: usize, value: u32) {
+    /// Overwrites one field of an already-encoded state in place — how
+    /// exploration derives a successor's key from its source's: only
+    /// the fields that moved are rewritten. A value that does not fit
+    /// the field's width leaves `words` untouched and reports the same
+    /// [`PackOverflow`] a full [`encode`](Self::encode) would, so the
+    /// widen-and-restart ladder works through this path too.
+    pub(crate) fn patch(
+        &self,
+        words: &mut [u64],
+        field: usize,
+        value: u32,
+    ) -> Result<(), PackOverflow> {
         let f = self.fields[field];
-        debug_assert_eq!(u64::from(value) >> f.width, 0, "patch value overflows");
+        let value = u64::from(value);
+        if value >> f.width != 0 {
+            return Err(PackOverflow);
+        }
         let mask = ((1u64 << f.width) - 1) << f.shift;
-        words[f.word] = (words[f.word] & !mask) | (u64::from(value) << f.shift);
+        words[f.word] = (words[f.word] & !mask) | (value << f.shift);
+        Ok(())
+    }
+
+    /// Reads one field of an encoded state.
+    pub(crate) fn field(&self, words: &[u64], field: usize) -> u32 {
+        let f = self.fields[field];
+        ((words[f.word] >> f.shift) & ((1u64 << f.width) - 1)) as u32
     }
 
     /// Unpacks `words` into `out`, which must hold exactly
@@ -226,6 +241,34 @@ mod tests {
                     max + 1
                 );
             }
+        }
+    }
+
+    /// The checked patch at every rung boundary: the largest value the
+    /// field holds lands (and only there), one past it is refused with
+    /// the words untouched — the same verdicts `encode` gives.
+    #[test]
+    fn patch_is_checked_at_every_rung_boundary() {
+        for (rung, &bits) in PLACE_WIDTH_LADDER.iter().enumerate() {
+            let layout = StateLayout::with_rung(3, &[5], rung);
+            let max = ((1u64 << bits) - 1) as u32;
+            let mut words = vec![0u64; layout.words()];
+            layout.encode(&[1, 2, 3, 5], &mut words).expect("fits");
+            assert_eq!(layout.patch(&mut words, 1, max), Ok(()));
+            assert_eq!(layout.decode_vec(&words), [1, max, 3, 5]);
+            assert_eq!(layout.field(&words, 1), max);
+            let mut encoded = vec![0u64; layout.words()];
+            layout.encode(&[1, max, 3, 5], &mut encoded).expect("fits");
+            assert_eq!(words, encoded, "{bits}-bit rung: patch and encode agree");
+            if bits < 32 {
+                let before = words.clone();
+                assert_eq!(layout.patch(&mut words, 1, max + 1), Err(PackOverflow));
+                assert_eq!(words, before, "a refused patch writes nothing");
+            }
+            // The phase field keeps its own, exact width at every rung.
+            assert_eq!(layout.patch(&mut words, 3, 7), Ok(()));
+            assert_eq!(layout.patch(&mut words, 3, 8), Err(PackOverflow));
+            assert_eq!(layout.decode_vec(&words), [1, max, 3, 7]);
         }
     }
 

@@ -1,5 +1,6 @@
 //! Telemetry parity of the one exploration driver: an external-dedup
-//! run reports the same `explore.*` counters a resident run does, plus
+//! run reports the same `explore.*` counters a resident run does —
+//! the driver's and the per-worker successor-generation ones — plus
 //! its strategy's own `ddd.*` ones.
 //!
 //! The telemetry registry is process-global, so this lives in its own
@@ -40,12 +41,31 @@ fn external_dedup_run_reports_the_drivers_counters() {
         "explore.levels",
         "explore.transitions",
         "explore.dedup_hits",
+        "explore.enabling_evals",
+        "explore.vanishing_markings",
+        "explore.key_patches",
         "spill.pager_hits",
         "ddd.sorted_runs",
     ] {
         assert!(
             metrics.contains(&format!("\"{counter}\"")),
             "{counter} missing from {metrics}"
+        );
+    }
+    // Four states, each asking its four unexpanded timed activities and
+    // firing the one enabled: 16 evaluations, 4 transitions of which
+    // the one closing the ring is a dedup hit, two place fields patched
+    // per successor key, and nothing instantaneous to resolve.
+    for (counter, value) in [
+        ("explore.transitions", 4),
+        ("explore.dedup_hits", 1),
+        ("explore.enabling_evals", 16),
+        ("explore.vanishing_markings", 0),
+        ("explore.key_patches", 8),
+    ] {
+        assert!(
+            metrics.contains(&format!("\"{counter}\": {value}")),
+            "{counter} is not {value} in {metrics}"
         );
     }
 }

@@ -5,7 +5,7 @@
 
 Every `analytic.csv` matching GLOB is one leg's result; the leg is named
 by the last path component that starts with PREFIX, with PREFIX removed
-(`solver-krylov/analytic.csv` under PREFIX `solver-` is leg `krylov`).
+(`generator-kron/analytic.csv` under PREFIX `generator-` is leg `kron`).
 The legs found must be exactly the comma-separated EXPECTED_LEGS, and
 every (scenario, n, ph_order) row must carry the same `analytic_ms` in
 all of them to <= 1e-6 relative: a wider spread means one leg's linear

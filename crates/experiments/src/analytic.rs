@@ -20,10 +20,10 @@
 //!   order-K mean is kept alongside in `ph_raw_ms`. The overlay CDF
 //!   comes from the order-K solve.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use ctsim_models::{build_model, latency_replications, SanParams};
+use ctsim_san::Replications;
 use ctsim_solve::{
     extrapolated_mean, AnalyticRun, DedupMode, GeneratorBackend, SolveError, SolveOptions,
     SolverBackend, SpillOptions,
@@ -52,8 +52,8 @@ pub struct AnalyticOptions {
     pub n: Option<usize>,
     /// Which linear-algebra backend solves the CTMC (`repro analytic
     /// --solver gauss-seidel|jacobi|krylov`). Every backend must land
-    /// on the same means — the CI `solver-backends` matrix gates their
-    /// agreement to ≤ 1e-6 relative.
+    /// on the same means — the `backends_agree_on_the_overlay_means`
+    /// test gates their agreement to ≤ 1e-6 relative.
     pub backend: SolverBackend,
     /// Which generator representation the solve iterates on (`repro
     /// analytic --generator csr|kron`). Both must land on the same
@@ -73,15 +73,6 @@ pub struct AnalyticOptions {
     /// duplicate detection. Ignored without `--spill-budget`. Results
     /// are byte-identical across modes.
     pub dedup: DedupMode,
-    /// Write a chrome://tracing (`trace_event`) file of the run here
-    /// (`repro analytic --trace out.json`). Setting this turns the
-    /// [`ctsim_obs`] telemetry on for the duration of the run; load the
-    /// file in `chrome://tracing` or Perfetto.
-    pub trace: Option<PathBuf>,
-    /// Write the [`ctsim_obs::metrics_json`] document (counters,
-    /// gauges, residual traces, histograms) here (`repro analytic
-    /// --metrics out.json`). Also turns telemetry on.
-    pub metrics: Option<PathBuf>,
     /// Opt-in solver fallback chains (`repro analytic --fallback`):
     /// on a recoverable backend failure the solve walks
     /// [`SolverBackend::fallback_after`] instead of failing; the
@@ -100,8 +91,6 @@ impl Default for AnalyticOptions {
             generator: GeneratorBackend::default(),
             spill_budget: None,
             dedup: DedupMode::default(),
-            trace: None,
-            metrics: None,
             fallback: false,
         }
     }
@@ -226,11 +215,18 @@ fn max_states(scale: Scale) -> usize {
     }
 }
 
-/// Solves the first-passage mean for the given parameters at the given
-/// solve options; returns `(mean, states, cdf, solve_ms)` where
-/// `solve_ms` is the wall-clock of the mean solve alone (no
-/// exploration, no CDF grid).
-type SolveOutcome = Result<(f64, usize, Vec<(f64, f64)>, f64), SolveError>;
+/// What one solve contributes to its overlay row.
+struct Solved {
+    /// Headline mean (ms): exact, or order-extrapolated.
+    mean_ms: f64,
+    /// Raw order-K mean (ms) of a phase-type row.
+    raw_ms: Option<f64>,
+    states: usize,
+    cdf: Vec<(f64, f64)>,
+    /// Wall-clock of the mean solves alone (no exploration, no CDF
+    /// grid).
+    solve_ms: f64,
+}
 
 /// Largest state space for which the overlay CDF is evaluated. Each
 /// CDF point is a full uniformization sweep — on a half-million-state
@@ -239,14 +235,39 @@ type SolveOutcome = Result<(f64, usize, Vec<(f64, f64)>, f64), SolveError>;
 /// agreement verdict) with an empty CDF series.
 const CDF_MAX_STATES: usize = 200_000;
 
-fn solve_mean_and_cdf(params: &SanParams, opts: &SolveOptions, want_cdf: bool) -> SolveOutcome {
+/// The solve options of one overlay solve at expansion `order`: the
+/// command-line knobs, capped at the model's recommended state count
+/// under an explicit `--n` and at the scale's cap otherwise.
+fn solve_options(
+    ph: &AnalyticOptions,
+    scale: Scale,
+    order: u32,
+    params: &SanParams,
+) -> SolveOptions {
+    let mut opts = SolveOptions::ph_with_backend(order, ph.threads, ph.backend);
+    opts.generator = ph.generator;
+    opts.iter.fallback = ph.fallback;
+    opts.reach.max_states = if ph.n.is_some() {
+        params.recommended_max_states(order)
+    } else {
+        max_states(scale)
+    };
+    opts.reach.spill = ph
+        .spill_budget
+        .map(|b| SpillOptions::with_budget(b).dedup(ph.dedup));
+    opts
+}
+
+/// Solves the first-passage mean (and, if wanted and affordable, the
+/// CDF grid around it) for the given parameters.
+fn solve_mean_and_cdf(
+    params: &SanParams,
+    opts: &SolveOptions,
+    want_cdf: bool,
+) -> Result<Solved, SolveError> {
     let model = build_model(params);
-    let decided: Vec<_> = (0..params.n)
-        .map(|i| model.place(&format!("decided_{i}")).expect("built model"))
-        .collect();
-    let run = AnalyticRun::first_passage_with(&model, opts, move |m| {
-        decided.iter().any(|&d| m.get(d) > 0)
-    })?;
+    let goal = crate::some_process_decided(&model, params.n);
+    let run = AnalyticRun::first_passage_with(&model, opts, goal)?;
     let solve_start = Instant::now();
     let mean = run.mean(&opts.iter)?;
     let solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
@@ -258,7 +279,55 @@ fn solve_mean_and_cdf(params: &SanParams, opts: &SolveOptions, want_cdf: bool) -
     } else {
         Vec::new()
     };
-    Ok((mean.mean_ms, mean.states, cdf, solve_ms))
+    Ok(Solved {
+        mean_ms: mean.mean_ms,
+        raw_ms: None,
+        states: mean.states,
+        cdf,
+        solve_ms,
+    })
+}
+
+/// Assembles one overlay row from its simulation campaign and its
+/// solve; a state-cap or non-Markovian refusal becomes a skipped row,
+/// any other solver error is the caller's.
+fn overlay_row(
+    scenario: CrashScenario,
+    n: usize,
+    ph_order: Option<u32>,
+    ph: &AnalyticOptions,
+    reps: &Replications,
+    solved: Result<Solved, SolveError>,
+) -> Result<AnalyticRow, SolveError> {
+    let mut row = AnalyticRow {
+        scenario,
+        n,
+        ph_order,
+        analytic_ms: None,
+        ph_raw_ms: None,
+        solve_ms: 0.0,
+        backend: ph.backend,
+        generator: ph.generator,
+        states: 0,
+        cdf: Vec::new(),
+        sim_ms: reps.mean(),
+        sim_ci90: reps.ci90(),
+        ph_sim_ms: None,
+        ph_sim_ci90: None,
+        skipped: None,
+    };
+    match solved {
+        Ok(solved) => {
+            row.analytic_ms = Some(solved.mean_ms);
+            row.ph_raw_ms = solved.raw_ms;
+            row.solve_ms = solved.solve_ms;
+            row.states = solved.states;
+            row.cdf = solved.cdf;
+        }
+        Err(e) if skippable(&e) => row.skipped = Some(e.to_string()),
+        Err(e) => return Err(e),
+    }
+    Ok(row)
 }
 
 fn skippable(e: &SolveError) -> bool {
@@ -285,38 +354,12 @@ pub fn run(scale: Scale, seed: u64) -> Analytic {
 /// on the paper's real parameters. [`AnalyticOptions::n`] replaces the
 /// scale's n sweep with one explicit process count.
 ///
-/// When [`AnalyticOptions::trace`] or [`AnalyticOptions::metrics`] is
-/// set, telemetry is enabled for the run, the requested files are
-/// written afterwards, and the human-readable run summary goes to
-/// stderr.
-///
 /// # Errors
 /// Any non-skippable [`SolveError`] — including
 /// [`SolveError::SpillFailed`] with its attempt trace when a disk-spill
 /// operation exhausts its retry budget. State-cap and non-Markovian
 /// skips stay rows with [`AnalyticRow::skipped`] set, as before.
 pub fn run_with(scale: Scale, seed: u64, ph: &AnalyticOptions) -> Result<Analytic, SolveError> {
-    let telemetry = ph.trace.is_some() || ph.metrics.is_some();
-    if telemetry {
-        ctsim_obs::enable();
-    }
-    let result = run_inner(scale, seed, ph);
-    if telemetry {
-        if let Some(path) = &ph.trace {
-            std::fs::write(path, ctsim_obs::chrome_trace_json())
-                .unwrap_or_else(|e| panic!("writing trace {}: {e}", path.display()));
-        }
-        if let Some(path) = &ph.metrics {
-            std::fs::write(path, ctsim_obs::metrics_json())
-                .unwrap_or_else(|e| panic!("writing metrics {}: {e}", path.display()));
-        }
-        eprintln!("{}", ctsim_obs::summary().trim_end());
-        ctsim_obs::disable();
-    }
-    result
-}
-
-fn run_inner(scale: Scale, seed: u64, ph: &AnalyticOptions) -> Result<Analytic, SolveError> {
     let _run_span = ctsim_obs::span("experiment", "analytic_overlay")
         .arg("ph_order", ph.ph_order)
         .arg("backend", ph.backend.to_string())
@@ -344,55 +387,9 @@ fn run_inner(scale: Scale, seed: u64, ph: &AnalyticOptions) -> Result<Analytic, 
                 params = params.with_crash(idx);
             }
             let reps = latency_replications(&params, analytic_reps(scale), seed, 10_000.0);
-            let mut opts = SolveOptions::ph_with_backend(0, ph.threads, ph.backend);
-            opts.generator = ph.generator;
-            opts.iter.fallback = ph.fallback;
-            opts.reach.max_states = if ph.n.is_some() {
-                params.recommended_max_states(1)
-            } else {
-                max_states(scale)
-            };
-            opts.reach.spill = ph
-                .spill_budget
-                .map(|b| SpillOptions::with_budget(b).dedup(ph.dedup));
-            let row = match solve_mean_and_cdf(&params, &opts, true) {
-                Ok((mean, states, cdf, solve_ms)) => AnalyticRow {
-                    scenario,
-                    n,
-                    ph_order: None,
-                    analytic_ms: Some(mean),
-                    ph_raw_ms: None,
-                    solve_ms,
-                    backend: ph.backend,
-                    generator: ph.generator,
-                    states,
-                    cdf,
-                    sim_ms: reps.mean(),
-                    sim_ci90: reps.ci90(),
-                    ph_sim_ms: None,
-                    ph_sim_ci90: None,
-                    skipped: None,
-                },
-                Err(ref e) if skippable(e) => AnalyticRow {
-                    scenario,
-                    n,
-                    ph_order: None,
-                    analytic_ms: None,
-                    ph_raw_ms: None,
-                    solve_ms: 0.0,
-                    backend: ph.backend,
-                    generator: ph.generator,
-                    states: 0,
-                    cdf: Vec::new(),
-                    sim_ms: reps.mean(),
-                    sim_ci90: reps.ci90(),
-                    ph_sim_ms: None,
-                    ph_sim_ci90: None,
-                    skipped: Some(e.to_string()),
-                },
-                Err(e) => return Err(e),
-            };
-            rows.push(row);
+            let opts = solve_options(ph, scale, 0, &params);
+            let solved = solve_mean_and_cdf(&params, &opts, true);
+            rows.push(overlay_row(scenario, n, None, ph, &reps, solved)?);
         }
     }
     // Phase-type rows: the paper's real class-1 parameters.
@@ -415,84 +412,37 @@ fn ph_row(
     let params = SanParams::paper_baseline(n);
     let reps = latency_replications(&params, analytic_reps(scale), seed, 10_000.0);
     let k = ph.ph_order;
-    let mut opts = SolveOptions::ph_with_backend(k, ph.threads, ph.backend);
-    opts.generator = ph.generator;
-    opts.iter.fallback = ph.fallback;
-    opts.reach.max_states = if ph.n.is_some() {
-        params.recommended_max_states(k)
-    } else {
-        max_states(scale)
-    };
-    opts.reach.spill = ph
-        .spill_budget
-        .map(|b| SpillOptions::with_budget(b).dedup(ph.dedup));
-    let solved = solve_mean_and_cdf(&params, &opts, true).and_then(|(mk, states, cdf, t_k)| {
-        let (mean, solve_ms) = if k >= 2 {
+    let opts = solve_options(ph, scale, k, &params);
+    let solved = solve_mean_and_cdf(&params, &opts, true).and_then(|mut at_k| {
+        at_k.raw_ms = Some(at_k.mean_ms);
+        if k >= 2 {
             // Richardson extrapolation over the order: the dominant
             // error of the Erlang(K) stand-ins for deterministic
             // stages is ∝ 1/K (see `ctsim_solve::extrapolated_mean`).
-            let mut prev = SolveOptions::ph_with_backend(k - 1, ph.threads, ph.backend);
-            prev.generator = ph.generator;
-            prev.iter.fallback = ph.fallback;
-            prev.reach.max_states = opts.reach.max_states;
-            prev.reach.spill = opts.reach.spill.clone();
-            let (mk1, _, _, t_k1) = solve_mean_and_cdf(&params, &prev, false)?;
-            let mean = extrapolated_mean(&[(k - 1, mk1), (k, mk)]).expect("two order points");
-            (mean, t_k + t_k1)
-        } else {
-            (mk, t_k)
-        };
-        Ok((mean, mk, states, cdf, solve_ms))
-    });
-    Ok(match solved {
-        Ok((mean, raw, states, cdf, solve_ms)) => {
-            // Engine cross-validation: simulate the PH-substituted
-            // model — exactly the expanded CTMC just solved — and
-            // require the raw order-K mean inside its 90 % CI. A
-            // decorrelated seed keeps the two campaigns independent.
-            let ph_reps = latency_replications(
-                &params.ph_substituted(k),
-                analytic_reps(scale),
-                seed ^ 0x70AD_5EED,
-                10_000.0,
-            );
-            AnalyticRow {
-                scenario: CrashScenario::None,
-                n,
-                ph_order: Some(k),
-                analytic_ms: Some(mean),
-                ph_raw_ms: Some(raw),
-                solve_ms,
-                backend: ph.backend,
-                generator: ph.generator,
-                states,
-                cdf,
-                sim_ms: reps.mean(),
-                sim_ci90: reps.ci90(),
-                ph_sim_ms: Some(ph_reps.mean()),
-                ph_sim_ci90: Some(ph_reps.ci90()),
-                skipped: None,
-            }
+            let prev = solve_options(ph, scale, k - 1, &params);
+            let below = solve_mean_and_cdf(&params, &prev, false)?;
+            at_k.mean_ms = extrapolated_mean(&[(k - 1, below.mean_ms), (k, at_k.mean_ms)])
+                .expect("two order points");
+            at_k.solve_ms += below.solve_ms;
         }
-        Err(ref e) if skippable(e) => AnalyticRow {
-            scenario: CrashScenario::None,
-            n,
-            ph_order: Some(k),
-            analytic_ms: None,
-            ph_raw_ms: None,
-            solve_ms: 0.0,
-            backend: ph.backend,
-            generator: ph.generator,
-            states: 0,
-            cdf: Vec::new(),
-            sim_ms: reps.mean(),
-            sim_ci90: reps.ci90(),
-            ph_sim_ms: None,
-            ph_sim_ci90: None,
-            skipped: Some(e.to_string()),
-        },
-        Err(e) => return Err(e),
-    })
+        Ok(at_k)
+    });
+    let mut row = overlay_row(CrashScenario::None, n, Some(k), ph, &reps, solved)?;
+    if row.skipped.is_none() {
+        // Engine cross-validation: simulate the PH-substituted
+        // model — exactly the expanded CTMC just solved — and
+        // require the raw order-K mean inside its 90 % CI. A
+        // decorrelated seed keeps the two campaigns independent.
+        let ph_reps = latency_replications(
+            &params.ph_substituted(k),
+            analytic_reps(scale),
+            seed ^ 0x70AD_5EED,
+            10_000.0,
+        );
+        row.ph_sim_ms = Some(ph_reps.mean());
+        row.ph_sim_ci90 = Some(ph_reps.ci90());
+    }
+    Ok(row)
 }
 
 /// CDF evaluation grid around a mean latency.
@@ -622,9 +572,9 @@ mod tests {
         assert!(a.rows.iter().all(|r| r.engine_agrees()));
     }
 
-    /// Every solver backend reproduces the same overlay means: the
-    /// in-process mirror of the CI `solver-backends` agreement matrix,
-    /// gated at the same 1e-6 relative budget.
+    /// Every solver backend reproduces the same overlay means to 1e-6
+    /// relative, each with its engine column agreeing — the gate the CI
+    /// `solver-backends` matrix used to run out of process.
     #[test]
     fn backends_agree_on_the_overlay_means() {
         let solve = |backend: SolverBackend| {

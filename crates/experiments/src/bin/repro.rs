@@ -34,8 +34,9 @@
 //! the half-million-state order-2 expansion actually solves — the CI
 //! scalability gate runs exactly that), and the linear-algebra backend
 //! (`gauss-seidel` | `jacobi` | `krylov`) the CTMC is solved with —
-//! every backend must produce the same means, which the CI
-//! `solver-backends` matrix job gates at ≤ 1e-6 relative.
+//! every backend must produce the same means, which the
+//! `backends_agree_on_the_overlay_means` test gates at ≤ 1e-6
+//! relative.
 //! `--generator` picks the generator representation the solver
 //! iterates on: `csr` materializes the rate matrix, `kron` keeps the
 //! Kronecker-factored activity terms and applies them matrix-free.
@@ -43,10 +44,12 @@
 //! job gates them at ≤ 1e-6 relative, too.
 //!
 //! `--trace` and `--metrics` turn the `ctsim-obs` telemetry on for the
-//! `analytic` run and write a chrome://tracing `trace_event` file and a
-//! metrics JSON document (counters, gauges, residual traces,
-//! histograms) to the given paths; the human-readable run summary goes
-//! to stderr. Telemetry never changes results — it only observes.
+//! whole invocation — every subcommand it runs — and afterwards write
+//! a chrome://tracing `trace_event` file and a metrics JSON document
+//! (counters, gauges, residual traces, histograms) to the given paths,
+//! also when a subcommand failed; the human-readable run summary goes
+//! to stderr. A file that cannot be written is an error (exit 1).
+//! Telemetry never changes results — it only observes.
 //!
 //! Resilience knobs (see `docs/RESILIENCE.md`): `--fallback` opts the
 //! solves into graceful-degradation backend chains (Krylov →
@@ -73,6 +76,8 @@ struct Args {
     out: PathBuf,
     ph: AnalyticOptions,
     campaign: CampaignOptions,
+    trace: Option<PathBuf>,
+    metrics: Option<PathBuf>,
     failpoints: Option<String>,
     failpoint_seed: u64,
 }
@@ -98,6 +103,7 @@ fn parse_args() -> Result<Args, String> {
     let mut out = PathBuf::from("results");
     let mut ph = AnalyticOptions::default();
     let mut campaign = CampaignOptions::default();
+    let (mut trace, mut metrics) = (None, None);
     let mut failpoints = None;
     let mut failpoint_seed = 0u64;
     while let Some(flag) = args.next() {
@@ -212,12 +218,12 @@ fn parse_args() -> Result<Args, String> {
                 ph.dedup = args.next().ok_or("missing value for --dedup")?.parse()?;
             }
             "--trace" => {
-                ph.trace = Some(PathBuf::from(
+                trace = Some(PathBuf::from(
                     args.next().ok_or("missing value for --trace")?,
                 ));
             }
             "--metrics" => {
-                ph.metrics = Some(PathBuf::from(
+                metrics = Some(PathBuf::from(
                     args.next().ok_or("missing value for --metrics")?,
                 ));
             }
@@ -225,11 +231,8 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     // The shared knobs drive the campaign too: one `--threads` /
-    // `--trace` / `--metrics` / `--fallback` set regardless of the
-    // subcommand.
+    // `--fallback` set regardless of the subcommand.
     campaign.threads = ph.threads;
-    campaign.trace = ph.trace.clone();
-    campaign.metrics = ph.metrics.clone();
     campaign.fallback = ph.fallback;
     Ok(Args {
         command,
@@ -238,6 +241,8 @@ fn parse_args() -> Result<Args, String> {
         out,
         ph,
         campaign,
+        trace,
+        metrics,
         failpoints,
         failpoint_seed,
     })
@@ -295,6 +300,44 @@ fn main() {
             std::process::exit(2);
         }
     }
+    // Telemetry is captured here, once, around whichever subcommands
+    // run, and written out whatever they returned: the trace of a
+    // failed run is the one worth reading.
+    let telemetry = args.trace.is_some() || args.metrics.is_some();
+    if telemetry {
+        ctsim_obs::enable();
+    }
+    let mut code = run_commands(&args);
+    if telemetry {
+        eprintln!("{}", ctsim_obs::summary().trim_end());
+        let written = write_telemetry("trace", args.trace.as_deref(), ctsim_obs::chrome_trace_json)
+            & write_telemetry("metrics", args.metrics.as_deref(), ctsim_obs::metrics_json);
+        ctsim_obs::disable();
+        if !written {
+            code = code.max(1);
+        }
+    }
+    std::process::exit(code);
+}
+
+/// Writes one telemetry document if its flag was given; `false` when
+/// the file could not be written.
+fn write_telemetry(what: &str, path: Option<&Path>, document: fn() -> String) -> bool {
+    let Some(path) = path else {
+        return true;
+    };
+    match fs::write(path, document()) {
+        Ok(()) => true,
+        Err(e) => {
+            eprintln!("error: writing {what} {}: {e}", path.display());
+            false
+        }
+    }
+}
+
+/// Runs the subcommands `args` names; returns the process exit code
+/// (0 done, 1 a run failed with a typed error, 2 bad usage).
+fn run_commands(args: &Args) -> i32 {
     let all = args.command == "all";
     let want = |c: &str| all || args.command == c;
     let mut ran = false;
@@ -485,7 +528,7 @@ fn main() {
             Ok(a) => a,
             Err(e) => {
                 eprintln!("analytic: {e}");
-                std::process::exit(1);
+                return 1;
             }
         };
         println!("{}", a.render());
@@ -571,11 +614,11 @@ fn main() {
             Ok(c) => c,
             Err(e @ campaign::CampaignError::Grid(_)) => {
                 eprintln!("{e}");
-                std::process::exit(2);
+                return 2;
             }
             Err(e) => {
                 eprintln!("{e}");
-                std::process::exit(1);
+                return 1;
             }
         };
         println!("{}", c.render());
@@ -617,6 +660,7 @@ fn main() {
 
     if !ran {
         eprintln!("{}", usage());
-        std::process::exit(2);
+        return 2;
     }
+    0
 }

@@ -4,29 +4,31 @@
 //! Across a campaign grid most points differ only in timing parameters
 //! (service-stage scaling, network-delay scaling), not in structure
 //! (process count, phase-type order). All such points share one
-//! reachability graph and one CSR sparsity pattern, so the engine keys
-//! every point by [`StructuralKey`], checks the explored graph out of a
-//! shared [`GraphCache`], rewrites just the transition rates
-//! ([`StateSpace::rebuild_rates`] + [`Ctmc::rebuild_values`] — a
-//! values-only pass that is bit-identical to a fresh exploration at the
-//! new rates), and solves. Consecutive points of the same structural
-//! group additionally warm-start the iterative solver from the previous
-//! point's first-passage vector ([`IterOptions::warm_start`]) — for
-//! every backend except Gauss–Seidel, whose rows the CI campaign gate
-//! compares against cold runs *bit for bit* (warm starting changes the
-//! iteration trajectory, so GS stays cold-seeded by design).
+//! reachability graph and one CSR sparsity pattern, so the engine
+//! groups the grid by [`StructuralKey`] and gives each group to one
+//! worker, which carries a single [`AnalyticRun`] from point to point:
+//! [`detach`](AnalyticRun::detach) it from the solved point's model,
+//! [`attach`](DetachedRun::attach) it to the next point's — a
+//! values-only rewrite of transition rates and CSR entries that is
+//! bit-identical to a fresh exploration at the new rates — and solve.
+//! Consecutive points of a group additionally warm-start the iterative
+//! solver from the previous point's first-passage vector
+//! ([`IterOptions::warm_start`]) — for every backend except
+//! Gauss–Seidel, whose rows the CI campaign gate compares against cold
+//! runs *bit for bit* (warm starting changes the iteration trajectory,
+//! so GS stays cold-seeded by design).
 //!
 //! Structural groups are independent, so they run on parallel workers;
-//! points inside a group run sequentially (they hand the one cache
-//! entry and the warm-start vector down the chain). Rows stream to
-//! stderr as points finish and are reported sorted deterministically.
+//! points inside a group run sequentially (they hand the one graph and
+//! the warm-start vector down the chain). Rows stream to stderr as
+//! points finish and are reported sorted deterministically.
 //!
 //! If a rate change *does* alter the expansion shape (e.g. scaling a
 //! bi-modal network delay perturbs its hyper-Erlang branch
-//! probabilities in the last ulp), the rebuild refuses with
+//! probabilities in the last ulp), the re-attach refuses with
 //! [`SolveError::StructureMismatch`](ctsim_solve::SolveError) and the
 //! point falls back to a cold exploration — correctness never depends
-//! on the cache hitting, only speed does. The CI campaign grid
+//! on the graph being reusable, only speed does. The CI campaign grid
 //! therefore sweeps only the service scale and leaves the network
 //! delays untouched, which keeps every rate-only point an actual hit;
 //! the network axis remains available for local exploration.
@@ -39,10 +41,34 @@ use std::time::Instant;
 
 use ctsim_models::{build_model, SanParams};
 use ctsim_resilience::{fail, Journal};
-use ctsim_solve::{
-    mean_time_to_absorption, CachedGraph, Ctmc, GraphCache, IterOptions, ReachOptions, SolveError,
-    SolverBackend, StateSpace, StructuralKey,
-};
+use ctsim_solve::{AnalyticRun, DetachedRun, IterOptions, ReachOptions, SolveError, SolverBackend};
+
+/// The structural identity of a reachability graph: grid points with
+/// equal keys explore identical graphs and may share one. Rate-like
+/// parameters (service times, network delay scales) must NOT enter the
+/// key; anything that changes the reachable set or the phase-type
+/// expansion shape MUST.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct StructuralKey {
+    /// Number of hosts (the paper's `n`).
+    pub n: usize,
+    /// Phase-type expansion order (0 = no expansion).
+    pub ph_order: u32,
+    /// Free-form topology / model-family discriminator (e.g.
+    /// `"paper"` vs `"exponential"`, crash scenarios, FD variants).
+    pub topology: String,
+}
+
+impl StructuralKey {
+    /// A key for the paper's consensus model family.
+    pub fn new(n: usize, ph_order: u32, topology: impl Into<String>) -> Self {
+        Self {
+            n,
+            ph_order,
+            topology: topology.into(),
+        }
+    }
+}
 
 /// One grid point: the structural axes (`n`, `ph_order`) plus the
 /// rate-only axes (service/network scaling) and the solver backend.
@@ -126,10 +152,6 @@ pub struct CampaignOptions {
     /// `n` with this many executions, reporting measured rows next to
     /// the analytic grid (`0` = off).
     pub measure: u32,
-    /// chrome://tracing output path (enables telemetry).
-    pub trace: Option<PathBuf>,
-    /// `ctsim_obs::metrics_json` output path (enables telemetry).
-    pub metrics: Option<PathBuf>,
     /// Opt-in solver fallback chains (`repro campaign --fallback`):
     /// on a recoverable backend failure the solve walks
     /// [`SolverBackend::fallback_after`] instead of failing the point,
@@ -162,8 +184,6 @@ impl Default for CampaignOptions {
             threads: 0,
             verify_cold: false,
             measure: 0,
-            trace: None,
-            metrics: None,
             fallback: false,
             checkpoint: None,
             resume: false,
@@ -190,7 +210,7 @@ pub enum CampaignError {
         /// Boxed so the happy-path `Result` stays register-sized.
         source: Box<SolveError>,
     },
-    /// Checkpoint-journal or telemetry-file I/O failed.
+    /// Checkpoint-journal I/O failed.
     Io {
         /// What was being read or written.
         what: &'static str,
@@ -531,9 +551,9 @@ pub struct Campaign {
     pub rows: Vec<PointRow>,
     /// Measured-latency rows (`--measure` only), by `n` ascending.
     pub measured: Vec<MeasuredRow>,
-    /// Graph-cache checkout hits across the run.
+    /// Solved points that found their group's graph already explored.
     pub cache_hits: u64,
-    /// Graph-cache checkout misses across the run.
+    /// Solved points that had no graph to start from.
     pub cache_misses: u64,
     /// Wall-clock of the whole grid (ms), workers included.
     pub wall_ms: f64,
@@ -616,49 +636,10 @@ pub fn grid(opts: &CampaignOptions) -> Result<Vec<PointSpec>, String> {
 /// Runs the campaign. `seed` only feeds the `--measure` testbed rows —
 /// the analytic grid is deterministic.
 ///
-/// Telemetry (`trace` / `metrics`) is handled like `repro analytic`:
-/// enabled for the run, files written afterwards, summary to stderr.
-///
 /// # Errors
 /// A typed [`CampaignError`]: grid problems, the first failing point
-/// (wrapping its [`SolveError`]), or checkpoint/telemetry I/O.
+/// (wrapping its [`SolveError`]), or checkpoint I/O.
 pub fn run_with(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignError> {
-    let telemetry = opts.trace.is_some() || opts.metrics.is_some();
-    if telemetry {
-        ctsim_obs::enable();
-    }
-    let result = run_inner(seed, opts);
-    let mut io_err = None;
-    if telemetry {
-        if let Some(path) = &opts.trace {
-            if let Err(e) = std::fs::write(path, ctsim_obs::chrome_trace_json()) {
-                io_err.get_or_insert(CampaignError::Io {
-                    what: "writing trace",
-                    path: path.clone(),
-                    source: e,
-                });
-            }
-        }
-        if let Some(path) = &opts.metrics {
-            if let Err(e) = std::fs::write(path, ctsim_obs::metrics_json()) {
-                io_err.get_or_insert(CampaignError::Io {
-                    what: "writing metrics",
-                    path: path.clone(),
-                    source: e,
-                });
-            }
-        }
-        eprintln!("{}", ctsim_obs::summary().trim_end());
-        ctsim_obs::disable();
-    }
-    match (result, io_err) {
-        (Err(e), _) => Err(e),
-        (Ok(_), Some(e)) => Err(e),
-        (Ok(c), None) => Ok(c),
-    }
-}
-
-fn run_inner(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignError> {
     let _run_span = ctsim_obs::span("experiment", "campaign").arg("threads", opts.threads);
     let specs = grid(opts).map_err(CampaignError::Grid)?;
 
@@ -712,8 +693,8 @@ fn run_inner(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignErro
     };
 
     // Group points by structural key; groups are the parallel unit,
-    // points inside a group run sequentially so the single cache entry
-    // and the warm-start vector chain from point to point. Within a
+    // points inside a group run sequentially so the one graph and the
+    // warm-start vector chain from point to point. Within a
     // group, order by (backend, net_scale, service_scale): warm starts
     // only help between consecutive same-backend points, and sweeping
     // the service scale last makes each warm seed as close as possible
@@ -747,14 +728,12 @@ fn run_inner(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignErro
     // saturate the machine, so their solves stay single-threaded.
     let solve_threads = if workers == 1 { opts.threads } else { 1 };
 
-    let cache = GraphCache::new();
-    let rows = Mutex::new(Vec::new());
+    let done = Mutex::new(Tally::default());
     let errors = Mutex::new(Vec::<CampaignError>::new());
     let next = AtomicUsize::new(0);
     let start = Instant::now();
     let groups = &groups;
-    let cache_ref = &cache;
-    let rows_ref = &rows;
+    let done_ref = &done;
     let errors_ref = &errors;
     let next_ref = &next;
     let journal_ref = journal.as_ref();
@@ -763,19 +742,16 @@ fn run_inner(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignErro
         for _ in 0..workers {
             s.spawn(move || loop {
                 let g = next_ref.fetch_add(1, Ordering::SeqCst);
-                let Some((key, points)) = groups.get(g) else {
+                let Some((_, points)) = groups.get(g) else {
                     break;
                 };
-                match run_group(
-                    key,
-                    points,
-                    cache_ref,
-                    solve_threads,
-                    opts,
-                    journal_ref,
-                    resumed_ref,
-                ) {
-                    Ok(out) => rows_ref.lock().expect("campaign rows poisoned").extend(out),
+                match run_group(points, solve_threads, opts, journal_ref, resumed_ref) {
+                    Ok(group) => {
+                        let mut done = done_ref.lock().expect("campaign rows poisoned");
+                        done.rows.extend(group.rows);
+                        done.cache_hits += group.cache_hits;
+                        done.cache_misses += group.cache_misses;
+                    }
                     Err(e) => {
                         errors_ref.lock().expect("campaign errors poisoned").push(e);
                         break;
@@ -794,7 +770,11 @@ fn run_inner(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignErro
         return Err(errors.remove(0));
     }
 
-    let mut rows = rows.into_inner().expect("campaign rows poisoned");
+    let Tally {
+        mut rows,
+        cache_hits,
+        cache_misses,
+    } = done.into_inner().expect("campaign rows poisoned");
     rows.sort_by(|a, b| {
         (
             a.spec.n,
@@ -831,28 +811,37 @@ fn run_inner(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignErro
     Ok(Campaign {
         rows,
         measured,
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
+        cache_hits,
+        cache_misses,
         wall_ms,
     })
 }
 
-/// Solves one structural group sequentially, threading the cache entry
-/// and the warm-start vector through its points. Points found in the
-/// resume set are reported verbatim from the journal; their
+/// What a worker hands back: solved rows, and how often a point found
+/// its group's graph already explored.
+#[derive(Default)]
+struct Tally {
+    rows: Vec<PointRow>,
+    cache_hits: u64,
+    cache_misses: u64,
+}
+
+/// Solves one structural group sequentially, handing the group's one
+/// explored graph and the warm-start vector from point to point. Points
+/// found in the resume set are reported verbatim from the journal
+/// (they neither use nor count towards the graph hand-over); their
 /// first-passage vectors re-seed the warm-start chain so the points
 /// that follow iterate exactly as in the uninterrupted run.
 fn run_group(
-    key: &StructuralKey,
     points: &[PointSpec],
-    cache: &GraphCache,
     solve_threads: usize,
     opts: &CampaignOptions,
     journal: Option<&Mutex<Journal>>,
     resumed: &[(PointRow, Vec<f64>)],
-) -> Result<Vec<PointRow>, CampaignError> {
+) -> Result<Tally, CampaignError> {
+    let mut graph: Option<DetachedRun> = None;
     let mut warm: Option<(SolverBackend, Vec<f64>)> = None;
-    let mut out = Vec::with_capacity(points.len());
+    let mut out = Tally::default();
     for spec in points {
         if let Some((row, per_state)) = resumed.iter().find(|(r, _)| r.spec == *spec) {
             warm = Some((spec.backend, per_state.clone()));
@@ -865,10 +854,21 @@ fn run_group(
                 spec.net_scale,
                 row.mean_ms,
             );
-            out.push(row.clone());
+            out.rows.push(row.clone());
             continue;
         }
-        let row = run_point(spec, key, cache, solve_threads, opts, &mut warm)?;
+        // The graph is moved into the point and comes back re-attached
+        // to that point's model — one owner at a time, never a copy.
+        let cached = graph.take();
+        if cached.is_some() {
+            out.cache_hits += 1;
+            ctsim_obs::counter_add("graph_cache.hits", 1);
+        } else {
+            out.cache_misses += 1;
+            ctsim_obs::counter_add("graph_cache.misses", 1);
+        }
+        let (row, detached) = run_point(spec, cached, solve_threads, opts, &mut warm)?;
+        graph = Some(detached);
         if let Some(j) = journal {
             // `campaign.checkpoint` is the crash-injection site: an
             // `abort_at:K` schedule kills the process right here,
@@ -903,7 +903,7 @@ fn run_group(
             row.build_ms,
             row.solve_ms,
         );
-        out.push(row);
+        out.rows.push(row);
     }
     Ok(out)
 }
@@ -917,14 +917,16 @@ fn reach_options(spec: &PointSpec, params: &SanParams, threads: usize) -> ReachO
     }
 }
 
+/// Solves one point: re-attaches `cached` (the group's graph, if a
+/// previous point explored it) or explores cold, solves, and returns
+/// the row with the graph detached again for the group's next point.
 fn run_point(
     spec: &PointSpec,
-    key: &StructuralKey,
-    cache: &GraphCache,
+    cached: Option<DetachedRun>,
     solve_threads: usize,
     opts: &CampaignOptions,
     warm: &mut Option<(SolverBackend, Vec<f64>)>,
-) -> Result<PointRow, CampaignError> {
+) -> Result<(PointRow, DetachedRun), CampaignError> {
     let _point_span = ctsim_obs::span("campaign", "point")
         .arg("n", spec.n)
         .arg("ph_order", spec.ph_order)
@@ -933,10 +935,7 @@ fn run_point(
         .arg("net_scale", spec.net_scale);
     let params = spec.params();
     let model = build_model(&params);
-    let decided: Vec<_> = (0..params.n)
-        .map(|i| model.place(&format!("decided_{i}")).expect("built model"))
-        .collect();
-    let goal = |m: &ctsim_san::Marking| decided.iter().any(|&d| m.get(d) > 0);
+    let goal = crate::some_process_decided(&model, params.n);
     let reach = reach_options(spec, &params, solve_threads);
 
     let fail = |what: &'static str, e: SolveError| CampaignError::Point {
@@ -945,37 +944,27 @@ fn run_point(
         source: Box::new(e),
     };
 
-    // Graph phase: rate-only rebuild of the cached graph, or a cold
-    // exploration on a miss / structure mismatch.
+    // Graph phase: rate-only rebuild of the group's graph, or a cold
+    // exploration when there is none yet or the structure moved.
     let build_start = Instant::now();
-    let mut rebuilt: Option<(StateSpace<'_>, Ctmc)> = None;
-    if let Some(entry) = cache.take(key) {
-        let _sp =
-            ctsim_obs::span("campaign", "rebuild_rates").arg("states", entry.parts.num_states());
-        match StateSpace::from_parts(&model, entry.parts) {
-            Ok(mut ss) => match ss.rebuild_rates() {
-                Ok(()) => {
-                    let mut ctmc = entry.ctmc;
-                    // The sparsity pattern survived `rebuild_rates`, so a
-                    // value-pattern mismatch here is a bug, not a fallback.
-                    ctmc.rebuild_values(&ss)
-                        .map_err(|e| fail("CSR value rebuild", e))?;
-                    rebuilt = Some((ss, ctmc));
-                }
-                Err(SolveError::StructureMismatch { .. }) => {}
-                Err(e) => return Err(fail("rate rebuild", e)),
-            },
+    let mut rebuilt = None;
+    if let Some(detached) = cached {
+        let mut sp = ctsim_obs::span("campaign", "rebuild_rates");
+        match detached.attach(&model) {
+            Ok(run) => {
+                sp.push_arg("states", run.space().len());
+                rebuilt = Some(run);
+            }
             Err(SolveError::StructureMismatch { .. }) => {}
-            Err(e) => return Err(fail("graph re-attach", e)),
+            Err(e) => return Err(fail("rate rebuild", e)),
         }
     }
     let cache_hit = rebuilt.is_some();
-    let (ss, ctmc) = match rebuilt {
-        Some(pair) => pair,
+    let run = match rebuilt {
+        Some(run) => run,
         None => {
             let _sp = ctsim_obs::span("campaign", "explore");
-            StateSpace::explore_absorbing_ctmc(&model, &reach, goal)
-                .map_err(|e| fail("exploration", e))?
+            AnalyticRun::first_passage(&model, &reach, &goal).map_err(|e| fail("exploration", e))?
         }
     };
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
@@ -991,59 +980,48 @@ fn run_point(
     };
     if spec.backend != SolverBackend::GaussSeidel {
         if let Some((b, tau)) = warm.as_ref() {
-            if *b == spec.backend && tau.len() == ctmc.num_states() {
+            if *b == spec.backend && tau.len() == run.space().len() {
                 iter.warm_start = Some(tau.clone());
             }
         }
     }
     let warm_start = iter.warm_start.is_some();
     let solve_start = Instant::now();
-    let sol = mean_time_to_absorption(&ctmc, &iter).map_err(|e| fail("solve", e))?;
+    let sol = run.absorption(&iter).map_err(|e| fail("solve", e))?;
     let solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
     if warm_start && ctsim_obs::enabled() {
         ctsim_obs::counter_add("campaign.warm_starts", 1);
     }
-    *warm = Some((spec.backend, sol.per_state.clone()));
-
-    let states = ss.len();
-    let transitions = ss.num_transitions();
-    // Return the graph to the cache for the group's next point.
-    cache.put(
-        key.clone(),
-        CachedGraph {
-            parts: ss.into_parts(),
-            ctmc,
-        },
-    );
+    *warm = Some((spec.backend, sol.per_state));
 
     let (mut cold_mean_ms, mut cold_ms, mut cold_iterations, mut agree) = (None, None, None, None);
     if opts.verify_cold {
         let _sp = ctsim_obs::span("campaign", "verify_cold");
         let cold_start = Instant::now();
-        let (_cold_ss, cold_ctmc) = StateSpace::explore_absorbing_ctmc(&model, &reach, goal)
-            .map_err(|e| fail("cold exploration", e))?;
         let cold_iter = IterOptions {
             warm_start: None,
             ..iter.clone()
         };
-        let cold_sol =
-            mean_time_to_absorption(&cold_ctmc, &cold_iter).map_err(|e| fail("cold solve", e))?;
+        let cold = AnalyticRun::first_passage(&model, &reach, &goal)
+            .map_err(|e| fail("cold exploration", e))?
+            .mean(&cold_iter)
+            .map_err(|e| fail("cold solve", e))?;
         cold_ms = Some(cold_start.elapsed().as_secs_f64() * 1e3);
-        cold_mean_ms = Some(cold_sol.mean);
-        cold_iterations = Some(cold_sol.iterations);
+        cold_mean_ms = Some(cold.mean_ms);
+        cold_iterations = Some(cold.iterations);
         agree = Some(if spec.backend == SolverBackend::GaussSeidel {
             // Never warm-started and the rebuild is bit-identical, so
             // the two trajectories are the same sequence of floats.
-            sol.mean.to_bits() == cold_sol.mean.to_bits()
+            sol.mean.to_bits() == cold.mean_ms.to_bits()
         } else {
-            (sol.mean - cold_sol.mean).abs() <= 1e-10 * cold_sol.mean.abs().max(1e-300)
+            (sol.mean - cold.mean_ms).abs() <= 1e-10 * cold.mean_ms.abs().max(1e-300)
         });
     }
 
-    Ok(PointRow {
+    let row = PointRow {
         spec: spec.clone(),
-        states,
-        transitions,
+        states: run.space().len(),
+        transitions: run.space().num_transitions(),
         cache_hit,
         warm_start,
         iterations: sol.iterations,
@@ -1055,7 +1033,8 @@ fn run_point(
         cold_ms,
         cold_iterations,
         agree,
-    })
+    };
+    Ok((row, run.detach()))
 }
 
 impl Campaign {

@@ -69,6 +69,16 @@ pub fn parse_size(s: &str) -> Result<usize, String> {
         .map_err(|e| format!("bad size `{s}`: {e}"))
 }
 
+/// The first-passage goal of every analytic experiment — some process
+/// has decided — for a model built by [`ctsim_models::build_model`].
+pub(crate) fn some_process_decided(
+    model: &ctsim_san::SanModel,
+    n: usize,
+) -> impl Fn(&ctsim_san::Marking) -> bool + Sync {
+    let decided = ctsim_models::decided_place_ids(model, n);
+    move |m| decided.iter().any(|&d| m.get(d) > 0)
+}
+
 /// Formats an `f64` table cell with fixed width.
 pub(crate) fn cell(x: f64) -> String {
     if x.is_infinite() {

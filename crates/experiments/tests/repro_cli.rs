@@ -1,0 +1,33 @@
+//! The `repro` binary as a user meets it: exit codes and stderr.
+
+use std::process::Command;
+
+/// A telemetry file that cannot be written is reported like any other
+/// I/O failure — after the run, on stderr, exit code 1 — not by a
+/// panic.
+#[test]
+fn unwritable_trace_path_is_an_error_not_a_panic() {
+    let out = std::env::temp_dir().join(format!("ctsim-repro-cli-{}", std::process::id()));
+    let trace = out.join("no-such-dir").join("t.json");
+    let run = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([
+            "analytic",
+            "--n",
+            "2",
+            "--ph-order",
+            "1",
+            "--scale",
+            "quick",
+        ])
+        .arg("--out")
+        .arg(&out)
+        .arg("--trace")
+        .arg(&trace)
+        .output()
+        .expect("spawn repro");
+    let _ = std::fs::remove_dir_all(&out);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: writing trace"), "{stderr}");
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+}

@@ -132,6 +132,19 @@ pub(crate) struct SegStore<T: SpillRecord> {
     write_site: &'static str,
 }
 
+/// Gives up on a page-in that survived the retry policy. Write
+/// failures degrade gracefully (the segment stays resident, see
+/// `page_out`), but a failed read means data already handed to the OS
+/// is gone — there is no correct value to return, so unwind with the
+/// typed error as the payload (`resume_unwind` never runs the panic
+/// hook, so nothing reaches stderr); the `catch_spill` boundary at
+/// every public entry point turns it back into
+/// `Err(SolveError::SpillFailed { .. })`.
+#[cold]
+fn raise_read_failure(e: crate::SolveError) -> ! {
+    std::panic::resume_unwind(Box::new(e))
+}
+
 impl<T: SpillRecord> SegStore<T> {
     pub(crate) fn new(cap: usize, spill: Option<Arc<SpillShared>>) -> Self {
         assert!(cap > 0);
@@ -324,15 +337,8 @@ impl<T: SpillRecord> SegStore<T> {
             .as_ref()
             .expect("spilled segment without a spill backend");
         let mut bytes = vec![0u8; seg_len * T::BYTES];
-        // Write failures degrade gracefully (the segment stays
-        // resident, see `page_out`), but a read failure that survived
-        // the retry policy means data we already handed to the OS is
-        // gone — there is no correct value to return, so raise the
-        // typed error as a panic payload; the `catch_spill` boundary
-        // at every public entry point turns it back into
-        // `Err(SolveError::SpillFailed { .. })`.
         if let Err(e) = spill.read_back(self.read_site, offset, &mut bytes) {
-            std::panic::panic_any(e);
+            raise_read_failure(e);
         }
         let data: Vec<T> = bytes.chunks_exact(T::BYTES).map(T::load).collect();
         let arc: Arc<[T]> = data.into();
@@ -432,10 +438,8 @@ impl<T: SpillRecord> SegStore<T> {
                     .clone()
                     .expect("spilled segment without a spill backend");
                 let mut bytes = vec![0u8; seg_len * T::BYTES];
-                // Same contract as `load`: exhausted read retries
-                // surface typed through the `catch_spill` boundary.
                 if let Err(e) = spill.read_back(self.read_site, offset, &mut bytes) {
-                    std::panic::panic_any(e);
+                    raise_read_failure(e);
                 }
                 let mut data: Vec<T> = bytes.chunks_exact(T::BYTES).map(T::load).collect();
                 for k in group {

@@ -194,6 +194,44 @@ impl Incoming {
     }
 }
 
+/// Folds the outgoing transitions of state `src` into `acc` — one
+/// `(destination, rate)` entry per distinct destination, ascending —
+/// and returns the row's diagonal. The one accumulation behind a fresh
+/// build ([`CtmcAcc::push_row`]) and a values-only rebuild
+/// ([`Ctmc::rebuild_values`]), which is what keeps the two
+/// bit-identical. On a NaN rate — an unexpanded non-exponential
+/// activity — returns the offending activity.
+fn accumulate_row(
+    src: usize,
+    outs: &[Transition],
+    acc: &mut Vec<(usize, f64)>,
+) -> Result<f64, ActivityId> {
+    acc.clear();
+    for t in outs {
+        if t.rate.is_nan() {
+            return Err(t.activity);
+        }
+        if t.target == src {
+            // A completion that re-enters its source state is
+            // invisible to the marking process: it contributes
+            // neither an off-diagonal rate nor exit rate.
+            continue;
+        }
+        match acc.iter_mut().find(|(d, _)| *d == t.target) {
+            Some((_, existing)) => *existing += t.q(),
+            None => acc.push((t.target, t.q())),
+        }
+    }
+    acc.sort_unstable_by_key(|&(d, _)| d);
+    // Folded from +0.0 so an empty row's diagonal is +0.0: `.sum()`
+    // would yield -0.0 there, and absorbing states compare by bits.
+    let mut d = 0.0;
+    for &(_, r) in acc.iter() {
+        d -= r;
+    }
+    Ok(d)
+}
+
 /// Row-by-row CTMC generator accumulation — the streaming counterpart
 /// of [`Ctmc::from_state_space`]. The exploration pipeline feeds it
 /// each canonical row as soon as that row's BFS level is renumbered
@@ -263,30 +301,10 @@ impl CtmcAcc {
         acc: &mut Vec<(usize, f64)>,
     ) -> Result<(), ActivityId> {
         debug_assert_eq!(src, self.diag.len(), "rows must arrive in order");
-        // Accumulate per-destination rates; CSR rows stay sorted by
-        // destination because the sort below fixes the order.
-        acc.clear();
-        for t in outs {
-            if t.rate.is_nan() {
-                return Err(t.activity);
-            }
-            if t.target == src {
-                // A completion that re-enters its source state is
-                // invisible to the marking process: it contributes
-                // neither an off-diagonal rate nor exit rate.
-                continue;
-            }
-            match acc.iter_mut().find(|(d, _)| *d == t.target) {
-                Some((_, existing)) => *existing += t.q(),
-                None => acc.push((t.target, t.q())),
-            }
-        }
-        acc.sort_unstable_by_key(|&(d, _)| d);
-        let mut d = 0.0;
+        let d = accumulate_row(src, outs, acc)?;
         match &mut self.body {
             AccBody::Resident { col, rate } => {
                 for &(dst, r) in acc.iter() {
-                    d -= r;
                     col.push(dst);
                     rate.push(r);
                 }
@@ -298,7 +316,6 @@ impl CtmcAcc {
             } => {
                 row_buf.clear();
                 for &(dst, r) in acc.iter() {
-                    d -= r;
                     row_buf.push(CsrEntry {
                         col: dst as u32,
                         rate: r,
@@ -405,35 +422,10 @@ impl Ctmc {
         }
         let model = ss.model();
         let mut acc: Vec<(usize, f64)> = Vec::new();
-        // Re-accumulate one graph row into `acc` and its diagonal,
-        // shared by both storage bodies below.
-        let accumulate = |s: usize, acc: &mut Vec<(usize, f64)>| -> Result<f64, SolveError> {
-            let outs = ss.outgoing(s);
-            acc.clear();
-            for t in outs.iter() {
-                if t.rate.is_nan() {
-                    return Err(SolveError::NonMarkovian {
-                        activity: model.activity_name(t.activity).to_string(),
-                    });
-                }
-                if t.target == s {
-                    continue;
-                }
-                match acc.iter_mut().find(|(d, _)| *d == t.target) {
-                    Some((_, existing)) => *existing += t.q(),
-                    None => acc.push((t.target, t.q())),
-                }
-            }
-            acc.sort_unstable_by_key(|&(d, _)| d);
-            // Same fold shape as `push_row` (`d -= r` from +0.0), so the
-            // diagonal is bit-identical to a fresh build — an empty-row
-            // `.sum()` would yield -0.0 and break the bit-equality
-            // contract on absorbing states.
-            let mut d = 0.0;
-            for &(_, r) in acc.iter() {
-                d -= r;
-            }
-            Ok(d)
+        let accumulate = |s: usize, acc: &mut Vec<(usize, f64)>| {
+            accumulate_row(s, &ss.outgoing(s), acc).map_err(|a| SolveError::NonMarkovian {
+                activity: model.activity_name(a).to_string(),
+            })
         };
         let row_ptr = &self.row_ptr;
         let diag = &mut self.diag;

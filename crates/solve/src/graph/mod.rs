@@ -335,10 +335,10 @@ impl PackedStates {
 }
 
 /// The model-independent payload of an explored [`StateSpace`] — what a
-/// [`crate::cache::GraphCache`] stores between campaign grid points.
-/// Detach with [`StateSpace::into_parts`], re-attach to a (possibly
-/// re-parameterised) model with [`StateSpace::from_parts`], then
-/// rewrite rates with [`StateSpace::rebuild_rates`].
+/// [`DetachedRun`](crate::DetachedRun) holds between campaign grid
+/// points. Detach with [`StateSpace::into_parts`], re-attach to a
+/// (possibly re-parameterised) model with [`StateSpace::from_parts`],
+/// then rewrite rates with [`StateSpace::rebuild_rates`].
 pub struct GraphParts {
     base: usize,
     phase_slots: usize,
@@ -562,8 +562,9 @@ impl<'m> StateSpace<'m> {
     }
 
     /// Detaches the model-independent payload of this space so it can
-    /// outlive the model borrow (e.g. in a [`crate::cache::GraphCache`]
-    /// between campaign grid points).
+    /// outlive the model borrow (e.g. in a
+    /// [`DetachedRun`](crate::DetachedRun) between campaign grid
+    /// points).
     pub fn into_parts(self) -> GraphParts {
         GraphParts {
             base: self.base,
@@ -714,5 +715,38 @@ mod tests {
         assert!((ss.outgoing(0)[0].rate - 0.5).abs() < 1e-12);
         assert!(ss.outgoing(0)[0].completes);
         assert!(ss.outgoing(1).is_empty(), "q-state is dead");
+    }
+
+    fn chain_model(mean: f64) -> ctsim_san::SanModel {
+        let mut b = SanBuilder::new("m");
+        let p = b.place("p", 1);
+        let q = b.place("q", 0);
+        b.add_activity(
+            Activity::timed("t", Dist::Exp { mean })
+                .input(p, 1)
+                .case(Case::with_prob(1.0).output(q, 1)),
+        );
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn mismatched_model_is_rejected() {
+        let m1 = chain_model(2.0);
+        let (ss, _) = StateSpace::explore_ctmc(&m1, &ReachOptions::default()).unwrap();
+        let parts = ss.into_parts();
+        let mut b = SanBuilder::new("bigger");
+        let p = b.place("p", 1);
+        let q = b.place("q", 0);
+        let r = b.place("r", 0);
+        b.add_activity(
+            Activity::timed("t", Dist::Exp { mean: 1.0 })
+                .input(p, 1)
+                .case(Case::with_prob(1.0).output(q, 1).output(r, 1)),
+        );
+        let m2 = b.build().unwrap();
+        assert!(matches!(
+            StateSpace::from_parts(&m2, parts),
+            Err(crate::SolveError::StructureMismatch { .. })
+        ));
     }
 }

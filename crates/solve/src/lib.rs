@@ -156,11 +156,11 @@
 //! [`mean_time_to_absorption`] is pluggable via
 //! [`IterOptions::backend`]: all backends solve the same systems to
 //! the same sup-norm residual — converged answers are
-//! backend-independent down to round-off, which the CI
-//! `solver-backends` matrix gates at ≤ 1e-6 relative — but they
-//! iterate very differently. Measured single-thread solve-phase
-//! wall-clock of the consensus first-passage mean (`Q_TT τ = -1`, this
-//! repository's reference host; reproduce with
+//! backend-independent down to round-off, which the overlay test
+//! `backends_agree_on_the_overlay_means` in `ctsim-experiments` gates
+//! at ≤ 1e-6 relative — but they iterate very differently. Measured
+//! single-thread solve-phase wall-clock of the consensus first-passage
+//! mean (`Q_TT τ = -1`, this repository's reference host; reproduce with
 //! `cargo run --release --example solver_backends -- <n> <ph_order>`):
 //!
 //! | workload | states | `gauss-seidel` | `jacobi` | `krylov` |
@@ -224,7 +224,6 @@ use std::fmt;
 
 pub mod arena;
 pub mod backend;
-pub mod cache;
 pub mod ctmc;
 mod ddd;
 pub mod graph;
@@ -241,13 +240,13 @@ pub mod transient;
 
 pub use arena::RowRef;
 pub use backend::{GeneratorBackend, SolverBackend};
-pub use cache::{CachedGraph, GraphCache, StructuralKey};
 pub use ctmc::{Ctmc, Incoming};
 pub use graph::{GraphParts, ReachOptions, StateSpace, Transition};
 pub use kron::KronGenerator;
 pub use linop::{Generator, LinOp};
 pub use reward::{
     expected_impulse_rate, expected_rate_reward, probability, AnalyticOutcome, AnalyticRun,
+    DetachedRun,
 };
 pub use spill::{DedupMode, SpillOptions};
 pub use steady::{
@@ -512,25 +511,16 @@ impl std::error::Error for SolveError {}
 /// Write failures degrade gracefully (a segment that cannot page out
 /// stays resident), but a *read* failure surfaces under a shared
 /// guard in the middle of a sweep callback, where no `Result` channel
-/// exists — so after the retry policy is exhausted the pager raises
-/// the typed [`SolveError`] as a panic payload
-/// ([`std::panic::panic_any`]), and every public entry point that can
-/// reach a paged store runs under this catch, turning it back into
-/// `Err(SolveError::SpillFailed { .. })` with the attempt trace
-/// intact. Callers therefore never see a panic or a hang for spill
-/// I/O trouble — only the typed error. Panics with any other payload
-/// (real bugs) resume unwinding unchanged, and the quiet hook below
-/// keeps the intentional typed unwind out of stderr.
+/// exists — so after the retry policy is exhausted the pager unwinds
+/// with the typed [`SolveError`] as the payload
+/// ([`std::panic::resume_unwind`], which never runs the panic hook, so
+/// the intentional unwind prints nothing), and every public entry
+/// point that can reach a paged store runs under this catch, turning
+/// it back into `Err(SolveError::SpillFailed { .. })` with the attempt
+/// trace intact. Callers therefore never see a panic or a hang for
+/// spill I/O trouble — only the typed error. Panics with any other
+/// payload (real bugs) resume unwinding unchanged.
 pub(crate) fn catch_spill<T>(f: impl FnOnce() -> Result<T, SolveError>) -> Result<T, SolveError> {
-    static QUIET_HOOK: std::sync::Once = std::sync::Once::new();
-    QUIET_HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<SolveError>().is_none() {
-                prev(info);
-            }
-        }));
-    });
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(r) => r,
         Err(payload) => match payload.downcast::<SolveError>() {

@@ -14,9 +14,9 @@ use ctsim_san::{ActivityId, Marking, SanModel};
 
 use crate::backend::GeneratorBackend;
 use crate::ctmc::Ctmc;
-use crate::graph::{ReachOptions, StateSpace};
+use crate::graph::{GraphParts, ReachOptions, StateSpace};
 use crate::linop::{Generator, LinOp};
-use crate::steady::{mean_time_to_absorption, IterOptions};
+use crate::steady::{mean_time_to_absorption, AbsorptionTimes, IterOptions};
 use crate::transient::{transient, TransientOptions};
 use crate::{SolveError, SolveOptions};
 
@@ -202,8 +202,11 @@ impl<'m> AnalyticRun<'m> {
             .sum())
     }
 
-    /// The expected first-passage time, solved exactly from
-    /// `Q_TT τ = -1` — no replications, no confidence interval.
+    /// Expected time to reach the goal from every state, solved exactly
+    /// from `Q_TT τ = -1` — no replications, no confidence interval.
+    /// The per-state vector is what warm-starts the next solve of a
+    /// sweep ([`IterOptions::warm_start`]); [`AnalyticRun::mean`] is
+    /// the summary.
     ///
     /// # Errors
     /// [`SolveError::GoalUnreachable`] if the model can deadlock in a
@@ -212,7 +215,7 @@ impl<'m> AnalyticRun<'m> {
     /// plateau shows the reachable mass).
     ///
     /// [`cdf`]: AnalyticRun::cdf
-    pub fn mean(&self, opts: &IterOptions) -> Result<AnalyticOutcome, SolveError> {
+    pub fn absorption(&self, opts: &IterOptions) -> Result<AbsorptionTimes, SolveError> {
         // Every state is reachable by construction, so a rate-absorbing
         // state outside the goal set traps probability mass forever.
         if let Some(state) =
@@ -220,7 +223,16 @@ impl<'m> AnalyticRun<'m> {
         {
             return Err(SolveError::GoalUnreachable { state });
         }
-        let sol = mean_time_to_absorption(&self.gen, opts)?;
+        match &self.gen {
+            Generator::Csr(q) => mean_time_to_absorption(q, opts),
+            Generator::Kron(k) => mean_time_to_absorption(k, opts),
+        }
+    }
+
+    /// The expected first-passage time from the initial marking: the
+    /// summary of [`AnalyticRun::absorption`], with its errors.
+    pub fn mean(&self, opts: &IterOptions) -> Result<AnalyticOutcome, SolveError> {
+        let sol = self.absorption(opts)?;
         Ok(AnalyticOutcome {
             mean_ms: sol.mean,
             states: self.space.len(),
@@ -228,6 +240,55 @@ impl<'m> AnalyticRun<'m> {
             iterations: sol.iterations,
             solved_by: sol.solved_by,
         })
+    }
+
+    /// Cuts the run loose from its model so it can outlive the borrow:
+    /// what a parameter sweep keeps between points whose models share
+    /// structure. Nothing is copied.
+    pub fn detach(self) -> DetachedRun {
+        DetachedRun {
+            parts: self.space.into_parts(),
+            gen: self.gen,
+        }
+    }
+}
+
+/// An [`AnalyticRun`] without its model: the explored graph and the
+/// generator assembled from it, kept in one value so a graph is only
+/// ever rebuilt together with its own generator.
+#[derive(Debug)]
+pub struct DetachedRun {
+    parts: GraphParts,
+    gen: Generator,
+}
+
+impl DetachedRun {
+    /// Re-attaches the run to `model` — the net it was explored from,
+    /// possibly with other timing parameters — and rewrites the values
+    /// in the one valid order: transition rates from the model
+    /// ([`StateSpace::rebuild_rates`]), then generator values from
+    /// those ([`Ctmc::rebuild_values`]). The result is bit-identical
+    /// to exploring `model` afresh with the goal and options of the
+    /// original run, at a fraction of the cost.
+    ///
+    /// # Errors
+    /// [`SolveError::StructureMismatch`] when `model` has other net
+    /// dimensions or its phase-type expansion takes another shape, and
+    /// for a [`GeneratorBackend::Kron`] run, whose generator has no
+    /// values-only rebuild: the detached run is gone, explore cold.
+    pub fn attach(self, model: &SanModel) -> Result<AnalyticRun<'_>, SolveError> {
+        let mut space = StateSpace::from_parts(model, self.parts)?;
+        space.rebuild_rates()?;
+        let mut gen = self.gen;
+        match &mut gen {
+            Generator::Csr(q) => q.rebuild_values(&space)?,
+            Generator::Kron(_) => {
+                return Err(SolveError::StructureMismatch {
+                    reason: "the kron generator has no values-only rebuild".to_string(),
+                })
+            }
+        }
+        Ok(AnalyticRun { space, gen })
     }
 }
 
@@ -332,6 +393,99 @@ mod tests {
         // The CDF is still well-defined and plateaus at P(goal) = 0.6.
         let late = run.cdf(200.0, &TransientOptions::default()).unwrap();
         assert!((late - 0.6).abs() < 1e-9, "plateau {late}");
+    }
+
+    /// `absorption` is the dead-end check in front of
+    /// `mean_time_to_absorption`: same vector when the goal is the only
+    /// dead end, a typed refusal when it is not.
+    #[test]
+    fn absorption_checks_dead_ends_then_solves_per_state() {
+        let model = chain(&[1.0, 3.0, 0.5]);
+        let goal = model.place("p3").unwrap();
+        let run =
+            AnalyticRun::first_passage(&model, &ReachOptions::default(), move |m| m.get(goal) > 0)
+                .unwrap();
+        let opts = IterOptions::default();
+        let sol = run.absorption(&opts).unwrap();
+        let direct = mean_time_to_absorption(run.ctmc(), &opts).unwrap();
+        assert_eq!(bits(&sol.per_state), bits(&direct.per_state));
+        assert_eq!(
+            sol.mean.to_bits(),
+            run.mean(&opts).unwrap().mean_ms.to_bits()
+        );
+
+        // A goal the chain never meets leaves its last state a
+        // reachable dead end outside the goal set.
+        let run =
+            AnalyticRun::first_passage(&model, &ReachOptions::default(), move |m| m.get(goal) > 1)
+                .unwrap();
+        assert!(matches!(
+            run.absorption(&opts),
+            Err(SolveError::GoalUnreachable { .. })
+        ));
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The consensus model with its service stages re-scaled — what a
+    /// campaign point changes.
+    fn consensus(order: u32, scale: f64) -> SanModel {
+        let mut p = if order == 0 {
+            ctsim_models::SanParams::exponential_baseline(2)
+        } else {
+            ctsim_models::SanParams::paper_baseline(2)
+        };
+        p.t_send *= scale;
+        p.t_receive *= scale;
+        p.t_work *= scale;
+        ctsim_models::build_model(&p)
+    }
+
+    fn decided(model: &SanModel) -> impl Fn(&Marking) -> bool + Sync {
+        let places = ctsim_models::decided_place_ids(model, 2);
+        move |m| places.iter().any(|&d| m.get(d) > 0)
+    }
+
+    /// A run detached from one model and attached to a re-scaled one is
+    /// the run a cold exploration of the re-scaled model builds — states,
+    /// generator and Gauss–Seidel mean, bit for bit — with and without
+    /// phase-type expansion; a model of another shape is refused.
+    #[test]
+    fn detach_attach_onto_a_rescaled_model_equals_a_cold_run() {
+        for order in [0, 2] {
+            let reach = ReachOptions {
+                ph_order: order,
+                ..ReachOptions::default()
+            };
+            let base = consensus(order, 1.0);
+            let detached = AnalyticRun::first_passage(&base, &reach, decided(&base))
+                .unwrap()
+                .detach();
+            let scaled = consensus(order, 1.2);
+            let warm = detached.attach(&scaled).unwrap();
+            let cold = AnalyticRun::first_passage(&scaled, &reach, decided(&scaled)).unwrap();
+            assert_eq!(warm.space().packed_words(), cold.space().packed_words());
+            let (rp_a, col_a, rate_a, diag_a) = warm.ctmc().csr();
+            let (rp_b, col_b, rate_b, diag_b) = cold.ctmc().csr();
+            assert_eq!((rp_a, col_a), (rp_b, col_b), "order {order}");
+            assert_eq!(bits(rate_a), bits(rate_b), "order {order}");
+            assert_eq!(bits(diag_a), bits(diag_b), "order {order}");
+            let gs = IterOptions::default();
+            let (a, b) = (warm.mean(&gs).unwrap(), cold.mean(&gs).unwrap());
+            assert_eq!(a.mean_ms.to_bits(), b.mean_ms.to_bits(), "order {order}");
+            assert_eq!(a.iterations, b.iterations, "order {order}");
+            // And the answer moved: the rates really were rewritten.
+            let unscaled = AnalyticRun::first_passage(&base, &reach, decided(&base)).unwrap();
+            assert!(unscaled.mean(&gs).unwrap().mean_ms < a.mean_ms);
+
+            let other = chain(&[1.0]);
+            assert!(matches!(
+                warm.detach().attach(&other),
+                Err(SolveError::StructureMismatch { .. })
+            ));
+        }
     }
 
     #[test]

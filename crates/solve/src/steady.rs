@@ -26,32 +26,115 @@ use crate::{krylov, SolveError};
 /// Iterations per telemetry batch span in the stationary loops.
 const TRACE_BATCH: usize = 64;
 
-/// Per-iteration telemetry for a stationary solver loop: one point on
-/// the residual trace, plus an `iter_batch` span closed every
-/// [`TRACE_BATCH`] iterations or at convergence. Callers guard on
-/// [`ctsim_obs::enabled`], so the disabled cost of a sweep stays one
-/// atomic load and branch.
-fn trace_iteration(
-    backend: &'static str,
-    iter: usize,
-    residual: f64,
-    done: bool,
-    batch_t0: &mut u64,
-) {
-    ctsim_obs::series_push(&format!("solver.residual/{backend}"), iter as f64, residual);
-    if done || iter % TRACE_BATCH == 0 {
-        ctsim_obs::record_span(
-            "solver",
-            "iter_batch",
-            *batch_t0,
-            vec![
-                ("backend", backend.into()),
-                ("through_iter", iter.into()),
-                ("residual", residual.into()),
-            ],
-        );
-        *batch_t0 = ctsim_obs::now_us();
+/// The loop every stationary backend runs: `step` advances the iterate
+/// once and returns the sup-norm residual it measured (`None` when the
+/// iterate broke down — its mass is no longer a positive finite
+/// number), until the residual meets [`IterOptions::tolerance`].
+/// Returns `(iterations, residual)` of the converged iterate, which
+/// stays with the caller's `step` state.
+///
+/// Telemetry, when enabled: one point per iteration on the
+/// `solver.residual/<name>` series and an `iter_batch` span closed
+/// every [`TRACE_BATCH`] iterations or at convergence; disabled, an
+/// iteration pays one atomic load and branch for it.
+///
+/// # Errors
+/// [`SolveError::NotConverged`] on a breakdown, a non-finite residual,
+/// or an exhausted [`IterOptions::max_iterations`] — always with the
+/// iteration count reached and the last residual.
+fn iterate(
+    name: &'static str,
+    opts: &IterOptions,
+    mut step: impl FnMut() -> Option<f64>,
+) -> Result<(usize, f64), SolveError> {
+    let mut residual = f64::INFINITY;
+    let mut batch_t0 = if ctsim_obs::enabled() {
+        ctsim_obs::now_us()
+    } else {
+        0
+    };
+    for iter in 1..=opts.max_iterations {
+        let Some(r) = step() else {
+            return Err(SolveError::NotConverged {
+                iterations: iter,
+                residual: f64::INFINITY,
+            });
+        };
+        residual = r;
+        let done = residual <= opts.tolerance;
+        if ctsim_obs::enabled() {
+            ctsim_obs::series_push(&format!("solver.residual/{name}"), iter as f64, residual);
+            if done || iter % TRACE_BATCH == 0 {
+                ctsim_obs::record_span(
+                    "solver",
+                    "iter_batch",
+                    batch_t0,
+                    vec![
+                        ("backend", name.into()),
+                        ("through_iter", iter.into()),
+                        ("residual", residual.into()),
+                    ],
+                );
+                batch_t0 = ctsim_obs::now_us();
+            }
+        }
+        if done {
+            return Ok((iter, residual));
+        }
+        if !residual.is_finite() {
+            return Err(SolveError::NotConverged {
+                iterations: iter,
+                residual,
+            });
+        }
     }
+    Err(SolveError::NotConverged {
+        iterations: opts.max_iterations,
+        residual,
+    })
+}
+
+/// Runs `solve` with the backend named in `opts` under the `solver`
+/// span `what` and the spill catch; with [`IterOptions::fallback`] a
+/// recoverable failure moves on to
+/// [`SolverBackend::fallback_after`] instead of surfacing. Each step
+/// taken is recorded — the `resilience.fallbacks` counter and a trace
+/// instant naming the edge — so a `--fallback` answer is auditable
+/// after the fact.
+fn with_fallback<T>(
+    what: &'static str,
+    states: usize,
+    opts: &IterOptions,
+    solve: impl Fn(SolverBackend) -> Result<T, SolveError>,
+) -> Result<T, SolveError> {
+    let _span = ctsim_obs::span("solver", what)
+        .arg("backend", opts.backend.to_string())
+        .arg("states", states);
+    crate::catch_spill(|| {
+        let mut backend = opts.backend;
+        loop {
+            let err = match solve(backend) {
+                Err(e) if opts.fallback => e,
+                other => return other,
+            };
+            let Some(next) = backend.fallback_after(&err) else {
+                return Err(err);
+            };
+            if ctsim_obs::enabled() {
+                ctsim_obs::counter_add("resilience.fallbacks", 1);
+                ctsim_obs::instant(
+                    "resilience",
+                    format!("fallback.{what}"),
+                    vec![
+                        ("from", backend.name().into()),
+                        ("to", next.name().into()),
+                        ("cause", err.to_string().into()),
+                    ],
+                );
+            }
+            backend = next;
+        }
+    })
 }
 
 /// Iteration limits, tolerance, and backend selection for the
@@ -138,11 +221,7 @@ fn warm_vec(opts: &IterOptions, n: usize) -> Option<&[f64]> {
 pub(crate) fn initial_pi(n: usize, opts: &IterOptions) -> Vec<f64> {
     if let Some(w) = warm_vec(opts, n) {
         let mut pi: Vec<f64> = w.iter().map(|&x| x.max(0.0)).collect();
-        let total: f64 = pi.iter().sum();
-        if total.is_finite() && total > 0.0 {
-            for p in &mut pi {
-                *p /= total;
-            }
+        if normalize(&mut pi).is_some() {
             if ctsim_obs::enabled() {
                 ctsim_obs::counter_add("solver.warm_starts", 1);
             }
@@ -212,47 +291,11 @@ pub fn steady_state<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState,
     if (0..n).any(|i| op.is_absorbing(i)) {
         return Err(SolveError::SteadyStateUndefined);
     }
-    let _span = ctsim_obs::span("solver", "steady_state")
-        .arg("backend", opts.backend.to_string())
-        .arg("states", n);
-    crate::catch_spill(|| {
-        let mut backend = opts.backend;
-        loop {
-            let result = match backend {
-                SolverBackend::GaussSeidel => steady_gauss_seidel(op, opts),
-                SolverBackend::Jacobi => steady_jacobi(op, opts),
-                SolverBackend::Krylov => krylov::steady(op, opts),
-            };
-            match result {
-                Err(e) if opts.fallback => match backend.fallback_after(&e) {
-                    Some(next) => {
-                        note_fallback("steady_state", backend, next, &e);
-                        backend = next;
-                    }
-                    None => return Err(e),
-                },
-                other => return other,
-            }
-        }
+    with_fallback("steady_state", n, opts, |backend| match backend {
+        SolverBackend::GaussSeidel => steady_gauss_seidel(op, opts),
+        SolverBackend::Jacobi => steady_jacobi(op, opts),
+        SolverBackend::Krylov => krylov::steady(op, opts),
     })
-}
-
-/// Records one fallback-chain step: the `resilience.fallbacks` counter
-/// and a trace instant naming the edge taken, so a `--fallback` answer
-/// is auditable after the fact.
-fn note_fallback(what: &'static str, from: SolverBackend, to: SolverBackend, err: &SolveError) {
-    if ctsim_obs::enabled() {
-        ctsim_obs::counter_add("resilience.fallbacks", 1);
-        ctsim_obs::instant(
-            "resilience",
-            format!("fallback.{what}"),
-            vec![
-                ("from", from.name().into()),
-                ("to", to.name().into()),
-                ("cause", err.to_string().into()),
-            ],
-        );
-    }
 }
 
 /// The reference backend: in-place Gauss–Seidel sweeps over the
@@ -273,54 +316,41 @@ fn steady_gauss_seidel<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadySta
     let n = op.dim();
     let mut pi = initial_pi(n, opts);
     let mut qv = vec![0.0; n];
-    let mut residual = f64::INFINITY;
-    let mut batch_t0 = if ctsim_obs::enabled() {
-        ctsim_obs::now_us()
-    } else {
-        0
-    };
-    for sweep in 1..=opts.max_iterations {
+    let (iterations, residual) = iterate("steady_gauss_seidel", opts, || {
         // π_j ← (Σ_{i≠j} π_i q_ij) / |q_jj|, in place (Gauss–Seidel).
         for j in 0..n {
             let inflow: f64 = op.column(j).map(|(i, r)| pi[i] * r).sum();
             pi[j] = inflow / -op.diag(j);
         }
-        let total: f64 = pi.iter().sum();
-        if !(total.is_finite() && total > 0.0) {
-            return Err(SolveError::NotConverged {
-                iterations: sweep,
-                residual: f64::INFINITY,
-            });
-        }
-        for p in &mut pi {
-            *p /= total;
-        }
+        normalize(&mut pi)?;
         // Residual: sup-norm of the balance equations πQ.
         op.apply_transposed(&pi, &mut qv, 1);
-        residual = qv.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-        if ctsim_obs::enabled() {
-            let done = residual <= opts.tolerance;
-            trace_iteration("steady_gauss_seidel", sweep, residual, done, &mut batch_t0);
-        }
-        if residual <= opts.tolerance {
-            return Ok(SteadyState {
-                probs: pi,
-                iterations: sweep,
-                residual,
-                solved_by: SolverBackend::GaussSeidel,
-            });
-        }
-        if !residual.is_finite() {
-            return Err(SolveError::NotConverged {
-                iterations: sweep,
-                residual,
-            });
-        }
-    }
-    Err(SolveError::NotConverged {
-        iterations: opts.max_iterations,
+        Some(sup_norm(&qv))
+    })?;
+    Ok(SteadyState {
+        probs: pi,
+        iterations,
         residual,
+        solved_by: SolverBackend::GaussSeidel,
     })
+}
+
+/// Rescales `pi` to unit mass; `None` when its mass is not a positive
+/// finite number (the iterate broke down).
+fn normalize(pi: &mut [f64]) -> Option<()> {
+    let total: f64 = pi.iter().sum();
+    if !(total.is_finite() && total > 0.0) {
+        return None;
+    }
+    for p in pi {
+        *p /= total;
+    }
+    Some(())
+}
+
+/// `max_i |v_i|` (0 for an empty vector; NaN entries are skipped).
+fn sup_norm(v: &[f64]) -> f64 {
+    v.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
 }
 
 /// The parallel stationary backend: damped Jacobi — equivalently, the
@@ -342,53 +372,27 @@ fn steady_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState, So
     }
     let mut pi = initial_pi(n, opts);
     let mut qv = vec![0.0; n];
-    let mut residual = f64::INFINITY;
-    let mut batch_t0 = if ctsim_obs::enabled() {
-        ctsim_obs::now_us()
-    } else {
-        0
-    };
-    for step in 1..=opts.max_iterations {
+    let (iterations, residual) = iterate("steady_jacobi", opts, || {
         op.apply_transposed(&pi, &mut qv, opts.threads);
         // The product is the residual of the *current* normalized
-        // iterate — free, exactly like the Gauss–Seidel check.
-        residual = qv.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-        if ctsim_obs::enabled() {
-            let done = residual <= opts.tolerance;
-            trace_iteration("steady_jacobi", step, residual, done, &mut batch_t0);
+        // iterate — free, exactly like the Gauss–Seidel check — so π
+        // only moves on while the driver will ask for another step.
+        let residual = sup_norm(&qv);
+        let done = residual <= opts.tolerance;
+        if !done && residual.is_finite() {
+            // π ← π + (πQ)/Λ̂ = π·P, then renormalize to stem drift.
+            for (p, &q) in pi.iter_mut().zip(&qv) {
+                *p += q / lambda;
+            }
+            normalize(&mut pi)?;
         }
-        if residual <= opts.tolerance {
-            return Ok(SteadyState {
-                probs: pi,
-                iterations: step,
-                residual,
-                solved_by: SolverBackend::Jacobi,
-            });
-        }
-        if !residual.is_finite() {
-            return Err(SolveError::NotConverged {
-                iterations: step,
-                residual,
-            });
-        }
-        // π ← π + (πQ)/Λ̂ = π·P, then renormalize to stem drift.
-        for (p, &q) in pi.iter_mut().zip(&qv) {
-            *p += q / lambda;
-        }
-        let total: f64 = pi.iter().sum();
-        if !(total.is_finite() && total > 0.0) {
-            return Err(SolveError::NotConverged {
-                iterations: step,
-                residual: f64::INFINITY,
-            });
-        }
-        for p in &mut pi {
-            *p /= total;
-        }
-    }
-    Err(SolveError::NotConverged {
-        iterations: opts.max_iterations,
+        Some(residual)
+    })?;
+    Ok(SteadyState {
+        probs: pi,
+        iterations,
         residual,
+        solved_by: SolverBackend::Jacobi,
     })
 }
 
@@ -431,29 +435,16 @@ pub fn mean_time_to_absorption<L: LinOp>(
     if !(0..n).any(|i| op.is_absorbing(i)) {
         return Err(SolveError::NoAbsorbingStates);
     }
-    let _span = ctsim_obs::span("solver", "mean_time_to_absorption")
-        .arg("backend", opts.backend.to_string())
-        .arg("states", n);
-    crate::catch_spill(|| {
-        let mut backend = opts.backend;
-        loop {
-            let result = match backend {
-                SolverBackend::GaussSeidel => absorption_gauss_seidel(op, opts),
-                SolverBackend::Jacobi => absorption_jacobi(op, opts),
-                SolverBackend::Krylov => krylov::absorption(op, opts),
-            };
-            match result {
-                Err(e) if opts.fallback => match backend.fallback_after(&e) {
-                    Some(next) => {
-                        note_fallback("mean_time_to_absorption", backend, next, &e);
-                        backend = next;
-                    }
-                    None => return Err(e),
-                },
-                other => return other,
-            }
-        }
-    })
+    with_fallback(
+        "mean_time_to_absorption",
+        n,
+        opts,
+        |backend| match backend {
+            SolverBackend::GaussSeidel => absorption_gauss_seidel(op, opts),
+            SolverBackend::Jacobi => absorption_jacobi(op, opts),
+            SolverBackend::Krylov => krylov::absorption(op, opts),
+        },
+    )
 }
 
 /// The reference backend: in-place Gauss–Seidel sweeps on `Q_TT τ = -1`.
@@ -474,19 +465,13 @@ fn absorption_gauss_seidel<L: LinOp>(
     }
     let n = op.dim();
     let mut tau = initial_tau(op, opts).unwrap_or_else(|| vec![0.0; n]);
-    let mut residual = f64::INFINITY;
-    let mut batch_t0 = if ctsim_obs::enabled() {
-        ctsim_obs::now_us()
-    } else {
-        0
-    };
-    for sweep in 1..=opts.max_iterations {
+    let (iterations, residual) = iterate("absorption_gauss_seidel", opts, || {
         // τ_j ← (1 + Σ_k q_jk τ_k) / |q_jj| over transient states, in
         // place (Gauss–Seidel on Q_TT τ = -1; absorbing τ stay 0). The
         // pre-update defect |q_jj·τ_j + flow + 1| is a free by-product
         // of the same flow sum and serves as the convergence residual:
         // it vanishes exactly at the fixed point.
-        residual = 0.0;
+        let mut residual = 0.0f64;
         for j in 0..n {
             if op.is_absorbing(j) {
                 continue;
@@ -499,36 +484,15 @@ fn absorption_gauss_seidel<L: LinOp>(
             residual = residual.max((op.diag(j) * tau[j] + flow + 1.0).abs());
             tau[j] = (1.0 + flow) / -op.diag(j);
         }
-        if ctsim_obs::enabled() {
-            let done = residual <= opts.tolerance;
-            trace_iteration(
-                "absorption_gauss_seidel",
-                sweep,
-                residual,
-                done,
-                &mut batch_t0,
-            );
-        }
-        if residual <= opts.tolerance {
-            let mean = op.initial().iter().zip(&tau).map(|(&p, &t)| p * t).sum();
-            return Ok(AbsorptionTimes {
-                per_state: tau,
-                mean,
-                iterations: sweep,
-                residual,
-                solved_by: SolverBackend::GaussSeidel,
-            });
-        }
-        if !residual.is_finite() {
-            return Err(SolveError::NotConverged {
-                iterations: sweep,
-                residual,
-            });
-        }
-    }
-    Err(SolveError::NotConverged {
-        iterations: opts.max_iterations,
+        Some(residual)
+    })?;
+    let mean = op.initial().iter().zip(&tau).map(|(&p, &t)| p * t).sum();
+    Ok(AbsorptionTimes {
+        per_state: tau,
+        mean,
+        iterations,
         residual,
+        solved_by: SolverBackend::GaussSeidel,
     })
 }
 
@@ -540,15 +504,9 @@ fn absorption_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<AbsorptionT
     let n = op.dim();
     let mut tau = initial_tau(op, opts).unwrap_or_else(|| vec![0.0; n]);
     let mut flow = vec![0.0; n];
-    let mut residual = f64::INFINITY;
-    let mut batch_t0 = if ctsim_obs::enabled() {
-        ctsim_obs::now_us()
-    } else {
-        0
-    };
-    for step in 1..=opts.max_iterations {
+    let (iterations, residual) = iterate("absorption_jacobi", opts, || {
         op.apply(&tau, &mut flow, opts.threads);
-        residual = 0.0;
+        let mut residual = 0.0f64;
         for j in 0..n {
             if op.is_absorbing(j) {
                 flow[j] = 0.0;
@@ -558,30 +516,15 @@ fn absorption_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<AbsorptionT
             flow[j] = (1.0 + flow[j]) / -op.diag(j);
         }
         std::mem::swap(&mut tau, &mut flow);
-        if ctsim_obs::enabled() {
-            let done = residual <= opts.tolerance;
-            trace_iteration("absorption_jacobi", step, residual, done, &mut batch_t0);
-        }
-        if residual <= opts.tolerance {
-            let mean = op.initial().iter().zip(&tau).map(|(&p, &t)| p * t).sum();
-            return Ok(AbsorptionTimes {
-                per_state: tau,
-                mean,
-                iterations: step,
-                residual,
-                solved_by: SolverBackend::Jacobi,
-            });
-        }
-        if !residual.is_finite() {
-            return Err(SolveError::NotConverged {
-                iterations: step,
-                residual,
-            });
-        }
-    }
-    Err(SolveError::NotConverged {
-        iterations: opts.max_iterations,
+        Some(residual)
+    })?;
+    let mean = op.initial().iter().zip(&tau).map(|(&p, &t)| p * t).sum();
+    Ok(AbsorptionTimes {
+        per_state: tau,
+        mean,
+        iterations,
         residual,
+        solved_by: SolverBackend::Jacobi,
     })
 }
 

@@ -227,3 +227,49 @@ fn full_chain_krylov_to_jacobi_on_streamed_generator() {
         assert!((a - b).abs() <= 1e-9, "state {s}: {a} vs {b}");
     }
 }
+
+/// An exhausted page-in crosses the solver as an unwind carrying the
+/// typed error, and must do so without the panic machinery noticing:
+/// the process-wide hook — the user's, here a counting one — is never
+/// run and never replaced.
+#[test]
+fn exhausted_page_in_surfaces_typed_without_running_the_panic_hook() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static HOOK_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+    let _guard = fail::test_lock();
+    ctsim_resilience::retry::reset_budgets();
+    let mut b = SanBuilder::new("pipeline");
+    let mut prev = b.place("p0", 1);
+    for (i, mean) in [2.0, 5.0, 1.0].into_iter().enumerate() {
+        let next = b.place(format!("p{}", i + 1), 0);
+        b.add_activity(
+            Activity::timed(format!("t{i}"), Dist::Exp { mean })
+                .input(prev, 1)
+                .case(Case::with_prob(1.0).output(next, 1)),
+        );
+        prev = next;
+    }
+    // Built before the hook goes in: every solver entry point has run
+    // by then, so nothing it may do to the hook happens afterwards.
+    let spilled = ctmc(&b.build().unwrap(), Some(SpillOptions::with_budget(0)));
+
+    let before = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {
+        HOOK_CALLS.fetch_add(1, Ordering::SeqCst);
+    }));
+    fail::configure("csr.page_in=always", 0).unwrap();
+    let result = mean_time_to_absorption(
+        &spilled,
+        &IterOptions::with_backend(SolverBackend::Krylov, 1),
+    );
+    fail::disarm();
+    std::panic::set_hook(before);
+
+    assert!(
+        matches!(&result, Err(SolveError::SpillFailed { op, attempts, .. })
+            if *op == "csr.page_in" && attempts.len() == 4),
+        "{result:?}"
+    );
+    assert_eq!(HOOK_CALLS.load(Ordering::SeqCst), 0);
+}

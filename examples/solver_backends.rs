@@ -9,7 +9,7 @@
 //! Explores once, then solves `Q_TT τ = -1` with each backend,
 //! printing the mean, iteration count, and best-of-N wall-clock. The
 //! means must agree to well below 1e-6 relative — the same invariant
-//! the CI `solver-backends` matrix gates.
+//! the `backends_agree_on_the_overlay_means` overlay test gates.
 
 use std::time::Instant;
 

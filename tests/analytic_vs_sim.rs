@@ -9,7 +9,7 @@
 //! applicability condition — at the smallest model sizes so the tests
 //! stay fast in debug builds.
 
-use ct_consensus_repro::models::{build_model, latency_replications, SanParams};
+use ct_consensus_repro::models::{build_model, decided_place_ids, latency_replications, SanParams};
 use ct_consensus_repro::san::SanModel;
 use ct_consensus_repro::solve::{
     AnalyticRun, IterOptions, ReachOptions, SolveError, SolveOptions, TransientOptions,
@@ -19,9 +19,7 @@ fn decided_predicate(
     model: &SanModel,
     n: usize,
 ) -> impl Fn(&ct_consensus_repro::san::Marking) -> bool {
-    let decided: Vec<_> = (0..n)
-        .map(|i| model.place(&format!("decided_{i}")).expect("built model"))
-        .collect();
+    let decided = decided_place_ids(model, n);
     move |m| decided.iter().any(|&d| m.get(d) > 0)
 }
 

@@ -16,11 +16,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use ctsim_des::SimTime;
 use ctsim_fd::FailureDetector;
 use ctsim_neko::{Ctx, Node, ProcessId};
 
-use crate::consensus::{ConsensusEnv, ConsensusMsg, CtConsensus};
+use crate::consensus::ConsensusMsg;
+use crate::node::{ConsensusNode, InstanceWire};
 
 /// Identifier of an abroadcast message: (origin process, sequence no).
 pub type MsgId = (u32, u64);
@@ -49,50 +49,23 @@ pub enum AbcastMsg<A> {
     },
 }
 
-/// Adapter handed to the embedded consensus engine: tags outgoing
-/// consensus messages with the instance number.
-struct TaggedEnv<'a, 'b, A> {
-    ctx: &'a mut Ctx<'b, AbcastMsg<A>>,
-    instance: u64,
-}
-
-impl<A: Clone> ConsensusEnv<Batch> for TaggedEnv<'_, '_, A> {
-    fn send(&mut self, to: ProcessId, msg: ConsensusMsg<Batch>) {
-        self.ctx.send(
-            to,
-            AbcastMsg::Cons {
-                instance: self.instance,
-                inner: msg,
-            },
-        );
-    }
-    fn broadcast_others(&mut self, msg: ConsensusMsg<Batch>) {
-        self.ctx.broadcast_others(AbcastMsg::Cons {
-            instance: self.instance,
-            inner: msg,
-        });
-    }
-    fn charge_work(&mut self) {
-        self.ctx.charge_work();
-    }
-    fn now_local(&self) -> SimTime {
-        self.ctx.now_local()
-    }
-    fn now_true(&self) -> SimTime {
-        self.ctx.now_true()
+impl<A> InstanceWire<Batch> for AbcastMsg<A> {
+    fn wrap(instance: u64, inner: ConsensusMsg<Batch>) -> Self {
+        AbcastMsg::Cons { instance, inner }
     }
 }
 
 /// One replica of the atomic-broadcast service.
 ///
 /// `A` is the application payload; `F` the failure detector shared by
-/// the embedded consensus instances.
+/// the embedded consensus instances. Instance `k + 1` starts as soon as
+/// `k` has decided and there is something undelivered to propose.
 #[derive(Debug)]
 pub struct AbcastNode<A, F> {
     me: ProcessId,
-    n: usize,
-    /// The failure-detector module (public for QoS inspection).
-    pub fd: F,
+    /// The consensus host: the failure detector (`host.fd`, public for
+    /// QoS inspection) and the engine of the current instance.
+    pub host: ConsensusNode<Batch, F>,
     next_seq: u64,
     /// Payloads received (reliable broadcast), keyed by id.
     store: BTreeMap<MsgId, A>,
@@ -100,10 +73,6 @@ pub struct AbcastNode<A, F> {
     decided_ids: BTreeSet<MsgId>,
     /// Ids decided but whose payload has not arrived yet.
     delivery_queue: VecDeque<MsgId>,
-    instance: u64,
-    engine: Option<CtConsensus<Batch>>,
-    /// Consensus messages for future instances.
-    backlog: Vec<(ProcessId, u64, ConsensusMsg<Batch>)>,
     /// The total order as delivered locally: (origin, seq, payload).
     delivered_log: Vec<(u32, u64, A)>,
 }
@@ -117,16 +86,12 @@ where
     pub fn new(me: ProcessId, n: usize, fd: F) -> Self {
         Self {
             me,
-            n,
-            fd,
+            host: ConsensusNode::passive(me, n, fd),
             next_seq: 0,
             store: BTreeMap::new(),
             received: BTreeSet::new(),
             decided_ids: BTreeSet::new(),
             delivery_queue: VecDeque::new(),
-            instance: 0,
-            engine: None,
-            backlog: Vec::new(),
             delivered_log: Vec::new(),
         }
     }
@@ -138,7 +103,7 @@ where
 
     /// Number of consensus instances completed.
     pub fn instances_completed(&self) -> u64 {
-        self.instance
+        self.host.instance()
     }
 
     /// Atomically broadcasts a payload. Call from a harness-driven
@@ -164,70 +129,36 @@ where
             .collect()
     }
 
+    /// Proposes in the current instance once there is something to
+    /// order. Until then the engine participates passively: it buffers
+    /// the rounds of the others.
     fn maybe_start_instance(&mut self, ctx: &mut Ctx<'_, AbcastMsg<A>>) {
-        if let Some(engine) = &self.engine {
-            if !engine.has_started() {
-                // Engine created passively by an early message of this
-                // instance; propose now if we have anything.
-                let batch = self.undelivered();
-                if !batch.is_empty() {
-                    let fd = &self.fd;
-                    let query = |q: ProcessId| fd.is_suspected(q);
-                    let mut env = TaggedEnv {
-                        ctx,
-                        instance: self.instance,
-                    };
-                    self.engine
-                        .as_mut()
-                        .expect("checked above")
-                        .propose(&mut env, batch, &query);
-                    self.check_decision(ctx);
-                }
-            }
+        if self.host.consensus.has_started() {
             return;
         }
         let batch = self.undelivered();
-        if batch.is_empty() {
-            return;
+        if !batch.is_empty() {
+            self.host.propose(ctx, batch);
+            self.check_decision(ctx);
         }
-        let mut engine = CtConsensus::new(self.me, self.n);
-        let fd = &self.fd;
-        let query = |q: ProcessId| fd.is_suspected(q);
-        let mut env = TaggedEnv {
-            ctx,
-            instance: self.instance,
-        };
-        engine.propose(&mut env, batch, &query);
-        self.engine = Some(engine);
-        self.check_decision(ctx);
     }
 
+    /// Call after anything that touched the engine: a decided instance
+    /// is delivered and the next one begins.
     fn check_decision(&mut self, ctx: &mut Ctx<'_, AbcastMsg<A>>) {
-        let Some(engine) = &self.engine else { return };
-        let Some(batch) = engine.decision().cloned() else {
+        let Some(batch) = self.host.consensus.decision().cloned() else {
             return;
         };
-        self.engine = None;
-        self.instance += 1;
+        self.host.advance(self.host.instance() + 1);
         for id in batch {
             if self.decided_ids.insert(id) {
                 self.delivery_queue.push_back(id);
             }
         }
         self.flush_deliveries();
-        // Replay consensus messages buffered for the new instance.
-        let inst = self.instance;
-        let mut replay = Vec::new();
-        self.backlog.retain(|(from, i, m)| {
-            if *i == inst {
-                replay.push((*from, m.clone()));
-                false
-            } else {
-                *i > inst
-            }
-        });
-        for (from, m) in replay {
-            self.handle_cons(ctx, from, inst, m);
+        while self.host.replay_next(ctx) {
+            self.check_decision(ctx);
+            self.maybe_start_instance(ctx);
         }
         self.maybe_start_instance(ctx);
     }
@@ -239,52 +170,6 @@ where
             self.delivery_queue.pop_front();
         }
     }
-
-    fn handle_cons(
-        &mut self,
-        ctx: &mut Ctx<'_, AbcastMsg<A>>,
-        from: ProcessId,
-        instance: u64,
-        inner: ConsensusMsg<Batch>,
-    ) {
-        if instance < self.instance {
-            return; // finished instance, stale
-        }
-        if instance > self.instance {
-            self.backlog.push((from, instance, inner));
-            return;
-        }
-        // Participate even before having anything to propose: rounds are
-        // buffered by the engine until we do.
-        let engine = self
-            .engine
-            .get_or_insert_with(|| CtConsensus::new(self.me, self.n));
-        let fd = &self.fd;
-        let query = |q: ProcessId| fd.is_suspected(q);
-        let mut env = TaggedEnv { ctx, instance };
-        engine.on_message(&mut env, from, inner, &query);
-        self.check_decision(ctx);
-        self.maybe_start_instance(ctx);
-    }
-
-    fn pump_fd(&mut self, ctx: &mut Ctx<'_, AbcastMsg<A>>) {
-        let events = self.fd.drain_events();
-        if events.is_empty() {
-            return;
-        }
-        if let Some(engine) = self.engine.as_mut() {
-            let fd = &self.fd;
-            let query = |q: ProcessId| fd.is_suspected(q);
-            let mut env = TaggedEnv {
-                ctx,
-                instance: self.instance,
-            };
-            for ev in events {
-                engine.on_suspicion(&mut env, ev.target, ev.suspected, &query);
-            }
-        }
-        self.check_decision(ctx);
-    }
 }
 
 impl<A, F> Node<AbcastMsg<A>> for AbcastNode<A, F>
@@ -293,7 +178,7 @@ where
     F: FailureDetector<AbcastMsg<A>>,
 {
     fn on_start(&mut self, ctx: &mut Ctx<'_, AbcastMsg<A>>) {
-        self.fd.on_start(ctx);
+        self.host.fd.on_start(ctx);
     }
 
     fn on_app_message(
@@ -302,8 +187,8 @@ where
         from: ProcessId,
         msg: AbcastMsg<A>,
     ) {
-        self.fd.note_alive(ctx, from);
-        self.pump_fd(ctx);
+        self.host.alive(ctx, from);
+        self.check_decision(ctx);
         match msg {
             AbcastMsg::Data {
                 origin,
@@ -327,19 +212,22 @@ where
                 }
             }
             AbcastMsg::Cons { instance, inner } => {
-                self.handle_cons(ctx, from, instance, inner);
+                if self.host.deliver(ctx, from, instance, inner) {
+                    self.check_decision(ctx);
+                    self.maybe_start_instance(ctx);
+                }
             }
         }
     }
 
     fn on_heartbeat(&mut self, ctx: &mut Ctx<'_, AbcastMsg<A>>, from: ProcessId) {
-        self.fd.note_alive(ctx, from);
-        self.pump_fd(ctx);
+        self.host.alive(ctx, from);
+        self.check_decision(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, AbcastMsg<A>>, token: u64) {
-        if self.fd.on_timer(ctx, token) {
-            self.pump_fd(ctx);
+        if self.host.fd_timer(ctx, token) {
+            self.check_decision(ctx);
         }
     }
 }

@@ -26,14 +26,20 @@
 //! The decision is disseminated with a lazy reliable broadcast: the
 //! first `Decide` a process receives is adopted and relayed once.
 //!
-//! [`CtConsensus`] is the event-driven protocol engine;
-//! [`ConsensusNode`] packages it with a pluggable failure detector as a
-//! runnable [`ctsim_neko::Node`]; [`abcast`] implements atomic broadcast
-//! by transformation to consensus.
+//! [`CtConsensus`] is the event-driven protocol engine.
+//! [`ConsensusNode`] is its one host on the measurement engine: it owns
+//! a pluggable failure detector, the engine of the current instance and
+//! the buffer of traffic for instances not reached yet, and tags what
+//! the engine sends through [`InstanceWire`] (see [`node`]). On its own
+//! it is a runnable [`ctsim_neko::Node`] for a single consensus;
+//! [`abcast`] (atomic broadcast by transformation to consensus) and the
+//! campaign and throughput processes of `ctsim-testbed` drive it
+//! through a sequence of instances and differ only in when the next
+//! one starts.
 
 pub mod abcast;
 pub mod consensus;
 pub mod node;
 
 pub use consensus::{ConsensusMsg, CtConsensus, Phase};
-pub use node::ConsensusNode;
+pub use node::{ConsensusNode, InstanceWire};

@@ -1,28 +1,95 @@
-//! A runnable process: consensus engine + failure detector packaged as
-//! a [`ctsim_neko::Node`].
+//! The sequenced consensus host: a failure detector and the engine of
+//! the current consensus instance, packaged for a [`ctsim_neko::Node`].
+//!
+//! Every process of the measurement engine — the single-shot
+//! [`ConsensusNode`] itself, the atomic-broadcast replica, the
+//! campaign and throughput processes of `ctsim-testbed` — hosts
+//! [`CtConsensus`] the same way; they differ only in *when the next
+//! instance starts* and *what they record*. The host makes five moves:
+//!
+//! * [`alive`](ConsensusNode::alive) — any message is a liveness proof:
+//!   the detector hears of it first, then its suspicion transitions
+//!   reach the engine, and only then is the message itself processed;
+//! * [`fd_timer`](ConsensusNode::fd_timer) — a timer token is the
+//!   detector's (its transitions reach the engine) or the caller's;
+//! * [`deliver`](ConsensusNode::deliver) — a consensus message of a
+//!   finished instance is dropped, of a future one buffered, of the
+//!   current one fed to the engine;
+//! * [`propose`](ConsensusNode::propose) — starts the current instance;
+//! * [`advance`](ConsensusNode::advance) — a fresh engine for instance
+//!   `k`; what was buffered for `k` is fed by
+//!   [`replay_next`](ConsensusNode::replay_next), older traffic is
+//!   discarded.
+//!
+//! Outgoing traffic is tagged with the instance through [`InstanceWire`].
 
-use ctsim_des::SimDuration;
+use std::cmp::Ordering;
+
+use ctsim_des::{SimDuration, SimTime};
 use ctsim_fd::FailureDetector;
 use ctsim_neko::{Ctx, Node, ProcessId, TimerKind};
 
-use crate::consensus::{ConsensusMsg, CtConsensus};
+use crate::consensus::{ConsensusEnv, ConsensusMsg, CtConsensus};
 
 /// Timer token used to trigger `propose` at a configured local time.
 const TOKEN_PROPOSE: u64 = 1 << 50;
 
-/// One process of the consensus system: the ◇S engine wired to a
-/// failure detector `F` (oracle or heartbeat).
+/// A wire type that can carry a consensus message of a given instance.
+pub trait InstanceWire<V> {
+    /// Wraps `inner`, sent by consensus instance `instance`.
+    fn wrap(instance: u64, inner: ConsensusMsg<V>) -> Self;
+}
+
+/// A single consensus travels untagged.
+impl<V> InstanceWire<V> for ConsensusMsg<V> {
+    fn wrap(_instance: u64, inner: ConsensusMsg<V>) -> Self {
+        inner
+    }
+}
+
+/// What the engine of instance `instance` sees of the world.
+struct HostEnv<'a, 'b, M> {
+    ctx: &'a mut Ctx<'b, M>,
+    instance: u64,
+}
+
+impl<V, M: InstanceWire<V> + Clone> ConsensusEnv<V> for HostEnv<'_, '_, M> {
+    fn send(&mut self, to: ProcessId, msg: ConsensusMsg<V>) {
+        self.ctx.send(to, M::wrap(self.instance, msg));
+    }
+    fn broadcast_others(&mut self, msg: ConsensusMsg<V>) {
+        self.ctx.broadcast_others(M::wrap(self.instance, msg));
+    }
+    fn charge_work(&mut self) {
+        self.ctx.charge_work();
+    }
+    fn now_local(&self) -> SimTime {
+        self.ctx.now_local()
+    }
+    fn now_true(&self) -> SimTime {
+        self.ctx.now_true()
+    }
+}
+
+/// One process of the consensus system: the ◇S engine of the current
+/// instance wired to a failure detector `F` (oracle or heartbeat).
 ///
-/// Every received message — application or heartbeat — is reported to
-/// the failure detector first (the paper's detector treats *any*
-/// message from `q` as a liveness proof), then suspicion transitions are
-/// fed to the consensus engine, then the message itself is processed.
+/// As a [`Node`] over plain [`ConsensusMsg`] it runs instance 0 only,
+/// proposing once at a configured delay. Over a wire type that carries
+/// an instance tag it is the host other nodes drive (see the
+/// [module docs](self)).
 #[derive(Debug)]
 pub struct ConsensusNode<V, F> {
-    /// The consensus engine (public for inspection by harnesses).
+    /// The engine of the current instance (public for inspection by
+    /// harnesses).
     pub consensus: CtConsensus<V>,
-    /// The failure-detector module.
+    /// The failure-detector module; it persists across instances.
     pub fd: F,
+    me: ProcessId,
+    n: usize,
+    instance: u64,
+    /// Consensus messages of instances not reached yet.
+    future: Vec<(ProcessId, u64, ConsensusMsg<V>)>,
     /// Value to propose, and when (delay from start, local clock).
     proposal: Option<(V, SimDuration)>,
 }
@@ -33,9 +100,8 @@ impl<V: Clone, F> ConsensusNode<V, F> {
     /// via the NTP-synchronized clocks).
     pub fn proposing(me: ProcessId, n: usize, fd: F, value: V, delay: SimDuration) -> Self {
         Self {
-            consensus: CtConsensus::new(me, n),
-            fd,
             proposal: Some((value, delay)),
+            ..Self::passive(me, n, fd)
         }
     }
 
@@ -44,23 +110,137 @@ impl<V: Clone, F> ConsensusNode<V, F> {
         Self {
             consensus: CtConsensus::new(me, n),
             fd,
+            me,
+            n,
+            instance: 0,
+            future: Vec::new(),
             proposal: None,
         }
     }
-}
 
-impl<V, F> ConsensusNode<V, F>
-where
-    V: Clone,
-    F: FailureDetector<ConsensusMsg<V>>,
-{
-    fn pump_fd_events(&mut self, ctx: &mut Ctx<'_, ConsensusMsg<V>>) {
+    /// The instance the engine is running.
+    pub fn instance(&self) -> u64 {
+        self.instance
+    }
+
+    /// Switches to instance `k > instance()` with a fresh engine and
+    /// discards what was buffered for older instances. What was
+    /// buffered for `k` stays until [`Self::replay_next`] feeds it: the
+    /// caller decides what happens between two replayed messages.
+    pub fn advance(&mut self, k: u64) {
+        debug_assert!(k > self.instance);
+        self.instance = k;
+        self.consensus = CtConsensus::new(self.me, self.n);
+        self.future.retain(|(_, i, _)| *i >= k);
+    }
+
+    /// Runs `f` on the engine with its environment and the detector
+    /// query `D_p`.
+    fn engine<M>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        f: impl FnOnce(&mut CtConsensus<V>, &mut dyn ConsensusEnv<V>, &dyn Fn(ProcessId) -> bool),
+    ) where
+        M: InstanceWire<V> + Clone,
+        F: FailureDetector<M>,
+    {
+        let fd = &self.fd;
+        let mut env = HostEnv {
+            ctx,
+            instance: self.instance,
+        };
+        f(&mut self.consensus, &mut env, &|q| fd.is_suspected(q));
+    }
+
+    /// Feeds the detector's pending suspicion transitions to the engine.
+    fn pump<M>(&mut self, ctx: &mut Ctx<'_, M>)
+    where
+        M: InstanceWire<V> + Clone,
+        F: FailureDetector<M>,
+    {
         for ev in self.fd.drain_events() {
-            let fd = &self.fd;
-            let query = |q: ProcessId| fd.is_suspected(q);
-            self.consensus
-                .on_suspicion(ctx, ev.target, ev.suspected, &query);
+            self.engine(ctx, |c, env, d| {
+                c.on_suspicion(env, ev.target, ev.suspected, d)
+            });
         }
+    }
+
+    /// A message of any kind arrived from `from`. Call it before
+    /// looking at the message.
+    pub fn alive<M>(&mut self, ctx: &mut Ctx<'_, M>, from: ProcessId)
+    where
+        M: InstanceWire<V> + Clone,
+        F: FailureDetector<M>,
+    {
+        self.fd.note_alive(ctx, from);
+        self.pump(ctx);
+    }
+
+    /// Offers a timer token to the detector; `false` means the token is
+    /// the caller's.
+    pub fn fd_timer<M>(&mut self, ctx: &mut Ctx<'_, M>, token: u64) -> bool
+    where
+        M: InstanceWire<V> + Clone,
+        F: FailureDetector<M>,
+    {
+        let consumed = self.fd.on_timer(ctx, token);
+        if consumed {
+            self.pump(ctx);
+        }
+        consumed
+    }
+
+    /// A consensus message of `instance` arrived (after
+    /// [`Self::alive`]). Returns whether the engine saw it.
+    pub fn deliver<M>(
+        &mut self,
+        ctx: &mut Ctx<'_, M>,
+        from: ProcessId,
+        instance: u64,
+        msg: ConsensusMsg<V>,
+    ) -> bool
+    where
+        M: InstanceWire<V> + Clone,
+        F: FailureDetector<M>,
+    {
+        match instance.cmp(&self.instance) {
+            // Finished: stale, dropped without work.
+            Ordering::Less => false,
+            // Not reached yet (clock skew, a faster peer): buffer.
+            Ordering::Greater => {
+                self.future.push((from, instance, msg));
+                false
+            }
+            Ordering::Equal => {
+                self.engine(ctx, |c, env, d| c.on_message(env, from, msg, d));
+                true
+            }
+        }
+    }
+
+    /// Proposes `value` in the current instance.
+    pub fn propose<M>(&mut self, ctx: &mut Ctx<'_, M>, value: V)
+    where
+        M: InstanceWire<V> + Clone,
+        F: FailureDetector<M>,
+    {
+        self.engine(ctx, |c, env, d| c.propose(env, value, d));
+    }
+
+    /// Feeds the oldest message buffered for the current instance;
+    /// `false` when there is none.
+    pub fn replay_next<M>(&mut self, ctx: &mut Ctx<'_, M>) -> bool
+    where
+        M: InstanceWire<V> + Clone,
+        F: FailureDetector<M>,
+    {
+        let cur = self.instance;
+        let Some(at) = self.future.iter().position(|(_, i, _)| *i == cur) else {
+            return false;
+        };
+        let (from, _, msg) = self.future.remove(at);
+        self.deliver(ctx, from, cur, msg);
+        true
     }
 }
 
@@ -82,29 +262,21 @@ where
         from: ProcessId,
         msg: ConsensusMsg<V>,
     ) {
-        self.fd.note_alive(ctx, from);
-        self.pump_fd_events(ctx);
-        let fd = &self.fd;
-        let query = |q: ProcessId| fd.is_suspected(q);
-        self.consensus.on_message(ctx, from, msg, &query);
+        self.alive(ctx, from);
+        self.deliver(ctx, from, 0, msg);
     }
 
     fn on_heartbeat(&mut self, ctx: &mut Ctx<'_, ConsensusMsg<V>>, from: ProcessId) {
-        self.fd.note_alive(ctx, from);
-        self.pump_fd_events(ctx);
+        self.alive(ctx, from);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, ConsensusMsg<V>>, token: u64) {
         if token == TOKEN_PROPOSE {
             if let Some((value, _)) = self.proposal.take() {
-                let fd = &self.fd;
-                let query = |q: ProcessId| fd.is_suspected(q);
-                self.consensus.propose(ctx, value, &query);
+                self.propose(ctx, value);
             }
-            return;
-        }
-        if self.fd.on_timer(ctx, token) {
-            self.pump_fd_events(ctx);
+        } else {
+            self.fd_timer(ctx, token);
         }
     }
 }
@@ -275,6 +447,139 @@ mod tests {
                 "seed {seed}: agreement violated: {ds:?}"
             );
             assert!(ds[0] < n as u64, "validity");
+        }
+    }
+
+    /// Wire of the timer-driven test policy: `(instance, message)`.
+    #[derive(Clone)]
+    struct Exec(u64, ConsensusMsg<u64>);
+
+    impl InstanceWire<u64> for Exec {
+        fn wrap(instance: u64, inner: ConsensusMsg<u64>) -> Self {
+            Exec(instance, inner)
+        }
+    }
+
+    /// The campaign policy, written against the host alone: instance
+    /// `k` starts at the precise timer `20 ms + k·gap` whatever became
+    /// of `k − 1`, and `(instance, decision)` is logged before each
+    /// advance.
+    struct Timed {
+        host: ConsensusNode<u64, HeartbeatFd>,
+        executions: u64,
+        gap: SimDuration,
+        log: Vec<(u64, Option<u64>)>,
+    }
+
+    impl Node<Exec> for Timed {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Exec>) {
+            self.host.fd.on_start(ctx);
+            for k in 0..self.executions {
+                ctx.set_timer(
+                    SimDuration::from_ms(20.0) + self.gap * k,
+                    TimerKind::Precise,
+                    k,
+                );
+            }
+        }
+        fn on_app_message(&mut self, ctx: &mut Ctx<'_, Exec>, from: ProcessId, msg: Exec) {
+            self.host.alive(ctx, from);
+            self.host.deliver(ctx, from, msg.0, msg.1);
+        }
+        fn on_heartbeat(&mut self, ctx: &mut Ctx<'_, Exec>, from: ProcessId) {
+            self.host.alive(ctx, from);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Exec>, token: u64) {
+            if token >= self.executions {
+                self.host.fd_timer(ctx, token);
+                return;
+            }
+            if token > self.host.instance() {
+                self.log.push((
+                    self.host.instance(),
+                    self.host.consensus.decision().copied(),
+                ));
+                self.host.advance(token);
+                while self.host.replay_next(ctx) {}
+            }
+            if !self.host.consensus.has_started() {
+                // The value names its instance, so a decision leaked
+                // from another instance fails validity.
+                self.host
+                    .propose(ctx, 1000 * token + 100 + ctx.me().0 as u64);
+            }
+        }
+    }
+
+    /// Instance isolation under wrong suspicions: with T = 3 ms (below
+    /// the 10 ms tick) executions take several rounds. At the class-3
+    /// gap of 100 ms they finish before the next one starts; at 10 ms
+    /// they overlap, so traffic of abandoned instances reaches engines
+    /// of later ones. Either way, per instance, whoever decided decided
+    /// the same value, and one proposed in *that* instance.
+    #[test]
+    fn every_instance_agrees_under_wrong_suspicions() {
+        for (gap_ms, executions) in [(100.0, 40u64), (10.0, 200)] {
+            let n = 3;
+            let mut rt = Runtime::new(
+                n,
+                NetParams::default(),
+                HostParams::default(), // GC pauses and tails ON
+                NodeConfig::default(),
+                SimRng::new(77),
+                |p| Timed {
+                    host: ConsensusNode::passive(
+                        p,
+                        n,
+                        HeartbeatFd::new(p, n, FdParams::with_timeout(3.0)),
+                    ),
+                    executions,
+                    gap: SimDuration::from_ms(gap_ms),
+                    log: Vec::new(),
+                },
+            );
+            rt.run_until(SimTime::from_ms(20.0 + gap_ms * executions as f64));
+            let mistakes: usize = (0..n)
+                .map(|i| {
+                    let fd = &rt.node(ProcessId(i)).host.fd;
+                    (0..n)
+                        .map(|q| fd.history(ProcessId(q)).len())
+                        .sum::<usize>()
+                })
+                .sum();
+            assert!(mistakes > 0, "gap {gap_ms}: T = 3 ms must cause suspicions");
+            let mut decided = 0;
+            let mut rounds_beyond_first = false;
+            for k in 0..executions as usize - 1 {
+                let ds: Vec<u64> = (0..n)
+                    .filter_map(|i| {
+                        let (instance, d) = rt.node(ProcessId(i)).log[k];
+                        assert_eq!(instance, k as u64);
+                        d
+                    })
+                    .collect();
+                if let Some(v) = ds.first() {
+                    decided += 1;
+                    rounds_beyond_first |= *v % 1000 != 100;
+                    assert!(
+                        ds.iter().all(|d| d == v),
+                        "gap {gap_ms}: agreement violated in instance {k}: {ds:?}"
+                    );
+                    let proposed = 1000 * k as u64 + 100..1000 * k as u64 + 100 + n as u64;
+                    assert!(
+                        proposed.contains(v),
+                        "gap {gap_ms}: validity violated in instance {k}: {v}"
+                    );
+                }
+            }
+            assert!(
+                decided * 10 >= executions as usize * 9,
+                "gap {gap_ms}: only {decided} of {executions} instances decided"
+            );
+            assert!(
+                rounds_beyond_first,
+                "gap {gap_ms}: some instance must be decided past round 1"
+            );
         }
     }
 }

@@ -286,20 +286,32 @@ impl<M: Clone, N: Node<M>> Runtime<M, N> {
         self.net.messages_sent()
     }
 
+    /// Runs `f` on node `i` with its handler-side view of the world.
+    fn with_node(&mut self, i: usize, f: impl FnOnce(&mut N, &mut Ctx<'_, M>)) {
+        let mut ctx = Ctx {
+            net: &mut self.net,
+            cfg: &self.cfg,
+            me: ProcessId(i),
+            n: self.nodes.len(),
+            clock_offset_ns: self.offsets_ns[i],
+            rng: &mut self.node_rngs[i],
+        };
+        f(&mut self.nodes[i], &mut ctx);
+    }
+
+    /// Runs `f` as a handler on host `i`'s CPU.
+    fn handle(&mut self, i: usize, f: impl FnOnce(&mut N, &mut Ctx<'_, M>)) {
+        self.net.begin_handler(HostId(i));
+        self.with_node(i, f);
+        self.net.end_handler();
+    }
+
     fn ensure_started(&mut self) {
         if !self.started {
             self.started = true;
             for i in 0..self.nodes.len() {
                 if !self.net.is_crashed(HostId(i)) {
-                    let mut ctx = Ctx {
-                        net: &mut self.net,
-                        cfg: &self.cfg,
-                        me: ProcessId(i),
-                        n: self.nodes.len(),
-                        clock_offset_ns: self.offsets_ns[i],
-                        rng: &mut self.node_rngs[i],
-                    };
-                    self.nodes[i].on_start(&mut ctx);
+                    self.with_node(i, |node, ctx| node.on_start(ctx));
                 }
             }
         }
@@ -319,40 +331,14 @@ impl<M: Clone, N: Node<M>> Runtime<M, N> {
                 class,
                 payload,
                 ..
-            } => {
-                let i = to.0;
-                self.net.begin_handler(HostId(i));
-                let mut ctx = Ctx {
-                    net: &mut self.net,
-                    cfg: &self.cfg,
-                    me: ProcessId(i),
-                    n: self.nodes.len(),
-                    clock_offset_ns: self.offsets_ns[i],
-                    rng: &mut self.node_rngs[i],
-                };
-                match (class, payload) {
-                    (MsgClass::Heartbeat, _) | (_, Wire::Heartbeat) => {
-                        self.nodes[i].on_heartbeat(&mut ctx, ProcessId(from.0));
-                    }
-                    (_, Wire::App(m)) => {
-                        self.nodes[i].on_app_message(&mut ctx, ProcessId(from.0), m);
-                    }
+            } => self.handle(to.0, |node, ctx| match (class, payload) {
+                (MsgClass::Heartbeat, _) | (_, Wire::Heartbeat) => {
+                    node.on_heartbeat(ctx, ProcessId(from.0));
                 }
-                self.net.end_handler();
-            }
+                (_, Wire::App(m)) => node.on_app_message(ctx, ProcessId(from.0), m),
+            }),
             Delivery::Timer { host, token, .. } => {
-                let i = host.0;
-                self.net.begin_handler(HostId(i));
-                let mut ctx = Ctx {
-                    net: &mut self.net,
-                    cfg: &self.cfg,
-                    me: ProcessId(i),
-                    n: self.nodes.len(),
-                    clock_offset_ns: self.offsets_ns[i],
-                    rng: &mut self.node_rngs[i],
-                };
-                self.nodes[i].on_timer(&mut ctx, token);
-                self.net.end_handler();
+                self.handle(host.0, |node, ctx| node.on_timer(ctx, token));
             }
         }
         true

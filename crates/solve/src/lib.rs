@@ -160,8 +160,12 @@
 //! `backends_agree_on_the_overlay_means` in `ctsim-experiments` gates
 //! at ≤ 1e-6 relative — but they iterate very differently. Measured
 //! single-thread solve-phase wall-clock of the consensus first-passage
-//! mean (`Q_TT τ = -1`, this repository's reference host; reproduce with
-//! `cargo run --release --example solver_backends -- <n> <ph_order>`):
+//! mean (`Q_TT τ = -1`; reproduce with
+//! `cargo run --release --example solver_backends -- <n> <ph_order>`).
+//! *Provenance: measured once, by PR 4, on that PR's host; not
+//! re-measured since and not a ledger row. The order-2 row is
+//! superseded by `ctbench`'s `gs_solve_s`, `jacobi_solve_s` and
+//! `krylov_solve_s` on `solve_n3_ph2`; the other rows have no metric.*
 //!
 //! | workload | states | `gauss-seidel` | `jacobi` | `krylov` |
 //! |---|---:|---:|---:|---:|

@@ -1,10 +1,11 @@
 //! The campaign runner: sequential, isolated consensus executions with
 //! latency measurement and whole-experiment FD QoS estimation.
 
-use ctsim_core::consensus::{ConsensusEnv, ConsensusMsg, CtConsensus};
+use ctsim_core::consensus::ConsensusMsg;
+use ctsim_core::node::{ConsensusNode, InstanceWire};
 use ctsim_des::{SimDuration, SimTime};
 use ctsim_fd::{
-    aggregate_qos, estimate_pair_qos, FailureDetector, FdEvent, FdParams, HeartbeatFd, OracleFd,
+    aggregate_qos, estimate_pair_qos, FailureDetector, FdParams, HeartbeatFd, OracleFd,
     PairHistory, QosSummary,
 };
 use ctsim_neko::{Ctx, Node, ProcessId, Runtime, TimerKind};
@@ -23,215 +24,54 @@ pub struct Tagged {
     pub inner: ConsensusMsg<u64>,
 }
 
-/// Either failure detector used by campaigns (static dispatch enum to
-/// keep the harness monomorphic).
+impl InstanceWire<u64> for Tagged {
+    fn wrap(instance: u64, inner: ConsensusMsg<u64>) -> Self {
+        Tagged {
+            exec: instance as u32,
+            inner,
+        }
+    }
+}
+
+/// One process of a measurement campaign: execution `k` starts at the
+/// precise timer `warmup + k·gap` on every process, whatever became of
+/// execution `k − 1`.
 #[derive(Debug)]
-pub enum CampaignFd {
-    /// Classes 1-2.
-    Oracle(OracleFd),
-    /// Class 3.
-    Heartbeat(HeartbeatFd),
-}
-
-impl CampaignFd {
-    /// The heartbeat detector, when the campaign runs class 3.
-    pub fn heartbeat(&self) -> Option<&HeartbeatFd> {
-        match self {
-            CampaignFd::Heartbeat(h) => Some(h),
-            CampaignFd::Oracle(_) => None,
-        }
-    }
-}
-
-impl FailureDetector<Tagged> for CampaignFd {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Tagged>) {
-        match self {
-            CampaignFd::Oracle(f) => FailureDetector::<Tagged>::on_start(f, ctx),
-            CampaignFd::Heartbeat(f) => FailureDetector::<Tagged>::on_start(f, ctx),
-        }
-    }
-    fn note_alive(&mut self, ctx: &mut Ctx<'_, Tagged>, from: ProcessId) {
-        match self {
-            CampaignFd::Oracle(f) => FailureDetector::<Tagged>::note_alive(f, ctx, from),
-            CampaignFd::Heartbeat(f) => FailureDetector::<Tagged>::note_alive(f, ctx, from),
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Tagged>, token: u64) -> bool {
-        match self {
-            CampaignFd::Oracle(f) => FailureDetector::<Tagged>::on_timer(f, ctx, token),
-            CampaignFd::Heartbeat(f) => FailureDetector::<Tagged>::on_timer(f, ctx, token),
-        }
-    }
-    fn is_suspected(&self, q: ProcessId) -> bool {
-        match self {
-            CampaignFd::Oracle(f) => FailureDetector::<Tagged>::is_suspected(f, q),
-            CampaignFd::Heartbeat(f) => FailureDetector::<Tagged>::is_suspected(f, q),
-        }
-    }
-    fn drain_events(&mut self) -> Vec<FdEvent> {
-        match self {
-            CampaignFd::Oracle(f) => FailureDetector::<Tagged>::drain_events(f),
-            CampaignFd::Heartbeat(f) => FailureDetector::<Tagged>::drain_events(f),
-        }
-    }
-}
-
-/// Adapter: the per-execution consensus engine speaks
-/// `ConsensusMsg<u64>`; the wire carries [`Tagged`].
-struct ExecEnv<'a, 'b> {
-    ctx: &'a mut Ctx<'b, Tagged>,
-    exec: u32,
-}
-
-impl ConsensusEnv<u64> for ExecEnv<'_, '_> {
-    fn send(&mut self, to: ProcessId, msg: ConsensusMsg<u64>) {
-        self.ctx.send(
-            to,
-            Tagged {
-                exec: self.exec,
-                inner: msg,
-            },
-        );
-    }
-    fn broadcast_others(&mut self, msg: ConsensusMsg<u64>) {
-        self.ctx.broadcast_others(Tagged {
-            exec: self.exec,
-            inner: msg,
-        });
-    }
-    fn charge_work(&mut self) {
-        self.ctx.charge_work();
-    }
-    fn now_local(&self) -> SimTime {
-        self.ctx.now_local()
-    }
-    fn now_true(&self) -> SimTime {
-        self.ctx.now_true()
-    }
-}
-
-/// One process of a measurement campaign: a persistent failure detector
-/// plus a fresh consensus engine per execution.
-#[derive(Debug)]
-pub struct CampaignNode {
-    me: ProcessId,
-    n: usize,
+struct CampaignNode<F> {
     executions: u32,
     warmup: SimDuration,
     gap: SimDuration,
-    /// The failure detector (persists across executions, as in §4).
-    pub fd: CampaignFd,
-    cur: u32,
-    engine: CtConsensus<u64>,
+    /// The failure detector persists across executions, as in §4.
+    host: ConsensusNode<u64, F>,
     /// Local-clock decision stamps per execution.
-    pub decided_local: Vec<Option<SimTime>>,
+    decided_local: Vec<Option<SimTime>>,
     /// Rounds executed per finished execution (diagnostics).
-    pub rounds_per_exec: Vec<u64>,
-    future: Vec<(ProcessId, Tagged)>,
+    rounds_per_exec: Vec<u64>,
 }
 
-impl CampaignNode {
-    fn new(me: ProcessId, cfg: &TestbedConfig) -> Self {
-        let fd = match cfg.fd {
-            FdSetup::Oracle => {
-                let crashed: Vec<ProcessId> = cfg
-                    .crash
-                    .crashed_index()
-                    .map(ProcessId)
-                    .into_iter()
-                    .collect();
-                if crashed.is_empty() {
-                    CampaignFd::Oracle(OracleFd::accurate(cfg.n))
-                } else {
-                    CampaignFd::Oracle(OracleFd::suspecting(cfg.n, &crashed))
-                }
-            }
-            FdSetup::Heartbeat { timeout } => {
-                CampaignFd::Heartbeat(HeartbeatFd::new(me, cfg.n, FdParams::with_timeout(timeout)))
-            }
-        };
+impl<F> CampaignNode<F> {
+    fn new(me: ProcessId, cfg: &TestbedConfig, fd: F) -> Self {
         Self {
-            me,
-            n: cfg.n,
             executions: cfg.executions,
             warmup: SimDuration::from_ms(cfg.warmup_ms),
             gap: SimDuration::from_ms(cfg.isolation_gap_ms),
-            fd,
-            cur: 0,
-            engine: CtConsensus::new(me, cfg.n),
+            host: ConsensusNode::passive(me, cfg.n, fd),
             decided_local: vec![None; cfg.executions as usize],
             rounds_per_exec: Vec::new(),
-            future: Vec::new(),
         }
     }
 
-    /// Rounds executed across all finished executions.
-    pub fn total_rounds(&self) -> u64 {
-        self.rounds_per_exec.iter().sum()
-    }
-
+    /// Call after anything that touched the engine.
     fn record_decision(&mut self) {
-        if let Some(t) = self.engine.decided_at_local() {
-            let slot = &mut self.decided_local[self.cur as usize];
-            if slot.is_none() {
-                *slot = Some(t);
-            }
+        if let Some(t) = self.host.consensus.decided_at_local() {
+            self.decided_local[self.host.instance() as usize].get_or_insert(t);
         }
-    }
-
-    fn pump_fd(&mut self, ctx: &mut Ctx<'_, Tagged>) {
-        let events = self.fd.drain_events();
-        if events.is_empty() {
-            return;
-        }
-        let fd = &self.fd;
-        let query = |q: ProcessId| fd.is_suspected(q);
-        let mut env = ExecEnv {
-            ctx,
-            exec: self.cur,
-        };
-        for ev in events {
-            self.engine
-                .on_suspicion(&mut env, ev.target, ev.suspected, &query);
-        }
-        self.record_decision();
-    }
-
-    fn switch_to(&mut self, ctx: &mut Ctx<'_, Tagged>, exec: u32) {
-        debug_assert!(exec > self.cur);
-        self.rounds_per_exec.push(self.engine.rounds_executed());
-        self.cur = exec;
-        self.engine = CtConsensus::new(self.me, self.n);
-        let cur = self.cur;
-        let mut replay = Vec::new();
-        self.future.retain(|(from, m)| {
-            if m.exec == cur {
-                replay.push((*from, m.clone()));
-                false
-            } else {
-                m.exec > cur
-            }
-        });
-        for (from, m) in replay {
-            self.feed_engine(ctx, from, m.inner);
-        }
-    }
-
-    fn feed_engine(&mut self, ctx: &mut Ctx<'_, Tagged>, from: ProcessId, msg: ConsensusMsg<u64>) {
-        let fd = &self.fd;
-        let query = |q: ProcessId| fd.is_suspected(q);
-        let mut env = ExecEnv {
-            ctx,
-            exec: self.cur,
-        };
-        self.engine.on_message(&mut env, from, msg, &query);
-        self.record_decision();
     }
 }
 
-impl Node<Tagged> for CampaignNode {
+impl<F: FailureDetector<Tagged>> Node<Tagged> for CampaignNode<F> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Tagged>) {
-        self.fd.on_start(ctx);
+        self.host.fd.on_start(ctx);
         // One precise timer per execution: all processes propose at the
         // same nominal instants (within clock-sync error), every
         // `isolation_gap` ms, exactly as the paper's harness does.
@@ -245,41 +85,31 @@ impl Node<Tagged> for CampaignNode {
     }
 
     fn on_app_message(&mut self, ctx: &mut Ctx<'_, Tagged>, from: ProcessId, msg: Tagged) {
-        self.fd.note_alive(ctx, from);
-        self.pump_fd(ctx);
-        if msg.exec == self.cur {
-            self.feed_engine(ctx, from, msg.inner);
-        } else if msg.exec > self.cur {
-            // An execution we have not reached (clock skew): buffer.
-            self.future.push((from, msg));
-        }
-        // Older executions: stale, dropped without work.
+        self.host.alive(ctx, from);
+        self.host.deliver(ctx, from, msg.exec as u64, msg.inner);
+        self.record_decision();
     }
 
     fn on_heartbeat(&mut self, ctx: &mut Ctx<'_, Tagged>, from: ProcessId) {
-        self.fd.note_alive(ctx, from);
-        self.pump_fd(ctx);
+        self.host.alive(ctx, from);
+        self.record_decision();
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Tagged>, token: u64) {
         if token < self.executions as u64 {
-            let k = token as u32;
-            if k > self.cur {
-                self.switch_to(ctx, k);
+            if token > self.host.instance() {
+                self.rounds_per_exec
+                    .push(self.host.consensus.rounds_executed());
+                self.host.advance(token);
+                while self.host.replay_next(ctx) {}
             }
-            if !self.engine.has_started() {
-                let fd = &self.fd;
-                let query = |q: ProcessId| fd.is_suspected(q);
-                let value = 100 + self.me.0 as u64;
-                let mut env = ExecEnv { ctx, exec: k };
-                self.engine.propose(&mut env, value, &query);
-                self.record_decision();
+            if !self.host.consensus.has_started() {
+                self.host.propose(ctx, 100 + ctx.me().0 as u64);
             }
-            return;
+        } else {
+            self.host.fd_timer(ctx, token);
         }
-        if self.fd.on_timer(ctx, token) {
-            self.pump_fd(ctx);
-        }
+        self.record_decision();
     }
 }
 
@@ -330,14 +160,52 @@ pub fn measured_latency(n: usize, executions: u32, seed: u64) -> CampaignResult 
 /// Runs one campaign to completion and extracts latencies and QoS.
 pub fn run_campaign(cfg: &TestbedConfig) -> CampaignResult {
     cfg.validate();
+    match cfg.fd {
+        FdSetup::Oracle => {
+            let crashed = cfg.crash.crashed_index().map(ProcessId);
+            run(
+                cfg,
+                |_| OracleFd::suspecting(cfg.n, crashed.as_slice()),
+                |_, _| None,
+            )
+        }
+        FdSetup::Heartbeat { timeout } => run(
+            cfg,
+            |p| HeartbeatFd::new(p, cfg.n, FdParams::with_timeout(timeout)),
+            // Whole-experiment QoS from the heartbeat histories.
+            |rt, end| {
+                let mut pairs = Vec::new();
+                for i in 0..cfg.n {
+                    let hb = &rt.node(ProcessId(i)).host.fd;
+                    for j in (0..cfg.n).filter(|&j| j != i) {
+                        pairs.push(estimate_pair_qos(&PairHistory {
+                            transitions: hb.history(ProcessId(j)).to_vec(),
+                            start: SimTime::ZERO,
+                            end,
+                            initially_suspected: false,
+                        }));
+                    }
+                }
+                Some(aggregate_qos(&pairs))
+            },
+        ),
+    }
+}
+
+/// The campaign proper, for one kind of failure detector.
+fn run<F: FailureDetector<Tagged>>(
+    cfg: &TestbedConfig,
+    fd: impl Fn(ProcessId) -> F,
+    qos: impl FnOnce(&Runtime<Tagged, CampaignNode<F>>, SimTime) -> Option<QosSummary>,
+) -> CampaignResult {
     let n = cfg.n;
-    let mut rt: Runtime<Tagged, CampaignNode> = Runtime::new(
+    let mut rt = Runtime::new(
         n,
         cfg.net.clone(),
         cfg.host.clone(),
         cfg.node.clone(),
         SimRng::new(cfg.seed),
-        |p| CampaignNode::new(p, cfg),
+        |p| CampaignNode::new(p, cfg, fd(p)),
     );
     if let Some(idx) = cfg.crash.crashed_index() {
         rt.crash(ProcessId(idx));
@@ -368,36 +236,10 @@ pub fn run_campaign(cfg: &TestbedConfig) -> CampaignResult {
     }
     let undecided = per_exec.iter().filter(|x| x.is_none()).count();
 
-    // Whole-experiment QoS from heartbeat histories (class 3).
-    let qos = match cfg.fd {
-        FdSetup::Oracle => None,
-        FdSetup::Heartbeat { .. } => {
-            let mut pairs = Vec::new();
-            for i in 0..n {
-                let Some(hb) = rt.node(ProcessId(i)).fd.heartbeat() else {
-                    continue;
-                };
-                for j in 0..n {
-                    if i == j {
-                        continue;
-                    }
-                    pairs.push(estimate_pair_qos(&PairHistory {
-                        transitions: hb.history(ProcessId(j)).to_vec(),
-                        start: SimTime::ZERO,
-                        end,
-                        initially_suspected: false,
-                    }));
-                }
-            }
-            Some(aggregate_qos(&pairs))
-        }
-    };
-
     let mut rounds_sum = 0u64;
     let mut rounds_cnt = 0u64;
-    for i in 0..n {
-        let node = rt.node(ProcessId(i));
-        rounds_sum += node.total_rounds();
+    for node in rt.nodes() {
+        rounds_sum += node.rounds_per_exec.iter().sum::<u64>();
         rounds_cnt += node.rounds_per_exec.len() as u64;
     }
     let mean_rounds = if rounds_cnt == 0 {
@@ -412,7 +254,7 @@ pub fn run_campaign(cfg: &TestbedConfig) -> CampaignResult {
         per_exec,
         undecided,
         stats,
-        qos,
+        qos: qos(&rt, end),
         mean_rounds,
         duration_ms: end.as_ms(),
     }

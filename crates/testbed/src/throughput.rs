@@ -10,8 +10,9 @@
 //! no idle separation; throughput is the number of decided instances
 //! per second over the steady-state window.
 
-use ctsim_core::consensus::{ConsensusEnv, ConsensusMsg, CtConsensus};
+use ctsim_core::node::ConsensusNode;
 use ctsim_des::{SimDuration, SimTime};
+use ctsim_fd::OracleFd;
 use ctsim_neko::NodeConfig;
 use ctsim_neko::{Ctx, Node, ProcessId, Runtime, TimerKind};
 use ctsim_netsim::{HostParams, NetParams};
@@ -19,59 +20,23 @@ use ctsim_stoch::SimRng;
 
 use crate::campaign::Tagged;
 
-/// One process of the throughput scenario.
+/// One process of the throughput scenario: instance `k + 1` starts the
+/// moment this process decides `k`. No failures, no suspicions.
 #[derive(Debug)]
 pub struct ThroughputNode {
-    me: ProcessId,
-    n: usize,
-    cur: u32,
-    engine: CtConsensus<u64>,
+    host: ConsensusNode<u64, OracleFd>,
     /// True time of each decision, in instance order.
     pub decided_at: Vec<SimTime>,
-    future: Vec<(ProcessId, Tagged)>,
-}
-
-struct ExecEnv<'a, 'b> {
-    ctx: &'a mut Ctx<'b, Tagged>,
-    exec: u32,
-}
-
-impl ConsensusEnv<u64> for ExecEnv<'_, '_> {
-    fn send(&mut self, to: ProcessId, msg: ConsensusMsg<u64>) {
-        self.ctx.send(
-            to,
-            Tagged {
-                exec: self.exec,
-                inner: msg,
-            },
-        );
-    }
-    fn broadcast_others(&mut self, msg: ConsensusMsg<u64>) {
-        self.ctx.broadcast_others(Tagged {
-            exec: self.exec,
-            inner: msg,
-        });
-    }
-    fn charge_work(&mut self) {
-        self.ctx.charge_work();
-    }
-    fn now_local(&self) -> SimTime {
-        self.ctx.now_local()
-    }
-    fn now_true(&self) -> SimTime {
-        self.ctx.now_true()
-    }
+    /// The value of each decision, in instance order.
+    pub decided_values: Vec<u64>,
 }
 
 impl ThroughputNode {
     fn new(me: ProcessId, n: usize) -> Self {
         Self {
-            me,
-            n,
-            cur: 0,
-            engine: CtConsensus::new(me, n),
+            host: ConsensusNode::passive(me, n, OracleFd::accurate(n)),
             decided_at: Vec::new(),
-            future: Vec::new(),
+            decided_values: Vec::new(),
         }
     }
 
@@ -79,42 +44,24 @@ impl ThroughputNode {
     /// decision and immediately propose in the next instance — the
     /// paper's throughput scenario.
     fn chain(&mut self, ctx: &mut Ctx<'_, Tagged>) {
+        let proposal = 100 + ctx.me().0 as u64;
         // Loop: replayed buffered messages may decide several
         // instances back-to-back.
         loop {
-            if self.engine.decision().is_none() {
-                if !self.engine.has_started() {
-                    let mut env = ExecEnv {
-                        ctx,
-                        exec: self.cur,
-                    };
-                    self.engine
-                        .propose(&mut env, 100 + self.me.0 as u64, &|_| false);
-                    continue;
+            let engine = &self.host.consensus;
+            let Some(&value) = engine.decision() else {
+                if engine.has_started() {
+                    return;
                 }
-                return;
-            }
+                self.host.propose(ctx, proposal);
+                continue;
+            };
             self.decided_at
-                .push(self.engine.decided_at_true().expect("decided"));
-            self.cur += 1;
-            self.engine = CtConsensus::new(self.me, self.n);
-            let cur = self.cur;
-            let mut replay = Vec::new();
-            self.future.retain(|(from, m)| {
-                if m.exec == cur {
-                    replay.push((*from, m.clone()));
-                    false
-                } else {
-                    m.exec > cur
-                }
-            });
-            let mut env = ExecEnv { ctx, exec: cur };
-            self.engine
-                .propose(&mut env, 100 + self.me.0 as u64, &|_| false);
-            for (from, m) in replay {
-                let mut env = ExecEnv { ctx, exec: cur };
-                self.engine.on_message(&mut env, from, m.inner, &|_| false);
-            }
+                .push(engine.decided_at_true().expect("decided"));
+            self.decided_values.push(value);
+            self.host.advance(self.host.instance() + 1);
+            self.host.propose(ctx, proposal);
+            while self.host.replay_next(ctx) {}
         }
     }
 }
@@ -125,23 +72,20 @@ impl Node<Tagged> for ThroughputNode {
     }
 
     fn on_app_message(&mut self, ctx: &mut Ctx<'_, Tagged>, from: ProcessId, msg: Tagged) {
-        if msg.exec == self.cur {
-            let mut env = ExecEnv {
-                ctx,
-                exec: self.cur,
-            };
-            self.engine
-                .on_message(&mut env, from, msg.inner, &|_| false);
+        self.host.alive(ctx, from);
+        if self.host.deliver(ctx, from, msg.exec as u64, msg.inner) {
             self.chain(ctx);
-        } else if msg.exec > self.cur {
-            self.future.push((from, msg));
         }
     }
 
-    fn on_heartbeat(&mut self, _ctx: &mut Ctx<'_, Tagged>, _from: ProcessId) {}
+    fn on_heartbeat(&mut self, ctx: &mut Ctx<'_, Tagged>, from: ProcessId) {
+        self.host.alive(ctx, from);
+    }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Tagged>, _token: u64) {
-        self.chain(ctx);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Tagged>, token: u64) {
+        if !self.host.fd_timer(ctx, token) {
+            self.chain(ctx);
+        }
     }
 }
 
@@ -250,15 +194,25 @@ mod tests {
             |p| ThroughputNode::new(p, n),
         );
         rt.run_until(SimTime::from_ms(200.0));
-        let min_len = (0..n)
-            .map(|i| rt.node(ProcessId(i)).decided_at.len())
-            .min()
-            .unwrap();
+        let logs: Vec<&[u64]> = rt.nodes().iter().map(|nd| &nd.decided_values[..]).collect();
+        let min_len = logs.iter().map(|l| l.len()).min().unwrap();
         assert!(min_len > 10);
+        let longest = logs.iter().max_by_key(|l| l.len()).unwrap();
+        for (k, v) in longest.iter().enumerate() {
+            assert!(
+                (100..100 + n as u64).contains(v),
+                "validity: instance {k} decided {v}"
+            );
+            for (i, log) in logs.iter().enumerate() {
+                if let Some(d) = log.get(k) {
+                    assert_eq!(d, v, "agreement: instance {k} at p{}", i + 1);
+                }
+            }
+        }
         // Decision *times* are ordered per process (chained).
-        for i in 0..n {
-            let d = &rt.node(ProcessId(i)).decided_at;
-            assert!(d.windows(2).all(|w| w[0] <= w[1]));
+        for nd in rt.nodes() {
+            assert_eq!(nd.decided_at.len(), nd.decided_values.len());
+            assert!(nd.decided_at.windows(2).all(|w| w[0] <= w[1]));
         }
     }
 }

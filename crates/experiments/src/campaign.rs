@@ -1059,12 +1059,13 @@ impl Campaign {
     }
 
     /// Iterations saved by warm starting, summed over warm-started
-    /// rows with a cold twin.
-    pub fn warm_iterations_saved(&self) -> usize {
+    /// rows with a cold twin. Signed: a warm start that costs more
+    /// iterations than its cold twin counts against the sum.
+    pub fn warm_iterations_saved(&self) -> i64 {
         self.rows
             .iter()
             .filter(|r| r.warm_start)
-            .filter_map(|r| Some(r.cold_iterations?.saturating_sub(r.iterations)))
+            .filter_map(|r| Some(r.cold_iterations? as i64 - r.iterations as i64))
             .sum()
     }
 

@@ -316,7 +316,7 @@ enum PackedStates {
 impl PackedStates {
     /// Reads state `i`'s packed words (`words` per state) into `buf`
     /// without borrowing the whole `StateSpace` — the rate rebuild
-    /// decodes states while the transition arena is mutably borrowed.
+    /// reads phase fields while the transition arena is mutably borrowed.
     fn read_into(&self, words: usize, i: usize, buf: &mut [u64]) {
         match self {
             PackedStates::Store { store, per_seg } => {
@@ -622,12 +622,15 @@ impl<'m> StateSpace<'m> {
     /// shape) but differ in timing parameters, the reachability graph
     /// and its CSR sparsity are identical; only rate values change.
     ///
-    /// Stage rates are a pure function of `(activity, source state)`
-    /// and the duplicate fold in `merge_outgoing` never mixes them, so
-    /// the rewritten transitions — and a CSR rebuilt from them via
-    /// [`Ctmc::rebuild_values`] — are bit-identical to a fresh
-    /// exploration of the new model. The initial distribution and
-    /// absorbing marks are rate-independent and stay valid as-is.
+    /// A rate is a table entry: `1/mean` of an unexpanded activity, or
+    /// the stage rate at an expanded activity's phase counter — the one
+    /// field read from the source state's packed key, which is fetched
+    /// only for rows that hold such a transition (no state is decoded,
+    /// and at order 0 none is touched). The duplicate fold in
+    /// `merge_outgoing` never mixes rates, so the rewritten transitions
+    /// — and a CSR rebuilt from them via [`Ctmc::rebuild_values`] — are
+    /// bit-identical to a fresh exploration of the new model. The
+    /// initial distribution and absorbing marks are rate-independent.
     ///
     /// Fails with [`SolveError::StructureMismatch`] when the new
     /// model's expansion shape differs (e.g. a distribution change
@@ -661,20 +664,21 @@ impl<'m> StateSpace<'m> {
         let packed = &self.packed;
         let words = layout.words();
         let mut key = vec![0u64; words];
-        let mut ext = vec![0u32; layout.num_fields()];
         self.trans.update_rows(&self.row_locs, |i, row| {
-            if row.is_empty() {
-                return;
-            }
-            packed.read_into(words, i, &mut key);
-            layout.decode(&key, &mut ext);
+            // The packed key is fetched only for a row that holds a
+            // transition of an expanded activity (none at order 0).
+            let mut have_key = false;
             for t in row {
                 let idx = t.activity.index();
                 t.rate = match expansion.plans[idx].as_ref() {
                     Some(plan) => {
+                        if !have_key {
+                            packed.read_into(words, i, &mut key);
+                            have_key = true;
+                        }
                         // A transition of an expanded activity exists
                         // only while its phase counter is active.
-                        let phase = ext[expansion.slots[idx]];
+                        let phase = layout.field(&key, expansion.slots[idx]);
                         debug_assert!(phase >= 1, "active expanded activity has phase 0");
                         plan.rates[(phase - 1) as usize]
                     }

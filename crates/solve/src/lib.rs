@@ -180,18 +180,19 @@
 //!   by a backward Gauss–Seidel substitution for absorption systems —
 //!   is the default choice for first-passage solves up to ~1 M states
 //!   (the canonical BFS numbering makes those systems near-triangular,
-//!   so GMRES closes in a handful of matvecs where sweeps need one
+//!   so GMRES closes in a handful of matvecs where Jacobi needs one
 //!   iteration per BFS level), and the *only* backend that survives
 //!   stiff two-timescale chains whose sweep contraction is `1 − O(ε)`.
 //! * [`SolverBackend::GaussSeidel`] — the reference. Smallest constant
-//!   factor per iteration; competitive again on multi-million-state
-//!   spaces where the Krylov basis and orthogonalization overhead
-//!   grow. Sequential by construction.
+//!   factor per iteration, and its absorption sweeps descend with the
+//!   canonical numbering, so a first-passage chain takes a few sweeps
+//!   rather than one per BFS level (the table predates that).
+//!   Sequential by construction; refuses disk-paged generators.
 //! * [`SolverBackend::Jacobi`] — every update is one sharded SpMV over
 //!   [`IterOptions::threads`] workers, so it is the backend that turns
-//!   cores into solve throughput on large chains; on a single core it
-//!   needs Gauss–Seidel-like iteration counts without the in-place
-//!   acceleration (the table above is single-thread — its worst case).
+//!   cores into solve throughput on large chains; it pays one step per
+//!   BFS level of a first-passage chain (the table above is
+//!   single-thread — its worst case).
 //!
 //! Every backend returns [`SolveError::NotConverged`] with finite
 //! diagnostics instead of NaNs or hangs on reducible or pathological

@@ -8,8 +8,10 @@
 //!   analytic counterpart of the simulator's mean-latency estimate.
 //!
 //! Both dispatch on [`IterOptions::backend`]:
-//! [`SolverBackend::GaussSeidel`] runs the original in-place sweeps
-//! (the reference), [`SolverBackend::Jacobi`] double-buffered
+//! [`SolverBackend::GaussSeidel`] runs in-place sweeps (the reference;
+//! absorption sweeps descend, with the canonical BFS numbering, so a
+//! first-passage chain takes a few sweeps, not one per BFS level),
+//! [`SolverBackend::Jacobi`] double-buffered
 //! Jacobi/uniformized-power steps whose updates are one sharded SpMV
 //! over [`IterOptions::threads`] workers, and [`SolverBackend::Krylov`]
 //! restarted GMRES (see the `krylov` module docs).
@@ -163,7 +165,9 @@ pub struct IterOptions {
     /// unnormalized) probability vector, for
     /// [`mean_time_to_absorption`] the previous
     /// [`AbsorptionTimes::per_state`] times. Ignored unless its length
-    /// matches the state count and every entry is finite.
+    /// matches the state count and every entry is finite. Krylov
+    /// absorption solves try the cold guess first and use the warm
+    /// iterate only when the cold guess misses the tolerance.
     ///
     /// Warm starting changes the iteration trajectory, so a converged
     /// answer agrees with the cold one only to the residual tolerance,
@@ -470,9 +474,11 @@ fn absorption_gauss_seidel<L: LinOp>(
         // place (Gauss–Seidel on Q_TT τ = -1; absorbing τ stay 0). The
         // pre-update defect |q_jj·τ_j + flow + 1| is a free by-product
         // of the same flow sum and serves as the convergence residual:
-        // it vanishes exactly at the fixed point.
+        // it vanishes exactly at the fixed point. The sweep descends:
+        // in the canonical BFS order successors almost always carry
+        // higher ids, so a row reads τ values this sweep already fixed.
         let mut residual = 0.0f64;
-        for j in 0..n {
+        for j in (0..n).rev() {
             if op.is_absorbing(j) {
                 continue;
             }
@@ -529,12 +535,80 @@ fn absorption_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<AbsorptionT
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::graph::{ReachOptions, StateSpace};
     use crate::Ctmc;
     use ctsim_san::{Activity, Case, SanBuilder, SanModel};
     use ctsim_stoch::Dist;
+
+    /// The first-passage chain `p0 → p1 → … → pk` with the given stage
+    /// means, `pk` absorbing. With `back`, the last transient station
+    /// also returns to `p0` at that mean: one cycle through every
+    /// transient state, the shape of `tests/solver_backends.rs`'s
+    /// `stiff_absorbing` (which is `absorbing_chain(&[f, s], Some(f))`).
+    pub(crate) fn absorbing_chain(means: &[f64], back: Option<f64>) -> Ctmc {
+        let mut b = SanBuilder::new("chain");
+        let places: Vec<_> = (0..=means.len())
+            .map(|i| b.place(format!("p{i}"), u32::from(i == 0)))
+            .collect();
+        for (i, &mean) in means.iter().enumerate() {
+            b.add_activity(
+                Activity::timed(format!("t{i}"), Dist::Exp { mean })
+                    .input(places[i], 1)
+                    .case(Case::with_prob(1.0).output(places[i + 1], 1)),
+            );
+        }
+        if let Some(mean) = back {
+            b.add_activity(
+                Activity::timed("back", Dist::Exp { mean })
+                    .input(places[means.len() - 1], 1)
+                    .case(Case::with_prob(1.0).output(places[0], 1)),
+            );
+        }
+        let m = b.build().unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        Ctmc::from_state_space(&ss).unwrap()
+    }
+
+    /// Gauss–Seidel sweeps with the chain: on a feed-forward chain the
+    /// first descending sweep lands on the solution and the second one
+    /// measures a zero defect — not one sweep per BFS level.
+    #[test]
+    fn descending_gauss_seidel_solves_a_pipeline_in_two_sweeps() {
+        let stages = [2.0, 5.0, 1.0, 0.25, 3.0, 0.5];
+        let q = absorbing_chain(&stages, None);
+        let sol = mean_time_to_absorption(&q, &IterOptions::default()).unwrap();
+        assert_eq!(sol.solved_by, SolverBackend::GaussSeidel);
+        assert_eq!(sol.iterations, 2);
+        assert!((sol.mean - stages.iter().sum::<f64>()).abs() < 1e-12);
+        let jacobi = IterOptions::with_backend(SolverBackend::Jacobi, 1);
+        let levels = mean_time_to_absorption(&q, &jacobi).unwrap().iterations;
+        assert!(levels > stages.len(), "Jacobi pays per level: {levels}");
+    }
+
+    /// On cyclic absorbing chains the descending sweep still converges
+    /// to the answer Krylov finds.
+    #[test]
+    fn descending_gauss_seidel_agrees_with_krylov_on_cyclic_chains() {
+        for (means, back) in [
+            (vec![1.0, 10.0], 1.0),
+            (vec![0.5, 50.0], 0.5),
+            (vec![2.0, 0.3, 4.0, 1.5, 6.0], 0.7),
+        ] {
+            let q = absorbing_chain(&means, Some(back));
+            let gs = mean_time_to_absorption(&q, &IterOptions::default()).unwrap();
+            let kr = IterOptions::with_backend(SolverBackend::Krylov, 1);
+            let kr = mean_time_to_absorption(&q, &kr).unwrap();
+            assert!(gs.iterations > 2, "{means:?}: the cycle needs sweeps");
+            assert!(
+                (gs.mean - kr.mean).abs() <= 1e-10 * kr.mean,
+                "{means:?}: GS {} vs Krylov {}",
+                gs.mean,
+                kr.mean
+            );
+        }
+    }
 
     fn cyclic(n_stations: usize, means: &[f64]) -> SanModel {
         let mut b = SanBuilder::new("cycle");

@@ -16,7 +16,7 @@ use ct_consensus_repro::san::{Activity, Case, SanBuilder, SanModel};
 use ct_consensus_repro::solve::{
     mean_time_to_absorption, IterOptions, ReachOptions, SolverBackend, SpillOptions, StateSpace,
 };
-use ct_consensus_repro::stoch::Dist;
+use ct_consensus_repro::stoch::{Dist, PhBranch};
 use proptest::prelude::*;
 
 /// Parallel lanes racing to fill `done`: per lane a 3-stage chain whose
@@ -179,11 +179,8 @@ proptest! {
 
         let rel = (warm.mean - cold.mean).abs() / cold.mean.abs().max(1e-300);
         prop_assert!(rel <= 1e-12, "warm {} vs cold {} (rel {:.3e})", warm.mean, cold.mean, rel);
-        // On graphs this small the cold solve may already converge at
-        // the first residual check; a warm seed can then only tie (plus
-        // at most one extra check), never win outright.
         prop_assert!(
-            warm.iterations <= cold.iterations + 1,
+            warm.iterations <= cold.iterations,
             "warm took {} iterations, cold {}",
             warm.iterations,
             cold.iterations
@@ -199,6 +196,130 @@ proptest! {
         prop_assert_eq!(exact.iterations, 1, "exact seed must converge in one iteration");
         prop_assert!((exact.mean - cold.mean).abs() <= 1e-12 * cold.mean.abs());
     }
+}
+
+/// Parallel three-stage lanes like [`lane_model`]'s, the stage
+/// distribution chosen by `dist(lane, stage, mean)`.
+fn lanes(means: &[f64], dist: impl Fn(usize, usize, f64) -> Dist) -> SanModel {
+    let mut b = SanBuilder::new("lanes");
+    for (lane, &mean) in means.iter().enumerate() {
+        let mut prev = b.place(format!("v{lane}_0"), 1);
+        for st in 0..3 {
+            let next = b.place(format!("v{lane}_{}", st + 1), 0);
+            b.add_activity(
+                Activity::timed(
+                    format!("tv{lane}_{st}"),
+                    dist(lane, st, mean * (1.0 + st as f64 * 0.25)),
+                )
+                .input(prev, 1)
+                .case(Case::with_prob(1.0).output(next, 1)),
+            );
+            prev = next;
+        }
+    }
+    b.build().expect("lane model is valid")
+}
+
+/// Det / Exp / hyper-Erlang stages. The hyper-Erlang's two branches
+/// run at *different* rates (a phase type passes through the fit at
+/// any order, probabilities bit-stable), so its five phases do not
+/// share one stage rate the way every two-moment fit of
+/// [`lane_model`] does: reading the wrong phase is a wrong rate.
+fn phase_sensitive_model(means: &[f64]) -> SanModel {
+    lanes(means, |lane, st, mean| match (lane + st) % 3 {
+        0 => Dist::Det(mean),
+        1 => Dist::Exp { mean },
+        _ => Dist::HyperErlang {
+            branches: vec![
+                PhBranch {
+                    prob: 0.3,
+                    stages: 2,
+                    rate: 1.0 / mean,
+                },
+                PhBranch {
+                    prob: 0.7,
+                    stages: 3,
+                    rate: 6.0 / mean,
+                },
+            ],
+        },
+    })
+}
+
+/// Explores `model_a` under `opts`, re-attaches the graph to `model_b`,
+/// rebuilds rates and CSR values, and holds both to the bits of a
+/// fresh resident one-thread exploration of `model_b`.
+fn assert_rebuild_matches_fresh(model_a: &SanModel, model_b: &SanModel, opts: &ReachOptions) {
+    let (ss_a, mut ctmc) = StateSpace::explore_ctmc(model_a, opts).expect("explore A");
+    let mut ss = StateSpace::from_parts(model_b, ss_a.into_parts()).expect("same structure");
+    ss.rebuild_rates().expect("rate-only rebuild");
+    ctmc.rebuild_values(&ss).expect("CSR value rewrite");
+    let fresh_opts = ReachOptions {
+        threads: 1,
+        spill: None,
+        ..opts.clone()
+    };
+    let (fresh_ss, fresh_ctmc) = StateSpace::explore_ctmc(model_b, &fresh_opts).expect("explore B");
+
+    assert_eq!(ss.len(), fresh_ss.len());
+    let row_bits = |ss: &StateSpace<'_>, i: usize| {
+        ss.outgoing(i)
+            .iter()
+            .map(|t| (t.target, t.activity, t.rate.to_bits(), t.prob.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    for i in 0..ss.len() {
+        assert_eq!(row_bits(&ss, i), row_bits(&fresh_ss, i), "row {i}");
+    }
+    let (rp_a, col_a, rate_a, diag_a) = ctmc.csr_owned();
+    let (rp_b, col_b, rate_b, diag_b) = fresh_ctmc.csr_owned();
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!((rp_a, col_a), (rp_b, col_b));
+    assert_eq!(bits(&rate_a), bits(&rate_b));
+    assert_eq!(bits(&diag_a), bits(&diag_b));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 6, .. ProptestConfig::default()
+    })]
+
+    /// The byte-identity property at every expansion order: the one
+    /// phase field the rebuild reads per expanded transition selects
+    /// the same stage rate a fresh exploration computes, whatever the
+    /// slot widths (1, 2 or 3 stages per branch) and with the packed
+    /// states resident or spilled.
+    #[test]
+    fn rate_rebuild_is_byte_identical_at_every_expansion_order(
+        means_a in proptest::collection::vec(0.2f64..2.0, 2..4),
+        scale in 0.25f64..4.0,
+        ph_order in 1u32..4,
+        spill in 0usize..2,
+    ) {
+        let means_b: Vec<f64> = means_a.iter().map(|m| m * scale).collect();
+        let spill = if spill == 0 { None } else { tiny_spill() };
+        let opts = ReachOptions { ph_order, ..reach(2, spill) };
+        assert_rebuild_matches_fresh(
+            &phase_sensitive_model(&means_a),
+            &phase_sensitive_model(&means_b),
+            &opts,
+        );
+    }
+}
+
+/// The path the campaign benchmark runs: order 0, exponential-only, no
+/// phase counter anywhere — so no packed key is fetched — with the
+/// transition arena and the packed states spilled under a 4 KB budget.
+#[test]
+fn order_zero_rate_rebuild_under_spill_is_byte_identical() {
+    let means = [0.4, 0.9, 1.4, 0.6];
+    let scaled: Vec<f64> = means.iter().map(|m| m * 1.7).collect();
+    let opts = ReachOptions {
+        ph_order: 0,
+        ..reach(2, tiny_spill())
+    };
+    let exp = |_, _, mean| Dist::Exp { mean };
+    assert_rebuild_matches_fresh(&lanes(&means, exp), &lanes(&scaled, exp), &opts);
 }
 
 /// The spill-safety regression (campaign bugfix): a graph explored

@@ -13,7 +13,7 @@
 //! `--net-scales`/`--backends` or an explicit `--grid FILE.csv` — is
 //! swept through the analytic solver with one exploration per
 //! structural family (cached reachability + rate-only CSR rebuild) and
-//! warm-started iterative solves. `--verify-cold` re-runs every point
+//! warm-started Jacobi solves. `--verify-cold` re-runs every point
 //! cold and records per-row agreement plus the measured speedup (the
 //! CI campaign job gates on those columns); `--measure E` adds testbed
 //! measured-latency reference rows with `E` executions per `n`. Output:

@@ -11,12 +11,13 @@
 //! [`attach`](DetachedRun::attach) it to the next point's — a
 //! values-only rewrite of transition rates and CSR entries that is
 //! bit-identical to a fresh exploration at the new rates — and solve.
-//! Consecutive points of a group additionally warm-start the iterative
+//! Consecutive Jacobi points of a group additionally warm-start the
 //! solver from the previous point's first-passage vector
-//! ([`IterOptions::warm_start`]) — for every backend except
-//! Gauss–Seidel, whose rows the CI campaign gate compares against cold
-//! runs *bit for bit* (warm starting changes the iteration trajectory,
-//! so GS stays cold-seeded by design).
+//! ([`IterOptions::warm_start`]). Gauss–Seidel and Krylov stay
+//! cold-seeded: the CI campaign gate compares their rows against cold
+//! runs *bit for bit* (warm starting changes the iteration
+//! trajectory), and Krylov's cold guess is already exact on acyclic
+//! chains.
 //!
 //! Structural groups are independent, so they run on parallel workers;
 //! points inside a group run sequentially (they hand the one graph and
@@ -280,9 +281,9 @@ pub struct PointRow {
     pub cold_ms: Option<f64>,
     /// `--verify-cold` only: iterations of the cold solve.
     pub cold_iterations: Option<usize>,
-    /// `--verify-cold` only: whether warm and cold means agree —
-    /// bit-for-bit for Gauss–Seidel (never warm-started), ≤ 1e-10
-    /// relative for warm-started iterative backends.
+    /// `--verify-cold` only: whether campaign and cold means agree —
+    /// bit-for-bit unless the solve was warm-started, then ≤ 1e-10
+    /// relative.
     pub agree: Option<bool>,
 }
 
@@ -969,16 +970,18 @@ fn run_point(
     };
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
 
-    // Solve phase. Gauss–Seidel stays cold-seeded so its campaign rows
-    // are bit-identical to cold runs; the other backends warm-start
-    // from the previous point of the same group + backend.
+    // Solve phase. Only Jacobi warm-starts, from the previous point of
+    // the same group + backend. Gauss–Seidel stays cold-seeded so its
+    // campaign rows are bit-identical to cold runs, and a Krylov
+    // absorption solve takes no seed: its cold guess is already exact
+    // on acyclic chains.
     let mut iter = IterOptions {
         backend: spec.backend,
         threads: solve_threads,
         fallback: opts.fallback,
         ..IterOptions::default()
     };
-    if spec.backend != SolverBackend::GaussSeidel {
+    if spec.backend == SolverBackend::Jacobi {
         if let Some((b, tau)) = warm.as_ref() {
             if *b == spec.backend && tau.len() == run.space().len() {
                 iter.warm_start = Some(tau.clone());
@@ -1009,12 +1012,12 @@ fn run_point(
         cold_ms = Some(cold_start.elapsed().as_secs_f64() * 1e3);
         cold_mean_ms = Some(cold.mean_ms);
         cold_iterations = Some(cold.iterations);
-        agree = Some(if spec.backend == SolverBackend::GaussSeidel {
-            // Never warm-started and the rebuild is bit-identical, so
-            // the two trajectories are the same sequence of floats.
-            sol.mean.to_bits() == cold.mean_ms.to_bits()
-        } else {
+        agree = Some(if warm_start {
             (sol.mean - cold.mean_ms).abs() <= 1e-10 * cold.mean_ms.abs().max(1e-300)
+        } else {
+            // Cold-seeded and the rebuild is bit-identical, so the two
+            // trajectories are the same sequence of floats.
+            sol.mean.to_bits() == cold.mean_ms.to_bits()
         });
     }
 
@@ -1145,6 +1148,13 @@ impl Campaign {
             Some(x) => s.push_str(&format!("  \"speedup\": {x:.3},\n")),
             None => s.push_str("  \"speedup\": null,\n"),
         }
+        // Per row, so a losing warm start cannot be netted out by a
+        // winning one in the sum below; the CI campaign gate reads it.
+        let losses = self
+            .rows
+            .iter()
+            .filter(|r| r.warm_start && r.cold_iterations.is_some_and(|cold| r.iterations > cold));
+        s.push_str(&format!("  \"warm_start_losses\": {},\n", losses.count()));
         s.push_str(&format!(
             "  \"warm_iterations_saved\": {}\n",
             self.warm_iterations_saved()
@@ -1213,7 +1223,11 @@ mod tests {
             ns: vec![2],
             ph_orders: vec![0, 2],
             service_scales: vec![0.9, 1.0, 1.2],
-            backends: vec![SolverBackend::GaussSeidel, SolverBackend::Krylov],
+            backends: vec![
+                SolverBackend::GaussSeidel,
+                SolverBackend::Jacobi,
+                SolverBackend::Krylov,
+            ],
             threads: 2,
             verify_cold: verify,
             ..CampaignOptions::default()
@@ -1223,9 +1237,9 @@ mod tests {
     #[test]
     fn grid_cross_product_and_structural_grouping() {
         let specs = grid(&tiny(false)).unwrap();
-        // 1 n x 2 orders x 2 backends x 1 net x 3 service = 12 points,
+        // 1 n x 2 orders x 3 backends x 1 net x 3 service = 18 points,
         // but only 2 structural families (backend is not structural).
-        assert_eq!(specs.len(), 12);
+        assert_eq!(specs.len(), 18);
         let mut keys: Vec<StructuralKey> = specs.iter().map(PointSpec::key).collect();
         keys.dedup();
         keys.sort_by_key(|k| k.ph_order);
@@ -1251,26 +1265,21 @@ mod tests {
     #[test]
     fn campaign_caches_warm_starts_and_agrees_with_cold() {
         let c = run_with(7, &tiny(true)).unwrap();
-        assert_eq!(c.rows.len(), 12);
+        assert_eq!(c.rows.len(), 18);
         // Exactly one cold exploration per structural family; every
         // other point is a rate-only rebuild.
         let cold: Vec<&PointRow> = c.rows.iter().filter(|r| !r.cache_hit).collect();
         assert_eq!(cold.len(), 2, "one miss per structural group");
         assert_eq!(c.cache_misses, 2);
-        assert_eq!(c.cache_hits, 10);
-        // Gauss-Seidel rows are never warm-started; Krylov rows after
-        // the first of each group are.
-        assert!(c
-            .rows
-            .iter()
-            .filter(|r| r.spec.backend == SolverBackend::GaussSeidel)
-            .all(|r| !r.warm_start));
-        let krylov_warm = c
-            .rows
-            .iter()
-            .filter(|r| r.spec.backend == SolverBackend::Krylov && r.warm_start)
-            .count();
-        assert!(krylov_warm >= 2, "warm-started krylov rows: {krylov_warm}");
+        assert_eq!(c.cache_hits, 16);
+        // Only Jacobi rows warm-start — every one after the first of
+        // its group — and none pays more iterations than its cold twin.
+        let warm: Vec<&PointRow> = c.rows.iter().filter(|r| r.warm_start).collect();
+        assert_eq!(warm.len(), 4, "{warm:?}");
+        for r in &warm {
+            assert_eq!(r.spec.backend, SolverBackend::Jacobi);
+            assert!(r.iterations <= r.cold_iterations.unwrap(), "{r:?}");
+        }
         // The verify-cold gate: every row agrees with its cold twin.
         assert!(c.rows.iter().all(|r| r.agree == Some(true)), "{:?}", c.rows);
         // Distinct service scales genuinely move the answer.
@@ -1284,7 +1293,7 @@ mod tests {
         assert!(means.windows(2).all(|w| w[0] < w[1]), "{means:?}");
         // Rendering and CSV round out the row.
         let rendered = c.render();
-        assert!(rendered.contains("cache 10 hits / 2 misses"));
+        assert!(rendered.contains("cache 16 hits / 2 misses"));
         assert!(c.speedup().is_some());
         let csv = c.rows[0].csv();
         assert_eq!(
@@ -1294,7 +1303,7 @@ mod tests {
         assert!(csv.ends_with(",true"));
         assert!(!c.heatmaps().is_empty());
         let json = c.summary_json();
-        assert!(json.contains("\"cache_hits\": 10"));
+        assert!(json.contains("\"cache_hits\": 16"));
     }
 
     /// Everything except wall-clock and cache-placement bookkeeping
@@ -1354,7 +1363,7 @@ mod tests {
         let full = run_with(7, &opts).unwrap();
         assert_deterministically_equal(&base, &full);
         let rec = Journal::open(&path).unwrap();
-        assert_eq!(rec.records.len(), 12, "one frame per completed point");
+        assert_eq!(rec.records.len(), 18, "one frame per completed point");
         assert_eq!(rec.truncated_bytes, 0);
         drop(rec);
 
@@ -1371,7 +1380,7 @@ mod tests {
         std::fs::write(&path, &crashed).unwrap();
 
         // Resume: the 5 journaled points replay verbatim, the torn tail
-        // is dropped, the other 7 re-solve — and every deterministic
+        // is dropped, the other 13 re-solve — and every deterministic
         // field, including the heatmaps, is bit-identical to the
         // uninterrupted run.
         let opts = CampaignOptions {
@@ -1384,7 +1393,7 @@ mod tests {
 
         // The journal is whole again after the resumed run.
         let rec = Journal::open(&path).unwrap();
-        assert_eq!(rec.records.len(), 12);
+        assert_eq!(rec.records.len(), 18);
         assert_eq!(rec.truncated_bytes, 0);
         drop(rec);
         std::fs::remove_file(&path).unwrap();

@@ -20,10 +20,9 @@
 //!   almost always carry higher state ids — so `D − U` captures almost
 //!   all of the operator and the preconditioned system sits a few
 //!   Arnoldi steps from the identity: GMRES closes in a handful of
-//!   matvecs where Jacobi steps need one iteration per BFS level. A
-//!   warm start checks the cold guess `(D − U)⁻¹ c` first — exact on
-//!   acyclic chains — and seeds GMRES from the previous `τ` only when
-//!   that misses the tolerance and the warm seed's residual is smaller.
+//!   matvecs where Jacobi steps need one iteration per BFS level.
+//!   Every absorption solve starts from the cold guess `(D − U)⁻¹ c` —
+//!   exact on acyclic chains — and ignores `IterOptions::warm_start`.
 //!
 //! On stiff two-timescale chains — where Gauss–Seidel and Jacobi
 //! sweeps crawl at `1 − O(ε)` per iteration — GMRES minimizes the
@@ -85,25 +84,22 @@ fn restart_dim(n: usize, opts: &IterOptions) -> usize {
 /// `apply` (which must write `A·v` into its second argument). `x` holds
 /// the initial guess and receives the solution. `check` maps the
 /// current iterate to the true (unpreconditioned) sup-norm residual the
-/// caller gates on; `seed_res` is that residual of the initial guess
-/// when the caller has already measured it, so the first check is not
-/// repeated. `trace_label` names the solve in the telemetry residual
-/// series and restart events. Returns `(matvecs, residual)` on
-/// convergence.
+/// caller gates on. `trace_label` names the solve in the telemetry
+/// residual series and restart events. Returns `(matvecs, residual)`
+/// on convergence.
 fn gmres<A, C>(
+    n: usize,
     apply: A,
     b: &[f64],
     x: &mut [f64],
     opts: &IterOptions,
     check: C,
-    mut seed_res: Option<f64>,
     trace_label: &'static str,
 ) -> Result<(usize, f64), SolveError>
 where
     A: Fn(&[f64], &mut [f64]),
     C: Fn(&[f64]) -> f64,
 {
-    let n = x.len();
     let m = restart_dim(n, opts);
     let mut matvecs = 0usize;
     let mut best_true = f64::INFINITY;
@@ -118,7 +114,7 @@ where
         } else {
             0
         };
-        let true_res = seed_res.take().unwrap_or_else(|| check(x));
+        let true_res = check(x);
         if ctsim_obs::enabled() {
             ctsim_obs::series_push(
                 &format!("solver.residual/{trace_label}"),
@@ -346,7 +342,7 @@ pub(crate) fn steady<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState
             op.apply_transposed(normed, qv, threads);
             qv.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
         };
-        gmres(apply, &b, &mut pi, opts, check, None, "krylov_steady")?
+        gmres(n, apply, &b, &mut pi, opts, check, "krylov_steady")?
     };
     // Normalize; clamp the tiny negative round-off a Krylov iterate can
     // carry, then re-verify the residual on the cleaned vector.
@@ -440,45 +436,12 @@ pub(crate) fn absorption<L: LinOp>(
         }
         res
     };
-    // Cold start: u₀ = c makes the initial guess τ₀ = (D − U)^{-1} c —
-    // one backward Gauss–Seidel sweep from zero, already the exact
-    // solution on acyclic chains. A warm start may never cost more
-    // than that: it checks the cold guess first (what a cold solve
-    // pays anyway) and only when that misses the tolerance measures
-    // the same sweep taken from the previous grid point's τ,
-    // u₀ = c + L τ (`L` the strict lower part). Either seed leaves a
-    // residual in the range of `L`, so neither opens a larger Krylov
-    // space; the one with the smaller true residual starts the cycle.
+    // u₀ = c makes the initial guess τ₀ = (D − U)^{-1} c — one backward
+    // Gauss–Seidel sweep from zero, already the exact solution on
+    // acyclic chains. A previous grid point's τ is not used: wherever
+    // it was measured it cost more matvecs than this guess.
     let mut u = c.clone();
-    let mut seed_res = None;
-    if let Some(mut u0) = crate::steady::initial_tau(op, opts) {
-        let mut res = check(&u);
-        if res > opts.tolerance {
-            for i in (0..n).rev() {
-                let mut acc = c[i];
-                op.for_each_in_row(i, |k, r| {
-                    if k < i {
-                        acc += r * u0[k];
-                    }
-                });
-                u0[i] = acc;
-            }
-            let warm_res = check(&u0);
-            if warm_res < res {
-                (u, res) = (u0, warm_res);
-            }
-        }
-        seed_res = Some(res);
-    }
-    let (iterations, residual) = gmres(
-        apply,
-        &c,
-        &mut u,
-        opts,
-        check,
-        seed_res,
-        "krylov_absorption",
-    )?;
+    let (iterations, residual) = gmres(n, apply, &c, &mut u, opts, check, "krylov_absorption")?;
     let mut tau = u;
     op.upper_solve(&mut tau);
     if tau.iter().any(|t| !t.is_finite()) {
@@ -599,56 +562,31 @@ mod tests {
         }
     }
 
-    /// On an acyclic chain the cold guess is exact, so a warm start —
-    /// here from the solution of quite different rates — returns it at
-    /// the first check: one iteration, the cold answer bit for bit.
+    /// Absorption solves are cold-seeded: a warm-start vector — wrong
+    /// (the solution of other rates) or exact — changes nothing, on an
+    /// acyclic chain (cold guess exact, one matvec) or a cyclic one.
     #[test]
-    fn wrong_warm_start_on_an_acyclic_chain_returns_the_cold_guess() {
+    fn absorption_ignores_the_warm_start_vector() {
+        let acyclic = absorbing_chain(&[2.0, 5.0, 1.0, 0.25], None);
         let other = absorbing_chain(&[9.0, 0.1, 30.0, 4.0], None);
-        let q = absorbing_chain(&[2.0, 5.0, 1.0, 0.25], None);
         let wrong = mean_time_to_absorption(&other, &krylov_opts(1)).unwrap();
-        let cold = mean_time_to_absorption(&q, &krylov_opts(1)).unwrap();
-        let warm_opts = IterOptions {
-            warm_start: Some(wrong.per_state),
-            ..krylov_opts(1)
-        };
-        let warm = mean_time_to_absorption(&q, &warm_opts).unwrap();
-        assert_eq!((cold.iterations, warm.iterations), (1, 1));
-        assert_eq!(warm.mean.to_bits(), cold.mean.to_bits());
-        assert_eq!(warm.residual.to_bits(), cold.residual.to_bits());
-    }
-
-    /// On a cyclic absorbing chain the cold guess misses, and the warm
-    /// seed earns its keep: the exact solution converges at the first
-    /// check, a near solution in no more matvecs than the cold start.
-    #[test]
-    fn warm_start_on_a_cyclic_chain_never_loses_to_cold() {
-        let means = [2.0, 0.3, 4.0, 1.5, 6.0, 0.8];
-        let q = absorbing_chain(&means, Some(0.7));
-        let cold = mean_time_to_absorption(&q, &krylov_opts(1)).unwrap();
-        assert!(cold.iterations > 1, "the cycle defeats the cold guess");
-        let warm_from = |tau: Vec<f64>| {
-            let opts = IterOptions {
-                warm_start: Some(tau),
+        let cyclic = absorbing_chain(&[2.0, 0.3, 4.0, 1.5, 6.0, 0.8], Some(0.7));
+        let exact = mean_time_to_absorption(&cyclic, &krylov_opts(1)).unwrap();
+        assert!(exact.iterations > 1, "the cycle defeats the cold guess");
+        for (q, seed, cold_iters) in [
+            (&acyclic, wrong.per_state, 1),
+            (&cyclic, exact.per_state.clone(), exact.iterations),
+        ] {
+            let cold = mean_time_to_absorption(q, &krylov_opts(1)).unwrap();
+            let warm_opts = IterOptions {
+                warm_start: Some(seed),
                 ..krylov_opts(1)
             };
-            mean_time_to_absorption(&q, &opts).unwrap()
-        };
-        let exact = warm_from(cold.per_state.clone());
-        assert_eq!(exact.iterations, 1);
-        assert!((exact.mean - cold.mean).abs() <= 1e-12 * cold.mean);
-
-        let near_means: Vec<f64> = means.iter().map(|m| m * 1.05).collect();
-        let near = absorbing_chain(&near_means, Some(0.7));
-        let near = mean_time_to_absorption(&near, &krylov_opts(1)).unwrap();
-        let warm = warm_from(near.per_state);
-        assert!(
-            warm.iterations <= cold.iterations,
-            "warm {} matvecs, cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-        assert!((warm.mean - cold.mean).abs() <= 1e-10 * cold.mean);
+            let warm = mean_time_to_absorption(q, &warm_opts).unwrap();
+            assert_eq!((cold.iterations, warm.iterations), (cold_iters, cold_iters));
+            assert_eq!(warm.mean.to_bits(), cold.mean.to_bits());
+            assert_eq!(warm.residual.to_bits(), cold.residual.to_bits());
+        }
     }
 
     #[test]

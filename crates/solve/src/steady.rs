@@ -166,8 +166,8 @@ pub struct IterOptions {
     /// [`mean_time_to_absorption`] the previous
     /// [`AbsorptionTimes::per_state`] times. Ignored unless its length
     /// matches the state count and every entry is finite. Krylov
-    /// absorption solves try the cold guess first and use the warm
-    /// iterate only when the cold guess misses the tolerance.
+    /// absorption solves ignore it: their cold guess is exact on
+    /// acyclic chains, and no measured seed beat it in matvecs.
     ///
     /// Warm starting changes the iteration trajectory, so a converged
     /// answer agrees with the cold one only to the residual tolerance,

@@ -13,7 +13,8 @@
 //! Telemetry is **off by default** and must be switched on explicitly
 //! with [`enable`]. While disabled, every recording entry point
 //! ([`span`], [`instant`], [`counter_add`], [`gauge_set`],
-//! [`series_push`], [`hist_record`], [`record_span`]) reduces to **one
+//! [`series_push`], [`hist_record`], [`hist_merge`], [`record_span`])
+//! reduces to **one
 //! relaxed atomic load and a predictable branch** — no clock read, no
 //! allocation, no lock. Instrumented hot loops additionally guard
 //! their argument construction behind [`enabled`] so a disabled build
@@ -165,7 +166,10 @@ pub struct Hist {
 }
 
 impl Hist {
-    fn record(&mut self, v: u64) {
+    /// Records one sample. A hot loop records into a `Hist` of its own
+    /// and hands it to [`hist_merge`] now and then, instead of paying
+    /// [`hist_record`]'s registry lock per sample.
+    pub fn record(&mut self, v: u64) {
         let bucket = if v <= 1 {
             0
         } else {
@@ -409,6 +413,25 @@ pub fn hist_record(name: &str, value: u64) {
         .entry(name.to_string())
         .or_default()
         .record(value);
+}
+
+/// Adds every sample of `part` to the named histogram, as if each had
+/// gone through [`hist_record`].
+pub fn hist_merge(name: &str, part: &Hist) {
+    if !enabled() || part.total == 0 {
+        return;
+    }
+    let mut hists = global().hists.lock().unwrap();
+    let h = hists.entry(name.to_string()).or_default();
+    if h.counts.len() < part.counts.len() {
+        h.counts.resize(part.counts.len(), 0);
+    }
+    for (into, &n) in h.counts.iter_mut().zip(&part.counts) {
+        *into += n;
+    }
+    h.total += part.total;
+    h.sum += part.sum;
+    h.max = h.max.max(part.max);
 }
 
 // ---------------------------------------------------------------------
@@ -819,6 +842,39 @@ mod tests {
         assert_eq!(h.counts[3], 1);
         assert_eq!(h.counts[4], 1);
         assert_eq!(h.counts[10], 1);
+    }
+
+    /// Merging locally recorded histograms reads the same as recording
+    /// every sample through the registry.
+    #[test]
+    fn hist_merge_equals_per_sample_recording() {
+        let _l = lock();
+        enable();
+        let samples = [1u64, 1, 2, 7, 1, 300, 3];
+        let (mut a, mut b) = (Hist::default(), Hist::default());
+        for (i, &v) in samples.iter().enumerate() {
+            hist_record("one.by.one", v);
+            if i % 2 == 0 { &mut a } else { &mut b }.record(v);
+        }
+        hist_merge("merged", &a);
+        hist_merge("merged", &b);
+        hist_merge("merged", &Hist::default());
+        let m = metrics_json();
+        let body = |name: &str| {
+            let at = m.find(&format!("\"{name}\": ")).expect("histogram present");
+            m[at + name.len() + 4..]
+                .lines()
+                .next()
+                .unwrap()
+                .trim_end_matches(',')
+                .to_string()
+        };
+        assert_eq!(body("merged"), body("one.by.one"), "{m}");
+        assert!(
+            body("merged").contains("\"total\": 7, \"sum\": 315, \"max\": 300"),
+            "{m}"
+        );
+        disable();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! External-memory BFS: delayed duplicate detection over sorted runs.
 //!
-//! The resident exploration path deduplicates states through a sharded
+//! The resident exploration path deduplicates states through an
 //! in-RAM intern table (`intern::Interner`), which makes the table plus
 //! its arena a hard RAM floor of `states × (8·words + 1)` bytes. This
 //! module is the classic external-memory alternative (Munagala–Ranade
@@ -38,7 +38,7 @@
 
 use std::sync::Arc;
 
-use crate::intern::{hash_key, InternFull, Interner};
+use crate::intern::{hash_key, InternFull};
 use crate::spill::SpillShared;
 use crate::SolveError;
 
@@ -59,18 +59,6 @@ pub(crate) trait DedupSink {
         key: &[u64],
         absorbing: impl FnOnce() -> bool,
     ) -> Result<usize, InternFull>;
-}
-
-/// The resident sharded intern table: shared reference, interned
-/// concurrently from every worker.
-impl DedupSink for &Interner {
-    fn intern_key(
-        &mut self,
-        key: &[u64],
-        absorbing: impl FnOnce() -> bool,
-    ) -> Result<usize, InternFull> {
-        Interner::intern(self, key, absorbing)
-    }
 }
 
 /// A worker-local candidate set of the external-memory path: inserts

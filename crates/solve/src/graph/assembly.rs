@@ -4,6 +4,7 @@
 //! the flat transition arena, and (optionally) the generator.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ctsim_san::{ActivityId, SanModel};
 
@@ -206,6 +207,8 @@ pub(super) struct Assembly<'m, D: Dedup> {
     pub(super) chain_pool: Vec<WorkerChain>,
     /// Spent level buffers awaiting reuse ([`Dedup::recycle`]).
     pub(super) level_pool: Vec<D::Level>,
+    /// Wall-clock spent in [`Self::emit_level`] so far.
+    pub(super) emit_time: Duration,
 }
 
 impl<'m, D: Dedup> Assembly<'m, D> {
@@ -227,6 +230,7 @@ impl<'m, D: Dedup> Assembly<'m, D> {
             runs_buf: Vec::new(),
             chain_pool: Vec::new(),
             level_pool: Vec::new(),
+            emit_time: Duration::ZERO,
         }
     }
 
@@ -271,6 +275,7 @@ impl<'m, D: Dedup> Assembly<'m, D> {
         let _csr_span = ctsim_obs::span("csr", "csr_build_level")
             .arg("lo", lo)
             .arg("states", hi - lo);
+        let started = Instant::now();
         self.index_runs(lo, hi, &chains);
         for rank in 0..(hi - lo) {
             let src = lo + rank;
@@ -308,6 +313,7 @@ impl<'m, D: Dedup> Assembly<'m, D> {
             self.chain_pool.push(chain);
         }
         self.level_pool.extend(D::recycle(data));
+        self.emit_time += started.elapsed();
         Ok(())
     }
 }

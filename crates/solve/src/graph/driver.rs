@@ -14,6 +14,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ctsim_san::SanModel;
 
@@ -23,7 +24,7 @@ use super::{PackedStates, ReachOptions, StateSpace};
 use crate::arena::SegStore;
 use crate::backend::GeneratorBackend;
 use crate::ddd::{resolve_level, CandSet, DedupSink, Frontier, VisitedRuns};
-use crate::intern::Interner;
+use crate::intern::{InternFull, Interner};
 use crate::linop::Generator;
 use crate::pack::StateLayout;
 use crate::spill::{DedupMode, SpillOptions, SpillShared};
@@ -55,6 +56,10 @@ const PARALLEL_THRESHOLD: usize = 32;
 const MIN_CLAIM: usize = 64;
 const MAX_CLAIM: usize = 8192;
 
+/// Shortest run of a level's keys worth a thread of its own when the
+/// level is sorted; a level under two of these is sorted inline.
+const SORT_RUN_MIN: usize = 1 << 10;
+
 /// One worker's persistent state: scratch buffers, the chain of
 /// transition segments it appends rows to during the current level, and
 /// the strategy's per-worker dedup state. Lives as long as its worker
@@ -63,6 +68,41 @@ pub(super) struct Worker<L> {
     scratch: Scratch,
     chain: WorkerChain,
     local: L,
+    /// Wall-clock of this worker's claim loop over the current level.
+    busy: Duration,
+}
+
+/// Where the sweep's wall-clock went, summed over the BFS levels: how
+/// long the expansion workers ran against how long they could have,
+/// and the two single-threaded steps between levels. `worker_busy_us /
+/// worker_slots_us` is the share of the expansion the workers spent
+/// working rather than waiting — for each other at the level barrier,
+/// or for a core.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepProfile {
+    /// Sum over levels and workers of the claim-loop wall-clock (µs).
+    pub worker_busy_us: u64,
+    /// Sum over levels of workers × expansion wall-clock (µs).
+    pub worker_slots_us: u64,
+    /// Sum over levels of the expansion wall-clock (µs); with more
+    /// than one worker the previous level's emission runs inside it.
+    pub expand_wall_us: u64,
+    /// Closing levels: canonical order of the next frontier, table
+    /// provisioning or the external merge (µs).
+    pub close_us: u64,
+    /// Streaming closed levels into the canonical stores (µs).
+    pub emit_us: u64,
+}
+
+impl SweepProfile {
+    /// `worker_busy_us / worker_slots_us` (1 for an empty sweep).
+    pub fn busy_ratio(&self) -> f64 {
+        if self.worker_slots_us == 0 {
+            1.0
+        } else {
+            self.worker_busy_us as f64 / self.worker_slots_us as f64
+        }
+    }
 }
 
 /// A state-deduplication strategy of the sweep. Entry `i` of the
@@ -166,11 +206,14 @@ fn canonical_initial(initial: Vec<(usize, f64)>, map: &[u32]) -> Vec<(usize, f64
 }
 
 /// Resident dedup: workers intern successors **directly** into the
-/// sharded lock-free [`Interner`], so ids are race-ordered and each
-/// level is sorted by packed key when it closes.
+/// lock-free [`Interner`], so ids are race-ordered and each level is
+/// sorted by packed key when it closes.
 pub(super) struct Resident {
     interner: Interner,
     words: usize,
+    /// Threads a level's sort may use: the sweep's worker count (they
+    /// are idle at the level barrier, where it runs).
+    workers: usize,
     /// Provisional → canonical id of every state on a closed level or
     /// the current frontier.
     canon: Vec<u32>,
@@ -193,6 +236,8 @@ pub(super) struct ResidentLevel {
     order: Vec<u32>,
     /// Packed keys in provisional order, `(id - lo) * words` each.
     keys: Vec<u64>,
+    /// The other buffer of the sort's merge rounds.
+    spare: Vec<u32>,
 }
 
 /// By default the intern arena stays the state backing and emission
@@ -203,12 +248,36 @@ pub(super) enum ResidentStates {
     Packed(SegStore<u64>),
 }
 
+/// One worker's handle on the shared intern table: the probe lengths
+/// it sees go to the worker's own histogram, folded into
+/// `intern.probe_len` when the level closes.
+pub(super) struct ResidentSink<'a> {
+    interner: &'a Interner,
+    probes: &'a mut ctsim_obs::Hist,
+}
+
+impl DedupSink for ResidentSink<'_> {
+    fn intern_key(
+        &mut self,
+        key: &[u64],
+        absorbing: impl FnOnce() -> bool,
+    ) -> Result<usize, InternFull> {
+        let (id, probes) = self.interner.intern_probed(key, absorbing)?;
+        self.probes.record(probes);
+        Ok(id)
+    }
+}
+
 impl Resident {
     fn seed(explorer: &Explorer<'_, '_>, workers: usize) -> Result<Seed<Self>, Abort> {
         let opts = explorer.opts;
         let words = explorer.layout.words();
         let interner = Interner::new(words, opts.max_states, workers);
-        let initial = explorer.seed_initial(&mut &interner)?;
+        // Level-0 seeding is not counted, as for `explore.transitions`.
+        let initial = explorer.seed_initial(&mut ResidentSink {
+            interner: &interner,
+            probes: &mut ctsim_obs::Hist::default(),
+        })?;
         let spill = match &opts.spill {
             Some(s) => Some(Arc::new(SpillShared::new(s)?)),
             None => None,
@@ -221,6 +290,7 @@ impl Resident {
             hi: interner.len(),
             interner,
             words,
+            workers,
             canon: Vec::new(),
             lo: 0,
             cur: ResidentLevel::default(),
@@ -242,6 +312,12 @@ impl Resident {
     /// Sorts the frontier `lo..hi` by packed key and assigns canonical
     /// ids (`lo + rank` — a BFS level occupies the same contiguous
     /// block in both numberings).
+    ///
+    /// This runs at the level barrier, so a level of at least two
+    /// [`SORT_RUN_MIN`] runs is cut into one run per worker, each copied
+    /// out of the arena and sorted on a thread of its own, and the runs
+    /// are merged. Keys within a level are distinct, so the order is
+    /// that of one `sort_unstable_by` over the whole level.
     fn canonize(&mut self, recycled: Option<ResidentLevel>) -> ResidentLevel {
         let (lo, hi, words) = (self.lo, self.hi, self.words);
         if lo == hi {
@@ -253,39 +329,112 @@ impl Resident {
         let ResidentLevel {
             mut order,
             mut keys,
+            mut spare,
         } = recycled.unwrap_or_default();
+        let len = hi - lo;
         keys.clear();
-        keys.resize((hi - lo) * words, 0);
-        for id in lo..hi {
-            let at = (id - lo) * words;
-            self.interner.read_state(id, &mut keys[at..at + words]);
-        }
+        keys.resize(len * words, 0);
+        order.clear();
+        order.extend((lo..hi).map(|i| i as u32));
+        let run_len = len.div_ceil(self.workers.min(len / SORT_RUN_MIN).max(1));
+        let interner = &self.interner;
+        // Reads one run's keys (provisional ids from `first` on) and
+        // sorts the run's ids by them.
+        let sort_run = |first: usize, ids: &mut [u32], keys: &mut [u64]| {
+            for (i, key) in keys.chunks_exact_mut(words).enumerate() {
+                interner.read_state(first + i, key);
+            }
+            let key = |id: u32| {
+                let at = (id as usize - first) * words;
+                &keys[at..at + words]
+            };
+            ids.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        };
+        std::thread::scope(|scope| {
+            let mut runs = order
+                .chunks_mut(run_len)
+                .zip(keys.chunks_mut(run_len * words))
+                .enumerate();
+            let (_, (ids0, keys0)) = runs.next().expect("the level is not empty");
+            for (r, (ids, keys)) in runs {
+                scope.spawn(move || sort_run(lo + r * run_len, ids, keys));
+            }
+            sort_run(lo, ids0, keys0);
+        });
         let key = |id: u32| {
             let at = (id as usize - lo) * words;
             &keys[at..at + words]
         };
-        order.clear();
-        order.extend((lo..hi).map(|i| i as u32));
-        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        merge_runs(&mut order, &mut spare, run_len, |&a, &b| key(a).cmp(key(b)));
         self.canon.resize(hi, 0);
         for (rank, &prov) in order.iter().enumerate() {
             self.canon[prov as usize] = (lo + rank) as u32;
         }
-        ResidentLevel { order, keys }
+        ResidentLevel { order, keys, spare }
+    }
+}
+
+/// Merges the sorted runs of `run_len` elements (the last may be
+/// shorter) `order` consists of into one, by rounds of pairwise merges
+/// between `order` and `spare`; the merges of one round run side by
+/// side. Leaves the result in `order`.
+fn merge_runs(
+    order: &mut Vec<u32>,
+    spare: &mut Vec<u32>,
+    run_len: usize,
+    cmp: impl Fn(&u32, &u32) -> std::cmp::Ordering + Sync,
+) {
+    let len = order.len();
+    let merge_pair = &|src: &[u32], dst: &mut [u32], mid: usize| {
+        let (left, right) = src.split_at(mid.min(src.len()));
+        let (mut l, mut r) = (0, 0);
+        for out in dst.iter_mut() {
+            let take_left =
+                r == right.len() || (l < left.len() && cmp(&left[l], &right[r]).is_le());
+            if take_left {
+                *out = left[l];
+                l += 1;
+            } else {
+                *out = right[r];
+                r += 1;
+            }
+        }
+    };
+    let mut width = run_len;
+    while width < len {
+        spare.clear();
+        spare.resize(len, 0);
+        std::thread::scope(|scope| {
+            let mut pairs = order.chunks(2 * width).zip(spare.chunks_mut(2 * width));
+            let first = pairs.next();
+            for (src, dst) in pairs {
+                scope.spawn(move || merge_pair(src, dst, width));
+            }
+            if let Some((src, dst)) = first {
+                merge_pair(src, dst, width);
+            }
+        });
+        std::mem::swap(order, spare);
+        width *= 2;
     }
 }
 
 impl Dedup for Resident {
     const SPAN: &'static str = "explore";
-    type Local = ();
-    type Sink<'a> = &'a Interner;
+    type Local = ctsim_obs::Hist;
+    type Sink<'a> = ResidentSink<'a>;
     type Level = ResidentLevel;
     type States = ResidentStates;
 
-    fn local(&self) -> Self::Local {}
+    fn local(&self) -> Self::Local {
+        ctsim_obs::Hist::default()
+    }
 
-    fn sink<'a>(&'a self, _: &'a mut ()) -> &'a Interner {
-        &self.interner
+    fn sink<'a>(&'a self, probes: &'a mut ctsim_obs::Hist) -> ResidentSink<'a> {
+        ResidentSink {
+            interner: &self.interner,
+            probes,
+        }
     }
 
     fn frontier_len(&self) -> usize {
@@ -306,7 +455,7 @@ impl Dedup for Resident {
     /// in external-memory mode.
     fn check_budget(&self) -> Result<(), Abort> {
         if let Some(limit) = self.auto_limit {
-            let (_, slots) = self.interner.table_stats();
+            let slots = self.interner.table_stats().slots;
             if self.interner.len() * (self.words * 8 + 1) + slots * 8 > limit {
                 return Err(Abort::Ddd);
             }
@@ -316,11 +465,22 @@ impl Dedup for Resident {
 
     fn close_level(
         &mut self,
-        _: &mut [Worker<()>],
+        workers: &mut [Worker<ctsim_obs::Hist>],
         hi: usize,
         recycled: Option<ResidentLevel>,
     ) -> Result<ResidentLevel, Abort> {
+        for w in workers {
+            ctsim_obs::hist_merge("intern.probe_len", &std::mem::take(&mut w.local));
+        }
         (self.lo, self.hi) = (hi, self.interner.len());
+        // The table grows here, where nothing else runs: the level just
+        // closed found `hi - lo` new states, and BFS levels of a model
+        // swell and shrink smoothly, so the next one is provisioned for
+        // as many again and half more. An underestimate is absorbed by
+        // the table's own slack first and by its mid-level path after
+        // that (`intern.midlevel_grows`).
+        let added = self.hi - self.lo;
+        self.interner.provision(added + added / 2);
         let next = self.canonize(recycled);
         Ok(std::mem::replace(&mut self.cur, next))
     }
@@ -353,23 +513,24 @@ impl Dedup for Resident {
 
     fn finish(self, states: ResidentStates) -> PackedStates {
         if ctsim_obs::enabled() {
-            // Snapshot the intern table before its hash shards are
-            // dropped.
-            let (used, slots) = self.interner.table_stats();
-            let occ = if slots > 0 {
-                used as f64 / slots as f64
+            // Snapshot the intern table before it is dropped.
+            let t = self.interner.table_stats();
+            let occ = if t.slots > 0 {
+                t.used as f64 / t.slots as f64
             } else {
                 0.0
             };
             ctsim_obs::gauge_set("intern.occupancy", occ);
-            ctsim_obs::gauge_set("intern.used_slots", used as f64);
-            ctsim_obs::gauge_set("intern.table_slots", slots as f64);
+            ctsim_obs::gauge_set("intern.used_slots", t.used as f64);
+            ctsim_obs::gauge_set("intern.table_slots", t.slots as f64);
+            ctsim_obs::counter_add("intern.midlevel_grows", t.midlevel_grows);
+            ctsim_obs::counter_add("intern.rehashed_entries", t.rehashed_entries);
         }
         match states {
             // Spill mode: the pageable copy is the backing; the intern
             // arena is freed wholesale right here.
             ResidentStates::Packed(store) => seal_packed(store, self.words),
-            // Default: keep the arena (hash tables dropped) — the
+            // Default: keep the arena (hash table dropped) — the
             // states exist exactly once in memory.
             ResidentStates::Perm(perm) => {
                 let mut interner = self.interner;
@@ -575,8 +736,11 @@ fn drive<'m, D: Dedup>(
             scratch: explorer.scratch(),
             chain: WorkerChain::default(),
             local: dedup.local(),
+            busy: Duration::ZERO,
         })
         .collect();
+    let mut profile = SweepProfile::default();
+    let micros = |since: Instant| since.elapsed().as_micros() as u64;
 
     let mut lvl_lo = 0usize;
     let mut level_idx = 0usize;
@@ -599,15 +763,17 @@ fn drive<'m, D: Dedup>(
                 scratch,
                 chain,
                 local,
+                busy,
             } = st;
+            let claimed = Instant::now();
             let mut sink = dedup.sink(local);
-            loop {
+            let outcome = 'claims: loop {
                 if failed.load(Ordering::Relaxed) {
-                    break;
+                    break Ok(());
                 }
                 let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                 if start >= len {
-                    break;
+                    break Ok(());
                 }
                 for i in start..(start + chunk).min(len) {
                     if dedup.absorbing(i) {
@@ -616,14 +782,16 @@ fn drive<'m, D: Dedup>(
                     dedup.read_key(i, &mut scratch.src_key);
                     if let Err(e) = explorer.successors_from_key(&mut sink, scratch) {
                         failed.store(true, Ordering::Relaxed);
-                        return Err(e);
+                        break 'claims Err(e);
                     }
                     chain.push_row(lvl_lo + i, &scratch.row);
                 }
-            }
-            Ok(())
+            };
+            *busy = claimed.elapsed();
+            outcome
         };
         let mut outcomes: Vec<Result<(), Abort>> = Vec::new();
+        let expanding;
         if effective <= 1 {
             // Sequential: emit the previous level first (freeing its
             // chains before this level allocates new ones), then
@@ -631,9 +799,11 @@ fn drive<'m, D: Dedup>(
             if let Some(p) = pending.take() {
                 asm.emit_level(&dedup, p)?;
             }
+            expanding = Instant::now();
             outcomes.push(worker_loop(&mut worker_states[0]));
         } else {
             let p = pending.take();
+            expanding = Instant::now();
             let emitted = std::thread::scope(|scope| {
                 let handles: Vec<_> = worker_states
                     .iter_mut()
@@ -679,7 +849,15 @@ fn drive<'m, D: Dedup>(
         if let Some(e) = err {
             return Err(e);
         }
+        let wall = micros(expanding);
+        profile.expand_wall_us += wall;
+        profile.worker_slots_us += wall * effective.max(1) as u64;
+        for st in worker_states.iter_mut() {
+            profile.worker_busy_us += std::mem::take(&mut st.busy).as_micros() as u64;
+        }
+        let closing = Instant::now();
         let data = dedup.close_level(&mut worker_states, lvl_hi, asm.level_pool.pop())?;
+        profile.close_us += micros(closing);
         let chains: Vec<WorkerChain> = worker_states
             .iter_mut()
             .map(|st| std::mem::take(&mut st.chain))
@@ -740,23 +918,35 @@ fn drive<'m, D: Dedup>(
     if let Some(p) = pending.take() {
         asm.emit_level(&dedup, p)?;
     }
+    profile.emit_us = asm.emit_time.as_micros() as u64;
 
     asm.trans.finish();
     if ctsim_obs::enabled() {
         ctsim_obs::gauge_set("explore.states_total", lvl_lo as f64);
+        ctsim_obs::gauge_set("explore.worker_busy_ratio", profile.busy_ratio());
+        ctsim_obs::counter_add("explore.worker_busy_us", profile.worker_busy_us);
+        ctsim_obs::counter_add("explore.worker_slots_us", profile.worker_slots_us);
+        ctsim_obs::counter_add("explore.expand_wall_us", profile.expand_wall_us);
+        ctsim_obs::counter_add("explore.close_us", profile.close_us);
+        ctsim_obs::counter_add("explore.emit_us", profile.emit_us);
         // Make sure the spill pager counters exist in the metrics
         // document even for an all-resident run.
         ctsim_obs::counter_add("spill.pager_hits", 0);
         ctsim_obs::counter_add("spill.pager_misses", 0);
         ctsim_obs::counter_add("spill.paged_out_bytes", 0);
     }
+    // The frontier is empty, so no key is looked up again: let the
+    // strategy release what only lookups needed before the generator's
+    // assembly allocates its arrays.
+    let packed = dedup.finish(asm.states);
     let gen = asm.gen.take().map(|acc| acc.finish(&initial));
     let ss = StateSpace {
         model,
         base: model.num_places(),
         phase_slots: explorer.expansion.num_slots(),
         layout: layout.clone(),
-        packed: dedup.finish(asm.states),
+        packed,
+        profile,
         trans: asm.trans,
         row_locs: asm.row_locs,
         total_trans: asm.total_trans,
@@ -793,6 +983,52 @@ mod tests {
         ReachOptions {
             spill: spill.clone(),
             ..ReachOptions::default()
+        }
+    }
+
+    /// The level sort — one run per worker, merged — gives the `order`
+    /// and `canon` of one plain sort over the level's keys: on a level
+    /// under the inline threshold, on one cut into two runs, and on one
+    /// cut into four ragged runs merged in two rounds.
+    #[test]
+    fn level_sort_equals_a_plain_sort() {
+        const WORDS: usize = 3;
+        let key = |i: usize| {
+            let x = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            // Few distinct leading words, so later words decide.
+            [x >> 62, (x >> 40) & 0xFF, x]
+        };
+        for (workers, sizes) in [
+            (2, [700, 2 * SORT_RUN_MIN + 1]),
+            (4, [5, 4 * SORT_RUN_MIN + 3]),
+        ] {
+            let interner = Interner::new(WORDS, 1 << 20, workers);
+            let mut dedup = Resident {
+                interner,
+                words: WORDS,
+                workers,
+                canon: Vec::new(),
+                lo: 0,
+                hi: 0,
+                cur: ResidentLevel::default(),
+                auto_limit: None,
+            };
+            for size in sizes {
+                let (lo, hi) = (dedup.hi, dedup.hi + size);
+                for i in lo..hi {
+                    assert_eq!(dedup.interner.intern(&key(i), || false), Ok(i));
+                }
+                (dedup.lo, dedup.hi) = (lo, hi);
+                let level = dedup.canonize(None);
+                let mut plain: Vec<u32> = (lo as u32..hi as u32).collect();
+                plain.sort_unstable_by_key(|&id| key(id as usize));
+                assert_eq!(level.order, plain, "{workers} workers, level of {size}");
+                for (rank, &prov) in plain.iter().enumerate() {
+                    assert_eq!(dedup.canon[prov as usize] as usize, lo + rank);
+                }
+                let keys: Vec<u64> = (lo..hi).flat_map(key).collect();
+                assert_eq!(level.keys, keys);
+            }
         }
     }
 

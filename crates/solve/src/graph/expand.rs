@@ -318,10 +318,12 @@ pub(super) struct Counts {
     pub(super) key_patches: u64,
 }
 
-/// The decoded source state of the expansion in progress.
+/// What is decoded of the source state of the expansion in progress
+/// ([`StateLayout::decode_source`]); single counters are read from the
+/// packed key when wanted.
 struct Source {
-    /// Extended state vector: places, then phase counters.
-    ext: Vec<u32>,
+    /// The place prefix on its way into `marking`.
+    places: Vec<u32>,
     /// The place prefix as a marking, change log empty.
     marking: Marking,
     /// Fields of the non-zero phase counters, ascending — the enabled
@@ -445,7 +447,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
             row: Vec::new(),
             counts: Counts::default(),
             src: Source {
-                ext: vec![0; self.layout.num_fields()],
+                places: vec![0; self.base],
                 marking: self.model.initial_marking(),
                 active: Vec::new(),
             },
@@ -486,12 +488,13 @@ impl<'m, 'a> Explorer<'m, 'a> {
         if self.oracle {
             return self.oracle_seed_initial(sink);
         }
-        // A new scratch holds the initial marking and zero counters.
+        // A new scratch holds the initial marking and no active phase.
         let mut scratch = self.scratch();
         let start = scratch.src.marking.clone();
-        scratch.src.ext[..self.base].copy_from_slice(start.tokens());
+        let mut ext = vec![0; self.layout.num_fields()];
+        ext[..self.base].copy_from_slice(start.tokens());
         self.layout
-            .encode(&scratch.src.ext, &mut scratch.src_key)
+            .encode(&ext, &mut scratch.src_key)
             .map_err(|_| Abort::Pack)?;
         self.settle(sink, &mut scratch, start, 1.0, None, true)?;
         let mut initial: Vec<(usize, f64)> = Vec::new();
@@ -552,11 +555,9 @@ impl Explorer<'_, '_> {
         let base = self.base;
         scratch.row.clear();
         let src = &mut scratch.src;
-        self.layout.decode(&scratch.src_key, &mut src.ext);
-        src.marking.assign(&src.ext[..base]);
-        src.active.clear();
-        src.active
-            .extend((base..src.ext.len()).filter(|&f| src.ext[f] != 0));
+        self.layout
+            .decode_source(&scratch.src_key, &mut src.places, &mut src.active);
+        src.marking.assign(&src.places);
         // Enabled timed activities in declaration order (the order of
         // the row's activity runs): an expanded one is enabled exactly
         // when its phase counter is non-zero, so those come from
@@ -607,7 +608,7 @@ impl Explorer<'_, '_> {
         let plan = self.expansion.plans[a.index()]
             .as_ref()
             .expect("expanded activity has a plan");
-        let phase = scratch.src.ext[field];
+        let phase = self.layout.field(&scratch.src_key, field);
         let rate = plan.rates[(phase - 1) as usize];
         if plan.last[(phase - 1) as usize] {
             return self.completions(sink, scratch, a, rate);
@@ -926,7 +927,7 @@ impl Explorer<'_, '_> {
         }
         for k in ones(dirty) {
             let (a, field) = self.expansion.expanded[k];
-            let old = src.ext[field];
+            let old = layout.field(src_key, field);
             counts.enabling_evals += 1;
             let entry: &[(u32, f64)] = if !self.model.is_enabled(a, marking) {
                 if old == 0 {

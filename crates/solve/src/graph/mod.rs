@@ -52,7 +52,7 @@
 //! Exploration fans out across [`ReachOptions::threads`] workers in a
 //! level-synchronous breadth-first sweep, but — unlike the former
 //! explore-then-sequentially-merge design — workers intern newly
-//! discovered states **directly** into a sharded lock-free state table
+//! discovered states **directly** into a lock-free state table
 //! (`intern::Interner`) while expanding: there is no serial merge phase left
 //! to cap the speedup.
 //!
@@ -130,6 +130,7 @@ use crate::pack::StateLayout;
 use crate::spill::{SpillOptions, SpillRecord};
 use crate::SolveError;
 
+pub use driver::SweepProfile;
 use expand::{AbsorbFn, Expansion, ExpansionShape};
 
 /// Exploration limits and expansion/parallelism knobs.
@@ -279,6 +280,8 @@ pub struct StateSpace<'m> {
     /// Structural fingerprint of the expansion — what
     /// [`StateSpace::rebuild_rates`] validates against.
     shape: ExpansionShape,
+    /// Where the exploration's wall-clock went.
+    profile: SweepProfile,
 }
 
 impl std::fmt::Debug for StateSpace<'_> {
@@ -351,6 +354,7 @@ pub struct GraphParts {
     initial: Vec<(usize, f64)>,
     absorbing: Vec<bool>,
     shape: ExpansionShape,
+    profile: SweepProfile,
 }
 
 impl GraphParts {
@@ -512,6 +516,11 @@ impl<'m> StateSpace<'m> {
         self.layout.words()
     }
 
+    /// Where the exploration's wall-clock went, level by level summed.
+    pub fn sweep_profile(&self) -> SweepProfile {
+        self.profile
+    }
+
     /// The raw packed words of state `i` (compare with
     /// [`StateSpace::packed_words`] for the whole space).
     pub fn packed_state(&self, i: usize) -> RowRef<'_, u64> {
@@ -578,6 +587,7 @@ impl<'m> StateSpace<'m> {
             initial: self.initial,
             absorbing: self.absorbing,
             shape: self.shape,
+            profile: self.profile,
         }
     }
 
@@ -612,6 +622,7 @@ impl<'m> StateSpace<'m> {
             absorbing: parts.absorbing,
             ph_order: parts.ph_order,
             shape: parts.shape,
+            profile: parts.profile,
         })
     }
 

@@ -5,16 +5,18 @@
 //! there is no sequential merge phase. The design is the classic
 //! model-checker state table:
 //!
-//! * **Sharded open-addressed hash tables.** The 64-bit state hash
-//!   picks a shard (high bits; 8 shards per worker, up to
-//!   [`MAX_SHARDS`]) and a probe start (low bits). Each shard is a
-//!   linear-probed array of `AtomicU64` slots
-//!   holding `0` (empty), [`BUSY`] (an insert in flight), or
-//!   `state_id + 1`. Lookup and insert are a CAS race: the first
-//!   worker to swing a slot from empty to [`BUSY`] allocates the state
-//!   id, writes the state, and publishes `id + 1` with release
-//!   ordering; racers spin the handful of nanoseconds the publish
-//!   takes, then compare keys and move on.
+//! * **One open-addressed hash table.** A linear-probed array of
+//!   `AtomicU64` slots holding `0` (empty), [`BUSY`] (an insert in
+//!   flight), or the high half of the state's hash next to
+//!   `state_id + 1`. The high half picks the probe start and doubles as
+//!   the tag a probe compares before it touches the state arena.
+//!   Lookup and insert are a CAS race: the first worker to swing a slot
+//!   from empty to [`BUSY`] allocates the state id, writes the state,
+//!   and publishes the slot with release ordering; racers spin the
+//!   handful of nanoseconds the publish takes, then compare keys and
+//!   move on. A lookup that ends in a published slot — a hit, or a walk
+//!   past other states — performs **loads only**: no lock word, no
+//!   reference count, nothing another worker's cache must give up.
 //! * **A segmented append-only arena.** State ids come from one global
 //!   `fetch_add` counter and index geometrically growing segments
 //!   (512 states, then 1024, 2048, … up to a 128k-state plateau)
@@ -24,11 +26,31 @@
 //!   exploration allocates kilobytes, a multi-million-state one
 //!   over-allocates at most one plateau granule, and the fixed
 //!   directory addresses the full 2³¹-state ceiling.
-//! * **Growth at a safe point per shard.** A shard past 50 % load is
-//!   rebuilt under the shard's `RwLock` write half; inserts hold the
-//!   read half, which makes claim-and-publish atomic with respect to
-//!   rehashing while leaving the common path a shared (uncontended)
-//!   lock acquisition plus a CAS.
+//! * **Growth at the level boundary.** The driver is single-threaded
+//!   between two BFS levels, and that is where the table grows:
+//!   [`Interner::provision`] (`&mut self`, so provably alone) rebuilds
+//!   it for the states so far plus those the next level is expected to
+//!   add, at no more than 50 % load. The rebuild re-reads nothing from
+//!   the arena — a slot carries the hash bits its new position is
+//!   computed from — so it is a sequential pass over the old slots.
+//! * **The rare level that outgrows its provision** (or a caller that
+//!   never provisions) stays correct without a lock on the lookup path:
+//!   the insert that takes the table past [`LOAD_MAX`] opens a further
+//!   *generation* — a fresh table twice the size — and from then on
+//!   inserts go to the newest generation while lookups walk all of
+//!   them, oldest first. An insert is valid only in the generation that
+//!   was newest when it claimed its slot: it re-reads the generation
+//!   index after the claim and backs out if a newer one has opened, so
+//!   a lookup that has seen the newer generation and found an older
+//!   table's probe run to end in an empty slot knows the key cannot
+//!   appear there later (all of these accesses are `SeqCst`; on x86-64
+//!   that changes no load). Opening a generation takes a mutex nobody
+//!   else ever touches; the next [`Interner::provision`] folds the
+//!   generations back into one table and counts what it moved.
+//! * **No false sharing on the hit path.** Everything a lookup reads —
+//!   `words`, the generation index, the slot pointers — is written only
+//!   by the two growth paths. The one word every insert writes, the id
+//!   counter, sits on a cache line of its own.
 //!
 //! Interned ids are **provisional**: they depend on the race outcomes
 //! and are only made deterministic by the canonical renumbering pass in
@@ -36,10 +58,7 @@
 //! exploration ever observes a provisional id.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{OnceLock, RwLock};
-
-/// Hard ceiling on hash-table shards (power of two).
-const MAX_SHARDS: usize = 64;
+use std::sync::{Mutex, OnceLock};
 
 /// States in the first arena segment (power of two); segment `k < `
 /// [`DOUBLING_SEGS`] holds `SEG0 << k` states, so early segments
@@ -79,148 +98,175 @@ fn seg_of(id: usize) -> (usize, usize, usize) {
     }
 }
 
-/// Slot marker for an insert in flight.
+/// Slot marker for an insert in flight. Never a published value: a
+/// published slot's low half is `id + 1 ≤ 2³¹`.
 const BUSY: u64 = u64::MAX;
 
-/// Initial slots across ALL shards (power of two). Small, so that
-/// exploring a hundred-state model does not pay for a table sized for
-/// millions — and independent of the shard count, so requesting many
-/// threads does not inflate the fixed setup either. Growth doubles a
-/// shard on demand and the rehash cost is amortised away within a few
-/// levels.
-const INITIAL_TOTAL_SLOTS: usize = 1 << 12;
+/// Slots of a new table (power of two). Small, so that exploring a
+/// hundred-state model does not pay for a table sized for millions;
+/// [`Interner::provision`] grows it level by level.
+const INITIAL_SLOTS: usize = 1 << 12;
 
-/// Floor on a single shard's table (power of two).
-const MIN_SHARD_SLOTS: usize = 1 << 6;
+/// Load, in eighths, past which an insert opens the next generation.
+/// Above the 50 % [`Interner::provision`] aims for, so a level may
+/// overrun its estimate by a quarter before the rare path runs.
+const LOAD_MAX: usize = 5;
+
+/// Generations a level can open: each doubles the previous one, so
+/// this many cover any table the slot format can index.
+const MAX_GENS: usize = 32;
 
 /// The intern table rejected a new state because the configured
 /// state cap is exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct InternFull;
 
-/// Bit positions of the 16-bit hash tag stored next to the id in each
-/// occupied slot: a probe compares tags before touching the state
-/// arena, so walking past a different state costs one slot load
-/// instead of a full key comparison (the arena read is the cache miss
-/// that dominates intern latency on multi-word keys). Tag bits 32..48
-/// of the hash are disjoint from both the shard-index bits (58..64)
-/// and the probe-start bits (low), so the tag stays informative within
-/// a probe sequence.
-const TAG_SHIFT: u32 = 32;
-const TAG_MASK: u64 = 0xFFFF;
+/// A published slot is the high half of the state's hash over
+/// `id + 1`. The hash half is both the probe start (its low bits, for
+/// any table size up to 2³²) and the tag a probe compares before
+/// touching the state arena, so walking past a different state costs
+/// one slot load instead of a full key comparison (the arena read is
+/// the cache miss that dominates intern latency on multi-word keys) —
+/// and a rebuild finds every entry's new position without the arena.
 const ID_MASK: u64 = 0xFFFF_FFFF;
 
-/// The tag field of a hash.
-fn tag_of(h: u64) -> u64 {
-    (h >> TAG_SHIFT) & TAG_MASK
-}
-
-struct TableInner {
+/// One generation of the hash table.
+struct Table {
     /// `0` = empty, [`BUSY`] = claim in flight, else
-    /// `tag << 32 | (id + 1)`.
+    /// `hash & !ID_MASK | (id + 1)`.
     slots: Box<[AtomicU64]>,
-    /// Published entries (monotone; grown tables keep the count).
-    used: AtomicUsize,
+    /// Every entry's id is at least this: the state count when the
+    /// generation opened (0 for a table [`Interner::provision`] built,
+    /// which holds every state).
+    base: usize,
 }
 
-impl TableInner {
-    fn with_capacity(cap: usize) -> Self {
+impl Table {
+    fn new(slots: usize, base: usize) -> Self {
         Self {
-            slots: (0..cap).map(|_| AtomicU64::new(0)).collect(),
-            used: AtomicUsize::new(0),
+            slots: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+            base,
         }
+    }
+
+    /// Entries past which an insert opens the next generation.
+    fn limit(&self) -> usize {
+        self.slots.len() / 8 * LOAD_MAX
     }
 }
 
-/// The sharded lock-free state intern table plus its state arena.
+/// Keeps `T` off the cache lines of its neighbours (two lines: the
+/// adjacent-line prefetcher pairs them).
+#[repr(align(128))]
+struct Isolated<T>(T);
+
+/// The lock-free state intern table plus its state arena.
 pub(crate) struct Interner {
     /// Packed words per state.
     words: usize,
     /// Hard cap on interned states.
     max_states: usize,
-    /// Next state id (monotone; may run ahead of the published count
-    /// only while an exploration is aborting on the cap).
-    count: AtomicUsize,
-    /// Shard count minus one (the shard-index mask).
-    shard_mask: u64,
-    shards: Box<[RwLock<TableInner>]>,
+    /// The hash table: generations `..= newest`, oldest first — one,
+    /// except between a level outgrowing its provision and the next
+    /// [`Interner::provision`].
+    gens: Box<[OnceLock<Table>]>,
+    /// Index of the generation inserts go to.
+    newest: AtomicUsize,
+    /// Serialises opening a generation; no lookup or insert takes it.
+    opening: Mutex<()>,
+    /// Generations opened by inserts, and entries moved by rebuilds.
+    midlevel_grows: AtomicU64,
+    rehashed_entries: u64,
     /// Packed state words, `(SEG0 << k) * words` in segment `k`.
     state_segs: Box<[OnceLock<Box<[AtomicU64]>>]>,
     /// One absorbing flag per state, same segment layout.
     flag_segs: Box<[OnceLock<Box<[AtomicU8]>>]>,
+    /// Next state id (monotone; may run ahead of the published count
+    /// only while an exploration is aborting on the cap). The one word
+    /// every insert writes, so it shares a line with nothing a lookup
+    /// reads.
+    count: Isolated<AtomicUsize>,
 }
 
 impl Interner {
     /// A table for states of `words` packed words, capped at
-    /// `max_states` entries, sized for `workers` concurrent writers.
-    ///
-    /// The shard count scales with the worker count (8 shards per
-    /// worker keeps the CAS contention negligible) so a sequential
-    /// exploration of a hundred-state model does not pay the fixed
-    /// setup of a 64-shard table. Shard count never affects results —
-    /// the canonical renumbering in `graph/driver.rs` erases every trace of
-    /// the table layout.
+    /// `max_states` entries, for at most `workers` concurrent writers.
     pub(crate) fn new(words: usize, max_states: usize, workers: usize) -> Self {
+        // Every writer may land one insert past `Table::limit` before
+        // it stops to open the next generation: keep that many slots
+        // free above the limit, so no generation ever fills.
+        let slots = (workers * 8).next_power_of_two().max(INITIAL_SLOTS);
+        Self::with_slots(words, max_states, slots)
+    }
+
+    fn with_slots(words: usize, max_states: usize, slots: usize) -> Self {
         // Beyond ~2³¹ states the exploration is hopeless anyway; the
         // doubling segments make the directory size independent of the
         // cap, so a generous cap costs nothing up front.
         let capped = max_states.min(1 << 31);
-        let shards = (workers.max(1) * 8)
-            .next_power_of_two()
-            .clamp(8, MAX_SHARDS);
-        let slots_per_shard = (INITIAL_TOTAL_SLOTS / shards).max(MIN_SHARD_SLOTS);
+        let mut gens: Box<[OnceLock<Table>]> = (0..MAX_GENS).map(|_| OnceLock::new()).collect();
+        gens[0] = OnceLock::from(Table::new(slots, 0));
         Self {
             words: words.max(1),
             max_states: capped,
-            count: AtomicUsize::new(0),
-            shard_mask: shards as u64 - 1,
-            shards: (0..shards)
-                .map(|_| RwLock::new(TableInner::with_capacity(slots_per_shard)))
-                .collect(),
+            gens,
+            newest: AtomicUsize::new(0),
+            opening: Mutex::new(()),
+            midlevel_grows: AtomicU64::new(0),
+            rehashed_entries: 0,
             state_segs: (0..NUM_SEGS).map(|_| OnceLock::new()).collect(),
             flag_segs: (0..NUM_SEGS).map(|_| OnceLock::new()).collect(),
+            count: Isolated(AtomicUsize::new(0)),
         }
     }
 
     /// Number of interned states. Exact once the workers that called
-    /// [`Interner::intern`] have been joined.
+    /// [`Interner::intern_probed`] have been joined.
     pub(crate) fn len(&self) -> usize {
-        self.count.load(Ordering::Acquire).min(self.max_states)
+        self.count.0.load(Ordering::Acquire).min(self.max_states)
     }
 
-    /// Looks `key` up, inserting it with a fresh id if absent.
-    /// `absorbing` is evaluated lazily — at most once, just before the
-    /// first claim attempt on an empty slot (so a lookup that resolves
-    /// to an already-published id without passing an empty slot never
-    /// runs it); the flag is stored with the state when this call wins
-    /// the insert race.
-    pub(crate) fn intern(
+    fn table(&self, generation: usize) -> &Table {
+        self.gens[generation]
+            .get()
+            .expect("generations up to `newest` are open")
+    }
+
+    /// Looks `key` up, inserting it with a fresh id if absent; returns
+    /// the id and the number of slots probed. `absorbing` is evaluated
+    /// lazily — at most once, just before the first claim attempt on an
+    /// empty slot (so a lookup that resolves to an already-published id
+    /// without passing an empty slot never runs it); the flag is stored
+    /// with the state when this call wins the insert race.
+    pub(crate) fn intern_probed(
         &self,
         key: &[u64],
         absorbing: impl FnOnce() -> bool,
-    ) -> Result<usize, InternFull> {
+    ) -> Result<(usize, u64), InternFull> {
         debug_assert_eq!(key.len(), self.words);
         let h = hash_key(key);
-        let shard = &self.shards[((h >> 58) & self.shard_mask) as usize];
+        let tag = h & !ID_MASK;
+        let start = (h >> 32) as usize;
         let mut flag: Option<bool> = None;
         let mut absorbing = Some(absorbing);
+        let mut probes = 0u64;
         loop {
-            let table = shard.read().expect("intern shard poisoned");
-            let mask = table.slots.len() - 1;
-            // Claiming into a nearly full table could starve the probe
-            // loop; grow first. 50 % load keeps probes short.
-            if table.used.load(Ordering::Relaxed) * 2 >= table.slots.len() {
-                drop(table);
-                self.grow(shard);
-                continue;
+            // SeqCst on this load, the slot loads, the claim and the
+            // store in `open_generation`: see the module docs.
+            let newest = self.newest.load(Ordering::SeqCst);
+            for generation in 0..newest {
+                if let Some(id) = self.find(self.table(generation), start, tag, key, &mut probes) {
+                    return Ok((id, probes));
+                }
             }
-            let mut idx = (h as usize) & mask;
-            let mut result = None;
-            let mut probes = 0u64;
+            let table = self.table(newest);
+            let mask = table.slots.len() - 1;
+            let mut idx = start & mask;
+            let mut superseded = false;
             'probe: for _ in 0..=mask {
                 probes += 1;
                 let slot = &table.slots[idx];
-                let mut v = slot.load(Ordering::Acquire);
+                let mut v = slot.load(Ordering::SeqCst);
                 loop {
                     match v {
                         0 => {
@@ -230,77 +276,155 @@ impl Interner {
                             if flag.is_none() {
                                 flag = Some(absorbing.take().is_some_and(|f| f()));
                             }
-                            match slot.compare_exchange(
-                                0,
-                                BUSY,
-                                Ordering::Acquire,
-                                Ordering::Acquire,
-                            ) {
-                                Ok(_) => {
-                                    let id = self.count.fetch_add(1, Ordering::AcqRel);
-                                    if id >= self.max_states {
-                                        slot.store(0, Ordering::Release);
-                                        return Err(InternFull);
-                                    }
-                                    self.write_state(id, key, flag.unwrap_or(false));
-                                    slot.store(
-                                        (tag_of(h) << TAG_SHIFT) | (id as u64 + 1),
-                                        Ordering::Release,
-                                    );
-                                    table.used.fetch_add(1, Ordering::Relaxed);
-                                    result = Some(id);
-                                    break 'probe;
-                                }
-                                Err(now) => {
-                                    v = now;
-                                    continue;
-                                }
+                            if let Err(now) =
+                                slot.compare_exchange(0, BUSY, Ordering::SeqCst, Ordering::SeqCst)
+                            {
+                                v = now;
+                                continue;
                             }
+                            if self.newest.load(Ordering::SeqCst) != newest {
+                                // A newer generation opened before the
+                                // claim: a lookup may already have
+                                // passed this slot. Start over there.
+                                slot.store(0, Ordering::SeqCst);
+                                superseded = true;
+                                break 'probe;
+                            }
+                            let id = self.count.0.fetch_add(1, Ordering::AcqRel);
+                            if id >= self.max_states {
+                                slot.store(0, Ordering::SeqCst);
+                                return Err(InternFull);
+                            }
+                            self.write_state(id, key, flag.unwrap_or(false));
+                            slot.store(tag | (id as u64 + 1), Ordering::Release);
+                            if id - table.base >= table.limit() {
+                                self.open_generation(newest);
+                            }
+                            return Ok((id, probes));
                         }
                         BUSY => {
                             // Publish is a few stores away; spin.
                             std::hint::spin_loop();
-                            v = slot.load(Ordering::Acquire);
-                            continue;
+                            v = slot.load(Ordering::SeqCst);
                         }
                         published => {
-                            if (published >> TAG_SHIFT) & TAG_MASK != tag_of(h) {
-                                break; // tag mismatch: next slot, no arena touch
-                            }
-                            let id = ((published & ID_MASK) - 1) as usize;
-                            if self.key_eq(id, key) {
-                                if ctsim_obs::enabled() {
-                                    ctsim_obs::hist_record("intern.probe_len", probes);
+                            if published & !ID_MASK == tag {
+                                let id = ((published & ID_MASK) - 1) as usize;
+                                if self.key_eq(id, key) {
+                                    return Ok((id, probes));
                                 }
-                                return Ok(id);
                             }
-                            break; // different state: next slot
+                            break; // another state: next slot
                         }
                     }
                 }
                 idx = (idx + 1) & mask;
             }
-            match result {
-                Some(id) => {
-                    let need_grow = table.used.load(Ordering::Relaxed) * 2 >= table.slots.len();
-                    drop(table);
-                    if need_grow {
-                        self.grow(shard);
-                    }
-                    if ctsim_obs::enabled() {
-                        ctsim_obs::hist_record("intern.probe_len", probes);
-                    }
-                    return Ok(id);
-                }
-                // Probe exhausted the whole table without an empty
-                // slot (only possible under extreme contention right
-                // at the load threshold): grow and retry.
-                None => {
-                    drop(table);
-                    self.grow(shard);
-                }
+            if !superseded {
+                // Every slot is taken: more writers than the table was
+                // built for.
+                self.open_generation(newest);
             }
         }
+    }
+
+    /// [`Self::intern_probed`] without the probe count.
+    #[cfg(test)]
+    pub(crate) fn intern(
+        &self,
+        key: &[u64],
+        absorbing: impl FnOnce() -> bool,
+    ) -> Result<usize, InternFull> {
+        self.intern_probed(key, absorbing).map(|(id, _)| id)
+    }
+
+    /// Looks `key` up in a generation that takes no more inserts.
+    fn find(
+        &self,
+        table: &Table,
+        start: usize,
+        tag: u64,
+        key: &[u64],
+        probes: &mut u64,
+    ) -> Option<usize> {
+        let mask = table.slots.len() - 1;
+        let mut idx = start & mask;
+        for _ in 0..=mask {
+            *probes += 1;
+            let slot = &table.slots[idx];
+            let published = loop {
+                match slot.load(Ordering::SeqCst) {
+                    // An insert validated before the next generation
+                    // opened is still publishing (or one that was not
+                    // is backing out); wait for the outcome.
+                    BUSY => std::hint::spin_loop(),
+                    v => break v,
+                }
+            };
+            if published == 0 {
+                return None;
+            }
+            if published & !ID_MASK == tag {
+                let id = ((published & ID_MASK) - 1) as usize;
+                if self.key_eq(id, key) {
+                    return Some(id);
+                }
+            }
+            idx = (idx + 1) & mask;
+        }
+        None
+    }
+
+    /// The rare path: generation `seen` is past its load limit in the
+    /// middle of a level, so open the next one (no-op if another
+    /// worker already has).
+    #[cold]
+    fn open_generation(&self, seen: usize) {
+        let _alone = self.opening.lock().expect("no panic while opening");
+        if self.newest.load(Ordering::SeqCst) != seen {
+            return;
+        }
+        assert!(seen + 1 < MAX_GENS, "intern table generations exhausted");
+        // Read before the generation is published, so every insert it
+        // takes draws a later id.
+        let base = self.len();
+        let slots = self.table(seen).slots.len() * 2;
+        self.gens[seen + 1].get_or_init(|| Table::new(slots, base));
+        self.midlevel_grows.fetch_add(1, Ordering::Relaxed);
+        self.newest.store(seen + 1, Ordering::SeqCst);
+    }
+
+    /// Makes room, between two levels, for `expected` further states at
+    /// no more than 50 % load, and folds any generations the last level
+    /// opened back into one table. Doubling only, so the table is never
+    /// more than twice what the states it was last sized for need.
+    pub(crate) fn provision(&mut self, expected: usize) {
+        let newest = *self.newest.get_mut();
+        let have = self.table(newest).slots.len();
+        let want = ((self.len() + expected) * 2).next_power_of_two();
+        if newest == 0 && want <= have {
+            return;
+        }
+        let table = Table::new(want.max(have), 0);
+        let mask = table.slots.len() - 1;
+        for old in self.gens.iter_mut().take(newest + 1) {
+            let old = old.take().expect("generations up to `newest` are open");
+            for slot in old.slots.iter() {
+                let v = slot.load(Ordering::Relaxed);
+                if v == 0 {
+                    continue;
+                }
+                debug_assert_ne!(v, BUSY, "no insert is in flight under `&mut self`");
+                let mut idx = (v >> 32) as usize & mask;
+                while table.slots[idx].load(Ordering::Relaxed) != 0 {
+                    idx = (idx + 1) & mask;
+                }
+                table.slots[idx].store(v, Ordering::Relaxed);
+            }
+        }
+        self.rehashed_entries += self.len() as u64;
+        self.gens[0] = OnceLock::from(table);
+        *self.newest.get_mut() = 0;
     }
 
     /// Copies state `id`'s packed words into `out`.
@@ -314,22 +438,28 @@ impl Interner {
         }
     }
 
-    /// Telemetry snapshot of the hash tables: `(published entries,
-    /// total slots)` summed over the shards — `(0, 0)` after
-    /// [`Interner::drop_tables`].
-    pub(crate) fn table_stats(&self) -> (usize, usize) {
-        self.shards.iter().fold((0, 0), |(used, slots), shard| {
-            let t = shard.read().expect("intern shard poisoned");
-            (used + t.used.load(Ordering::Relaxed), slots + t.slots.len())
-        })
+    /// Telemetry snapshot of the hash table.
+    pub(crate) fn table_stats(&self) -> TableStats {
+        let slots: usize = self
+            .gens
+            .iter()
+            .filter_map(|g| g.get())
+            .map(|t| t.slots.len())
+            .sum();
+        TableStats {
+            used: if slots == 0 { 0 } else { self.len() },
+            slots,
+            midlevel_grows: self.midlevel_grows.load(Ordering::Relaxed),
+            rehashed_entries: self.rehashed_entries,
+        }
     }
 
-    /// Frees the hash-table shards, keeping only the state arena.
-    /// Call once interning is over (e.g. when a `StateSpace` keeps the
-    /// arena as its packed-state backing): lookups by key are gone,
+    /// Frees the hash table, keeping only the state arena. Call once
+    /// interning is over (e.g. when a `StateSpace` keeps the arena as
+    /// its packed-state backing): lookups by key are gone,
     /// [`Interner::read_state`]/[`Interner::absorbing`] stay valid.
     pub(crate) fn drop_tables(&mut self) {
-        self.shards = Vec::new().into_boxed_slice();
+        self.gens = Vec::new().into_boxed_slice();
     }
 
     /// Whether state `id` was flagged absorbing at intern time.
@@ -361,48 +491,50 @@ impl Interner {
             self.flag_segs[k].get_or_init(|| (0..seg_len).map(|_| AtomicU8::new(0)).collect());
         flags[off].store(u8::from(absorbing), Ordering::Relaxed);
     }
-
-    /// Rebuilds `shard` at double capacity (no-op if another thread
-    /// already grew it past the load threshold).
-    fn grow(&self, shard: &RwLock<TableInner>) {
-        let mut guard = shard.write().expect("intern shard poisoned");
-        let used = guard.used.load(Ordering::Relaxed);
-        if used * 2 < guard.slots.len() {
-            return;
-        }
-        let new_cap = (guard.slots.len() * 2).max(MIN_SHARD_SLOTS);
-        let new_slots: Box<[AtomicU64]> = (0..new_cap).map(|_| AtomicU64::new(0)).collect();
-        let mask = new_cap - 1;
-        let mut scratch = vec![0u64; self.words];
-        for slot in guard.slots.iter() {
-            let v = slot.load(Ordering::Relaxed);
-            if v == 0 {
-                continue;
-            }
-            // No claim can be in flight while we hold the write lock.
-            debug_assert_ne!(v, BUSY);
-            self.read_state(((v & ID_MASK) - 1) as usize, &mut scratch);
-            let mut idx = (hash_key(&scratch) as usize) & mask;
-            while new_slots[idx].load(Ordering::Relaxed) != 0 {
-                idx = (idx + 1) & mask;
-            }
-            new_slots[idx].store(v, Ordering::Relaxed);
-        }
-        guard.slots = new_slots;
-    }
 }
 
-/// 64-bit hash of the packed words (multiply–xor with a splitmix64
-/// finalizer). Seed-free, so the table layout — though never observable
-/// in results — is at least reproducible under a debugger. Shared with
-/// the external-memory candidate tables in [`crate::ddd`].
+/// What [`Interner::table_stats`] reports: published entries and total
+/// slots over the open generations (both 0 after
+/// [`Interner::drop_tables`]), generations opened in the middle of a
+/// level, and entries moved by [`Interner::provision`].
+pub(crate) struct TableStats {
+    pub(crate) used: usize,
+    pub(crate) slots: usize,
+    pub(crate) midlevel_grows: u64,
+    pub(crate) rehashed_entries: u64,
+}
+
+/// 64-bit hash of the packed words: four independent multiply–xorshift
+/// lanes over the words four at a time — a state key is some twenty
+/// words, and one lane would chain that many dependent multiplies —
+/// folded through a splitmix64 finalizer. Seed-free, so the table
+/// layout — though never observable in results — is at least
+/// reproducible under a debugger. Shared with the external-memory
+/// candidate tables in [`crate::ddd`].
 pub(crate) fn hash_key(key: &[u64]) -> u64 {
-    let mut h = 0x9E37_79B9_7F4A_7C15u64;
-    for &w in key {
-        h ^= w;
-        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h ^= h >> 29;
+    const M: u64 = 0xBF58_476D_1CE4_E5B9;
+    let step = |lane: u64, w: u64| {
+        let x = (lane ^ w).wrapping_mul(M);
+        x ^ (x >> 29)
+    };
+    // Four named lanes: as an indexed array they live in memory and
+    // every step waits on a store-to-load forward.
+    let (mut a, mut b, mut c, mut d) = (
+        0x9E37_79B9_7F4A_7C15u64,
+        0xD1B5_4A32_D192_ED03u64,
+        0x8CB9_2BA7_2F3D_8DD7u64,
+        0xA24B_AED4_963E_E407u64,
+    );
+    let mut quads = key.chunks_exact(4);
+    for q in &mut quads {
+        (a, b, c, d) = (step(a, q[0]), step(b, q[1]), step(c, q[2]), step(d, q[3]));
     }
+    let mut lanes = [a, b, c, d];
+    for (lane, &w) in lanes.iter_mut().zip(quads.remainder()) {
+        *lane = step(*lane, w);
+    }
+    let [a, b, c, d] = lanes;
+    let mut h = (a ^ b.rotate_left(21)).wrapping_add((c ^ d.rotate_left(43)).wrapping_mul(M));
     h ^= h >> 27;
     h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
     h ^ (h >> 31)
@@ -512,6 +644,162 @@ mod tests {
             assert!(!seen[id], "duplicate id {id}");
             seen[id] = true;
             assert_eq!(t.absorbing(id), k[0] == 0);
+        }
+    }
+    /// The rare path made the common one: eight threads intern keys
+    /// that arrive level by level into a table that starts at 64 slots
+    /// and is provisioned for one more state each time while every level
+    /// triples the total, so each one outgrows it — with racing inserts
+    /// of the same keys, hits on keys in sealed generations, and claims
+    /// that lose to a generation opening under them.
+    #[test]
+    fn underprovisioned_levels_grow_mid_level_and_lose_nothing() {
+        const THREADS: usize = 8;
+        const LEVELS: usize = 8;
+        let mut t = Interner::with_slots(2, 1 << 20, 64);
+        let key = |i: usize| [(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15), i as u64 / 7];
+        let absorbing = |i: usize| i % 5 == 0;
+        // A level brings twice as many new keys as there are old ones;
+        // every thread also asks again for a stride of the old ones.
+        let mut known = 0usize;
+        let mut ids: Vec<usize> = Vec::new();
+        for level in 0..LEVELS {
+            let fresh = known..known + 2 * known.max(20);
+            let start = std::sync::Barrier::new(THREADS);
+            let seen: Vec<Vec<(usize, usize)>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|w| {
+                        let (t, start, fresh) = (&t, &start, fresh.clone());
+                        s.spawn(move || {
+                            start.wait();
+                            let old = (w..fresh.start).step_by(3);
+                            // Each thread walks the new keys from its own
+                            // offset, so first sight is spread over all.
+                            let rot = fresh.start + w * fresh.len() / THREADS;
+                            (rot..fresh.end)
+                                .chain(fresh.start..rot)
+                                .chain(old)
+                                .map(|i| (i, t.intern(&key(i), || absorbing(i)).unwrap()))
+                                .collect()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            known = fresh.end;
+            ids.resize(known, usize::MAX);
+            for (i, id) in seen.into_iter().flatten() {
+                assert!(ids[i] == usize::MAX || ids[i] == id, "key {i}: two ids");
+                ids[i] = id;
+            }
+            assert_eq!(t.len(), known, "level {level}: ids are dense");
+            t.provision(1);
+            assert_eq!(t.newest.load(Ordering::Relaxed), 0, "folded into one table");
+        }
+        let stats = t.table_stats();
+        assert!(
+            stats.midlevel_grows >= LEVELS as u64 - 1,
+            "the mid-level path ran {} times",
+            stats.midlevel_grows
+        );
+        assert!(stats.rehashed_entries >= known as u64);
+        // Every key is found again, under the id its level gave it,
+        // with its flag; the ids are a permutation of 0..known.
+        let mut taken = vec![false; known];
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(t.intern(&key(i), || unreachable!()).unwrap(), id);
+            assert!(!std::mem::replace(&mut taken[id], true), "id {id} twice");
+            assert_eq!(t.absorbing(id), absorbing(i));
+            let mut words = [0u64; 2];
+            t.read_state(id, &mut words);
+            assert_eq!(words, key(i));
+        }
+    }
+
+    /// A table provisioned for what a level brings does not leave the
+    /// one-table fast path, and stays within 25–50 % load.
+    #[test]
+    fn provisioned_levels_never_open_a_generation() {
+        let mut t = Interner::new(1, 1 << 20, 2);
+        let mut next = 0u64;
+        for level in 0..40u64 {
+            let adds = 10 + level * level * 3;
+            t.provision(adds as usize);
+            for _ in 0..adds {
+                t.intern(&[next], || false).unwrap();
+                next += 1;
+            }
+        }
+        let stats = t.table_stats();
+        assert_eq!(stats.midlevel_grows, 0);
+        assert_eq!(stats.used, next as usize);
+        assert!(stats.used * 2 <= stats.slots && stats.used * 4 > stats.slots);
+    }
+
+    /// Pairs of `keys` whose hashes agree in the 32 bits a table slot
+    /// keeps (probe start and tag), and the fullest of the 2¹⁷ buckets
+    /// the low 17 of those bits address.
+    fn slot_collisions(keys: impl Iterator<Item = Vec<u64>>) -> (usize, usize) {
+        let mut highs: Vec<u32> = keys.map(|k| (hash_key(&k) >> 32) as u32).collect();
+        highs.sort_unstable();
+        let same = highs.windows(2).filter(|w| w[0] == w[1]).count();
+        let mut buckets = vec![0usize; 1 << 17];
+        for h in highs {
+            buckets[h as usize & ((1 << 17) - 1)] += 1;
+        }
+        (same, buckets.into_iter().max().unwrap_or(0))
+    }
+
+    /// `hash_key` on the keys it is used for: every packed state of the
+    /// n = 3 exponential model (135 125 keys, most pairs differing in a
+    /// few 4-bit fields). Uniform 32-bit values would collide pairwise
+    /// n²/2³³ ≈ 2.1 times and fill the fullest of 2¹⁷ buckets (1.03 keys
+    /// on average) to 8 or 9; allow four times the first and 14.
+    #[test]
+    fn hash_spreads_the_consensus_state_space() {
+        let params = ctsim_models::SanParams::exponential_baseline(3);
+        let model = ctsim_models::build_model(&params);
+        let decided = ctsim_models::decided_place_ids(&model, 3);
+        let opts = crate::ReachOptions::default();
+        let ss = crate::StateSpace::explore_absorbing(&model, &opts, move |m| {
+            decided.iter().any(|&d| m.get(d) > 0)
+        })
+        .unwrap();
+        assert_eq!(ss.len(), 135_125);
+        let (same, fullest) = slot_collisions((0..ss.len()).map(|i| ss.packed_state(i).to_vec()));
+        assert!(same <= 8, "{same} colliding pairs, 2.1 expected");
+        assert!(fullest <= 14, "a bucket of {fullest}");
+    }
+
+    /// The hardest family for a lane-wise hash: keys that differ from a
+    /// base in exactly one 2-bit field — one lane sees the difference,
+    /// in as few as one bit. 22 words × 32 fields × 3 values = 2 112
+    /// keys per base: no two may share their 32 slot bits (5·10⁻⁴ pairs
+    /// expected), and no bucket of 2¹⁷ may take more than 3 (17 pairs,
+    /// 0.1 triples expected).
+    #[test]
+    fn hash_separates_keys_differing_in_one_two_bit_field() {
+        let bases = [
+            vec![0u64; 22],
+            vec![u64::MAX; 22],
+            (0..22u64)
+                .map(|w| w.wrapping_mul(0x0123_4567_89AB_CDEF))
+                .collect(),
+        ];
+        for base in bases {
+            let family = (0..22usize).flat_map(|word| {
+                let base = &base;
+                (0..32u32).flat_map(move |field| {
+                    (1..4u64).map(move |delta| {
+                        let mut key = base.clone();
+                        key[word] ^= delta << (2 * field);
+                        key
+                    })
+                })
+            });
+            let (same, fullest) = slot_collisions(family.chain([base.clone()]));
+            assert_eq!(same, 0, "two keys one field apart share their slot bits");
+            assert!(fullest <= 3, "a bucket of {fullest}");
         }
     }
 }

@@ -99,7 +99,7 @@
 //!
 //! [`ReachOptions::threads`] fans the breadth-first exploration out
 //! over `std::thread` workers that intern newly discovered states
-//! **concurrently** into a sharded lock-free hash table (CAS claims on
+//! **concurrently** into a lock-free hash table (CAS claims on
 //! open-addressed slots over a segmented append-only arena) — there is
 //! no sequential merge phase to cap the speedup, and states are stored
 //! bit-packed in a few `u64` words instead of `Arc<[u32]>` vectors
@@ -246,7 +246,7 @@ pub mod transient;
 pub use arena::RowRef;
 pub use backend::{GeneratorBackend, SolverBackend};
 pub use ctmc::{Ctmc, Incoming};
-pub use graph::{GraphParts, ReachOptions, StateSpace, Transition};
+pub use graph::{GraphParts, ReachOptions, StateSpace, SweepProfile, Transition};
 pub use kron::KronGenerator;
 pub use linop::{Generator, LinOp};
 pub use reward::{

@@ -29,6 +29,22 @@
 //! on the model's reachable token counts, never on thread interleaving,
 //! preserving the engine's determinism guarantee. Fields never straddle
 //! a word boundary, so encode/decode are a shift and a mask per field.
+//!
+//! # Reading a source state
+//!
+//! Successor generation reads three things of the state it expands: the
+//! marking, which expanded activities hold a phase, and a handful of
+//! individual counters. [`StateLayout::decode_source`] serves the first
+//! two without a per-field [`FieldSpec`]: because every place field has
+//! the *same* width — no place has a bound of its own, so all of them
+//! sit on one ladder rung and widen together — and every rung divides
+//! 64, the place prefix is `64 / width` fields per word at fixed shifts,
+//! unpacked by a loop the compiler unrolls per rung. Phase counters are
+//! zero for every activity that is not enabled, which in a state of a
+//! few hundred fields is almost all of them: the routine finds the
+//! non-zero ones by bit-scanning the phase words, so a zero word costs
+//! one test and a zero field nothing. The counters themselves are read
+//! on demand with [`StateLayout::field`].
 
 /// The place-field width retry ladder (bits). The last rung holds any
 /// `u32`, so a retry chain always terminates.
@@ -55,6 +71,14 @@ pub struct StateLayout {
     places: usize,
     /// Current rung of [`PLACE_WIDTH_LADDER`] used for place fields.
     place_rung: usize,
+    /// The word the first phase field sits in (or would): the place
+    /// prefix fills every word before it.
+    phase_word0: usize,
+    /// Per bit of the words from `phase_word0` on, the phase field
+    /// covering it (place and padding bits are never looked up): what
+    /// turns a set bit found by [`Self::decode_source`] back into its
+    /// field.
+    phase_at_bit: Vec<u32>,
 }
 
 /// Raised by [`StateLayout::encode`] and [`StateLayout::patch`] when a
@@ -89,11 +113,19 @@ impl StateLayout {
             shift += width;
         }
         let words = if fields.is_empty() { 1 } else { word + 1 };
+        let phase_word0 = places / (64 / place_bits) as usize;
+        let mut phase_at_bit = vec![0u32; words.saturating_sub(phase_word0) * 64];
+        for (i, f) in fields.iter().enumerate().skip(places) {
+            let lo = (f.word - phase_word0) * 64 + f.shift as usize;
+            phase_at_bit[lo..lo + f.width as usize].fill(i as u32);
+        }
         Self {
             fields,
             words,
             places,
             place_rung: rung,
+            phase_word0,
+            phase_at_bit,
         }
     }
 
@@ -201,11 +233,59 @@ impl StateLayout {
         }
     }
 
+    /// Unpacks what successor generation reads of a source state: the
+    /// place prefix into `tokens` (one per place) and, into `active`,
+    /// the fields of the non-zero phase counters, ascending. Equals
+    /// [`Self::decode`] restricted to those — see the module docs for
+    /// why it is cheaper.
+    pub(crate) fn decode_source(&self, words: &[u64], tokens: &mut [u32], active: &mut Vec<usize>) {
+        debug_assert_eq!(words.len(), self.words);
+        debug_assert_eq!(tokens.len(), self.places);
+        match PLACE_WIDTH_LADDER[self.place_rung] {
+            4 => unpack_uniform::<4>(words, tokens),
+            8 => unpack_uniform::<8>(words, tokens),
+            16 => unpack_uniform::<16>(words, tokens),
+            _ => unpack_uniform::<32>(words, tokens),
+        }
+        active.clear();
+        // The first phase field follows the last place field: in the
+        // same word when the prefix ends mid-word, whose place bits are
+        // masked off here.
+        let width = PLACE_WIDTH_LADDER[self.place_rung] as usize;
+        let shared_bits = self.places % (64 / width) * width;
+        for (w, &word) in words[self.phase_word0.min(words.len())..]
+            .iter()
+            .enumerate()
+        {
+            let mut rest = word;
+            if w == 0 {
+                rest &= !((1u64 << shared_bits) - 1);
+            }
+            while rest != 0 {
+                let field = self.phase_at_bit[w * 64 + rest.trailing_zeros() as usize] as usize;
+                let f = self.fields[field];
+                rest &= !(((1u64 << f.width) - 1) << f.shift);
+                active.push(field);
+            }
+        }
+    }
+
     /// Decodes into a fresh vector.
     pub(crate) fn decode_vec(&self, words: &[u64]) -> Vec<u32> {
         let mut out = vec![0u32; self.fields.len()];
         self.decode(words, &mut out);
         out
+    }
+}
+
+/// Unpacks `out.len()` fields of `WIDTH` bits each, `64 / WIDTH` to a
+/// word from bit 0 up — the layout of a uniform-width prefix.
+fn unpack_uniform<const WIDTH: u32>(words: &[u64], out: &mut [u32]) {
+    let mask = u64::MAX >> (64 - WIDTH);
+    for (chunk, &word) in out.chunks_mut((64 / WIDTH) as usize).zip(words) {
+        for (i, v) in chunk.iter_mut().enumerate() {
+            *v = ((word >> (i as u32 * WIDTH)) & mask) as u32;
+        }
     }
 }
 
@@ -329,6 +409,79 @@ mod tests {
         let mut words = vec![0u64; 1];
         layout.encode(&[], &mut words).unwrap();
         assert_eq!(words, [0]);
+    }
+
+    /// What `decode_source` and on-demand `field` reads must equal:
+    /// `decode` — the place prefix, and the fields of the non-zero
+    /// phase counters in ascending order.
+    fn assert_source_decode_agrees(layout: &StateLayout, values: &[u32]) {
+        let mut words = vec![0u64; layout.words()];
+        layout.encode(values, &mut words).expect("fits");
+        let full = layout.decode_vec(&words);
+        assert_eq!(full, values);
+        let mut tokens = vec![u32::MAX; layout.places];
+        let mut active = vec![usize::MAX; 3]; // stale content must go
+        layout.decode_source(&words, &mut tokens, &mut active);
+        assert_eq!(tokens, full[..layout.places]);
+        let expect: Vec<usize> = (layout.places..full.len())
+            .filter(|&f| full[f] != 0)
+            .collect();
+        assert_eq!(active, expect);
+        for (f, &v) in full.iter().enumerate() {
+            assert_eq!(layout.field(&words, f), v, "field {f}");
+        }
+    }
+
+    /// The two shapes the source decode has to get right at every
+    /// rung: a place prefix that ends mid-word and shares that word
+    /// with the first phase fields, and a layout with no phase field.
+    #[test]
+    fn source_decode_handles_a_shared_word_and_no_phases() {
+        for (rung, &bits) in PLACE_WIDTH_LADDER.iter().enumerate() {
+            let per_word = (64 / bits) as usize;
+            let max = ((1u64 << bits) - 1) as u32;
+            // One place past a full word, then phases in the same word.
+            let places = per_word + 1;
+            let layout = StateLayout::with_rung(places, &[3, 1, 7, 2], rung);
+            assert_eq!(layout.fields[places].word, 1, "{bits}-bit: shared word");
+            let mut values = vec![max; places];
+            values.extend([0, 1, 0, 2]);
+            assert_source_decode_agrees(&layout, &values);
+            // All places zero, all phases set: nothing leaks either way.
+            let mut values = vec![0; places];
+            values.extend([3, 1, 7, 2]);
+            assert_source_decode_agrees(&layout, &values);
+            // No phase fields: mid-word and word-aligned prefixes.
+            for places in [per_word - 1, per_word, 2 * per_word + 3] {
+                let layout = StateLayout::with_rung(places, &[], rung);
+                assert_source_decode_agrees(&layout, &vec![max; places]);
+            }
+        }
+        assert_source_decode_agrees(&StateLayout::new(0, &[]), &[]);
+        assert_source_decode_agrees(&StateLayout::new(0, &[5, 5]), &[0, 4]);
+    }
+
+    proptest::proptest! {
+        /// Random layouts at every ladder rung, random values (mostly
+        /// zero phase counters, like real states).
+        #[test]
+        fn source_decode_equals_full_decode(
+            places in 0usize..70,
+            phase_maxes in proptest::collection::vec(1u32..40, 0..90),
+            rung in 0usize..4,
+            seed in 0u64..(1 << 48),
+        ) {
+            let layout = StateLayout::with_rung(places, &phase_maxes, rung);
+            let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+            let place_max = (1u64 << PLACE_WIDTH_LADDER[rung]) - 1;
+            let mut values: Vec<u32> =
+                (0..places).map(|_| rng.below(place_max + 1) as u32).collect();
+            for &m in &phase_maxes {
+                let set = rng.below(4) == 0;
+                values.push(if set { 1 + rng.below(u64::from(m)) as u32 } else { 0 });
+            }
+            assert_source_decode_agrees(&layout, &values);
+        }
     }
 
     /// A dense random-ish pattern across three words round-trips.

@@ -98,6 +98,15 @@ fn main() {
         dt.as_secs_f64(),
         peak_rss_mb()
     );
+    let profile = ss.sweep_profile();
+    println!(
+        "workers busy {:.3} of threads × expand wall ({:.3}s of {:.3}s); close {:.3}s, emit {:.3}s",
+        profile.busy_ratio(),
+        profile.worker_busy_us as f64 / 1e6,
+        profile.worker_slots_us as f64 / 1e6,
+        profile.close_us as f64 / 1e6,
+        profile.emit_us as f64 / 1e6,
+    );
     println!(
         "peak live heap {:.1} MB, live after explore {:.1} MB, {} words/state",
         mb(alloc_counter::peak_bytes()),

@@ -12,17 +12,19 @@
 //! cross-product of `--ns`/`--ph-orders`/`--service-scales`/
 //! `--net-scales`/`--backends` or an explicit `--grid FILE.csv` — is
 //! swept through the analytic solver with one exploration per
-//! structural family (cached reachability + rate-only CSR rebuild) and
-//! warm-started Jacobi solves. `--verify-cold` re-runs every point
-//! cold and records per-row agreement plus the measured speedup (the
-//! CI campaign job gates on those columns); `--measure E` adds testbed
+//! structural family (cached reachability + rate-only CSR rebuild).
+//! `--verify-cold` re-runs every point cold and records per-row
+//! bit-for-bit agreement plus the measured speedup (the CI campaign job
+//! gates on those columns); `--measure E` adds testbed
 //! measured-latency reference rows with `E` executions per `n`. Output:
 //! `campaign.csv` (per-point rows), `campaign_heatmap_*.csv` (dense
 //! latency grids), `campaign_summary.json`, and, with `--measure`,
 //! `campaign_measured.csv`.
 //!
 //! Text renderings (with the paper's reference values inline) go to
-//! stdout; CSV series go to `--out` (default `results/`).
+//! stdout; CSV series go to `--out` (default `results/`). A result
+//! file that cannot be written is an error: the remaining subcommands
+//! still run, then the exit code is 1.
 //!
 //! `--ph-order`, `--threads`, `--n`, and `--solver` drive the
 //! `analytic` overlay: the phase-type expansion order used to
@@ -62,6 +64,7 @@
 //! per-site RNG substreams — the CI chaos job drives retry, typed
 //! failure, and crash/resume paths through exactly these flags.
 
+use std::cell::Cell;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -260,20 +263,34 @@ fn usage() -> String {
         .to_string()
 }
 
-fn write_csv(path: &Path, header: &str, rows: impl IntoIterator<Item = String>) {
-    let mut body = String::from(header);
-    body.push('\n');
-    for r in rows {
-        body.push_str(&r);
+/// The result files of one invocation, all directly under `--out`.
+struct ResultFiles<'a> {
+    dir: &'a Path,
+    /// Set once a file could not be written; the run carries on and
+    /// exits 1.
+    failed: Cell<bool>,
+}
+
+impl ResultFiles<'_> {
+    fn write(&self, name: &str, body: String) {
+        let path = self.dir.join(name);
+        match fs::create_dir_all(self.dir).and_then(|()| fs::write(&path, body)) {
+            Ok(()) => println!("wrote {}", path.display()),
+            Err(e) => {
+                eprintln!("error: writing {}: {e}", path.display());
+                self.failed.set(true);
+            }
+        }
+    }
+
+    fn csv(&self, name: &str, header: &str, rows: impl IntoIterator<Item = String>) {
+        let mut body = String::from(header);
         body.push('\n');
-    }
-    if let Some(dir) = path.parent() {
-        let _ = fs::create_dir_all(dir);
-    }
-    if let Err(e) = fs::write(path, body) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
+        for r in rows {
+            body.push_str(&r);
+            body.push('\n');
+        }
+        self.write(name, body);
     }
 }
 
@@ -336,8 +353,13 @@ fn write_telemetry(what: &str, path: Option<&Path>, document: fn() -> String) ->
 }
 
 /// Runs the subcommands `args` names; returns the process exit code
-/// (0 done, 1 a run failed with a typed error, 2 bad usage).
+/// (0 done, 1 a run failed with a typed error or a result file could
+/// not be written, 2 bad usage).
 fn run_commands(args: &Args) -> i32 {
+    let out = ResultFiles {
+        dir: &args.out,
+        failed: Cell::new(false),
+    };
     let all = args.command == "all";
     let want = |c: &str| all || args.command == c;
     let mut ran = false;
@@ -354,8 +376,8 @@ fn run_commands(args: &Args) -> i32 {
         println!("{}", f6.render());
         for (name, series) in f6.series(120) {
             let fname = format!("fig6_{}.csv", name.replace(' ', "_"));
-            write_csv(
-                &args.out.join(fname),
+            out.csv(
+                &fname,
                 "delay_ms,cdf",
                 series.iter().map(|(x, y)| format!("{x:.6},{y:.6}")),
             );
@@ -370,8 +392,8 @@ fn run_commands(args: &Args) -> i32 {
         let f7a = f7a.as_ref().expect("computed above");
         println!("{}", f7a.render());
         for row in &f7a.rows {
-            write_csv(
-                &args.out.join(format!("fig7a_n{}.csv", row.n)),
+            out.csv(
+                &format!("fig7a_n{}.csv", row.n),
                 "latency_ms,cdf",
                 row.ecdf
                     .series(200)
@@ -395,8 +417,8 @@ fn run_commands(args: &Args) -> i32 {
         let f7b = fig7::run_fig7b(args.scale, args.seed, f6, measured);
         println!("{}", f7b.render());
         for p in &f7b.sweep {
-            write_csv(
-                &args.out.join(format!("fig7b_tsend_{:.3}.csv", p.t_send)),
+            out.csv(
+                &format!("fig7b_tsend_{:.3}.csv", p.t_send),
                 "latency_ms,cdf",
                 p.ecdf
                     .series(200)
@@ -411,8 +433,8 @@ fn run_commands(args: &Args) -> i32 {
         let f6 = f6.as_ref().expect("computed above");
         let t1 = table1::run(args.scale, args.seed, f6);
         println!("{}", t1.render());
-        write_csv(
-            &args.out.join("table1.csv"),
+        out.csv(
+            "table1.csv",
             "scenario,n,meas_ms,meas_ci90,sim_ms",
             t1.rows.iter().map(|r| {
                 format!(
@@ -434,8 +456,8 @@ fn run_commands(args: &Args) -> i32 {
         ran = true;
         let f8 = f8.as_ref().expect("computed above");
         println!("{}", f8.render());
-        write_csv(
-            &args.out.join("fig8.csv"),
+        out.csv(
+            "fig8.csv",
             "n,timeout_ms,t_mr_ms,t_mr_ci90,t_m_ms,t_m_ci90",
             f8.points.iter().map(|p| {
                 format!(
@@ -450,8 +472,8 @@ fn run_commands(args: &Args) -> i32 {
         ran = true;
         let f8 = f8.as_ref().expect("computed above");
         println!("{}", fig9::render_fig9a(f8));
-        write_csv(
-            &args.out.join("fig9a.csv"),
+        out.csv(
+            "fig9a.csv",
             "n,timeout_ms,latency_ms,latency_ci90,undecided_frac",
             f8.points.iter().map(|p| {
                 format!(
@@ -477,8 +499,8 @@ fn run_commands(args: &Args) -> i32 {
                 );
             }
         }
-        write_csv(
-            &args.out.join("fig9b.csv"),
+        out.csv(
+            "fig9b.csv",
             "n,timeout_ms,meas_ms,sim_det_ms,sim_exp_ms,t_mr_ms,t_m_ms",
             f9b.rows.iter().map(|r| {
                 format!(
@@ -494,8 +516,8 @@ fn run_commands(args: &Args) -> i32 {
         let f6 = f6.as_ref().expect("computed above");
         let a = ablations::run(args.scale, args.seed, f6);
         println!("{}", a.render());
-        write_csv(
-            &args.out.join("ablations.csv"),
+        out.csv(
+            "ablations.csv",
             "name,metric,with,without",
             a.rows
                 .iter()
@@ -507,8 +529,8 @@ fn run_commands(args: &Args) -> i32 {
         ran = true;
         let t = throughput::run(args.scale, args.seed);
         println!("{}", t.render());
-        write_csv(
-            &args.out.join("throughput.csv"),
+        out.csv(
+            "throughput.csv",
             "n,per_second,inter_decision_ms,isolated_latency_ms",
             t.rows.iter().map(|r| {
                 format!(
@@ -532,8 +554,8 @@ fn run_commands(args: &Args) -> i32 {
             }
         };
         println!("{}", a.render());
-        write_csv(
-            &args.out.join("analytic.csv"),
+        out.csv(
+            "analytic.csv",
             "scenario,n,ph_order,states,analytic_ms,ph_raw_ms,solver,generator,solve_ms,sim_ms,\
              sim_ci90,agrees,ph_sim_ms,ph_sim_ci90,engine",
             a.rows.iter().map(|r| {
@@ -577,8 +599,8 @@ fn run_commands(args: &Args) -> i32 {
         // Peak-memory record for the whole analytic pipeline (explore +
         // CSR + solve): the CI scalability job uploads this CSV and its
         // spill-budget leg uses it to show the budget actually binds.
-        write_csv(
-            &args.out.join("peak_memory.csv"),
+        out.csv(
+            "peak_memory.csv",
             "command,n,ph_order,threads,spill_budget_bytes,dedup,peak_rss_mb",
             std::iter::once(format!(
                 "analytic,{},{},{},{},{},{:.1}",
@@ -597,11 +619,8 @@ fn run_commands(args: &Args) -> i32 {
                 continue;
             }
             let model = r.ph_order.map_or("exp".to_string(), |k| format!("ph{k}"));
-            write_csv(
-                &args.out.join(format!(
-                    "analytic_cdf_{:?}_{model}_n{}.csv",
-                    r.scenario, r.n
-                )),
+            out.csv(
+                &format!("analytic_cdf_{:?}_{model}_n{}.csv", r.scenario, r.n),
                 "latency_ms,cdf",
                 r.cdf.iter().map(|(t, p)| format!("{t:.6},{p:.6}")),
             );
@@ -622,34 +641,20 @@ fn run_commands(args: &Args) -> i32 {
             }
         };
         println!("{}", c.render());
-        write_csv(
-            &args.out.join("campaign.csv"),
+        out.csv(
+            "campaign.csv",
             PointRow::csv_header(),
             c.rows.iter().map(PointRow::csv),
         );
-        // Heat-map blocks arrive as complete CSV documents (their
-        // column set depends on the grid), so they bypass write_csv.
+        // Heat-map blocks arrive as complete CSV documents: their
+        // column set depends on the grid.
         for (name, csv) in c.heatmaps() {
-            let path = args.out.join(format!("campaign_{name}.csv"));
-            if let Some(dir) = path.parent() {
-                let _ = fs::create_dir_all(dir);
-            }
-            match fs::write(&path, csv) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-            }
+            out.write(&format!("campaign_{name}.csv"), csv);
         }
-        let summary = args.out.join("campaign_summary.json");
-        if let Some(dir) = summary.parent() {
-            let _ = fs::create_dir_all(dir);
-        }
-        match fs::write(&summary, c.summary_json()) {
-            Ok(()) => println!("wrote {}", summary.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", summary.display()),
-        }
+        out.write("campaign_summary.json", c.summary_json());
         if !c.measured.is_empty() {
-            write_csv(
-                &args.out.join("campaign_measured.csv"),
+            out.csv(
+                "campaign_measured.csv",
                 "n,measured_ms,ci90",
                 c.measured
                     .iter()
@@ -662,5 +667,5 @@ fn run_commands(args: &Args) -> i32 {
         eprintln!("{}", usage());
         return 2;
     }
-    0
+    i32::from(out.failed.get())
 }

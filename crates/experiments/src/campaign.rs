@@ -11,18 +11,16 @@
 //! [`attach`](DetachedRun::attach) it to the next point's — a
 //! values-only rewrite of transition rates and CSR entries that is
 //! bit-identical to a fresh exploration at the new rates — and solve.
-//! Consecutive Jacobi points of a group additionally warm-start the
-//! solver from the previous point's first-passage vector
-//! ([`IterOptions::warm_start`]). Gauss–Seidel and Krylov stay
-//! cold-seeded: the CI campaign gate compares their rows against cold
-//! runs *bit for bit* (warm starting changes the iteration
-//! trajectory), and Krylov's cold guess is already exact on acyclic
-//! chains.
+//! The graph is all a point hands the next: every solve starts from
+//! its backend's own initial iterate, so with the rebuild bit-identical
+//! a campaign row is the same sequence of floats as a cold run of that
+//! point, which the CI campaign gate checks *bit for bit* on all three
+//! backends.
 //!
 //! Structural groups are independent, so they run on parallel workers;
-//! points inside a group run sequentially (they hand the one graph and
-//! the warm-start vector down the chain). Rows stream to stderr as
-//! points finish and are reported sorted deterministically.
+//! points inside a group run sequentially (they hand the one graph down
+//! the chain). Rows stream to stderr as points finish and are reported
+//! sorted deterministically.
 //!
 //! If a rate change *does* alter the expansion shape (e.g. scaling a
 //! bi-modal network delay perturbs its hyper-Erlang branch
@@ -106,6 +104,19 @@ impl PointSpec {
         }
     }
 
+    /// Report order: `(n, ph_order, backend, net_scale, service_scale)`.
+    /// Inside a structural group `n` and `ph_order` are equal, so it is
+    /// the solve order too — which point of a group explores cold is
+    /// deterministic.
+    fn order(&self, other: &Self) -> std::cmp::Ordering {
+        let key = |s: &Self| (s.n, s.ph_order, s.backend.name());
+        // `grid` admits only finite scales > 0: total order is numeric order.
+        key(self)
+            .cmp(&key(other))
+            .then(self.net_scale.total_cmp(&other.net_scale))
+            .then(self.service_scale.total_cmp(&other.service_scale))
+    }
+
     /// The model parameters of this point.
     pub fn params(&self) -> SanParams {
         let mut p = if self.ph_order == 0 {
@@ -145,9 +156,9 @@ pub struct CampaignOptions {
     /// core). Inside a point the solve uses the same knob when only one
     /// group exists, and stays single-threaded otherwise.
     pub threads: usize,
-    /// Re-run every point cold (fresh exploration, no warm start) and
-    /// record agreement + the measured speedup. This is what the CI
-    /// campaign job gates on.
+    /// Re-run every point cold (fresh exploration) and record
+    /// agreement + the measured speedup. This is what the CI campaign
+    /// job gates on.
     pub verify_cold: bool,
     /// Run the testbed's measured-latency campaign for each distinct
     /// `n` with this many executions, reporting measured rows next to
@@ -160,16 +171,16 @@ pub struct CampaignOptions {
     /// ([`PointRow::solved_by`]).
     pub fallback: bool,
     /// Crash-safe checkpoint journal (`--checkpoint FILE`): every
-    /// completed point is appended as one fsync'd CRC-framed record
-    /// (row + first-passage vector), so a killed campaign can `--resume`
-    /// without re-solving finished points. Without `--resume` an
-    /// existing journal is overwritten.
+    /// completed point's row is appended as one fsync'd CRC-framed
+    /// record, so a killed campaign can `--resume` without re-solving
+    /// finished points. Without `--resume` an existing journal is
+    /// overwritten.
     pub checkpoint: Option<PathBuf>,
     /// Replay the checkpoint journal before solving (`--resume`):
     /// journaled points are reported verbatim (bit-identical rows) and
-    /// their first-passage vectors re-seed the warm-start chains, so
-    /// the resumed run's deterministic columns match an uninterrupted
-    /// run exactly. Requires [`CampaignOptions::checkpoint`].
+    /// the others solve exactly as in an uninterrupted run — no row
+    /// depends on what the journal held. Requires
+    /// [`CampaignOptions::checkpoint`].
     pub resume: bool,
 }
 
@@ -260,9 +271,7 @@ pub struct PointRow {
     /// Whether the reachability graph came out of the cache (rate-only
     /// rebuild) instead of a fresh exploration.
     pub cache_hit: bool,
-    /// Whether the solve was warm-started from the previous point.
-    pub warm_start: bool,
-    /// Iterations of the (possibly warm-started) solve.
+    /// Iterations of the solve.
     pub iterations: usize,
     /// The backend that actually produced `mean_ms` — differs from
     /// `spec.backend` only when a fallback chain
@@ -281,9 +290,8 @@ pub struct PointRow {
     pub cold_ms: Option<f64>,
     /// `--verify-cold` only: iterations of the cold solve.
     pub cold_iterations: Option<usize>,
-    /// `--verify-cold` only: whether campaign and cold means agree —
-    /// bit-for-bit unless the solve was warm-started, then ≤ 1e-10
-    /// relative.
+    /// `--verify-cold` only: whether campaign and cold means agree bit
+    /// for bit.
     pub agree: Option<bool>,
 }
 
@@ -293,14 +301,11 @@ impl PointRow {
         self.build_ms + self.solve_ms
     }
 
-    /// CSV header for [`PointRow::csv`]. `cache_hit` is a stable middle
-    /// column (CI counts cold rows by index, so `solved_by` slots in
-    /// *after* `iterations` rather than next to `backend`) and `agree`
-    /// is deliberately **last** so CI can gate on `,false$`.
+    /// CSV header for [`PointRow::csv`]; `ci/campaign_gate.py` reads
+    /// the columns by these names.
     pub fn csv_header() -> &'static str {
         "n,ph_order,backend,service_scale,net_scale,states,transitions,cache_hit,\
-         warm_start,iterations,solved_by,build_ms,solve_ms,total_ms,mean_ms,cold_mean_ms,\
-         cold_ms,agree"
+         iterations,solved_by,build_ms,solve_ms,total_ms,mean_ms,cold_mean_ms,cold_ms,agree"
     }
 
     /// The CSV rendering of this row.
@@ -310,7 +315,7 @@ impl PointRow {
             Some(b) => b.to_string(),
         };
         format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.3},{:.9},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.3},{:.9},{},{},{}",
             self.spec.n,
             self.spec.ph_order,
             self.spec.backend,
@@ -319,7 +324,6 @@ impl PointRow {
             self.states,
             self.transitions,
             self.cache_hit,
-            self.warm_start,
             self.iterations,
             self.solved_by,
             self.build_ms,
@@ -336,16 +340,16 @@ impl PointRow {
 
 // --- checkpoint journal records -------------------------------------
 //
-// One frame per completed point: the full `PointRow` plus its
-// first-passage vector. Every `f64` travels as raw IEEE bits, so a
-// resumed campaign reports journaled rows *byte-identically* and
-// re-seeds warm-start chains with the exact vector the uninterrupted
-// run would have handed down. The framing (length + CRC + fsync per
-// append) lives in [`ctsim_resilience::Journal`]; this codec only
+// One frame per completed point: its `PointRow` (at most 108 bytes).
+// Every `f64` travels as raw IEEE bits, so a resumed campaign reports
+// journaled rows *byte-identically*. The framing (length + CRC + fsync
+// per append) lives in [`ctsim_resilience::Journal`]; this codec only
 // defines the payload.
 
 /// Version tag heading every checkpoint record; bump on layout change.
-const RECORD_VERSION: u8 = 1;
+/// Version 1 frames carried the point's first-passage vector after the
+/// row and are refused.
+const RECORD_VERSION: u8 = 2;
 
 fn backend_code(b: SolverBackend) -> u8 {
     match b {
@@ -367,8 +371,8 @@ fn backend_from_code(c: u8) -> io::Result<SolverBackend> {
     }
 }
 
-fn encode_record(row: &PointRow, per_state: &[f64]) -> Vec<u8> {
-    let mut b = Vec::with_capacity(96 + per_state.len() * 8);
+fn encode_record(row: &PointRow) -> Vec<u8> {
+    let mut b = Vec::with_capacity(108);
     let f = |b: &mut Vec<u8>, v: f64| b.extend_from_slice(&v.to_bits().to_le_bytes());
     let u = |b: &mut Vec<u8>, v: u64| b.extend_from_slice(&v.to_le_bytes());
     b.push(RECORD_VERSION);
@@ -380,7 +384,6 @@ fn encode_record(row: &PointRow, per_state: &[f64]) -> Vec<u8> {
     u(&mut b, row.states as u64);
     u(&mut b, row.transitions as u64);
     b.push(row.cache_hit as u8);
-    b.push(row.warm_start as u8);
     u(&mut b, row.iterations as u64);
     b.push(backend_code(row.solved_by));
     f(&mut b, row.build_ms);
@@ -412,10 +415,6 @@ fn encode_record(row: &PointRow, per_state: &[f64]) -> Vec<u8> {
         Some(false) => 1,
         Some(true) => 2,
     });
-    u(&mut b, per_state.len() as u64);
-    for &v in per_state {
-        f(&mut b, v);
-    }
     b
 }
 
@@ -455,19 +454,19 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn opt(&mut self) -> io::Result<bool> {
+    fn flag(&mut self) -> io::Result<bool> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("checkpoint record: bad option tag {other}"),
+                format!("checkpoint record: bad flag {other}"),
             )),
         }
     }
 }
 
-fn decode_record(bytes: &[u8]) -> io::Result<(PointRow, Vec<f64>)> {
+fn decode_record(bytes: &[u8]) -> io::Result<PointRow> {
     let mut r = Reader { buf: bytes, at: 0 };
     let version = r.u8()?;
     if version != RECORD_VERSION {
@@ -485,16 +484,15 @@ fn decode_record(bytes: &[u8]) -> io::Result<(PointRow, Vec<f64>)> {
     };
     let states = r.u64()? as usize;
     let transitions = r.u64()? as usize;
-    let cache_hit = r.u8()? != 0;
-    let warm_start = r.u8()? != 0;
+    let cache_hit = r.flag()?;
     let iterations = r.u64()? as usize;
     let solved_by = backend_from_code(r.u8()?)?;
     let build_ms = r.f64()?;
     let solve_ms = r.f64()?;
     let mean_ms = r.f64()?;
-    let cold_mean_ms = r.opt()?.then(|| r.f64()).transpose()?;
-    let cold_ms = r.opt()?.then(|| r.f64()).transpose()?;
-    let cold_iterations = r.opt()?.then(|| r.u64()).transpose()?.map(|v| v as usize);
+    let cold_mean_ms = r.flag()?.then(|| r.f64()).transpose()?;
+    let cold_ms = r.flag()?.then(|| r.f64()).transpose()?;
+    let cold_iterations = r.flag()?.then(|| r.u64()).transpose()?.map(|v| v as usize);
     let agree = match r.u8()? {
         0 => None,
         1 => Some(false),
@@ -506,30 +504,27 @@ fn decode_record(bytes: &[u8]) -> io::Result<(PointRow, Vec<f64>)> {
             ))
         }
     };
-    let len = r.u64()? as usize;
-    let mut per_state = Vec::with_capacity(len.min(1 << 20));
-    for _ in 0..len {
-        per_state.push(r.f64()?);
+    if r.at != bytes.len() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "checkpoint record: trailing bytes",
+        ));
     }
-    Ok((
-        PointRow {
-            spec,
-            states,
-            transitions,
-            cache_hit,
-            warm_start,
-            iterations,
-            solved_by,
-            build_ms,
-            solve_ms,
-            mean_ms,
-            cold_mean_ms,
-            cold_ms,
-            cold_iterations,
-            agree,
-        },
-        per_state,
-    ))
+    Ok(PointRow {
+        spec,
+        states,
+        transitions,
+        cache_hit,
+        iterations,
+        solved_by,
+        build_ms,
+        solve_ms,
+        mean_ms,
+        cold_mean_ms,
+        cold_ms,
+        cold_iterations,
+        agree,
+    })
 }
 
 /// A measured-latency reference row (testbed campaign).
@@ -560,10 +555,23 @@ pub struct Campaign {
     pub wall_ms: f64,
 }
 
+/// A scale multiplies stage means: only a finite value > 0 leaves a
+/// model to solve (and a grid to sort).
+fn scale(v: f64) -> Result<f64, String> {
+    if v.is_finite() && v > 0.0 {
+        Ok(v)
+    } else {
+        Err(format!("`{v}` is not a finite scale > 0"))
+    }
+}
+
 /// Parses a campaign grid file: one `n,ph_order,backend,service_scale,
 /// net_scale` point per line; blank lines, `#` comments, and a header
 /// line are skipped.
-pub fn parse_grid(text: &str) -> Result<Vec<PointSpec>, String> {
+///
+/// # Errors
+/// [`CampaignError::Grid`] naming the line and the field.
+pub fn parse_grid(text: &str) -> Result<Vec<PointSpec>, CampaignError> {
     let mut specs = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -572,14 +580,23 @@ pub fn parse_grid(text: &str) -> Result<Vec<PointSpec>, String> {
         }
         let fields: Vec<&str> = line.split(',').map(str::trim).collect();
         if fields.len() != 5 {
-            return Err(format!(
+            return Err(CampaignError::Grid(format!(
                 "grid line {}: expected 5 fields `n,ph_order,backend,service_scale,net_scale`, \
                  got {}",
                 lineno + 1,
                 fields.len()
-            ));
+            )));
         }
-        let bad = |what: &str, e: String| format!("grid line {}: bad {what}: {e}", lineno + 1);
+        let bad = |what: &str, e: String| {
+            CampaignError::Grid(format!("grid line {}: bad {what}: {e}", lineno + 1))
+        };
+        let scale_field = |what: &str, field: &str| {
+            field
+                .parse::<f64>()
+                .map_err(|e| e.to_string())
+                .and_then(scale)
+                .map_err(|e| bad(what, e))
+        };
         specs.push(PointSpec {
             n: fields[0]
                 .parse()
@@ -588,27 +605,37 @@ pub fn parse_grid(text: &str) -> Result<Vec<PointSpec>, String> {
                 .parse()
                 .map_err(|e: std::num::ParseIntError| bad("ph_order", e.to_string()))?,
             backend: fields[2].parse().map_err(|e: String| bad("backend", e))?,
-            service_scale: fields[3]
-                .parse()
-                .map_err(|e: std::num::ParseFloatError| bad("service_scale", e.to_string()))?,
-            net_scale: fields[4]
-                .parse()
-                .map_err(|e: std::num::ParseFloatError| bad("net_scale", e.to_string()))?,
+            service_scale: scale_field("service_scale", fields[3])?,
+            net_scale: scale_field("net_scale", fields[4])?,
         });
     }
     if specs.is_empty() {
-        return Err("grid file contains no points".to_string());
+        return Err(CampaignError::Grid(
+            "grid file contains no points".to_string(),
+        ));
     }
     Ok(specs)
 }
 
 /// The grid of a configuration: the parsed `--grid` file when given,
-/// otherwise the cross-product of the axis fields.
-pub fn grid(opts: &CampaignOptions) -> Result<Vec<PointSpec>, String> {
+/// otherwise the cross-product of the axis fields. Every scale of every
+/// point is finite and > 0.
+///
+/// # Errors
+/// [`CampaignError::Grid`] naming the file line or the axis.
+pub fn grid(opts: &CampaignOptions) -> Result<Vec<PointSpec>, CampaignError> {
     if let Some(path) = &opts.grid {
         let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading grid {}: {e}", path.display()))?;
+            .map_err(|e| CampaignError::Grid(format!("reading grid {}: {e}", path.display())))?;
         return parse_grid(&text);
+    }
+    for (axis, scales) in [
+        ("service scales", &opts.service_scales),
+        ("net scales", &opts.net_scales),
+    ] {
+        if let Some(e) = scales.iter().find_map(|&v| scale(v).err()) {
+            return Err(CampaignError::Grid(format!("{axis}: {e}")));
+        }
     }
     let mut specs = Vec::new();
     for &n in &opts.ns {
@@ -629,7 +656,9 @@ pub fn grid(opts: &CampaignOptions) -> Result<Vec<PointSpec>, String> {
         }
     }
     if specs.is_empty() {
-        return Err("empty campaign grid: every axis needs at least one value".to_string());
+        return Err(CampaignError::Grid(
+            "empty campaign grid: every axis needs at least one value".to_string(),
+        ));
     }
     Ok(specs)
 }
@@ -642,7 +671,7 @@ pub fn grid(opts: &CampaignOptions) -> Result<Vec<PointSpec>, String> {
 /// (wrapping its [`SolveError`]), or checkpoint I/O.
 pub fn run_with(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignError> {
     let _run_span = ctsim_obs::span("experiment", "campaign").arg("threads", opts.threads);
-    let specs = grid(opts).map_err(CampaignError::Grid)?;
+    let specs = grid(opts)?;
 
     // Checkpoint journal: replay completed points on --resume, start
     // fresh otherwise. Torn trailing frames (a crash mid-append) are
@@ -657,7 +686,7 @@ pub fn run_with(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignE
         path: path.to_path_buf(),
         source: e,
     };
-    let mut resumed: Vec<(PointRow, Vec<f64>)> = Vec::new();
+    let mut resumed: Vec<PointRow> = Vec::new();
     let journal = match &opts.checkpoint {
         Some(path) => {
             if !opts.resume {
@@ -694,12 +723,8 @@ pub fn run_with(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignE
     };
 
     // Group points by structural key; groups are the parallel unit,
-    // points inside a group run sequentially so the one graph and the
-    // warm-start vector chain from point to point. Within a
-    // group, order by (backend, net_scale, service_scale): warm starts
-    // only help between consecutive same-backend points, and sweeping
-    // the service scale last makes each warm seed as close as possible
-    // to the next solution.
+    // points inside a group run sequentially so the one graph passes
+    // from point to point.
     let mut groups: Vec<(StructuralKey, Vec<PointSpec>)> = Vec::new();
     for spec in specs {
         let key = spec.key();
@@ -709,11 +734,7 @@ pub fn run_with(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignE
         }
     }
     for (_, points) in &mut groups {
-        points.sort_by(|a, b| {
-            (a.backend.name(), a.net_scale, a.service_scale)
-                .partial_cmp(&(b.backend.name(), b.net_scale, b.service_scale))
-                .expect("finite scales")
-        });
+        points.sort_by(PointSpec::order);
     }
 
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
@@ -776,23 +797,7 @@ pub fn run_with(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignE
         cache_hits,
         cache_misses,
     } = done.into_inner().expect("campaign rows poisoned");
-    rows.sort_by(|a, b| {
-        (
-            a.spec.n,
-            a.spec.ph_order,
-            a.spec.backend.name(),
-            a.spec.net_scale,
-            a.spec.service_scale,
-        )
-            .partial_cmp(&(
-                b.spec.n,
-                b.spec.ph_order,
-                b.spec.backend.name(),
-                b.spec.net_scale,
-                b.spec.service_scale,
-            ))
-            .expect("finite scales")
-    });
+    rows.sort_by(|a, b| a.spec.order(&b.spec));
 
     let mut measured = Vec::new();
     if opts.measure > 0 {
@@ -828,24 +833,20 @@ struct Tally {
 }
 
 /// Solves one structural group sequentially, handing the group's one
-/// explored graph and the warm-start vector from point to point. Points
-/// found in the resume set are reported verbatim from the journal
-/// (they neither use nor count towards the graph hand-over); their
-/// first-passage vectors re-seed the warm-start chain so the points
-/// that follow iterate exactly as in the uninterrupted run.
+/// explored graph from point to point. Points found in the resume set
+/// are reported verbatim from the journal; they neither use nor count
+/// towards the graph hand-over.
 fn run_group(
     points: &[PointSpec],
     solve_threads: usize,
     opts: &CampaignOptions,
     journal: Option<&Mutex<Journal>>,
-    resumed: &[(PointRow, Vec<f64>)],
+    resumed: &[PointRow],
 ) -> Result<Tally, CampaignError> {
     let mut graph: Option<DetachedRun> = None;
-    let mut warm: Option<(SolverBackend, Vec<f64>)> = None;
     let mut out = Tally::default();
     for spec in points {
-        if let Some((row, per_state)) = resumed.iter().find(|(r, _)| r.spec == *spec) {
-            warm = Some((spec.backend, per_state.clone()));
+        if let Some(row) = resumed.iter().find(|r| r.spec == *spec) {
             eprintln!(
                 "campaign: n={} ph={} {} svc={} net={} -> mean {:.6} ms (checkpoint)",
                 spec.n,
@@ -868,7 +869,7 @@ fn run_group(
             out.cache_misses += 1;
             ctsim_obs::counter_add("graph_cache.misses", 1);
         }
-        let (row, detached) = run_point(spec, cached, solve_threads, opts, &mut warm)?;
+        let (row, detached) = run_point(spec, cached, solve_threads, opts)?;
         graph = Some(detached);
         if let Some(j) = journal {
             // `campaign.checkpoint` is the crash-injection site: an
@@ -876,9 +877,8 @@ fn run_group(
             // leaving a journal whose last frame may be torn — exactly
             // what `--resume` must survive.
             let mut j = j.lock().expect("checkpoint journal poisoned");
-            let tau = &warm.as_ref().expect("run_point seeds the warm chain").1;
             fail::io_check("campaign.checkpoint")
-                .and_then(|()| j.append(&encode_record(&row, tau)))
+                .and_then(|()| j.append(&encode_record(&row)))
                 .map_err(|e| CampaignError::Io {
                     what: "appending checkpoint record to",
                     path: j.path().to_path_buf(),
@@ -926,7 +926,6 @@ fn run_point(
     cached: Option<DetachedRun>,
     solve_threads: usize,
     opts: &CampaignOptions,
-    warm: &mut Option<(SolverBackend, Vec<f64>)>,
 ) -> Result<(PointRow, DetachedRun), CampaignError> {
     let _point_span = ctsim_obs::span("campaign", "point")
         .arg("n", spec.n)
@@ -970,55 +969,30 @@ fn run_point(
     };
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
 
-    // Solve phase. Only Jacobi warm-starts, from the previous point of
-    // the same group + backend. Gauss–Seidel stays cold-seeded so its
-    // campaign rows are bit-identical to cold runs, and a Krylov
-    // absorption solve takes no seed: its cold guess is already exact
-    // on acyclic chains.
-    let mut iter = IterOptions {
+    let iter = IterOptions {
         backend: spec.backend,
         threads: solve_threads,
         fallback: opts.fallback,
         ..IterOptions::default()
     };
-    if spec.backend == SolverBackend::Jacobi {
-        if let Some((b, tau)) = warm.as_ref() {
-            if *b == spec.backend && tau.len() == run.space().len() {
-                iter.warm_start = Some(tau.clone());
-            }
-        }
-    }
-    let warm_start = iter.warm_start.is_some();
     let solve_start = Instant::now();
-    let sol = run.absorption(&iter).map_err(|e| fail("solve", e))?;
+    let sol = run.mean(&iter).map_err(|e| fail("solve", e))?;
     let solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
-    if warm_start && ctsim_obs::enabled() {
-        ctsim_obs::counter_add("campaign.warm_starts", 1);
-    }
-    *warm = Some((spec.backend, sol.per_state));
 
     let (mut cold_mean_ms, mut cold_ms, mut cold_iterations, mut agree) = (None, None, None, None);
     if opts.verify_cold {
         let _sp = ctsim_obs::span("campaign", "verify_cold");
         let cold_start = Instant::now();
-        let cold_iter = IterOptions {
-            warm_start: None,
-            ..iter.clone()
-        };
         let cold = AnalyticRun::first_passage(&model, &reach, &goal)
             .map_err(|e| fail("cold exploration", e))?
-            .mean(&cold_iter)
+            .mean(&iter)
             .map_err(|e| fail("cold solve", e))?;
         cold_ms = Some(cold_start.elapsed().as_secs_f64() * 1e3);
         cold_mean_ms = Some(cold.mean_ms);
         cold_iterations = Some(cold.iterations);
-        agree = Some(if warm_start {
-            (sol.mean - cold.mean_ms).abs() <= 1e-10 * cold.mean_ms.abs().max(1e-300)
-        } else {
-            // Cold-seeded and the rebuild is bit-identical, so the two
-            // trajectories are the same sequence of floats.
-            sol.mean.to_bits() == cold.mean_ms.to_bits()
-        });
+        // Same initial iterate and a bit-identical rebuild: the two
+        // trajectories are the same sequence of floats.
+        agree = Some(sol.mean_ms.to_bits() == cold.mean_ms.to_bits());
     }
 
     let row = PointRow {
@@ -1026,12 +1000,11 @@ fn run_point(
         states: run.space().len(),
         transitions: run.space().num_transitions(),
         cache_hit,
-        warm_start,
         iterations: sol.iterations,
         solved_by: sol.solved_by,
         build_ms,
         solve_ms,
-        mean_ms: sol.mean,
+        mean_ms: sol.mean_ms,
         cold_mean_ms,
         cold_ms,
         cold_iterations,
@@ -1059,17 +1032,6 @@ impl Campaign {
         self.cold_point_ms()
             .filter(|_| warmed > 0.0)
             .map(|cold| cold / warmed)
-    }
-
-    /// Iterations saved by warm starting, summed over warm-started
-    /// rows with a cold twin. Signed: a warm start that costs more
-    /// iterations than its cold twin counts against the sum.
-    pub fn warm_iterations_saved(&self) -> i64 {
-        self.rows
-            .iter()
-            .filter(|r| r.warm_start)
-            .filter_map(|r| Some(r.cold_iterations? as i64 - r.iterations as i64))
-            .sum()
     }
 
     /// Latency heat-map blocks: for every `(n, ph_order, backend)` a
@@ -1131,10 +1093,6 @@ impl Campaign {
         s.push_str(&format!("  \"points\": {},\n", self.rows.len()));
         s.push_str(&format!("  \"cache_hits\": {},\n", self.cache_hits));
         s.push_str(&format!("  \"cache_misses\": {},\n", self.cache_misses));
-        s.push_str(&format!(
-            "  \"warm_started_points\": {},\n",
-            self.rows.iter().filter(|r| r.warm_start).count()
-        ));
         s.push_str(&format!("  \"wall_ms\": {:.3},\n", self.wall_ms));
         s.push_str(&format!(
             "  \"campaign_point_ms\": {:.3},\n",
@@ -1145,20 +1103,9 @@ impl Campaign {
             None => s.push_str("  \"cold_point_ms\": null,\n"),
         }
         match self.speedup() {
-            Some(x) => s.push_str(&format!("  \"speedup\": {x:.3},\n")),
-            None => s.push_str("  \"speedup\": null,\n"),
+            Some(x) => s.push_str(&format!("  \"speedup\": {x:.3}\n")),
+            None => s.push_str("  \"speedup\": null\n"),
         }
-        // Per row, so a losing warm start cannot be netted out by a
-        // winning one in the sum below; the CI campaign gate reads it.
-        let losses = self
-            .rows
-            .iter()
-            .filter(|r| r.warm_start && r.cold_iterations.is_some_and(|cold| r.iterations > cold));
-        s.push_str(&format!("  \"warm_start_losses\": {},\n", losses.count()));
-        s.push_str(&format!(
-            "  \"warm_iterations_saved\": {}\n",
-            self.warm_iterations_saved()
-        ));
         s.push('}');
         s
     }
@@ -1173,12 +1120,12 @@ impl Campaign {
             self.wall_ms
         );
         s.push_str(
-            "  n | ph | backend      |  svc |  net |  states |   hit |  warm | iters | \
+            "  n | ph | backend      |  svc |  net |  states |   hit | iters | \
              build_ms | solve_ms |  mean_ms | agree\n",
         );
         for r in &self.rows {
             s.push_str(&format!(
-                "{:>3} | {:>2} | {:<12} | {:>4} | {:>4} | {:>7} | {:>5} | {:>5} | {:>5} | \
+                "{:>3} | {:>2} | {:<12} | {:>4} | {:>4} | {:>7} | {:>5} | {:>5} | \
                  {:>8.2} | {:>8.2} | {} | {}\n",
                 r.spec.n,
                 r.spec.ph_order,
@@ -1187,7 +1134,6 @@ impl Campaign {
                 r.spec.net_scale,
                 r.states,
                 r.cache_hit,
-                r.warm_start,
                 r.iterations,
                 r.build_ms,
                 r.solve_ms,
@@ -1197,11 +1143,9 @@ impl Campaign {
         }
         if let Some(x) = self.speedup() {
             s.push_str(&format!(
-                "cold-vs-campaign: {:.1} ms cold vs {:.1} ms cached+warm per-point -> {x:.2}x \
-                 ({} warm-start iterations saved)\n",
+                "cold-vs-campaign: {:.1} ms cold vs {:.1} ms cached per-point -> {x:.2}x\n",
                 self.cold_point_ms().expect("speedup implies cold"),
                 self.campaign_point_ms(),
-                self.warm_iterations_saved(),
             ));
         }
         for m in &self.measured {
@@ -1260,10 +1204,24 @@ mod tests {
         assert_eq!(specs[1].net_scale, 1.1);
         assert!(parse_grid("2,2,krylov,1.0\n").is_err());
         assert!(parse_grid("# nothing\n").is_err());
+        // A scale that is not finite and > 0 is refused where the grid
+        // is assembled, naming the line or the axis.
+        for bad in ["nan", "0", "-1", "inf"] {
+            let err = parse_grid(&format!("2,2,krylov,1.0,1.0\n2,2,krylov,{bad},1.0\n"));
+            let err = err.unwrap_err().to_string();
+            assert!(err.contains("line 2: bad service_scale"), "{err}");
+            let err = grid(&CampaignOptions {
+                net_scales: vec![1.0, bad.parse().unwrap()],
+                ..tiny(false)
+            });
+            let err = err.unwrap_err();
+            assert!(matches!(err, CampaignError::Grid(_)), "{err:?}");
+            assert!(err.to_string().contains("net scales"), "{err}");
+        }
     }
 
     #[test]
-    fn campaign_caches_warm_starts_and_agrees_with_cold() {
+    fn campaign_caches_graphs_and_agrees_with_cold() {
         let c = run_with(7, &tiny(true)).unwrap();
         assert_eq!(c.rows.len(), 18);
         // Exactly one cold exploration per structural family; every
@@ -1272,16 +1230,12 @@ mod tests {
         assert_eq!(cold.len(), 2, "one miss per structural group");
         assert_eq!(c.cache_misses, 2);
         assert_eq!(c.cache_hits, 16);
-        // Only Jacobi rows warm-start — every one after the first of
-        // its group — and none pays more iterations than its cold twin.
-        let warm: Vec<&PointRow> = c.rows.iter().filter(|r| r.warm_start).collect();
-        assert_eq!(warm.len(), 4, "{warm:?}");
-        for r in &warm {
-            assert_eq!(r.spec.backend, SolverBackend::Jacobi);
-            assert!(r.iterations <= r.cold_iterations.unwrap(), "{r:?}");
+        // The verify-cold gate: every row is its cold twin, step for
+        // step and bit for bit.
+        for r in &c.rows {
+            assert_eq!(Some(r.iterations), r.cold_iterations, "{r:?}");
+            assert_eq!(r.agree, Some(true), "{r:?}");
         }
-        // The verify-cold gate: every row agrees with its cold twin.
-        assert!(c.rows.iter().all(|r| r.agree == Some(true)), "{:?}", c.rows);
         // Distinct service scales genuinely move the answer.
         let means: Vec<f64> = c
             .rows
@@ -1318,7 +1272,6 @@ mod tests {
             assert_eq!(x.states, y.states, "{:?}", x.spec);
             assert_eq!(x.transitions, y.transitions, "{:?}", x.spec);
             assert_eq!(x.iterations, y.iterations, "{:?}", x.spec);
-            assert_eq!(x.warm_start, y.warm_start, "{:?}", x.spec);
             assert_eq!(x.solved_by, y.solved_by, "{:?}", x.spec);
             assert_eq!(
                 x.mean_ms.to_bits(),
@@ -1365,6 +1318,8 @@ mod tests {
         let rec = Journal::open(&path).unwrap();
         assert_eq!(rec.records.len(), 18, "one frame per completed point");
         assert_eq!(rec.truncated_bytes, 0);
+        // A frame is a row: no per-state vector rides along.
+        assert!(rec.records.iter().all(|r| r.len() < 256));
         drop(rec);
 
         // Simulate a crash: keep the first 5 complete frames, then a
@@ -1399,9 +1354,8 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    #[test]
-    fn checkpoint_records_round_trip_through_the_codec() {
-        let row = PointRow {
+    fn sample_row() -> PointRow {
+        PointRow {
             spec: PointSpec {
                 n: 3,
                 ph_order: 2,
@@ -1412,7 +1366,6 @@ mod tests {
             states: 4242,
             transitions: 12345,
             cache_hit: true,
-            warm_start: true,
             iterations: 17,
             solved_by: SolverBackend::GaussSeidel,
             build_ms: 1.5,
@@ -1422,9 +1375,13 @@ mod tests {
             cold_ms: None,
             cold_iterations: Some(33),
             agree: Some(true),
-        };
-        let tau = vec![0.25, -1.5e-300, f64::MIN_POSITIVE, 3.75];
-        let (back, tau_back) = decode_record(&encode_record(&row, &tau)).unwrap();
+        }
+    }
+
+    #[test]
+    fn checkpoint_records_round_trip_through_the_codec() {
+        let row = sample_row();
+        let back = decode_record(&encode_record(&row)).unwrap();
         assert_eq!(back.spec, row.spec);
         assert_eq!(back.mean_ms.to_bits(), row.mean_ms.to_bits());
         assert_eq!(back.solved_by, SolverBackend::GaussSeidel);
@@ -1432,11 +1389,50 @@ mod tests {
         assert_eq!(back.cold_iterations, Some(33));
         assert_eq!(back.cold_ms, None);
         assert_eq!(back.agree, Some(true));
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&tau_back), bits(&tau));
-        // A damaged payload is a typed decode error, not a panic.
-        assert!(decode_record(&encode_record(&row, &tau)[..20]).is_err());
-        assert!(decode_record(&[9, 0, 0]).is_err(), "unknown version");
+    }
+
+    /// Whatever bytes a journal frame holds, decoding is a typed error
+    /// or a row that encodes back to exactly those bytes — never a
+    /// panic, never a half-read record.
+    #[test]
+    fn checkpoint_codec_refuses_damage_without_panicking() {
+        fn check(bytes: &[u8]) -> bool {
+            let Ok(row) = decode_record(bytes) else {
+                return false;
+            };
+            assert_eq!(encode_record(&row), bytes, "decoded a row it did not hold");
+            true
+        }
+        let valid = encode_record(&sample_row());
+        assert!(valid.len() < 256 && check(&valid));
+        for cut in 0..valid.len() {
+            assert!(!check(&valid[..cut]), "prefix {cut} decoded");
+        }
+        let mut bytes = valid.clone();
+        for at in 0..valid.len() {
+            for mask in 1..=u8::MAX {
+                bytes[at] = valid[at] ^ mask;
+                check(&bytes);
+            }
+            bytes[at] = valid[at];
+        }
+        // What the previous layout wrote is refused by its version
+        // byte, whatever follows it.
+        bytes[0] = 1;
+        let err = decode_record(&bytes).unwrap_err().to_string();
+        assert!(err.contains("unsupported version 1"), "{err}");
+
+        let mut rng = ctsim_stoch::SimRng::new(7);
+        for _ in 0..20_000 {
+            let len = (rng.next_u64() % 257) as usize;
+            let mut bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            check(&bytes);
+            // The same noise behind a plausible head gets past the
+            // version and tag checks more often.
+            let head = (rng.next_u64() as usize % valid.len()).min(len);
+            bytes[..head].copy_from_slice(&valid[..head]);
+            check(&bytes);
+        }
     }
 
     #[test]
@@ -1490,30 +1486,37 @@ mod tests {
     #[test]
     fn gauss_seidel_campaign_means_are_bit_identical_to_cold() {
         // The strongest form of the acceptance criterion, in-process:
-        // rate-only rebuilt + cold-seeded GS reproduces the cold mean
-        // to the last bit on every point of a service sweep.
+        // a rate-only rebuilt graph reproduces the cold mean to the
+        // last bit, in the same number of steps, on every point of a
+        // service sweep — whichever backend solves it.
         let opts = CampaignOptions {
             ns: vec![2],
             ph_orders: vec![2],
             service_scales: vec![0.8, 0.9, 1.0, 1.1, 1.25],
-            backends: vec![SolverBackend::GaussSeidel],
+            backends: vec![
+                SolverBackend::GaussSeidel,
+                SolverBackend::Jacobi,
+                SolverBackend::Krylov,
+            ],
             threads: 1,
             verify_cold: true,
             ..CampaignOptions::default()
         };
         let c = run_with(7, &opts).unwrap();
-        assert_eq!(c.rows.len(), 5);
-        assert_eq!(c.rows.iter().filter(|r| r.cache_hit).count(), 4);
+        assert_eq!(c.rows.len(), 15);
+        assert_eq!(c.rows.iter().filter(|r| r.cache_hit).count(), 14);
         for r in &c.rows {
             let cold = r.cold_mean_ms.unwrap();
             assert_eq!(
                 r.mean_ms.to_bits(),
                 cold.to_bits(),
-                "svc={}: {} vs cold {}",
+                "{} svc={}: {} vs cold {}",
+                r.spec.backend,
                 r.spec.service_scale,
                 r.mean_ms,
                 cold
             );
+            assert_eq!(Some(r.iterations), r.cold_iterations, "{:?}", r.spec);
         }
     }
 }

@@ -12,7 +12,7 @@
 //! | [`ablations`] | the modelling-choice ablations DESIGN.md calls out |
 //! | [`throughput`] | the paper's announced future work (§2.3): chained-consensus throughput |
 //! | [`analytic`] | analytic (CTMC) solution of the exponential model overlaid on the Fig. 7 / Table 1 simulations |
-//! | [`campaign`] | scenario-campaign engine: parameter grids through the solver with cached reachability, rate-only CSR rebuilds, and warm-started sweeps |
+//! | [`campaign`] | scenario-campaign engine: parameter grids through the solver with cached reachability and rate-only CSR rebuilds |
 //!
 //! Every module returns a plain-data result struct and renders a
 //! paper-style text table including the paper's reference values where

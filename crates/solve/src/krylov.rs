@@ -21,8 +21,8 @@
 //!   all of the operator and the preconditioned system sits a few
 //!   Arnoldi steps from the identity: GMRES closes in a handful of
 //!   matvecs where Jacobi steps need one iteration per BFS level.
-//!   Every absorption solve starts from the cold guess `(D − U)⁻¹ c` —
-//!   exact on acyclic chains — and ignores `IterOptions::warm_start`.
+//!   Every absorption solve starts from the guess `(D − U)⁻¹ c`, which
+//!   is exact on acyclic chains.
 //!
 //! On stiff two-timescale chains — where Gauss–Seidel and Jacobi
 //! sweeps crawl at `1 − O(ε)` per iteration — GMRES minimizes the
@@ -57,6 +57,9 @@ use crate::linop::LinOp;
 use crate::steady::{AbsorptionTimes, IterOptions, SteadyState};
 use crate::SolveError;
 
+/// Arnoldi steps per GMRES cycle on all but the biggest systems.
+const RESTART: usize = 30;
+
 /// Hard floor of the restart dimension; below this GMRES degenerates
 /// into steepest descent.
 const MIN_RESTART: usize = 4;
@@ -70,14 +73,10 @@ const BIG_SYSTEM: usize = 1 << 20;
 /// ~320 MB — small next to the exploration's own footprint.
 const BIG_RESTART: usize = 16;
 
-/// The effective Arnoldi dimension per restart cycle.
-fn restart_dim(n: usize, opts: &IterOptions) -> usize {
-    let m = if n > BIG_SYSTEM {
-        opts.restart.min(BIG_RESTART)
-    } else {
-        opts.restart
-    };
-    m.clamp(MIN_RESTART, n.max(MIN_RESTART))
+/// The Arnoldi dimension per restart cycle of an `n`-state system.
+fn restart_dim(n: usize) -> usize {
+    let m = if n > BIG_SYSTEM { BIG_RESTART } else { RESTART };
+    m.min(n.max(MIN_RESTART))
 }
 
 /// One restarted-GMRES solve of the preconditioned system given by
@@ -100,7 +99,7 @@ where
     A: Fn(&[f64], &mut [f64]),
     C: Fn(&[f64]) -> f64,
 {
-    let m = restart_dim(n, opts);
+    let m = restart_dim(n);
     let mut matvecs = 0usize;
     let mut best_true = f64::INFINITY;
     let mut stagnant = 0u32;
@@ -322,7 +321,7 @@ pub(crate) fn steady<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState
         }
     };
     let mut qv = vec![0.0; n];
-    let mut pi = crate::steady::initial_pi(n, opts);
+    let mut pi = vec![1.0 / n as f64; n];
     let (iterations, _) = {
         // True residual: sup-norm of πQ after normalizing the iterate —
         // identical semantics to the Gauss–Seidel sweep check. The
@@ -438,8 +437,7 @@ pub(crate) fn absorption<L: LinOp>(
     };
     // u₀ = c makes the initial guess τ₀ = (D − U)^{-1} c — one backward
     // Gauss–Seidel sweep from zero, already the exact solution on
-    // acyclic chains. A previous grid point's τ is not used: wherever
-    // it was measured it cost more matvecs than this guess.
+    // acyclic chains.
     let mut u = c.clone();
     let (iterations, residual) = gmres(n, apply, &c, &mut u, opts, check, "krylov_absorption")?;
     let mut tau = u;
@@ -472,7 +470,6 @@ mod tests {
     use super::*;
     use crate::backend::SolverBackend;
     use crate::graph::{ReachOptions, StateSpace};
-    use crate::steady::tests::absorbing_chain;
     use crate::steady::{mean_time_to_absorption, steady_state};
     use crate::Ctmc;
     use ctsim_san::{Activity, Case, SanBuilder, SanModel};
@@ -560,46 +557,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Absorption solves are cold-seeded: a warm-start vector — wrong
-    /// (the solution of other rates) or exact — changes nothing, on an
-    /// acyclic chain (cold guess exact, one matvec) or a cyclic one.
-    #[test]
-    fn absorption_ignores_the_warm_start_vector() {
-        let acyclic = absorbing_chain(&[2.0, 5.0, 1.0, 0.25], None);
-        let other = absorbing_chain(&[9.0, 0.1, 30.0, 4.0], None);
-        let wrong = mean_time_to_absorption(&other, &krylov_opts(1)).unwrap();
-        let cyclic = absorbing_chain(&[2.0, 0.3, 4.0, 1.5, 6.0, 0.8], Some(0.7));
-        let exact = mean_time_to_absorption(&cyclic, &krylov_opts(1)).unwrap();
-        assert!(exact.iterations > 1, "the cycle defeats the cold guess");
-        for (q, seed, cold_iters) in [
-            (&acyclic, wrong.per_state, 1),
-            (&cyclic, exact.per_state.clone(), exact.iterations),
-        ] {
-            let cold = mean_time_to_absorption(q, &krylov_opts(1)).unwrap();
-            let warm_opts = IterOptions {
-                warm_start: Some(seed),
-                ..krylov_opts(1)
-            };
-            let warm = mean_time_to_absorption(q, &warm_opts).unwrap();
-            assert_eq!((cold.iterations, warm.iterations), (cold_iters, cold_iters));
-            assert_eq!(warm.mean.to_bits(), cold.mean.to_bits());
-            assert_eq!(warm.residual.to_bits(), cold.residual.to_bits());
-        }
-    }
-
-    #[test]
-    fn tiny_restart_dimension_still_converges() {
-        let m = cyclic(&[1.0, 2.0, 4.0, 8.0, 16.0]);
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
-        let q = Ctmc::from_state_space(&ss).unwrap();
-        let opts = IterOptions {
-            restart: 1, // clamped up to MIN_RESTART
-            ..krylov_opts(1)
-        };
-        let sol = steady_state(&q, &opts).unwrap();
-        assert!(sol.residual <= 1e-12);
-        assert!((sol.probs.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 }

@@ -16,7 +16,7 @@ use crate::backend::GeneratorBackend;
 use crate::ctmc::Ctmc;
 use crate::graph::{GraphParts, ReachOptions, StateSpace};
 use crate::linop::{Generator, LinOp};
-use crate::steady::{mean_time_to_absorption, AbsorptionTimes, IterOptions};
+use crate::steady::{mean_time_to_absorption, IterOptions};
 use crate::transient::{transient, TransientOptions};
 use crate::{SolveError, SolveOptions};
 
@@ -202,11 +202,9 @@ impl<'m> AnalyticRun<'m> {
             .sum())
     }
 
-    /// Expected time to reach the goal from every state, solved exactly
-    /// from `Q_TT τ = -1` — no replications, no confidence interval.
-    /// The per-state vector is what warm-starts the next solve of a
-    /// sweep ([`IterOptions::warm_start`]); [`AnalyticRun::mean`] is
-    /// the summary.
+    /// The expected first-passage time from the initial marking, solved
+    /// exactly from `Q_TT τ = -1` — no replications, no confidence
+    /// interval.
     ///
     /// # Errors
     /// [`SolveError::GoalUnreachable`] if the model can deadlock in a
@@ -215,7 +213,7 @@ impl<'m> AnalyticRun<'m> {
     /// plateau shows the reachable mass).
     ///
     /// [`cdf`]: AnalyticRun::cdf
-    pub fn absorption(&self, opts: &IterOptions) -> Result<AbsorptionTimes, SolveError> {
+    pub fn mean(&self, opts: &IterOptions) -> Result<AnalyticOutcome, SolveError> {
         // Every state is reachable by construction, so a rate-absorbing
         // state outside the goal set traps probability mass forever.
         if let Some(state) =
@@ -223,16 +221,10 @@ impl<'m> AnalyticRun<'m> {
         {
             return Err(SolveError::GoalUnreachable { state });
         }
-        match &self.gen {
+        let sol = match &self.gen {
             Generator::Csr(q) => mean_time_to_absorption(q, opts),
             Generator::Kron(k) => mean_time_to_absorption(k, opts),
-        }
-    }
-
-    /// The expected first-passage time from the initial marking: the
-    /// summary of [`AnalyticRun::absorption`], with its errors.
-    pub fn mean(&self, opts: &IterOptions) -> Result<AnalyticOutcome, SolveError> {
-        let sol = self.absorption(opts)?;
+        }?;
         Ok(AnalyticOutcome {
             mean_ms: sol.mean,
             states: self.space.len(),
@@ -395,24 +387,21 @@ mod tests {
         assert!((late - 0.6).abs() < 1e-9, "plateau {late}");
     }
 
-    /// `absorption` is the dead-end check in front of
-    /// `mean_time_to_absorption`: same vector when the goal is the only
-    /// dead end, a typed refusal when it is not.
+    /// `mean` is the dead-end check in front of
+    /// `mean_time_to_absorption`: the same mean when the goal is the
+    /// only dead end, a typed refusal when it is not.
     #[test]
-    fn absorption_checks_dead_ends_then_solves_per_state() {
+    fn mean_checks_dead_ends_then_solves() {
         let model = chain(&[1.0, 3.0, 0.5]);
         let goal = model.place("p3").unwrap();
         let run =
             AnalyticRun::first_passage(&model, &ReachOptions::default(), move |m| m.get(goal) > 0)
                 .unwrap();
         let opts = IterOptions::default();
-        let sol = run.absorption(&opts).unwrap();
         let direct = mean_time_to_absorption(run.ctmc(), &opts).unwrap();
-        assert_eq!(bits(&sol.per_state), bits(&direct.per_state));
-        assert_eq!(
-            sol.mean.to_bits(),
-            run.mean(&opts).unwrap().mean_ms.to_bits()
-        );
+        let out = run.mean(&opts).unwrap();
+        assert_eq!(out.mean_ms.to_bits(), direct.mean.to_bits());
+        assert_eq!(out.iterations, direct.iterations);
 
         // A goal the chain never meets leaves its last state a
         // reachable dead end outside the goal set.
@@ -420,7 +409,7 @@ mod tests {
             AnalyticRun::first_passage(&model, &ReachOptions::default(), move |m| m.get(goal) > 1)
                 .unwrap();
         assert!(matches!(
-            run.absorption(&opts),
+            run.mean(&opts),
             Err(SolveError::GoalUnreachable { .. })
         ));
     }

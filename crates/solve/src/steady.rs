@@ -155,25 +155,6 @@ pub struct IterOptions {
     /// bit-identical for every value; Gauss–Seidel is sequential by
     /// construction and ignores this.
     pub threads: usize,
-    /// Krylov restart dimension (Arnoldi steps per GMRES cycle).
-    /// Trimmed automatically on multi-million-state systems to bound
-    /// basis memory; ignored by the stationary backends.
-    pub restart: usize,
-    /// Optional warm-start iterate from a previous solve on a chain
-    /// with the *same state numbering* (e.g. the previous grid point of
-    /// a rate-only campaign sweep): for [`steady_state`] a (possibly
-    /// unnormalized) probability vector, for
-    /// [`mean_time_to_absorption`] the previous
-    /// [`AbsorptionTimes::per_state`] times. Ignored unless its length
-    /// matches the state count and every entry is finite. Krylov
-    /// absorption solves ignore it: their cold guess is exact on
-    /// acyclic chains, and no measured seed beat it in matvecs.
-    ///
-    /// Warm starting changes the iteration trajectory, so a converged
-    /// answer agrees with the cold one only to the residual tolerance,
-    /// not bit-for-bit — campaign drivers that promise bit-identical
-    /// Gauss–Seidel means leave this `None` for that backend.
-    pub warm_start: Option<Vec<f64>>,
     /// Opt-in graceful degradation: when the selected backend fails
     /// recoverably, walk the fallback chain
     /// ([`SolverBackend::fallback_after`]) — `Krylov NotConverged →
@@ -193,8 +174,6 @@ impl Default for IterOptions {
             max_iterations: 100_000,
             backend: SolverBackend::default(),
             threads: 1,
-            restart: 30,
-            warm_start: None,
             fallback: false,
         }
     }
@@ -209,47 +188,6 @@ impl IterOptions {
             ..Self::default()
         }
     }
-}
-
-/// The validated warm-start vector, if one is usable for an `n`-state
-/// chain: right length, all entries finite. Anything else falls back to
-/// the backend's cold initial iterate.
-fn warm_vec(opts: &IterOptions, n: usize) -> Option<&[f64]> {
-    opts.warm_start
-        .as_deref()
-        .filter(|w| w.len() == n && w.iter().all(|x| x.is_finite()))
-}
-
-/// Initial π iterate for the stationary solvers: the warm start
-/// clamped non-negative and renormalized, or the uniform distribution.
-pub(crate) fn initial_pi(n: usize, opts: &IterOptions) -> Vec<f64> {
-    if let Some(w) = warm_vec(opts, n) {
-        let mut pi: Vec<f64> = w.iter().map(|&x| x.max(0.0)).collect();
-        if normalize(&mut pi).is_some() {
-            if ctsim_obs::enabled() {
-                ctsim_obs::counter_add("solver.warm_starts", 1);
-            }
-            return pi;
-        }
-    }
-    vec![1.0 / n as f64; n]
-}
-
-/// Initial τ iterate for the absorption solvers: the warm start with
-/// absorbing entries scrubbed to their exact value 0, or all zeros.
-pub(crate) fn initial_tau<L: LinOp>(op: &L, opts: &IterOptions) -> Option<Vec<f64>> {
-    let n = op.dim();
-    let w = warm_vec(opts, n)?;
-    let mut tau = w.to_vec();
-    for (i, t) in tau.iter_mut().enumerate() {
-        if op.is_absorbing(i) {
-            *t = 0.0;
-        }
-    }
-    if ctsim_obs::enabled() {
-        ctsim_obs::counter_add("solver.warm_starts", 1);
-    }
-    Some(tau)
 }
 
 /// A steady-state distribution with convergence diagnostics.
@@ -318,7 +256,7 @@ fn steady_gauss_seidel<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadySta
         });
     }
     let n = op.dim();
-    let mut pi = initial_pi(n, opts);
+    let mut pi = vec![1.0 / n as f64; n];
     let mut qv = vec![0.0; n];
     let (iterations, residual) = iterate("steady_gauss_seidel", opts, || {
         // π_j ← (Σ_{i≠j} π_i q_ij) / |q_jj|, in place (Gauss–Seidel).
@@ -374,7 +312,7 @@ fn steady_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState, So
             residual: f64::INFINITY,
         });
     }
-    let mut pi = initial_pi(n, opts);
+    let mut pi = vec![1.0 / n as f64; n];
     let mut qv = vec![0.0; n];
     let (iterations, residual) = iterate("steady_jacobi", opts, || {
         op.apply_transposed(&pi, &mut qv, opts.threads);
@@ -468,7 +406,7 @@ fn absorption_gauss_seidel<L: LinOp>(
         });
     }
     let n = op.dim();
-    let mut tau = initial_tau(op, opts).unwrap_or_else(|| vec![0.0; n]);
+    let mut tau = vec![0.0; n];
     let (iterations, residual) = iterate("absorption_gauss_seidel", opts, || {
         // τ_j ← (1 + Σ_k q_jk τ_k) / |q_jj| over transient states, in
         // place (Gauss–Seidel on Q_TT τ = -1; absorbing τ stay 0). The
@@ -508,7 +446,7 @@ fn absorption_gauss_seidel<L: LinOp>(
 /// iterate, the buffers swap and no write order matters.
 fn absorption_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<AbsorptionTimes, SolveError> {
     let n = op.dim();
-    let mut tau = initial_tau(op, opts).unwrap_or_else(|| vec![0.0; n]);
+    let mut tau = vec![0.0; n];
     let mut flow = vec![0.0; n];
     let (iterations, residual) = iterate("absorption_jacobi", opts, || {
         op.apply(&tau, &mut flow, opts.threads);
@@ -535,7 +473,7 @@ fn absorption_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<AbsorptionT
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::graph::{ReachOptions, StateSpace};
     use crate::Ctmc;
@@ -547,7 +485,7 @@ pub(crate) mod tests {
     /// also returns to `p0` at that mean: one cycle through every
     /// transient state, the shape of `tests/solver_backends.rs`'s
     /// `stiff_absorbing` (which is `absorbing_chain(&[f, s], Some(f))`).
-    pub(crate) fn absorbing_chain(means: &[f64], back: Option<f64>) -> Ctmc {
+    fn absorbing_chain(means: &[f64], back: Option<f64>) -> Ctmc {
         let mut b = SanBuilder::new("chain");
         let places: Vec<_> = (0..=means.len())
             .map(|i| b.place(format!("p{i}"), u32::from(i == 0)))

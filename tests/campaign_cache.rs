@@ -2,9 +2,8 @@
 //! rebuild of a cached reachability graph must be **byte-identical** to
 //! a fresh exploration at the new rates — across exploration thread
 //! counts and with the transition arena spilled to disk under an
-//! adversarial budget — and a Krylov solve handed a warm-start vector
-//! must land on the cold answer (≤ 1e-12 relative) in no more
-//! iterations.
+//! adversarial budget — and the grid-file parser must turn any text
+//! into points it can sort or a typed error.
 //!
 //! The rate axes mirror the campaign engine's contract: only
 //! deterministic and exponential stage means vary (their phase-type
@@ -13,10 +12,9 @@
 //! under any mean), while a fixed bi-modal lane stays in the model so
 //! the expansion is a genuine hyper-Erlang mix, not a toy.
 
+use ct_consensus_repro::experiments::campaign::parse_grid;
 use ct_consensus_repro::san::{Activity, Case, SanBuilder, SanModel};
-use ct_consensus_repro::solve::{
-    mean_time_to_absorption, IterOptions, ReachOptions, SolverBackend, SpillOptions, StateSpace,
-};
+use ct_consensus_repro::solve::{ReachOptions, SpillOptions, StateSpace};
 use ct_consensus_repro::stoch::{Dist, PhBranch};
 use proptest::prelude::*;
 
@@ -173,72 +171,40 @@ proptest! {
             &opts,
         );
     }
+}
 
-    /// Krylov on the neighbouring grid point: handing the solve the
-    /// previous point's first-passage vector must land on the cold
-    /// answer to ≤ 1e-12 relative in no more iterations (absorption
-    /// solves start from the cold guess whatever the seed, so this
-    /// holds by construction and pins that contract).
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 2000, .. ProptestConfig::default()
+    })]
+
+    /// Grid files are user input: whatever the lines hold, `parse_grid`
+    /// returns a typed error or points whose scales are finite and > 0
+    /// — it never panics and never admits a scale the campaign cannot
+    /// order. The text is one well-formed line around two scale tokens,
+    /// then token soup.
     #[test]
-    fn warm_started_krylov_matches_cold_in_fewer_or_equal_iterations(
-        means in proptest::collection::vec(0.3f64..1.5, 2..4),
-        scale in 0.8f64..1.25,
+    fn parse_grid_never_panics_and_admits_only_positive_finite_scales(
+        service in 0usize..1000,
+        net in 0usize..1000,
+        soup in proptest::collection::vec(0usize..1000, 0..12),
     ) {
-        let model_a = lane_model(&means);
-        let means_b: Vec<f64> = means.iter().map(|m| m * scale).collect();
-        let model_b = lane_model(&means_b);
-        let opts = reach(2, None);
-        let iter = IterOptions {
-            backend: SolverBackend::Krylov,
-            ..IterOptions::default()
+        const SCALES: &str = "1.0|0.5|2| 1.5 |nan|NaN|inf|-infinity|0|-0.0|-1|1e400|1e-400||x|1,1";
+        const SOUP: &str = "3,0,jacobi,1.0,|1.0|nan|,|\n|\n|#|n,|-|0|x|\u{e9}| |.";
+        let pick = |tokens: &'static str, i: usize| {
+            let tokens: Vec<&str> = tokens.split('|').collect();
+            tokens[i % tokens.len()]
         };
-
-        // First-passage to "every lane done": absorb when all the
-        // lane-final places hold a token.
-        let absorb_a = {
-            let finals: Vec<_> = (0..means.len())
-                .map(|l| model_a.place(&format!("v{l}_3")).expect("final place"))
-                .collect();
-            move |m: &ct_consensus_repro::san::Marking| finals.iter().all(|&p| m.get(p) > 0)
-        };
-        let absorb_b = {
-            let finals: Vec<_> = (0..means.len())
-                .map(|l| model_b.place(&format!("v{l}_3")).expect("final place"))
-                .collect();
-            move |m: &ct_consensus_repro::san::Marking| finals.iter().all(|&p| m.get(p) > 0)
-        };
-
-        let (_ss_a, ctmc_a) =
-            StateSpace::explore_absorbing_ctmc(&model_a, &opts, absorb_a).expect("explore A");
-        let prev = mean_time_to_absorption(&ctmc_a, &iter).expect("solve A");
-
-        let (_ss_b, ctmc_b) =
-            StateSpace::explore_absorbing_ctmc(&model_b, &opts, absorb_b).expect("explore B");
-        let cold = mean_time_to_absorption(&ctmc_b, &iter).expect("cold solve B");
-        let warm_iter = IterOptions {
-            warm_start: Some(prev.per_state.clone()),
-            ..iter.clone()
-        };
-        let warm = mean_time_to_absorption(&ctmc_b, &warm_iter).expect("warm solve B");
-
-        let rel = (warm.mean - cold.mean).abs() / cold.mean.abs().max(1e-300);
-        prop_assert!(rel <= 1e-12, "warm {} vs cold {} (rel {:.3e})", warm.mean, cold.mean, rel);
-        prop_assert!(
-            warm.iterations <= cold.iterations,
-            "warm took {} iterations, cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-
-        // The degenerate-exact seed: one residual check, like the cold
-        // guess on these acyclic chains.
-        let exact_iter = IterOptions {
-            warm_start: Some(cold.per_state.clone()),
-            ..iter.clone()
-        };
-        let exact = mean_time_to_absorption(&ctmc_b, &exact_iter).expect("exact-seed solve");
-        prop_assert_eq!(exact.iterations, 1, "exact seed must converge in one iteration");
-        prop_assert!((exact.mean - cold.mean).abs() <= 1e-12 * cold.mean.abs());
+        let mut text = format!("2,1,krylov,{},{}\n", pick(SCALES, service), pick(SCALES, net));
+        text.extend(soup.iter().map(|&i| pick(SOUP, i)));
+        if let Ok(specs) = parse_grid(&text) {
+            prop_assert!(!specs.is_empty());
+            for s in &specs {
+                for v in [s.service_scale, s.net_scale] {
+                    prop_assert!(v.is_finite() && v > 0.0, "admitted scale {v} from {text:?}");
+                }
+            }
+        }
     }
 }
 

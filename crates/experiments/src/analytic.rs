@@ -228,12 +228,16 @@ struct Solved {
     solve_ms: f64,
 }
 
-/// Largest state space for which the overlay CDF is evaluated. Each
-/// CDF point is a full uniformization sweep — on a half-million-state
-/// n = 3 expansion the seven-point grid would dwarf the mean solve the
-/// row is actually about — so huge spaces report the mean (and the
-/// agreement verdict) with an empty CDF series.
-const CDF_MAX_STATES: usize = 200_000;
+/// Largest state space for which the overlay CDF is evaluated. The
+/// seven-point grid is one uniformization pass
+/// ([`AnalyticRun::cdf_grid`]) as long as its largest time's: on the
+/// n = 3 order-2 chain (534 429 states) that is 1 012 Poisson terms,
+/// measured at 4.9 s on two threads and 7.7 s on one (2-core Xeon
+/// host), where seven separate `cdf` calls took 15–17 s. Order 3
+/// (2.3 M states, about four times the work per term) stays above the
+/// cap and reports the mean (and the agreement verdict) with an empty
+/// CDF series.
+const CDF_MAX_STATES: usize = 1_000_000;
 
 /// The solve options of one overlay solve at expansion `order`: the
 /// command-line knobs, capped at the model's recommended state count
@@ -272,10 +276,9 @@ fn solve_mean_and_cdf(
     let mean = run.mean(&opts.iter)?;
     let solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
     let cdf = if want_cdf && mean.states <= CDF_MAX_STATES {
-        cdf_grid(mean.mean_ms)
-            .into_iter()
-            .map(|t| run.cdf(t, &opts.transient).map(|p| (t, p)))
-            .collect::<Result<Vec<_>, _>>()?
+        let times = cdf_grid(mean.mean_ms);
+        let probs = run.cdf_grid(&times, &opts.transient)?;
+        times.into_iter().zip(probs).collect()
     } else {
         Vec::new()
     };

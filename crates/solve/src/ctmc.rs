@@ -675,6 +675,7 @@ impl Ctmc {
     /// # Panics
     /// Panics if slice lengths disagree with the state count.
     pub fn vec_mul(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(out.len(), self.n);
         crate::spmv::vec_mul(self, x, out, 1);
     }
 

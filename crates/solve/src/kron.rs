@@ -406,9 +406,9 @@ impl LinOp for KronGenerator {
 
     fn apply_transposed(&self, x: &[f64], out: &mut [f64], threads: usize) {
         assert_eq!(x.len(), self.n);
-        assert_eq!(out.len(), self.n);
+        assert!(out.len() <= self.n);
         let t = self.transpose();
-        spmv::for_each_shard(&t.col_ptr, threads, out, |lo, shard| {
+        spmv::for_each_shard(&t.col_ptr[..=out.len()], threads, out, |lo, shard| {
             for (dj, o) in shard.iter_mut().enumerate() {
                 let j = lo + dj;
                 let mut acc = x[j] * self.diag[j];

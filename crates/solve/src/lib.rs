@@ -15,9 +15,10 @@
 //!    reachable non-exponential timed activity are rejected with
 //!    [`SolveError::NonMarkovian`];
 //! 3. [`transient()`] (uniformization with Fox–Glynn style Poisson
-//!    truncation) and [`steady_state`] (Gauss–Seidel with convergence
-//!    diagnostics), plus [`mean_time_to_absorption`] for first-passage
-//!    means;
+//!    truncation, each product limited to the states the chain can have
+//!    reached, one pass serving a whole time grid) and [`steady_state`]
+//!    (Gauss–Seidel with convergence diagnostics), plus
+//!    [`mean_time_to_absorption`] for first-passage means;
 //! 4. the reward layer ([`expected_rate_reward`],
 //!    [`expected_impulse_rate`], [`AnalyticRun`]) which evaluates the
 //!    same marking-function rewards the simulator integrates, against
@@ -197,8 +198,10 @@
 //! Every backend returns [`SolveError::NotConverged`] with finite
 //! diagnostics instead of NaNs or hangs on reducible or pathological
 //! chains (`tests/solver_backends.rs` property-tests that contract at
-//! 1/2/4/8 threads). The uniformization loop of [`transient()`]
-//! reuses the same sharded SpMV via [`TransientOptions::threads`].
+//! 1/2/4/8 threads). The uniformization loop behind [`transient()`]
+//! and [`AnalyticRun::cdf_grid`] reuses the same sharded SpMV via
+//! [`TransientOptions::threads`], over the prefix of states its support
+//! bound can reach.
 //!
 //! # Example
 //!
@@ -398,6 +401,11 @@ pub enum SolveError {
         /// The configured depth bound.
         depth: usize,
     },
+    /// A transient time is negative, NaN or infinite.
+    InvalidTime {
+        /// The offending time (ms).
+        t_ms: f64,
+    },
     /// The Poisson truncation needs more terms than allowed.
     TruncationTooLong {
         /// The configured term cap.
@@ -472,6 +480,10 @@ impl fmt::Display for SolveError {
                 f,
                 "instantaneous activities fired more than {depth} times at \
                  one instant (vanishing loop)"
+            ),
+            SolveError::InvalidTime { t_ms } => write!(
+                f,
+                "transient time {t_ms} ms is not a finite non-negative number"
             ),
             SolveError::TruncationTooLong { terms } => write!(
                 f,

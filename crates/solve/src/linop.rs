@@ -112,7 +112,11 @@ pub trait LinOp: Sync {
 
     /// `out = x · Q` including the diagonal: the row-vector product the
     /// balance residual and the uniformization loop need, sharded over
-    /// `threads` workers (`0` = one per core).
+    /// `threads` workers (`0` = one per core). `x` has length `dim`;
+    /// `out` may be a prefix of length ≤ `dim`, and only `out[..len]`
+    /// is computed, each element from its whole column — exactly the
+    /// values a full-length call puts there. The uniformization loop
+    /// passes the prefix past which `x · Q` is known to vanish.
     fn apply_transposed(&self, x: &[f64], out: &mut [f64], threads: usize);
 
     /// Backward Gauss–Seidel substitution: solves `(D − U) z = v` in

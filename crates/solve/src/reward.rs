@@ -17,7 +17,7 @@ use crate::ctmc::Ctmc;
 use crate::graph::{GraphParts, ReachOptions, StateSpace};
 use crate::linop::{Generator, LinOp};
 use crate::steady::{mean_time_to_absorption, IterOptions};
-use crate::transient::{transient, TransientOptions};
+use crate::transient::{uniformize, TransientOptions};
 use crate::{SolveError, SolveOptions};
 
 /// Expected value of a rate reward (a function of the marking) under a
@@ -193,13 +193,39 @@ impl<'m> AnalyticRun<'m> {
     }
 
     /// `P(T ≤ t)`: probability the predicate holds by time `t` (ms) —
-    /// one point of the latency CDF the paper plots.
+    /// one point of the latency CDF the paper plots; the one-point case
+    /// of [`AnalyticRun::cdf_grid`].
+    ///
+    /// # Errors
+    /// As [`AnalyticRun::cdf_grid`].
     pub fn cdf(&self, t_ms: f64, opts: &TransientOptions) -> Result<f64, SolveError> {
-        let sol = transient(&self.gen, t_ms, opts)?;
-        Ok((0..self.space.len())
+        Ok(self.cdf_grid(&[t_ms], opts)?[0])
+    }
+
+    /// `P(T ≤ t)` at every time of `times` (ms, any order, duplicates
+    /// allowed), from one uniformization pass as long as the largest
+    /// time's: the vectors `π(0)Pᵏ` are shared, and each point keeps
+    /// only its sums over the goal states. Every value is `to_bits`-equal
+    /// to what a separate full-width solve at that time gives.
+    ///
+    /// # Errors
+    /// [`SolveError::InvalidTime`] for a negative, NaN or infinite time,
+    /// [`SolveError::TruncationTooLong`] when a time needs more than
+    /// `max_terms` Poisson terms.
+    pub fn cdf_grid(&self, times: &[f64], opts: &TransientOptions) -> Result<Vec<f64>, SolveError> {
+        let goals: Vec<usize> = (0..self.space.len())
             .filter(|&s| self.space.absorbing[s])
-            .map(|s| sol.probs[s])
-            .sum())
+            .collect();
+        // sums[p][g]: the absorbed mass of goal state goals[g] at times[p].
+        let mut sums = vec![vec![0.0; goals.len()]; times.len()];
+        uniformize(&self.gen, times, opts, |p, w, lo, v| {
+            let from = goals.partition_point(|&s| s < lo);
+            let to = from + goals[from..].partition_point(|&s| s < lo + v.len());
+            for (acc, &s) in sums[p][from..to].iter_mut().zip(&goals[from..to]) {
+                *acc += w * v[s - lo];
+            }
+        })?;
+        Ok(sums.iter().map(|point| point.iter().sum()).collect())
     }
 
     /// The expected first-passage time from the initial marking, solved
@@ -288,6 +314,7 @@ impl DetachedRun {
 mod tests {
     use super::*;
     use crate::steady::steady_state;
+    use crate::transient::transient;
     use ctsim_san::{Activity, Case, SanBuilder, SanModel};
     use ctsim_stoch::Dist;
 
@@ -475,6 +502,30 @@ mod tests {
                 Err(SolveError::StructureMismatch { .. })
             ));
         }
+    }
+
+    /// `cdf` and `cdf_grid` refuse a negative, NaN or infinite time
+    /// with a typed error, anywhere in the grid.
+    #[test]
+    fn bad_times_are_typed_errors() {
+        let model = chain(&[1.0, 3.0]);
+        let goal = model.place("p2").unwrap();
+        let run =
+            AnalyticRun::first_passage(&model, &ReachOptions::default(), move |m| m.get(goal) > 0)
+                .unwrap();
+        let opts = TransientOptions::default();
+        for bad in [-0.5, f64::NAN, f64::NEG_INFINITY, f64::INFINITY] {
+            let is_bad = |e: SolveError| match e {
+                SolveError::InvalidTime { t_ms } => t_ms.to_bits() == bad.to_bits(),
+                _ => false,
+            };
+            assert!(is_bad(run.cdf(bad, &opts).unwrap_err()), "cdf({bad})");
+            assert!(
+                is_bad(run.cdf_grid(&[1.0, bad, 2.0], &opts).unwrap_err()),
+                "cdf_grid with {bad}"
+            );
+        }
+        assert_eq!(run.cdf_grid(&[], &opts).unwrap(), Vec::<f64>::new());
     }
 
     #[test]

@@ -7,6 +7,25 @@
 //! exponentials under- or overflow even for large `Λt`, and the series
 //! is truncated once the missing mass is below the requested tolerance.
 //!
+//! The vectors `v_k = π(0) P^k` do not depend on `t`, so one loop
+//! (`uniformize`) computes them once, up to the largest truncation
+//! point of a whole time grid, and hands every `(grid point, weight,
+//! v_k)` to a sink: [`transient()`] is its one-point sink that fills the
+//! full `π(t)`, and [`AnalyticRun::cdf_grid`](crate::AnalyticRun::cdf_grid)
+//! accumulates only the goal states of every grid point.
+//!
+//! Every product is **prefix-limited**. The loop keeps a bound `hi` on
+//! the support of `v_k` — the last non-zero entry of `π(0)` plus one at
+//! the start, extended before each product by the largest successor of
+//! the rows that entered the support since the last step — and computes
+//! `v_k Q`, the weighted accumulation and `v_{k+1} = v_k + v_k Q/Λ`
+//! only over `[0, hi)`. Under the canonical BFS numbering the early
+//! terms of a first-passage chain touch a small prefix. Entries past
+//! `hi` are exact `+0.0` and the full-width loop leaves them at `+0.0`
+//! (`0·q_jj + Σ 0·q_ij` rounds to a signed zero, and `+0.0 + ±0.0` is
+//! `+0.0`), so skipping them changes no bit, on any chain, cyclic or
+//! not, at any thread count.
+//!
 //! Out-of-core caveat: the `π(0) P^k` recurrence is a row-vector
 //! product (`x · Q`), which on a CSR generator runs over the cached
 //! *incoming* (transposed) view — and that view is always materialized
@@ -20,6 +39,11 @@ use crate::SolveError;
 
 /// Poisson terms per telemetry batch span in the uniformization loop.
 const TRACE_BATCH: usize = 256;
+
+/// States per block of the fused accumulate-and-update pass: a block of
+/// `v`, `v Q` and the sink's accumulator stays in cache between the
+/// sink reading `v_k` and the update overwriting it with `v_{k+1}`.
+const BLOCK: usize = 1 << 12;
 
 /// Options for the transient solver.
 #[derive(Debug, Clone)]
@@ -63,6 +87,7 @@ pub struct Transient {
 /// distribution, over any [`LinOp`] generator representation.
 ///
 /// # Errors
+/// [`SolveError::InvalidTime`] if `t_ms` is negative, NaN or infinite;
 /// [`SolveError::TruncationTooLong`] if `Λt` needs more than
 /// `max_terms` Poisson terms at the requested tolerance.
 pub fn transient<L: LinOp>(
@@ -70,86 +95,153 @@ pub fn transient<L: LinOp>(
     t_ms: f64,
     opts: &TransientOptions,
 ) -> Result<Transient, SolveError> {
+    let mut probs = vec![0.0; op.dim()];
+    let pass = uniformize(op, &[t_ms], opts, |_, w, lo, v| {
+        for (o, &x) in probs[lo..lo + v.len()].iter_mut().zip(v) {
+            *o += w * x;
+        }
+    })?;
+    Ok(Transient {
+        probs,
+        t: t_ms,
+        lambda: pass.lambda,
+        terms: pass.terms,
+    })
+}
+
+/// What a [`uniformize`] pass reports beside what its sink saw.
+pub(crate) struct Pass {
+    /// Uniformization rate Λ used (1/ms).
+    pub(crate) lambda: f64,
+    /// Poisson terms of the longest grid point; the pass ran one
+    /// product fewer.
+    pub(crate) terms: usize,
+}
+
+/// The uniformization loop, shared by every transient entry point:
+/// computes `v_k = π(0) P^k` once, for `k` up to the largest
+/// right-truncation point of `times`, and for every grid point `p`
+/// whose Poisson weight `w = Pois(Λ t_p; k)` is positive calls
+/// `sink(p, w, lo, &v_k[lo..lo + len])` over consecutive blocks of the
+/// prefix `[0, hi)` outside of which `v_k` is zero. A sink that adds
+/// `w · v_k[s]` into a per-point accumulator, starting from `0.0`,
+/// reproduces the full-width single-point loop bit for bit.
+///
+/// # Errors
+/// [`SolveError::InvalidTime`] for a negative, NaN or infinite time,
+/// [`SolveError::TruncationTooLong`] when a point needs more than
+/// `max_terms` terms, and [`SolveError::SpillFailed`] when a paged
+/// generator cannot be read back.
+pub(crate) fn uniformize<L: LinOp>(
+    op: &L,
+    times: &[f64],
+    opts: &TransientOptions,
+    sink: impl FnMut(usize, f64, usize, &[f64]),
+) -> Result<Pass, SolveError> {
+    if let Some(&t_ms) = times.iter().find(|t| !(**t >= 0.0 && t.is_finite())) {
+        return Err(SolveError::InvalidTime { t_ms });
+    }
     // Boundary for the typed spill-failure channel: a disk-paged
     // generator whose read-back exhausts its retries surfaces here as
     // `Err(SolveError::SpillFailed)` instead of a panic.
-    crate::catch_spill(|| transient_inner(op, t_ms, opts))
+    crate::catch_spill(|| uniformize_inner(op, times, opts, sink))
 }
 
-fn transient_inner<L: LinOp>(
+fn uniformize_inner<L: LinOp>(
     op: &L,
-    t_ms: f64,
+    times: &[f64],
     opts: &TransientOptions,
-) -> Result<Transient, SolveError> {
-    assert!(
-        t_ms >= 0.0 && t_ms.is_finite(),
-        "time must be finite and >= 0"
-    );
+    mut sink: impl FnMut(usize, f64, usize, &[f64]),
+) -> Result<Pass, SolveError> {
     let n = op.dim();
     let lambda = op.max_exit_rate();
-    let lt = lambda * t_ms;
-    if lt == 0.0 {
-        return Ok(Transient {
-            probs: op.initial().to_vec(),
-            t: t_ms,
-            lambda,
-            terms: 0,
-        });
-    }
-    let weights = poisson_weights(lt, opts)?;
-    let _span = ctsim_obs::span("solver", "transient")
-        .arg("t_ms", t_ms)
-        .arg("lambda_t", lt)
-        .arg("terms", weights.len())
+    let weights = times
+        .iter()
+        .map(|&t| poisson_weights(lambda * t, opts))
+        .collect::<Result<Vec<_>, _>>()?;
+    let Some(terms) = weights.iter().map(Vec::len).max() else {
+        return Ok(Pass { lambda, terms: 0 });
+    };
+    let t_max = times.iter().copied().fold(0.0, f64::max);
+    let mut span = ctsim_obs::span("solver", "transient")
+        .arg("t_ms", t_max)
+        .arg("lambda_t", lambda * t_max)
+        .arg("terms", terms)
+        .arg("points", times.len())
         .arg("states", n);
-    // v_k = π(0) P^k, accumulated into out with weight w_k.
+    let traced = ctsim_obs::enabled();
+    let last = terms - 1;
     let mut v = op.initial().to_vec();
     let mut qv = vec![0.0; n];
-    let mut out = vec![0.0; n];
-    let last = weights.len() - 1;
-    let mut batch_t0 = if ctsim_obs::enabled() {
-        ctsim_obs::now_us()
-    } else {
-        0
-    };
-    for (k, &w) in weights.iter().enumerate() {
-        if w > 0.0 {
-            for (o, &x) in out.iter_mut().zip(&v) {
-                *o += w * x;
+    // v_k is zero on [hi, n); rows [0, scanned) have had their
+    // successors folded into the bound.
+    let mut hi = v.iter().rposition(|&x| x != 0.0).map_or(0, |i| i + 1);
+    let mut scanned = 0;
+    // Telemetry only: entries of the columns [0, hi), and their sum
+    // over the products — what the gathers actually read.
+    let (mut col_entries, mut rates_touched) = (0usize, 0usize);
+    let mut batch_t0 = if traced { ctsim_obs::now_us() } else { 0 };
+    for k in 0..terms {
+        let end = if k < last {
+            // Rows that entered the support since the last product
+            // bound where v_k Q (and so v_{k+1}) can be non-zero.
+            let mut reach = hi;
+            for i in scanned..hi {
+                op.for_each_in_row(i, |j, _| reach = reach.max(j + 1));
+            }
+            scanned = hi;
+            if traced {
+                col_entries += (hi..reach).map(|j| op.column(j).count()).sum::<usize>();
+                rates_touched += col_entries;
+            }
+            op.apply_transposed(&v, &mut qv[..reach], opts.threads);
+            reach
+        } else {
+            hi
+        };
+        // Fused pass: the sinks read a block of v_k, then the update
+        // v ← v P = v + (v Q)/Λ overwrites it with v_{k+1}.
+        for lo in (0..end).step_by(BLOCK) {
+            let block = lo..(lo + BLOCK).min(end);
+            for (p, ws) in weights.iter().enumerate() {
+                if let Some(&w) = ws.get(k).filter(|&&w| w > 0.0) {
+                    sink(p, w, lo, &v[block.clone()]);
+                }
+            }
+            if k < last {
+                for (x, &q) in v[block.clone()].iter_mut().zip(&qv[block]) {
+                    *x += q / lambda;
+                }
             }
         }
-        if k < last {
-            // v ← v P = v + (v Q)/Λ, the sharded gather product.
-            op.apply_transposed(&v, &mut qv, opts.threads);
-            for (x, &q) in v.iter_mut().zip(&qv) {
-                *x += q / lambda;
-            }
-        }
-        if ctsim_obs::enabled() && ((k + 1) % TRACE_BATCH == 0 || k == last) {
+        hi = end;
+        if traced && ((k + 1) % TRACE_BATCH == 0 || k == last) {
             ctsim_obs::record_span(
                 "solver",
                 "uniformization_batch",
                 batch_t0,
-                vec![
-                    ("through_term", (k + 1).into()),
-                    ("terms", (last + 1).into()),
-                ],
+                vec![("through_term", (k + 1).into()), ("terms", terms.into())],
             );
             batch_t0 = ctsim_obs::now_us();
         }
     }
-    Ok(Transient {
-        probs: out,
-        t: t_ms,
-        lambda,
-        terms: weights.len(),
-    })
+    if traced {
+        let nnz: usize = (0..n).map(|j| op.column(j).count()).sum();
+        span.push_arg("rates_touched", rates_touched);
+        span.push_arg("rates_full", last * nnz);
+    }
+    Ok(Pass { lambda, terms })
 }
 
 /// Normalized Poisson(lt) weights for `k = 0..=R`, with entries below
-/// the left truncation point zeroed. Computed outward from the mode so
-/// the unnormalized values stay in floating range.
-fn poisson_weights(lt: f64, opts: &TransientOptions) -> Result<Vec<f64>, SolveError> {
+/// the left truncation point zeroed: the `w_k` of the uniformization
+/// sum at `lt = Λt`. Computed outward from the mode so the
+/// unnormalized values stay in floating range.
+///
+/// # Errors
+/// [`SolveError::TruncationTooLong`] if more than `opts.max_terms`
+/// terms are needed.
+pub fn poisson_weights(lt: f64, opts: &TransientOptions) -> Result<Vec<f64>, SolveError> {
     let mode = lt.floor() as usize;
     if mode + 1 > opts.max_terms {
         return Err(SolveError::TruncationTooLong {
@@ -275,6 +367,27 @@ mod tests {
             let mode = lt.floor() as usize;
             let max = w.iter().cloned().fold(0.0, f64::max);
             assert_eq!(w[mode], max, "lt={lt}");
+        }
+    }
+
+    /// A negative, NaN or infinite time is a typed error, not a panic.
+    #[test]
+    fn bad_times_are_typed_errors() {
+        let m = two_state(1.0, 1.0);
+        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let q = Ctmc::from_state_space(&ss).unwrap();
+        for t in [-1.0, -f64::MIN_POSITIVE, f64::NAN, f64::INFINITY] {
+            let err = transient(&q, t, &TransientOptions::default()).unwrap_err();
+            assert!(
+                matches!(err, SolveError::InvalidTime { t_ms } if t_ms.to_bits() == t.to_bits()),
+                "t = {t}: {err:?}"
+            );
+        }
+        // t = 0 (either sign) is the initial vector, bit for bit.
+        for t in [0.0, -0.0] {
+            let sol = transient(&q, t, &TransientOptions::default()).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sol.probs), bits(q.initial()));
         }
     }
 

@@ -3,9 +3,10 @@
 //! regardless of topology, rates, or evaluation times.
 
 use ct_consensus_repro::san::{Activity, Case, SanBuilder, SanModel};
+use ct_consensus_repro::solve::transient::poisson_weights;
 use ct_consensus_repro::solve::{
-    steady_state, transient, Ctmc, IterOptions, ReachOptions, SolverBackend, StateSpace,
-    TransientOptions,
+    steady_state, transient, AnalyticRun, Ctmc, GeneratorBackend, IterOptions, LinOp, ReachOptions,
+    SolverBackend, StateSpace, TransientOptions,
 };
 use ct_consensus_repro::stoch::{Dist, PhaseType};
 use proptest::prelude::*;
@@ -300,6 +301,277 @@ proptest! {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(r1), bits(rn));
             prop_assert_eq!(bits(d1), bits(dn));
+        }
+    }
+}
+
+/// A random first-passage net with a `cyclic` switch. `tokens` tokens
+/// leave `a` one at a time (`fwd`), either to `z` (probability `split`)
+/// or straight to `done`; tokens in `z` finish (`fin`) or, on a cyclic
+/// net, go back to `a` (`bwd`). `(tokens + 1)(tokens + 2) / 2` states,
+/// so a large draw clears the sharded product's inline threshold.
+/// `hops` adds an independent single-token detour whose steps
+/// interleave with the token moves, so successor ids jump around the
+/// canonical numbering; on a cyclic net, even draws can send the
+/// detour back to its start.
+fn token_net(
+    tokens: u32,
+    means: (f64, f64, f64),
+    split: f64,
+    cyclic: bool,
+    hops: &[u32],
+) -> SanModel {
+    let mut b = SanBuilder::new("tokens");
+    let a = b.place("a", tokens);
+    let z = b.place("z", 0);
+    let done = b.place("done", 0);
+    b.add_activity(
+        Activity::timed("fwd", Dist::Exp { mean: means.0 })
+            .input(a, 1)
+            .case(Case::with_prob(split).output(z, 1))
+            .case(Case::with_prob(1.0 - split).output(done, 1)),
+    );
+    b.add_activity(
+        Activity::timed("fin", Dist::Exp { mean: means.1 })
+            .input(z, 1)
+            .case(Case::with_prob(1.0).output(done, 1)),
+    );
+    if cyclic {
+        b.add_activity(
+            Activity::timed("bwd", Dist::Exp { mean: means.2 })
+                .input(z, 1)
+                .case(Case::with_prob(1.0).output(a, 1)),
+        );
+    }
+    let start = b.place("h0", 1);
+    let mut at = start;
+    for (i, &h) in hops.iter().enumerate() {
+        let next = b.place(format!("h{}", i + 1), 0);
+        let mean = 0.2 + f64::from(h) * 0.1;
+        let hop = Activity::timed(format!("hop{i}"), Dist::Exp { mean }).input(at, 1);
+        b.add_activity(if cyclic && h % 2 == 0 {
+            hop.case(Case::with_prob(0.8).output(next, 1))
+                .case(Case::with_prob(0.2).output(start, 1))
+        } else {
+            hop.case(Case::with_prob(1.0).output(next, 1))
+        });
+        at = next;
+    }
+    b.build().expect("token net is valid")
+}
+
+/// The full-width uniformization loop: every product over all states,
+/// every accumulation over all states, one thread. The reference the
+/// prefix-limited loop must reproduce bit for bit.
+fn full_width_transient(op: &impl LinOp, t: f64) -> Vec<f64> {
+    let n = op.dim();
+    let lambda = op.max_exit_rate();
+    let weights = poisson_weights(lambda * t, &TransientOptions::default()).expect("weights");
+    let mut v = op.initial().to_vec();
+    let mut qv = vec![0.0; n];
+    let mut out = vec![0.0; n];
+    let last = weights.len() - 1;
+    for (k, &w) in weights.iter().enumerate() {
+        if w > 0.0 {
+            for (o, &x) in out.iter_mut().zip(&v) {
+                *o += w * x;
+            }
+        }
+        if k < last {
+            op.apply_transposed(&v, &mut qv, 1);
+            for (x, &q) in v.iter_mut().zip(&qv) {
+                *x += q / lambda;
+            }
+        }
+    }
+    out
+}
+
+/// The first index where two vectors differ in any bit (or in length).
+fn first_bit_difference(a: &[f64], b: &[f64]) -> Option<usize> {
+    (0..a.len().max(b.len()))
+        .find(|&i| a.get(i).map(|x| x.to_bits()) != b.get(i).map(|x| x.to_bits()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 16, .. ProptestConfig::default()
+    })]
+
+    /// Prefix-limited uniformization changes no bit: on random acyclic
+    /// and cyclic nets, over the CSR and the Kronecker generator, at 1,
+    /// 2 and 3 SpMV threads, `transient().probs` equals the full-width
+    /// loop's, and every point of a `cdf_grid` — unsorted, with a
+    /// duplicate and `0.0` — equals the one-point `cdf` and the goal
+    /// mass of the full-width vector.
+    #[test]
+    fn prefix_limited_uniformization_is_bit_identical(
+        tokens in 1u32..150,
+        means in (0.2f64..3.0, 0.2f64..3.0, 0.2f64..3.0),
+        split in 0.1f64..0.9,
+        cyclic in 0u32..2,
+        hops in proptest::collection::vec(0u32..6, 0..5),
+        goal_at in 0.0f64..1.0,
+        times in proptest::collection::vec(0.0f64..6.0, 1..4),
+    ) {
+        let model = token_net(tokens, means, split, cyclic == 1, &hops);
+        let done = model.place("done").expect("place");
+        let goal_tokens = 1 + (goal_at * f64::from(tokens)) as u32;
+        // Unsorted, a duplicate, and t = 0.
+        let mut grid = times.clone();
+        grid.push(times[0]);
+        grid.push(0.0);
+        for generator in [GeneratorBackend::Csr, GeneratorBackend::Kron] {
+            let run = AnalyticRun::first_passage_gen(
+                &model,
+                &ReachOptions { max_states: 1 << 16, ..ReachOptions::default() },
+                generator,
+                move |m| m.get(done) >= goal_tokens,
+            )
+            .expect("explore");
+            let gen = run.generator();
+            let goals: Vec<usize> =
+                (0..run.space().len()).filter(|&s| run.space().absorbing[s]).collect();
+            for threads in [1usize, 2, 3] {
+                let opts = TransientOptions { threads, ..TransientOptions::default() };
+                let cdfs = run.cdf_grid(&grid, &opts).expect("cdf_grid");
+                prop_assert_eq!(cdfs.len(), grid.len());
+                for (&t, &c) in grid.iter().zip(&cdfs) {
+                    let reference = full_width_transient(gen, t);
+                    let sol = transient(gen, t, &opts).expect("transient");
+                    let diff = first_bit_difference(&sol.probs, &reference);
+                    prop_assert!(
+                        diff.is_none(),
+                        "{:?}, {} threads, t = {}: state {:?} differs", generator, threads, t, diff
+                    );
+                    let one = run.cdf(t, &opts).expect("cdf");
+                    let mass: f64 = goals.iter().map(|&s| reference[s]).sum();
+                    prop_assert_eq!(c.to_bits(), one.to_bits(), "grid vs cdf at t = {}", t);
+                    prop_assert_eq!(c.to_bits(), mass.to_bits(), "grid vs full width at t = {}", t);
+                }
+            }
+        }
+    }
+}
+
+/// `1 − Σ_{i<k} e^{−λt} (λt)^i / i!`: the Erlang-k CDF.
+fn erlang_cdf(k: u32, rate: f64, t: f64) -> f64 {
+    let x = rate * t;
+    let mut term = 1.0;
+    let mut sum = 1.0;
+    for i in 1..k {
+        term *= x / f64::from(i);
+        sum += term;
+    }
+    1.0 - (-x).exp() * sum
+}
+
+/// The hypoexponential CDF with distinct rates:
+/// `1 − Σ_i e^{−λ_i t} Π_{j≠i} λ_j / (λ_j − λ_i)`.
+fn hypoexponential_cdf(rates: &[f64], t: f64) -> f64 {
+    let tail: f64 = rates
+        .iter()
+        .enumerate()
+        .map(|(i, &ri)| {
+            let coeff: f64 = rates
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, &rj)| rj / (rj - ri))
+                .product();
+            coeff * (-ri * t).exp()
+        })
+        .sum();
+    1.0 - tail
+}
+
+/// The time grid of the closed-form oracles: 0.1 to 5 times the mean.
+fn oracle_grid(mean: f64) -> Vec<f64> {
+    (0..=24)
+        .map(|i| mean * 0.1 * 50f64.powf(f64::from(i) / 24.0))
+        .collect()
+}
+
+/// A single token through `stages` in series, into `done`.
+fn series(stages: &[Dist]) -> SanModel {
+    let mut b = SanBuilder::new("series");
+    let places: Vec<_> = (0..=stages.len())
+        .map(|i| b.place(format!("s{i}"), u32::from(i == 0)))
+        .collect();
+    for (i, dist) in stages.iter().enumerate() {
+        b.add_activity(
+            Activity::timed(format!("t{i}"), dist.clone())
+                .input(places[i], 1)
+                .case(Case::with_prob(1.0).output(places[i + 1], 1)),
+        );
+    }
+    b.build().expect("series net is valid")
+}
+
+fn series_cdf(
+    stages: &[Dist],
+    ph_order: u32,
+    generator: GeneratorBackend,
+    grid: &[f64],
+) -> Vec<f64> {
+    let model = series(stages);
+    let end = model.place(&format!("s{}", stages.len())).expect("place");
+    let reach = ReachOptions {
+        ph_order,
+        ..ReachOptions::default()
+    };
+    let run = AnalyticRun::first_passage_gen(&model, &reach, generator, move |m| m.get(end) > 0)
+        .expect("explore");
+    run.cdf_grid(grid, &TransientOptions::default())
+        .expect("cdf_grid")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 24, .. ProptestConfig::default()
+    })]
+
+    /// Closed-form oracle: one Erlang-k activity, expanded into its k
+    /// phases, goes through SAN → explore → `cdf_grid` and matches the
+    /// Erlang CDF to 1e-9 from 0.1 to 5 times the mean, on both
+    /// generators.
+    #[test]
+    fn erlang_cdf_grid_matches_closed_form(k in 1u32..9, mean in 0.1f64..20.0) {
+        let grid = oracle_grid(mean);
+        let rate = f64::from(k) / mean;
+        for generator in [GeneratorBackend::Csr, GeneratorBackend::Kron] {
+            let got = series_cdf(&[Dist::Erlang { k, mean }], 1, generator, &grid);
+            for (&t, &f) in grid.iter().zip(&got) {
+                let want = erlang_cdf(k, rate, t);
+                prop_assert!((f - want).abs() <= 1e-9, "{:?} t = {}: {} vs {}", generator, t, f, want);
+            }
+        }
+    }
+
+    /// Closed-form oracle: exponential stages with distinct rates in
+    /// series match the hypoexponential CDF to 1e-9 from 0.1 to 5 times
+    /// the mean.
+    #[test]
+    fn hypoexponential_cdf_grid_matches_closed_form(
+        base in 0.2f64..5.0,
+        jitter in proptest::collection::vec(0.0f64..0.3, 2..5),
+    ) {
+        // Stage i has mean base·(i+1)·(1 + jitter): rates stay apart, so
+        // the closed form's partial fractions stay well conditioned.
+        let means: Vec<f64> = jitter
+            .iter()
+            .enumerate()
+            .map(|(i, &j)| base * (i + 1) as f64 * (1.0 + j))
+            .collect();
+        let rates: Vec<f64> = means.iter().map(|m| 1.0 / m).collect();
+        let stages: Vec<Dist> = means.iter().map(|&mean| Dist::Exp { mean }).collect();
+        let grid = oracle_grid(means.iter().sum());
+        for generator in [GeneratorBackend::Csr, GeneratorBackend::Kron] {
+            let got = series_cdf(&stages, 0, generator, &grid);
+            for (&t, &f) in grid.iter().zip(&got) {
+                let want = hypoexponential_cdf(&rates, t);
+                prop_assert!((f - want).abs() <= 1e-9, "{:?} t = {}: {} vs {}", generator, t, f, want);
+            }
         }
     }
 }

@@ -423,7 +423,17 @@ pub struct SanModel {
     /// activity index -> whether it is instantaneous: what the simulator
     /// asks of every dependent it visits, without loading the definition.
     pub(crate) instantaneous: Vec<bool>,
+    /// activity index -> what [`SanModel::examine`] says to watch in the
+    /// initial marking: the time-zero half of the simulator's enabling
+    /// cache, taken once per model instead of once per replication.
+    pub(crate) initial_watch: Vec<u32>,
+    /// The activities enabled in the initial marking, declaration order.
+    pub(crate) initial_enabled: Vec<ActivityId>,
 }
+
+/// Watch value meaning "any dependency": every input arc was satisfied
+/// when the activity was examined. Place indices stay below it.
+pub(crate) const WATCH_ANY: u32 = u32::MAX;
 
 impl fmt::Debug for SanModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -566,6 +576,20 @@ impl SanModel {
         let def = &self.activities[activity.0];
         def.inputs.iter().all(|&(p, n)| marking.get(p) >= n)
             && def.input_gates.iter().all(|g| (g.pred)(marking))
+    }
+
+    /// The simulator's enabling rule: whether `activity` is enabled in
+    /// `marking`, and which marking change can overturn that verdict —
+    /// the place of the first input arc `marking` cannot satisfy, or
+    /// [`WATCH_ANY`] when every arc is satisfied and the verdict rests on
+    /// the gate predicates.
+    #[inline]
+    pub(crate) fn examine(&self, activity: ActivityId, marking: &Marking) -> (u32, bool) {
+        let def = &self.activities[activity.0];
+        if let Some(&(p, _)) = def.inputs.iter().find(|&&(p, n)| marking.get(p) < n) {
+            return (p.0 as u32, false);
+        }
+        (WATCH_ANY, def.input_gates.iter().all(|g| (g.pred)(marking)))
     }
 }
 
@@ -716,14 +740,31 @@ impl SanBuilder {
             .iter()
             .map(|a| matches!(a.timing, Timing::Instantaneous { .. }))
             .collect();
-        Ok(SanModel {
+        assert!(
+            self.place_names.len() < WATCH_ANY as usize,
+            "place indices must fit the watch field"
+        );
+        let mut model = SanModel {
             name: self.name,
             place_names: self.place_names,
             initial: self.initial,
+            initial_watch: Vec::with_capacity(self.activities.len()),
             activities: self.activities,
             dependents,
             instantaneous,
-        })
+            initial_enabled: Vec::new(),
+        };
+        // The time-zero examination every replication would otherwise
+        // repeat.
+        let marking = model.initial_marking();
+        for a in model.activity_ids() {
+            let (watch, enabled) = model.examine(a, &marking);
+            model.initial_watch.push(watch);
+            if enabled {
+                model.initial_enabled.push(a);
+            }
+        }
+        Ok(model)
     }
 }
 

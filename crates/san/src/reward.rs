@@ -111,13 +111,14 @@ fn replicate_on(
             } else {
                 0
             };
-            let (mut completions, mut evals) = (0, 0);
+            let (mut completions, mut evals, mut visits) = (0, 0, 0);
             for (i, slot) in (lo..).zip(slots.iter_mut()) {
                 sim.reset(root.substream(i as u64));
                 *slot = reward(i, &mut sim);
-                let (c, e) = sim.work_counts();
+                let (c, e, v) = sim.work_counts();
                 completions += c;
                 evals += e;
+                visits += v;
             }
             if ctsim_obs::enabled() {
                 ctsim_obs::record_span(
@@ -128,6 +129,7 @@ fn replicate_on(
                 );
                 ctsim_obs::counter_add("sim.completions", completions);
                 ctsim_obs::counter_add("sim.enabling_evals", evals);
+                ctsim_obs::counter_add("sim.dependent_visits", visits);
             }
         }
     };

@@ -32,22 +32,40 @@
 //! to `p`'s dependents stamps each with a **first-touch position** the
 //! first time it is reached within a *settle* — the span from one timed
 //! completion until no instantaneous activity is enabled and the timed
-//! ones are rescheduled. (At the start of a run every activity is
-//! touched once, in declaration order.) Among the enabled activities of
-//! the highest priority, weights are summed, the single `rng.unit()`
-//! draw is taken, and the weighted walk proceeds **in first-touch
-//! order**. Timed activities that became enabled during the settle
-//! sample their delays in first-touch order too, which also fixes their
-//! FIFO order in the event queue.
+//! ones are rescheduled. Among the enabled activities of the highest
+//! priority, weights are summed, the single `rng.unit()` draw is taken,
+//! and the weighted walk proceeds **in first-touch order**. Timed
+//! activities that became enabled during the settle sample their delays
+//! in first-touch order too, which also fixes their FIFO order in the
+//! event queue.
+//!
+//! # Time zero
+//!
+//! The first settle of a run has every activity touched once, in
+//! declaration order, and examined against the initial marking. That
+//! examination is the same for every replication, so the model takes
+//! it once, when it is built (`SanModel::examine` on every activity:
+//! a watch each and the enabled list), and a run starts from that
+//! snapshot: positions `1..=n` in declaration order, the snapshot's
+//! watches and instantaneous verdicts, and the enabled timed activities
+//! queued to sample their delays in position order. A place changed by
+//! [`Simulator::force_marking`] dirties the dependents watching it
+//! before the first settle, so the verdicts the settle acts on are
+//! those of the forced marking; the place stays in the change log until
+//! the first firing drains it, exactly as if time zero had been
+//! examined afresh, so the first-touch order of that firing's settle is
+//! unchanged too. Watches only decide when a verdict is re-examined:
+//! starting from the snapshot changes no verdict, position or RNG draw.
 //!
 //! A gate predicate that reads a place missing from its declared read
 //! set makes the cache go stale silently. Debug builds re-evaluate every
-//! activity touched during a settle and panic on a stale verdict.
+//! activity touched during a settle — every activity in the first one,
+//! so the whole snapshot — and panic on a stale verdict.
 
 use ctsim_des::{EventHandle, EventQueue, SimDuration, SimTime};
 use ctsim_stoch::SimRng;
 
-use crate::model::{ActivityId, Marking, SanModel, Timing};
+use crate::model::{ActivityId, Marking, SanModel, Timing, WATCH_ANY};
 
 /// A rate-reward function over the marking.
 type RewardFn = Box<dyn Fn(&Marking) -> f64>;
@@ -77,10 +95,6 @@ pub struct RunOutcome {
     /// Total number of activity completions.
     pub completions: u64,
 }
-
-/// Watch value meaning "any dependency": every input arc was satisfied
-/// at the last evaluation. Place indices stay below it.
-const WATCH_ANY: u32 = u32::MAX;
 
 /// Per-activity enabling cache (see the module docs).
 #[derive(Debug, Clone, Copy)]
@@ -123,6 +137,8 @@ pub struct Simulator<'m> {
     completions: u64,
     /// Enabling evaluations so far (telemetry; see `reward::replicate`).
     enabling_evals: u64,
+    /// Dependents of changed places visited so far (telemetry).
+    dependent_visits: u64,
     cache: Vec<Cached>,
     /// Next first-touch position to hand out. It only grows during a
     /// run, so a stamp from an earlier settle can never look current.
@@ -162,10 +178,6 @@ impl<'m> Simulator<'m> {
     /// initial marking.
     pub fn new(model: &'m SanModel, rng: SimRng) -> Self {
         let n_act = model.num_activities();
-        assert!(
-            model.num_places() < WATCH_ANY as usize,
-            "place indices must fit the watch field"
-        );
         Self {
             model,
             marking: model.initial_marking(),
@@ -175,6 +187,7 @@ impl<'m> Simulator<'m> {
             firing_counts: vec![0; n_act],
             completions: 0,
             enabling_evals: 0,
+            dependent_visits: 0,
             cache: vec![Cached::UNTOUCHED; n_act],
             next_pos: 1,
             settle_start: 1,
@@ -198,7 +211,9 @@ impl<'m> Simulator<'m> {
     /// pending events, zero counts, no rate reward, tracing off —
     /// keeping every buffer, so a replication loop that recycles one
     /// simulator allocates nothing in steady state. A run after `reset`
-    /// is bit-identical to the same run on a new simulator.
+    /// is bit-identical to the same run on a new simulator. The enabling
+    /// cache is left as the last run left it: the run's start rewrites
+    /// every entry from the model's time-zero snapshot.
     pub fn reset(&mut self, rng: SimRng) {
         self.marking.assign(&self.model.initial);
         self.queue.reset();
@@ -207,7 +222,7 @@ impl<'m> Simulator<'m> {
         self.firing_counts.fill(0);
         self.completions = 0;
         self.enabling_evals = 0;
-        self.cache.fill(Cached::UNTOUCHED);
+        self.dependent_visits = 0;
         self.next_pos = 1;
         self.settle_start = 1;
         self.dirty_instantaneous.clear();
@@ -254,10 +269,11 @@ impl<'m> Simulator<'m> {
         self.firing_counts[a.index()]
     }
 
-    /// Completions and enabling evaluations since creation or the last
-    /// reset — the engine's "useful work" and "attempts".
-    pub(crate) fn work_counts(&self) -> (u64, u64) {
-        (self.completions, self.enabling_evals)
+    /// Completions, enabling evaluations and dependent visits since
+    /// creation or the last reset — the engine's "useful work", its
+    /// "attempts", and the walks that decide which attempts to make.
+    pub(crate) fn work_counts(&self) -> (u64, u64, u64) {
+        (self.completions, self.enabling_evals, self.dependent_visits)
     }
 
     /// Registers a rate reward: a function of the marking whose value
@@ -318,10 +334,7 @@ impl<'m> Simulator<'m> {
     pub fn run_until(&mut self, stop: impl Fn(&Marking) -> bool, horizon: SimTime) -> RunOutcome {
         if !self.initialized {
             self.initialized = true;
-            // Everything must be examined once.
-            for a in self.model.activity_ids() {
-                self.touch(a, WATCH_ANY);
-            }
+            self.start_from_snapshot();
             if !self.settle_instantaneous() {
                 return self.outcome(StopReason::InstantaneousLivelock);
             }
@@ -370,10 +383,50 @@ impl<'m> Simulator<'m> {
         }
     }
 
-    /// Visits activity `a` because place `p` changed (`WATCH_ANY`: for
-    /// the initial examination). Stamps its first-touch position if this
-    /// is the first visit of the settle, and queues it for re-evaluation
-    /// if `p` is what it watches.
+    /// Opens the first settle from the model's time-zero snapshot: every
+    /// activity stamped in declaration order with the watch and verdict
+    /// the initial marking gave it, the enabled instantaneous ones
+    /// listed, the enabled timed ones queued to sample their delays.
+    /// Places written by [`Simulator::force_marking`] are still in the
+    /// change log; the dependents watching them are queued for
+    /// re-evaluation here, but the log is left for the first firing to
+    /// drain, whose visits stamp the first-touch order of its settle.
+    fn start_from_snapshot(&mut self) {
+        let model = self.model;
+        for (i, (c, &watch)) in self.cache.iter_mut().zip(&model.initial_watch).enumerate() {
+            *c = Cached {
+                pos: i as u64 + 1,
+                watch,
+                enabled: false,
+                dirty: false,
+            };
+        }
+        self.next_pos = model.num_activities() as u64 + 1;
+        for &a in &model.initial_enabled {
+            let c = &mut self.cache[a.index()];
+            if model.instantaneous[a.index()] {
+                c.enabled = true;
+                self.enabled_instantaneous.push(a);
+            } else {
+                c.dirty = true;
+                self.dirty_timed.push(a);
+            }
+        }
+        if cfg!(debug_assertions) {
+            // The first settle's stale guard checks the whole snapshot.
+            self.touched.extend(model.activity_ids());
+        }
+        for i in 0..self.marking.changed_places().len() {
+            let p = self.marking.changed_places()[i];
+            for &a in &model.dependents[p] {
+                self.touch(a, p as u32);
+            }
+        }
+    }
+
+    /// Visits activity `a` because place `p` changed. Stamps its
+    /// first-touch position if this is the first visit of the settle,
+    /// and queues it for re-evaluation if `p` is what it watches.
     fn touch(&mut self, a: ActivityId, p: u32) {
         let c = &mut self.cache[a.index()];
         if c.pos < self.settle_start {
@@ -399,6 +452,7 @@ impl<'m> Simulator<'m> {
         let mut changed = std::mem::take(&mut self.changed_scratch);
         self.marking.drain_changed(&mut changed);
         for p in changed.drain(..) {
+            self.dependent_visits += model.dependents[p].len() as u64;
             for &a in &model.dependents[p] {
                 self.touch(a, p as u32);
             }
@@ -410,15 +464,11 @@ impl<'m> Simulator<'m> {
     /// watch from here on.
     fn evaluate(&mut self, a: ActivityId) -> bool {
         self.enabling_evals += 1;
-        let def = &self.model.activities[a.index()];
+        let (watch, enabled) = self.model.examine(a, &self.marking);
         let c = &mut self.cache[a.index()];
         c.dirty = false;
-        if let Some(&(p, _)) = def.inputs.iter().find(|&&(p, n)| self.marking.get(p) < n) {
-            c.watch = p.index() as u32;
-            return false;
-        }
-        c.watch = WATCH_ANY;
-        def.input_gates.iter().all(|g| (g.pred)(&self.marking))
+        c.watch = watch;
+        enabled
     }
 
     /// Debug builds: the cached verdict of every activity of one kind
@@ -583,7 +633,7 @@ impl<'m> Simulator<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Activity, Case, InputGate, SanBuilder};
+    use crate::model::{Activity, Case, InputGate, PlaceId, SanBuilder};
     use ctsim_stoch::Dist;
 
     /// p --t(1ms)--> q : single firing.
@@ -885,6 +935,51 @@ mod tests {
         assert_eq!(out.reason, StopReason::Predicate);
     }
 
+    /// Time zero costs one evaluation per timed activity enabled in the
+    /// model's snapshot (to sample its delay) plus one per dependent of
+    /// a forced place that watches it — not one per activity.
+    #[test]
+    fn time_zero_examines_only_what_the_snapshot_cannot_answer() {
+        let mut b = SanBuilder::new("m");
+        let a = b.place("a", 1);
+        let p = b.place("p", 0);
+        let c = b.place("c", 0);
+        let k = b.place("k", 0);
+        // Enabled.
+        b.add_activity(Activity::timed("ready", Dist::Det(1.0)).input(a, 1));
+        // Blocked on `p`, which it watches.
+        b.add_activity(Activity::timed("on_p", Dist::Det(1.0)).input(p, 1));
+        // Depends on `p` but is blocked on `c`, its first empty arc.
+        b.add_activity(
+            Activity::timed("on_c", Dist::Det(1.0))
+                .input(c, 1)
+                .input(p, 1),
+        );
+        // Every arc satisfied, closed by its gate: watches every read.
+        b.add_activity(
+            Activity::timed("gated", Dist::Det(1.0))
+                .input(a, 1)
+                .input_gate(InputGate::predicate(vec![k], move |m| m.get(k) > 0)),
+        );
+        b.add_activity(Activity::instantaneous("idle").input(c, 2));
+        let m = b.build().unwrap();
+        let time_zero = |forced: &[PlaceId]| {
+            let mut sim = Simulator::new(&m, SimRng::new(1));
+            for &place in forced {
+                sim.force_marking(place, 1);
+            }
+            let out = sim.run_until(|_| true, SimTime::from_secs(1.0));
+            assert_eq!((out.reason, out.completions), (StopReason::Predicate, 0));
+            let (_, evals, _) = sim.work_counts();
+            evals
+        };
+        assert_eq!(time_zero(&[]), 1, "`ready`");
+        assert_eq!(time_zero(&[p]), 2, "`ready` and `on_p`, not `on_c`");
+        assert_eq!(time_zero(&[k]), 2, "`ready` and `gated`");
+        assert_eq!(time_zero(&[p, k]), 3);
+        assert_eq!(time_zero(&[c]), 3, "`ready`, `on_c` and `idle`");
+    }
+
     /// Instantaneous weights bias equal-priority races.
     #[test]
     fn instantaneous_weight_bias() {
@@ -1090,18 +1185,34 @@ mod oracle_tests {
     /// timed activities, inhibits some acquires and services through
     /// gate predicates (so timed services are disabled mid-flight and
     /// restart), and an instantaneous `flush` with a two-place read set
-    /// clears the `done` places through its gate function.
+    /// clears the `done` places through its gate function. Half the
+    /// shops start with empty resources and queues, which a timed
+    /// `kickoff` fills: nothing instantaneous fires at time zero unless
+    /// the run forces it, so the first ties are drawn in the settle of a
+    /// timed completion — the one whose first-touch order starts with
+    /// the dependents of the places the run forced.
     fn random_shop(shape: u64) -> SanModel {
         let mut g = SimRng::new(shape);
         let mut pick = |n: usize| g.index(n);
         let mut b = SanBuilder::new("shop");
+        let mut stock = Vec::new();
         let resources: Vec<PlaceId> = (0..1 + pick(3))
-            .map(|r| b.place(format!("res{r}"), 1 + pick(2) as u32))
+            .map(|r| {
+                let tokens = 1 + pick(2) as u32;
+                let place = b.place(format!("res{r}"), tokens);
+                stock.push((place, tokens));
+                place
+            })
             .collect();
         let hold = b.place("hold", 0);
         let jobs = 3 + pick(6);
         let wait: Vec<PlaceId> = (0..jobs)
-            .map(|j| b.place(format!("wait{j}"), pick(3) as u32))
+            .map(|j| {
+                let tokens = pick(3) as u32;
+                let place = b.place(format!("wait{j}"), tokens);
+                stock.push((place, tokens));
+                place
+            })
             .collect();
         let done: Vec<PlaceId> = (0..jobs).map(|j| b.place(format!("done{j}"), 0)).collect();
         let unheld = move || InputGate::predicate(vec![hold], move |m: &Marking| m.get(hold) == 0);
@@ -1170,33 +1281,59 @@ mod oracle_tests {
                 )
                 .case(Case::with_prob(1.0).output(back, 2)),
         );
+        if pick(2) == 0 {
+            let start = b.place("start", 1);
+            let mut fill = Case::with_prob(1.0);
+            for (place, tokens) in stock {
+                b.set_initial(place, 0);
+                fill = fill.output(place, tokens);
+            }
+            b.add_activity(
+                Activity::timed("kickoff", dist(pick(4), 0.5))
+                    .input(start, 1)
+                    .case(fill),
+            );
+        }
         b.build().expect("the shop is a valid model")
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
         /// Same completions at the same instants, same final marking,
         /// same firing counts as the oracle — for a new simulator and
-        /// for one recycled with `reset`.
+        /// for one recycled with `reset`, from the model's initial
+        /// marking with up to two places forced to other token counts
+        /// (so runs start off the model's time-zero snapshot).
         #[test]
         fn cached_enabling_reproduces_the_candidate_scan(
             shape in 0u64..1_000_000,
             seeds in proptest::collection::vec(0u64..1_000_000, 3..6),
+            forced in proptest::collection::vec((0usize..1_000, 0u32..4), 0..3),
         ) {
             let model = random_shop(shape);
+            let forced: Vec<(PlaceId, u32)> = forced
+                .into_iter()
+                .map(|(p, tokens)| (PlaceId(p % model.num_places()), tokens))
+                .collect();
             let horizon = SimTime::from_ms(40.0);
             let mut recycled = Simulator::new(&model, SimRng::new(0));
             recycled.record_trace(true);
             recycled.run_until(|_| false, SimTime::from_ms(3.0));
             for seed in seeds {
                 let mut oracle = Oracle::new(&model, SimRng::new(seed));
+                for &(p, tokens) in &forced {
+                    oracle.marking.set(p, tokens);
+                }
                 let (time, reason) = oracle.run(horizon);
                 prop_assert!(oracle.trace.len() > 20, "only {} completions", oracle.trace.len());
 
                 let mut fresh = Simulator::new(&model, SimRng::new(seed));
                 recycled.reset(SimRng::new(seed));
                 for sim in [&mut fresh, &mut recycled] {
+                    for &(p, tokens) in &forced {
+                        sim.force_marking(p, tokens);
+                    }
                     sim.record_trace(true);
                     let out = sim.run_until(|_| false, horizon);
                     prop_assert_eq!((out.time, out.reason), (time, reason));

@@ -13,15 +13,15 @@
 //!   is a deliberate difference the paper discusses),
 //! * [`Ctx::send_heartbeat`] — failure-detector heartbeats (subject to
 //!   the cluster's TCP batching),
-//! * [`Ctx::set_timer`] / [`Ctx::cancel_timer`] — coarse (OS tick) or
-//!   precise (native clock) timers,
+//! * [`Ctx::set_timer`] — coarse (OS tick) or precise (native clock)
+//!   timers,
 //! * [`Ctx::charge_work`] — bills the CPU for the work this handler
 //!   performs, the dominant per-message cost of the Java implementation,
 //! * [`Ctx::now_local`] — the host's NTP-disciplined clock (true time
 //!   plus a per-host offset within ±50 µs, as measured in the paper).
 
 use ctsim_des::{SimDuration, SimTime};
-use ctsim_netsim::{ClusterNet, Delivery, HostId, HostParams, MsgClass, NetParams, TimerId};
+use ctsim_netsim::{ClusterNet, Delivery, HostId, HostParams, MsgClass, NetParams};
 use ctsim_stoch::{Dist, SimRng};
 
 pub use ctsim_netsim::TimerKind;
@@ -177,14 +177,11 @@ impl<'a, M: Clone> Ctx<'a, M> {
         self.net.charge(HostId(self.me.0), ms);
     }
 
-    /// Arms a timer that will call [`Node::on_timer`] with `token`.
-    pub fn set_timer(&mut self, delay: SimDuration, kind: TimerKind, token: u64) -> TimerId {
-        self.net.set_timer(HostId(self.me.0), delay, kind, token)
-    }
-
-    /// Cancels a timer (harmless if it already fired).
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.net.cancel_timer(id);
+    /// Arms a timer that will call [`Node::on_timer`] with `token`. A
+    /// timer cannot be cancelled; a node that no longer wants it ignores
+    /// its token.
+    pub fn set_timer(&mut self, delay: SimDuration, kind: TimerKind, token: u64) {
+        self.net.set_timer(HostId(self.me.0), delay, kind, token);
     }
 
     /// This process's RNG substream (for randomized protocols).
@@ -487,7 +484,7 @@ mod tests {
         );
     }
 
-    /// Timers fire and can be cancelled.
+    /// Timers fire in deadline order, whatever order they were set in.
     #[derive(Default)]
     struct TimerNode {
         fired: Vec<u64>,
@@ -495,10 +492,9 @@ mod tests {
 
     impl Node<u8> for TimerNode {
         fn on_start(&mut self, ctx: &mut Ctx<'_, u8>) {
-            ctx.set_timer(SimDuration::from_ms(2.0), TimerKind::Precise, 1);
-            let doomed = ctx.set_timer(SimDuration::from_ms(3.0), TimerKind::Precise, 2);
-            ctx.cancel_timer(doomed);
             ctx.set_timer(SimDuration::from_ms(4.0), TimerKind::Precise, 3);
+            ctx.set_timer(SimDuration::from_ms(2.0), TimerKind::Precise, 1);
+            ctx.set_timer(SimDuration::from_ms(3.0), TimerKind::Precise, 2);
         }
         fn on_app_message(&mut self, _: &mut Ctx<'_, u8>, _: ProcessId, _: u8) {}
         fn on_heartbeat(&mut self, _: &mut Ctx<'_, u8>, _: ProcessId) {}
@@ -508,7 +504,7 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_in_order_and_respect_cancellation() {
+    fn timers_fire_in_order() {
         let mut rt = Runtime::new(
             1,
             NetParams::default(),
@@ -518,7 +514,7 @@ mod tests {
             |_| TimerNode::default(),
         );
         rt.run_until(SimTime::from_secs(1.0));
-        assert_eq!(rt.node(ProcessId(0)).fired, vec![1, 3]);
+        assert_eq!(rt.node(ProcessId(0)).fired, vec![1, 2, 3]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`ClusterNet::send`], [`ClusterNet::charge`] and
 //! [`ClusterNet::set_timer`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use ctsim_des::{EventQueue, SimDuration, SimTime};
 use ctsim_stoch::SimRng;
@@ -27,10 +27,6 @@ pub enum TimerKind {
     /// custom 1 µs C clock). The measurement harness uses this.
     Precise,
 }
-
-/// Handle for cancelling a timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
 
 /// An observable occurrence returned by [`ClusterNet::advance`].
 #[derive(Debug)]
@@ -100,18 +96,13 @@ struct NagleGate {
     epoch: u64,
 }
 
-struct TimerRec {
-    host: HostId,
-    token: u64,
-}
-
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     CpuDone(usize),
     HubDone,
     NagleFlush { from: usize, to: usize, epoch: u64 },
     GcStart(usize),
-    Timer(u64),
+    Timer { host: HostId, token: u64 },
 }
 
 /// The simulated cluster (see the [crate docs](crate)).
@@ -125,8 +116,6 @@ pub struct ClusterNet<P> {
     hub_busy: bool,
     hub_current: Option<Msg<P>>,
     queue: EventQueue<Ev>,
-    timers: HashMap<u64, TimerRec>,
-    next_timer: u64,
     rng: SimRng,
     /// While a handler runs, jobs for this host are inserted at the
     /// front of its CPU queue in submission order.
@@ -180,8 +169,6 @@ impl<P> ClusterNet<P> {
             hub_busy: false,
             hub_current: None,
             queue,
-            timers: HashMap::new(),
-            next_timer: 0,
             rng: rng.substream(1),
             handler: None,
             messages_sent: 0,
@@ -293,14 +280,9 @@ impl<P> ClusterNet<P> {
     }
 
     /// Sets a timer on a host. The true wake-up time depends on the
-    /// [`TimerKind`]. Returns a handle for cancellation.
-    pub fn set_timer(
-        &mut self,
-        h: HostId,
-        delay: SimDuration,
-        kind: TimerKind,
-        token: u64,
-    ) -> TimerId {
+    /// [`TimerKind`]. A timer cannot be cancelled: protocols that re-arm
+    /// ignore the tokens they no longer expect.
+    pub fn set_timer(&mut self, h: HostId, delay: SimDuration, kind: TimerKind, token: u64) {
         let host = &mut self.hosts[h.0];
         let actual = match kind {
             TimerKind::Coarse => {
@@ -315,17 +297,8 @@ impl<P> ClusterNet<P> {
                 delay + SimDuration::from_ms(j)
             }
         };
-        let id = self.next_timer;
-        self.next_timer += 1;
-        self.timers.insert(id, TimerRec { host: h, token });
         self.queue
-            .schedule_at(self.queue.now() + actual, Ev::Timer(id));
-        TimerId(id)
-    }
-
-    /// Cancels a timer; harmless if it already fired.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.timers.remove(&id.0);
+            .schedule_at(self.queue.now() + actual, Ev::Timer { host: h, token });
     }
 
     /// Processes internal events until the next observable occurrence at
@@ -426,26 +399,20 @@ impl<P> ClusterNet<P> {
                         });
                     }
                 }
-                Ev::Timer(id) => {
-                    let Some(rec) = self.timers.get(&id) else {
-                        continue;
-                    };
-                    let h = rec.host;
-                    if self.hosts[h.0].crashed {
-                        self.timers.remove(&id);
+                Ev::Timer { host, token } => {
+                    if self.hosts[host.0].crashed {
                         continue;
                     }
                     // A stop-the-world pause delays thread wake-ups.
-                    if now < self.hosts[h.0].gc_until {
-                        let until = self.hosts[h.0].gc_until;
-                        self.queue.schedule_at(until, Ev::Timer(id));
+                    let until = self.hosts[host.0].gc_until;
+                    if now < until {
+                        self.queue.schedule_at(until, Ev::Timer { host, token });
                         continue;
                     }
-                    let rec = self.timers.remove(&id).expect("present");
                     return Some(Delivery::Timer {
                         at: now,
-                        host: rec.host,
-                        token: rec.token,
+                        host,
+                        token,
                     });
                 }
             }
@@ -699,14 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_timer_never_fires() {
-        let mut net = cluster(1);
-        let id = net.set_timer(HostId(0), SimDuration::from_ms(1.0), TimerKind::Precise, 1);
-        net.cancel_timer(id);
-        assert!(net.advance(SimTime::from_secs(1.0)).is_none());
-    }
-
-    #[test]
     fn heartbeats_batch_under_nagle() {
         let mut net: ClusterNet<u32> =
             ClusterNet::new(2, nagle_params(), quiet_host(), SimRng::new(9));
@@ -768,6 +727,39 @@ mod tests {
             }
             other => panic!("expected timer, got {other:?}"),
         }
+    }
+
+    /// A timer that lands in a pause is re-queued at the pause end with
+    /// a fresh sequence number, so it fires after everything already
+    /// due at that instant and before anything queued there later.
+    #[test]
+    fn gc_deferred_timers_queue_behind_what_was_due_at_pause_end() {
+        let mut params = quiet_host();
+        params.recv_cost = Dist::Det(0.0);
+        params.precise_timer_jitter = Dist::Det(0.0);
+        params.gc_enabled = true;
+        params.gc_interval = Dist::Det(5.0);
+        params.gc_duration = Dist::Det(20.0);
+        let mut net: ClusterNet<u32> =
+            ClusterNet::new(1, NetParams::default(), params, SimRng::new(1));
+        let h = HostId(0);
+        // Set in this order at t = 0; the pause runs from 5 to 25 ms.
+        net.set_timer(h, SimDuration::from_ms(6.0), TimerKind::Precise, 1);
+        net.set_timer(h, SimDuration::from_ms(7.0), TimerKind::Precise, 2);
+        net.set_timer(h, SimDuration::from_ms(25.0), TimerKind::Precise, 3);
+        assert!(net.advance(SimTime::from_ms(10.0)).is_none());
+        // A zero-cost receive queued behind the pause: its CPU
+        // completion is due at 25 ms too, scheduled when the pause ends.
+        net.send(h, h, MsgClass::App, 100, 4);
+        let mut fired = Vec::new();
+        while let Some(d) = net.advance(SimTime::from_ms(26.0)) {
+            fired.push(match d {
+                Delivery::Timer { at, token, .. } => (at, token as u32),
+                Delivery::Message { at, payload, .. } => (at, payload),
+            });
+        }
+        let at = SimTime::from_ms(25.0);
+        assert_eq!(fired, vec![(at, 3), (at, 1), (at, 2), (at, 4)]);
     }
 
     #[test]

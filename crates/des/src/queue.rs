@@ -5,24 +5,53 @@
 //! 1. **Stable tie-breaking.** Events scheduled for the same instant fire
 //!    in the order they were scheduled (FIFO). Without this, simultaneous
 //!    events — ubiquitous with deterministic service times — would fire in
-//!    heap order, which is an artifact of the container.
+//!    container order, an artifact of the data structure.
 //! 2. **O(1) cancellation.** Failure-detector timeouts are rescheduled
 //!    on every received message; cancellation must not require a scan.
 //!    Cancellation is lazy: the payload is taken out of its slot and the
-//!    heap entry stays behind as a tombstone, skipped on pop.
+//!    queue entry stays behind as a tombstone, dropped when its bucket is
+//!    next scanned.
+//!
+//! # A monotone radix heap
+//!
+//! Every event has the 128-bit key `(time_ns << 64) | seq`, where `seq`
+//! counts schedules, so keys are unique and ordering by key is ordering
+//! by time, FIFO within an instant. A simulation never schedules before
+//! the current time, so every pending key is larger than the key of the
+//! last event popped: the queue is *monotone*. A radix heap uses that. An
+//! event goes to bucket `b`, the highest bit in which its key differs
+//! from the last popped key, and an occupancy bitmap names the non-empty
+//! buckets. Pop scans the lowest non-empty bucket for its minimum, makes
+//! that the new last popped key and re-buckets the rest of the bucket
+//! against it; they all differ from it below bit `b`, so each event moves
+//! down at most 128 times over its life and a push is O(1).
+//!
+//! A far-future event therefore costs nothing while it waits: it sits in
+//! a high bucket that no pop looks at until the clock reaches its
+//! neighbourhood, whereas in a binary heap every push and pop pays one
+//! level per doubling of the pending set, far-future events included.
+//! Monotonicity is what makes this sound, so the last popped key moves
+//! only when a live event is popped: [`EventQueue::peek_time`] and the
+//! tombstone drops never move it past [`EventQueue::now`], and a caller
+//! may always schedule at `now`. [`EventQueue::clear`] resets it to
+//! `(now, 0)` and [`EventQueue::reset`] to `(0, 0)`.
+//!
+//! A bucket is a singly linked list through one arena of entries with a
+//! free list, so moving an entry between buckets relinks it in place and
+//! a queue allocates no more than a binary heap would: a short-lived
+//! queue of a few events, such as one SAN replication's, pays for no
+//! per-bucket storage. A scan leaves the minimum at the head of its
+//! bucket, and the pop that follows a peek takes it from there without a
+//! second scan.
 //!
 //! Payloads live in a slab (`slots` plus a free list) rather than in the
-//! heap. A heap entry or an [`EventHandle`] names its event by
-//! `(seq, slot)` and is live exactly while `slots[slot]` still carries
-//! that `seq` and a payload. A slot goes back on the free list the moment
-//! its event fires or is cancelled — the tombstone left in the heap keeps
+//! entries. An entry or an [`EventHandle`] names its event by `(seq,
+//! slot)` and is live exactly while `slots[slot]` still carries that
+//! `seq` and a payload. A slot goes back on the free list the moment its
+//! event fires or is cancelled — the tombstone left in its bucket keeps
 //! the old `seq`, so it can never be mistaken for the slot's next
 //! occupant — which bounds the slab by the largest number of events live
-//! at once, however many schedule/cancel cycles run. Tombstones cost heap
-//! entries only, and leave as the clock passes them.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! at once, however many schedule/cancel cycles run.
 
 use crate::time::SimTime;
 
@@ -36,10 +65,33 @@ pub struct EventHandle {
     slot: u32,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct HeapKey {
-    time: SimTime,
+/// The end of a bucket list.
+const NIL: u32 = u32::MAX;
+
+/// One arena entry: the key `(time, seq)` of an event, its slab slot,
+/// and the next entry of its bucket (or of the arena's free list).
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    time: u64,
     seq: u64,
+    slot: u32,
+    next: u32,
+}
+
+impl Entry {
+    fn key(&self) -> u128 {
+        (u128::from(self.time) << 64) | u128::from(self.seq)
+    }
+}
+
+/// The bucket of `key` relative to the last popped key `last < key`: the
+/// index of the highest bit in which they differ.
+fn bucket_of(key: u128, last: u128) -> usize {
+    debug_assert!(
+        key > last,
+        "event key {key} not above the last popped {last}"
+    );
+    127 - (key ^ last).leading_zeros() as usize
 }
 
 /// One slab cell: the payload of event `seq`, or `None` once that event
@@ -55,8 +107,22 @@ struct Slot<E> {
 /// `E` is the event payload type; the queue itself never interprets it.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(HeapKey, u32)>>,
-    // Payloads are kept out of the heap so cancellation is O(1).
+    /// The first entry of each bucket, or [`NIL`].
+    heads: [u32; 128],
+    /// Bit `b` is set while bucket `b` holds entries (live or not).
+    occupied: u128,
+    /// The key of the last popped event; every pending key is above it.
+    last: u128,
+    /// A bucket whose head is the earliest live event, as the last scan
+    /// left it: valid until a push at or below it, a cancel or a clear.
+    min_bucket: Option<usize>,
+    entries: Vec<Entry>,
+    /// The arena's free list, threaded through `Entry::next`.
+    spare: u32,
+    /// Entries in the buckets, tombstones included; a scan checks
+    /// liveness only while this exceeds `live`.
+    stored: usize,
+    // Payloads are kept out of the entries so cancellation is O(1).
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     live: usize,
@@ -75,11 +141,19 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
+            heads: [NIL; 128],
+            occupied: 0,
+            last: 0,
+            min_bucket: None,
+            entries: Vec::new(),
+            spare: NIL,
+            stored: 0,
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            next_seq: 0,
+            // Sequence numbers start at 1, so every key is above the
+            // `(now, 0)` that a new or cleared queue starts from.
+            next_seq: 1,
             now: SimTime::ZERO,
             fired: 0,
         }
@@ -135,7 +209,29 @@ impl<E> EventQueue<E> {
             }
         };
         self.live += 1;
-        self.heap.push(Reverse((HeapKey { time: t, seq }, slot)));
+        let entry = Entry {
+            time: t.as_nanos(),
+            seq,
+            slot,
+            next: NIL,
+        };
+        let b = bucket_of(entry.key(), self.last);
+        let i = match self.spare {
+            NIL => {
+                self.entries.push(entry);
+                (self.entries.len() - 1) as u32
+            }
+            i => {
+                self.spare = self.entries[i as usize].next;
+                self.entries[i as usize] = entry;
+                i
+            }
+        };
+        self.stored += 1;
+        self.link(i, b);
+        if self.min_bucket.is_some_and(|m| b <= m) {
+            self.min_bucket = None;
+        }
         EventHandle { seq, slot }
     }
 
@@ -147,7 +243,9 @@ impl<E> EventQueue<E> {
     /// Cancels a scheduled event. Returns the payload if the event was
     /// still pending, or `None` if it already fired or was cancelled.
     pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
-        self.take(handle.seq, handle.slot)
+        let ev = self.take(handle.seq, handle.slot)?;
+        self.min_bucket = None;
+        Some(ev)
     }
 
     /// Whether the event behind `handle` is still pending.
@@ -157,29 +255,47 @@ impl<E> EventQueue<E> {
 
     /// The time of the earliest live event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_tombstones();
-        self.heap.peek().map(|Reverse((k, _))| k.time)
+        let b = self.find_min()?;
+        Some(SimTime::from_nanos(
+            self.entries[self.heads[b] as usize].time,
+        ))
     }
 
     /// Pops the earliest live event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.skip_tombstones();
-        let Reverse((key, slot)) = self.heap.pop()?;
+        let b = self.find_min()?;
+        self.min_bucket = None;
+        let i = self.heads[b];
+        let min = self.entries[i as usize];
+        self.release(i);
+        self.last = min.key();
+        // The rest of the bucket agrees with the new last key above bit
+        // `b`, so every entry moves to a lower bucket.
+        self.heads[b] = NIL;
+        self.occupied &= !(1 << b);
+        let mut c = min.next;
+        while c != NIL {
+            let e = self.entries[c as usize];
+            self.link(c, bucket_of(e.key(), self.last));
+            c = e.next;
+        }
         let ev = self
-            .take(key.seq, slot)
-            .expect("tombstones were skipped, the event must be live");
-        debug_assert!(key.time >= self.now, "event queue went backwards");
-        self.now = key.time;
+            .take(min.seq, min.slot)
+            .expect("the scan skipped tombstones, the event must be live");
+        let t = SimTime::from_nanos(min.time);
+        debug_assert!(t >= self.now, "event queue went backwards");
+        self.now = t;
         self.fired += 1;
-        Some((key.time, ev))
+        Some((t, ev))
     }
 
     /// Removes every pending event; the clock and the fired count stay.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.drop_entries();
         self.slots.clear();
         self.free.clear();
         self.live = 0;
+        self.last = u128::from(self.now.as_nanos()) << 64;
     }
 
     /// Returns the queue to its just-created state — no events, clock at
@@ -188,9 +304,85 @@ impl<E> EventQueue<E> {
     /// numbers carry on (only their order matters), which keeps handles
     /// issued before the reset stale rather than aliasing new events.
     pub fn reset(&mut self) {
-        self.clear();
         self.now = SimTime::ZERO;
+        self.clear();
         self.fired = 0;
+    }
+
+    /// Puts entry `i` at the head of bucket `b`.
+    fn link(&mut self, i: u32, b: usize) {
+        self.entries[i as usize].next = self.heads[b];
+        self.heads[b] = i;
+        self.occupied |= 1 << b;
+    }
+
+    /// Returns entry `i`, already out of its bucket, to the arena.
+    fn release(&mut self, i: u32) {
+        self.entries[i as usize].next = self.spare;
+        self.spare = i;
+        self.stored -= 1;
+    }
+
+    /// Empties every bucket and the arena, keeping its allocation.
+    fn drop_entries(&mut self) {
+        while self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize;
+            self.heads[b] = NIL;
+            self.occupied &= !(1 << b);
+        }
+        self.entries.clear();
+        self.spare = NIL;
+        self.stored = 0;
+        self.min_bucket = None;
+    }
+
+    /// The bucket whose head is the earliest live event, if any. A scan
+    /// reads the lowest non-empty bucket, drops its tombstones and moves
+    /// its minimum to the head; a bucket of tombstones only is emptied
+    /// and the next one scanned.
+    fn find_min(&mut self) -> Option<usize> {
+        if self.min_bucket.is_some() {
+            return self.min_bucket;
+        }
+        if self.live == 0 {
+            self.drop_entries();
+            return None;
+        }
+        loop {
+            let b = self.occupied.trailing_zeros() as usize;
+            let tombstones = self.stored > self.live;
+            // (predecessor, entry, key) of the least live key so far.
+            let mut min: Option<(u32, u32, u128)> = None;
+            let mut prev = NIL;
+            let mut c = self.heads[b];
+            while c != NIL {
+                let e = self.entries[c as usize];
+                if tombstones && !self.is_live(e.seq, e.slot) {
+                    match prev {
+                        NIL => self.heads[b] = e.next,
+                        p => self.entries[p as usize].next = e.next,
+                    }
+                    self.release(c);
+                } else {
+                    if min.map_or(true, |(_, _, k)| e.key() < k) {
+                        min = Some((prev, c, e.key()));
+                    }
+                    prev = c;
+                }
+                c = e.next;
+            }
+            let Some((p, i, _)) = min else {
+                self.occupied &= !(1 << b);
+                continue;
+            };
+            if p != NIL {
+                self.entries[p as usize].next = self.entries[i as usize].next;
+                self.entries[i as usize].next = self.heads[b];
+                self.heads[b] = i;
+            }
+            self.min_bucket = Some(b);
+            return Some(b);
+        }
     }
 
     fn is_live(&self, seq: u64, slot: u32) -> bool {
@@ -210,15 +402,6 @@ impl<E> EventQueue<E> {
         self.free.push(slot);
         self.live -= 1;
         Some(ev)
-    }
-
-    fn skip_tombstones(&mut self) {
-        while let Some(&Reverse((key, slot))) = self.heap.peek() {
-            if self.is_live(key.seq, slot) {
-                return;
-            }
-            self.heap.pop();
-        }
     }
 }
 
@@ -349,7 +532,7 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert!(q.is_pending(far));
         assert_eq!(q.pop(), Some((SimTime::from_secs(1e6), u32::MAX)));
-        assert!(q.heap.is_empty(), "the pop drained every tombstone");
+        assert_eq!(q.stored, 0, "the pop dropped every tombstone");
     }
 
     #[test]

@@ -6,7 +6,12 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
 //!   stored as integers so that runs are exactly reproducible,
 //! * [`EventQueue`] — a cancellable pending-event set with *stable*
-//!   (FIFO) tie-breaking for simultaneous events,
+//!   (FIFO) tie-breaking for simultaneous events. It is a monotone radix
+//!   heap on the key `(time << 64) | seq`: an event waits in the bucket
+//!   of the highest bit in which its key differs from the last popped
+//!   one, so an event far in the future costs nothing until the clock
+//!   nears it. That relies on the simulation never scheduling before the
+//!   current time (see the [`queue`] module docs),
 //! * [`Driver`] — a tiny convenience loop for running a simulation to
 //!   quiescence or to a time horizon.
 //!

@@ -127,7 +127,11 @@ impl Harness {
             ));
         }
         if self.q.now().as_nanos() != self.r.now {
-            return Err(format!("after {op}: now {} vs {}", self.q.now(), self.r.now));
+            return Err(format!(
+                "after {op}: now {} vs {}",
+                self.q.now(),
+                self.r.now
+            ));
         }
         Ok(())
     }
@@ -201,7 +205,9 @@ impl Harness {
 
 /// Runs `case` once per seed, or only for `CASE_SEED` when it is set.
 fn for_cases(name: &str, cases: u64, case: impl Fn(&mut Rng) -> Result<(), String>) {
-    let only = std::env::var("CASE_SEED").ok().map(|s| s.parse::<u64>().unwrap());
+    let only = std::env::var("CASE_SEED")
+        .ok()
+        .map(|s| s.parse::<u64>().unwrap());
     for seed in (0..cases).filter(|s| only.map_or(true, |o| o == *s)) {
         if let Err(e) = case(&mut Rng(seed ^ 0x5eed_0000)) {
             panic!("{name}: case seed {seed} failed: {e}");

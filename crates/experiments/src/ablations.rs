@@ -20,9 +20,10 @@
 use ctsim_models::latency_replications;
 use ctsim_netsim::NetParams;
 use ctsim_stoch::Dist;
-use ctsim_testbed::{run_campaign, TestbedConfig};
+use ctsim_testbed::TestbedConfig;
 
 use crate::fig6::Fig6;
+use crate::run_campaign;
 use crate::scale::Scale;
 
 /// One ablation row: the mechanism on vs. off, with the observable it

@@ -805,7 +805,8 @@ pub fn run_with(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignE
         ns.sort_unstable();
         ns.dedup();
         for n in ns {
-            let r = ctsim_testbed::campaign::measured_latency(n, opts.measure, seed);
+            let r =
+                crate::run_campaign(&ctsim_testbed::TestbedConfig::class1(n, opts.measure, seed));
             measured.push(MeasuredRow {
                 n,
                 mean_ms: r.mean(),

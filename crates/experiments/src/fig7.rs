@@ -10,9 +10,10 @@
 
 use ctsim_models::latency_replications;
 use ctsim_stoch::Ecdf;
-use ctsim_testbed::{run_campaign, TestbedConfig};
+use ctsim_testbed::TestbedConfig;
 
 use crate::fig6::Fig6;
+use crate::run_campaign;
 use crate::scale::Scale;
 
 /// The paper's §5.2 reference means (ms).

@@ -15,8 +15,9 @@
 //! * `T_M` stays bounded (`< 12 ms`) for all `T`.
 
 use ctsim_stoch::OnlineStats;
-use ctsim_testbed::{run_campaign, TestbedConfig};
+use ctsim_testbed::TestbedConfig;
 
+use crate::run_campaign;
 use crate::scale::Scale;
 
 /// QoS and latency estimates for one (n, T) setting.

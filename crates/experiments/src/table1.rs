@@ -13,9 +13,10 @@
 //!   message*, does not show the n = 3 anomaly.
 
 use ctsim_models::latency_replications;
-use ctsim_testbed::{run_campaign, CrashScenario, TestbedConfig};
+use ctsim_testbed::{CrashScenario, TestbedConfig};
 
 use crate::fig6::Fig6;
+use crate::run_campaign;
 use crate::scale::Scale;
 
 /// Paper's Table 1 (ms): `(n, meas, sim)` — `sim` only for n = 3, 5.

@@ -17,12 +17,13 @@
 
 use ctsim_des::SimTime;
 
-/// A pair's suspicion history over an observation window.
-#[derive(Debug, Clone)]
-pub struct PairHistory {
+/// A pair's suspicion history over an observation window, borrowing
+/// the detector's transition log.
+#[derive(Debug, Clone, Copy)]
+pub struct PairHistory<'a> {
     /// Chronological transitions `(time, new state)`; `true` means the
     /// monitor started suspecting.
-    pub transitions: Vec<(SimTime, bool)>,
+    pub transitions: &'a [(SimTime, bool)],
     /// Start of the observation window.
     pub start: SimTime,
     /// End of the observation window.
@@ -59,7 +60,7 @@ pub fn estimate_pair_qos(h: &PairHistory) -> PairQos {
     let mut t_s = 0.0;
     let mut n_ts = 0u64;
     let mut n_st = 0u64;
-    for &(t, s) in &h.transitions {
+    for &(t, s) in h.transitions {
         assert!(t >= last, "history not chronological");
         if t > h.end {
             break;
@@ -155,7 +156,7 @@ mod tests {
     #[test]
     fn no_transitions_means_no_mistakes() {
         let q = estimate_pair_qos(&PairHistory {
-            transitions: vec![],
+            transitions: &[],
             start: t(0.0),
             end: t(1000.0),
             initially_suspected: false,
@@ -170,7 +171,7 @@ mod tests {
         // Suspected during [100, 130): T_S = 30, one TS + one ST.
         // T_MR = 2*1000/2 = 1000; T_M = 2*30/2 = 30.
         let q = estimate_pair_qos(&PairHistory {
-            transitions: vec![(t(100.0), true), (t(130.0), false)],
+            transitions: &[(t(100.0), true), (t(130.0), false)],
             start: t(0.0),
             end: t(1000.0),
             initially_suspected: false,
@@ -191,7 +192,7 @@ mod tests {
             tr.push((t(base + 70.0), false));
         }
         let q = estimate_pair_qos(&PairHistory {
-            transitions: tr,
+            transitions: &tr,
             start: t(0.0),
             end: t(1000.0),
             initially_suspected: false,
@@ -203,7 +204,7 @@ mod tests {
     #[test]
     fn open_suspicion_at_window_end_counts_into_t_s() {
         let q = estimate_pair_qos(&PairHistory {
-            transitions: vec![(t(900.0), true)],
+            transitions: &[(t(900.0), true)],
             start: t(0.0),
             end: t(1000.0),
             initially_suspected: false,
@@ -218,7 +219,7 @@ mod tests {
     fn initially_suspected_window_is_handled() {
         // Suspected [0, 250), then clean.
         let q = estimate_pair_qos(&PairHistory {
-            transitions: vec![(t(250.0), false)],
+            transitions: &[(t(250.0), false)],
             start: t(0.0),
             end: t(1000.0),
             initially_suspected: true,
@@ -230,7 +231,7 @@ mod tests {
     #[test]
     fn duplicate_transitions_are_ignored() {
         let q = estimate_pair_qos(&PairHistory {
-            transitions: vec![(t(100.0), true), (t(110.0), true), (t(130.0), false)],
+            transitions: &[(t(100.0), true), (t(110.0), true), (t(130.0), false)],
             start: t(0.0),
             end: t(1000.0),
             initially_suspected: false,
@@ -242,7 +243,7 @@ mod tests {
     #[test]
     fn transitions_after_window_end_are_dropped() {
         let q = estimate_pair_qos(&PairHistory {
-            transitions: vec![(t(100.0), true), (t(130.0), false), (t(2000.0), true)],
+            transitions: &[(t(100.0), true), (t(130.0), false), (t(2000.0), true)],
             start: t(0.0),
             end: t(1000.0),
             initially_suspected: false,
@@ -298,7 +299,7 @@ mod tests {
     #[should_panic(expected = "empty observation window")]
     fn empty_window_panics() {
         let _ = estimate_pair_qos(&PairHistory {
-            transitions: vec![],
+            transitions: &[],
             start: t(5.0),
             end: t(5.0),
             initially_suspected: false,

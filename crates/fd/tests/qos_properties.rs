@@ -71,7 +71,7 @@ fn detector_qos(timeout: f64, seed: u64) -> Vec<(Vec<(SimTime, bool)>, PairQos)>
             }
             let transitions = rt.node(ProcessId(i)).fd.history(ProcessId(j)).to_vec();
             let qos = estimate_pair_qos(&PairHistory {
-                transitions: transitions.clone(),
+                transitions: &transitions,
                 start: SimTime::ZERO,
                 end: SimTime::from_ms(WINDOW_MS),
                 initially_suspected: false,
@@ -168,7 +168,7 @@ proptest! {
             .map(|(&t, &(_, s))| (SimTime::from_ms(t), s == 1))
             .collect();
         let q = estimate_pair_qos(&PairHistory {
-            transitions,
+            transitions: &transitions,
             start: SimTime::ZERO,
             end: SimTime::from_ms(1000.0),
             initially_suspected: initially == 1,

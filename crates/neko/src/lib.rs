@@ -21,7 +21,7 @@
 //!   plus a per-host offset within ±50 µs, as measured in the paper).
 
 use ctsim_des::{SimDuration, SimTime};
-use ctsim_netsim::{ClusterNet, Delivery, HostId, HostParams, MsgClass, NetParams};
+use ctsim_netsim::{ClusterNet, Delivery, HostId, HostParams, MsgClass, NetParams, Traffic};
 use ctsim_stoch::{Dist, SimRng};
 
 pub use ctsim_netsim::TimerKind;
@@ -278,9 +278,10 @@ impl<M: Clone, N: Node<M>> Runtime<M, N> {
         self.net.is_crashed(HostId(p.0))
     }
 
-    /// Messages submitted so far (diagnostics).
-    pub fn messages_sent(&self) -> u64 {
-        self.net.messages_sent()
+    /// What the cluster has done so far: events by kind, timers,
+    /// messages and the peak number of pending events.
+    pub fn traffic(&self) -> Traffic {
+        self.net.traffic()
     }
 
     /// Runs `f` on node `i` with its handler-side view of the world.

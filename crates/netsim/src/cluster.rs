@@ -9,6 +9,20 @@
 //! dispatches those to protocol code, which reacts by calling
 //! [`ClusterNet::send`], [`ClusterNet::charge`] and
 //! [`ClusterNet::set_timer`].
+//!
+//! # Timers
+//!
+//! A pending timer lives only in the event queue: its event carries the
+//! host and the caller's token, so firing it needs no lookup. Timers
+//! cannot be cancelled: protocols ignore a stale token or re-arm instead
+//! (the heartbeat detector re-reads the silence at each wake-up). A
+//! timer of a crashed host is dropped when it comes due. A timer that
+//! comes due during a host's stop-the-world pause is re-queued at the
+//! pause end with a fresh sequence number, so it fires after whatever
+//! was already due at that instant.
+//!
+//! [`ClusterNet::traffic`] counts what the cluster did: events by kind,
+//! timers, messages and the peak number of pending events.
 
 use std::collections::VecDeque;
 
@@ -26,6 +40,51 @@ pub enum TimerKind {
     /// A native-clock wait with microsecond-scale jitter (the paper's
     /// custom 1 µs C clock). The measurement harness uses this.
     Precise,
+}
+
+/// Plain-field counts of what a [`ClusterNet`] has done so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Traffic {
+    /// CPU job completions popped from the event queue.
+    pub cpu_events: u64,
+    /// Hub frame completions popped.
+    pub hub_events: u64,
+    /// Timer events popped: fired, deferred or dropped.
+    pub timer_events: u64,
+    /// Stop-the-world pause starts popped.
+    pub gc_events: u64,
+    /// Nagle flushes popped, superseded ones included.
+    pub nagle_events: u64,
+    /// [`TimerKind::Precise`] timers set.
+    pub precise_timers: u64,
+    /// [`TimerKind::Coarse`] timers set.
+    pub coarse_timers: u64,
+    /// Timers delivered to their host.
+    pub timers_fired: u64,
+    /// Timer events re-queued at the end of a pause.
+    pub timers_deferred: u64,
+    /// Timers dropped because their host had crashed.
+    pub timers_dropped: u64,
+    /// Application messages submitted by live hosts.
+    pub app_messages: u64,
+    /// Heartbeats submitted by live hosts.
+    pub heartbeat_messages: u64,
+    /// Messages that completed their receive path.
+    pub delivered: u64,
+    /// The most events pending at once.
+    pub peak_pending: u64,
+}
+
+impl Traffic {
+    /// Timers set, of either kind.
+    pub fn timers_set(&self) -> u64 {
+        self.precise_timers + self.coarse_timers
+    }
+
+    /// Messages submitted, of either class.
+    pub fn messages_sent(&self) -> u64 {
+        self.app_messages + self.heartbeat_messages
+    }
 }
 
 /// An observable occurrence returned by [`ClusterNet::advance`].
@@ -120,8 +179,7 @@ pub struct ClusterNet<P> {
     /// While a handler runs, jobs for this host are inserted at the
     /// front of its CPU queue in submission order.
     handler: Option<(usize, usize)>,
-    messages_sent: u64,
-    messages_delivered: u64,
+    traffic: Traffic,
 }
 
 impl<P> std::fmt::Debug for ClusterNet<P> {
@@ -129,8 +187,7 @@ impl<P> std::fmt::Debug for ClusterNet<P> {
         f.debug_struct("ClusterNet")
             .field("hosts", &self.hosts.len())
             .field("now", &self.queue.now())
-            .field("sent", &self.messages_sent)
-            .field("delivered", &self.messages_delivered)
+            .field("traffic", &self.traffic)
             .finish()
     }
 }
@@ -171,8 +228,7 @@ impl<P> ClusterNet<P> {
             queue,
             rng: rng.substream(1),
             handler: None,
-            messages_sent: 0,
-            messages_delivered: 0,
+            traffic: Traffic::default(),
         }
     }
 
@@ -186,14 +242,9 @@ impl<P> ClusterNet<P> {
         self.queue.now()
     }
 
-    /// Total messages submitted via [`ClusterNet::send`].
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
-    }
-
-    /// Total messages that completed delivery.
-    pub fn messages_delivered(&self) -> u64 {
-        self.messages_delivered
+    /// What the cluster has done so far (see [`Traffic`]).
+    pub fn traffic(&self) -> Traffic {
+        self.traffic
     }
 
     /// Crashes a host: everything queued is dropped, no further sends,
@@ -215,7 +266,10 @@ impl<P> ClusterNet<P> {
         if self.hosts[from.0].crashed {
             return;
         }
-        self.messages_sent += 1;
+        match class {
+            MsgClass::App => self.traffic.app_messages += 1,
+            MsgClass::Heartbeat => self.traffic.heartbeat_messages += 1,
+        }
         let msg = Msg {
             from,
             to,
@@ -286,6 +340,7 @@ impl<P> ClusterNet<P> {
         let host = &mut self.hosts[h.0];
         let actual = match kind {
             TimerKind::Coarse => {
+                self.traffic.coarse_timers += 1;
                 let g = host.params.timer_granularity;
                 let d = delay.as_ms();
                 let ticks = (d / g).ceil().max(1.0);
@@ -293,6 +348,7 @@ impl<P> ClusterNet<P> {
                 SimDuration::from_ms(ticks * g + extra)
             }
             TimerKind::Precise => {
+                self.traffic.precise_timers += 1;
                 let j = host.params.precise_timer_jitter.sample(&mut host.rng);
                 delay + SimDuration::from_ms(j)
             }
@@ -312,9 +368,12 @@ impl<P> ClusterNet<P> {
             if t > horizon {
                 return None;
             }
+            let pending = self.queue.len() as u64;
+            self.traffic.peak_pending = self.traffic.peak_pending.max(pending);
             let (now, ev) = self.queue.pop().expect("peeked");
             match ev {
                 Ev::CpuDone(h) => {
+                    self.traffic.cpu_events += 1;
                     let kind = {
                         let host = &mut self.hosts[h];
                         host.busy = false;
@@ -327,7 +386,7 @@ impl<P> ClusterNet<P> {
                     match kind {
                         JobKind::Send(msg) => self.on_send_path_done(msg),
                         JobKind::Recv(msg) => {
-                            self.messages_delivered += 1;
+                            self.traffic.delivered += 1;
                             return Some(Delivery::Message {
                                 at: now,
                                 from: msg.from,
@@ -340,6 +399,7 @@ impl<P> ClusterNet<P> {
                     }
                 }
                 Ev::HubDone => {
+                    self.traffic.hub_events += 1;
                     self.hub_busy = false;
                     let Some(msg) = self.hub_current.take() else {
                         continue;
@@ -366,6 +426,7 @@ impl<P> ClusterNet<P> {
                     );
                 }
                 Ev::NagleFlush { from, to, epoch } => {
+                    self.traffic.nagle_events += 1;
                     if self.nagle[from][to].epoch != epoch {
                         continue; // superseded by an app-message flush
                     }
@@ -382,6 +443,7 @@ impl<P> ClusterNet<P> {
                     }
                 }
                 Ev::GcStart(h) => {
+                    self.traffic.gc_events += 1;
                     let (dur, next) = {
                         let host = &mut self.hosts[h];
                         (
@@ -400,15 +462,19 @@ impl<P> ClusterNet<P> {
                     }
                 }
                 Ev::Timer { host, token } => {
+                    self.traffic.timer_events += 1;
                     if self.hosts[host.0].crashed {
+                        self.traffic.timers_dropped += 1;
                         continue;
                     }
                     // A stop-the-world pause delays thread wake-ups.
                     let until = self.hosts[host.0].gc_until;
                     if now < until {
+                        self.traffic.timers_deferred += 1;
                         self.queue.schedule_at(until, Ev::Timer { host, token });
                         continue;
                     }
+                    self.traffic.timers_fired += 1;
                     return Some(Delivery::Timer {
                         at: now,
                         host,
@@ -798,8 +864,40 @@ mod tests {
         let mut net = cluster(2);
         net.send(HostId(0), HostId(1), MsgClass::App, 100, 1);
         net.send(HostId(0), HostId(1), MsgClass::App, 100, 2);
+        net.send(HostId(1), HostId(0), MsgClass::Heartbeat, 30, 3);
         drain(&mut net, SimTime::from_secs(1.0));
-        assert_eq!(net.messages_sent(), 2);
-        assert_eq!(net.messages_delivered(), 2);
+        let t = net.traffic();
+        assert_eq!((t.app_messages, t.heartbeat_messages), (2, 1));
+        assert_eq!((t.messages_sent(), t.delivered), (3, 3));
+        // Each message: a send and a receive on a CPU, one hub frame.
+        assert_eq!((t.cpu_events, t.hub_events), (6, 3));
+        assert_eq!(t.timer_events + t.gc_events + t.nagle_events, 0);
+    }
+
+    #[test]
+    fn timer_counters_split_fired_deferred_and_dropped() {
+        let mut params = quiet_host();
+        params.gc_enabled = true;
+        params.gc_interval = Dist::Det(5.0);
+        params.gc_duration = Dist::Det(20.0);
+        let mut net: ClusterNet<u32> =
+            ClusterNet::new(2, NetParams::default(), params, SimRng::new(1));
+        net.set_timer(HostId(0), SimDuration::from_ms(1.0), TimerKind::Precise, 1);
+        net.set_timer(HostId(0), SimDuration::from_ms(6.0), TimerKind::Precise, 2);
+        net.set_timer(HostId(1), SimDuration::from_ms(1.0), TimerKind::Coarse, 3);
+        net.crash_host(HostId(1));
+        while net.advance(SimTime::from_ms(28.0)).is_some() {}
+        let t = net.traffic();
+        assert_eq!(
+            (t.precise_timers, t.coarse_timers, t.timers_set()),
+            (2, 1, 3)
+        );
+        assert_eq!(
+            (t.timers_fired, t.timers_deferred, t.timers_dropped),
+            (2, 1, 1)
+        );
+        assert_eq!(t.timer_events, 4, "the deferred timer pops twice");
+        assert_eq!(t.gc_events, 2, "one pause start per host");
+        assert_eq!(t.peak_pending, 5, "two pause starts and three timers");
     }
 }

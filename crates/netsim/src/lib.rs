@@ -36,5 +36,5 @@
 pub mod cluster;
 pub mod params;
 
-pub use cluster::{ClusterNet, Delivery, TimerKind};
+pub use cluster::{ClusterNet, Delivery, TimerKind, Traffic};
 pub use params::{HostId, HostParams, MsgClass, NetParams};

@@ -12,7 +12,7 @@
 //!
 //! Telemetry is **off by default** and must be switched on explicitly
 //! with [`enable`]. While disabled, every recording entry point
-//! ([`span`], [`instant`], [`counter_add`], [`gauge_set`],
+//! ([`span`], [`instant`], [`counter_add`], [`counter_max`], [`gauge_set`],
 //! [`series_push`], [`hist_record`], [`hist_merge`], [`record_span`])
 //! reduces to **one
 //! relaxed atomic load and a predictable branch** — no clock read, no
@@ -371,6 +371,17 @@ pub fn counter_add(name: &str, delta: u64) {
         .unwrap()
         .entry(name.to_string())
         .or_insert(0) += delta;
+}
+
+/// Raises the named counter to `value` if it is lower: a high-water
+/// mark over every run that reports one, such as a peak queue length.
+pub fn counter_max(name: &str, value: u64) {
+    if !enabled() {
+        return;
+    }
+    let mut counters = global().counters.lock().unwrap();
+    let c = counters.entry(name.to_string()).or_insert(0);
+    *c = (*c).max(value);
 }
 
 /// Sets the named gauge to `value` (last write wins).
@@ -768,6 +779,8 @@ mod tests {
             s.push_arg("label", "x\"y");
             counter_add("c.events", 2);
             counter_add("c.events", 3);
+            counter_max("c.peak", 7);
+            counter_max("c.peak", 4);
             gauge_set("g.occ", 0.75);
             series_push("residual", 1.0, 1e-3);
             series_push("residual", 2.0, 1e-6);
@@ -782,6 +795,7 @@ mod tests {
         assert!(trace.contains("x\\\"y"), "escaped quote: {trace}");
         let m = metrics_json();
         assert!(m.contains("\"c.events\": 5"), "{m}");
+        assert!(m.contains("\"c.peak\": 7"), "{m}");
         assert!(m.contains("\"g.occ\": 0.75"), "{m}");
         assert!(m.contains("[1, 0.001], [2, 0.000001]"), "{m}");
         assert!(m.contains("\"probes\""), "{m}");

@@ -9,6 +9,7 @@ use ctsim_fd::{
     PairHistory, QosSummary,
 };
 use ctsim_neko::{Ctx, Node, ProcessId, Runtime, TimerKind};
+use ctsim_netsim::Traffic;
 use ctsim_stoch::{OnlineStats, SimRng};
 
 use crate::config::{FdSetup, TestbedConfig};
@@ -135,6 +136,9 @@ pub struct CampaignResult {
     pub mean_rounds: f64,
     /// Total simulated time, ms.
     pub duration_ms: f64,
+    /// What the emulated cluster did: events by kind, timers, messages
+    /// and the peak number of pending events.
+    pub traffic: Traffic,
 }
 
 impl CampaignResult {
@@ -147,14 +151,6 @@ impl CampaignResult {
     pub fn ci90(&self) -> f64 {
         self.stats.ci_half_width(0.90)
     }
-}
-
-/// Measured class-1 consensus latency for `n` hosts: the one-call
-/// entry point the scenario-campaign driver uses to put a measured
-/// (simulated-testbed) column next to its analytic grid rows, mirroring
-/// the paper's measurement-vs-model comparison.
-pub fn measured_latency(n: usize, executions: u32, seed: u64) -> CampaignResult {
-    run_campaign(&TestbedConfig::class1(n, executions, seed))
 }
 
 /// Runs one campaign to completion and extracts latencies and QoS.
@@ -179,7 +175,7 @@ pub fn run_campaign(cfg: &TestbedConfig) -> CampaignResult {
                     let hb = &rt.node(ProcessId(i)).host.fd;
                     for j in (0..cfg.n).filter(|&j| j != i) {
                         pairs.push(estimate_pair_qos(&PairHistory {
-                            transitions: hb.history(ProcessId(j)).to_vec(),
+                            transitions: hb.history(ProcessId(j)),
                             start: SimTime::ZERO,
                             end,
                             initially_suspected: false,
@@ -257,6 +253,7 @@ fn run<F: FailureDetector<Tagged>>(
         qos: qos(&rt, end),
         mean_rounds,
         duration_ms: end.as_ms(),
+        traffic: rt.traffic(),
     }
 }
 
@@ -325,6 +322,27 @@ mod tests {
             bad.mean(),
             good.mean()
         );
+    }
+
+    /// Every timer set is fired, dropped or still pending at most once,
+    /// and each timer event popped is one of those or a deferral.
+    #[test]
+    fn class3_traffic_accounts_for_every_timer() {
+        let r = run_campaign(&TestbedConfig::class3(3, 40, 10.0, 5));
+        let t = r.traffic;
+        assert!(t.cpu_events > 0 && t.hub_events > 0 && t.gc_events > 0);
+        assert!(t.app_messages > 0 && t.heartbeat_messages > 0);
+        assert!(
+            t.coarse_timers > 0,
+            "heartbeat detectors sleep on coarse timers"
+        );
+        assert_eq!(
+            t.timer_events,
+            t.timers_fired + t.timers_deferred + t.timers_dropped
+        );
+        assert!(t.timers_fired + t.timers_dropped <= t.timers_set());
+        // Every execution timer is armed at time zero.
+        assert!(t.peak_pending >= 3 * 40);
     }
 
     #[test]

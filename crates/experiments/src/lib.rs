@@ -39,29 +39,27 @@ pub use scale::Scale;
 /// experiments run goes through here.
 pub(crate) fn run_campaign(cfg: &ctsim_testbed::TestbedConfig) -> ctsim_testbed::CampaignResult {
     let r = ctsim_testbed::run_campaign(cfg);
-    if ctsim_obs::enabled() {
-        let t = &r.traffic;
-        for (name, n) in [
-            ("testbed.executions", r.per_exec.len() as u64),
-            ("net.events.cpu", t.cpu_events),
-            ("net.events.hub", t.hub_events),
-            ("net.events.timer", t.timer_events),
-            ("net.events.gc", t.gc_events),
-            ("net.events.nagle", t.nagle_events),
-            ("net.timers.set", t.timers_set()),
-            ("net.timers.precise", t.precise_timers),
-            ("net.timers.coarse", t.coarse_timers),
-            ("net.timers.fired", t.timers_fired),
-            ("net.timers.deferred", t.timers_deferred),
-            ("net.timers.dropped", t.timers_dropped),
-            ("net.messages.app", t.app_messages),
-            ("net.messages.heartbeat", t.heartbeat_messages),
-            ("net.messages.delivered", t.delivered),
-        ] {
-            ctsim_obs::counter_add(name, n);
-        }
-        ctsim_obs::counter_max("des.queue_peak_len", t.peak_pending);
+    let t = &r.traffic;
+    for (name, n) in [
+        ("testbed.executions", r.per_exec.len() as u64),
+        ("net.events.cpu", t.cpu_events),
+        ("net.events.hub", t.hub_events),
+        ("net.events.timer", t.timer_events),
+        ("net.events.gc", t.gc_events),
+        ("net.events.nagle", t.nagle_events),
+        ("net.timers.set", t.timers_set()),
+        ("net.timers.precise", t.precise_timers),
+        ("net.timers.coarse", t.coarse_timers),
+        ("net.timers.fired", t.timers_fired),
+        ("net.timers.deferred", t.timers_deferred),
+        ("net.timers.dropped", t.timers_dropped),
+        ("net.messages.app", t.app_messages),
+        ("net.messages.heartbeat", t.heartbeat_messages),
+        ("net.messages.delivered", t.delivered),
+    ] {
+        ctsim_obs::counter_add(name, n);
     }
+    ctsim_obs::counter_max("des.queue_peak_len", t.peak_pending);
     r
 }
 

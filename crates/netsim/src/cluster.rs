@@ -80,11 +80,6 @@ impl Traffic {
     pub fn timers_set(&self) -> u64 {
         self.precise_timers + self.coarse_timers
     }
-
-    /// Messages submitted, of either class.
-    pub fn messages_sent(&self) -> u64 {
-        self.app_messages + self.heartbeat_messages
-    }
 }
 
 /// An observable occurrence returned by [`ClusterNet::advance`].
@@ -868,7 +863,7 @@ mod tests {
         drain(&mut net, SimTime::from_secs(1.0));
         let t = net.traffic();
         assert_eq!((t.app_messages, t.heartbeat_messages), (2, 1));
-        assert_eq!((t.messages_sent(), t.delivered), (3, 3));
+        assert_eq!(t.delivered, 3);
         // Each message: a send and a receive on a CPU, one hub frame.
         assert_eq!((t.cpu_events, t.hub_events), (6, 3));
         assert_eq!(t.timer_events + t.gc_events + t.nagle_events, 0);

@@ -329,8 +329,8 @@ impl<P> ClusterNet<P> {
     }
 
     /// Sets a timer on a host. The true wake-up time depends on the
-    /// [`TimerKind`]. A timer cannot be cancelled: protocols that re-arm
-    /// ignore the tokens they no longer expect.
+    /// [`TimerKind`]. A timer cannot be cancelled (see the [module
+    /// docs](self)).
     pub fn set_timer(&mut self, h: HostId, delay: SimDuration, kind: TimerKind, token: u64) {
         let host = &mut self.hosts[h.0];
         let actual = match kind {

@@ -218,8 +218,12 @@ impl<E> EventQueue<E> {
         let b = bucket_of(entry.key(), self.last);
         let i = match self.spare {
             NIL => {
+                let i = u32::try_from(self.entries.len())
+                    .ok()
+                    .filter(|&i| i != NIL)
+                    .expect("more than 2^32 - 1 queued entries");
                 self.entries.push(entry);
-                (self.entries.len() - 1) as u32
+                i
             }
             i => {
                 self.spare = self.entries[i as usize].next;

@@ -107,7 +107,11 @@ pub trait LinOp: Sync {
 
     /// `out[i] = Σ_k≠i q_ik · v[k]`: the off-diagonal row product (the
     /// flow term of the absorption system), sharded over `threads`
-    /// workers (`0` = one per core).
+    /// workers (`0` = one per core). `v` has length `dim`; `out` may be
+    /// a prefix of length ≤ `dim`, and only `out[..len]` is computed,
+    /// each element from its whole row — exactly the values a
+    /// full-length call puts there. The Jacobi absorption steps pass
+    /// the prefix of rows that can still change.
     fn apply(&self, v: &[f64], out: &mut [f64], threads: usize);
 
     /// `out = x · Q` including the diagonal: the row-vector product the

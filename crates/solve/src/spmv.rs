@@ -162,11 +162,13 @@ pub(crate) fn vec_mul(ctmc: &Ctmc, x: &[f64], out: &mut [f64], threads: usize) {
 /// generator: each shard streams its contiguous row range through the
 /// store's grouped reader ([`Ctmc::flow_shard`]), paying one disk read
 /// per spilled segment per sweep, and the per-row summation order is
-/// the same as the resident body's, so the bits agree.
+/// the same as the resident body's, so the bits agree. `out` may be a
+/// prefix (`len ≤ n`): the shards then split `row_ptr[..=len]` and only
+/// those rows are read.
 pub(crate) fn flow_mul(ctmc: &Ctmc, v: &[f64], out: &mut [f64], threads: usize) {
     assert_eq!(v.len(), ctmc.num_states());
-    assert_eq!(out.len(), ctmc.num_states());
-    for_each_shard(ctmc.row_ptr(), threads, out, |lo, shard| {
+    assert!(out.len() <= ctmc.num_states());
+    for_each_shard(&ctmc.row_ptr()[..=out.len()], threads, out, |lo, shard| {
         ctmc.flow_shard(lo, shard, v);
     });
 }
@@ -175,14 +177,17 @@ pub(crate) fn flow_mul(ctmc: &Ctmc, v: &[f64], out: &mut [f64], threads: usize) 
 mod tests {
     use super::*;
     use crate::graph::{ReachOptions, StateSpace};
-    use ctsim_san::{Activity, Case, SanBuilder};
+    use crate::kron::KronGenerator;
+    use crate::linop::LinOp;
+    use crate::spill::SpillOptions;
+    use ctsim_san::{Activity, Case, SanBuilder, SanModel};
     use ctsim_stoch::Dist;
 
     /// A token ladder: `levels` tokens hop one place to the other and
     /// back, giving `levels + 1` states from just two activities —
     /// enough states to clear the inline threshold without an
     /// activity-heavy model.
-    fn ladder_ctmc(levels: u32) -> Ctmc {
+    fn ladder(levels: u32) -> (SanModel, ReachOptions) {
         let mut b = SanBuilder::new("ladder");
         let a = b.place("a", levels);
         let z = b.place("z", 0);
@@ -196,11 +201,15 @@ mod tests {
                 .input(z, 1)
                 .case(Case::with_prob(1.0).output(a, 1)),
         );
-        let m = b.build().unwrap();
         let opts = ReachOptions {
             max_states: levels as usize + 8,
             ..ReachOptions::default()
         };
+        (b.build().unwrap(), opts)
+    }
+
+    fn ladder_ctmc(levels: u32) -> Ctmc {
+        let (m, opts) = ladder(levels);
         let ss = StateSpace::explore(&m, &opts).unwrap();
         Ctmc::from_state_space(&ss).unwrap()
     }
@@ -228,20 +237,46 @@ mod tests {
     }
 
     /// A prefix product computes exactly the leading entries of the
-    /// full product, at every thread count.
+    /// full product, at every thread count: `x·Q`, the flow product of
+    /// the resident CSR and of a CSR paged to disk under a zero spill
+    /// budget, and the Kronecker descriptor's flow product.
     #[test]
     fn prefix_product_is_the_full_products_prefix() {
-        let q = ladder_ctmc(PARALLEL_THRESHOLD as u32 * 2);
+        let (model, opts) = ladder(PARALLEL_THRESHOLD as u32 + 37);
+        let ss = StateSpace::explore(&model, &opts).unwrap();
+        let q = Ctmc::from_state_space(&ss).unwrap();
+        let kron = KronGenerator::from_state_space(&ss).unwrap();
+        let spill = ReachOptions {
+            spill: Some(SpillOptions::with_budget(0)),
+            ..opts
+        };
+        let (_, paged) = StateSpace::explore_ctmc(&model, &spill).unwrap();
+        assert!(
+            paged.is_streamed(),
+            "the zero budget pages the rows to disk"
+        );
         let n = q.num_states();
         let x: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
-        let mut full = vec![0.0; n];
-        vec_mul(&q, &x, &mut full, 1);
-        for len in [0, 1, 17, PARALLEL_THRESHOLD + 5, n - 1, n] {
-            for threads in [1usize, 2, 3] {
-                let mut out = vec![f64::NAN; len];
-                vec_mul(&q, &x, &mut out, threads);
-                for (a, b) in full[..len].iter().zip(&out) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "len {len}, {threads} threads");
+        let products: [(&str, &dyn Fn(&mut [f64], usize)); 4] = [
+            ("vec_mul", &|out, t| vec_mul(&q, &x, out, t)),
+            ("flow_mul", &|out, t| flow_mul(&q, &x, out, t)),
+            ("paged flow_mul", &|out, t| flow_mul(&paged, &x, out, t)),
+            ("kron apply", &|out, t| kron.apply(&x, out, t)),
+        ];
+        for (name, product) in products {
+            let mut full = vec![0.0; n];
+            product(&mut full, 1);
+            for len in [0, 1, 17, PARALLEL_THRESHOLD + 5, n - 1, n] {
+                for threads in [1usize, 2, 3] {
+                    let mut out = vec![f64::NAN; len];
+                    product(&mut out, threads);
+                    for (a, b) in full[..len].iter().zip(&out) {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{name}: len {len}, {threads} threads"
+                        );
+                    }
                 }
             }
         }

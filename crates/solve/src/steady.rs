@@ -440,27 +440,66 @@ fn absorption_gauss_seidel<L: LinOp>(
     })
 }
 
+/// Rows per block of the Jacobi absorption residual: a step sweeps
+/// whole blocks and keeps one defect maximum per block.
+const JACOBI_BLOCK: usize = 4096;
+
 /// The parallel stationary backend: double-buffered Jacobi on
 /// `Q_TT τ = -1`. The flow gather `Σ_k q_jk τ_k` is one sharded
 /// row-oriented SpMV; since every update reads only the previous
 /// iterate, the buffers swap and no write order matters.
+///
+/// A step sweeps only the rows that can still change. `reach[c]` is
+/// the largest row that reads `τ_c`, or `c` itself, found in one
+/// forward pass over the rows: no transpose, so a paged generator stays
+/// inside its spill budget. A row past `reach[c]` of every row `c` the
+/// last step changed in any bit reads no changed value and did not
+/// change itself, so its new value and its defect are the last step's,
+/// bit for bit; it changed in neither of the last two steps, so both
+/// buffers already hold that value. The next step therefore sweeps the
+/// [`JACOBI_BLOCK`]-row blocks up to that bound and keeps the stored
+/// defect maximum of every block past it. The residual is the same
+/// `f64::max` fold over the same defects as a full sweep's, so every
+/// value, iteration count and residual is the full sweep's. On a
+/// first-passage chain without back edges the bound falls as the
+/// levels settle from the absorbing end; back edges only raise it, so
+/// the rule holds on any chain.
 fn absorption_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<AbsorptionTimes, SolveError> {
     let n = op.dim();
+    let mut reach: Vec<usize> = (0..n).collect();
+    for j in 0..n {
+        op.for_each_in_row(j, |c, _| reach[c] = reach[c].max(j));
+    }
     let mut tau = vec![0.0; n];
-    let mut flow = vec![0.0; n];
+    let mut next = vec![0.0; n];
+    let mut block_defect = vec![0.0f64; n.div_ceil(JACOBI_BLOCK)];
+    // One past the last row the next step can change.
+    let mut live = n;
     let (iterations, residual) = iterate("absorption_jacobi", opts, || {
-        op.apply(&tau, &mut flow, opts.threads);
-        let mut residual = 0.0f64;
-        for j in 0..n {
-            if op.is_absorbing(j) {
-                flow[j] = 0.0;
-                continue;
+        let end = live.next_multiple_of(JACOBI_BLOCK).min(n);
+        op.apply(&tau, &mut next[..end], opts.threads);
+        live = 0;
+        let blocks = next[..end].chunks_mut(JACOBI_BLOCK).zip(&mut block_defect);
+        for (b, (rows, defect)) in blocks.enumerate() {
+            let mut max = 0.0f64;
+            for (dj, x) in rows.iter_mut().enumerate() {
+                let j = b * JACOBI_BLOCK + dj;
+                let new = if op.is_absorbing(j) {
+                    0.0
+                } else {
+                    max = max.max((op.diag(j) * tau[j] + *x + 1.0).abs());
+                    (1.0 + *x) / -op.diag(j)
+                };
+                if new.to_bits() != tau[j].to_bits() {
+                    live = live.max(reach[j] + 1);
+                }
+                *x = new;
             }
-            residual = residual.max((op.diag(j) * tau[j] + flow[j] + 1.0).abs());
-            flow[j] = (1.0 + flow[j]) / -op.diag(j);
+            *defect = max;
         }
-        std::mem::swap(&mut tau, &mut flow);
-        Some(residual)
+        ctsim_obs::counter_add("solver.jacobi.rows", end as u64);
+        std::mem::swap(&mut tau, &mut next);
+        Some(block_defect.iter().fold(0.0f64, |m, &d| m.max(d)))
     })?;
     let mean = op.initial().iter().zip(&tau).map(|(&p, &t)| p * t).sum();
     Ok(AbsorptionTimes {

@@ -13,7 +13,7 @@
 //! | backend | iteration | parallel | shines on |
 //! |---|---|---|---|
 //! | [`GaussSeidel`](SolverBackend::GaussSeidel) | in-place sweeps over the incoming view | no (sequential by construction) | small/medium chains, smooth rates — the reference |
-//! | [`Jacobi`](SolverBackend::Jacobi) | uniformized power / Jacobi steps, double-buffered | sharded SpMV over [`IterOptions::threads`](crate::IterOptions::threads) | multi-million-state chains on multi-core hosts |
+//! | [`Jacobi`](SolverBackend::Jacobi) | uniformized power / Jacobi steps, double-buffered; an absorption step sweeps only the rows that can still change | sharded SpMV over [`IterOptions::threads`](crate::IterOptions::threads) | multi-million-state chains on multi-core hosts |
 //! | [`Krylov`](SolverBackend::Krylov) | restarted GMRES (Arnoldi + Givens), Jacobi-preconditioned | sharded SpMV | stiff/two-timescale chains where sweeps crawl |
 //!
 //! The backend rides in [`IterOptions::backend`](crate::IterOptions::backend)
@@ -46,7 +46,8 @@ pub enum SolverBackend {
     /// one sharded sparse matrix–vector product fanned out over
     /// [`IterOptions::threads`](crate::IterOptions::threads) workers.
     /// Needs more iterations than Gauss–Seidel but each one scales
-    /// with cores.
+    /// with cores, and an absorption step sweeps only the rows that
+    /// can still change.
     Jacobi,
     /// Restarted GMRES over the Krylov subspace of the
     /// Jacobi-preconditioned system (Arnoldi with modified

@@ -159,21 +159,9 @@
 //! the same sup-norm residual — converged answers are
 //! backend-independent down to round-off, which the overlay test
 //! `backends_agree_on_the_overlay_means` in `ctsim-experiments` gates
-//! at ≤ 1e-6 relative — but they iterate very differently. Measured
-//! single-thread solve-phase wall-clock of the consensus first-passage
-//! mean (`Q_TT τ = -1`; reproduce with
-//! `cargo run --release --example solver_backends -- <n> <ph_order>`).
-//! *Provenance: measured once, by PR 4, on that PR's host; not
-//! re-measured since and not a ledger row. The order-2 row is
-//! superseded by `ctbench`'s `gs_solve_s`, `jacobi_solve_s` and
-//! `krylov_solve_s` on `solve_n3_ph2`; the other rows have no metric.*
-//!
-//! | workload | states | `gauss-seidel` | `jacobi` | `krylov` |
-//! |---|---:|---:|---:|---:|
-//! | n = 2 order 4   |       111 |  66 µs |  74 µs | **23 µs** |
-//! | n = 3 exp       |   135 125 |  36 ms |  46 ms | **3.4 ms** |
-//! | n = 3 order 2   |   534 429 | 432 ms | 535 ms | **22 ms**  |
-//! | n = 3 order 3   | 2 335 749 | **4.8 s** | 8.7 s | 5.8 s   |
+//! at ≤ 1e-6 relative — but they iterate very differently. The measured
+//! solve times of each backend are one table, in the repository
+//! README's *Pluggable solver backends* section.
 //!
 //! Rules of thumb:
 //!
@@ -182,18 +170,18 @@
 //!   is the default choice for first-passage solves up to ~1 M states
 //!   (the canonical BFS numbering makes those systems near-triangular,
 //!   so GMRES closes in a handful of matvecs where Jacobi needs one
-//!   iteration per BFS level), and the *only* backend that survives
+//!   step per BFS level), and the *only* backend that survives
 //!   stiff two-timescale chains whose sweep contraction is `1 − O(ε)`.
 //! * [`SolverBackend::GaussSeidel`] — the reference. Smallest constant
 //!   factor per iteration, and its absorption sweeps descend with the
 //!   canonical numbering, so a first-passage chain takes a few sweeps
-//!   rather than one per BFS level (the table predates that).
+//!   rather than one per BFS level.
 //!   Sequential by construction; refuses disk-paged generators.
 //! * [`SolverBackend::Jacobi`] — every update is one sharded SpMV over
 //!   [`IterOptions::threads`] workers, so it is the backend that turns
-//!   cores into solve throughput on large chains; it pays one step per
-//!   BFS level of a first-passage chain (the table above is
-//!   single-thread — its worst case).
+//!   cores into solve throughput on large chains. A first-passage
+//!   solve still takes one step per BFS level, but a step sweeps only
+//!   the prefix of rows that can still change.
 //!
 //! Every backend returns [`SolveError::NotConverged`] with finite
 //! diagnostics instead of NaNs or hangs on reducible or pathological

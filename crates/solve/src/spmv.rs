@@ -236,6 +236,10 @@ mod tests {
         }
     }
 
+    /// One product under test: fills its `out` argument at the given
+    /// thread count.
+    type Product<'a> = &'a dyn Fn(&mut [f64], usize);
+
     /// A prefix product computes exactly the leading entries of the
     /// full product, at every thread count: `x·Q`, the flow product of
     /// the resident CSR and of a CSR paged to disk under a zero spill
@@ -257,7 +261,7 @@ mod tests {
         );
         let n = q.num_states();
         let x: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
-        let products: [(&str, &dyn Fn(&mut [f64], usize)); 4] = [
+        let products: [(&str, Product); 4] = [
             ("vec_mul", &|out, t| vec_mul(&q, &x, out, t)),
             ("flow_mul", &|out, t| flow_mul(&q, &x, out, t)),
             ("paged flow_mul", &|out, t| flow_mul(&paged, &x, out, t)),

@@ -13,7 +13,9 @@
 //! first-passage chain takes a few sweeps, not one per BFS level),
 //! [`SolverBackend::Jacobi`] double-buffered
 //! Jacobi/uniformized-power steps whose updates are one sharded SpMV
-//! over [`IterOptions::threads`] workers, and [`SolverBackend::Krylov`]
+//! over [`IterOptions::threads`] workers (an absorption solve still
+//! takes one step per BFS level, but a step sweeps only the prefix of
+//! rows that can still change), and [`SolverBackend::Krylov`]
 //! restarted GMRES (see the `krylov` module docs).
 //! Every backend converges on the same sup-norm residual to the same
 //! [`IterOptions::tolerance`], so a converged answer is

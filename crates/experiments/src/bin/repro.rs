@@ -560,10 +560,10 @@ fn run_commands(args: &Args) -> i32 {
              sim_ci90,agrees,ph_sim_ms,ph_sim_ci90,engine",
             a.rows.iter().map(|r| {
                 // Both verdicts are tri-state so a capped/skipped solve
-                // is never mistaken for a disagreement. `engine` — the
-                // engine-vs-engine cross-validation on the identical
-                // stochastic model — is deliberately the *last* column:
-                // CI gates on `,false$`, while `agrees` (distance to
+                // is never mistaken for a disagreement. CI gates
+                // `engine` — the engine-vs-engine cross-validation on
+                // the identical stochastic model — by column name
+                // (`ci/analytic_gate.py`), while `agrees` (distance to
                 // the paper's real parameters, bounded by the
                 // documented phase-type support-edge bias at n ≥ 3) is
                 // reported but not gated.

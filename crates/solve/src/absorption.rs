@@ -1,23 +1,18 @@
-//! Layer 3b: steady-state and absorption-time solvers, pluggable over
-//! [`SolverBackend`].
+//! Layer 3b: absorption-time solvers, pluggable over [`SolverBackend`].
 //!
-//! * [`steady_state`] solves the global balance equations `πQ = 0`,
-//!   `Σπ = 1` for an irreducible chain;
-//! * [`mean_time_to_absorption`] solves `Q_TT τ = -1` for the expected
-//!   time each transient state needs to reach an absorbing state — the
-//!   analytic counterpart of the simulator's mean-latency estimate.
+//! [`mean_time_to_absorption`] solves `Q_TT τ = -1` for the expected
+//! time each transient state needs to reach an absorbing state — the
+//! analytic counterpart of the simulator's mean-latency estimate.
 //!
-//! Both dispatch on [`IterOptions::backend`]:
+//! It dispatches on [`IterOptions::backend`]:
 //! [`SolverBackend::GaussSeidel`] runs in-place sweeps (the reference;
-//! absorption sweeps descend, with the canonical BFS numbering, so a
+//! the sweeps descend, with the canonical BFS numbering, so a
 //! first-passage chain takes a few sweeps, not one per BFS level),
-//! [`SolverBackend::Jacobi`] double-buffered
-//! Jacobi/uniformized-power steps whose updates are one sharded SpMV
-//! over [`IterOptions::threads`] workers (an absorption solve still
-//! takes one step per BFS level, but a step sweeps only the prefix of
-//! rows that can still change), and [`SolverBackend::Krylov`]
-//! restarted GMRES (see the `krylov` module docs).
-//! Every backend converges on the same sup-norm residual to the same
+//! [`SolverBackend::Jacobi`] double-buffered Jacobi steps whose updates
+//! are one sharded SpMV over [`IterOptions::threads`] workers (one step
+//! per BFS level, but a step sweeps only the prefix of rows that can
+//! still change), and [`SolverBackend::Krylov`] restarted GMRES (see
+//! the `krylov` module docs). Every backend converges on the same sup-norm residual to the same
 //! [`IterOptions::tolerance`], so a converged answer is
 //! backend-independent down to round-off; backends that cannot make the
 //! tolerance return [`SolveError::NotConverged`] with finite
@@ -30,12 +25,11 @@ use crate::{krylov, SolveError};
 /// Iterations per telemetry batch span in the stationary loops.
 const TRACE_BATCH: usize = 64;
 
-/// The loop every stationary backend runs: `step` advances the iterate
-/// once and returns the sup-norm residual it measured (`None` when the
-/// iterate broke down — its mass is no longer a positive finite
-/// number), until the residual meets [`IterOptions::tolerance`].
-/// Returns `(iterations, residual)` of the converged iterate, which
-/// stays with the caller's `step` state.
+/// The loop both stationary iterative backends run: `step` advances the
+/// iterate once and returns the sup-norm residual it measured, until
+/// the residual meets [`IterOptions::tolerance`]. Returns
+/// `(iterations, residual)` of the converged iterate, which stays with
+/// the caller's `step` state.
 ///
 /// Telemetry, when enabled: one point per iteration on the
 /// `solver.residual/<name>` series and an `iter_batch` span closed
@@ -43,13 +37,13 @@ const TRACE_BATCH: usize = 64;
 /// iteration pays one atomic load and branch for it.
 ///
 /// # Errors
-/// [`SolveError::NotConverged`] on a breakdown, a non-finite residual,
-/// or an exhausted [`IterOptions::max_iterations`] — always with the
+/// [`SolveError::NotConverged`] on a non-finite residual or an
+/// exhausted [`IterOptions::max_iterations`] — always with the
 /// iteration count reached and the last residual.
 fn iterate(
     name: &'static str,
     opts: &IterOptions,
-    mut step: impl FnMut() -> Option<f64>,
+    mut step: impl FnMut() -> f64,
 ) -> Result<(usize, f64), SolveError> {
     let mut residual = f64::INFINITY;
     let mut batch_t0 = if ctsim_obs::enabled() {
@@ -58,13 +52,7 @@ fn iterate(
         0
     };
     for iter in 1..=opts.max_iterations {
-        let Some(r) = step() else {
-            return Err(SolveError::NotConverged {
-                iterations: iter,
-                residual: f64::INFINITY,
-            });
-        };
-        residual = r;
+        residual = step();
         let done = residual <= opts.tolerance;
         if ctsim_obs::enabled() {
             ctsim_obs::series_push(&format!("solver.residual/{name}"), iter as f64, residual);
@@ -98,51 +86,8 @@ fn iterate(
     })
 }
 
-/// Runs `solve` with the backend named in `opts` under the `solver`
-/// span `what` and the spill catch; with [`IterOptions::fallback`] a
-/// recoverable failure moves on to
-/// [`SolverBackend::fallback_after`] instead of surfacing. Each step
-/// taken is recorded — the `resilience.fallbacks` counter and a trace
-/// instant naming the edge — so a `--fallback` answer is auditable
-/// after the fact.
-fn with_fallback<T>(
-    what: &'static str,
-    states: usize,
-    opts: &IterOptions,
-    solve: impl Fn(SolverBackend) -> Result<T, SolveError>,
-) -> Result<T, SolveError> {
-    let _span = ctsim_obs::span("solver", what)
-        .arg("backend", opts.backend.to_string())
-        .arg("states", states);
-    crate::catch_spill(|| {
-        let mut backend = opts.backend;
-        loop {
-            let err = match solve(backend) {
-                Err(e) if opts.fallback => e,
-                other => return other,
-            };
-            let Some(next) = backend.fallback_after(&err) else {
-                return Err(err);
-            };
-            if ctsim_obs::enabled() {
-                ctsim_obs::counter_add("resilience.fallbacks", 1);
-                ctsim_obs::instant(
-                    "resilience",
-                    format!("fallback.{what}"),
-                    vec![
-                        ("from", backend.name().into()),
-                        ("to", next.name().into()),
-                        ("cause", err.to_string().into()),
-                    ],
-                );
-            }
-            backend = next;
-        }
-    })
-}
-
 /// Iteration limits, tolerance, and backend selection for the
-/// steady-state/absorption solvers.
+/// absorption solvers.
 #[derive(Debug, Clone)]
 pub struct IterOptions {
     /// Convergence threshold on the sup-norm residual.
@@ -162,8 +107,7 @@ pub struct IterOptions {
     /// ([`SolverBackend::fallback_after`]) — `Krylov NotConverged →
     /// Gauss-Seidel`, `Gauss-Seidel ResidentOnly → Jacobi` — instead
     /// of surfacing the error. The result records which backend
-    /// actually produced the answer in
-    /// [`SteadyState::solved_by`] / [`AbsorptionTimes::solved_by`].
+    /// actually produced the answer in [`AbsorptionTimes::solved_by`].
     /// Off by default: agreement gates and bit-identity tests want the
     /// backend they asked for or a loud error.
     pub fallback: bool,
@@ -192,154 +136,6 @@ impl IterOptions {
     }
 }
 
-/// A steady-state distribution with convergence diagnostics.
-#[derive(Debug, Clone)]
-pub struct SteadyState {
-    /// The stationary distribution π.
-    pub probs: Vec<f64>,
-    /// Iterations performed (sweeps / steps / matvecs by backend).
-    pub iterations: usize,
-    /// Final sup-norm of `πQ` (the balance residual).
-    pub residual: f64,
-    /// The backend that actually produced this answer — differs from
-    /// [`IterOptions::backend`] only when a fallback chain
-    /// ([`IterOptions::fallback`]) stepped in.
-    pub solved_by: SolverBackend,
-}
-
-/// Solves `πQ = 0`, `Σπ = 1` with the backend named in `opts`, over
-/// any [`LinOp`] generator representation (CSR, Kronecker descriptor,
-/// or the runtime-selected [`Generator`](crate::Generator)).
-///
-/// # Errors
-/// * [`SolveError::SteadyStateUndefined`] if the chain has an absorbing
-///   (zero-exit-rate) state but more than one state — the stationary
-///   distribution is then a question about absorption, not balance.
-/// * [`SolveError::NotConverged`] if the residual does not fall below
-///   the tolerance within the iteration budget (e.g. the chain is
-///   reducible, or a stiff chain outruns a stationary backend's
-///   budget).
-pub fn steady_state<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState, SolveError> {
-    let n = op.dim();
-    if n == 0 {
-        return Err(SolveError::EmptyStateSpace);
-    }
-    if n == 1 {
-        return Ok(SteadyState {
-            probs: vec![1.0],
-            iterations: 0,
-            residual: 0.0,
-            solved_by: opts.backend,
-        });
-    }
-    if (0..n).any(|i| op.is_absorbing(i)) {
-        return Err(SolveError::SteadyStateUndefined);
-    }
-    with_fallback("steady_state", n, opts, |backend| match backend {
-        SolverBackend::GaussSeidel => steady_gauss_seidel(op, opts),
-        SolverBackend::Jacobi => steady_jacobi(op, opts),
-        SolverBackend::Krylov => krylov::steady(op, opts),
-    })
-}
-
-/// The reference backend: in-place Gauss–Seidel sweeps over the
-/// operator's (cached) incoming-column view.
-///
-/// Resident-only: the sweeps materialise the full incoming transpose
-/// and update π in place, so running them against a generator whose
-/// rows were paged to disk would silently re-acquire the entire
-/// `O(rates)` footprint the spill budget was meant to cap. A streamed
-/// generator is refused up front with [`SolveError::ResidentOnly`] —
-/// the Jacobi and Krylov backends handle that case.
-fn steady_gauss_seidel<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState, SolveError> {
-    if op.is_streamed() {
-        return Err(SolveError::ResidentOnly {
-            backend: "gauss-seidel".into(),
-        });
-    }
-    let n = op.dim();
-    let mut pi = vec![1.0 / n as f64; n];
-    let mut qv = vec![0.0; n];
-    let (iterations, residual) = iterate("steady_gauss_seidel", opts, || {
-        // π_j ← (Σ_{i≠j} π_i q_ij) / |q_jj|, in place (Gauss–Seidel).
-        for j in 0..n {
-            let inflow: f64 = op.column(j).map(|(i, r)| pi[i] * r).sum();
-            pi[j] = inflow / -op.diag(j);
-        }
-        normalize(&mut pi)?;
-        // Residual: sup-norm of the balance equations πQ.
-        op.apply_transposed(&pi, &mut qv, 1);
-        Some(sup_norm(&qv))
-    })?;
-    Ok(SteadyState {
-        probs: pi,
-        iterations,
-        residual,
-        solved_by: SolverBackend::GaussSeidel,
-    })
-}
-
-/// Rescales `pi` to unit mass; `None` when its mass is not a positive
-/// finite number (the iterate broke down).
-fn normalize(pi: &mut [f64]) -> Option<()> {
-    let total: f64 = pi.iter().sum();
-    if !(total.is_finite() && total > 0.0) {
-        return None;
-    }
-    for p in pi {
-        *p /= total;
-    }
-    Some(())
-}
-
-/// `max_i |v_i|` (0 for an empty vector; NaN entries are skipped).
-fn sup_norm(v: &[f64]) -> f64 {
-    v.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
-}
-
-/// The parallel stationary backend: damped Jacobi — equivalently, the
-/// power method on the uniformized chain `P = I + Q/Λ̂` with
-/// `Λ̂ = 1.05·max_i|q_ii|`. The slack above the uniformization rate
-/// keeps a positive self-loop on every state, so `P` is aperiodic and
-/// the iteration converges for every irreducible chain (a plain jump-
-/// chain Jacobi split would cycle on periodic chains). Each step is one
-/// sharded `π·Q` product over [`IterOptions::threads`] workers plus two
-/// `O(n)` passes.
-fn steady_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState, SolveError> {
-    let n = op.dim();
-    let lambda = op.max_exit_rate() * 1.05;
-    if !(lambda.is_finite() && lambda > 0.0) {
-        return Err(SolveError::NotConverged {
-            iterations: 0,
-            residual: f64::INFINITY,
-        });
-    }
-    let mut pi = vec![1.0 / n as f64; n];
-    let mut qv = vec![0.0; n];
-    let (iterations, residual) = iterate("steady_jacobi", opts, || {
-        op.apply_transposed(&pi, &mut qv, opts.threads);
-        // The product is the residual of the *current* normalized
-        // iterate — free, exactly like the Gauss–Seidel check — so π
-        // only moves on while the driver will ask for another step.
-        let residual = sup_norm(&qv);
-        let done = residual <= opts.tolerance;
-        if !done && residual.is_finite() {
-            // π ← π + (πQ)/Λ̂ = π·P, then renormalize to stem drift.
-            for (p, &q) in pi.iter_mut().zip(&qv) {
-                *p += q / lambda;
-            }
-            normalize(&mut pi)?;
-        }
-        Some(residual)
-    })?;
-    Ok(SteadyState {
-        probs: pi,
-        iterations,
-        residual,
-        solved_by: SolverBackend::Jacobi,
-    })
-}
-
 /// Expected absorption times with convergence diagnostics.
 #[derive(Debug, Clone)]
 pub struct AbsorptionTimes {
@@ -361,7 +157,14 @@ pub struct AbsorptionTimes {
 
 /// Solves the expected time to absorption from every state with the
 /// backend named in `opts`, over any [`LinOp`] generator
-/// representation.
+/// representation, under the `solver` span `mean_time_to_absorption`
+/// and the spill catch.
+///
+/// With [`IterOptions::fallback`] a recoverable failure moves on to
+/// [`SolverBackend::fallback_after`] instead of surfacing. Each step
+/// taken is recorded — the `resilience.fallbacks` counter and a trace
+/// instant naming the edge — so a `--fallback` answer is auditable
+/// after the fact.
 ///
 /// # Errors
 /// * [`SolveError::NoAbsorbingStates`] if the chain has none.
@@ -379,23 +182,45 @@ pub fn mean_time_to_absorption<L: LinOp>(
     if !(0..n).any(|i| op.is_absorbing(i)) {
         return Err(SolveError::NoAbsorbingStates);
     }
-    with_fallback(
-        "mean_time_to_absorption",
-        n,
-        opts,
-        |backend| match backend {
-            SolverBackend::GaussSeidel => absorption_gauss_seidel(op, opts),
-            SolverBackend::Jacobi => absorption_jacobi(op, opts),
-            SolverBackend::Krylov => krylov::absorption(op, opts),
-        },
-    )
+    let _span = ctsim_obs::span("solver", "mean_time_to_absorption")
+        .arg("backend", opts.backend.to_string())
+        .arg("states", n);
+    crate::catch_spill(|| {
+        let mut backend = opts.backend;
+        loop {
+            let solved = match backend {
+                SolverBackend::GaussSeidel => absorption_gauss_seidel(op, opts),
+                SolverBackend::Jacobi => absorption_jacobi(op, opts),
+                SolverBackend::Krylov => krylov::absorption(op, opts),
+            };
+            let err = match solved {
+                Err(e) if opts.fallback => e,
+                other => return other,
+            };
+            let Some(next) = backend.fallback_after(&err) else {
+                return Err(err);
+            };
+            if ctsim_obs::enabled() {
+                ctsim_obs::counter_add("resilience.fallbacks", 1);
+                ctsim_obs::instant(
+                    "resilience",
+                    "fallback.mean_time_to_absorption",
+                    vec![
+                        ("from", backend.name().into()),
+                        ("to", next.name().into()),
+                        ("cause", err.to_string().into()),
+                    ],
+                );
+            }
+            backend = next;
+        }
+    })
 }
 
 /// The reference backend: in-place Gauss–Seidel sweeps on `Q_TT τ = -1`.
 ///
-/// Resident-only, like [`steady_gauss_seidel`]: each sweep reads every
-/// row while writing τ in place, an access pattern the disk pager
-/// cannot serve without thrashing. Streamed generators are refused
+/// Resident-only: each sweep reads every row while writing τ in place,
+/// an access pattern the disk pager cannot serve without thrashing. Streamed generators are refused
 /// with [`SolveError::ResidentOnly`]; use Jacobi or Krylov (the
 /// default first-passage path), which sweep rows in shard order.
 fn absorption_gauss_seidel<L: LinOp>(
@@ -430,7 +255,7 @@ fn absorption_gauss_seidel<L: LinOp>(
             residual = residual.max((op.diag(j) * tau[j] + flow + 1.0).abs());
             tau[j] = (1.0 + flow) / -op.diag(j);
         }
-        Some(residual)
+        residual
     })?;
     let mean = op.initial().iter().zip(&tau).map(|(&p, &t)| p * t).sum();
     Ok(AbsorptionTimes {
@@ -501,7 +326,7 @@ fn absorption_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<AbsorptionT
         }
         ctsim_obs::counter_add("solver.jacobi.rows", end as u64);
         std::mem::swap(&mut tau, &mut next);
-        Some(block_defect.iter().fold(0.0f64, |m, &d| m.max(d)))
+        block_defect.iter().fold(0.0f64, |m, &d| m.max(d))
     })?;
     let mean = op.initial().iter().zip(&tau).map(|(&p, &t)| p * t).sum();
     Ok(AbsorptionTimes {
@@ -518,7 +343,7 @@ mod tests {
     use super::*;
     use crate::graph::{ReachOptions, StateSpace};
     use crate::Ctmc;
-    use ctsim_san::{Activity, Case, SanBuilder, SanModel};
+    use ctsim_san::{Activity, Case, SanBuilder};
     use ctsim_stoch::Dist;
 
     /// The first-passage chain `p0 → p1 → … → pk` with the given stage
@@ -589,77 +414,6 @@ mod tests {
         }
     }
 
-    fn cyclic(n_stations: usize, means: &[f64]) -> SanModel {
-        let mut b = SanBuilder::new("cycle");
-        let places: Vec<_> = (0..n_stations)
-            .map(|i| b.place(format!("p{i}"), u32::from(i == 0)))
-            .collect();
-        for i in 0..n_stations {
-            b.add_activity(
-                Activity::timed(
-                    format!("t{i}"),
-                    Dist::Exp {
-                        mean: means[i % means.len()],
-                    },
-                )
-                .input(places[i], 1)
-                .case(Case::with_prob(1.0).output(places[(i + 1) % n_stations], 1)),
-            );
-        }
-        b.build().unwrap()
-    }
-
-    /// In a cyclic chain the stationary probability of each state is
-    /// proportional to its mean holding time — for every backend.
-    #[test]
-    fn cycle_stationary_probabilities_follow_holding_times() {
-        let means = [1.0, 3.0, 6.0];
-        let m = cyclic(3, &means);
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
-        let q = Ctmc::from_state_space(&ss).unwrap();
-        let total: f64 = means.iter().sum();
-        for backend in SolverBackend::ALL {
-            let sol = steady_state(&q, &IterOptions::with_backend(backend, 1)).unwrap();
-            for (i, &p) in sol.probs.iter().enumerate() {
-                // State i of the exploration holds the token at station i.
-                let hold = ss
-                    .tokens(i)
-                    .iter()
-                    .position(|&t| t > 0)
-                    .map(|st| means[st])
-                    .unwrap();
-                assert!(
-                    (p - hold / total).abs() < 1e-9,
-                    "{backend}: state {i}: π {p} vs {}",
-                    hold / total
-                );
-            }
-            assert!(sol.residual <= 1e-12, "{backend}: {}", sol.residual);
-            assert!(sol.iterations > 0, "{backend}");
-        }
-    }
-
-    #[test]
-    fn absorbing_chain_rejects_steady_state() {
-        let mut b = SanBuilder::new("m");
-        let p = b.place("p", 1);
-        let q = b.place("q", 0);
-        b.add_activity(
-            Activity::timed("t", Dist::Exp { mean: 1.0 })
-                .input(p, 1)
-                .case(Case::with_prob(1.0).output(q, 1)),
-        );
-        let m = b.build().unwrap();
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
-        let ctmc = Ctmc::from_state_space(&ss).unwrap();
-        for backend in SolverBackend::ALL {
-            assert!(matches!(
-                steady_state(&ctmc, &IterOptions::with_backend(backend, 1)),
-                Err(SolveError::SteadyStateUndefined)
-            ));
-        }
-    }
-
     /// A 3-stage Erlang-like pipeline: mean absorption time is the sum
     /// of the stage means — for every backend.
     #[test]
@@ -696,7 +450,18 @@ mod tests {
     /// A chain with no absorbing state cannot have absorption times.
     #[test]
     fn recurrent_chain_rejects_absorption_times() {
-        let m = cyclic(3, &[1.0]);
+        let mut b = SanBuilder::new("cycle");
+        let places: Vec<_> = (0..3)
+            .map(|i| b.place(format!("p{i}"), u32::from(i == 0)))
+            .collect();
+        for i in 0..3 {
+            b.add_activity(
+                Activity::timed(format!("t{i}"), Dist::Exp { mean: 1.0 })
+                    .input(places[i], 1)
+                    .case(Case::with_prob(1.0).output(places[(i + 1) % 3], 1)),
+            );
+        }
+        let m = b.build().unwrap();
         let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
         let ctmc = Ctmc::from_state_space(&ss).unwrap();
         for backend in SolverBackend::ALL {
@@ -742,28 +507,6 @@ mod tests {
                 "{backend}: mean {}",
                 sol.mean
             );
-        }
-    }
-
-    /// All backends land on the same stationary vector of an irregular
-    /// chain, across SpMV thread counts.
-    #[test]
-    fn backends_agree_on_irregular_cycle() {
-        let means = [0.3, 2.0, 0.7, 5.0, 1.1];
-        let m = cyclic(5, &means);
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
-        let q = Ctmc::from_state_space(&ss).unwrap();
-        let reference = steady_state(&q, &IterOptions::default()).unwrap();
-        for backend in [SolverBackend::Jacobi, SolverBackend::Krylov] {
-            for threads in [1usize, 2, 8] {
-                let sol = steady_state(&q, &IterOptions::with_backend(backend, threads)).unwrap();
-                for (s, (&a, &b)) in reference.probs.iter().zip(&sol.probs).enumerate() {
-                    assert!(
-                        (a - b).abs() < 1e-10,
-                        "{backend}/{threads}t state {s}: {a} vs {b}"
-                    );
-                }
-            }
         }
     }
 }

@@ -1,20 +1,18 @@
-//! The pluggable linear-algebra backend of the steady-state and
-//! absorption-time solvers.
+//! The pluggable linear-algebra backend of the absorption-time solver.
 //!
-//! All three backends solve the same two systems — the global balance
-//! equations `πQ = 0, Σπ = 1` and the first-passage system
-//! `Q_TT τ = -1` — to the same tolerance on the same residual
-//! (sup-norm of the balance/defect equations), so they are exact
-//! drop-in replacements for one another: any two backends that both
-//! converge agree on every mean to far below the cross-backend CI
-//! gate's 1e-6 relative budget. They differ in *how* they iterate,
-//! which is what decides wall-clock on a given chain:
+//! All three backends solve the same first-passage system
+//! `Q_TT τ = -1` to the same tolerance on the same residual (sup-norm
+//! of the defect equations), so they are exact drop-in replacements
+//! for one another: any two backends that both converge agree on every
+//! mean to far below the cross-backend CI gate's 1e-6 relative budget.
+//! They differ in *how* they iterate, which is what decides wall-clock
+//! on a given chain:
 //!
 //! | backend | iteration | parallel | shines on |
 //! |---|---|---|---|
-//! | [`GaussSeidel`](SolverBackend::GaussSeidel) | in-place sweeps over the incoming view | no (sequential by construction) | small/medium chains, smooth rates — the reference |
-//! | [`Jacobi`](SolverBackend::Jacobi) | uniformized power / Jacobi steps, double-buffered; an absorption step sweeps only the rows that can still change | sharded SpMV over [`IterOptions::threads`](crate::IterOptions::threads) | multi-million-state chains on multi-core hosts |
-//! | [`Krylov`](SolverBackend::Krylov) | restarted GMRES (Arnoldi + Givens), Jacobi-preconditioned | sharded SpMV | stiff/two-timescale chains where sweeps crawl |
+//! | [`GaussSeidel`](SolverBackend::GaussSeidel) | in-place descending sweeps over the rows | no (sequential by construction) | small/medium chains, smooth rates — the reference |
+//! | [`Jacobi`](SolverBackend::Jacobi) | Jacobi steps, double-buffered; a step sweeps only the rows that can still change | sharded SpMV over [`IterOptions::threads`](crate::IterOptions::threads) | multi-million-state chains on multi-core hosts |
+//! | [`Krylov`](SolverBackend::Krylov) | restarted GMRES (Arnoldi + Givens), right-preconditioned by a backward Gauss–Seidel substitution | sharded SpMV | stiff/two-timescale chains where sweeps crawl |
 //!
 //! The backend rides in [`IterOptions::backend`](crate::IterOptions::backend)
 //! and is surfaced as `repro analytic --solver <backend>`; CI runs the
@@ -22,9 +20,8 @@
 //! mean to ≤ 1e-6 relative.
 //!
 //! One asymmetry under a spill budget: Gauss–Seidel sweeps rows in
-//! place through the incoming view and revisits them out of order, so
-//! it requires a fully resident generator and refuses a disk-paged CSR
-//! with [`SolveError::ResidentOnly`](crate::SolveError::ResidentOnly)
+//! place and revisits them out of order, so it requires a fully
+//! resident generator and refuses a disk-paged CSR with [`SolveError::ResidentOnly`](crate::SolveError::ResidentOnly)
 //! rather than thrash the pager. Jacobi and Krylov consume the
 //! generator only through the front-to-back sharded SpMV, which
 //! streams paged segments through the LRU — they are the out-of-core
@@ -33,27 +30,27 @@
 use std::fmt;
 use std::str::FromStr;
 
-/// Which iterative engine solves `πQ = 0` and `Q_TT τ = -1`.
+/// Which iterative engine solves `Q_TT τ = -1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolverBackend {
-    /// In-place Gauss–Seidel sweeps — the reference backend, exactly
-    /// the PR 1 solver. Sequential: each sweep uses the values the same
-    /// sweep just wrote.
+    /// In-place Gauss–Seidel sweeps — the reference backend.
+    /// Sequential: each sweep uses the values the same sweep just
+    /// wrote.
     #[default]
     GaussSeidel,
-    /// Jacobi / uniformized-power iteration: every component of the
-    /// next iterate depends only on the previous one, so the update is
-    /// one sharded sparse matrix–vector product fanned out over
+    /// Jacobi iteration: every component of the next iterate depends
+    /// only on the previous one, so the update is one sharded sparse
+    /// matrix–vector product fanned out over
     /// [`IterOptions::threads`](crate::IterOptions::threads) workers.
     /// Needs more iterations than Gauss–Seidel but each one scales
-    /// with cores, and an absorption step sweeps only the rows that
-    /// can still change.
+    /// with cores, and a step sweeps only the rows that can still
+    /// change.
     Jacobi,
-    /// Restarted GMRES over the Krylov subspace of the
-    /// Jacobi-preconditioned system (Arnoldi with modified
-    /// Gram–Schmidt, Givens-rotation least squares). Iteration counts
-    /// on stiff chains are orders of magnitude below the stationary
-    /// methods; the matrix–vector products use the same sharded SpMV
+    /// Restarted GMRES over the Krylov subspace of the system
+    /// right-preconditioned by a backward Gauss–Seidel substitution
+    /// (Arnoldi with modified Gram–Schmidt, Givens-rotation least
+    /// squares). Iteration counts on stiff chains are orders of
+    /// magnitude below the stationary methods; the matrix–vector products use the same sharded SpMV
     /// as [`SolverBackend::Jacobi`].
     Krylov,
 }

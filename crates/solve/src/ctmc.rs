@@ -159,10 +159,9 @@ pub struct Incoming {
 impl Incoming {
     /// Builds the transpose. The incoming view is always *resident* —
     /// `O(rates)` bytes even when the forward CSR is paged to disk —
-    /// so solvers that gather over it (Gauss–Seidel steady state,
-    /// Jacobi, uniformization) re-acquire that footprint; the fully
-    /// out-of-core solves are the ones that only sweep forward rows
-    /// (Krylov / first-passage). `docs/MEMORY.md` spells this out.
+    /// so uniformization, which gathers over it, re-acquires that
+    /// footprint; the absorption solves only sweep forward rows and
+    /// never build it. `docs/MEMORY.md` spells this out.
     fn build(ctmc: &Ctmc) -> Self {
         let n = ctmc.n;
         let mut col_ptr = vec![0usize; n + 1];
@@ -667,23 +666,11 @@ impl Ctmc {
         self.diag.iter().fold(0.0, |m, &d| m.max(-d))
     }
 
-    /// Dense row-vector product `out = x · Q` (1/ms units), gathered
-    /// over the cached incoming view on one worker;
-    /// [`LinOp::apply_transposed`](crate::LinOp::apply_transposed) is
-    /// the sharded product.
-    ///
-    /// # Panics
-    /// Panics if slice lengths disagree with the state count.
-    pub fn vec_mul(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), self.n);
-        crate::spmv::vec_mul(self, x, out, 1);
-    }
-
     /// The cached column-oriented (incoming) view: for each state, its
     /// predecessors and the rates from them, in ascending source order.
-    /// Built on first use and shared by every solver backend — repeated
-    /// solves on the same generator (order sweeps, per-sweep residuals)
-    /// no longer pay the transpose each call.
+    /// Built on first use and kept, so repeated transient solves on the
+    /// same generator (CDF grids, order sweeps) do not pay the transpose
+    /// each call.
     pub fn incoming_view(&self) -> &Incoming {
         self.incoming.get_or_init(|| Incoming::build(self))
     }
@@ -815,6 +802,7 @@ impl crate::linop::LinOp for Ctmc {
 mod tests {
     use super::*;
     use crate::graph::ReachOptions;
+    use crate::LinOp;
     use ctsim_san::{Activity, Case, SanBuilder, SanModel};
     use ctsim_stoch::Dist;
 
@@ -904,7 +892,7 @@ mod tests {
         let q = Ctmc::from_state_space(&ss).unwrap();
         let x = [0.3, 0.7];
         let mut out = [0.0; 2];
-        q.vec_mul(&x, &mut out);
+        q.apply_transposed(&x, &mut out, 1);
         // Dense Q = [[-0.5, 0.5], [1.0, -1.0]].
         assert!((out[0] - (0.3 * (-0.5) + 0.7)).abs() < 1e-12);
         assert!((out[1] - (0.3 * 0.5 - 0.7)).abs() < 1e-12);

@@ -44,7 +44,7 @@
 //! element is summed by exactly one worker in a fixed order, so the
 //! result is bit-identical for every thread count. The forward (row)
 //! product walks the structural rows; the transposed product — the
-//! `x·Q` the uniformization and steady-state loops need — walks a
+//! `x·Q` the uniformization loop needs — walks a
 //! lazily built, cached transposed index (the descriptor analogue of
 //! [`Ctmc::incoming_view`](crate::Ctmc::incoming_view)). Solves that
 //! only need the forward orientation (the absorption/first-passage

@@ -1,28 +1,18 @@
-//! The Krylov backend: restarted GMRES on the Jacobi-preconditioned
-//! steady-state and absorption systems.
+//! The Krylov backend: restarted GMRES on the absorption system.
 //!
-//! Both problems are cast as square nonsingular systems `A x = b` and
-//! handed to one restarted GMRES core (Arnoldi with modified
-//! Gram–Schmidt, Givens-rotation least squares):
-//!
-//! * **steady state** — `πQ = 0, Σπ = 1` becomes `A π = e_a`: the
-//!   transposed balance equations with the anchor equation `a`
-//!   replaced by the normalization row, each row scaled by its
-//!   diagonal (Jacobi preconditioning). For an irreducible chain the
-//!   dropped balance equation is redundant and `A` is nonsingular
-//!   (Stewart's classic formulation).
-//! * **absorption** — `Q_TT τ = -1` becomes `(-Q) τ = 1` over the
-//!   transient rows with identity rows pinning `τ = 0` on absorbing
-//!   states, an M-matrix system, **right-preconditioned by one
-//!   backward Gauss–Seidel substitution** (the upper-triangular factor
-//!   `D − U` of the canonically numbered generator). First-passage
-//!   chains are near-acyclic in the canonical BFS order — successors
-//!   almost always carry higher state ids — so `D − U` captures almost
-//!   all of the operator and the preconditioned system sits a few
-//!   Arnoldi steps from the identity: GMRES closes in a handful of
-//!   matvecs where Jacobi steps need one iteration per BFS level.
-//!   Every absorption solve starts from the guess `(D − U)⁻¹ c`, which
-//!   is exact on acyclic chains.
+//! `Q_TT τ = -1` is cast as a square nonsingular system `A x = b` and
+//! handed to a restarted GMRES core (Arnoldi with modified
+//! Gram–Schmidt, Givens-rotation least squares): `(-Q) τ = 1` over the
+//! transient rows with identity rows pinning `τ = 0` on absorbing
+//! states, an M-matrix system, **right-preconditioned by one backward
+//! Gauss–Seidel substitution** (the upper-triangular factor `D − U` of
+//! the canonically numbered generator). First-passage chains are
+//! near-acyclic in the canonical BFS order — successors almost always
+//! carry higher state ids — so `D − U` captures almost all of the
+//! operator and the preconditioned system sits a few Arnoldi steps from
+//! the identity: GMRES closes in a handful of matvecs where Jacobi
+//! steps need one iteration per BFS level. Every solve starts from the
+//! guess `(D − U)⁻¹ c`, which is exact on acyclic chains.
 //!
 //! On stiff two-timescale chains — where Gauss–Seidel and Jacobi
 //! sweeps crawl at `1 − O(ε)` per iteration — GMRES minimizes the
@@ -30,31 +20,31 @@
 //! mode at a time, which is what turns >10⁴-sweep problems into a
 //! handful of restart cycles.
 //!
-//! The absorption path is also the fully out-of-core solve: every
-//! operator touch is either the sharded row-product `Σ_k q_ik v_k`
-//! (which streams a disk-paged CSR through the segment LRU front to
-//! back, see [`crate::arena`]) or the single descending
-//! back-substitution pass of the preconditioner — no in-place,
-//! out-of-order row sweeps. A generator whose entries live on disk
-//! under a spill budget therefore solves on this backend unchanged,
-//! bit-identical to the resident run.
+//! This is also the fully out-of-core solve: every operator touch is
+//! either the sharded row-product `Σ_k q_ik v_k` (which streams a
+//! disk-paged CSR through the segment LRU front to back, see
+//! [`crate::arena`]) or the single descending back-substitution pass of
+//! the preconditioner — no in-place, out-of-order row sweeps. A
+//! generator whose entries live on disk under a spill budget therefore
+//! solves on this backend unchanged, bit-identical to the resident run.
 //!
-//! Convergence is judged exactly like the stationary backends: the
-//! sup-norm of the *unpreconditioned* balance/defect residual must
-//! fall below [`IterOptions::tolerance`](crate::IterOptions::tolerance),
-//! checked on the true system after every restart cycle.
+//! Convergence is judged exactly like the stationary iterative
+//! backends: the sup-norm of the *unpreconditioned* defect residual
+//! must fall below
+//! [`IterOptions::tolerance`](crate::IterOptions::tolerance), checked
+//! on the true system after every restart cycle.
 //! [`IterOptions::max_iterations`](crate::IterOptions::max_iterations)
 //! budgets matrix–vector products, and three consecutive stagnant
 //! restart cycles (< 2 % residual improvement each) abort with
-//! [`SolveError::NotConverged`] — reducible chains make `A` singular
-//! and stall instead of diverging, so the guard turns them into a
-//! clean error rather than a spin.
+//! [`SolveError::NotConverged`] — a chain from which absorption is not
+//! certain makes `A` singular and stalls instead of diverging, so the
+//! guard turns it into a clean error rather than a spin.
 
 use std::cell::RefCell;
 
+use crate::absorption::{AbsorptionTimes, IterOptions};
 use crate::backend::SolverBackend;
 use crate::linop::LinOp;
-use crate::steady::{AbsorptionTimes, IterOptions, SteadyState};
 use crate::SolveError;
 
 /// Arnoldi steps per GMRES cycle on all but the biggest systems.
@@ -83,9 +73,7 @@ fn restart_dim(n: usize) -> usize {
 /// `apply` (which must write `A·v` into its second argument). `x` holds
 /// the initial guess and receives the solution. `check` maps the
 /// current iterate to the true (unpreconditioned) sup-norm residual the
-/// caller gates on. `trace_label` names the solve in the telemetry
-/// residual series and restart events. Returns `(matvecs, residual)`
-/// on convergence.
+/// caller gates on. Returns `(matvecs, residual)` on convergence.
 fn gmres<A, C>(
     n: usize,
     apply: A,
@@ -93,7 +81,6 @@ fn gmres<A, C>(
     x: &mut [f64],
     opts: &IterOptions,
     check: C,
-    trace_label: &'static str,
 ) -> Result<(usize, f64), SolveError>
 where
     A: Fn(&[f64], &mut [f64]),
@@ -116,7 +103,7 @@ where
         let true_res = check(x);
         if ctsim_obs::enabled() {
             ctsim_obs::series_push(
-                &format!("solver.residual/{trace_label}"),
+                "solver.residual/krylov_absorption",
                 matvecs as f64,
                 true_res,
             );
@@ -125,7 +112,7 @@ where
                     "solver",
                     "gmres_restart",
                     vec![
-                        ("backend", trace_label.into()),
+                        ("backend", "krylov_absorption".into()),
                         ("cycle", cycle.into()),
                         ("matvecs", matvecs.into()),
                         ("residual", true_res.into()),
@@ -270,7 +257,7 @@ where
                 "gmres_cycle",
                 cycle_t0,
                 vec![
-                    ("backend", trace_label.into()),
+                    ("backend", "krylov_absorption".into()),
                     ("cycle", (cycle - 1).into()),
                     ("arnoldi_steps", steps.into()),
                     ("matvecs", matvecs.into()),
@@ -278,102 +265,6 @@ where
             );
         }
     }
-}
-
-/// Steady state via restarted GMRES (see module docs). Pre-checks
-/// (empty/absorbing chains) are done by the dispatching
-/// [`steady_state`](crate::steady_state).
-pub(crate) fn steady<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState, SolveError> {
-    // Deterministic chaos hook for the fallback chain: an armed
-    // `solver.krylov` failpoint makes this backend report stagnation
-    // without spending any iterations.
-    if matches!(
-        ctsim_resilience::fail::hit("solver.krylov"),
-        ctsim_resilience::fail::Action::Fail
-    ) {
-        return Err(SolveError::NotConverged {
-            iterations: 0,
-            residual: f64::INFINITY,
-        });
-    }
-    let n = op.dim();
-    let threads = opts.threads;
-    // Anchor: the equation replaced by Σπ = 1. The state with the
-    // largest exit rate keeps the preconditioned system best scaled.
-    let anchor = (0..n)
-        .max_by(|&a, &b| {
-            (-op.diag(a))
-                .partial_cmp(&-op.diag(b))
-                .expect("rates are finite")
-        })
-        .expect("n > 0");
-    // Row scales of the Jacobi preconditioner.
-    let scale: Vec<f64> = (0..n)
-        .map(|j| if j == anchor { 1.0 } else { -op.diag(j) })
-        .collect();
-    let mut b = vec![0.0; n];
-    b[anchor] = 1.0;
-    let apply = |x: &[f64], out: &mut [f64]| {
-        op.apply_transposed(x, out, threads);
-        out[anchor] = x.iter().sum();
-        for (o, &s) in out.iter_mut().zip(&scale) {
-            *o /= s;
-        }
-    };
-    let mut qv = vec![0.0; n];
-    let mut pi = vec![1.0 / n as f64; n];
-    let (iterations, _) = {
-        // True residual: sup-norm of πQ after normalizing the iterate —
-        // identical semantics to the Gauss–Seidel sweep check. The
-        // scratch buffers live outside the closure: a check runs every
-        // restart cycle and must not churn the heap.
-        let scratch = RefCell::new((vec![0.0; n], vec![0.0; n]));
-        let check = |x: &[f64]| {
-            let total: f64 = x.iter().sum();
-            if !(total.is_finite() && total != 0.0) {
-                return f64::INFINITY;
-            }
-            let mut s = scratch.borrow_mut();
-            let (normed, qv) = &mut *s;
-            for (nv, &v) in normed.iter_mut().zip(x) {
-                *nv = v / total;
-            }
-            op.apply_transposed(normed, qv, threads);
-            qv.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
-        };
-        gmres(n, apply, &b, &mut pi, opts, check, "krylov_steady")?
-    };
-    // Normalize; clamp the tiny negative round-off a Krylov iterate can
-    // carry, then re-verify the residual on the cleaned vector.
-    for p in &mut pi {
-        if *p < 0.0 {
-            *p = 0.0;
-        }
-    }
-    let total: f64 = pi.iter().sum();
-    if !(total.is_finite() && total > 0.0) {
-        return Err(SolveError::NotConverged {
-            iterations,
-            residual: f64::INFINITY,
-        });
-    }
-    for p in &mut pi {
-        *p /= total;
-    }
-    op.apply_transposed(&pi, &mut qv, threads);
-    let residual = qv.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-    if !residual.is_finite() || residual > opts.tolerance {
-        return Err(SolveError::NotConverged {
-            iterations,
-            residual,
-        });
-    }
-    Ok(SteadyState {
-        probs: pi,
-        iterations: iterations.max(1),
-        residual,
-        solved_by: SolverBackend::Krylov,
-    })
 }
 
 /// Absorption times via restarted GMRES, right-preconditioned by a
@@ -384,7 +275,9 @@ pub(crate) fn absorption<L: LinOp>(
     op: &L,
     opts: &IterOptions,
 ) -> Result<AbsorptionTimes, SolveError> {
-    // Same chaos hook as `steady`: see the fallback-chain docs.
+    // Deterministic chaos hook for the fallback chain: an armed
+    // `solver.krylov` failpoint makes this backend report stagnation
+    // without spending any iterations.
     if matches!(
         ctsim_resilience::fail::hit("solver.krylov"),
         ctsim_resilience::fail::Action::Fail
@@ -439,7 +332,7 @@ pub(crate) fn absorption<L: LinOp>(
     // Gauss–Seidel sweep from zero, already the exact solution on
     // acyclic chains.
     let mut u = c.clone();
-    let (iterations, residual) = gmres(n, apply, &c, &mut u, opts, check, "krylov_absorption")?;
+    let (iterations, residual) = gmres(n, apply, &c, &mut u, opts, check)?;
     let mut tau = u;
     op.upper_solve(&mut tau);
     if tau.iter().any(|t| !t.is_finite()) {
@@ -468,59 +361,18 @@ pub(crate) fn absorption<L: LinOp>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::absorption::mean_time_to_absorption;
     use crate::backend::SolverBackend;
     use crate::graph::{ReachOptions, StateSpace};
-    use crate::steady::{mean_time_to_absorption, steady_state};
     use crate::Ctmc;
-    use ctsim_san::{Activity, Case, SanBuilder, SanModel};
+    use ctsim_san::{Activity, Case, SanBuilder};
     use ctsim_stoch::Dist;
-
-    fn cyclic(means: &[f64]) -> SanModel {
-        let mut b = SanBuilder::new("cycle");
-        let places: Vec<_> = (0..means.len())
-            .map(|i| b.place(format!("p{i}"), u32::from(i == 0)))
-            .collect();
-        for (i, &mean) in means.iter().enumerate() {
-            b.add_activity(
-                Activity::timed(format!("t{i}"), Dist::Exp { mean })
-                    .input(places[i], 1)
-                    .case(Case::with_prob(1.0).output(places[(i + 1) % means.len()], 1)),
-            );
-        }
-        b.build().unwrap()
-    }
 
     fn krylov_opts(threads: usize) -> IterOptions {
         IterOptions {
             backend: SolverBackend::Krylov,
             threads,
             ..IterOptions::default()
-        }
-    }
-
-    #[test]
-    fn cycle_stationary_matches_holding_times() {
-        let means = [1.0, 3.0, 6.0, 0.5];
-        let m = cyclic(&means);
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
-        let q = Ctmc::from_state_space(&ss).unwrap();
-        let total: f64 = means.iter().sum();
-        for threads in [1usize, 4] {
-            let sol = steady_state(&q, &krylov_opts(threads)).unwrap();
-            assert!(sol.residual <= 1e-12, "residual {}", sol.residual);
-            for (i, &p) in sol.probs.iter().enumerate() {
-                let hold = ss
-                    .tokens(i)
-                    .iter()
-                    .position(|&t| t > 0)
-                    .map(|st| means[st])
-                    .unwrap();
-                assert!(
-                    (p - hold / total).abs() < 1e-9,
-                    "state {i}: π {p} vs {} ({threads} threads)",
-                    hold / total
-                );
-            }
         }
     }
 

@@ -16,14 +16,13 @@
 //!    [`SolveError::NonMarkovian`];
 //! 3. [`transient()`] (uniformization with Fox–Glynn style Poisson
 //!    truncation, each product limited to the states the chain can have
-//!    reached, one pass serving a whole time grid) and [`steady_state`]
-//!    (Gauss–Seidel with convergence diagnostics), plus
-//!    [`mean_time_to_absorption`] for first-passage means;
-//! 4. the reward layer ([`expected_rate_reward`],
-//!    [`expected_impulse_rate`], [`AnalyticRun`]) which evaluates the
-//!    same marking-function rewards the simulator integrates, against
-//!    solved probability vectors — so experiment code can swap a
-//!    replication campaign for one matrix solve.
+//!    reached, one pass serving a whole time grid) for first-passage
+//!    CDFs, and [`mean_time_to_absorption`] (`Q_TT τ = -1`, with
+//!    convergence diagnostics) for first-passage means;
+//! 4. the reward layer ([`expected_rate_reward`], [`AnalyticRun`])
+//!    which evaluates the same marking-function rewards the simulator
+//!    integrates, against solved probability vectors — so experiment
+//!    code can swap a replication campaign for one matrix solve.
 //!
 //! # When does the analytic path apply?
 //!
@@ -153,10 +152,9 @@
 //!
 //! # Solver backends
 //!
-//! The linear-algebra layer behind [`steady_state`] and
-//! [`mean_time_to_absorption`] is pluggable via
-//! [`IterOptions::backend`]: all backends solve the same systems to
-//! the same sup-norm residual — converged answers are
+//! The linear-algebra layer behind [`mean_time_to_absorption`] is
+//! pluggable via [`IterOptions::backend`]: all backends solve the same
+//! system to the same sup-norm residual — converged answers are
 //! backend-independent down to round-off, which the overlay test
 //! `backends_agree_on_the_overlay_means` in `ctsim-experiments` gates
 //! at ≤ 1e-6 relative — but they iterate very differently. The measured
@@ -166,16 +164,16 @@
 //! Rules of thumb:
 //!
 //! * [`SolverBackend::Krylov`] — restarted GMRES, right-preconditioned
-//!   by a backward Gauss–Seidel substitution for absorption systems —
-//!   is the default choice for first-passage solves up to ~1 M states
-//!   (the canonical BFS numbering makes those systems near-triangular,
-//!   so GMRES closes in a handful of matvecs where Jacobi needs one
-//!   step per BFS level), and the *only* backend that survives
-//!   stiff two-timescale chains whose sweep contraction is `1 − O(ε)`.
+//!   by a backward Gauss–Seidel substitution — is the default choice
+//!   for first-passage solves up to ~1 M states (the canonical BFS
+//!   numbering makes those systems near-triangular, so GMRES closes in
+//!   a handful of matvecs where Jacobi needs one step per BFS level),
+//!   and the *only* backend that survives stiff two-timescale chains
+//!   whose sweep contraction is `1 − O(ε)`.
 //! * [`SolverBackend::GaussSeidel`] — the reference. Smallest constant
-//!   factor per iteration, and its absorption sweeps descend with the
-//!   canonical numbering, so a first-passage chain takes a few sweeps
-//!   rather than one per BFS level.
+//!   factor per iteration, and its sweeps descend with the canonical
+//!   numbering, so a first-passage chain takes a few sweeps rather
+//!   than one per BFS level.
 //!   Sequential by construction; refuses disk-paged generators.
 //! * [`SolverBackend::Jacobi`] — every update is one sharded SpMV over
 //!   [`IterOptions::threads`] workers, so it is the backend that turns
@@ -184,10 +182,11 @@
 //!   the prefix of rows that can still change.
 //!
 //! Every backend returns [`SolveError::NotConverged`] with finite
-//! diagnostics instead of NaNs or hangs on reducible or pathological
-//! chains (`tests/solver_backends.rs` property-tests that contract at
-//! 1/2/4/8 threads). The uniformization loop behind [`transient()`]
-//! and [`AnalyticRun::cdf_grid`] reuses the same sharded SpMV via
+//! diagnostics instead of NaNs or hangs on chains where absorption is
+//! not certain, or on stiff chains (`tests/solver_backends.rs`
+//! property-tests that contract at 1/2/4/8 threads). The
+//! uniformization loop behind [`transient()`] and
+//! [`AnalyticRun::cdf_grid`] reuses the same sharded SpMV via
 //! [`TransientOptions::threads`], over the prefix of states its support
 //! bound can reach.
 //!
@@ -218,6 +217,7 @@
 
 use std::fmt;
 
+pub mod absorption;
 pub mod arena;
 pub mod backend;
 pub mod ctmc;
@@ -231,23 +231,17 @@ mod pack;
 pub mod reward;
 pub mod spill;
 mod spmv;
-pub mod steady;
 pub mod transient;
 
+pub use absorption::{mean_time_to_absorption, AbsorptionTimes, IterOptions};
 pub use arena::RowRef;
 pub use backend::{GeneratorBackend, SolverBackend};
 pub use ctmc::{Ctmc, Incoming};
 pub use graph::{GraphParts, ReachOptions, StateSpace, SweepProfile, Transition};
 pub use kron::KronGenerator;
 pub use linop::{Generator, LinOp};
-pub use reward::{
-    expected_impulse_rate, expected_rate_reward, probability, AnalyticOutcome, AnalyticRun,
-    DetachedRun,
-};
+pub use reward::{expected_rate_reward, probability, AnalyticOutcome, AnalyticRun, DetachedRun};
 pub use spill::{DedupMode, SpillOptions};
-pub use steady::{
-    mean_time_to_absorption, steady_state, AbsorptionTimes, IterOptions, SteadyState,
-};
 pub use transient::{transient, Transient, TransientOptions};
 
 /// Every knob of one analytic solve, bundled: exploration limits plus
@@ -421,8 +415,6 @@ pub enum SolveError {
         /// What differed, rendered.
         reason: String,
     },
-    /// Steady state requested for a chain with absorbing states.
-    SteadyStateUndefined,
     /// Absorption times requested but no state is absorbing.
     NoAbsorbingStates,
     /// The state space is empty.
@@ -497,9 +489,6 @@ impl fmt::Display for SolveError {
                 "cached reachability graph does not match the model: {reason} \
                  (re-explore instead of rate-only rebuild)"
             ),
-            SolveError::SteadyStateUndefined => {
-                write!(f, "steady state undefined: the chain has absorbing states")
-            }
             SolveError::NoAbsorbingStates => {
                 write!(f, "no absorbing state: absorption time is undefined")
             }

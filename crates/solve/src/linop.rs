@@ -1,13 +1,13 @@
 //! The generator-operator abstraction the iterative solvers run on.
 //!
-//! Every backend in [`steady`](crate::steady_state) /
-//! [`mean_time_to_absorption`](crate::mean_time_to_absorption) /
-//! [`transient`](crate::transient()) needs only a handful of things from
-//! the generator `Q`: its dimension, its diagonal, the two sparse
-//! products `x·Q` and `Σ_k q_ik v_k`, and (for the sweep-style loops)
-//! per-row / per-column entry access. [`LinOp`] names exactly that
-//! surface, so the solvers are generic over *how* the generator is
-//! stored:
+//! Every backend of
+//! [`mean_time_to_absorption`](crate::mean_time_to_absorption) and the
+//! uniformization loop of [`transient`](crate::transient()) need only
+//! a handful of things from the generator `Q`: its dimension, its
+//! diagonal, the two sparse products `x·Q` and `Σ_k q_ik v_k`, and
+//! (for the sweep-style loops) per-row / per-column entry access.
+//! [`LinOp`] names exactly that surface, so the solvers are generic
+//! over *how* the generator is stored:
 //!
 //! * [`Ctmc`] — the materialized CSR (plus its cached incoming view),
 //!   the reference implementor. Solvers invoked on a `Ctmc` compile to
@@ -115,7 +115,7 @@ pub trait LinOp: Sync {
     fn apply(&self, v: &[f64], out: &mut [f64], threads: usize);
 
     /// `out = x · Q` including the diagonal: the row-vector product the
-    /// balance residual and the uniformization loop need, sharded over
+    /// uniformization loop needs, sharded over
     /// `threads` workers (`0` = one per core). `x` has length `dim`;
     /// `out` may be a prefix of length ≤ `dim`, and only `out[..len]`
     /// is computed, each element from its whole column — exactly the

@@ -1,22 +1,20 @@
 //! Layer 4: reward evaluation over solved distributions.
 //!
 //! The simulator accumulates rate rewards by integrating a marking
-//! function along one trajectory ([`ctsim_san::Simulator::set_rate_reward`])
-//! and impulse rewards by counting completions. The analytic path
-//! evaluates the *same closures* against a probability vector instead:
-//! `E[f(M(t))] = Σ_s π_s(t) · f(marking_s)`, and the completion
-//! frequency of an activity is its enabled rate weighted by the state
-//! probabilities. [`AnalyticRun`] packages the common first-passage
-//! workflow ("time until a predicate holds") into a `RunOutcome`-style
-//! result comparable against [`ctsim_san::replicate`] statistics.
+//! function along one trajectory ([`ctsim_san::Simulator::set_rate_reward`]).
+//! The analytic path evaluates the *same closures* against a
+//! probability vector instead: `E[f(M(t))] = Σ_s π_s(t) · f(marking_s)`.
+//! [`AnalyticRun`] packages the common first-passage workflow ("time
+//! until a predicate holds") into a `RunOutcome`-style result
+//! comparable against [`ctsim_san::replicate`] statistics.
 
-use ctsim_san::{ActivityId, Marking, SanModel};
+use ctsim_san::{Marking, SanModel};
 
+use crate::absorption::{mean_time_to_absorption, IterOptions};
 use crate::backend::GeneratorBackend;
 use crate::ctmc::Ctmc;
 use crate::graph::{GraphParts, ReachOptions, StateSpace};
 use crate::linop::{Generator, LinOp};
-use crate::steady::{mean_time_to_absorption, IterOptions};
 use crate::transient::{uniformize, TransientOptions};
 use crate::{SolveError, SolveOptions};
 
@@ -40,41 +38,6 @@ pub fn expected_rate_reward(
 /// vector (a {0,1}-valued rate reward).
 pub fn probability(space: &StateSpace<'_>, probs: &[f64], pred: impl Fn(&Marking) -> bool) -> f64 {
     expected_rate_reward(space, probs, |m| f64::from(pred(m)))
-}
-
-/// Expected completion frequency (1/ms) of impulse-rewarded activities:
-/// `Σ_s π_s Σ_t completing(t) · r(activity_t) · rate_t`. With `r = 1`
-/// for one activity this is its long-run firing rate, the analytic
-/// counterpart of [`ctsim_san::Simulator::firing_counts`] per unit
-/// time. Internal phase advances of expanded activities do not count as
-/// completions; transitions of unexpanded non-exponential activities
-/// (NaN rate) are skipped, as before the phase-type layer.
-pub fn expected_impulse_rate(
-    space: &StateSpace<'_>,
-    probs: &[f64],
-    reward: impl Fn(ActivityId) -> f64,
-) -> f64 {
-    assert_eq!(probs.len(), space.len());
-    let mut total = 0.0;
-    for (s, &p_s) in probs.iter().enumerate() {
-        if p_s <= 0.0 {
-            continue;
-        }
-        // Flat row-slice access: no per-state clone, and under spill
-        // the sequential sweep streams each arena segment exactly once.
-        let outs = space.outgoing(s);
-        for t in outs.iter() {
-            if !t.completes || !t.rate.is_finite() {
-                continue;
-            }
-            let r = reward(t.activity);
-            if r == 0.0 {
-                continue;
-            }
-            total += p_s * t.q() * r;
-        }
-    }
-    total
 }
 
 /// A solved first-passage problem: the state space explored with the
@@ -313,14 +276,15 @@ impl DetachedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::steady::steady_state;
     use crate::transient::transient;
     use ctsim_san::{Activity, Case, SanBuilder, SanModel};
     use ctsim_stoch::Dist;
 
-    /// The paper's two-state FD submodel solved analytically: the
-    /// steady-state suspicion probability must be T_M / T_MR — the same
-    /// quantity the simulator's rate reward recovers by integration.
+    /// The paper's two-state FD submodel solved analytically: started
+    /// trusting, the suspicion probability at time `t` is
+    /// `(T_M/T_MR)·(1 − e^{−t·T_MR/(T_M(T_MR−T_M))})`, which tends to the
+    /// QoS ratio T_M / T_MR — the quantity the simulator's rate reward
+    /// recovers by integration.
     #[test]
     fn fd_suspicion_rate_reward_matches_qos_ratio() {
         let (t_mr, t_m) = (40.0, 8.0);
@@ -340,14 +304,16 @@ mod tests {
         let model = b.build().unwrap();
         let ss = StateSpace::explore(&model, &ReachOptions::default()).unwrap();
         let ctmc = Ctmc::from_state_space(&ss).unwrap();
-        let pi = steady_state(&ctmc, &IterOptions::default()).unwrap();
-        let p_susp = expected_rate_reward(&ss, &pi.probs, |m| m.get(susp) as f64);
-        assert!((p_susp - t_m / t_mr).abs() < 1e-9, "P(susp) {p_susp}");
-        // Impulse view: mistakes occur at rate 1/T_MR (each trust→susp
-        // completion is one mistake).
-        let ts = model.activity("ts").unwrap();
-        let mistakes = expected_impulse_rate(&ss, &pi.probs, |a| f64::from(a == ts));
-        assert!((mistakes - 1.0 / t_mr).abs() < 1e-9, "rate {mistakes}");
+        let relax = t_mr / (t_m * (t_mr - t_m));
+        for t in [1.0, 10.0, 50.0, 500.0] {
+            let pi = transient(&ctmc, t, &TransientOptions::default()).unwrap();
+            let p_susp = expected_rate_reward(&ss, &pi.probs, |m| m.get(susp) as f64);
+            let expect = t_m / t_mr * (1.0 - (-t * relax).exp());
+            assert!(
+                (p_susp - expect).abs() < 1e-9,
+                "t={t}: P(susp) {p_susp} vs {expect}"
+            );
+        }
     }
 
     fn chain(means: &[f64]) -> SanModel {

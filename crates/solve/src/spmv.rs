@@ -123,8 +123,8 @@ where
     }
 }
 
-/// `out = x · Q` over `threads` workers: the row-vector product both
-/// the balance residual and the uniformization inner loop need.
+/// `out = x · Q` over `threads` workers: the row-vector product the
+/// uniformization inner loop needs.
 /// Gathered per destination over the cached incoming view —
 /// `out[j] = x[j]·q_jj + Σ_i x[i]·q_ij` with predecessors in ascending
 /// order — so the floating-point result does not depend on the thread

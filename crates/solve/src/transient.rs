@@ -55,7 +55,8 @@ pub struct TransientOptions {
     pub max_terms: usize,
     /// Worker threads for the sharded `v·Q` product inside the
     /// uniformization loop (`0` = one per core, `1` = inline) — the
-    /// same SpMV kernel the Jacobi/Krylov steady-state backends use.
+    /// same kind of sharded SpMV the Jacobi and Krylov absorption
+    /// backends use.
     /// The result is bit-identical for every value.
     pub threads: usize,
 }

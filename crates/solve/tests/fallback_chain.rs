@@ -14,26 +14,33 @@
 use ctsim_resilience::fail;
 use ctsim_san::{Activity, Case, SanBuilder, SanModel};
 use ctsim_solve::{
-    mean_time_to_absorption, steady_state, Ctmc, IterOptions, ReachOptions, SolveError,
-    SolverBackend, SpillOptions, StateSpace,
+    mean_time_to_absorption, Ctmc, IterOptions, ReachOptions, SolveError, SolverBackend,
+    SpillOptions, StateSpace,
 };
 use ctsim_stoch::Dist;
 use proptest::prelude::*;
 
-/// A single-token cycle over `means.len()` stations: stationary
-/// probabilities are proportional to the holding times, so any two
-/// correct backends must agree on it.
+/// A single-token cycle over `means.len()` stations whose last station
+/// exits to the absorbing `done` with probability ½ and otherwise
+/// returns to the first: absorption is certain, and the back edge
+/// makes Gauss-Seidel take more than the two sweeps of a feed-forward
+/// chain, so any two correct backends must agree on a solve that
+/// really iterates.
 fn cyclic(means: &[f64]) -> SanModel {
     let mut b = SanBuilder::new("cycle");
     let places: Vec<_> = (0..means.len())
         .map(|i| b.place(format!("p{i}"), u32::from(i == 0)))
         .collect();
+    let done = b.place("done", 0);
+    let last = means.len() - 1;
     for (i, &mean) in means.iter().enumerate() {
-        b.add_activity(
-            Activity::timed(format!("t{i}"), Dist::Exp { mean })
-                .input(places[i], 1)
-                .case(Case::with_prob(1.0).output(places[(i + 1) % means.len()], 1)),
-        );
+        let t = Activity::timed(format!("t{i}"), Dist::Exp { mean }).input(places[i], 1);
+        b.add_activity(if i == last {
+            t.case(Case::with_prob(0.5).output(done, 1))
+                .case(Case::with_prob(0.5).output(places[0], 1))
+        } else {
+            t.case(Case::with_prob(1.0).output(places[i + 1], 1))
+        });
     }
     b.build().unwrap()
 }
@@ -71,16 +78,18 @@ proptest! {
     ) {
         let _guard = fail::test_lock();
         let q = ctmc(&cyclic(&means), None);
-        let direct = steady_state(&q, &IterOptions::with_backend(SolverBackend::Krylov, 1))
-            .expect("fault-free solve");
+        let direct =
+            mean_time_to_absorption(&q, &IterOptions::with_backend(SolverBackend::Krylov, 1))
+                .expect("fault-free solve");
 
         fail::configure("solver.krylov=always", 0).unwrap();
-        let degraded = steady_state(&q, &krylov_with_fallback());
+        let degraded = mean_time_to_absorption(&q, &krylov_with_fallback());
         fail::disarm();
         let degraded = degraded.expect("fallback chain absorbs the injected failure");
 
         prop_assert_eq!(degraded.solved_by, SolverBackend::GaussSeidel);
-        for (s, (&d, &g)) in direct.probs.iter().zip(&degraded.probs).enumerate() {
+        prop_assert!(degraded.iterations > 2, "{} sweeps", degraded.iterations);
+        for (s, (&d, &g)) in direct.per_state.iter().zip(&degraded.per_state).enumerate() {
             prop_assert!(
                 (d - g).abs() <= 1e-6 * d.abs().max(1e-30),
                 "state {}: direct {} vs degraded {}", s, d, g
@@ -96,7 +105,7 @@ fn without_opt_in_the_injected_failure_surfaces() {
     let _guard = fail::test_lock();
     let q = ctmc(&cyclic(&[1.0, 3.0, 6.0]), None);
     fail::configure("solver.krylov=always", 0).unwrap();
-    let err = steady_state(&q, &IterOptions::with_backend(SolverBackend::Krylov, 1));
+    let err = mean_time_to_absorption(&q, &IterOptions::with_backend(SolverBackend::Krylov, 1));
     fail::disarm();
     assert!(
         matches!(err, Err(SolveError::NotConverged { .. })),
@@ -165,8 +174,7 @@ fn gauss_seidel_on_streamed_generator_degrades_to_jacobi() {
 fn retried_page_in_faults_leave_the_solve_bit_identical() {
     let _guard = fail::test_lock();
     ctsim_resilience::retry::reset_budgets();
-    // The Krylov absorption path is the one that iterates on the paged
-    // CSR itself (steady-state backends sweep a resident transpose), so
+    // The Krylov absorption path iterates on the paged CSR itself, so
     // it is the solve that actually pages segments back in.
     let mut b = SanBuilder::new("pipeline");
     let mut prev = b.place("p0", 1);
@@ -215,15 +223,15 @@ fn full_chain_krylov_to_jacobi_on_streamed_generator() {
     let _guard = fail::test_lock();
     let model = cyclic(&[0.3, 2.0, 0.7, 5.0]);
     let resident = ctmc(&model, None);
-    let direct = steady_state(&resident, &IterOptions::default()).unwrap();
+    let direct = mean_time_to_absorption(&resident, &IterOptions::default()).unwrap();
 
     let spilled = ctmc(&model, Some(SpillOptions::with_budget(0)));
     fail::configure("solver.krylov=always", 0).unwrap();
-    let sol = steady_state(&spilled, &krylov_with_fallback());
+    let sol = mean_time_to_absorption(&spilled, &krylov_with_fallback());
     fail::disarm();
     let sol = sol.expect("chain reaches Jacobi");
     assert_eq!(sol.solved_by, SolverBackend::Jacobi);
-    for (s, (&a, &b)) in direct.probs.iter().zip(&sol.probs).enumerate() {
+    for (s, (&a, &b)) in direct.per_state.iter().zip(&sol.per_state).enumerate() {
         assert!((a - b).abs() <= 1e-9, "state {s}: {a} vs {b}");
     }
 }

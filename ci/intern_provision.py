@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Gate on the intern table's level-boundary provisioning.
+"""Gate on the intern table's level-boundary provisioning and key width.
 
 Reads a `repro --metrics` document of a resident exploration and fails
 unless no BFS level outgrew the table sized for it
 (`intern.midlevel_grows` is 0 — the mid-level overflow path is for the
-rare level, not for the CI models) and the table is not oversized
-either (`intern.occupancy` within 0.2 … 0.5).
+rare level, not for the CI models), the table is not oversized either
+(`intern.occupancy` within 0.2 … 0.5), and the widest packed key of
+the run (`explore.words_per_state`) is at most 9 words — what one bit
+per place plus the learned extensions give the n = 3 order-2 model.
+Also prints how many exploration attempts restarted to widen a place
+(`explore.layout_restarts`).
 """
 
 import json
 import sys
+
+MAX_WORDS_PER_STATE = 9
 
 
 def main(path):
@@ -17,12 +23,21 @@ def main(path):
         metrics = json.load(f)
     grows = metrics["counters"]["intern.midlevel_grows"]
     occupancy = metrics["gauges"]["intern.occupancy"]
+    words = metrics["gauges"]["explore.words_per_state"]
+    restarts = metrics["counters"]["explore.layout_restarts"]
     print(f"intern.midlevel_grows = {grows}, intern.occupancy = {occupancy:.3f}")
+    print(f"explore.words_per_state = {words:g}, explore.layout_restarts = {restarts}")
+    ok = True
     if grows != 0:
         print(f"::error::{grows} BFS level(s) outgrew the intern table provisioned for them")
+        ok = False
     if not 0.2 <= occupancy <= 0.5:
         print(f"::error::intern table occupancy {occupancy:.3f} outside 0.2 … 0.5")
-    return 0 if grows == 0 and 0.2 <= occupancy <= 0.5 else 1
+        ok = False
+    if words > MAX_WORDS_PER_STATE:
+        print(f"::error::packed keys of {words:g} words, more than {MAX_WORDS_PER_STATE}")
+        ok = False
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

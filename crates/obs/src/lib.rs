@@ -13,8 +13,8 @@
 //! Telemetry is **off by default** and must be switched on explicitly
 //! with [`enable`]. While disabled, every recording entry point
 //! ([`span`], [`instant`], [`counter_add`], [`counter_max`], [`gauge_set`],
-//! [`series_push`], [`hist_record`], [`hist_merge`], [`record_span`])
-//! reduces to **one
+//! [`gauge_max`], [`series_push`], [`hist_record`], [`hist_merge`],
+//! [`record_span`]) reduces to **one
 //! relaxed atomic load and a predictable branch** — no clock read, no
 //! allocation, no lock. Instrumented hot loops additionally guard
 //! their argument construction behind [`enabled`] so a disabled build
@@ -394,6 +394,17 @@ pub fn gauge_set(name: &str, value: f64) {
         .lock()
         .unwrap()
         .insert(name.to_string(), value);
+}
+
+/// Raises the named gauge to `value` if it is lower (or unset): the
+/// largest value any run reported, such as the widest packed key.
+pub fn gauge_max(name: &str, value: f64) {
+    if !enabled() {
+        return;
+    }
+    let mut gauges = global().gauges.lock().unwrap();
+    let g = gauges.entry(name.to_string()).or_insert(value);
+    *g = g.max(value);
 }
 
 /// Appends an `(x, y)` sample to the named series — e.g.

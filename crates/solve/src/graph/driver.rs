@@ -26,16 +26,17 @@ use crate::backend::GeneratorBackend;
 use crate::ddd::{resolve_level, CandSet, DedupSink, Frontier, VisitedRuns};
 use crate::intern::{InternFull, Interner};
 use crate::linop::Generator;
-use crate::pack::StateLayout;
+use crate::pack::{PackOverflow, StateLayout};
 use crate::spill::{DedupMode, SpillOptions, SpillShared};
 use crate::SolveError;
 
-/// Why an exploration attempt stopped: a packed field overflowed (retry
-/// with wider place fields), the resident intern table outgrew its
+/// Why an exploration attempt stopped: place fields overflowed (retry
+/// with those places wider), the resident intern table outgrew its
 /// share of the spill budget (restart in external-memory dedup mode),
 /// or a real solver error.
 pub(super) enum Abort {
-    Pack,
+    /// Every overflow the attempt's workers reported.
+    Pack(Vec<PackOverflow>),
     Ddd,
     Solve(SolveError),
 }
@@ -43,6 +44,12 @@ pub(super) enum Abort {
 impl From<SolveError> for Abort {
     fn from(e: SolveError) -> Self {
         Abort::Solve(e)
+    }
+}
+
+impl From<PackOverflow> for Abort {
+    fn from(o: PackOverflow) -> Self {
+        Abort::Pack(vec![o])
     }
 }
 
@@ -92,6 +99,10 @@ pub struct SweepProfile {
     pub close_us: u64,
     /// Streaming closed levels into the canonical stores (µs).
     pub emit_us: u64,
+    /// Attempts abandoned before this sweep because a place outgrew
+    /// its packed width; each restarted from scratch with the
+    /// overflowed places wider.
+    pub layout_restarts: u64,
 }
 
 impl SweepProfile {
@@ -665,10 +676,10 @@ impl Dedup for External {
     }
 }
 
-/// Explores `model`, retrying on the two recoverable aborts: a packed
-/// field overflow restarts one layout rung wider, and an outgrown
-/// intern table (Auto dedup) restarts in external-memory mode. Pack
-/// retries preserve the mode.
+/// Explores `model`, retrying on the two recoverable aborts: place
+/// field overflows restart with each overflowed place widened to the
+/// rung that holds its value, and an outgrown intern table (Auto dedup)
+/// restarts in external-memory mode. Pack retries preserve the mode.
 pub(super) fn explore<'m>(
     model: &'m SanModel,
     opts: &ReachOptions,
@@ -676,7 +687,10 @@ pub(super) fn explore<'m>(
     want: Option<GeneratorBackend>,
 ) -> Result<(StateSpace<'m>, Option<Generator>), SolveError> {
     let expansion = Expansion::build(model, opts.ph_order)?;
-    let mut layout = StateLayout::new(model.num_places(), &expansion.phase_maxes());
+    // Places that start above one token start wide, so only a count
+    // first met during exploration can restart it.
+    let mut layout = StateLayout::new(model.initial_marking().tokens(), &expansion.phase_maxes());
+    let mut restarts = 0u64;
     let workers = crate::spmv::resolve_threads(opts.threads);
     // External-memory dedup from level 0 when forced.
     let mut external = opts
@@ -692,15 +706,23 @@ pub(super) fn explore<'m>(
                 .and_then(|seed| drive(&explorer, workers, seed, want)),
         };
         match attempt {
-            Ok(pair) => return Ok(pair),
-            // A place field overflowed its bit width: restart from
-            // scratch one ladder rung wider. The reachable set is
-            // thread-independent, so whether a width suffices is too —
-            // the retry chain is deterministic and bounded by the
-            // ladder length.
-            Err(Abort::Pack) => {
-                // Invariant: the top rung is 32 bits, as wide as a token count.
-                layout = layout.widen().expect("32-bit place fields cannot overflow");
+            Ok((mut ss, gen)) => {
+                ss.profile.layout_restarts = restarts;
+                if ctsim_obs::enabled() {
+                    ctsim_obs::counter_add("explore.layout_restarts", 0);
+                    ctsim_obs::gauge_max("explore.words_per_state", layout.words() as f64);
+                }
+                return Ok((ss, gen));
+            }
+            // Place fields overflowed: restart from scratch with each
+            // reported place on the rung that holds its value. Every
+            // value is a reachable token count, so the widths converge
+            // on the rungs of the reachable maxima whatever the thread
+            // count; a place climbs at most five rungs.
+            Err(Abort::Pack(overflows)) => {
+                layout = layout.widen(&overflows);
+                restarts += 1;
+                ctsim_obs::counter_add("explore.layout_restarts", 1);
             }
             // Only `Resident::check_budget` raises this, and only under
             // spill options (Auto dedup).
@@ -831,19 +853,17 @@ fn drive<'m, D: Dedup>(
             });
             outcomes.push(emitted);
         }
-        // A packed-width overflow beats any other abort: the retry
+        // Packed-width overflows beat any other abort, and all of them
+        // are kept so the retry widens every place that overflowed: it
         // re-examines the same reachable set, so a racing
         // cap/vanishing error (if genuine) recurs there.
         let mut err: Option<Abort> = None;
-        for r in outcomes {
-            match r {
-                Ok(()) => {}
-                Err(Abort::Pack) => err = Some(Abort::Pack),
-                Err(e) => {
-                    if err.is_none() {
-                        err = Some(e);
-                    }
-                }
+        for e in outcomes.into_iter().filter_map(Result::err) {
+            match (&mut err, e) {
+                (Some(Abort::Pack(all)), Abort::Pack(more)) => all.extend(more),
+                (slot, e @ Abort::Pack(_)) => *slot = Some(e),
+                (slot, e) if slot.is_none() => *slot = Some(e),
+                _ => {}
             }
         }
         if let Some(e) = err {
@@ -961,7 +981,7 @@ fn drive<'m, D: Dedup>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctsim_san::{Activity, Case, SanBuilder};
+    use ctsim_san::{Activity, Case, InputGate, SanBuilder};
     use ctsim_stoch::Dist;
 
     /// Every dedup configuration the one driver runs under: the
@@ -1058,9 +1078,10 @@ mod tests {
         }
     }
 
-    /// The state cap aborts exploration of unbounded nets — after the
-    /// 4-bit rung overflowed at q = 16 (`Abort::Pack`, under external
-    /// dedup too) and the 8-bit retry ran into the cap.
+    /// The state cap aborts exploration of unbounded nets — after q
+    /// overflowed its 1-, 2- and 4-bit rungs at q = 2, 4 and 16
+    /// (`Abort::Pack`, under external dedup too) and the 8-bit retry
+    /// ran into the cap.
     #[test]
     fn state_cap_is_enforced() {
         let mut b = SanBuilder::new("m");
@@ -1086,15 +1107,15 @@ mod tests {
         }
     }
 
-    /// Token counts past every narrow ladder rung force the packed
-    /// layout onto wider place fields without changing the result.
+    /// A token count past several rungs at once forces the packed
+    /// layout onto a wider place field without changing the result.
     #[test]
     fn wide_token_counts_widen_the_layout() {
         // One activity pumps 300 tokens into q at once: q's count
-        // overflows a 4-bit and an 8-bit field, so exploration must
-        // retry and land on the 16-bit rung — in whichever dedup mode
-        // the overflow struck (`auto`: `Abort::Ddd` at level 0, then
-        // `Abort::Pack` twice in external mode).
+        // overflows its 1-bit field, and the one restart puts q on the
+        // 16-bit rung that holds 300 — in whichever dedup mode the
+        // overflow struck (`auto`: `Abort::Ddd` at level 0, then
+        // `Abort::Pack` in external mode).
         let mut b = SanBuilder::new("m");
         let p = b.place("p", 1);
         let q = b.place("q", 0);
@@ -1109,8 +1130,95 @@ mod tests {
             let ss = StateSpace::explore(&m, &reach(&spill)).unwrap();
             assert_eq!(ss.len(), 2, "{mode}");
             assert_eq!(ss.tokens(1), vec![0, 300], "{mode}");
+            assert_eq!(ss.sweep_profile().layout_restarts, 1, "{mode}");
             assert_eq!(ss.packed_words(), resident.packed_words(), "{mode}");
         }
+    }
+
+    /// A counter that climbs to 20 one token at a time and a place that
+    /// reaches 2, beside three token lanes that widen the BFS levels
+    /// past the parallel threshold. The counter overflows its 1-, 2-
+    /// and 4-bit rungs in turn, so the layout is learned over several
+    /// restarts: how many may depend on the threads, what they learn
+    /// may not.
+    #[test]
+    fn learned_widths_do_not_depend_on_threads_or_dedup() {
+        let mut b = SanBuilder::new("m");
+        let count = b.place("count", 0);
+        let pair = b.place("pair", 0);
+        for (p, cap) in [(count, 20), (pair, 2)] {
+            b.add_activity(
+                Activity::timed(format!("inc{}", p.index()), Dist::Exp { mean: 1.0 })
+                    .input_gate(InputGate::predicate(vec![p], move |m| m.get(p) < cap))
+                    .case(Case::with_prob(1.0).output(p, 1)),
+            );
+        }
+        for lane in 0..3 {
+            let mut prev = b.place(format!("l{lane}_0"), 1);
+            for st in 1..5 {
+                let next = b.place(format!("l{lane}_{st}"), 0);
+                b.add_activity(
+                    Activity::timed(format!("t{lane}_{st}"), Dist::Exp { mean: 1.0 })
+                        .input(prev, 1)
+                        .case(Case::with_prob(1.0).output(next, 1)),
+                );
+                prev = next;
+            }
+        }
+        let m = b.build().unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut runs = Vec::new();
+        for threads in [1, 2, 8] {
+            for (mode, spill) in &dedup_modes()[..2] {
+                let opts = ReachOptions {
+                    threads,
+                    ..reach(spill)
+                };
+                let (ss, q) = StateSpace::explore_ctmc(&m, &opts).unwrap();
+                let what = format!("{threads} threads, {mode}");
+                assert_eq!(ss.len(), 21 * 3 * 5 * 5 * 5, "{what}");
+                let restarts = ss.sweep_profile().layout_restarts;
+                assert!(restarts > 1, "{what}: {restarts} restarts");
+                let top = (0..ss.len()).map(|s| ss.tokens(s)).max().unwrap();
+                assert_eq!(top[..2], [20, 2], "{what}");
+                let (row_ptr, col, rate, diag) = q.csr_owned();
+                runs.push((
+                    what,
+                    ss.words_per_state(),
+                    ss.packed_words(),
+                    (row_ptr, col, bits(&rate), bits(&diag)),
+                ));
+            }
+        }
+        let (_, words, packed, csr) = &runs[0];
+        for (what, w, p, c) in &runs[1..] {
+            assert_eq!(w, words, "{what}: words per state");
+            assert_eq!(p, packed, "{what}: packed states");
+            assert_eq!(c, csr, "{what}: CSR");
+        }
+    }
+
+    /// The paper's model at n = 2, order 2, with the first-passage
+    /// goal: its 117 places fill two prefix words, no place holds two
+    /// tokens (so nothing is learned and nothing restarts), and the
+    /// phase counters take the rest — 4 words, where 4-bit place fields
+    /// took 8 for the places alone.
+    #[test]
+    fn consensus_n2_order2_key_width() {
+        let params = ctsim_models::SanParams::paper_baseline(2);
+        let model = ctsim_models::build_model(&params);
+        let decided = ctsim_models::decided_place_ids(&model, 2);
+        let opts = ReachOptions {
+            ph_order: 2,
+            ..ReachOptions::default()
+        };
+        let ss = StateSpace::explore_absorbing(&model, &opts, move |m| {
+            decided.iter().any(|&d| m.get(d) > 0)
+        })
+        .unwrap();
+        assert_eq!(ss.num_places(), 117);
+        assert_eq!(ss.sweep_profile().layout_restarts, 0);
+        assert_eq!(ss.words_per_state(), 4);
     }
 
     /// Absorbing predicate suppresses outgoing transitions.

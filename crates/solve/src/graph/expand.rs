@@ -25,8 +25,9 @@
 //!   its counter — non-zero exactly when enabled — is already right.
 //! * **The packed key.** The source's words with the moved place
 //!   fields and changed counters rewritten by the overflow-checked
-//!   [`StateLayout::patch`]; an overflow is [`Abort::Pack`], the same
-//!   widen-and-restart a full encode would ask for.
+//!   [`StateLayout::patch`]; an overflow is [`Abort::Pack`] naming the
+//!   place and its count, the same widen-and-restart a full encode
+//!   would ask for.
 //!
 //! # Why the order is unchanged
 //!
@@ -493,9 +494,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
         let start = scratch.src.marking.clone();
         let mut ext = vec![0; self.layout.num_fields()];
         ext[..self.base].copy_from_slice(start.tokens());
-        self.layout
-            .encode(&ext, &mut scratch.src_key)
-            .map_err(|_| Abort::Pack)?;
+        self.layout.encode(&ext, &mut scratch.src_key)?;
         self.settle(sink, &mut scratch, start, 1.0, None, true)?;
         let mut initial: Vec<(usize, f64)> = Vec::new();
         for (id, p) in scratch.targets.drain(..) {
@@ -890,9 +889,7 @@ impl Explorer<'_, '_> {
         probs.push(prob);
         let changed = marking.changed_places();
         for &place in changed {
-            layout
-                .patch(keys, place, marking.tokens()[place])
-                .map_err(|_| Abort::Pack)?;
+            layout.patch(keys, place, marking.tokens()[place])?;
         }
         counts.key_patches += changed.len() as u64;
         let absorbing = self.absorb.is_some_and(|f| f(marking));

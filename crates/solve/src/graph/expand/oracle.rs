@@ -123,7 +123,7 @@ impl Explorer<'_, '_> {
         tokens: &[u32],
         key: &mut [u64],
     ) -> Result<usize, Abort> {
-        self.layout.encode(tokens, key).map_err(|_| Abort::Pack)?;
+        self.layout.encode(tokens, key)?;
         sink.intern_key(key, || self.is_absorbing(tokens))
             .map_err(|_| {
                 Abort::Solve(SolveError::StateSpaceTooLarge {
@@ -733,8 +733,8 @@ mod tests {
     }
 
     /// Three counters behind gate predicates: `a` and `b` climb by one
-    /// to 17, `d` by twenty to 260. No place starts above 15 tokens, so
-    /// the 4-bit rung overflows — and later the 8-bit one, at d = 260 —
+    /// to 17, `d` by twenty to 260. Every place starts at one bit, so
+    /// `a` and `b` overflow at 2, 4 and 16 and `d` at 20 and 260 — each
     /// only when a successor's key is patched, on levels wide enough to
     /// be expanded by several workers.
     fn counters() -> (SanModel, [PlaceId; 3]) {
@@ -750,9 +750,9 @@ mod tests {
         (b.build().unwrap(), places)
     }
 
-    /// Overflow through the patch path: the ladder widens twice, each
-    /// time restarting the exploration, and every thread count lands on
-    /// the one-thread result (which is the oracle's).
+    /// Overflow through the patch path: the places widen over several
+    /// restarts of the exploration, and every thread count lands on the
+    /// one-thread result (which is the oracle's).
     #[test]
     fn patched_overflow_widens_the_ladder_and_restarts() {
         let (model, [a, b, d]) = counters();
@@ -769,8 +769,10 @@ mod tests {
         for threads in [2, 8] {
             assert_eq!(Ok(&one), explored(&model, &opts(threads), None).as_ref());
         }
-        // The last state holds 17/17/260: only the 16-bit rung can.
+        // The last state holds 17/17/260: `a` and `b` end on the 8-bit
+        // rung, `d` on the 16-bit one, all in one word.
         let ss = StateSpace::explore(&model, &opts(2)).unwrap();
+        assert_eq!(ss.words_per_state(), 1);
         let top = ss.tokens(ss.len() - 1);
         assert_eq!(
             [top[a.index()], top[b.index()], top[d.index()]],

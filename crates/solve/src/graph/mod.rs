@@ -39,13 +39,13 @@
 //!
 //! States are stored bit-packed: the extended token vector (places,
 //! then phase counters) is encoded into a few `u64` words by
-//! `pack::StateLayout` — phase fields at their
-//! statically known width, place fields on an adaptive width ladder
-//! that restarts the exploration wider on overflow. A ~40-field
-//! consensus state packs into 3 words (24 bytes) instead of an
-//! `Arc<[u32]>`'s 160-byte payload plus header, roughly a 4–8× cut in
-//! per-state memory; packed words are also what the intern table
-//! hashes and compares.
+//! `pack::StateLayout` — phase fields at their statically known width,
+//! every place in one bit, and a place that holds more tokens with an
+//! extension for its high bits, learned by restarting the exploration
+//! with that place wider on overflow. The n = 3 order-2 consensus
+//! state (289 places, 175 of them never marked) packs into 9 words
+//! (72 bytes); packed words are also what the intern table hashes and
+//! compares.
 //!
 //! # Concurrent exploration, streamed assembly
 //!

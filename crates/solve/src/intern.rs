@@ -66,8 +66,8 @@ use std::sync::{Mutex, OnceLock};
 /// segments past [`MAX_SEG`] states stay constant-size, bounding the
 /// tail over-allocation of a multi-million-state space to one
 /// [`MAX_SEG`] granule instead of the ~2× a pure doubling ladder pays
-/// (at ~22 packed words per consensus state that difference alone is
-/// hundreds of MB at n = 3 order 3).
+/// (at 9 packed words per consensus state that difference alone is
+/// over a hundred MB at n = 3 order 3).
 const SEG0: usize = 1 << 9;
 
 /// Number of doubling segments before the size plateaus.
@@ -752,7 +752,7 @@ mod tests {
 
     /// `hash_key` on the keys it is used for: every packed state of the
     /// n = 3 exponential model (135 125 keys, most pairs differing in a
-    /// few 4-bit fields). Uniform 32-bit values would collide pairwise
+    /// few one-bit place fields). Uniform 32-bit values would collide pairwise
     /// n²/2³³ ≈ 2.1 times and fill the fullest of 2¹⁷ buckets (1.03 keys
     /// on average) to 8 or 9; allow four times the first and 14.
     #[test]

@@ -108,9 +108,10 @@ fn main() {
         profile.emit_us as f64 / 1e6,
     );
     println!(
-        "peak live heap {:.1} MB, live after explore {:.1} MB, {} words/state",
+        "peak live heap {:.1} MB, live after explore {:.1} MB, {} words/state, {} layout restarts",
         mb(alloc_counter::peak_bytes()),
         mb(alloc_counter::live_bytes()),
-        ss.words_per_state()
+        ss.words_per_state(),
+        profile.layout_restarts
     );
 }

@@ -981,7 +981,7 @@ fn drive<'m, D: Dedup>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctsim_san::{Activity, Case, InputGate, SanBuilder};
+    use ctsim_san::{Activity, Case, SanBuilder};
     use ctsim_stoch::Dist;
 
     /// Every dedup configuration the one driver runs under: the
@@ -1135,32 +1135,32 @@ mod tests {
         }
     }
 
-    /// A counter that climbs to 20 one token at a time and a place that
-    /// reaches 2, beside three token lanes that widen the BFS levels
-    /// past the parallel threshold. The counter overflows its 1-, 2-
-    /// and 4-bit rungs in turn, so the layout is learned over several
-    /// restarts: how many may depend on the threads, what they learn
-    /// may not.
+    /// Five token lanes of five steps. Every step also drops a token on
+    /// `count`, which so holds the BFS level and climbs to 25; the last
+    /// steps of lanes 0 and 1 drop one on `pair`, which reaches 2.
+    /// `count` overflows its 1-, 2- and 4-bit rungs at levels 2, 4 and
+    /// 16 — the last from a level where every source overflows, wide
+    /// enough for several workers, each of which may report it. The
+    /// layout is learned over several restarts: how many, and which
+    /// overflows each merges, may depend on the threads; what they
+    /// learn may not.
     #[test]
     fn learned_widths_do_not_depend_on_threads_or_dedup() {
         let mut b = SanBuilder::new("m");
         let count = b.place("count", 0);
         let pair = b.place("pair", 0);
-        for (p, cap) in [(count, 20), (pair, 2)] {
-            b.add_activity(
-                Activity::timed(format!("inc{}", p.index()), Dist::Exp { mean: 1.0 })
-                    .input_gate(InputGate::predicate(vec![p], move |m| m.get(p) < cap))
-                    .case(Case::with_prob(1.0).output(p, 1)),
-            );
-        }
-        for lane in 0..3 {
+        for lane in 0..5 {
             let mut prev = b.place(format!("l{lane}_0"), 1);
-            for st in 1..5 {
+            for st in 1..6 {
                 let next = b.place(format!("l{lane}_{st}"), 0);
+                let mut case = Case::with_prob(1.0).output(next, 1).output(count, 1);
+                if st == 5 && lane < 2 {
+                    case = case.output(pair, 1);
+                }
                 b.add_activity(
                     Activity::timed(format!("t{lane}_{st}"), Dist::Exp { mean: 1.0 })
                         .input(prev, 1)
-                        .case(Case::with_prob(1.0).output(next, 1)),
+                        .case(case),
                 );
                 prev = next;
             }
@@ -1176,11 +1176,11 @@ mod tests {
                 };
                 let (ss, q) = StateSpace::explore_ctmc(&m, &opts).unwrap();
                 let what = format!("{threads} threads, {mode}");
-                assert_eq!(ss.len(), 21 * 3 * 5 * 5 * 5, "{what}");
+                assert_eq!(ss.len(), 6usize.pow(5), "{what}");
                 let restarts = ss.sweep_profile().layout_restarts;
                 assert!(restarts > 1, "{what}: {restarts} restarts");
                 let top = (0..ss.len()).map(|s| ss.tokens(s)).max().unwrap();
-                assert_eq!(top[..2], [20, 2], "{what}");
+                assert_eq!(top[..2], [25, 2], "{what}");
                 let (row_ptr, col, rate, diag) = q.csr_owned();
                 runs.push((
                     what,
@@ -1201,8 +1201,7 @@ mod tests {
     /// The paper's model at n = 2, order 2, with the first-passage
     /// goal: its 117 places fill two prefix words, no place holds two
     /// tokens (so nothing is learned and nothing restarts), and the
-    /// phase counters take the rest — 4 words, where 4-bit place fields
-    /// took 8 for the places alone.
+    /// phase counters take the rest: 4 words.
     #[test]
     fn consensus_n2_order2_key_width() {
         let params = ctsim_models::SanParams::paper_baseline(2);
@@ -1241,6 +1240,9 @@ mod tests {
             let ss = explore(&spill);
             // Without absorption there would be 3 states; q>=1 stops at 2.
             assert_eq!(ss.len(), 2, "{mode}");
+            // p's two initial tokens put it on the 2-bit rung from the
+            // start, so nothing overflows.
+            assert_eq!(ss.sweep_profile().layout_restarts, 0, "{mode}");
             let a = ss.outgoing(0)[0].target;
             assert!(ss.absorbing[a], "{mode}");
             assert!(ss.outgoing(a).is_empty(), "{mode}");

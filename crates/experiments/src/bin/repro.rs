@@ -38,7 +38,10 @@
 //! (`gauss-seidel` | `jacobi` | `krylov`) the CTMC is solved with —
 //! every backend must produce the same means, which the
 //! `backends_agree_on_the_overlay_means` test gates at ≤ 1e-6
-//! relative.
+//! relative. `--threads` also sets the workers the measurement
+//! campaigns of `fig7a`, `fig8`, `fig9a`, `fig9b` and `table1` fan out
+//! to (`ctsim_stoch::fan_out`); their CSVs are byte-identical at every
+//! value.
 //! `--generator` picks the generator representation the solver
 //! iterates on: `csr` materializes the rate matrix, `kron` keeps the
 //! Kronecker-factored activity terms and applies them matrix-free.
@@ -85,11 +88,32 @@ struct Args {
     failpoint_seed: u64,
 }
 
-fn parse_list<T: std::str::FromStr>(s: &str, what: &str) -> Result<Vec<T>, String>
+/// The value after `flag`, parsed: "missing value for FLAG" when the
+/// arguments end, the parse error's text when it does not parse.
+fn value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
-    s.split(',')
+    args.next()
+        .ok_or_else(|| format!("missing value for {flag}"))?
+        .parse()
+        .map_err(|e: T::Err| e.to_string())
+}
+
+/// The comma-separated list after `flag`, each item parsed.
+fn list<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<Vec<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value::<String>(args, flag)?
+        .split(',')
         .map(|x| {
             x.trim()
                 .parse::<T>()
@@ -110,126 +134,35 @@ fn parse_args() -> Result<Args, String> {
     let mut failpoints = None;
     let mut failpoint_seed = 0u64;
     while let Some(flag) = args.next() {
+        let a = &mut args;
         match flag.as_str() {
-            "--grid" => {
-                campaign.grid = Some(PathBuf::from(
-                    args.next().ok_or("missing value for --grid")?,
-                ));
-            }
-            "--ns" => {
-                campaign.ns = parse_list(&args.next().ok_or("missing value for --ns")?, "n")?;
-            }
-            "--ph-orders" => {
-                campaign.ph_orders = parse_list(
-                    &args.next().ok_or("missing value for --ph-orders")?,
-                    "ph order",
-                )?;
-            }
-            "--service-scales" => {
-                campaign.service_scales = parse_list(
-                    &args.next().ok_or("missing value for --service-scales")?,
-                    "service scale",
-                )?;
-            }
-            "--net-scales" => {
-                campaign.net_scales = parse_list(
-                    &args.next().ok_or("missing value for --net-scales")?,
-                    "net scale",
-                )?;
-            }
-            "--backends" => {
-                campaign.backends = parse_list(
-                    &args.next().ok_or("missing value for --backends")?,
-                    "backend",
-                )?;
-            }
+            "--grid" => campaign.grid = Some(value(a, &flag)?),
+            "--ns" => campaign.ns = list(a, &flag, "n")?,
+            "--ph-orders" => campaign.ph_orders = list(a, &flag, "ph order")?,
+            "--service-scales" => campaign.service_scales = list(a, &flag, "service scale")?,
+            "--net-scales" => campaign.net_scales = list(a, &flag, "net scale")?,
+            "--backends" => campaign.backends = list(a, &flag, "backend")?,
             "--verify-cold" => campaign.verify_cold = true,
             "--fallback" => ph.fallback = true,
-            "--checkpoint" => {
-                campaign.checkpoint = Some(PathBuf::from(
-                    args.next().ok_or("missing value for --checkpoint")?,
-                ));
-            }
+            "--checkpoint" => campaign.checkpoint = Some(value(a, &flag)?),
             "--resume" => campaign.resume = true,
-            "--failpoints" => {
-                failpoints = Some(args.next().ok_or("missing value for --failpoints")?);
-            }
-            "--failpoint-seed" => {
-                failpoint_seed = args
-                    .next()
-                    .ok_or("missing value for --failpoint-seed")?
-                    .parse::<u64>()
-                    .map_err(|e| e.to_string())?;
-            }
-            "--measure" => {
-                campaign.measure = args
-                    .next()
-                    .ok_or("missing value for --measure")?
-                    .parse::<u32>()
-                    .map_err(|e| e.to_string())?;
-            }
-            "--scale" => {
-                scale = args.next().ok_or("missing value for --scale")?.parse()?;
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .ok_or("missing value for --seed")?
-                    .parse::<u64>()
-                    .map_err(|e| e.to_string())?;
-            }
-            "--out" => {
-                out = PathBuf::from(args.next().ok_or("missing value for --out")?);
-            }
-            "--ph-order" => {
-                ph.ph_order = args
-                    .next()
-                    .ok_or("missing value for --ph-order")?
-                    .parse::<u32>()
-                    .map_err(|e| e.to_string())?;
-            }
-            "--threads" => {
-                ph.threads = args
-                    .next()
-                    .ok_or("missing value for --threads")?
-                    .parse::<usize>()
-                    .map_err(|e| e.to_string())?;
-            }
-            "--n" => {
-                ph.n = Some(
-                    args.next()
-                        .ok_or("missing value for --n")?
-                        .parse::<usize>()
-                        .map_err(|e| e.to_string())?,
-                );
-            }
-            "--solver" => {
-                ph.backend = args.next().ok_or("missing value for --solver")?.parse()?;
-            }
-            "--generator" => {
-                ph.generator = args
-                    .next()
-                    .ok_or("missing value for --generator")?
-                    .parse()?;
-            }
+            "--failpoints" => failpoints = Some(value(a, &flag)?),
+            "--failpoint-seed" => failpoint_seed = value(a, &flag)?,
+            "--measure" => campaign.measure = value(a, &flag)?,
+            "--scale" => scale = value(a, &flag)?,
+            "--seed" => seed = value(a, &flag)?,
+            "--out" => out = value(a, &flag)?,
+            "--ph-order" => ph.ph_order = value(a, &flag)?,
+            "--threads" => ph.threads = value(a, &flag)?,
+            "--n" => ph.n = Some(value(a, &flag)?),
+            "--solver" => ph.backend = value(a, &flag)?,
+            "--generator" => ph.generator = value(a, &flag)?,
             "--spill-budget" => {
-                ph.spill_budget = Some(ctsim_experiments::parse_size(
-                    &args.next().ok_or("missing value for --spill-budget")?,
-                )?);
+                ph.spill_budget = Some(ctsim_experiments::parse_size(&value::<String>(a, &flag)?)?);
             }
-            "--dedup" => {
-                ph.dedup = args.next().ok_or("missing value for --dedup")?.parse()?;
-            }
-            "--trace" => {
-                trace = Some(PathBuf::from(
-                    args.next().ok_or("missing value for --trace")?,
-                ));
-            }
-            "--metrics" => {
-                metrics = Some(PathBuf::from(
-                    args.next().ok_or("missing value for --metrics")?,
-                ));
-            }
+            "--dedup" => ph.dedup = value(a, &flag)?,
+            "--trace" => trace = Some(value(a, &flag)?),
+            "--metrics" => metrics = Some(value(a, &flag)?),
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
     }
@@ -259,7 +192,9 @@ fn usage() -> String {
      [--trace FILE.json] [--metrics FILE.json] \
      [--grid FILE.csv] [--ns LIST] [--ph-orders LIST] [--service-scales LIST] \
      [--net-scales LIST] [--backends LIST] [--verify-cold] [--measure EXECUTIONS] \
-     [--fallback] [--checkpoint FILE] [--resume] [--failpoints SPEC] [--failpoint-seed N]"
+     [--fallback] [--checkpoint FILE] [--resume] [--failpoints SPEC] [--failpoint-seed N]\n\
+     --threads T: workers (0 = all cores) for analytic and campaign, and for the measurement \
+     campaigns of fig7a/fig8/fig9a/fig9b/table1; results do not depend on it"
         .to_string()
 }
 
@@ -385,7 +320,7 @@ fn run_commands(args: &Args) -> i32 {
     }
 
     let need_f7a = want("fig7a") || want("fig7b");
-    let f7a = need_f7a.then(|| fig7::run_fig7a(args.scale, args.seed));
+    let f7a = need_f7a.then(|| fig7::run_fig7a(args.scale, args.seed, args.ph.threads));
 
     if want("fig7a") {
         ran = true;
@@ -431,7 +366,7 @@ fn run_commands(args: &Args) -> i32 {
     if want("table1") {
         ran = true;
         let f6 = f6.as_ref().expect("computed above");
-        let t1 = table1::run(args.scale, args.seed, f6);
+        let t1 = table1::run(args.scale, args.seed, f6, args.ph.threads);
         println!("{}", t1.render());
         out.csv(
             "table1.csv",
@@ -450,7 +385,7 @@ fn run_commands(args: &Args) -> i32 {
     }
 
     let need_f8 = want("fig8") || want("fig9a") || want("fig9b");
-    let f8 = need_f8.then(|| fig8::run(args.scale, args.seed));
+    let f8 = need_f8.then(|| fig8::run(args.scale, args.seed, args.ph.threads));
 
     if want("fig8") {
         ran = true;

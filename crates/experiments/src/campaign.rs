@@ -17,10 +17,10 @@
 //! point, which the CI campaign gate checks *bit for bit* on all three
 //! backends.
 //!
-//! Structural groups are independent, so they run on parallel workers;
-//! points inside a group run sequentially (they hand the one graph down
-//! the chain). Rows stream to stderr as points finish and are reported
-//! sorted deterministically.
+//! Structural groups are independent, so they are the jobs of one
+//! [`ctsim_stoch::fan_out`]; points inside a group run sequentially
+//! (they hand the one graph down the chain). Rows stream to stderr as
+//! points finish and are reported sorted deterministically.
 //!
 //! If a rate change *does* alter the expansion shape (e.g. scaling a
 //! bi-modal network delay perturbs its hyper-Erlang branch
@@ -34,7 +34,6 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -668,7 +667,8 @@ pub fn grid(opts: &CampaignOptions) -> Result<Vec<PointSpec>, CampaignError> {
 ///
 /// # Errors
 /// A typed [`CampaignError`]: grid problems, the first failing point
-/// (wrapping its [`SolveError`]), or checkpoint I/O.
+/// of the lowest-index failing group (wrapping its [`SolveError`]), or
+/// checkpoint I/O. Every group runs, also after another one failed.
 pub fn run_with(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignError> {
     let _run_span = ctsim_obs::span("experiment", "campaign").arg("threads", opts.threads);
     let specs = grid(opts)?;
@@ -737,66 +737,30 @@ pub fn run_with(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignE
         points.sort_by(PointSpec::order);
     }
 
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let workers = groups
-        .len()
-        .min(if opts.threads == 0 {
-            cores
-        } else {
-            opts.threads
-        })
-        .max(1);
+    let workers = ctsim_stoch::resolve_threads(opts.threads).min(groups.len());
     // One group keeps the solve parallel; concurrent groups already
     // saturate the machine, so their solves stay single-threaded.
     let solve_threads = if workers == 1 { opts.threads } else { 1 };
 
-    let done = Mutex::new(Tally::default());
-    let errors = Mutex::new(Vec::<CampaignError>::new());
-    let next = AtomicUsize::new(0);
     let start = Instant::now();
-    let groups = &groups;
-    let done_ref = &done;
-    let errors_ref = &errors;
-    let next_ref = &next;
-    let journal_ref = journal.as_ref();
-    let resumed_ref = &resumed;
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(move || loop {
-                let g = next_ref.fetch_add(1, Ordering::SeqCst);
-                let Some((_, points)) = groups.get(g) else {
-                    break;
-                };
-                match run_group(points, solve_threads, opts, journal_ref, resumed_ref) {
-                    Ok(group) => {
-                        let mut done = done_ref.lock().expect("campaign rows poisoned");
-                        done.rows.extend(group.rows);
-                        done.cache_hits += group.cache_hits;
-                        done.cache_misses += group.cache_misses;
-                    }
-                    Err(e) => {
-                        errors_ref.lock().expect("campaign errors poisoned").push(e);
-                        break;
-                    }
-                }
-            });
-        }
-    });
+    let journal = journal.as_ref();
+    let tallies = ctsim_stoch::fan_out(
+        groups.len(),
+        workers,
+        || (),
+        |_, g| run_group(&groups[g].1, solve_threads, opts, journal, &resumed),
+    );
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    // Several workers can fail concurrently; surface one error
-    // deterministically (sorted by rendering, not by race order).
-    let mut errors = errors.into_inner().expect("campaign errors poisoned");
-    if !errors.is_empty() {
-        errors.sort_by_key(|e| e.to_string());
-        return Err(errors.remove(0));
+    // Several groups can fail; the lowest-index one is reported, so the
+    // error does not depend on the thread count.
+    let (mut rows, mut cache_hits, mut cache_misses) = (Vec::new(), 0, 0);
+    for tally in tallies {
+        let tally = tally?;
+        rows.extend(tally.rows);
+        cache_hits += tally.cache_hits;
+        cache_misses += tally.cache_misses;
     }
-
-    let Tally {
-        mut rows,
-        cache_hits,
-        cache_misses,
-    } = done.into_inner().expect("campaign rows poisoned");
     rows.sort_by(|a, b| a.spec.order(&b.spec));
 
     let mut measured = Vec::new();
@@ -824,7 +788,7 @@ pub fn run_with(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignE
     })
 }
 
-/// What a worker hands back: solved rows, and how often a point found
+/// What a group hands back: solved rows, and how often a point found
 /// its group's graph already explored.
 #[derive(Default)]
 struct Tally {

@@ -9,7 +9,7 @@
 //!   simulations.
 
 use ctsim_models::latency_replications;
-use ctsim_stoch::Ecdf;
+use ctsim_stoch::{fan_out, Ecdf};
 use ctsim_testbed::TestbedConfig;
 
 use crate::fig6::Fig6;
@@ -67,12 +67,16 @@ pub struct Fig7b {
     pub best_t_send: f64,
 }
 
-/// Runs Fig. 7(a).
-pub fn run_fig7a(scale: Scale, seed: u64) -> Fig7a {
-    let rows = scale
-        .measurement_ns()
-        .iter()
-        .map(|&n| {
+/// Runs Fig. 7(a), one campaign per n on `threads` workers (0 = all
+/// cores).
+pub fn run_fig7a(scale: Scale, seed: u64, threads: usize) -> Fig7a {
+    let ns = scale.measurement_ns();
+    let rows = fan_out(
+        ns.len(),
+        threads,
+        || (),
+        |_, i| {
+            let n = ns[i];
             let r = run_campaign(&TestbedConfig::class1(n, scale.executions(), seed));
             MeasuredLatency {
                 n,
@@ -80,8 +84,8 @@ pub fn run_fig7a(scale: Scale, seed: u64) -> Fig7a {
                 ci90: r.ci90(),
                 ecdf: Ecdf::new(r.latencies_ms),
             }
-        })
-        .collect();
+        },
+    );
     Fig7a { rows }
 }
 
@@ -178,7 +182,7 @@ mod tests {
 
     #[test]
     fn fig7a_quick_has_growing_means_and_full_cdfs() {
-        let f = run_fig7a(Scale::Quick, 7);
+        let f = run_fig7a(Scale::Quick, 7, 1);
         assert_eq!(f.rows.len(), 2); // quick scale: n = 3, 5
         assert!(f.rows[0].mean < f.rows[1].mean);
         for r in &f.rows {
@@ -194,7 +198,7 @@ mod tests {
     #[test]
     fn fig7b_sweep_means_increase_with_t_send_and_match_measurement() {
         let fig6 = crate::fig6::run(Scale::Quick, 3);
-        let f7a = run_fig7a(Scale::Quick, 3);
+        let f7a = run_fig7a(Scale::Quick, 3, 1);
         let measured = f7a.rows.iter().find(|r| r.n == 5).unwrap().clone();
         let f = run_fig7b(Scale::Quick, 3, &fig6, measured);
         assert_eq!(f.sweep.len(), PAPER_TSEND_SWEEP.len());

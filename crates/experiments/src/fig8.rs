@@ -14,8 +14,8 @@
 //!   (`> 190 ms` at `T = 40`, `> 5000 ms` at `T = 100`);
 //! * `T_M` stays bounded (`< 12 ms`) for all `T`.
 
-use ctsim_stoch::OnlineStats;
-use ctsim_testbed::TestbedConfig;
+use ctsim_stoch::{fan_out, OnlineStats};
+use ctsim_testbed::{CampaignResult, TestbedConfig};
 
 use crate::run_campaign;
 use crate::scale::Scale;
@@ -55,24 +55,26 @@ pub struct Fig8 {
     pub points: Vec<QosPoint>,
 }
 
-/// Runs one (n, T) setting.
-pub fn run_point(scale: Scale, seed: u64, n: usize, timeout: f64) -> QosPoint {
+/// Run `r` of the (n, T) setting, seeded from `(seed, r, n)` alone.
+fn run_one(scale: Scale, seed: u64, n: usize, timeout: f64, r: usize) -> CampaignResult {
+    run_campaign(&TestbedConfig::class3(
+        n,
+        scale.qos_executions(),
+        timeout,
+        seed ^ (0x9e37 * (r as u64 + 1)) ^ ((n as u64) << 32),
+    ))
+}
+
+/// Folds the runs of one (n, T) setting, in run order.
+fn fold(n: usize, timeout: f64, runs: &[CampaignResult]) -> QosPoint {
     let mut t_mr = OnlineStats::new();
     let mut t_m = OnlineStats::new();
     let mut lat = OnlineStats::new();
     let mut undecided = 0usize;
     let mut total = 0usize;
     let mut with_mistakes = 0u32;
-    let runs = scale.qos_runs();
-    for r in 0..runs {
-        let cfg = TestbedConfig::class3(
-            n,
-            scale.qos_executions(),
-            timeout,
-            seed ^ (0x9e37 * (r as u64 + 1)) ^ ((n as u64) << 32),
-        );
-        let res = run_campaign(&cfg);
-        let qos = res.qos.expect("class 3 produces QoS");
+    for res in runs {
+        let qos = res.qos.as_ref().expect("class 3 produces QoS");
         if qos.pairs_with_mistakes > 0 && qos.t_mr.is_finite() {
             t_mr.push(qos.t_mr);
             t_m.push(qos.t_m);
@@ -99,18 +101,45 @@ pub fn run_point(scale: Scale, seed: u64, n: usize, timeout: f64) -> QosPoint {
         latency_ci90: lat.ci_half_width(0.90),
         undecided_frac: undecided as f64 / total.max(1) as f64,
         runs_with_mistakes: with_mistakes,
-        runs,
+        runs: runs.len() as u32,
     }
 }
 
-/// Runs the full Fig. 8 sweep.
-pub fn run(scale: Scale, seed: u64) -> Fig8 {
-    let mut points = Vec::new();
-    for &n in scale.measurement_ns() {
-        for &t in scale.timeout_grid() {
-            points.push(run_point(scale, seed, n, t));
-        }
-    }
+/// Runs one (n, T) setting, its runs on `threads` workers (0 = all
+/// cores); the point is the same at every thread count.
+pub fn run_point(scale: Scale, seed: u64, n: usize, timeout: f64, threads: usize) -> QosPoint {
+    let runs = fan_out(
+        scale.qos_runs() as usize,
+        threads,
+        || (),
+        |_, r| run_one(scale, seed, n, timeout, r),
+    );
+    fold(n, timeout, &runs)
+}
+
+/// Runs the full Fig. 8 sweep: every run of every (n, T) setting is one
+/// job of a single fan-out on `threads` workers (0 = all cores).
+pub fn run(scale: Scale, seed: u64, threads: usize) -> Fig8 {
+    let settings: Vec<(usize, f64)> = scale
+        .measurement_ns()
+        .iter()
+        .flat_map(|&n| scale.timeout_grid().iter().map(move |&t| (n, t)))
+        .collect();
+    let per = scale.qos_runs() as usize;
+    let runs = fan_out(
+        settings.len() * per,
+        threads,
+        || (),
+        |_, j| {
+            let (n, t) = settings[j / per];
+            run_one(scale, seed, n, t, j % per)
+        },
+    );
+    let points = settings
+        .iter()
+        .zip(runs.chunks(per))
+        .map(|(&(n, t), runs)| fold(n, t, runs))
+        .collect();
     Fig8 { points }
 }
 
@@ -151,8 +180,8 @@ mod tests {
 
     #[test]
     fn qos_point_shapes_at_small_and_large_t() {
-        let small = run_point(Scale::Quick, 11, 3, 3.0);
-        let large = run_point(Scale::Quick, 11, 3, 100.0);
+        let small = run_point(Scale::Quick, 11, 3, 3.0, 1);
+        let large = run_point(Scale::Quick, 11, 3, 100.0, 1);
         // Small T: constant mistakes with short recurrence.
         assert_eq!(small.runs_with_mistakes, small.runs);
         assert!(small.t_mr < 100.0, "T_MR {}", small.t_mr);
@@ -168,8 +197,8 @@ mod tests {
 
     #[test]
     fn latency_decreases_from_small_to_large_t() {
-        let small = run_point(Scale::Quick, 13, 3, 1.0);
-        let large = run_point(Scale::Quick, 13, 3, 100.0);
+        let small = run_point(Scale::Quick, 13, 3, 1.0, 1);
+        let large = run_point(Scale::Quick, 13, 3, 100.0, 1);
         assert!(
             small.latency > large.latency,
             "fig9a trend: {} !> {}",

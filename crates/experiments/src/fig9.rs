@@ -153,8 +153,8 @@ mod tests {
         let fig6 = crate::fig6::run(Scale::Quick, 17);
         // A mini-sweep with just the extremes.
         let points = vec![
-            fig8::run_point(Scale::Quick, 17, 3, 1.0),
-            fig8::run_point(Scale::Quick, 17, 3, 100.0),
+            fig8::run_point(Scale::Quick, 17, 3, 1.0, 1),
+            fig8::run_point(Scale::Quick, 17, 3, 100.0, 1),
         ];
         let f8 = Fig8 { points };
         let f9 = run_fig9b(Scale::Quick, 17, &fig6, &f8);

@@ -13,6 +13,7 @@
 //!   message*, does not show the n = 3 anomaly.
 
 use ctsim_models::latency_replications;
+use ctsim_stoch::fan_out;
 use ctsim_testbed::{CrashScenario, TestbedConfig};
 
 use crate::fig6::Fig6;
@@ -60,35 +61,47 @@ pub struct Table1 {
     pub rows: Vec<Table1Row>,
 }
 
-/// Runs the Table 1 campaigns and simulations.
-pub fn run(scale: Scale, seed: u64, fig6: &Fig6) -> Table1 {
-    let mut rows = Vec::new();
-    for scenario in [
+/// Runs the Table 1 campaigns and simulations. The measurement
+/// campaigns fan out to `threads` workers (0 = all cores); the
+/// simulations follow one by one, each replicated on every core.
+pub fn run(scale: Scale, seed: u64, fig6: &Fig6, threads: usize) -> Table1 {
+    let scenarios = [
         CrashScenario::None,
         CrashScenario::Coordinator,
         CrashScenario::Participant,
-    ] {
-        for &n in scale.measurement_ns() {
+    ];
+    let ns = scale.measurement_ns();
+    let cell = |i: usize| (scenarios[i / ns.len()], ns[i % ns.len()]);
+    let meas = fan_out(
+        scenarios.len() * ns.len(),
+        threads,
+        || (),
+        |_, i| {
+            let (scenario, n) = cell(i);
             let cfg = TestbedConfig::class2(n, scale.executions(), scenario, seed);
-            let meas = run_campaign(&cfg);
-            let sim = if scale.simulation_ns().contains(&n) {
-                let mut params = fig6.san_params(n, 0.025);
-                if let Some(idx) = scenario.crashed_index() {
-                    params = params.with_crash(idx);
-                }
-                let reps = latency_replications(&params, scale.san_reps(), seed, 10_000.0);
-                Some(reps.mean())
-            } else {
-                None
-            };
-            rows.push(Table1Row {
-                scenario,
-                n,
-                meas: meas.mean(),
-                meas_ci90: meas.ci90(),
-                sim,
-            });
-        }
+            run_campaign(&cfg)
+        },
+    );
+    let mut rows = Vec::new();
+    for (i, meas) in meas.iter().enumerate() {
+        let (scenario, n) = cell(i);
+        let sim = if scale.simulation_ns().contains(&n) {
+            let mut params = fig6.san_params(n, 0.025);
+            if let Some(idx) = scenario.crashed_index() {
+                params = params.with_crash(idx);
+            }
+            let reps = latency_replications(&params, scale.san_reps(), seed, 10_000.0);
+            Some(reps.mean())
+        } else {
+            None
+        };
+        rows.push(Table1Row {
+            scenario,
+            n,
+            meas: meas.mean(),
+            meas_ci90: meas.ci90(),
+            sim,
+        });
     }
     Table1 { rows }
 }
@@ -140,7 +153,7 @@ mod tests {
     #[test]
     fn table1_reproduces_the_papers_orderings() {
         let fig6 = crate::fig6::run(Scale::Quick, 5);
-        let t = run(Scale::Quick, 5, &fig6);
+        let t = run(Scale::Quick, 5, &fig6, 1);
         for &n in [3usize, 5].iter() {
             let none = t.row(CrashScenario::None, n).unwrap();
             let coord = t.row(CrashScenario::Coordinator, n).unwrap();

@@ -31,3 +31,23 @@ fn unwritable_trace_path_is_an_error_not_a_panic() {
     assert!(stderr.contains("error: writing trace"), "{stderr}");
     assert!(!stderr.contains("panicked at"), "{stderr}");
 }
+
+/// A bad command line is a usage error: its message on stderr and exit
+/// code 2, never a panic.
+#[test]
+fn bad_flags_are_usage_errors_not_panics() {
+    for (args, message) in [
+        (&["fig6", "--threads"][..], "missing value for --threads"),
+        (&["fig6", "--threads", "x"][..], "invalid digit found"),
+        (&["fig6", "--bogus"][..], "unknown flag `--bogus`"),
+    ] {
+        let run = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
+    }
+}

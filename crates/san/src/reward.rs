@@ -7,8 +7,6 @@
 //! each with its own RNG substream, reduced to a scalar by a caller
 //! reward function.
 
-use std::sync::Mutex;
-
 use ctsim_stoch::{OnlineStats, SimRng};
 
 use crate::model::SanModel;
@@ -39,9 +37,9 @@ impl Replications {
     }
 }
 
-/// Replications handed to a worker at a time. Small enough that a slow
+/// Replications in one job of the fan-out. Small enough that a slow
 /// core costs the run at most one block of waiting, large enough that
-/// the hand-out lock and the per-block telemetry are noise.
+/// the job hand-out and the per-block telemetry are noise.
 const BLOCK: usize = 64;
 
 /// Runs `reps` independent replications of `model`.
@@ -52,32 +50,26 @@ const BLOCK: usize = 64;
 /// closure drives the run (typically via [`Simulator::run_until`]) and
 /// returns the scalar to record, or `None` to discard the replication.
 ///
-/// Replications are handed out to `std::thread` workers in blocks of 64
-/// consecutive indices, a worker taking the next block whenever it
-/// finishes one, so an uneven host slows the run by at most one block
-/// instead of by its slowest share. Each worker keeps one
+/// Replications run on every core through [`ctsim_stoch::fan_out`], one
+/// job per block of 64 consecutive indices. Each worker keeps one
 /// simulator and [`Simulator::reset`]s it between replications — after
-/// the first, a replication allocates nothing — and writes each result
-/// into the slot of its index in one pre-sized vector. Because every
+/// the first, a replication allocates nothing. Because every
 /// replication derives its RNG purely from `(seed, index)`, starts from
-/// a reset simulator, and lands in its own slot, the outcome is
-/// bit-identical to a sequential loop over new simulators, whatever the
-/// worker count, the block-to-worker assignment or the scheduling.
+/// a reset simulator, and the fan-out returns blocks in index order,
+/// the outcome is bit-identical to a sequential loop over new
+/// simulators, whatever the worker count or the scheduling.
 pub fn replicate(
     model: &SanModel,
     reps: usize,
     seed: u64,
     reward: impl Fn(&mut Simulator<'_>) -> Option<f64> + Sync,
 ) -> Replications {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    replicate_on(workers, model, reps, seed, |_, sim| reward(sim))
+    replicate_on(0, model, reps, seed, |_, sim| reward(sim))
 }
 
-/// [`replicate`] on at most `workers` threads, with the replication
-/// index passed to `reward` — the seam the tests use to show that
-/// neither changes a sample.
+/// [`replicate`] on at most `workers` threads (0 = all cores), with the
+/// replication index passed to `reward` — the seam the tests use to
+/// show that neither changes a sample.
 fn replicate_on(
     workers: usize,
     model: &SanModel,
@@ -86,65 +78,53 @@ fn replicate_on(
     reward: impl Fn(usize, &mut Simulator<'_>) -> Option<f64> + Sync,
 ) -> Replications {
     let root = SimRng::new(seed);
-    let workers = workers.min(reps.div_ceil(BLOCK)).max(1);
+    let blocks = reps.div_ceil(BLOCK);
     let _span = ctsim_obs::span("sim", "replicate")
         .arg("reps", reps)
-        .arg("workers", workers);
-    let mut results: Vec<Option<f64>> = vec![None; reps];
-    let blocks = Mutex::new(results.chunks_mut(BLOCK).enumerate());
-    // One `replication_batch` span and one counter update per block —
-    // the unit of work a replication worker takes.
-    let work = || {
+        .arg("workers", ctsim_stoch::resolve_threads(workers).min(blocks));
+    // One `replication_batch` span and one counter update per block.
+    let results = ctsim_stoch::fan_out(
+        blocks,
+        workers,
         // Seeded per replication, by `reset`.
-        let mut sim = Simulator::new(model, root.clone());
-        loop {
-            let next = blocks
-                .lock()
-                .expect("taking a block cannot panic, so the lock is never poisoned")
-                .next();
-            let Some((block, slots)) = next else {
-                return;
-            };
-            let lo = block * BLOCK;
+        || Simulator::new(model, root.clone()),
+        |sim, block| {
+            let (lo, hi) = (block * BLOCK, ((block + 1) * BLOCK).min(reps));
             let t0 = if ctsim_obs::enabled() {
                 ctsim_obs::now_us()
             } else {
                 0
             };
             let (mut completions, mut evals, mut visits) = (0, 0, 0);
-            for (i, slot) in (lo..).zip(slots.iter_mut()) {
-                sim.reset(root.substream(i as u64));
-                *slot = reward(i, &mut sim);
-                let (c, e, v) = sim.work_counts();
-                completions += c;
-                evals += e;
-                visits += v;
-            }
+            let slots: Vec<Option<f64>> = (lo..hi)
+                .map(|i| {
+                    sim.reset(root.substream(i as u64));
+                    let r = reward(i, sim);
+                    let (c, e, v) = sim.work_counts();
+                    completions += c;
+                    evals += e;
+                    visits += v;
+                    r
+                })
+                .collect();
             if ctsim_obs::enabled() {
                 ctsim_obs::record_span(
                     "sim",
                     "replication_batch",
                     t0,
-                    vec![("lo", lo.into()), ("hi", (lo + slots.len()).into())],
+                    vec![("lo", lo.into()), ("hi", hi.into())],
                 );
                 ctsim_obs::counter_add("sim.completions", completions);
                 ctsim_obs::counter_add("sim.enabling_evals", evals);
                 ctsim_obs::counter_add("sim.dependent_visits", visits);
             }
-        }
-    };
-    // The calling thread is one of the workers; the scope joins the
-    // others and passes a worker's panic on.
-    std::thread::scope(|scope| {
-        for _ in 1..workers {
-            scope.spawn(work);
-        }
-        work();
-    });
+            slots
+        },
+    );
     let mut stats = OnlineStats::new();
     let mut samples = Vec::with_capacity(reps);
     let mut discarded = 0;
-    for r in results {
+    for r in results.into_iter().flatten() {
         match r {
             Some(x) => {
                 stats.push(x);

@@ -691,7 +691,7 @@ pub(super) fn explore<'m>(
     // first met during exploration can restart it.
     let mut layout = StateLayout::new(model.initial_marking().tokens(), &expansion.phase_maxes());
     let mut restarts = 0u64;
-    let workers = crate::spmv::resolve_threads(opts.threads);
+    let workers = ctsim_stoch::resolve_threads(opts.threads);
     // External-memory dedup from level 0 when forced.
     let mut external = opts
         .spill

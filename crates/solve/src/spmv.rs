@@ -16,17 +16,6 @@ use crate::ctmc::Ctmc;
 /// and join overhead dwarfs the arithmetic.
 const PARALLEL_THRESHOLD: usize = 1 << 13;
 
-/// Resolves a thread-count knob the way the exploration engine does:
-/// `0` means one worker per available core.
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    match threads {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        t => t,
-    }
-}
-
 /// Contiguous `(lo, hi)` output ranges for up to `workers` shards,
 /// balanced by the entry counts in `ptr` (a CSR offset array of length
 /// `n + 1`): shard `k` ends where the prefix entry count first reaches
@@ -71,7 +60,7 @@ where
 {
     let n = out.len();
     debug_assert_eq!(ptr.len(), n + 1);
-    let workers = resolve_threads(threads).min(n.max(1));
+    let workers = ctsim_stoch::resolve_threads(threads).min(n.max(1));
     if ctsim_obs::enabled() {
         ctsim_obs::counter_add("spmv.products", 1);
     }

@@ -15,7 +15,8 @@
 //! * phase-type (hyper-Erlang) moment matching, which the analytic
 //!   solver uses to Markovianize deterministic and bi-modal stages
 //!   ([`PhaseType`]),
-//! * reproducible, splittable RNG streams ([`SimRng`]).
+//! * reproducible, splittable RNG streams ([`SimRng`]) and the seeded
+//!   fan-out of independent jobs over worker threads ([`fan_out`]).
 //!
 //! All durations handled by this crate are `f64` **milliseconds** — the
 //! unit the paper uses throughout; conversion to integer simulation time
@@ -29,5 +30,5 @@ pub mod stats;
 
 pub use dist::Dist;
 pub use phase::{PhBranch, PhaseType};
-pub use rng::SimRng;
+pub use rng::{fan_out, resolve_threads, SimRng};
 pub use stats::{BatchMeans, Ecdf, Histogram, OnlineStats};

@@ -9,6 +9,11 @@
 //! state-seeded through SplitMix64 — no external crates, so the
 //! workspace builds in offline environments. Determinism of a run
 //! depends only on the seed and the sequence of draws.
+//!
+//! [`fan_out`] runs jobs seeded from `(seed, index)` on threads and
+//! returns their results by index, so a sweep is the same at any width.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A seedable, splittable RNG for simulations.
 #[derive(Debug, Clone)]
@@ -127,6 +132,60 @@ impl SimRng {
     }
 }
 
+/// Resolves a worker-count knob: `0` means one worker per available
+/// core, any other value is taken as given.
+pub fn resolve_threads(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        t => t,
+    }
+}
+
+/// Runs jobs `0..jobs` on up to `workers` threads (`0` = all cores, see
+/// [`resolve_threads`]; never more threads than jobs, the calling
+/// thread being one) and returns their results in index order.
+///
+/// Each worker builds one state with `init`, passes it to every job it
+/// runs and takes the next unclaimed index until none is left, so an
+/// uneven host slows the run by at most one job. A job's result depends
+/// only on its index and what `job` captures, so the vector is the same
+/// at every worker count. A panicking job panics the call.
+pub fn fan_out<S, T: Send>(
+    jobs: usize,
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    job: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = resolve_threads(workers).min(jobs);
+    if workers == 0 {
+        return Vec::new();
+    }
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut state = init();
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter only hands out indices; results reach
+            // the caller through the joins.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                return done;
+            }
+            done.push((i, job(&mut state, i)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let others: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for h in others {
+            done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, t)| t).collect()
+}
+
 fn mix(a: u64, b: u64) -> u64 {
     // SplitMix64 finalizer over the xor of the inputs with distinct
     // multiplicative constants; good avalanche, cheap, stable.
@@ -142,6 +201,72 @@ fn mix(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fan_out_returns_results_in_index_order() {
+        // Jobs of uneven length, so workers finish out of order.
+        let draw = |i: usize| {
+            let mut r = SimRng::new(3).substream(i as u64);
+            for _ in 0..(i % 7) * 1000 {
+                r.next_u64();
+            }
+            (i, r.next_u64())
+        };
+        let want: Vec<_> = (0..100).map(draw).collect();
+        for workers in [1, 2, 8] {
+            assert_eq!(
+                fan_out(100, workers, || (), |_, i| draw(i)),
+                want,
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn fan_out_inits_once_per_worker_and_never_more_workers_than_jobs() {
+        for (jobs, workers, want) in [(50, 1, 1), (50, 2, 2), (50, 8, 8), (3, 8, 3), (1, 0, 1)] {
+            let inits = AtomicUsize::new(0);
+            let out = fan_out(
+                jobs,
+                workers,
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, i| i,
+            );
+            assert_eq!(out, (0..jobs).collect::<Vec<_>>());
+            assert_eq!(inits.into_inner(), want, "{jobs} jobs on {workers}");
+        }
+        // A worker's state persists from job to job: on one worker, the
+        // n-th job sees the n-1 jobs before it.
+        let seen = fan_out(10, 1, || 0, |count, _| std::mem::replace(count, *count + 1));
+        assert_eq!(seen, (0..10).collect::<Vec<_>>());
+        let inits = AtomicUsize::new(0);
+        let none: Vec<()> = fan_out(0, 8, || inits.fetch_add(1, Ordering::Relaxed), |_, _| ());
+        assert!(none.is_empty());
+        assert_eq!(inits.into_inner(), 0);
+    }
+
+    #[test]
+    fn fan_out_propagates_a_job_panic() {
+        for workers in [1, 2, 8] {
+            let r = std::panic::catch_unwind(|| {
+                fan_out(
+                    20,
+                    workers,
+                    || (),
+                    |_, i| {
+                        assert_ne!(i, 13, "job 13 fails");
+                        i
+                    },
+                )
+            });
+            let msg = r.expect_err("the panic must reach the caller");
+            let msg = msg
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(msg.contains("job 13 fails"), "{workers} workers: {msg:?}");
+        }
+    }
 
     #[test]
     fn same_seed_same_stream() {

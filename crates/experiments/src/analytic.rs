@@ -25,8 +25,8 @@ use std::time::Instant;
 use ctsim_models::{build_model, latency_replications, SanParams};
 use ctsim_san::Replications;
 use ctsim_solve::{
-    extrapolated_mean, AnalyticRun, DedupMode, GeneratorBackend, SolveError, SolveOptions,
-    SolverBackend, SpillOptions,
+    extrapolated_mean, AnalyticRun, DedupMode, SolveError, SolveOptions, SolverBackend,
+    SpillOptions,
 };
 use ctsim_testbed::CrashScenario;
 
@@ -55,11 +55,6 @@ pub struct AnalyticOptions {
     /// on the same means — the `backends_agree_on_the_overlay_means`
     /// test gates their agreement to ≤ 1e-6 relative.
     pub backend: SolverBackend,
-    /// Which generator representation the solve iterates on (`repro
-    /// analytic --generator csr|kron`). Both must land on the same
-    /// means — the CI `generator-agreement` job gates them to ≤ 1e-6
-    /// relative.
-    pub generator: GeneratorBackend,
     /// RAM budget (bytes) for the exploration's and solve's bulk
     /// arrays — the transition arena, the packed states, the CSR
     /// entries, and (under [`DedupMode::Auto`]) the intern table's
@@ -88,7 +83,6 @@ impl Default for AnalyticOptions {
             threads: 0,
             n: None,
             backend: SolverBackend::default(),
-            generator: GeneratorBackend::default(),
             spill_budget: None,
             dedup: DedupMode::default(),
             fallback: false,
@@ -115,10 +109,11 @@ pub struct AnalyticRow {
     /// excluding exploration and the CDF grid. This is what
     /// `--solver` trades off; 0 when the row was skipped.
     pub solve_ms: f64,
-    /// Which backend produced the analytic columns.
+    /// Which backend produced the analytic columns: the order-K solve's
+    /// [`AnalyticOutcome::solved_by`](ctsim_solve::AnalyticOutcome), so
+    /// a `--fallback` substitute shows here. A skipped row keeps the
+    /// requested backend.
     pub backend: SolverBackend,
-    /// Which generator representation the solve iterated on.
-    pub generator: GeneratorBackend,
     /// Tangible states of the underlying CTMC (0 when skipped).
     pub states: usize,
     /// Analytic latency CDF points `(t_ms, P(latency ≤ t))`.
@@ -226,6 +221,9 @@ struct Solved {
     /// Wall-clock of the mean solves alone (no exploration, no CDF
     /// grid).
     solve_ms: f64,
+    /// The backend that produced `mean_ms` (the order-K mean of an
+    /// extrapolated row).
+    solved_by: SolverBackend,
 }
 
 /// Largest state space for which the overlay CDF is evaluated. The
@@ -249,7 +247,6 @@ fn solve_options(
     params: &SanParams,
 ) -> SolveOptions {
     let mut opts = SolveOptions::ph_with_backend(order, ph.threads, ph.backend);
-    opts.generator = ph.generator;
     opts.iter.fallback = ph.fallback;
     opts.reach.max_states = if ph.n.is_some() {
         params.recommended_max_states(order)
@@ -288,6 +285,7 @@ fn solve_mean_and_cdf(
         states: mean.states,
         cdf,
         solve_ms,
+        solved_by: mean.solved_by,
     })
 }
 
@@ -310,7 +308,6 @@ fn overlay_row(
         ph_raw_ms: None,
         solve_ms: 0.0,
         backend: ph.backend,
-        generator: ph.generator,
         states: 0,
         cdf: Vec::new(),
         sim_ms: reps.mean(),
@@ -324,6 +321,7 @@ fn overlay_row(
             row.analytic_ms = Some(solved.mean_ms);
             row.ph_raw_ms = solved.raw_ms;
             row.solve_ms = solved.solve_ms;
+            row.backend = solved.solved_by;
             row.states = solved.states;
             row.cdf = solved.cdf;
         }
@@ -483,12 +481,8 @@ impl Analytic {
             .rows
             .first()
             .map_or_else(|| SolverBackend::default().name(), |r| r.backend.name());
-        let generator = self.rows.first().map_or_else(
-            || GeneratorBackend::default().name(),
-            |r| r.generator.name(),
-        );
         s.push_str(&format!(
-            "Analytic overlay — exact solve vs simulation (ms), solver backend: {backend}, generator: {generator}\n"
+            "Analytic overlay — exact solve vs simulation (ms), solver backend: {backend}\n"
         ));
         s.push_str(
             "scenario           |  n | model | states | analytic | solve_ms |     sim |    ci90 | agree | engine\n",
@@ -604,34 +598,6 @@ mod tests {
                 assert!(b.engine_agrees(), "{backend}");
             }
         }
-    }
-
-    /// The matrix-free Kronecker generator reproduces the CSR overlay
-    /// means exactly: the in-process mirror of the CI
-    /// `generator-agreement` job, gated at the same 1e-6 relative
-    /// budget.
-    #[test]
-    fn generators_agree_on_the_overlay_means() {
-        let solve = |generator: GeneratorBackend| {
-            let opts = AnalyticOptions {
-                ph_order: 3,
-                threads: 2,
-                n: Some(2),
-                generator,
-                ..AnalyticOptions::default()
-            };
-            run_with(Scale::Quick, 11, &opts).unwrap()
-        };
-        let reference = solve(GeneratorBackend::Csr);
-        let a = solve(GeneratorBackend::Kron);
-        assert_eq!(a.rows.len(), reference.rows.len());
-        for (r, b) in reference.rows.iter().zip(&a.rows) {
-            let (rm, bm) = (r.analytic_ms.unwrap(), b.analytic_ms.unwrap());
-            assert!((rm - bm).abs() <= 1e-6 * rm.abs(), "kron: {bm} vs csr {rm}");
-            assert_eq!(b.generator, GeneratorBackend::Kron);
-            assert!(b.engine_agrees(), "kron n = {}", b.n);
-        }
-        assert!(a.render().contains("generator: kron"));
     }
 
     #[test]

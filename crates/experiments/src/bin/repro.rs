@@ -4,7 +4,7 @@
 //! repro <fig6|fig7a|fig7b|table1|fig8|fig9a|fig9b|campaign|all> \
 //!       [--scale quick|default|full] [--seed N] [--out DIR] \
 //!       [--ph-order K] [--threads T] [--n N] [--solver BACKEND] \
-//!       [--generator csr|kron] [--trace FILE.json] [--metrics FILE.json]
+//!       [--trace FILE.json] [--metrics FILE.json]
 //! ```
 //!
 //! `repro campaign` runs the scenario-campaign engine
@@ -42,11 +42,6 @@
 //! campaigns of `fig7a`, `fig8`, `fig9a`, `fig9b` and `table1` fan out
 //! to (`ctsim_stoch::fan_out`); their CSVs are byte-identical at every
 //! value.
-//! `--generator` picks the generator representation the solver
-//! iterates on: `csr` materializes the rate matrix, `kron` keeps the
-//! Kronecker-factored activity terms and applies them matrix-free.
-//! Both must produce the same means — the CI `generator-agreement`
-//! job gates them at ≤ 1e-6 relative, too.
 //!
 //! `--trace` and `--metrics` turn the `ctsim-obs` telemetry on for the
 //! whole invocation — every subcommand it runs — and afterwards write
@@ -62,10 +57,10 @@
 //! `--checkpoint FILE` journals every completed campaign point to an
 //! append-only crash-safe file and `--resume` replays it, skipping
 //! already-solved points with bit-identical results; `--failpoints
-//! SPEC` (or the `CTSIM_FAILPOINTS` env var) arms the deterministic
-//! fault-injection registry with `--failpoint-seed N` feeding its
-//! per-site RNG substreams — the CI chaos job drives retry, typed
-//! failure, and crash/resume paths through exactly these flags.
+//! SPEC` arms the deterministic fault-injection registry with
+//! `--failpoint-seed N` feeding its per-site RNG substreams — the CI
+//! chaos job drives retry, typed failure, and crash/resume paths
+//! through exactly these flags.
 
 use std::cell::Cell;
 use std::fs;
@@ -156,7 +151,6 @@ fn parse_args() -> Result<Args, String> {
             "--threads" => ph.threads = value(a, &flag)?,
             "--n" => ph.n = Some(value(a, &flag)?),
             "--solver" => ph.backend = value(a, &flag)?,
-            "--generator" => ph.generator = value(a, &flag)?,
             "--spill-budget" => {
                 ph.spill_budget = Some(ctsim_experiments::parse_size(&value::<String>(a, &flag)?)?);
             }
@@ -187,7 +181,7 @@ fn parse_args() -> Result<Args, String> {
 fn usage() -> String {
     "usage: repro <fig6|fig7a|fig7b|table1|fig8|fig9a|fig9b|ablations|throughput|analytic|campaign|all> \
      [--scale quick|default|full] [--seed N] [--out DIR] [--ph-order K] [--threads T] [--n N] \
-     [--solver gauss-seidel|jacobi|krylov] [--generator csr|kron] [--spill-budget BYTES[K|M|G]] \
+     [--solver gauss-seidel|jacobi|krylov] [--spill-budget BYTES[K|M|G]] \
      [--dedup auto|resident|external] \
      [--trace FILE.json] [--metrics FILE.json] \
      [--grid FILE.csv] [--ns LIST] [--ph-orders LIST] [--service-scales LIST] \
@@ -237,20 +231,13 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // Arm fault injection before any work: `--failpoints` wins,
-    // otherwise `CTSIM_FAILPOINTS` is honored so harnesses can inject
-    // without touching the command line.
-    let armed = match &args.failpoints {
-        Some(spec) => ctsim_resilience::fail::configure(spec, args.failpoint_seed).map(|()| true),
-        None => ctsim_resilience::fail::configure_from_env(),
-    };
-    match armed {
-        Ok(true) => eprintln!("failpoints armed (seed {})", args.failpoint_seed),
-        Ok(false) => {}
-        Err(e) => {
+    // Arm fault injection before any work.
+    if let Some(spec) = &args.failpoints {
+        if let Err(e) = ctsim_resilience::fail::configure(spec, args.failpoint_seed) {
             eprintln!("{e}");
             std::process::exit(2);
         }
+        eprintln!("failpoints armed (seed {})", args.failpoint_seed);
     }
     // Telemetry is captured here, once, around whichever subcommands
     // run, and written out whatever they returned: the trace of a
@@ -491,8 +478,8 @@ fn run_commands(args: &Args) -> i32 {
         println!("{}", a.render());
         out.csv(
             "analytic.csv",
-            "scenario,n,ph_order,states,analytic_ms,ph_raw_ms,solver,generator,solve_ms,sim_ms,\
-             sim_ci90,agrees,ph_sim_ms,ph_sim_ci90,engine",
+            "scenario,n,ph_order,states,analytic_ms,ph_raw_ms,solver,solve_ms,sim_ms,sim_ci90,\
+             agrees,ph_sim_ms,ph_sim_ci90,engine",
             a.rows.iter().map(|r| {
                 // Both verdicts are tri-state so a capped/skipped solve
                 // is never mistaken for a disagreement. CI gates
@@ -512,7 +499,7 @@ fn run_commands(args: &Args) -> i32 {
                     }
                 };
                 format!(
-                    "{:?},{},{},{},{},{},{},{},{:.3},{:.4},{:.4},{},{},{},{}",
+                    "{:?},{},{},{},{},{},{},{:.3},{:.4},{:.4},{},{},{},{}",
                     r.scenario,
                     r.n,
                     r.ph_order.map_or(String::new(), |k| k.to_string()),
@@ -520,7 +507,6 @@ fn run_commands(args: &Args) -> i32 {
                     r.analytic_ms.map_or(String::new(), |v| format!("{v:.6}")),
                     r.ph_raw_ms.map_or(String::new(), |v| format!("{v:.6}")),
                     r.backend,
-                    r.generator,
                     r.solve_ms,
                     r.sim_ms,
                     r.sim_ci90,
@@ -534,18 +520,19 @@ fn run_commands(args: &Args) -> i32 {
         // Peak-memory record for the whole analytic pipeline (explore +
         // CSR + solve): the CI scalability job uploads this CSV and its
         // spill-budget leg uses it to show the budget actually binds.
+        // The dedup mode only applies under a spill budget, so its cell
+        // is empty without one, like the budget's.
+        let (budget, dedup) = args.ph.spill_budget.map_or_else(Default::default, |b| {
+            (b.to_string(), args.ph.dedup.to_string())
+        });
         out.csv(
             "peak_memory.csv",
             "command,n,ph_order,threads,spill_budget_bytes,dedup,peak_rss_mb",
             std::iter::once(format!(
-                "analytic,{},{},{},{},{},{:.1}",
+                "analytic,{},{},{},{budget},{dedup},{:.1}",
                 args.ph.n.map_or(String::new(), |n| n.to_string()),
                 args.ph.ph_order,
                 args.ph.threads,
-                args.ph
-                    .spill_budget
-                    .map_or(String::new(), |b| b.to_string()),
-                args.ph.dedup,
                 ctsim_experiments::peak_rss_mb(),
             )),
         );

@@ -111,23 +111,6 @@ pub fn configure(spec: &str, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Arms a schedule from `CTSIM_FAILPOINTS` (and `CTSIM_FAILPOINT_SEED`,
-/// default 0) if the variable is set. Returns whether anything was
-/// armed; a malformed spec is an error, not a silent no-op.
-pub fn configure_from_env() -> Result<bool, String> {
-    let Ok(spec) = std::env::var("CTSIM_FAILPOINTS") else {
-        return Ok(false);
-    };
-    let seed = match std::env::var("CTSIM_FAILPOINT_SEED") {
-        Ok(s) => s
-            .parse::<u64>()
-            .map_err(|_| format!("CTSIM_FAILPOINT_SEED {s:?} is not a u64"))?,
-        Err(_) => 0,
-    };
-    configure(&spec, seed)?;
-    Ok(true)
-}
-
 /// Disarms every failpoint (hits go back to the one-atomic-load fast
 /// path) without resetting [`injected_total`].
 pub fn disarm() {

@@ -137,16 +137,17 @@ impl FromStr for SolverBackend {
     }
 }
 
-/// Which representation holds the generator `Q` the backends iterate
-/// on — orthogonal to [`SolverBackend`]: any solver runs on any
-/// generator through the [`LinOp`](crate::LinOp) trait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Which representation
+/// [`StateSpace::explore_absorbing_gen`](crate::StateSpace::explore_absorbing_gen)
+/// builds the generator `Q` in — orthogonal to [`SolverBackend`]: any
+/// solver runs on either through the [`LinOp`](crate::LinOp) trait.
+/// [`AnalyticRun`](crate::AnalyticRun) always solves on the CSR matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GeneratorBackend {
     /// The materialized sparse CSR matrix ([`Ctmc`](crate::Ctmc)) plus
     /// its cached incoming-column view — the reference representation;
     /// fastest per matvec, ~24 B of resident memory per off-diagonal
     /// rate once the transposed view exists.
-    #[default]
     Csr,
     /// The factored activity-term descriptor
     /// ([`KronGenerator`](crate::KronGenerator)): per-transition
@@ -157,57 +158,9 @@ pub enum GeneratorBackend {
     Kron,
 }
 
-impl GeneratorBackend {
-    /// Every generator backend, in documentation/CI-matrix order.
-    pub const ALL: [GeneratorBackend; 2] = [GeneratorBackend::Csr, GeneratorBackend::Kron];
-
-    /// The name used by `--generator`, CI matrix entries, and bench
-    /// row names (already file-name-safe, so it doubles as the slug).
-    pub fn name(self) -> &'static str {
-        match self {
-            GeneratorBackend::Csr => "csr",
-            GeneratorBackend::Kron => "kron",
-        }
-    }
-}
-
-impl fmt::Display for GeneratorBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for GeneratorBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "csr" | "sparse" => Ok(GeneratorBackend::Csr),
-            "kron" | "kronecker" => Ok(GeneratorBackend::Kron),
-            other => Err(format!(
-                "unknown generator backend `{other}` (expected csr or kron)"
-            )),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn generator_names_round_trip_through_from_str() {
-        for g in GeneratorBackend::ALL {
-            assert_eq!(g.name().parse::<GeneratorBackend>().unwrap(), g);
-            assert_eq!(format!("{g}"), g.name());
-        }
-        assert_eq!(
-            "Kronecker".parse::<GeneratorBackend>().unwrap(),
-            GeneratorBackend::Kron
-        );
-        assert!("dense".parse::<GeneratorBackend>().is_err());
-        assert_eq!(GeneratorBackend::default(), GeneratorBackend::Csr);
-    }
 
     #[test]
     fn names_round_trip_through_from_str() {

@@ -514,28 +514,12 @@ impl Ctmc {
         self.n
     }
 
-    /// The raw CSR layout `(row_ptr, col, rate, diag)` — exposed so
-    /// callers can assert bit-level reproducibility of the generator
-    /// across exploration thread counts.
-    ///
-    /// # Panics
-    /// Panics if the off-diagonal entries were paged to disk under a
-    /// spill budget (there are no resident slices to borrow) — use
-    /// [`Ctmc::csr_owned`], which works for both representations.
-    pub fn csr(&self) -> (&[usize], &[usize], &[f64], &[f64]) {
-        match &self.body {
-            CsrBody::Resident { col, rate } => (&self.row_ptr, col, rate, &self.diag),
-            CsrBody::Paged { .. } => panic!(
-                "Ctmc::csr needs a resident generator, but this CSR was paged to disk \
-                 under the spill budget — use Ctmc::csr_owned instead"
-            ),
-        }
-    }
-
-    /// The raw CSR layout as owned vectors, materialising paged
-    /// entries from disk when necessary. Meant for reproducibility
-    /// asserts and tests, not hot paths: on a paged generator this
-    /// temporarily re-materialises all `O(rates)` entries in RAM.
+    /// The raw CSR layout `(row_ptr, col, rate, diag)` as owned
+    /// vectors, materialising paged entries from disk when necessary —
+    /// exposed so callers can assert bit-level reproducibility of the
+    /// generator across exploration thread counts and spill budgets.
+    /// Meant for asserts and tests, not hot paths: on a paged generator
+    /// this temporarily re-materialises all `O(rates)` entries in RAM.
     pub fn csr_owned(&self) -> (Vec<usize>, Vec<usize>, Vec<f64>, Vec<f64>) {
         let (col, rate) = match &self.body {
             CsrBody::Resident { col, rate } => (col.clone(), rate.clone()),

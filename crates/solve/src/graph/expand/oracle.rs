@@ -541,8 +541,8 @@ mod tests {
                 })
                 .collect(),
             csr: Ctmc::from_state_space(&ss).ok().map(|q| {
-                let (row_ptr, cols, values, diag) = q.csr();
-                (row_ptr.to_vec(), cols.to_vec(), bits(values), bits(diag))
+                let (row_ptr, cols, values, diag) = q.csr_owned();
+                (row_ptr, cols, bits(&values), bits(&diag))
             }),
         })
     }

@@ -405,20 +405,6 @@ impl<'m> StateSpace<'m> {
         })
     }
 
-    /// [`StateSpace::explore_ctmc`] generalized over the generator
-    /// representation: the returned [`Generator`] is the CSR matrix or
-    /// the factored Kronecker-style descriptor
-    /// ([`KronGenerator`](crate::KronGenerator)) per `backend`, built
-    /// in the same streaming pass.
-    pub fn explore_gen(
-        model: &'m SanModel,
-        opts: &ReachOptions,
-        backend: GeneratorBackend,
-    ) -> Result<(Self, Generator), SolveError> {
-        Self::explore_inner(model, opts, None, Some(backend))
-            .map(|(ss, gen)| (ss, gen.expect("generator requested")))
-    }
-
     /// [`StateSpace::explore_absorbing`] with the CTMC generator built
     /// in the same streaming pass — see [`StateSpace::explore_ctmc`].
     pub fn explore_absorbing_ctmc(
@@ -436,7 +422,10 @@ impl<'m> StateSpace<'m> {
     }
 
     /// [`StateSpace::explore_absorbing_ctmc`] generalized over the
-    /// generator representation — see [`StateSpace::explore_gen`].
+    /// generator representation: the returned [`Generator`] is the CSR
+    /// matrix or the factored Kronecker-style descriptor
+    /// ([`KronGenerator`](crate::KronGenerator)) per `backend`, built
+    /// in the same streaming pass.
     pub fn explore_absorbing_gen(
         model: &'m SanModel,
         opts: &ReachOptions,

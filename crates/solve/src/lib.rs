@@ -257,9 +257,6 @@ pub struct SolveOptions {
     pub iter: IterOptions,
     /// Uniformization truncation tolerance, term cap, and SpMV threads.
     pub transient: TransientOptions,
-    /// Which generator representation the solvers iterate on (CSR or
-    /// the factored Kronecker-style descriptor).
-    pub generator: GeneratorBackend,
 }
 
 impl SolveOptions {

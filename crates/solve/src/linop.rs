@@ -16,9 +16,10 @@
 //! * [`KronGenerator`] — the factored
 //!   activity-term descriptor that never materializes per-transition
 //!   rates (see the [`kron`](crate::kron) module docs).
-//! * [`Generator`] — an either-of-the-above enum, for call sites that
-//!   choose the representation at runtime
-//!   ([`GeneratorBackend`](crate::GeneratorBackend)).
+//! * [`Generator`] — an either-of-the-above enum, what
+//!   [`StateSpace::explore_absorbing_gen`](crate::StateSpace::explore_absorbing_gen)
+//!   returns for a [`GeneratorBackend`](crate::GeneratorBackend) chosen
+//!   at runtime.
 //!
 //! The trait uses lending-iterator associated types for row/column
 //! access, so sweep loops (Gauss–Seidel, back-substitution) stay
@@ -184,14 +185,6 @@ pub enum Generator {
 }
 
 impl Generator {
-    /// The CSR generator, if that is the chosen representation.
-    pub fn as_csr(&self) -> Option<&Ctmc> {
-        match self {
-            Generator::Csr(q) => Some(q),
-            Generator::Kron(_) => None,
-        }
-    }
-
     /// The Kronecker descriptor, if that is the chosen representation.
     pub fn as_kron(&self) -> Option<&KronGenerator> {
         match self {

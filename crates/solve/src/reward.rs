@@ -11,10 +11,8 @@
 use ctsim_san::{Marking, SanModel};
 
 use crate::absorption::{mean_time_to_absorption, IterOptions};
-use crate::backend::GeneratorBackend;
 use crate::ctmc::Ctmc;
 use crate::graph::{GraphParts, ReachOptions, StateSpace};
-use crate::linop::{Generator, LinOp};
 use crate::transient::{uniformize, TransientOptions};
 use crate::{SolveError, SolveOptions};
 
@@ -41,9 +39,7 @@ pub fn probability(space: &StateSpace<'_>, probs: &[f64], pred: impl Fn(&Marking
 }
 
 /// A solved first-passage problem: the state space explored with the
-/// goal predicate absorbing, plus its generator (CSR by default, or
-/// the matrix-free Kronecker descriptor via
-/// [`SolveOptions::generator`]).
+/// goal predicate absorbing, plus its CSR generator.
 ///
 /// This is the analytic replacement for the replication loop "run until
 /// the predicate holds, record the time": the absorbed probability mass
@@ -51,14 +47,14 @@ pub fn probability(space: &StateSpace<'_>, probs: &[f64], pred: impl Fn(&Marking
 /// latency the paper tabulates.
 pub struct AnalyticRun<'m> {
     space: StateSpace<'m>,
-    gen: Generator,
+    ctmc: Ctmc,
 }
 
 impl std::fmt::Debug for AnalyticRun<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AnalyticRun")
             .field("states", &self.space.len())
-            .field("rates", &self.num_rates())
+            .field("rates", &self.ctmc.num_rates())
             .finish()
     }
 }
@@ -81,7 +77,10 @@ pub struct AnalyticOutcome {
 }
 
 impl<'m> AnalyticRun<'m> {
-    /// Explores `model` with `goal` absorbing and builds the CTMC.
+    /// Explores `model` with `goal` absorbing and builds the CTMC. The
+    /// streaming pipeline assembles generator rows per BFS level while
+    /// later levels are still being explored, so explore → generator
+    /// is one overlapped pass, not two serial ones.
     ///
     /// # Errors
     /// Exploration errors ([`SolveError::StateSpaceTooLarge`],
@@ -93,34 +92,19 @@ impl<'m> AnalyticRun<'m> {
         opts: &ReachOptions,
         goal: impl Fn(&Marking) -> bool + Sync,
     ) -> Result<Self, SolveError> {
-        Self::first_passage_gen(model, opts, GeneratorBackend::Csr, goal)
-    }
-
-    /// [`AnalyticRun::first_passage`] with an explicit generator
-    /// representation. The streaming pipeline assembles generator rows
-    /// per BFS level while later levels are still being explored, so
-    /// explore → generator is one overlapped pass, not two serial
-    /// ones — for both representations.
-    pub fn first_passage_gen(
-        model: &'m SanModel,
-        opts: &ReachOptions,
-        backend: GeneratorBackend,
-        goal: impl Fn(&Marking) -> bool + Sync,
-    ) -> Result<Self, SolveError> {
-        let (space, gen) = StateSpace::explore_absorbing_gen(model, opts, backend, goal)?;
-        Ok(Self { space, gen })
+        let (space, ctmc) = StateSpace::explore_absorbing_ctmc(model, opts, goal)?;
+        Ok(Self { space, ctmc })
     }
 
     /// [`AnalyticRun::first_passage`] with the top-level
     /// [`SolveOptions`] bundle — the entry point experiment code uses
-    /// to dial phase-type order, exploration threads, and the
-    /// generator representation.
+    /// to dial phase-type order and exploration threads.
     pub fn first_passage_with(
         model: &'m SanModel,
         opts: &SolveOptions,
         goal: impl Fn(&Marking) -> bool + Sync,
     ) -> Result<Self, SolveError> {
-        Self::first_passage_gen(model, &opts.reach, opts.generator, goal)
+        Self::first_passage(model, &opts.reach, goal)
     }
 
     /// The explored state space.
@@ -128,31 +112,14 @@ impl<'m> AnalyticRun<'m> {
         &self.space
     }
 
-    /// The generator, in whichever representation was requested.
-    pub fn generator(&self) -> &Generator {
-        &self.gen
+    /// The CSR generator matrix the solves iterate on.
+    pub fn generator(&self) -> &Ctmc {
+        &self.ctmc
     }
 
-    /// The CSR generator matrix.
-    ///
-    /// # Panics
-    /// If the run was solved with the matrix-free
-    /// [`GeneratorBackend::Kron`] representation — use
-    /// [`AnalyticRun::generator`] there.
+    /// The CSR generator matrix — the same as [`AnalyticRun::generator`].
     pub fn ctmc(&self) -> &Ctmc {
-        self.gen
-            .as_csr()
-            .expect("run uses the kron generator; use AnalyticRun::generator")
-    }
-
-    /// Stored off-diagonal generator entries (CSR rates, or factored
-    /// descriptor entries — the counts differ only where several
-    /// activities drive the same state pair).
-    fn num_rates(&self) -> usize {
-        match &self.gen {
-            Generator::Csr(q) => q.num_rates(),
-            Generator::Kron(k) => k.num_entries(),
-        }
+        &self.ctmc
     }
 
     /// `P(T ≤ t)`: probability the predicate holds by time `t` (ms) —
@@ -181,7 +148,7 @@ impl<'m> AnalyticRun<'m> {
             .collect();
         // sums[p][g]: the absorbed mass of goal state goals[g] at times[p].
         let mut sums = vec![vec![0.0; goals.len()]; times.len()];
-        uniformize(&self.gen, times, opts, |p, w, lo, v| {
+        uniformize(&self.ctmc, times, opts, |p, w, lo, v| {
             let from = goals.partition_point(|&s| s < lo);
             let to = from + goals[from..].partition_point(|&s| s < lo + v.len());
             for (acc, &s) in sums[p][from..to].iter_mut().zip(&goals[from..to]) {
@@ -206,18 +173,15 @@ impl<'m> AnalyticRun<'m> {
         // Every state is reachable by construction, so a rate-absorbing
         // state outside the goal set traps probability mass forever.
         if let Some(state) =
-            (0..self.space.len()).find(|&s| self.gen.is_absorbing(s) && !self.space.absorbing[s])
+            (0..self.space.len()).find(|&s| self.ctmc.is_absorbing(s) && !self.space.absorbing[s])
         {
             return Err(SolveError::GoalUnreachable { state });
         }
-        let sol = match &self.gen {
-            Generator::Csr(q) => mean_time_to_absorption(q, opts),
-            Generator::Kron(k) => mean_time_to_absorption(k, opts),
-        }?;
+        let sol = mean_time_to_absorption(&self.ctmc, opts)?;
         Ok(AnalyticOutcome {
             mean_ms: sol.mean,
             states: self.space.len(),
-            rates: self.num_rates(),
+            rates: self.ctmc.num_rates(),
             iterations: sol.iterations,
             solved_by: sol.solved_by,
         })
@@ -229,7 +193,7 @@ impl<'m> AnalyticRun<'m> {
     pub fn detach(self) -> DetachedRun {
         DetachedRun {
             parts: self.space.into_parts(),
-            gen: self.gen,
+            ctmc: self.ctmc,
         }
     }
 }
@@ -240,7 +204,7 @@ impl<'m> AnalyticRun<'m> {
 #[derive(Debug)]
 pub struct DetachedRun {
     parts: GraphParts,
-    gen: Generator,
+    ctmc: Ctmc,
 }
 
 impl DetachedRun {
@@ -254,22 +218,13 @@ impl DetachedRun {
     ///
     /// # Errors
     /// [`SolveError::StructureMismatch`] when `model` has other net
-    /// dimensions or its phase-type expansion takes another shape, and
-    /// for a [`GeneratorBackend::Kron`] run, whose generator has no
-    /// values-only rebuild: the detached run is gone, explore cold.
+    /// dimensions or its phase-type expansion takes another shape.
     pub fn attach(self, model: &SanModel) -> Result<AnalyticRun<'_>, SolveError> {
         let mut space = StateSpace::from_parts(model, self.parts)?;
         space.rebuild_rates()?;
-        let mut gen = self.gen;
-        match &mut gen {
-            Generator::Csr(q) => q.rebuild_values(&space)?,
-            Generator::Kron(_) => {
-                return Err(SolveError::StructureMismatch {
-                    reason: "the kron generator has no values-only rebuild".to_string(),
-                })
-            }
-        }
-        Ok(AnalyticRun { space, gen })
+        let mut ctmc = self.ctmc;
+        ctmc.rebuild_values(&space)?;
+        Ok(AnalyticRun { space, ctmc })
     }
 }
 
@@ -449,11 +404,11 @@ mod tests {
             let warm = detached.attach(&scaled).unwrap();
             let cold = AnalyticRun::first_passage(&scaled, &reach, decided(&scaled)).unwrap();
             assert_eq!(warm.space().packed_words(), cold.space().packed_words());
-            let (rp_a, col_a, rate_a, diag_a) = warm.ctmc().csr();
-            let (rp_b, col_b, rate_b, diag_b) = cold.ctmc().csr();
+            let (rp_a, col_a, rate_a, diag_a) = warm.ctmc().csr_owned();
+            let (rp_b, col_b, rate_b, diag_b) = cold.ctmc().csr_owned();
             assert_eq!((rp_a, col_a), (rp_b, col_b), "order {order}");
-            assert_eq!(bits(rate_a), bits(rate_b), "order {order}");
-            assert_eq!(bits(diag_a), bits(diag_b), "order {order}");
+            assert_eq!(bits(&rate_a), bits(&rate_b), "order {order}");
+            assert_eq!(bits(&diag_a), bits(&diag_b), "order {order}");
             let gs = IterOptions::default();
             let (a, b) = (warm.mean(&gs).unwrap(), cold.mean(&gs).unwrap());
             assert_eq!(a.mean_ms.to_bits(), b.mean_ms.to_bits(), "order {order}");

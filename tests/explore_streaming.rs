@@ -140,13 +140,13 @@ proptest! {
         let model = lane_model(&lanes);
         let (ss, streamed) = explore_cfg(&model, ph_order, 2, None);
         let rebuilt = Ctmc::from_state_space(&ss).expect("Markovian after expansion");
-        let (rpa, ca, ra, da) = streamed.csr();
-        let (rpb, cb, rb, db) = rebuilt.csr();
+        let (rpa, ca, ra, da) = streamed.csr_owned();
+        let (rpb, cb, rb, db) = rebuilt.csr_owned();
         prop_assert_eq!(rpa, rpb);
         prop_assert_eq!(ca, cb);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(ra), bits(rb));
-        prop_assert_eq!(bits(da), bits(db));
+        prop_assert_eq!(bits(&ra), bits(&rb));
+        prop_assert_eq!(bits(&da), bits(&db));
     }
 }
 

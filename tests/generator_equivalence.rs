@@ -51,7 +51,7 @@ fn fixtures() -> &'static [Fixture] {
                     ..ReachOptions::default()
                 };
                 let explore = |backend| {
-                    StateSpace::explore_gen(&model, &opts, backend)
+                    StateSpace::explore_absorbing_gen(&model, &opts, backend, |_| false)
                         .expect("tier-1 model explores")
                         .1
                 };

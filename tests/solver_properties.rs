@@ -2,7 +2,7 @@
 //! generated Markovian models: structural invariants that must hold
 //! regardless of topology, rates, or evaluation times.
 
-use ct_consensus_repro::san::{Activity, Case, SanBuilder, SanModel};
+use ct_consensus_repro::san::{Activity, Case, Marking, SanBuilder, SanModel};
 use ct_consensus_repro::solve::transient::poisson_weights;
 use ct_consensus_repro::solve::{
     transient, AnalyticRun, Ctmc, GeneratorBackend, LinOp, ReachOptions, StateSpace,
@@ -255,13 +255,13 @@ proptest! {
                 }
             }
             // The CSR generator is byte-identical.
-            let (rp1, c1, r1, d1) = q1.csr();
-            let (rpn, cn, rn, dn) = qn.csr();
+            let (rp1, c1, r1, d1) = q1.csr_owned();
+            let (rpn, cn, rn, dn) = qn.csr_owned();
             prop_assert_eq!(rp1, rpn);
             prop_assert_eq!(c1, cn);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(r1), bits(rn));
-            prop_assert_eq!(bits(d1), bits(dn));
+            prop_assert_eq!(bits(&r1), bits(&rn));
+            prop_assert_eq!(bits(&d1), bits(&dn));
         }
     }
 }
@@ -364,7 +364,8 @@ proptest! {
     /// 2 and 3 SpMV threads, `transient().probs` equals the full-width
     /// loop's, and every point of a `cdf_grid` — unsorted, with a
     /// duplicate and `0.0` — equals the one-point `cdf` and the goal
-    /// mass of the full-width vector.
+    /// mass of the full-width vector. The Kronecker generator's goal
+    /// mass lands within 1e-9 of the CSR grid point.
     #[test]
     fn prefix_limited_uniformization_is_bit_identical(
         tokens in 1u32..150,
@@ -382,37 +383,41 @@ proptest! {
         let mut grid = times.clone();
         grid.push(times[0]);
         grid.push(0.0);
-        for generator in [GeneratorBackend::Csr, GeneratorBackend::Kron] {
-            let run = AnalyticRun::first_passage_gen(
-                &model,
-                &ReachOptions { max_states: 1 << 16, ..ReachOptions::default() },
-                generator,
-                move |m| m.get(done) >= goal_tokens,
-            )
-            .expect("explore");
-            let gen = run.generator();
-            let goals: Vec<usize> =
-                (0..run.space().len()).filter(|&s| run.space().absorbing[s]).collect();
-            for threads in [1usize, 2, 3] {
-                let opts = TransientOptions { threads, ..TransientOptions::default() };
-                let cdfs = run.cdf_grid(&grid, &opts).expect("cdf_grid");
-                prop_assert_eq!(cdfs.len(), grid.len());
-                for (&t, &c) in grid.iter().zip(&cdfs) {
-                    let reference = full_width_transient(gen, t);
-                    let sol = transient(gen, t, &opts).expect("transient");
-                    let diff = first_bit_difference(&sol.probs, &reference);
-                    prop_assert!(
-                        diff.is_none(),
-                        "{:?}, {} threads, t = {}: state {:?} differs", generator, threads, t, diff
-                    );
-                    let one = run.cdf(t, &opts).expect("cdf");
-                    let mass: f64 = goals.iter().map(|&s| reference[s]).sum();
-                    prop_assert_eq!(c.to_bits(), one.to_bits(), "grid vs cdf at t = {}", t);
-                    prop_assert_eq!(c.to_bits(), mass.to_bits(), "grid vs full width at t = {}", t);
-                }
+        let reach = ReachOptions { max_states: 1 << 16, ..ReachOptions::default() };
+        let goal = move |m: &Marking| m.get(done) >= goal_tokens;
+        let run = AnalyticRun::first_passage(&model, &reach, goal).expect("explore");
+        let (_, kron) =
+            StateSpace::explore_absorbing_gen(&model, &reach, GeneratorBackend::Kron, goal)
+                .expect("explore");
+        let goals: Vec<usize> =
+            (0..run.space().len()).filter(|&s| run.space().absorbing[s]).collect();
+        for threads in [1usize, 2, 3] {
+            let opts = TransientOptions { threads, ..TransientOptions::default() };
+            let cdfs = run.cdf_grid(&grid, &opts).expect("cdf_grid");
+            prop_assert_eq!(cdfs.len(), grid.len());
+            for (&t, &c) in grid.iter().zip(&cdfs) {
+                let reference = full_width_transient(run.generator(), t);
+                let sol = transient(run.generator(), t, &opts).expect("transient");
+                let diff = first_bit_difference(&sol.probs, &reference);
+                prop_assert!(diff.is_none(), "csr, {} threads, t = {}: state {:?} differs", threads, t, diff);
+                let one = run.cdf(t, &opts).expect("cdf");
+                prop_assert_eq!(c.to_bits(), one.to_bits(), "grid vs cdf at t = {}", t);
+                prop_assert_eq!(c.to_bits(), goal_mass(&reference, &goals).to_bits(), "grid vs full width at t = {}", t);
+
+                let reference = full_width_transient(&kron, t);
+                let sol = transient(&kron, t, &opts).expect("transient");
+                let diff = first_bit_difference(&sol.probs, &reference);
+                prop_assert!(diff.is_none(), "kron, {} threads, t = {}: state {:?} differs", threads, t, diff);
+                let mass = goal_mass(&sol.probs, &goals);
+                prop_assert!((mass - c).abs() <= 1e-9, "kron mass {} vs csr cdf {} at t = {}", mass, c, t);
             }
         }
     }
+}
+
+/// The probability mass a transient vector holds on the goal states.
+fn goal_mass(probs: &[f64], goals: &[usize]) -> f64 {
+    goals.iter().map(|&s| probs[s]).sum()
 }
 
 /// `1 − Σ_{i<k} e^{−λt} (λt)^i / i!`: the Erlang-k CDF.
@@ -481,10 +486,27 @@ fn series_cdf(
         ph_order,
         ..ReachOptions::default()
     };
-    let run = AnalyticRun::first_passage_gen(&model, &reach, generator, move |m| m.get(end) > 0)
-        .expect("explore");
-    run.cdf_grid(grid, &TransientOptions::default())
-        .expect("cdf_grid")
+    let goal = move |m: &Marking| m.get(end) > 0;
+    let opts = TransientOptions::default();
+    match generator {
+        GeneratorBackend::Csr => AnalyticRun::first_passage(&model, &reach, goal)
+            .expect("explore")
+            .cdf_grid(grid, &opts)
+            .expect("cdf_grid"),
+        GeneratorBackend::Kron => {
+            let (space, kron) = StateSpace::explore_absorbing_gen(&model, &reach, generator, goal)
+                .expect("explore");
+            let goals: Vec<usize> = (0..space.len()).filter(|&s| space.absorbing[s]).collect();
+            grid.iter()
+                .map(|&t| {
+                    goal_mass(
+                        &transient(&kron, t, &opts).expect("transient").probs,
+                        &goals,
+                    )
+                })
+                .collect()
+        }
+    }
 }
 
 proptest! {

@@ -94,10 +94,11 @@ pub fn parse_size(s: &str) -> Result<usize, String> {
         Some(b'G' | b'g') => (&s[..s.len() - 1], 1 << 30),
         _ => (s, 1),
     };
-    digits
+    let v = digits
         .parse::<usize>()
-        .map(|v| v * mult)
-        .map_err(|e| format!("bad size `{s}`: {e}"))
+        .map_err(|e| format!("bad size `{s}`: {e}"))?;
+    v.checked_mul(mult)
+        .ok_or_else(|| format!("bad size `{s}`: more bytes than this machine can address"))
 }
 
 /// The first-passage goal of every analytic experiment — some process

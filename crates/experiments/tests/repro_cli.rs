@@ -40,6 +40,20 @@ fn bad_flags_are_usage_errors_not_panics() {
         (&["fig6", "--threads"][..], "missing value for --threads"),
         (&["fig6", "--threads", "x"][..], "invalid digit found"),
         (&["fig6", "--bogus"][..], "unknown flag `--bogus`"),
+        (
+            &[
+                "analytic",
+                "--n",
+                "2",
+                "--ph-order",
+                "1",
+                "--scale",
+                "quick",
+                "--spill-budget",
+                "17179869184G",
+            ][..],
+            "bad size `17179869184G`",
+        ),
     ] {
         let run = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)
@@ -50,4 +64,41 @@ fn bad_flags_are_usage_errors_not_panics() {
         assert!(stderr.contains(message), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
     }
+}
+
+/// Memory follows the workers that run, not the workers requested: a
+/// level of the n = 2 order-1 model runs one worker however many
+/// `--threads` asks for, so a huge request must not allocate a
+/// worker's buffers per requested thread.
+#[test]
+fn a_huge_thread_count_costs_no_memory() {
+    let out = std::env::temp_dir().join(format!("ctsim-repro-threads-{}", std::process::id()));
+    let run = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([
+            "analytic",
+            "--n",
+            "2",
+            "--ph-order",
+            "1",
+            "--scale",
+            "quick",
+            "--threads",
+            "100000",
+        ])
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("spawn repro");
+    let csv = std::fs::read_to_string(out.join("peak_memory.csv"));
+    let _ = std::fs::remove_dir_all(&out);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{stderr}");
+    let csv = csv.expect("peak_memory.csv written");
+    let row = csv.lines().nth(1).expect("one data row");
+    let peak: f64 = row
+        .rsplit(',')
+        .next()
+        .and_then(|v| v.parse().ok())
+        .expect("peak_rss_mb column");
+    assert!(peak < 64.0, "peak RSS {peak} MB at --threads 100000");
 }

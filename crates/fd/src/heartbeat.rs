@@ -90,11 +90,6 @@ impl HeartbeatFd {
         &self.history[q.0]
     }
 
-    /// Current suspicion vector (index = process id).
-    pub fn suspected_vector(&self) -> &[bool] {
-        &self.suspected
-    }
-
     fn transition<M>(&mut self, ctx: &mut Ctx<'_, M>, q: ProcessId, suspected: bool)
     where
         M: Clone,

@@ -172,11 +172,6 @@ impl<'a, M: Clone> Ctx<'a, M> {
         self.net.charge(HostId(self.me.0), c);
     }
 
-    /// Bills an explicit amount of CPU time (ms).
-    pub fn charge_ms(&mut self, ms: f64) {
-        self.net.charge(HostId(self.me.0), ms);
-    }
-
     /// Arms a timer that will call [`Node::on_timer`] with `token`. A
     /// timer cannot be cancelled; a node that no longer wants it ignores
     /// its token.

@@ -227,11 +227,6 @@ impl<P> ClusterNet<P> {
         }
     }
 
-    /// Number of hosts.
-    pub fn num_hosts(&self) -> usize {
-        self.hosts.len()
-    }
-
     /// Current (true) simulation time.
     pub fn now(&self) -> SimTime {
         self.queue.now()

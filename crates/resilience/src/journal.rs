@@ -139,11 +139,6 @@ impl Journal {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// Validated byte length (frames appended or recovered so far).
-    pub fn len_bytes(&self) -> u64 {
-        self.len
-    }
 }
 
 #[cfg(test)]

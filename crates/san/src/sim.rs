@@ -264,11 +264,6 @@ impl<'m> Simulator<'m> {
         &self.firing_counts
     }
 
-    /// Number of completions of one activity.
-    pub fn firings_of(&self, a: ActivityId) -> u64 {
-        self.firing_counts[a.index()]
-    }
-
     /// Completions, enabling evaluations and dependent visits since
     /// creation or the last reset — the engine's "useful work", its
     /// "attempts", and the walks that decide which attempts to make.

@@ -19,7 +19,7 @@
 //! diagnostics — never NaNs, never a hang.
 
 use crate::backend::SolverBackend;
-use crate::linop::LinOp;
+use crate::ctmc::Ctmc;
 use crate::{krylov, SolveError};
 
 /// Iterations per telemetry batch span in the stationary loops.
@@ -156,9 +156,8 @@ pub struct AbsorptionTimes {
 }
 
 /// Solves the expected time to absorption from every state with the
-/// backend named in `opts`, over any [`LinOp`] generator
-/// representation, under the `solver` span `mean_time_to_absorption`
-/// and the spill catch.
+/// backend named in `opts`, under the `solver` span
+/// `mean_time_to_absorption` and the spill catch.
 ///
 /// With [`IterOptions::fallback`] a recoverable failure moves on to
 /// [`SolverBackend::fallback_after`] instead of surfacing. Each step
@@ -171,11 +170,11 @@ pub struct AbsorptionTimes {
 /// * [`SolveError::NotConverged`] if absorption is not certain from
 ///   some reachable state (the expected time is then infinite) or the
 ///   iteration budget is exhausted.
-pub fn mean_time_to_absorption<L: LinOp>(
-    op: &L,
+pub fn mean_time_to_absorption(
+    op: &Ctmc,
     opts: &IterOptions,
 ) -> Result<AbsorptionTimes, SolveError> {
-    let n = op.dim();
+    let n = op.num_states();
     if n == 0 {
         return Err(SolveError::EmptyStateSpace);
     }
@@ -223,16 +222,13 @@ pub fn mean_time_to_absorption<L: LinOp>(
 /// an access pattern the disk pager cannot serve without thrashing. Streamed generators are refused
 /// with [`SolveError::ResidentOnly`]; use Jacobi or Krylov (the
 /// default first-passage path), which sweep rows in shard order.
-fn absorption_gauss_seidel<L: LinOp>(
-    op: &L,
-    opts: &IterOptions,
-) -> Result<AbsorptionTimes, SolveError> {
+fn absorption_gauss_seidel(op: &Ctmc, opts: &IterOptions) -> Result<AbsorptionTimes, SolveError> {
     if op.is_streamed() {
         return Err(SolveError::ResidentOnly {
             backend: "gauss-seidel".into(),
         });
     }
-    let n = op.dim();
+    let n = op.num_states();
     let mut tau = vec![0.0; n];
     let (iterations, residual) = iterate("absorption_gauss_seidel", opts, || {
         // τ_j ← (1 + Σ_k q_jk τ_k) / |q_jj| over transient states, in
@@ -247,9 +243,6 @@ fn absorption_gauss_seidel<L: LinOp>(
             if op.is_absorbing(j) {
                 continue;
             }
-            // Same fold as `op.row(j).map(..).sum()` (the row is
-            // non-empty on a non-absorbing state), resolved through
-            // the once-per-row entry walk.
             let mut flow = 0.0;
             op.for_each_in_row(j, |k, r| flow += r * tau[k]);
             residual = residual.max((op.diag(j) * tau[j] + flow + 1.0).abs());
@@ -291,8 +284,8 @@ const JACOBI_BLOCK: usize = 4096;
 /// first-passage chain without back edges the bound falls as the
 /// levels settle from the absorbing end; back edges only raise it, so
 /// the rule holds on any chain.
-fn absorption_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<AbsorptionTimes, SolveError> {
-    let n = op.dim();
+fn absorption_jacobi(op: &Ctmc, opts: &IterOptions) -> Result<AbsorptionTimes, SolveError> {
+    let n = op.num_states();
     let mut reach: Vec<usize> = (0..n).collect();
     for j in 0..n {
         op.for_each_in_row(j, |c, _| reach[c] = reach[c].max(j));

@@ -139,22 +139,22 @@ impl FromStr for SolverBackend {
 
 /// Which representation
 /// [`StateSpace::explore_absorbing_gen`](crate::StateSpace::explore_absorbing_gen)
-/// builds the generator `Q` in — orthogonal to [`SolverBackend`]: any
-/// solver runs on either through the [`LinOp`](crate::LinOp) trait.
-/// [`AnalyticRun`](crate::AnalyticRun) always solves on the CSR matrix.
+/// builds the generator `Q` in. The solvers run on the CSR matrix
+/// only; the descriptor offers the forward product
+/// ([`LinOp::apply`](crate::LinOp::apply)), which is what the benchmark
+/// compares. [`AnalyticRun`](crate::AnalyticRun) always solves on the
+/// CSR matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GeneratorBackend {
-    /// The materialized sparse CSR matrix ([`Ctmc`](crate::Ctmc)) plus
-    /// its cached incoming-column view — the reference representation;
-    /// fastest per matvec, ~24 B of resident memory per off-diagonal
-    /// rate once the transposed view exists.
+    /// The materialized sparse CSR matrix ([`Ctmc`](crate::Ctmc)),
+    /// built during exploration — the representation every solver
+    /// runs on; 16 B of resident memory per off-diagonal rate, 24 B
+    /// once the transposed view of uniformization exists.
     Csr,
     /// The factored activity-term descriptor
-    /// ([`KronGenerator`](crate::KronGenerator)): per-transition
-    /// entries carry only a destination and an index into a small
-    /// coefficient table (8 B each), and the transposed view is built
-    /// lazily — first-passage solves never materialize per-transition
-    /// rates at all.
+    /// ([`KronGenerator`](crate::KronGenerator)), built from the
+    /// explored graph: per-transition entries carry only a destination
+    /// and an index into a small coefficient table (8 B each).
     Kron,
 }
 

@@ -31,7 +31,7 @@ use std::sync::{Arc, OnceLock};
 
 use ctsim_san::ActivityId;
 
-use crate::arena::{RowLoc, RowRef, SegStore};
+use crate::arena::{RowLoc, SegStore};
 use crate::graph::{StateSpace, Transition};
 use crate::spill::{SpillRecord, SpillShared};
 use crate::SolveError;
@@ -242,6 +242,8 @@ pub(crate) struct CtmcAcc {
     row_ptr: Vec<usize>,
     body: AccBody,
     diag: Vec<f64>,
+    /// Per-destination scratch of the row being accumulated.
+    row: Vec<(usize, f64)>,
 }
 
 /// Accumulator counterpart of [`CsrBody`].
@@ -266,6 +268,7 @@ impl CtmcAcc {
                 rate: Vec::new(),
             },
             diag: Vec::new(),
+            row: Vec::new(),
         }
     }
 
@@ -286,20 +289,16 @@ impl CtmcAcc {
                 row_buf: Vec::new(),
             },
             diag: Vec::new(),
+            row: Vec::new(),
         }
     }
 
     /// Appends the generator row of state `src` (rows must arrive in
-    /// canonical order). `acc` is a reused per-destination scratch
-    /// accumulator. On a NaN rate — an unexpanded non-exponential
+    /// canonical order). On a NaN rate — an unexpanded non-exponential
     /// activity — returns the offending activity.
-    pub(crate) fn push_row(
-        &mut self,
-        src: usize,
-        outs: &[Transition],
-        acc: &mut Vec<(usize, f64)>,
-    ) -> Result<(), ActivityId> {
+    pub(crate) fn push_row(&mut self, src: usize, outs: &[Transition]) -> Result<(), ActivityId> {
         debug_assert_eq!(src, self.diag.len(), "rows must arrive in order");
+        let acc = &mut self.row;
         let d = accumulate_row(src, outs, acc)?;
         match &mut self.body {
             AccBody::Resident { col, rate } => {
@@ -379,9 +378,8 @@ impl Ctmc {
         crate::catch_spill(|| {
             let model = ss.model();
             let mut acc = CtmcAcc::new();
-            let mut scratch: Vec<(usize, f64)> = Vec::new();
             for s in 0..ss.len() {
-                acc.push_row(s, &ss.outgoing(s), &mut scratch)
+                acc.push_row(s, &ss.outgoing(s))
                     .map_err(|a| SolveError::NonMarkovian {
                         activity: model.activity_name(a).to_string(),
                     })?;
@@ -623,28 +621,6 @@ impl Ctmc {
         self.absorbing[i]
     }
 
-    /// The off-diagonal entries of row `i`: `(destination, rate)` pairs.
-    /// On a paged generator the row is served through the store's LRU
-    /// pager; sequential row walks stay cheap (consecutive rows share
-    /// segments), random access may hit the disk.
-    pub fn row(&self, i: usize) -> CsrRowIter<'_> {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        let inner = match &self.body {
-            CsrBody::Resident { col, rate } => RowIterInner::Slices(
-                col[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(rate[lo..hi].iter().copied()),
-            ),
-            CsrBody::Paged { entries, locs } => RowIterInner::Paged {
-                row: entries.row(locs[i]),
-                pos: 0,
-            },
-        };
-        CsrRowIter { inner }
-    }
-
     /// The uniformization rate `Λ = max_i |q_ii|`.
     pub fn max_exit_rate(&self) -> f64 {
         self.diag.iter().fold(0.0, |m, &d| m.max(-d))
@@ -658,97 +634,15 @@ impl Ctmc {
     pub fn incoming_view(&self) -> &Incoming {
         self.incoming.get_or_init(|| Incoming::build(self))
     }
-}
 
-/// Iterator over one generator row's `(destination, rate)` pairs,
-/// uniform across the resident and paged storage bodies: resident rows
-/// zip two slices, paged rows hold a keep-alive guard on the (possibly
-/// just reloaded) segment. The inner representation is private so the
-/// spillable entry layout stays a crate detail.
-pub struct CsrRowIter<'a> {
-    inner: RowIterInner<'a>,
-}
-
-enum RowIterInner<'a> {
-    Slices(
-        std::iter::Zip<
-            std::iter::Copied<std::slice::Iter<'a, usize>>,
-            std::iter::Copied<std::slice::Iter<'a, f64>>,
-        >,
-    ),
-    Paged {
-        row: RowRef<'a, CsrEntry>,
-        pos: usize,
-    },
-}
-
-impl Iterator for CsrRowIter<'_> {
-    type Item = (usize, f64);
-    fn next(&mut self) -> Option<(usize, f64)> {
-        match &mut self.inner {
-            RowIterInner::Slices(z) => z.next(),
-            RowIterInner::Paged { row, pos } => {
-                let e = row.get(*pos)?;
-                *pos += 1;
-                Some((e.col as usize, e.rate))
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            RowIterInner::Slices(z) => z.size_hint(),
-            RowIterInner::Paged { row, pos } => {
-                let rest = row.len() - pos;
-                (rest, Some(rest))
-            }
-        }
-    }
-}
-
-impl ExactSizeIterator for CsrRowIter<'_> {}
-
-/// The CSR generator as a [`LinOp`](crate::linop::LinOp): the
-/// reference implementor. Every
-/// method forwards to the pre-existing inherent accessors and sharded
-/// kernels, so solvers monomorphized over `Ctmc` run the exact code
-/// (and produce the bit-exact results) they did before the trait
-/// existed.
-impl crate::linop::LinOp for Ctmc {
-    type Row<'a> = CsrRowIter<'a>;
-    type Col<'a> = std::iter::Copied<std::slice::Iter<'a, (usize, f64)>>;
-
-    fn dim(&self) -> usize {
-        self.n
-    }
-
-    fn diag(&self, i: usize) -> f64 {
-        self.diag[i]
-    }
-
-    fn initial(&self) -> &[f64] {
-        &self.initial
-    }
-
-    fn is_absorbing(&self, i: usize) -> bool {
-        self.absorbing[i]
-    }
-
-    fn max_exit_rate(&self) -> f64 {
-        Ctmc::max_exit_rate(self)
-    }
-
-    fn row(&self, i: usize) -> Self::Row<'_> {
-        Ctmc::row(self, i)
-    }
-
-    // Resolves the storage body once per row, so the sweep kernels'
-    // per-entry loop is a direct slice walk again (the generic
-    // [`CsrRowIter`] pays a discriminant check and guard drop per
-    // entry/row — measurable inside Gauss–Seidel and the GMRES
-    // preconditioner). The entry visit order is identical to `row(i)`
-    // in both arms, so the bits don't change.
-    fn for_each_in_row(&self, i: usize, mut f: impl FnMut(usize, f64)) {
+    /// Visits the off-diagonal entries of row `i` in order, calling
+    /// `f(destination, rate)`. On a paged generator the row is served
+    /// through the store's LRU pager: sequential row walks stay cheap
+    /// (consecutive rows share segments), random access may hit the
+    /// disk. The storage body is resolved once per row, not once per
+    /// entry — the Gauss–Seidel sweeps and the triangular substitution
+    /// run this in their innermost loop.
+    pub fn for_each_in_row(&self, i: usize, mut f: impl FnMut(usize, f64)) {
         let lo = self.row_ptr[i];
         let hi = self.row_ptr[i + 1];
         match &self.body {
@@ -765,20 +659,46 @@ impl crate::linop::LinOp for Ctmc {
         }
     }
 
-    fn column(&self, j: usize) -> Self::Col<'_> {
-        self.incoming_view().column(j).iter().copied()
-    }
-
-    fn is_streamed(&self) -> bool {
-        Ctmc::is_streamed(self)
-    }
-
-    fn apply(&self, v: &[f64], out: &mut [f64], threads: usize) {
+    /// `out[i] = Σ_k≠i q_ik · v[k]`: the off-diagonal row product (the
+    /// flow term of the absorption system), sharded over `threads`
+    /// workers (`0` = one per core). `v` has length `num_states`; `out`
+    /// may be a prefix of length ≤ `num_states`, and only `out[..len]`
+    /// is computed, each element from its whole row — exactly the
+    /// values a full-length call puts there. The Jacobi absorption
+    /// steps pass the prefix of rows that can still change.
+    pub fn apply(&self, v: &[f64], out: &mut [f64], threads: usize) {
         crate::spmv::flow_mul(self, v, out, threads);
     }
 
-    fn apply_transposed(&self, x: &[f64], out: &mut [f64], threads: usize) {
+    /// `out = x · Q` including the diagonal: the row-vector product the
+    /// uniformization loop needs, sharded over `threads` workers (`0` =
+    /// one per core). `x` has length `num_states`; `out` may be a
+    /// prefix of length ≤ `num_states`, and only `out[..len]` is
+    /// computed, each element from its whole column — exactly the
+    /// values a full-length call puts there. The uniformization loop
+    /// passes the prefix past which `x · Q` is known to vanish.
+    pub fn apply_transposed(&self, x: &[f64], out: &mut [f64], threads: usize) {
         crate::spmv::vec_mul(self, x, out, threads);
+    }
+
+    /// Backward Gauss–Seidel substitution: solves `(D − U) z = v` in
+    /// place, where `D − U` is the diagonal-plus-strict-upper part of
+    /// `-Q_TT` in the canonical state order (absorbing rows are
+    /// identity). One `O(nnz)` descending pass — the right
+    /// preconditioner of the absorption GMRES.
+    pub fn upper_solve(&self, v: &mut [f64]) {
+        for i in (0..self.n).rev() {
+            if self.absorbing[i] {
+                continue; // identity row: z_i = v_i
+            }
+            let mut acc = v[i];
+            self.for_each_in_row(i, |k, r| {
+                if k > i {
+                    acc += r * v[k];
+                }
+            });
+            v[i] = acc / -self.diag[i];
+        }
     }
 }
 
@@ -786,7 +706,6 @@ impl crate::linop::LinOp for Ctmc {
 mod tests {
     use super::*;
     use crate::graph::ReachOptions;
-    use crate::LinOp;
     use ctsim_san::{Activity, Case, SanBuilder, SanModel};
     use ctsim_stoch::Dist;
 
@@ -827,7 +746,8 @@ mod tests {
         let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
         let q = Ctmc::from_state_space(&ss).unwrap();
         for i in 0..q.num_states() {
-            let row_sum: f64 = q.diag(i) + q.row(i).map(|(_, r)| r).sum::<f64>();
+            let mut row_sum = q.diag(i);
+            q.for_each_in_row(i, |_, r| row_sum += r);
             assert!(row_sum.abs() < 1e-12, "row {i} sums to {row_sum}");
         }
     }

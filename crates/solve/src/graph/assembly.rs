@@ -1,20 +1,17 @@
 //! The output side of the streaming pipeline: worker-local transition
 //! chains, and the [`Assembly`] that streams each closed BFS level —
 //! canonical state by canonical state — into the packed-state store,
-//! the flat transition arena, and (optionally) the generator.
+//! the flat transition arena, and (optionally) the CSR generator.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ctsim_san::{ActivityId, SanModel};
+use ctsim_san::SanModel;
 
 use super::driver::{Abort, Dedup};
 use super::{PackedStates, Transition};
 use crate::arena::{RowLoc, SegStore};
-use crate::backend::GeneratorBackend;
 use crate::ctmc::CtmcAcc;
-use crate::kron::KronAcc;
-use crate::linop::Generator;
 use crate::spill::SpillShared;
 use crate::SolveError;
 
@@ -115,47 +112,6 @@ impl RunSlot {
     };
 }
 
-/// The streaming generator accumulator behind
-/// [`super::StateSpace::explore_ctmc`] and friends: one variant per
-/// [`GeneratorBackend`], fed the same canonical rows, producing the
-/// matching [`Generator`] representation.
-pub(super) enum GenSink {
-    Csr(CtmcAcc, Vec<(usize, f64)>),
-    Kron(KronAcc),
-}
-
-impl GenSink {
-    /// With a spill backend the CSR accumulator pages its entry
-    /// segments out under the shared budget ([`CtmcAcc::new_paged`]);
-    /// the Kronecker descriptor is already tiny and stays resident.
-    fn new(backend: GeneratorBackend, spill: Option<Arc<SpillShared>>) -> Self {
-        match backend {
-            GeneratorBackend::Csr => GenSink::Csr(
-                match spill {
-                    Some(s) => CtmcAcc::new_paged(s),
-                    None => CtmcAcc::new(),
-                },
-                Vec::new(),
-            ),
-            GeneratorBackend::Kron => GenSink::Kron(KronAcc::new()),
-        }
-    }
-
-    fn push_row(&mut self, src: usize, outs: &[Transition]) -> Result<(), ActivityId> {
-        match self {
-            GenSink::Csr(acc, scratch) => acc.push_row(src, outs, scratch),
-            GenSink::Kron(acc) => acc.push_row(src, outs),
-        }
-    }
-
-    pub(super) fn finish(self, initial_pairs: &[(usize, f64)]) -> Generator {
-        match self {
-            GenSink::Csr(acc, _) => Generator::Csr(acc.finish(initial_pairs)),
-            GenSink::Kron(acc) => Generator::Kron(acc.finish(initial_pairs)),
-        }
-    }
-}
-
 /// Opens the spill-mode canonical packed-state store: `words` per row,
 /// pageable under the shared budget.
 pub(super) fn packed_store(words: usize, spill: Arc<SpillShared>) -> SegStore<u64> {
@@ -191,7 +147,7 @@ pub(super) struct PendingLevel<L> {
 
 /// The output side of the streaming pipeline: the canonical packed
 /// states (held in the strategy's [`Dedup::States`]), the flat
-/// transition arena, and (optionally) the CTMC generator accumulated
+/// transition arena, and (optionally) the CSR generator accumulated
 /// row by row as levels are emitted.
 pub(super) struct Assembly<'m, D: Dedup> {
     model: &'m SanModel,
@@ -200,7 +156,7 @@ pub(super) struct Assembly<'m, D: Dedup> {
     pub(super) row_locs: Vec<RowLoc>,
     pub(super) absorbing: Vec<bool>,
     pub(super) total_trans: usize,
-    pub(super) gen: Option<GenSink>,
+    pub(super) gen: Option<CtmcAcc>,
     merge_buf: Vec<Transition>,
     runs_buf: Vec<RunSlot>,
     /// Emptied worker chains awaiting reuse by a later level.
@@ -215,17 +171,23 @@ impl<'m, D: Dedup> Assembly<'m, D> {
     pub(super) fn new(
         model: &'m SanModel,
         states: D::States,
-        want: Option<GeneratorBackend>,
+        want_ctmc: bool,
         spill: Option<Arc<SpillShared>>,
     ) -> Self {
+        // With a spill backend the CSR accumulator pages its entry
+        // segments out under the shared budget.
+        let gen = want_ctmc.then(|| match &spill {
+            Some(s) => CtmcAcc::new_paged(s.clone()),
+            None => CtmcAcc::new(),
+        });
         Assembly {
             model,
             states,
-            trans: SegStore::new(TRANS_SEG, spill.clone()),
+            trans: SegStore::new(TRANS_SEG, spill),
             row_locs: Vec::new(),
             absorbing: Vec::new(),
             total_trans: 0,
-            gen: want.map(|b| GenSink::new(b, spill)),
+            gen,
             merge_buf: Vec::new(),
             runs_buf: Vec::new(),
             chain_pool: Vec::new(),

@@ -22,10 +22,9 @@ use super::assembly::{packed_store, seal_packed, Assembly, PendingLevel, WorkerC
 use super::expand::{AbsorbFn, Expansion, Explorer, Scratch};
 use super::{PackedStates, ReachOptions, StateSpace};
 use crate::arena::SegStore;
-use crate::backend::GeneratorBackend;
+use crate::ctmc::Ctmc;
 use crate::ddd::{resolve_level, CandSet, DedupSink, Frontier, VisitedRuns};
 use crate::intern::{InternFull, Interner};
-use crate::linop::Generator;
 use crate::pack::{PackOverflow, StateLayout};
 use crate::spill::{DedupMode, SpillOptions, SpillShared};
 use crate::SolveError;
@@ -283,7 +282,11 @@ impl Resident {
     fn seed(explorer: &Explorer<'_, '_>, workers: usize) -> Result<Seed<Self>, Abort> {
         let opts = explorer.opts;
         let words = explorer.layout.words();
-        let interner = Interner::new(words, opts.max_states, workers);
+        // A level of `len` states runs at most `len / PARALLEL_THRESHOLD`
+        // workers and no level holds more than `max_states`, so no more
+        // writers than this ever race on the table.
+        let writers = workers.min(opts.max_states / PARALLEL_THRESHOLD);
+        let interner = Interner::new(words, opts.max_states, writers);
         // Level-0 seeding is not counted, as for `explore.transitions`.
         let initial = explorer.seed_initial(&mut ResidentSink {
             interner: &interner,
@@ -684,8 +687,8 @@ pub(super) fn explore<'m>(
     model: &'m SanModel,
     opts: &ReachOptions,
     absorb: Option<&AbsorbFn<'_>>,
-    want: Option<GeneratorBackend>,
-) -> Result<(StateSpace<'m>, Option<Generator>), SolveError> {
+    want_ctmc: bool,
+) -> Result<(StateSpace<'m>, Option<Ctmc>), SolveError> {
     let expansion = Expansion::build(model, opts.ph_order)?;
     // Places that start above one token start wide, so only a count
     // first met during exploration can restart it.
@@ -701,9 +704,9 @@ pub(super) fn explore<'m>(
         let explorer = Explorer::new(model, opts, &expansion, absorb, &layout);
         let attempt = match external {
             Some(sopts) => External::seed(&explorer, sopts)
-                .and_then(|seed| drive(&explorer, workers, seed, want)),
+                .and_then(|seed| drive(&explorer, workers, seed, want_ctmc)),
             None => Resident::seed(&explorer, workers)
-                .and_then(|seed| drive(&explorer, workers, seed, want)),
+                .and_then(|seed| drive(&explorer, workers, seed, want_ctmc)),
         };
         match attempt {
             Ok((mut ss, gen)) => {
@@ -741,8 +744,8 @@ fn drive<'m, D: Dedup>(
     explorer: &Explorer<'m, '_>,
     workers: usize,
     seed: Seed<D>,
-    want: Option<GeneratorBackend>,
-) -> Result<(StateSpace<'m>, Option<Generator>), Abort> {
+    want_ctmc: bool,
+) -> Result<(StateSpace<'m>, Option<Ctmc>), Abort> {
     let Seed {
         mut dedup,
         states,
@@ -751,16 +754,12 @@ fn drive<'m, D: Dedup>(
     } = seed;
     let model = explorer.model;
     let layout = explorer.layout;
-    let mut asm = Assembly::<D>::new(model, states, want, spill);
+    let mut asm = Assembly::<D>::new(model, states, want_ctmc, spill);
     let mut pending: Option<PendingLevel<D::Level>> = None;
-    let mut worker_states: Vec<Worker<D::Local>> = (0..workers)
-        .map(|_| Worker {
-            scratch: explorer.scratch(),
-            chain: WorkerChain::default(),
-            local: dedup.local(),
-            busy: Duration::ZERO,
-        })
-        .collect();
+    // A worker's state is built the first time a level runs that many
+    // workers, so a thread count beyond what any level uses costs no
+    // memory.
+    let mut worker_states: Vec<Worker<D::Local>> = Vec::new();
     let mut profile = SweepProfile::default();
     let micros = |since: Instant| since.elapsed().as_micros() as u64;
 
@@ -777,6 +776,14 @@ fn drive<'m, D: Dedup>(
         // levels (and small models) run inline no matter how many
         // threads were requested.
         let effective = workers.min(len / PARALLEL_THRESHOLD);
+        while worker_states.len() < effective.max(1) {
+            worker_states.push(Worker {
+                scratch: explorer.scratch(),
+                chain: WorkerChain::default(),
+                local: dedup.local(),
+                busy: Duration::ZERO,
+            });
+        }
         let chunk = (len / (effective.max(1) * 16)).clamp(MIN_CLAIM, MAX_CLAIM);
         let cursor = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);

@@ -125,6 +125,7 @@ use crate::arena::{RowLoc, RowRef, SegStore};
 use crate::backend::GeneratorBackend;
 use crate::ctmc::Ctmc;
 use crate::intern::Interner;
+use crate::kron::KronGenerator;
 use crate::linop::Generator;
 use crate::pack::StateLayout;
 use crate::spill::{SpillOptions, SpillRecord};
@@ -382,7 +383,7 @@ impl std::fmt::Debug for GraphParts {
 impl<'m> StateSpace<'m> {
     /// Explores the full tangible state space (no absorbing predicate).
     pub fn explore(model: &'m SanModel, opts: &ReachOptions) -> Result<Self, SolveError> {
-        Self::explore_inner(model, opts, None, None).map(|(ss, _)| ss)
+        Self::explore_inner(model, opts, None, false).map(|(ss, _)| ss)
     }
 
     /// [`StateSpace::explore`] with the CTMC generator built *in the
@@ -396,13 +397,7 @@ impl<'m> StateSpace<'m> {
         model: &'m SanModel,
         opts: &ReachOptions,
     ) -> Result<(Self, Ctmc), SolveError> {
-        Self::explore_inner(model, opts, None, Some(GeneratorBackend::Csr)).map(|(ss, gen)| {
-            match gen {
-                Some(Generator::Csr(q)) => (ss, q),
-                // Invariant: `GenSink::new(Csr)` only ever finishes into `Generator::Csr`.
-                _ => unreachable!("csr generator requested"),
-            }
-        })
+        Self::explore_with_ctmc(model, opts, None)
     }
 
     /// [`StateSpace::explore_absorbing`] with the CTMC generator built
@@ -412,28 +407,29 @@ impl<'m> StateSpace<'m> {
         opts: &ReachOptions,
         absorb: impl Fn(&Marking) -> bool + Sync,
     ) -> Result<(Self, Ctmc), SolveError> {
-        Self::explore_inner(model, opts, Some(&absorb), Some(GeneratorBackend::Csr)).map(
-            |(ss, gen)| match gen {
-                Some(Generator::Csr(q)) => (ss, q),
-                // Invariant: `GenSink::new(Csr)` only ever finishes into `Generator::Csr`.
-                _ => unreachable!("csr generator requested"),
-            },
-        )
+        Self::explore_with_ctmc(model, opts, Some(&absorb))
     }
 
     /// [`StateSpace::explore_absorbing_ctmc`] generalized over the
     /// generator representation: the returned [`Generator`] is the CSR
-    /// matrix or the factored Kronecker-style descriptor
-    /// ([`KronGenerator`](crate::KronGenerator)) per `backend`, built
-    /// in the same streaming pass.
+    /// matrix, built in the same streaming pass, or the factored
+    /// Kronecker-style descriptor ([`KronGenerator`]), built from the
+    /// explored graph afterwards.
     pub fn explore_absorbing_gen(
         model: &'m SanModel,
         opts: &ReachOptions,
         backend: GeneratorBackend,
         absorb: impl Fn(&Marking) -> bool + Sync,
     ) -> Result<(Self, Generator), SolveError> {
-        Self::explore_inner(model, opts, Some(&absorb), Some(backend))
-            .map(|(ss, gen)| (ss, gen.expect("generator requested")))
+        match backend {
+            GeneratorBackend::Csr => Self::explore_absorbing_ctmc(model, opts, absorb)
+                .map(|(ss, q)| (ss, Generator::Csr(Box::new(q)))),
+            GeneratorBackend::Kron => {
+                let ss = Self::explore_absorbing(model, opts, absorb)?;
+                let kron = KronGenerator::from_state_space(&ss)?;
+                Ok((ss, Generator::Kron(kron)))
+            }
+        }
     }
 
     /// Explores the state space, treating every tangible marking for
@@ -452,18 +448,30 @@ impl<'m> StateSpace<'m> {
         opts: &ReachOptions,
         absorb: impl Fn(&Marking) -> bool + Sync,
     ) -> Result<Self, SolveError> {
-        Self::explore_inner(model, opts, Some(&absorb), None).map(|(ss, _)| ss)
+        Self::explore_inner(model, opts, Some(&absorb), false).map(|(ss, _)| ss)
+    }
+
+    fn explore_with_ctmc(
+        model: &'m SanModel,
+        opts: &ReachOptions,
+        absorb: Option<&AbsorbFn<'_>>,
+    ) -> Result<(Self, Ctmc), SolveError> {
+        let (ss, q) = Self::explore_inner(model, opts, absorb, true)?;
+        Ok((
+            ss,
+            q.expect("the sweep builds the generator it was asked for"),
+        ))
     }
 
     fn explore_inner(
         model: &'m SanModel,
         opts: &ReachOptions,
         absorb: Option<&AbsorbFn<'_>>,
-        want: Option<GeneratorBackend>,
-    ) -> Result<(Self, Option<Generator>), SolveError> {
+        want_ctmc: bool,
+    ) -> Result<(Self, Option<Ctmc>), SolveError> {
         // All spill read-back failures below (packed states, transition
         // arena, paged CSR) surface typed through this boundary.
-        crate::catch_spill(|| driver::explore(model, opts, absorb, want))
+        crate::catch_spill(|| driver::explore(model, opts, absorb, want_ctmc))
     }
 
     /// The model this space was explored from.

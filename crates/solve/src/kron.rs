@@ -39,25 +39,20 @@
 //!
 //! # Matvec
 //!
-//! Both operator products are the same sharded, nnz-balanced gather
-//! loops as the CSR kernels in the `spmv` module — each output
-//! element is summed by exactly one worker in a fixed order, so the
-//! result is bit-identical for every thread count. The forward (row)
-//! product walks the structural rows; the transposed product — the
-//! `x·Q` the uniformization loop needs — walks a
-//! lazily built, cached transposed index (the descriptor analogue of
-//! [`Ctmc::incoming_view`](crate::Ctmc::incoming_view)). Solves that
-//! only need the forward orientation (the absorption/first-passage
-//! path that produces the paper's latency means) never build it, so
-//! their peak heap stays at the 8 B/entry structural floor.
+//! The forward (row) product `Σ_k q_ik v_k` is the same sharded,
+//! nnz-balanced gather loop as the CSR kernel in the `spmv` module —
+//! each output element is summed by exactly one worker in a fixed
+//! order, so the result is bit-identical for every thread count. It is
+//! the descriptor's only product: the solvers run on the CSR
+//! [`Ctmc`](crate::Ctmc), and the descriptor exists so that its build
+//! footprint and product speed can be measured against the CSR's.
 //!
-//! The numerical results agree with the CSR path to solver tolerance,
-//! not bit-for-bit: the CSR merges parallel transitions into one
-//! per-destination rate at build time, while the descriptor keeps one
-//! entry per activity term and sums at matvec time, so the
-//! floating-point summation grouping differs.
-//! `tests/generator_equivalence.rs` pins both products element-wise
-//! to 1e-9 relative.
+//! The product agrees with the CSR one to round-off, not bit-for-bit:
+//! the CSR merges parallel transitions into one per-destination rate at
+//! build time, while the descriptor keeps one entry per activity term
+//! and sums at matvec time, so the floating-point summation grouping
+//! differs. `tests/generator_equivalence.rs` pins the two products
+//! element-wise to 1e-9 relative.
 //!
 //! No run path builds this descriptor: [`AnalyticRun`](crate::AnalyticRun)
 //! solves on the CSR matrix. It is reached only through
@@ -65,12 +60,10 @@
 //! rows and the tests.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use ctsim_san::ActivityId;
 
 use crate::graph::{StateSpace, Transition};
-use crate::linop::LinOp;
 use crate::{spmv, SolveError};
 
 /// One activity term of the factored generator: a distinct
@@ -95,18 +88,6 @@ impl Term {
     }
 }
 
-/// The cached transposed structural index: for each destination, its
-/// predecessors (ascending) and the term each edge belongs to.
-#[derive(Debug)]
-struct Transpose {
-    /// Column starts into `src`/`term` (length `n + 1`).
-    col_ptr: Vec<usize>,
-    /// Source-state ids, grouped by destination, ascending per column.
-    src: Vec<u32>,
-    /// Term ids parallel to `src`.
-    term: Vec<u32>,
-}
-
 /// The matrix-free generator: structural transitions (destination +
 /// term id, 8 B each) plus the small per-term coefficient table. See
 /// the module docs for the representation and its trade-offs against
@@ -126,29 +107,18 @@ pub struct KronGenerator {
     coeffs: Vec<f64>,
     /// The activity terms, parallel to `coeffs`.
     terms: Vec<Term>,
-    /// Diagonal entries `q_ii = -Σ_j≠i q_ij` (1/ms).
-    diag: Vec<f64>,
-    /// Initial probability distribution.
-    initial: Vec<f64>,
-    /// States with no outgoing rate.
-    absorbing: Vec<bool>,
-    /// Lazily built transposed index for `x·Q` / column access.
-    transpose: OnceLock<Transpose>,
 }
 
 /// Row-by-row accumulation of a [`KronGenerator`] — the descriptor
-/// counterpart of [`CtmcAcc`](crate::ctmc): the exploration pipeline
-/// feeds it each canonical row as its BFS level is renumbered, and
-/// [`KronGenerator::from_state_space`] drives it sequentially over an
-/// already-explored graph, so both construction paths are identical by
-/// construction.
+/// counterpart of [`CtmcAcc`](crate::ctmc), which
+/// [`KronGenerator::from_state_space`] feeds the canonical rows of an
+/// explored graph.
 pub(crate) struct KronAcc {
     row_ptr: Vec<usize>,
     dst: Vec<u32>,
     term: Vec<u32>,
     coeffs: Vec<f64>,
     terms: Vec<Term>,
-    diag: Vec<f64>,
     /// Interns (activity, rate bits, prob bits) → term id.
     index: HashMap<(ActivityId, u64, u64), u32>,
 }
@@ -161,7 +131,6 @@ impl KronAcc {
             term: Vec::new(),
             coeffs: Vec::new(),
             terms: Vec::new(),
-            diag: Vec::new(),
             index: HashMap::new(),
         }
     }
@@ -171,8 +140,7 @@ impl KronAcc {
     /// activity — returns the offending activity, exactly like the CSR
     /// accumulator.
     pub(crate) fn push_row(&mut self, src: usize, outs: &[Transition]) -> Result<(), ActivityId> {
-        debug_assert_eq!(src, self.diag.len(), "rows must arrive in order");
-        let mut d = 0.0;
+        debug_assert_eq!(src, self.row_ptr.len() - 1, "rows must arrive in order");
         for t in outs {
             if t.rate.is_nan() {
                 return Err(t.activity);
@@ -201,81 +169,43 @@ impl KronAcc {
             self.dst
                 .push(u32::try_from(t.target).expect("state ids fit u32"));
             self.term.push(g);
-            d -= self.coeffs[g as usize];
         }
-        self.diag.push(d);
         self.row_ptr.push(self.dst.len());
         Ok(())
     }
 
-    /// Materializes the descriptor; `initial_pairs` is the (canonical,
-    /// sorted) initial distribution.
-    pub(crate) fn finish(self, initial_pairs: &[(usize, f64)]) -> KronGenerator {
-        let n = self.diag.len();
-        let mut initial = vec![0.0; n];
-        for &(i, p) in initial_pairs {
-            initial[i] = p;
-        }
-        let absorbing = self.diag.iter().map(|&d| d == 0.0).collect();
+    /// Materializes the descriptor.
+    pub(crate) fn finish(self) -> KronGenerator {
         KronGenerator {
-            n,
+            n: self.row_ptr.len() - 1,
             row_ptr: self.row_ptr,
             dst: self.dst,
             term: self.term,
             coeffs: self.coeffs,
             terms: self.terms,
-            diag: self.diag,
-            initial,
-            absorbing,
-            transpose: OnceLock::new(),
         }
     }
 }
 
-/// Iterator over one structural row, yielding `(destination, rate)`
-/// with the rate resolved through the coefficient table. Parallel
-/// transitions to the same destination yield one entry per term — sum
-/// consumers (sweeps, substitutions) accumulate them exactly like
-/// distinct destinations.
-pub struct KronEntries<'a> {
-    state: &'a [u32],
-    term: &'a [u32],
-    coeffs: &'a [f64],
-}
-
-impl Iterator for KronEntries<'_> {
-    type Item = (usize, f64);
-
-    fn next(&mut self) -> Option<(usize, f64)> {
-        let (&s, state_rest) = self.state.split_first()?;
-        let (&g, term_rest) = self.term.split_first()?;
-        self.state = state_rest;
-        self.term = term_rest;
-        Some((s as usize, self.coeffs[g as usize]))
-    }
-}
-
 impl KronGenerator {
-    /// Builds the descriptor from a reachability graph.
-    ///
-    /// Prefer `StateSpace::explore_absorbing_gen` when the graph is
-    /// being explored anyway: it assembles the identical descriptor
-    /// *during* exploration (pipelined per BFS level) without ever
-    /// materializing a CSR.
+    /// Builds the descriptor from a reachability graph, one canonical
+    /// row at a time.
     ///
     /// # Errors
     /// [`SolveError::NonMarkovian`] under the same condition as
     /// [`Ctmc::from_state_space`](crate::Ctmc::from_state_space).
     pub fn from_state_space(ss: &StateSpace<'_>) -> Result<Self, SolveError> {
-        let model = ss.model();
-        let mut acc = KronAcc::new();
-        for s in 0..ss.len() {
-            acc.push_row(s, &ss.outgoing(s))
-                .map_err(|a| SolveError::NonMarkovian {
-                    activity: model.activity_name(a).to_string(),
-                })?;
-        }
-        Ok(acc.finish(&ss.initial))
+        crate::catch_spill(|| {
+            let model = ss.model();
+            let mut acc = KronAcc::new();
+            for s in 0..ss.len() {
+                acc.push_row(s, &ss.outgoing(s))
+                    .map_err(|a| SolveError::NonMarkovian {
+                        activity: model.activity_name(a).to_string(),
+                    })?;
+            }
+            Ok(acc.finish())
+        })
     }
 
     /// Number of states.
@@ -299,102 +229,12 @@ impl KronGenerator {
         &self.terms
     }
 
-    /// Whether the transposed index has been materialized (it is built
-    /// lazily on the first `x·Q` or column access).
-    pub fn transpose_built(&self) -> bool {
-        self.transpose.get().is_some()
-    }
-
-    /// Resident bytes of the descriptor's large arrays (structure +
-    /// diagonal + transpose if built) — the number the CSR's
-    /// ~24 B/entry footprint is compared against.
-    pub fn approx_bytes(&self) -> usize {
-        let entry = self.dst.len() * (std::mem::size_of::<u32>() * 2);
-        let ptrs = self.row_ptr.len() * std::mem::size_of::<usize>();
-        let per_state = self.n * (std::mem::size_of::<f64>() * 2 + std::mem::size_of::<bool>());
-        let table = self.terms.len() * (std::mem::size_of::<Term>() + std::mem::size_of::<f64>());
-        let transpose = self.transpose.get().map_or(0, |t| {
-            t.col_ptr.len() * std::mem::size_of::<usize>()
-                + t.src.len() * (std::mem::size_of::<u32>() * 2)
-        });
-        entry + ptrs + per_state + table + transpose
-    }
-
-    fn transpose(&self) -> &Transpose {
-        self.transpose.get_or_init(|| {
-            let n = self.n;
-            let mut col_ptr = vec![0usize; n + 1];
-            for &j in &self.dst {
-                col_ptr[j as usize + 1] += 1;
-            }
-            for j in 0..n {
-                col_ptr[j + 1] += col_ptr[j];
-            }
-            let mut cursor = col_ptr.clone();
-            let mut src = vec![0u32; self.dst.len()];
-            let mut term = vec![0u32; self.dst.len()];
-            // Row-major traversal fills each column ascending by
-            // source — the same deterministic gather order as the CSR
-            // incoming view.
-            for i in 0..n {
-                for e in self.row_ptr[i]..self.row_ptr[i + 1] {
-                    let at = cursor[self.dst[e] as usize];
-                    src[at] = i as u32;
-                    term[at] = self.term[e];
-                    cursor[self.dst[e] as usize] += 1;
-                }
-            }
-            Transpose { col_ptr, src, term }
-        })
-    }
-}
-
-impl LinOp for KronGenerator {
-    type Row<'a> = KronEntries<'a>;
-    type Col<'a> = KronEntries<'a>;
-
-    fn dim(&self) -> usize {
-        self.n
-    }
-
-    fn diag(&self, i: usize) -> f64 {
-        self.diag[i]
-    }
-
-    fn initial(&self) -> &[f64] {
-        &self.initial
-    }
-
-    fn is_absorbing(&self, i: usize) -> bool {
-        self.absorbing[i]
-    }
-
-    fn max_exit_rate(&self) -> f64 {
-        self.diag.iter().fold(0.0, |m, &d| m.max(-d))
-    }
-
-    fn row(&self, i: usize) -> KronEntries<'_> {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        KronEntries {
-            state: &self.dst[lo..hi],
-            term: &self.term[lo..hi],
-            coeffs: &self.coeffs,
-        }
-    }
-
-    fn column(&self, j: usize) -> KronEntries<'_> {
-        let t = self.transpose();
-        let lo = t.col_ptr[j];
-        let hi = t.col_ptr[j + 1];
-        KronEntries {
-            state: &t.src[lo..hi],
-            term: &t.term[lo..hi],
-            coeffs: &self.coeffs,
-        }
-    }
-
-    fn apply(&self, v: &[f64], out: &mut [f64], threads: usize) {
+    /// `out[i] = Σ_k≠i q_ik · v[k]`, summed per activity term: the
+    /// forward product of [`Ctmc::apply`](crate::Ctmc::apply), sharded
+    /// the same way over `threads` workers (`0` = one per core). `out`
+    /// may be a prefix of length ≤ `num_states`; only `out[..len]` is
+    /// computed.
+    pub fn apply(&self, v: &[f64], out: &mut [f64], threads: usize) {
         assert_eq!(v.len(), self.n);
         assert!(out.len() <= self.n);
         spmv::for_each_shard(&self.row_ptr[..=out.len()], threads, out, |lo, shard| {
@@ -403,22 +243,6 @@ impl LinOp for KronGenerator {
                 let mut acc = 0.0;
                 for e in self.row_ptr[i]..self.row_ptr[i + 1] {
                     acc += self.coeffs[self.term[e] as usize] * v[self.dst[e] as usize];
-                }
-                *o = acc;
-            }
-        });
-    }
-
-    fn apply_transposed(&self, x: &[f64], out: &mut [f64], threads: usize) {
-        assert_eq!(x.len(), self.n);
-        assert!(out.len() <= self.n);
-        let t = self.transpose();
-        spmv::for_each_shard(&t.col_ptr[..=out.len()], threads, out, |lo, shard| {
-            for (dj, o) in shard.iter_mut().enumerate() {
-                let j = lo + dj;
-                let mut acc = x[j] * self.diag[j];
-                for e in t.col_ptr[j]..t.col_ptr[j + 1] {
-                    acc += x[t.src[e] as usize] * self.coeffs[t.term[e] as usize];
                 }
                 *o = acc;
             }
@@ -480,24 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn diag_and_absorbing_match_csr() {
-        let (csr, kron) = both_generators(9);
-        assert_eq!(kron.num_states(), csr.num_states());
-        for i in 0..csr.num_states() {
-            assert!(
-                (csr.diag(i) - LinOp::diag(&kron, i)).abs() <= 1e-12 * csr.diag(i).abs(),
-                "diag {i}"
-            );
-            assert_eq!(csr.is_absorbing(i), LinOp::is_absorbing(&kron, i));
-        }
-        assert_eq!(csr.initial(), LinOp::initial(&kron));
-        assert!(
-            (csr.max_exit_rate() - LinOp::max_exit_rate(&kron)).abs() < 1e-12,
-            "uniformization rate"
-        );
-    }
-
-    #[test]
     fn products_match_csr_within_roundoff() {
         let (csr, kron) = both_generators(12);
         let n = csr.num_states();
@@ -508,13 +314,6 @@ mod tests {
         for (i, (&ai, &bi)) in a.iter().zip(&b).enumerate() {
             assert!((ai - bi).abs() <= 1e-12 * ai.abs().max(1.0), "row {i}");
         }
-        assert!(!kron.transpose_built(), "forward product stays lazy");
-        csr.apply_transposed(&x, &mut a, 1);
-        kron.apply_transposed(&x, &mut b, 1);
-        for (i, (&ai, &bi)) in a.iter().zip(&b).enumerate() {
-            assert!((ai - bi).abs() <= 1e-12 * ai.abs().max(1.0), "col {i}");
-        }
-        assert!(kron.transpose_built());
     }
 
     #[test]
@@ -524,22 +323,13 @@ mod tests {
         let (_, kron) = both_generators(140);
         let n = kron.num_states();
         let x: Vec<f64> = (0..n).map(|i| ((i * 37) % 11) as f64 / 7.0).collect();
-        let (mut base, mut base_t) = (vec![0.0; n], vec![0.0; n]);
+        let mut base = vec![0.0; n];
         kron.apply(&x, &mut base, 1);
-        kron.apply_transposed(&x, &mut base_t, 1);
         for threads in [2usize, 3, 8] {
             let mut out = vec![0.0; n];
             kron.apply(&x, &mut out, threads);
             for (a, b) in base.iter().zip(&out) {
                 assert_eq!(a.to_bits(), b.to_bits(), "apply at {threads} threads");
-            }
-            kron.apply_transposed(&x, &mut out, threads);
-            for (a, b) in base_t.iter().zip(&out) {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "apply_transposed at {threads} threads"
-                );
             }
         }
     }
@@ -552,11 +342,14 @@ mod tests {
             + std::mem::size_of_val(&col[..])
             + std::mem::size_of_val(&rate[..])
             + std::mem::size_of_val(&diag[..]);
+        let kron_bytes = std::mem::size_of_val(&kron.row_ptr[..])
+            + std::mem::size_of_val(&kron.dst[..])
+            + std::mem::size_of_val(&kron.term[..])
+            + std::mem::size_of_val(&kron.coeffs[..])
+            + std::mem::size_of_val(&kron.terms[..]);
         assert!(
-            kron.approx_bytes() < csr_bytes,
-            "descriptor {} B vs CSR {} B",
-            kron.approx_bytes(),
-            csr_bytes
+            kron_bytes < csr_bytes,
+            "descriptor {kron_bytes} B vs CSR {csr_bytes} B"
         );
     }
 

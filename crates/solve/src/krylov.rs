@@ -44,7 +44,7 @@ use std::cell::RefCell;
 
 use crate::absorption::{AbsorptionTimes, IterOptions};
 use crate::backend::SolverBackend;
-use crate::linop::LinOp;
+use crate::ctmc::Ctmc;
 use crate::SolveError;
 
 /// Arnoldi steps per GMRES cycle on all but the biggest systems.
@@ -268,13 +268,10 @@ where
 }
 
 /// Absorption times via restarted GMRES, right-preconditioned by a
-/// backward Gauss–Seidel substitution ([`LinOp::upper_solve`]; see
+/// backward Gauss–Seidel substitution ([`Ctmc::upper_solve`]; see
 /// module docs). The dispatcher has already verified an absorbing
 /// state exists.
-pub(crate) fn absorption<L: LinOp>(
-    op: &L,
-    opts: &IterOptions,
-) -> Result<AbsorptionTimes, SolveError> {
+pub(crate) fn absorption(op: &Ctmc, opts: &IterOptions) -> Result<AbsorptionTimes, SolveError> {
     // Deterministic chaos hook for the fallback chain: an armed
     // `solver.krylov` failpoint makes this backend report stagnation
     // without spending any iterations.
@@ -287,7 +284,7 @@ pub(crate) fn absorption<L: LinOp>(
             residual: f64::INFINITY,
         });
     }
-    let n = op.dim();
+    let n = op.num_states();
     let threads = opts.threads;
     // `B τ = c` with `B = -Q_TT` over transient rows (positive
     // diagonal), identity on absorbing rows. GMRES iterates the

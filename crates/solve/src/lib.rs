@@ -58,33 +58,18 @@
 //! grows on the paper's *real* Fig. 7 parameters.
 //!
 //! The price is state-space growth — roughly the product of the phase
-//! counts of the concurrently enabled expanded activities. Measured on
-//! the paper's consensus model (class 1, no crashes, first-passage
-//! exploration to the first decision; order 1 equals the exponential
-//! count because every expansion collapses to one phase):
-//!
-//! | n | `ph_order` 1 | 2 | 3 | 4 |
-//! |---|-------------:|--------:|----------:|----------:|
-//! | 2 |           20 |      42 |        82 |       111 |
-//! | 3 |      135 125 | 534 429 | 2 335 749 | 5 271 585 |
-//!
-//! With the concurrent intern table, the bit-packed state encoding,
-//! and the streaming transition arena (single-thread wall-clock / peak
-//! RSS per engine generation, same host):
-//!
-//! | n = 3 workload | states | explore+merge | packed intern | streaming arena |
-//! |---|---:|---:|---:|---:|
-//! | exponential     |   135 125 |  1.19 s / 0.18 GB |  0.64 s / 0.09 GB | 0.52 s / 0.07 GB |
-//! | order 2         |   534 429 |  9.56 s / 0.98 GB |  4.7 s / 0.51 GB | 3.3 s / 0.24 GB |
-//! | order 3         | 2 335 749 | 72.7 s / 4.3 GB   | 20.4 s / 2.2 GB  | 13.4 s / 0.95 GB |
-//!
-//! so n = 3 at orders 2–3 fits comfortably in RAM and inside a CI time
-//! budget — the `scalability` CI job solves the order-2 space and
-//! cross-validates it against the simulator on every push. For spaces
-//! that do *not* fit (n ≥ 4), [`ReachOptions::spill`] pages cold
-//! transition/state segments to a temp file under an explicit RAM
-//! budget with byte-identical results — see [`SpillOptions`] and the
-//! spill-mode notes below.
+//! counts of the concurrently enabled expanded activities. The measured
+//! state counts of the paper's consensus model per `n` and order are
+//! one table, in the repository README's *Phase-type expansion*
+//! section, and the explore timings and peak memory of each exploration
+//! engine at n = 3 are another, in its *Out-of-core exploration and
+//! solve* section. n = 3 at orders 2–3 fits comfortably in RAM and
+//! inside a CI time budget — the `scalability` CI job solves the
+//! order-2 space and cross-validates it against the simulator on every
+//! push. For spaces that do *not* fit (n ≥ 4), [`ReachOptions::spill`]
+//! pages cold transition/state segments to a temp file under an
+//! explicit RAM budget with byte-identical results — see
+//! [`SpillOptions`] and the spill-mode notes below.
 //!
 //! Prefer the **simulator** when the expanded space would exceed a few
 //! million states (deep PH orders, large `n`, two-state FD submodels),

@@ -167,7 +167,6 @@ mod tests {
     use super::*;
     use crate::graph::{ReachOptions, StateSpace};
     use crate::kron::KronGenerator;
-    use crate::linop::LinOp;
     use crate::spill::SpillOptions;
     use ctsim_san::{Activity, Case, SanBuilder, SanModel};
     use ctsim_stoch::Dist;

@@ -34,7 +34,7 @@
 //! temporarily pays the full `O(rates)` transpose in RAM; the
 //! absorption-mean path (Krylov) is the one that stays out-of-core.
 
-use crate::linop::LinOp;
+use crate::ctmc::Ctmc;
 use crate::SolveError;
 
 /// Poisson terms per telemetry batch span in the uniformization loop.
@@ -85,18 +85,14 @@ pub struct Transient {
 }
 
 /// Computes `π(t)` for the chain started from its initial
-/// distribution, over any [`LinOp`] generator representation.
+/// distribution.
 ///
 /// # Errors
 /// [`SolveError::InvalidTime`] if `t_ms` is negative, NaN or infinite;
 /// [`SolveError::TruncationTooLong`] if `Λt` needs more than
 /// `max_terms` Poisson terms at the requested tolerance.
-pub fn transient<L: LinOp>(
-    op: &L,
-    t_ms: f64,
-    opts: &TransientOptions,
-) -> Result<Transient, SolveError> {
-    let mut probs = vec![0.0; op.dim()];
+pub fn transient(op: &Ctmc, t_ms: f64, opts: &TransientOptions) -> Result<Transient, SolveError> {
+    let mut probs = vec![0.0; op.num_states()];
     let pass = uniformize(op, &[t_ms], opts, |_, w, lo, v| {
         for (o, &x) in probs[lo..lo + v.len()].iter_mut().zip(v) {
             *o += w * x;
@@ -133,8 +129,8 @@ pub(crate) struct Pass {
 /// [`SolveError::TruncationTooLong`] when a point needs more than
 /// `max_terms` terms, and [`SolveError::SpillFailed`] when a paged
 /// generator cannot be read back.
-pub(crate) fn uniformize<L: LinOp>(
-    op: &L,
+pub(crate) fn uniformize(
+    op: &Ctmc,
     times: &[f64],
     opts: &TransientOptions,
     sink: impl FnMut(usize, f64, usize, &[f64]),
@@ -148,13 +144,13 @@ pub(crate) fn uniformize<L: LinOp>(
     crate::catch_spill(|| uniformize_inner(op, times, opts, sink))
 }
 
-fn uniformize_inner<L: LinOp>(
-    op: &L,
+fn uniformize_inner(
+    op: &Ctmc,
     times: &[f64],
     opts: &TransientOptions,
     mut sink: impl FnMut(usize, f64, usize, &[f64]),
 ) -> Result<Pass, SolveError> {
-    let n = op.dim();
+    let n = op.num_states();
     let lambda = op.max_exit_rate();
     let weights = times
         .iter()
@@ -192,7 +188,9 @@ fn uniformize_inner<L: LinOp>(
             }
             scanned = hi;
             if traced {
-                col_entries += (hi..reach).map(|j| op.column(j).count()).sum::<usize>();
+                col_entries += (hi..reach)
+                    .map(|j| op.incoming_view().column(j).len())
+                    .sum::<usize>();
                 rates_touched += col_entries;
             }
             op.apply_transposed(&v, &mut qv[..reach], opts.threads);
@@ -227,7 +225,7 @@ fn uniformize_inner<L: LinOp>(
         }
     }
     if traced {
-        let nnz: usize = (0..n).map(|j| op.column(j).count()).sum();
+        let nnz: usize = (0..n).map(|j| op.incoming_view().column(j).len()).sum();
         span.push_arg("rates_touched", rates_touched);
         span.push_arg("rates_full", last * nnz);
     }

@@ -2,14 +2,14 @@
 //! change. The full sweep it replaced lives here as the reference: on
 //! random absorbing chains with and without back edges, and on one
 //! chain built so that only the `reach` bound sees the row that must
-//! move, over the CSR, the Kronecker and the disk-paged CSR generator,
-//! at 1, 2 and 8 SpMV threads, the backend's `per_state`, `iterations`
+//! move, over the resident and the disk-paged CSR generator, at 1, 2
+//! and 8 SpMV threads, the backend's `per_state`, `iterations`
 //! and `residual` must equal the full sweep's in every bit.
 
 use ctsim_san::{Activity, Case, PlaceId, SanBuilder, SanModel};
 use ctsim_solve::{
-    mean_time_to_absorption, Ctmc, IterOptions, KronGenerator, LinOp, ReachOptions, SolverBackend,
-    SpillOptions, StateSpace,
+    mean_time_to_absorption, Ctmc, IterOptions, ReachOptions, SolverBackend, SpillOptions,
+    StateSpace,
 };
 use ctsim_stoch::Dist;
 use proptest::prelude::*;
@@ -20,8 +20,8 @@ use proptest::prelude::*;
 /// transient rows, stopped where the solvers' iteration loop stops.
 /// Returns `(τ, iterations, residual)`, or `None` where the backend
 /// reports `NotConverged`.
-fn full_sweep(op: &impl LinOp, opts: &IterOptions) -> Option<(Vec<f64>, usize, f64)> {
-    let n = op.dim();
+fn full_sweep(op: &Ctmc, opts: &IterOptions) -> Option<(Vec<f64>, usize, f64)> {
+    let n = op.num_states();
     let (mut tau, mut flow) = (vec![0.0; n], vec![0.0; n]);
     for iter in 1..=opts.max_iterations {
         op.apply(&tau, &mut flow, 1);
@@ -168,7 +168,7 @@ fn late_reader(drain: u32, stages: u32) -> SanModel {
 }
 
 /// The backend at 1, 2 and 8 threads against [`full_sweep`].
-fn matches_full_sweep(what: &str, op: &impl LinOp, tolerance: f64) -> Result<(), TestCaseError> {
+fn matches_full_sweep(what: &str, op: &Ctmc, tolerance: f64) -> Result<(), TestCaseError> {
     let reference = full_sweep(
         op,
         &IterOptions {
@@ -216,9 +216,9 @@ fn matches_full_sweep(what: &str, op: &impl LinOp, tolerance: f64) -> Result<(),
     Ok(())
 }
 
-/// CSR, Kronecker and paged CSR generators of `model`, each against
+/// The resident and the paged CSR generator of `model`, each against
 /// [`full_sweep`].
-fn every_generator_matches(
+fn both_generators_match(
     what: &str,
     model: &SanModel,
     tolerance: f64,
@@ -241,8 +241,6 @@ fn every_generator_matches(
         "{what}: the full sweep converges"
     );
     matches_full_sweep(&format!("{what}, csr"), &csr, tolerance)?;
-    let kron = KronGenerator::from_state_space(&ss).expect("kron");
-    matches_full_sweep(&format!("{what}, kron"), &kron, tolerance)?;
     let spill = ReachOptions {
         spill: Some(SpillOptions::with_budget(0)),
         ..opts
@@ -262,7 +260,7 @@ fn a_reader_past_every_changed_row_still_moves() {
     // 71² drained states put `end` in a later block than `c`; the 160
     // stages outlast the drain's 142 levels. The slow stage's 1e4 ms
     // needs a tolerance above the default's 1e-12 absolute defect.
-    every_generator_matches("late reader", &late_reader(70, 160), 1e-9).unwrap();
+    both_generators_match("late reader", &late_reader(70, 160), 1e-9).unwrap();
 }
 
 proptest! {
@@ -277,7 +275,7 @@ proptest! {
     ) {
         for cyclic in [false, true] {
             let model = net(tokens, means, split, cyclic, hops);
-            every_generator_matches(&format!("cyclic {cyclic}"), &model, 1e-12)?;
+            both_generators_match(&format!("cyclic {cyclic}"), &model, 1e-12)?;
         }
     }
 }

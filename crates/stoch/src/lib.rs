@@ -31,4 +31,4 @@ pub mod stats;
 pub use dist::Dist;
 pub use phase::{PhBranch, PhaseType};
 pub use rng::{fan_out, resolve_threads, SimRng};
-pub use stats::{BatchMeans, Ecdf, Histogram, OnlineStats};
+pub use stats::{Ecdf, OnlineStats};

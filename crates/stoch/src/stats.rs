@@ -3,7 +3,6 @@
 //! * [`OnlineStats`] — Welford's online mean/variance with Student-t
 //!   confidence intervals (the paper reports 90 % CIs on latency means).
 //! * [`Ecdf`] — empirical CDFs for the latency/delay distribution figures.
-//! * [`Histogram`] — fixed-bin histograms for diagnostics.
 
 /// Online mean/variance accumulator (Welford's algorithm).
 #[derive(Debug, Clone, Default)]
@@ -194,63 +193,6 @@ pub fn student_t_quantile(confidence: f64, df: u64) -> f64 {
     TABLE.last().unwrap().1[col]
 }
 
-/// Batch-means estimator for steady-state simulation output.
-///
-/// Correlated observations from one long run (e.g. per-event rewards)
-/// violate the independence assumption behind [`OnlineStats`]'s
-/// confidence intervals; grouping consecutive observations into batches
-/// and treating batch means as independent samples is the classic
-/// remedy (used by UltraSAN's steady-state simulator).
-#[derive(Debug, Clone)]
-pub struct BatchMeans {
-    batch_size: usize,
-    current_sum: f64,
-    current_n: usize,
-    batches: OnlineStats,
-}
-
-impl BatchMeans {
-    /// Creates an estimator with the given batch size.
-    ///
-    /// # Panics
-    /// Panics if `batch_size == 0`.
-    pub fn new(batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        Self {
-            batch_size,
-            current_sum: 0.0,
-            current_n: 0,
-            batches: OnlineStats::new(),
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.current_sum += x;
-        self.current_n += 1;
-        if self.current_n == self.batch_size {
-            self.batches.push(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_n = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn batches(&self) -> u64 {
-        self.batches.count()
-    }
-
-    /// Mean over completed batches.
-    pub fn mean(&self) -> f64 {
-        self.batches.mean()
-    }
-
-    /// Student-t CI half-width over batch means.
-    pub fn ci_half_width(&self, confidence: f64) -> f64 {
-        self.batches.ci_half_width(confidence)
-    }
-}
-
 /// An empirical cumulative distribution function built from samples.
 ///
 /// Used to regenerate the CDF figures (Figs. 6, 7a, 7b of the paper).
@@ -357,68 +299,6 @@ impl Ecdf {
                 (x, self.at(x))
             })
             .collect()
-    }
-}
-
-/// A fixed-bin histogram over `[lo, hi)` with out-of-range counters.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi` or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "histogram range empty");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Self {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range end.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
     }
 }
 
@@ -537,73 +417,5 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn ecdf_rejects_nan() {
         let _ = Ecdf::new(vec![1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn batch_means_reduces_to_plain_mean() {
-        let mut bm = BatchMeans::new(10);
-        let mut plain = OnlineStats::new();
-        let mut rng = crate::SimRng::new(3);
-        for _ in 0..1000 {
-            let x = rng.unit();
-            bm.push(x);
-            plain.push(x);
-        }
-        assert_eq!(bm.batches(), 100);
-        assert!((bm.mean() - plain.mean()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_means_ci_honest_for_correlated_series() {
-        // A strongly autocorrelated AR(1)-ish series: naive per-sample
-        // CIs are overconfident; batch means with large batches give a
-        // wider (more honest) interval.
-        let mut rng = crate::SimRng::new(5);
-        let mut x = 0.0f64;
-        let mut naive = OnlineStats::new();
-        let mut bm = BatchMeans::new(200);
-        for _ in 0..20_000 {
-            x = 0.98 * x + rng.unit() - 0.5;
-            naive.push(x);
-            bm.push(x);
-        }
-        assert!(bm.batches() >= 50);
-        assert!(
-            bm.ci_half_width(0.90) > 2.0 * naive.ci_half_width(0.90),
-            "batch CI {} should exceed naive CI {}",
-            bm.ci_half_width(0.90),
-            naive.ci_half_width(0.90)
-        );
-    }
-
-    #[test]
-    fn incomplete_batch_is_not_counted() {
-        let mut bm = BatchMeans::new(4);
-        for i in 0..7 {
-            bm.push(i as f64);
-        }
-        assert_eq!(bm.batches(), 1);
-        assert!((bm.mean() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size")]
-    fn zero_batch_size_panics() {
-        let _ = BatchMeans::new(0);
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        h.record(-1.0);
-        h.record(10.0);
-        h.record(25.0);
-        assert_eq!(h.counts(), &[1u64; 10][..]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 13);
     }
 }

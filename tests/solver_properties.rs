@@ -5,8 +5,7 @@
 use ct_consensus_repro::san::{Activity, Case, Marking, SanBuilder, SanModel};
 use ct_consensus_repro::solve::transient::poisson_weights;
 use ct_consensus_repro::solve::{
-    transient, AnalyticRun, Ctmc, GeneratorBackend, LinOp, ReachOptions, StateSpace,
-    TransientOptions,
+    transient, AnalyticRun, Ctmc, ReachOptions, StateSpace, TransientOptions,
 };
 use ct_consensus_repro::stoch::{Dist, PhaseType};
 use proptest::prelude::*;
@@ -324,8 +323,8 @@ fn token_net(
 /// The full-width uniformization loop: every product over all states,
 /// every accumulation over all states, one thread. The reference the
 /// prefix-limited loop must reproduce bit for bit.
-fn full_width_transient(op: &impl LinOp, t: f64) -> Vec<f64> {
-    let n = op.dim();
+fn full_width_transient(op: &Ctmc, t: f64) -> Vec<f64> {
+    let n = op.num_states();
     let lambda = op.max_exit_rate();
     let weights = poisson_weights(lambda * t, &TransientOptions::default()).expect("weights");
     let mut v = op.initial().to_vec();
@@ -360,12 +359,10 @@ proptest! {
     })]
 
     /// Prefix-limited uniformization changes no bit: on random acyclic
-    /// and cyclic nets, over the CSR and the Kronecker generator, at 1,
-    /// 2 and 3 SpMV threads, `transient().probs` equals the full-width
-    /// loop's, and every point of a `cdf_grid` — unsorted, with a
-    /// duplicate and `0.0` — equals the one-point `cdf` and the goal
-    /// mass of the full-width vector. The Kronecker generator's goal
-    /// mass lands within 1e-9 of the CSR grid point.
+    /// and cyclic nets, at 1, 2 and 3 SpMV threads, `transient().probs`
+    /// equals the full-width loop's, and every point of a `cdf_grid` —
+    /// unsorted, with a duplicate and `0.0` — equals the one-point
+    /// `cdf` and the goal mass of the full-width vector.
     #[test]
     fn prefix_limited_uniformization_is_bit_identical(
         tokens in 1u32..150,
@@ -386,9 +383,6 @@ proptest! {
         let reach = ReachOptions { max_states: 1 << 16, ..ReachOptions::default() };
         let goal = move |m: &Marking| m.get(done) >= goal_tokens;
         let run = AnalyticRun::first_passage(&model, &reach, goal).expect("explore");
-        let (_, kron) =
-            StateSpace::explore_absorbing_gen(&model, &reach, GeneratorBackend::Kron, goal)
-                .expect("explore");
         let goals: Vec<usize> =
             (0..run.space().len()).filter(|&s| run.space().absorbing[s]).collect();
         for threads in [1usize, 2, 3] {
@@ -399,17 +393,10 @@ proptest! {
                 let reference = full_width_transient(run.generator(), t);
                 let sol = transient(run.generator(), t, &opts).expect("transient");
                 let diff = first_bit_difference(&sol.probs, &reference);
-                prop_assert!(diff.is_none(), "csr, {} threads, t = {}: state {:?} differs", threads, t, diff);
+                prop_assert!(diff.is_none(), "{} threads, t = {}: state {:?} differs", threads, t, diff);
                 let one = run.cdf(t, &opts).expect("cdf");
                 prop_assert_eq!(c.to_bits(), one.to_bits(), "grid vs cdf at t = {}", t);
                 prop_assert_eq!(c.to_bits(), goal_mass(&reference, &goals).to_bits(), "grid vs full width at t = {}", t);
-
-                let reference = full_width_transient(&kron, t);
-                let sol = transient(&kron, t, &opts).expect("transient");
-                let diff = first_bit_difference(&sol.probs, &reference);
-                prop_assert!(diff.is_none(), "kron, {} threads, t = {}: state {:?} differs", threads, t, diff);
-                let mass = goal_mass(&sol.probs, &goals);
-                prop_assert!((mass - c).abs() <= 1e-9, "kron mass {} vs csr cdf {} at t = {}", mass, c, t);
             }
         }
     }
@@ -474,39 +461,17 @@ fn series(stages: &[Dist]) -> SanModel {
     b.build().expect("series net is valid")
 }
 
-fn series_cdf(
-    stages: &[Dist],
-    ph_order: u32,
-    generator: GeneratorBackend,
-    grid: &[f64],
-) -> Vec<f64> {
+fn series_cdf(stages: &[Dist], ph_order: u32, grid: &[f64]) -> Vec<f64> {
     let model = series(stages);
     let end = model.place(&format!("s{}", stages.len())).expect("place");
     let reach = ReachOptions {
         ph_order,
         ..ReachOptions::default()
     };
-    let goal = move |m: &Marking| m.get(end) > 0;
-    let opts = TransientOptions::default();
-    match generator {
-        GeneratorBackend::Csr => AnalyticRun::first_passage(&model, &reach, goal)
-            .expect("explore")
-            .cdf_grid(grid, &opts)
-            .expect("cdf_grid"),
-        GeneratorBackend::Kron => {
-            let (space, kron) = StateSpace::explore_absorbing_gen(&model, &reach, generator, goal)
-                .expect("explore");
-            let goals: Vec<usize> = (0..space.len()).filter(|&s| space.absorbing[s]).collect();
-            grid.iter()
-                .map(|&t| {
-                    goal_mass(
-                        &transient(&kron, t, &opts).expect("transient").probs,
-                        &goals,
-                    )
-                })
-                .collect()
-        }
-    }
+    AnalyticRun::first_passage(&model, &reach, move |m: &Marking| m.get(end) > 0)
+        .expect("explore")
+        .cdf_grid(grid, &TransientOptions::default())
+        .expect("cdf_grid")
 }
 
 proptest! {
@@ -516,18 +481,15 @@ proptest! {
 
     /// Closed-form oracle: one Erlang-k activity, expanded into its k
     /// phases, goes through SAN → explore → `cdf_grid` and matches the
-    /// Erlang CDF to 1e-9 from 0.1 to 5 times the mean, on both
-    /// generators.
+    /// Erlang CDF to 1e-9 from 0.1 to 5 times the mean.
     #[test]
     fn erlang_cdf_grid_matches_closed_form(k in 1u32..9, mean in 0.1f64..20.0) {
         let grid = oracle_grid(mean);
         let rate = f64::from(k) / mean;
-        for generator in [GeneratorBackend::Csr, GeneratorBackend::Kron] {
-            let got = series_cdf(&[Dist::Erlang { k, mean }], 1, generator, &grid);
-            for (&t, &f) in grid.iter().zip(&got) {
-                let want = erlang_cdf(k, rate, t);
-                prop_assert!((f - want).abs() <= 1e-9, "{:?} t = {}: {} vs {}", generator, t, f, want);
-            }
+        let got = series_cdf(&[Dist::Erlang { k, mean }], 1, &grid);
+        for (&t, &f) in grid.iter().zip(&got) {
+            let want = erlang_cdf(k, rate, t);
+            prop_assert!((f - want).abs() <= 1e-9, "t = {}: {} vs {}", t, f, want);
         }
     }
 
@@ -549,12 +511,10 @@ proptest! {
         let rates: Vec<f64> = means.iter().map(|m| 1.0 / m).collect();
         let stages: Vec<Dist> = means.iter().map(|&mean| Dist::Exp { mean }).collect();
         let grid = oracle_grid(means.iter().sum());
-        for generator in [GeneratorBackend::Csr, GeneratorBackend::Kron] {
-            let got = series_cdf(&stages, 0, generator, &grid);
-            for (&t, &f) in grid.iter().zip(&got) {
-                let want = hypoexponential_cdf(&rates, t);
-                prop_assert!((f - want).abs() <= 1e-9, "{:?} t = {}: {} vs {}", generator, t, f, want);
-            }
+        let got = series_cdf(&stages, 0, &grid);
+        for (&t, &f) in grid.iter().zip(&got) {
+            let want = hypoexponential_cdf(&rates, t);
+            prop_assert!((f - want).abs() <= 1e-9, "t = {}: {} vs {}", t, f, want);
         }
     }
 }

@@ -31,11 +31,10 @@
 //! and `S_g` is a purely *structural* 0/1 incidence pattern. Every
 //! stored transition is then two `u32`s (destination + term id)
 //! instead of the CSR's `usize + f64` (8 B vs 16 B per entry), and the
-//! handful of `coeff_g` values carry all the rates: rate-only
-//! re-parameterizations rewrite the small coefficient table without
-//! touching the (large) structure, and exploration no longer needs to
-//! materialize a per-transition rate array at all — states stop
-//! carrying rates (see `StateSpace::explore_absorbing_gen`).
+//! handful of `coeff_g` values carry all the rates, so a rate-only
+//! re-parameterization would rewrite the small coefficient table
+//! without touching the (large) structure. The descriptor is built from
+//! an explored graph, whose transitions still carry their rates.
 //!
 //! # Matvec
 //!

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Gate on the intern table's level-boundary provisioning and key width.
+"""Gate on the intern table's level-boundary provisioning, key width and
+term table.
 
 Reads a `repro --metrics` document of a resident exploration and fails
 unless no BFS level outgrew the table sized for it
@@ -8,14 +9,19 @@ rare level, not for the CI models), the table is not oversized either
 (`intern.occupancy` within 0.2 … 0.5), and the widest packed key of
 the run (`explore.words_per_state`) is at most 9 words — what one bit
 per place plus the learned extensions give the n = 3 order-2 model.
-Also prints how many exploration attempts restarted to widen a place
-(`explore.layout_restarts`).
+The largest term table of the run (`explore.terms`) must stay within
+twice the 170 terms of the n = 3 order-2 model: terms are keyed by
+activity, phase stage, probability and completion, so a key that picked
+up a per-state value would grow the table toward one term per
+transition. Also prints how many exploration attempts restarted to
+widen a place (`explore.layout_restarts`).
 """
 
 import json
 import sys
 
 MAX_WORDS_PER_STATE = 9
+MAX_TERMS = 2 * 170
 
 
 def main(path):
@@ -25,8 +31,10 @@ def main(path):
     occupancy = metrics["gauges"]["intern.occupancy"]
     words = metrics["gauges"]["explore.words_per_state"]
     restarts = metrics["counters"]["explore.layout_restarts"]
+    terms = metrics["gauges"]["explore.terms"]
     print(f"intern.midlevel_grows = {grows}, intern.occupancy = {occupancy:.3f}")
     print(f"explore.words_per_state = {words:g}, explore.layout_restarts = {restarts}")
+    print(f"explore.terms = {terms:g}")
     ok = True
     if grows != 0:
         print(f"::error::{grows} BFS level(s) outgrew the intern table provisioned for them")
@@ -36,6 +44,9 @@ def main(path):
         ok = False
     if words > MAX_WORDS_PER_STATE:
         print(f"::error::packed keys of {words:g} words, more than {MAX_WORDS_PER_STATE}")
+        ok = False
+    if terms > MAX_TERMS:
+        print(f"::error::a term table of {terms:g} terms, more than {MAX_TERMS}")
         ok = False
     return 0 if ok else 1
 

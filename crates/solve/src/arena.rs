@@ -225,11 +225,14 @@ impl<T: SpillRecord> SegStore<T> {
     }
 
     /// Seals the open segment (no-op when empty) — call once after the
-    /// last append so every row is addressable through [`Self::row`].
+    /// last append so every row is addressable through [`Self::row`] —
+    /// and frees the open segment's buffer, which a finished store
+    /// never fills again.
     pub(crate) fn finish(&mut self) {
         if !self.tail.is_empty() {
             self.seal();
         }
+        self.tail = Vec::new();
     }
 
     fn seal(&mut self) {

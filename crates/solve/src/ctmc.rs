@@ -2,10 +2,10 @@
 //!
 //! A SAN whose timed activities are all exponential — natively or after
 //! phase-type expansion — is, after vanishing elimination, a
-//! continuous-time Markov chain over the tangible states: each
-//! [`Transition`] of the reachability graph carries its exponential
-//! stage rate and branching probability, whose product
-//! ([`Transition::q`]) is the generator contribution. The generator
+//! continuous-time Markov chain over the tangible states: each edge of
+//! the reachability graph points into a [`Term`] carrying its
+//! exponential stage rate and branching probability, whose product
+//! ([`Term::coeff`]) is the generator contribution. The generator
 //! `Q` is stored in
 //! compressed-sparse-row (CSR) form with the diagonal split out, the
 //! layout both the uniformization and the Gauss–Seidel solvers want.
@@ -32,7 +32,7 @@ use std::sync::{Arc, OnceLock};
 use ctsim_san::ActivityId;
 
 use crate::arena::{RowLoc, SegStore};
-use crate::graph::{StateSpace, Transition};
+use crate::graph::{Edge, StateSpace, Term};
 use crate::spill::{SpillRecord, SpillShared};
 use crate::SolveError;
 
@@ -193,32 +193,36 @@ impl Incoming {
     }
 }
 
-/// Folds the outgoing transitions of state `src` into `acc` — one
+/// Folds the outgoing edges of state `src` into `acc` — one
 /// `(destination, rate)` entry per distinct destination, ascending —
-/// and returns the row's diagonal. The one accumulation behind a fresh
-/// build ([`CtmcAcc::push_row`]) and a values-only rebuild
+/// and returns the row's diagonal; `terms` is the table the edges point
+/// into. The one accumulation behind a fresh build
+/// ([`CtmcAcc::push_row`]) and a values-only rebuild
 /// ([`Ctmc::rebuild_values`]), which is what keeps the two
 /// bit-identical. On a NaN rate — an unexpanded non-exponential
 /// activity — returns the offending activity.
 fn accumulate_row(
     src: usize,
-    outs: &[Transition],
+    edges: &[Edge],
+    terms: &[Term],
     acc: &mut Vec<(usize, f64)>,
 ) -> Result<f64, ActivityId> {
     acc.clear();
-    for t in outs {
+    for e in edges {
+        let t = &terms[e.term as usize];
         if t.rate.is_nan() {
             return Err(t.activity);
         }
-        if t.target == src {
+        let target = e.target as usize;
+        if target == src {
             // A completion that re-enters its source state is
             // invisible to the marking process: it contributes
             // neither an off-diagonal rate nor exit rate.
             continue;
         }
-        match acc.iter_mut().find(|(d, _)| *d == t.target) {
-            Some((_, existing)) => *existing += t.q(),
-            None => acc.push((t.target, t.q())),
+        match acc.iter_mut().find(|(d, _)| *d == target) {
+            Some((_, existing)) => *existing += t.coeff(),
+            None => acc.push((target, t.coeff())),
         }
     }
     acc.sort_unstable_by_key(|&(d, _)| d);
@@ -293,13 +297,19 @@ impl CtmcAcc {
         }
     }
 
-    /// Appends the generator row of state `src` (rows must arrive in
-    /// canonical order). On a NaN rate — an unexpanded non-exponential
-    /// activity — returns the offending activity.
-    pub(crate) fn push_row(&mut self, src: usize, outs: &[Transition]) -> Result<(), ActivityId> {
+    /// Appends the generator row of state `src` from its edges and the
+    /// term table (rows must arrive in canonical order). On a NaN rate
+    /// — an unexpanded non-exponential activity — returns the offending
+    /// activity.
+    pub(crate) fn push_row(
+        &mut self,
+        src: usize,
+        edges: &[Edge],
+        terms: &[Term],
+    ) -> Result<(), ActivityId> {
         debug_assert_eq!(src, self.diag.len(), "rows must arrive in order");
         let acc = &mut self.row;
-        let d = accumulate_row(src, outs, acc)?;
+        let d = accumulate_row(src, edges, terms, acc)?;
         match &mut self.body {
             AccBody::Resident { col, rate } => {
                 for &(dst, r) in acc.iter() {
@@ -379,10 +389,11 @@ impl Ctmc {
             let model = ss.model();
             let mut acc = CtmcAcc::new();
             for s in 0..ss.len() {
-                acc.push_row(s, &ss.outgoing(s))
-                    .map_err(|a| SolveError::NonMarkovian {
+                acc.push_row(s, &ss.edges(s), ss.terms()).map_err(|a| {
+                    SolveError::NonMarkovian {
                         activity: model.activity_name(a).to_string(),
-                    })?;
+                    }
+                })?;
             }
             Ok(acc.finish(&ss.initial))
         })
@@ -420,7 +431,7 @@ impl Ctmc {
         let model = ss.model();
         let mut acc: Vec<(usize, f64)> = Vec::new();
         let accumulate = |s: usize, acc: &mut Vec<(usize, f64)>| {
-            accumulate_row(s, &ss.outgoing(s), acc).map_err(|a| SolveError::NonMarkovian {
+            accumulate_row(s, &ss.edges(s), ss.terms(), acc).map_err(|a| SolveError::NonMarkovian {
                 activity: model.activity_name(a).to_string(),
             })
         };

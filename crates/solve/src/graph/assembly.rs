@@ -1,7 +1,8 @@
 //! The output side of the streaming pipeline: worker-local transition
 //! chains, and the [`Assembly`] that streams each closed BFS level —
 //! canonical state by canonical state — into the packed-state store,
-//! the flat transition arena, and (optionally) the CSR generator.
+//! the flat transition arena with its term table, and (optionally) the
+//! CSR generator.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -9,7 +10,9 @@ use std::time::{Duration, Instant};
 use ctsim_san::SanModel;
 
 use super::driver::{Abort, Dedup};
-use super::{PackedStates, Transition};
+use super::expand::Expansion;
+use super::terms::{Edge, Outcome, TermTable};
+use super::PackedStates;
 use crate::arena::{RowLoc, SegStore};
 use crate::ctmc::CtmcAcc;
 use crate::spill::SpillShared;
@@ -18,8 +21,8 @@ use crate::SolveError;
 /// Transitions per worker-local chain segment (see [`WorkerChain`]).
 const CHAIN_SEG: usize = 1 << 14;
 
-/// Nominal elements per segment of the final transition arena
-/// (~1.3 MB of `Transition`s — the spill paging unit).
+/// Nominal edges per segment of the final transition arena (256 KiB of
+/// 8-byte edges — the spill paging unit).
 const TRANS_SEG: usize = 1 << 15;
 
 /// Nominal `u64` words per segment of the packed-state store.
@@ -45,7 +48,7 @@ struct Run {
 /// per-level churn left the heap fragmented at peak).
 #[derive(Default)]
 pub(super) struct WorkerChain {
-    segs: Vec<Vec<Transition>>,
+    segs: Vec<Vec<Outcome>>,
     runs: Vec<Run>,
     /// Index of the segment currently being filled (≤ `segs.len()`).
     cur: usize,
@@ -54,7 +57,7 @@ pub(super) struct WorkerChain {
 impl WorkerChain {
     /// Appends one state's row. Rows never straddle segments; a row
     /// longer than [`CHAIN_SEG`] gets a dedicated oversized segment.
-    pub(super) fn push_row(&mut self, prov: usize, row: &[Transition]) {
+    pub(super) fn push_row(&mut self, prov: usize, row: &[Outcome]) {
         if row.is_empty() {
             return; // an absent run reads back as an empty row
         }
@@ -147,17 +150,21 @@ pub(super) struct PendingLevel<L> {
 
 /// The output side of the streaming pipeline: the canonical packed
 /// states (held in the strategy's [`Dedup::States`]), the flat
-/// transition arena, and (optionally) the CSR generator accumulated
-/// row by row as levels are emitted.
-pub(super) struct Assembly<'m, D: Dedup> {
+/// transition arena and its term table, and (optionally) the CSR
+/// generator accumulated row by row as levels are emitted.
+pub(super) struct Assembly<'m, 'a, D: Dedup> {
     model: &'m SanModel,
+    /// Where a new term's rate comes from.
+    expansion: &'a Expansion,
     pub(super) states: D::States,
-    pub(super) trans: SegStore<Transition>,
+    pub(super) trans: SegStore<Edge>,
+    pub(super) terms: TermTable,
     pub(super) row_locs: Vec<RowLoc>,
     pub(super) absorbing: Vec<bool>,
     pub(super) total_trans: usize,
     pub(super) gen: Option<CtmcAcc>,
-    merge_buf: Vec<Transition>,
+    merge_buf: Vec<Outcome>,
+    edge_buf: Vec<Edge>,
     runs_buf: Vec<RunSlot>,
     /// Emptied worker chains awaiting reuse by a later level.
     pub(super) chain_pool: Vec<WorkerChain>,
@@ -167,9 +174,10 @@ pub(super) struct Assembly<'m, D: Dedup> {
     pub(super) emit_time: Duration,
 }
 
-impl<'m, D: Dedup> Assembly<'m, D> {
+impl<'m, 'a, D: Dedup> Assembly<'m, 'a, D> {
     pub(super) fn new(
         model: &'m SanModel,
+        expansion: &'a Expansion,
         states: D::States,
         want_ctmc: bool,
         spill: Option<Arc<SpillShared>>,
@@ -182,13 +190,16 @@ impl<'m, D: Dedup> Assembly<'m, D> {
         });
         Assembly {
             model,
+            expansion,
             states,
             trans: SegStore::new(TRANS_SEG, spill),
+            terms: TermTable::new(model.num_activities()),
             row_locs: Vec::new(),
             absorbing: Vec::new(),
             total_trans: 0,
             gen,
             merge_buf: Vec::new(),
+            edge_buf: Vec::new(),
             runs_buf: Vec::new(),
             chain_pool: Vec::new(),
             level_pool: Vec::new(),
@@ -214,10 +225,13 @@ impl<'m, D: Dedup> Assembly<'m, D> {
     }
 
     /// Streams one explored level into the canonical stores: states in
-    /// packed-key order, per-row retarget → sort → merge, and one
-    /// generator row per state when a CTMC is being built. In parallel
-    /// explorations this runs *while the next level is still being
-    /// expanded* — the explore → CSR handoff is pipelined, not serial.
+    /// packed-key order, per-row retarget → sort → merge → term ids, and
+    /// one generator row per state when a CTMC is being built. Term ids
+    /// are given here, in canonical row order, so the table is the same
+    /// for every thread count, spill budget and dedup strategy. In
+    /// parallel explorations this runs *while the next level is still
+    /// being expanded* — the explore → CSR handoff is pipelined, not
+    /// serial.
     ///
     /// The visit order, each state's key and absorbing flag, and the
     /// map from the ids the chains carry (provisional intern ids or
@@ -251,21 +265,32 @@ impl<'m, D: Dedup> Assembly<'m, D> {
                 self.merge_buf
                     .extend_from_slice(&seg[slot.off as usize..(slot.off + slot.len) as usize]);
                 let map = dedup.target_map(&data, slot.chain as usize);
-                for t in &mut self.merge_buf {
-                    t.target = map[t.target] as usize;
+                for o in &mut self.merge_buf {
+                    o.target = map[o.target as usize];
                 }
                 merge_outgoing(&mut self.merge_buf);
             }
-            if let Some(acc) = &mut self.gen {
-                acc.push_row(src, &self.merge_buf).map_err(|a| {
-                    Abort::Solve(SolveError::NonMarkovian {
-                        activity: self.model.activity_name(a).to_string(),
-                    })
-                })?;
+            self.edge_buf.clear();
+            for o in &self.merge_buf {
+                let term = self.terms.intern(o, |a, stage| {
+                    self.expansion.stage_rate(self.model, a, stage)
+                });
+                self.edge_buf.push(Edge {
+                    target: o.target,
+                    term,
+                });
             }
-            let loc = self.trans.append_row(&self.merge_buf);
+            if let Some(acc) = &mut self.gen {
+                acc.push_row(src, &self.edge_buf, self.terms.terms())
+                    .map_err(|a| {
+                        Abort::Solve(SolveError::NonMarkovian {
+                            activity: self.model.activity_name(a).to_string(),
+                        })
+                    })?;
+            }
+            let loc = self.trans.append_row(&self.edge_buf);
             self.row_locs.push(loc);
-            self.total_trans += self.merge_buf.len();
+            self.total_trans += self.edge_buf.len();
         }
         // Recycle the emitted level's chains instead of freeing them:
         // the next levels reuse the same capacity, keeping the resident
@@ -280,16 +305,16 @@ impl<'m, D: Dedup> Assembly<'m, D> {
     }
 }
 
-/// Sorts and merges one source state's transitions in place: duplicate
+/// Sorts and merges one source state's outcomes in place: duplicate
 /// `(activity, target, completes)` outcomes within each activity's
 /// contiguous run are folded by summing `prob` in sorted order, so the
 /// floating-point result is independent of discovery interleaving.
-/// Duplicates always share the same stage `rate` — one activity's row
-/// transitions all come from one `completions` call with one base rate
-/// — so the fold keeps `rate` untouched, which is what makes a
-/// rate-only rebuild bit-identical to a fresh exploration. Must be
-/// called with canonical target ids.
-fn merge_outgoing(outs: &mut Vec<Transition>) {
+/// Duplicates always share the same stage — one activity's row
+/// outcomes all come from one `completions` call — so the fold keeps
+/// the stage, and with it the term's rate, untouched: a summed `prob`
+/// is part of the term key, never a function of a rate. Must be called
+/// with canonical target ids.
+fn merge_outgoing(outs: &mut Vec<Outcome>) {
     let mut i = 0;
     while i < outs.len() {
         let mut j = i + 1;
@@ -308,7 +333,7 @@ fn merge_outgoing(outs: &mut Vec<Transition>) {
             && prev.target == cur.target
             && prev.completes == cur.completes
         {
-            debug_assert_eq!(prev.rate.to_bits(), cur.rate.to_bits());
+            debug_assert_eq!(prev.stage, cur.stage);
             prev.prob += cur.prob;
             true
         } else {

@@ -20,7 +20,7 @@ use ctsim_san::SanModel;
 
 use super::assembly::{packed_store, seal_packed, Assembly, PendingLevel, WorkerChain};
 use super::expand::{AbsorbFn, Expansion, Explorer, Scratch};
-use super::{PackedStates, ReachOptions, StateSpace};
+use super::{state_limit, PackedStates, ReachOptions, StateSpace};
 use crate::arena::SegStore;
 use crate::ctmc::Ctmc;
 use crate::ddd::{resolve_level, CandSet, DedupSink, Frontier, VisitedRuns};
@@ -689,6 +689,12 @@ pub(super) fn explore<'m>(
     absorb: Option<&AbsorbFn<'_>>,
     want_ctmc: bool,
 ) -> Result<(StateSpace<'m>, Option<Ctmc>), SolveError> {
+    // Every id below is stored as a `u32`: cap the state limit so that a
+    // larger space fails on the cap instead of wrapping.
+    let opts = &ReachOptions {
+        max_states: state_limit(opts.max_states),
+        ..opts.clone()
+    };
     let expansion = Expansion::build(model, opts.ph_order)?;
     // Places that start above one token start wide, so only a count
     // first met during exploration can restart it.
@@ -754,7 +760,7 @@ fn drive<'m, D: Dedup>(
     } = seed;
     let model = explorer.model;
     let layout = explorer.layout;
-    let mut asm = Assembly::<D>::new(model, states, want_ctmc, spill);
+    let mut asm = Assembly::<D>::new(model, explorer.expansion, states, want_ctmc, spill);
     let mut pending: Option<PendingLevel<D::Level>> = None;
     // A worker's state is built the first time a level runs that many
     // workers, so a thread count beyond what any level uses costs no
@@ -948,8 +954,10 @@ fn drive<'m, D: Dedup>(
     profile.emit_us = asm.emit_time.as_micros() as u64;
 
     asm.trans.finish();
+    let terms = asm.terms.finish();
     if ctsim_obs::enabled() {
         ctsim_obs::gauge_set("explore.states_total", lvl_lo as f64);
+        ctsim_obs::gauge_max("explore.terms", terms.len() as f64);
         ctsim_obs::gauge_set("explore.worker_busy_ratio", profile.busy_ratio());
         ctsim_obs::counter_add("explore.worker_busy_us", profile.worker_busy_us);
         ctsim_obs::counter_add("explore.worker_slots_us", profile.worker_slots_us);
@@ -966,6 +974,10 @@ fn drive<'m, D: Dedup>(
     // strategy release what only lookups needed before the generator's
     // assembly allocates its arrays.
     let packed = dedup.finish(asm.states);
+    // The per-state arrays grew by doubling and are complete now: give
+    // back the slack, which the space would otherwise hold for life.
+    asm.row_locs.shrink_to_fit();
+    asm.absorbing.shrink_to_fit();
     let gen = asm.gen.take().map(|acc| acc.finish(&initial));
     let ss = StateSpace {
         model,
@@ -975,6 +987,7 @@ fn drive<'m, D: Dedup>(
         packed,
         profile,
         trans: asm.trans,
+        terms,
         row_locs: asm.row_locs,
         total_trans: asm.total_trans,
         initial,

@@ -54,7 +54,8 @@ use ctsim_san::{ActivityId, Marking, SanModel, Timing};
 use ctsim_stoch::{Dist, PhaseType};
 
 use super::driver::Abort;
-use super::{ReachOptions, Transition};
+use super::terms::{Outcome, UNEXPANDED};
+use super::ReachOptions;
 use crate::ddd::DedupSink;
 use crate::pack::StateLayout;
 use crate::SolveError;
@@ -155,6 +156,24 @@ impl Expansion {
 
     pub(super) fn num_slots(&self) -> usize {
         self.expanded.len()
+    }
+
+    /// The event rate (1/ms) of stage `stage` of activity `a` — the
+    /// index into its phase plan's rates — or, for [`UNEXPANDED`],
+    /// `1/mean` of the model's exponential (NaN for any other
+    /// distribution: the CTMC build turns that into
+    /// [`SolveError::NonMarkovian`]).
+    pub(super) fn stage_rate(&self, model: &SanModel, a: ActivityId, stage: u32) -> f64 {
+        match &self.plans[a.index()] {
+            Some(plan) => plan.rates[stage as usize],
+            None => {
+                debug_assert_eq!(stage, UNEXPANDED);
+                match model.timing(a) {
+                    Timing::Timed(Dist::Exp { mean }) => 1.0 / mean,
+                    _ => f64::NAN,
+                }
+            }
+        }
     }
 
     /// Largest phase-counter value of each expanded activity, slot
@@ -296,11 +315,10 @@ pub(super) struct Explorer<'m, 'a> {
     /// Per place: slot ordinals (`slot - base`) of the expanded
     /// dependents.
     phase_deps: PlaceIndex,
-    /// Timed activities without a phase plan and their event rate,
-    /// declaration order. Unexpanded non-exponential activities keep
-    /// the strict contract: explore fine, carry a NaN rate, fail at the
-    /// CTMC build.
-    unexpanded: Vec<(ActivityId, f64)>,
+    /// Timed activities without a phase plan, declaration order.
+    /// Unexpanded non-exponential activities keep the strict contract:
+    /// explore fine, get a NaN-rate term, fail at the CTMC build.
+    unexpanded: Vec<ActivityId>,
     /// Run the full-rescan oracle instead of the delta path.
     #[cfg(test)]
     oracle: bool,
@@ -366,7 +384,7 @@ pub(super) struct Scratch {
     /// every successor key is this one with the moved fields patched).
     pub(super) src_key: Vec<u64>,
     /// The source state's outgoing transitions being generated.
-    pub(super) row: Vec<Transition>,
+    pub(super) row: Vec<Outcome>,
     pub(super) counts: Counts,
     src: Source,
     vanish: Vanish,
@@ -428,12 +446,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
             }),
             unexpanded: model
                 .activity_ids()
-                .filter(|a| expansion.plans[a.index()].is_none())
-                .filter_map(|a| match model.timing(a) {
-                    Timing::Timed(Dist::Exp { mean }) => Some((a, 1.0 / mean)),
-                    Timing::Timed(_) => Some((a, f64::NAN)),
-                    Timing::Instantaneous { .. } => None,
-                })
+                .filter(|a| expansion.plans[a.index()].is_none() && !model.is_instantaneous(*a))
                 .collect(),
             instantaneous,
             #[cfg(test)]
@@ -571,15 +584,15 @@ impl Explorer<'_, '_> {
                 .map(|&field| self.expansion.expanded[field - base]);
             let plain = self.unexpanded.get(j).copied();
             match (expanded, plain) {
-                (Some((a, field)), plain) if plain.map_or(true, |(u, _)| a < u) => {
+                (Some((a, field)), plain) if plain.map_or(true, |u| a < u) => {
                     i += 1;
                     self.advance_phase(sink, scratch, a, field)?;
                 }
-                (_, Some((a, rate))) => {
+                (_, Some(a)) => {
                     j += 1;
                     scratch.counts.enabling_evals += 1;
                     if self.model.is_enabled(a, &scratch.src.marking) {
-                        self.completions(sink, scratch, a, rate)?;
+                        self.completions(sink, scratch, a, UNEXPANDED)?;
                     }
                 }
                 // Both lists are spent (an expanded activity facing no
@@ -608,9 +621,9 @@ impl Explorer<'_, '_> {
             .as_ref()
             .expect("expanded activity has a plan");
         let phase = self.layout.field(&scratch.src_key, field);
-        let rate = plan.rates[(phase - 1) as usize];
-        if plan.last[(phase - 1) as usize] {
-            return self.completions(sink, scratch, a, rate);
+        let stage = phase - 1;
+        if plan.last[stage as usize] {
+            return self.completions(sink, scratch, a, stage);
         }
         // The target is the source with one phase field bumped. The
         // place prefix is unchanged, so the target's absorbing verdict
@@ -623,25 +636,19 @@ impl Explorer<'_, '_> {
             .expect("phase fields are sized for their plan");
         scratch.counts.key_patches += 1;
         let target = self.intern(sink, key, false)?;
-        scratch.row.push(Transition {
-            activity: a,
-            prob: 1.0,
-            rate,
-            completes: false,
-            target,
-        });
+        scratch.row.push(Outcome::new(a, stage, 1.0, false, target));
         Ok(())
     }
 
     /// Appends the completion outcomes of activity `a` in the source
-    /// state to `scratch.row`, where `rate` is the exponential rate of
-    /// the completing event.
+    /// state to `scratch.row`, where `stage` is the completing stage
+    /// (see [`Outcome::stage`]).
     fn completions<S: DedupSink>(
         &self,
         sink: &mut S,
         scratch: &mut Scratch,
         a: ActivityId,
-        rate: f64,
+        stage: u32,
     ) -> Result<(), Abort> {
         for case in 0..self.model.num_cases(a) {
             let case_p = self.model.case_prob(a, case);
@@ -652,13 +659,11 @@ impl Explorer<'_, '_> {
             self.model.fire_case(&mut after, a, case);
             self.settle(sink, scratch, after, case_p, Some(a), false)?;
             let Scratch { row, targets, .. } = scratch;
-            row.extend(targets.drain(..).map(|(target, prob)| Transition {
-                activity: a,
-                prob,
-                rate,
-                completes: true,
-                target,
-            }));
+            row.extend(
+                targets
+                    .drain(..)
+                    .map(|(target, prob)| Outcome::new(a, stage, prob, true, target)),
+            );
         }
         Ok(())
     }

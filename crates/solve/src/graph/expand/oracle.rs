@@ -225,7 +225,7 @@ impl Explorer<'_, '_> {
     }
 
     /// Emits the completion outcomes of activity `a` from `ext`, where
-    /// `base_rate` is the exponential rate of the completing event.
+    /// `stage` is the completing stage (see `Outcome::stage`).
     /// Transitions are appended to `trans` (the caller's reused row
     /// buffer — `scratch.row`, temporarily taken out of the scratch).
     fn full_completions<S: DedupSink>(
@@ -233,9 +233,9 @@ impl Explorer<'_, '_> {
         sink: &mut S,
         ext: &[u32],
         a: ActivityId,
-        base_rate: f64,
+        stage: u32,
         scratch: &mut Buffers,
-        trans: &mut Vec<Transition>,
+        trans: &mut Vec<Outcome>,
     ) -> Result<(), Abort> {
         for case in 0..self.model.num_cases(a) {
             let case_p = self.model.case_prob(a, case);
@@ -278,13 +278,7 @@ impl Explorer<'_, '_> {
             for (tokens, p) in outs.drain(..) {
                 let target = self.intern_tokens(sink, &tokens, key)?;
                 pool.push(tokens);
-                trans.push(Transition {
-                    activity: a,
-                    prob: p,
-                    rate: base_rate,
-                    completes: true,
-                    target,
-                });
+                trans.push(Outcome::new(a, stage, p, true, target));
             }
         }
         Ok(())
@@ -322,7 +316,7 @@ impl Explorer<'_, '_> {
         ext: &[u32],
         src_key: &[u64],
         scratch: &mut Buffers,
-        trans: &mut Vec<Transition>,
+        trans: &mut Vec<Outcome>,
     ) -> Result<(), Abort> {
         let marking = match scratch.mpool.pop() {
             Some(mut m) => {
@@ -347,9 +341,9 @@ impl Explorer<'_, '_> {
                         self.model.is_enabled(a, &marking),
                         "phase counter out of sync with enabling"
                     );
-                    let rate = plan.rates[(phase - 1) as usize];
-                    if plan.last[(phase - 1) as usize] {
-                        self.full_completions(sink, ext, a, rate, scratch, trans)?;
+                    let stage = phase - 1;
+                    if plan.last[stage as usize] {
+                        self.full_completions(sink, ext, a, stage, scratch, trans)?;
                     } else {
                         // Fast path for internal phase advances: the
                         // target's packed key is the source key with
@@ -370,30 +364,17 @@ impl Explorer<'_, '_> {
                                 limit: self.opts.max_states,
                             })
                         })?;
-                        trans.push(Transition {
-                            activity: a,
-                            prob: 1.0,
-                            rate,
-                            completes: false,
-                            target,
-                        });
+                        trans.push(Outcome::new(a, stage, 1.0, false, target));
                     }
                 }
                 None => {
-                    let Timing::Timed(dist) = self.model.timing(a) else {
-                        continue;
-                    };
-                    if !self.model.is_enabled(a, &marking) {
+                    if self.model.is_instantaneous(a) || !self.model.is_enabled(a, &marking) {
                         continue;
                     }
                     // Unexpanded non-exponential activities keep the
-                    // strict contract: explore fine, carry a NaN rate,
-                    // fail at the CTMC build.
-                    let base_rate = match *dist {
-                        Dist::Exp { mean } => 1.0 / mean,
-                        _ => f64::NAN,
-                    };
-                    self.full_completions(sink, ext, a, base_rate, scratch, trans)?;
+                    // strict contract: explore fine, get a NaN-rate
+                    // term, fail at the CTMC build.
+                    self.full_completions(sink, ext, a, UNEXPANDED, scratch, trans)?;
                 }
             }
         }

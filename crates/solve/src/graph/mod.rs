@@ -29,11 +29,21 @@
 //! and re-enters afresh when next enabled.
 //!
 //! Everything downstream is unchanged: the expanded graph is still a
-//! CTMC, each [`Transition`] carrying the exponential stage `rate` and
-//! its branching `prob` separately; the generator contribution is
-//! their product ([`Transition::q`]). Keeping the base rate pure lets
-//! [`StateSpace::rebuild_rates`] rewrite rates in place when only the
-//! model's timing parameters change between solves.
+//! CTMC, each transition carrying the exponential stage rate and its
+//! branching probability separately; the generator contribution is
+//! their product ([`Term::coeff`], [`Transition::q`]). Keeping the base
+//! rate pure lets [`StateSpace::rebuild_rates`] rewrite rates when only
+//! the model's timing parameters change between solves.
+//!
+//! # Edges and terms
+//!
+//! The arena stores one 8-byte edge per transition — canonical target
+//! and term id — against a per-exploration table of [`Term`]s:
+//! (activity, phase stage, probability, completes) plus the rate the
+//! model gives that stage. The key is structural, so a re-parameterised
+//! model explores to the same edges and term ids, and the rate-only
+//! rebuild rewrites the table alone. [`StateSpace::outgoing`] decodes a
+//! row into [`Transition`]s.
 //!
 //! # Compact state encoding
 //!
@@ -58,8 +68,8 @@
 //!
 //! Transitions never touch the heap per state: each worker appends the
 //! rows it generates into its own chain of fixed-capacity segments
-//! (`WorkerChain`), and when a level finishes it is renumbered and
-//! **streamed** into the final flat arena (`arena::SegStore`)
+//! (`WorkerChain`), and when a level finishes it is renumbered, given
+//! term ids and **streamed** into the final flat arena (`arena::SegStore`)
 //! — and, through [`StateSpace::explore_ctmc`], straight into the CSR
 //! generator — *while the workers already expand the next level*. The
 //! former `Vec<Vec<Transition>>` representation (one heap allocation
@@ -111,15 +121,16 @@
 //! The module is split by stage: `expand` (phase plans, successor
 //! generation, vanishing resolution), `driver` (the loop and the two
 //! strategies), `assembly` (canonical emission into the transition
-//! arena and the generator), and this file (options, [`Transition`],
-//! the [`StateSpace`] API, [`GraphParts`], the rate-only rebuild).
+//! arena and the generator), `terms` (the worker record, the edge and
+//! the term table), and this file (options, [`Transition`], the
+//! [`StateSpace`] API, [`GraphParts`], the rate-only rebuild).
 
 mod assembly;
 mod driver;
 mod expand;
+mod terms;
 
-use ctsim_san::{ActivityId, Marking, SanModel, Timing};
-use ctsim_stoch::Dist;
+use ctsim_san::{ActivityId, Marking, SanModel};
 
 use crate::arena::{RowLoc, RowRef, SegStore};
 use crate::backend::GeneratorBackend;
@@ -128,17 +139,20 @@ use crate::intern::Interner;
 use crate::kron::KronGenerator;
 use crate::linop::Generator;
 use crate::pack::StateLayout;
-use crate::spill::{SpillOptions, SpillRecord};
+use crate::spill::SpillOptions;
 use crate::SolveError;
 
 pub use driver::SweepProfile;
 use expand::{AbsorbFn, Expansion, ExpansionShape};
+pub(crate) use terms::Edge;
+pub use terms::Term;
 
 /// Exploration limits and expansion/parallelism knobs.
 #[derive(Debug, Clone)]
 pub struct ReachOptions {
     /// Abort with [`SolveError::StateSpaceTooLarge`] beyond this many
-    /// tangible states.
+    /// tangible states. State ids are stored as `u32`, so the effective
+    /// limit is at most 2³¹ whatever the value.
     pub max_states: usize,
     /// Abort with [`SolveError::VanishingLoop`] when a chain of
     /// instantaneous firings exceeds this depth (two instantaneous
@@ -176,12 +190,19 @@ impl Default for ReachOptions {
     }
 }
 
-/// One probabilistic transition of the reachability graph: completing
-/// `activity` (or, for expanded activities, one exponential stage of
-/// it) in the source state leads to tangible state `target` with
-/// probability `prob` (case probability × vanishing-path probability ×
-/// phase-entry probability; the `prob`s of one activity in one source
-/// state sum to 1).
+/// The effective state limit of an exploration: `max_states`, capped so
+/// that every state id fits the `u32` the arenas store it as.
+fn state_limit(max_states: usize) -> usize {
+    max_states.min(crate::intern::MAX_STATES)
+}
+
+/// One probabilistic transition of the reachability graph, decoded
+/// from an arena edge and its [`Term`] by [`StateSpace::outgoing`]:
+/// completing `activity` (or, for expanded activities, one exponential
+/// stage of it) in the source state leads to tangible state `target`
+/// with probability `prob` (case probability × vanishing-path
+/// probability × phase-entry probability; the `prob`s of one activity
+/// in one source state sum to 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transition {
     /// The timed activity whose (stage) completion triggers the move.
@@ -197,8 +218,10 @@ pub struct Transition {
     /// [`SolveError::NonMarkovian`].
     pub rate: f64,
     /// Whether this move completes the activity (fires its cases).
-    /// `false` only for internal phase advances of expanded activities
-    /// — impulse rewards must ignore those.
+    /// `false` only for internal phase advances of expanded activities.
+    /// No solver or reward reads it: it is part of the term key, so a
+    /// phase advance and a completion never share a term or merge, and
+    /// it is reported here for callers that count completions.
     pub completes: bool,
     /// Index of the destination state.
     pub target: usize,
@@ -210,31 +233,6 @@ impl Transition {
     #[inline]
     pub fn q(&self) -> f64 {
         self.rate * self.prob
-    }
-}
-
-impl SpillRecord for Transition {
-    // prob f64 + rate f64 + target u32 + activity u32 + completes u8.
-    const BYTES: usize = 25;
-
-    fn store(&self, out: &mut [u8]) {
-        out[0..8].copy_from_slice(&self.prob.to_le_bytes());
-        out[8..16].copy_from_slice(&self.rate.to_le_bytes());
-        out[16..20].copy_from_slice(&(self.target as u32).to_le_bytes());
-        out[20..24].copy_from_slice(&(self.activity.index() as u32).to_le_bytes());
-        out[24] = u8::from(self.completes);
-    }
-
-    fn load(bytes: &[u8]) -> Self {
-        let f = |r: std::ops::Range<usize>| f64::from_le_bytes(bytes[r].try_into().expect("8B"));
-        let u = |r: std::ops::Range<usize>| u32::from_le_bytes(bytes[r].try_into().expect("4B"));
-        Self {
-            prob: f(0..8),
-            rate: f(8..16),
-            target: u(16..20) as usize,
-            activity: ActivityId::from_index(u(20..24) as usize),
-            completes: bytes[24] != 0,
-        }
     }
 }
 
@@ -261,8 +259,11 @@ pub struct StateSpace<'m> {
     /// a zero-copy view into the intern arena.
     packed: PackedStates,
     /// The flat transition arena: every state's merged outgoing
-    /// transitions, canonical order, each row one contiguous slice.
-    trans: SegStore<Transition>,
+    /// transitions as edges, canonical order, each row one contiguous
+    /// slice.
+    trans: SegStore<Edge>,
+    /// The term table the edges point into.
+    terms: Vec<Term>,
     /// Per-state row location in `trans` (empty row for absorbing
     /// states).
     row_locs: Vec<RowLoc>,
@@ -317,27 +318,6 @@ enum PackedStates {
     Interned { interner: Interner, perm: Vec<u32> },
 }
 
-impl PackedStates {
-    /// Reads state `i`'s packed words (`words` per state) into `buf`
-    /// without borrowing the whole `StateSpace` — the rate rebuild
-    /// reads phase fields while the transition arena is mutably borrowed.
-    fn read_into(&self, words: usize, i: usize, buf: &mut [u64]) {
-        match self {
-            PackedStates::Store { store, per_seg } => {
-                let row = store.row(RowLoc {
-                    seg: (i / per_seg) as u32,
-                    off: ((i % per_seg) * words) as u32,
-                    len: words as u32,
-                });
-                buf.copy_from_slice(&row);
-            }
-            PackedStates::Interned { interner, perm } => {
-                interner.read_state(perm[i] as usize, buf);
-            }
-        }
-    }
-}
-
 /// The model-independent payload of an explored [`StateSpace`] — what a
 /// [`DetachedRun`](crate::DetachedRun) holds between campaign grid
 /// points. Detach with [`StateSpace::into_parts`], re-attach to a
@@ -349,7 +329,8 @@ pub struct GraphParts {
     ph_order: u32,
     layout: StateLayout,
     packed: PackedStates,
-    trans: SegStore<Transition>,
+    trans: SegStore<Edge>,
+    terms: Vec<Term>,
     row_locs: Vec<RowLoc>,
     total_trans: usize,
     initial: Vec<(usize, f64)>,
@@ -489,12 +470,29 @@ impl<'m> StateSpace<'m> {
         self.row_locs.is_empty()
     }
 
-    /// The merged outgoing transitions of state `i`, as one contiguous
-    /// row slice of the flat transition arena (empty for absorbing
-    /// states). The guard keeps a spilled segment alive while the row
-    /// is borrowed; without spill it is a plain slice borrow.
+    /// The merged outgoing transitions of state `i` (empty for
+    /// absorbing states), decoded from the row's edges and the term
+    /// table into an owned row. Meant for tests and inspection: the
+    /// generator builds read the edges in place.
     pub fn outgoing(&self, i: usize) -> RowRef<'_, Transition> {
+        let row = self.edges(i);
+        RowRef::owned(
+            row.iter()
+                .map(|e| self.terms[e.term as usize].decode(e.target))
+                .collect(),
+        )
+    }
+
+    /// The edges of state `i`, one contiguous row slice of the arena.
+    /// The guard keeps a spilled segment alive while the row is
+    /// borrowed; without spill it is a plain slice borrow.
+    pub(crate) fn edges(&self, i: usize) -> RowRef<'_, Edge> {
         self.trans.row(self.row_locs[i])
+    }
+
+    /// The term table, by term id.
+    pub fn terms(&self) -> &[Term] {
+        &self.terms
     }
 
     /// Total number of transitions.
@@ -579,6 +577,7 @@ impl<'m> StateSpace<'m> {
             layout: self.layout,
             packed: self.packed,
             trans: self.trans,
+            terms: self.terms,
             row_locs: self.row_locs,
             total_trans: self.total_trans,
             initial: self.initial,
@@ -613,6 +612,7 @@ impl<'m> StateSpace<'m> {
             layout: parts.layout,
             packed: parts.packed,
             trans: parts.trans,
+            terms: parts.terms,
             row_locs: parts.row_locs,
             total_trans: parts.total_trans,
             initial: parts.initial,
@@ -623,33 +623,28 @@ impl<'m> StateSpace<'m> {
         })
     }
 
-    /// Re-evaluates every transition's stage rate from the (possibly
-    /// re-parameterised) model, in place, without re-exploring — the
-    /// rate-only rebuild of the campaign engine. When two grid points
-    /// share structure (same net, same `ph_order`, same expansion
-    /// shape) but differ in timing parameters, the reachability graph
+    /// Re-evaluates every term's stage rate from the (possibly
+    /// re-parameterised) model, without re-exploring — the rate-only
+    /// rebuild of the campaign engine. When two grid points share
+    /// structure (same net, same `ph_order`, same expansion shape) but
+    /// differ in timing parameters, the reachability graph, its edges
     /// and its CSR sparsity are identical; only rate values change.
     ///
-    /// A rate is a table entry: `1/mean` of an unexpanded activity, or
-    /// the stage rate at an expanded activity's phase counter — the one
-    /// field read from the source state's packed key, which is fetched
-    /// only for rows that hold such a transition (no state is decoded,
-    /// and at order 0 none is touched). The duplicate fold in
-    /// `merge_outgoing` never mixes rates, so the rewritten transitions
-    /// — and a CSR rebuilt from them via [`Ctmc::rebuild_values`] — are
-    /// bit-identical to a fresh exploration of the new model. The
-    /// initial distribution and absorbing marks are rate-independent.
+    /// A rate is a function of a term's (activity, stage): `1/mean` of
+    /// an unexpanded activity, or the stage rate of an expanded one's
+    /// phase plan. So this rewrites the term table — O(terms) — and
+    /// reads neither an edge nor a packed key. Probabilities are
+    /// structural, so the table — and a CSR rebuilt from it via
+    /// [`Ctmc::rebuild_values`] — is bit-identical to a fresh
+    /// exploration of the new model. The initial distribution and
+    /// absorbing marks are rate-independent.
     ///
     /// Fails with [`SolveError::StructureMismatch`] when the new
     /// model's expansion shape differs (e.g. a distribution change
     /// moved the moment-matching fit to a different branch structure);
-    /// the caller should fall back to a cold exploration. On error the
-    /// space may hold partially rewritten rates — discard it.
+    /// the caller should fall back to a cold exploration. The space is
+    /// then left as it was.
     pub fn rebuild_rates(&mut self) -> Result<(), SolveError> {
-        crate::catch_spill(|| self.rebuild_rates_inner())
-    }
-
-    fn rebuild_rates_inner(&mut self) -> Result<(), SolveError> {
         let expansion = Expansion::build(self.model, self.ph_order)?;
         let shape = expansion.shape(self.model);
         if shape != self.shape {
@@ -657,43 +652,9 @@ impl<'m> StateSpace<'m> {
                 reason: "phase-type expansion shape changed between grid points".to_string(),
             });
         }
-        // Base rate of each unexpanded activity (NaN for
-        // non-exponential ones — surfaces as `NonMarkovian` at the CTMC
-        // build, exactly like a cold exploration).
-        let unexpanded: Vec<f64> = self
-            .model
-            .activity_ids()
-            .map(|a| match self.model.timing(a) {
-                Timing::Timed(Dist::Exp { mean }) => 1.0 / mean,
-                _ => f64::NAN,
-            })
-            .collect();
-        let layout = &self.layout;
-        let packed = &self.packed;
-        let words = layout.words();
-        let mut key = vec![0u64; words];
-        self.trans.update_rows(&self.row_locs, |i, row| {
-            // The packed key is fetched only for a row that holds a
-            // transition of an expanded activity (none at order 0).
-            let mut have_key = false;
-            for t in row {
-                let idx = t.activity.index();
-                t.rate = match expansion.plans[idx].as_ref() {
-                    Some(plan) => {
-                        if !have_key {
-                            packed.read_into(words, i, &mut key);
-                            have_key = true;
-                        }
-                        // A transition of an expanded activity exists
-                        // only while its phase counter is active.
-                        let phase = layout.field(&key, expansion.slots[idx]);
-                        debug_assert!(phase >= 1, "active expanded activity has phase 0");
-                        plan.rates[(phase - 1) as usize]
-                    }
-                    None => unexpanded[idx],
-                };
-            }
-        });
+        for t in &mut self.terms {
+            t.rate = expansion.stage_rate(self.model, t.activity, t.stage());
+        }
         if ctsim_obs::enabled() {
             ctsim_obs::counter_add("graph_cache.rate_rebuilds", 1);
         }
@@ -739,6 +700,93 @@ mod tests {
                 .case(Case::with_prob(1.0).output(q, 1)),
         );
         b.build().unwrap()
+    }
+
+    /// The paper's model at n = 2 with every CPU stage `scale` times as
+    /// long, explored to its first decision at phase-type order 2.
+    fn paper_n2(scale: f64) -> SanModel {
+        let mut p = ctsim_models::SanParams::paper_baseline(2);
+        p.t_send *= scale;
+        p.t_receive *= scale;
+        p.t_work *= scale;
+        ctsim_models::build_model(&p)
+    }
+
+    fn explore_n2(model: &SanModel) -> StateSpace<'_> {
+        let decided = ctsim_models::decided_place_ids(model, 2);
+        let opts = ReachOptions {
+            ph_order: 2,
+            ..ReachOptions::default()
+        };
+        StateSpace::explore_absorbing(model, &opts, move |m| decided.iter().any(|&d| m.get(d) > 0))
+            .unwrap()
+    }
+
+    fn all_edges(ss: &StateSpace<'_>) -> Vec<Edge> {
+        (0..ss.len()).flat_map(|i| ss.edges(i).to_vec()).collect()
+    }
+
+    /// Terms are keyed by structure: a model 1.2× slower on its CPU
+    /// stages explores to the same edges and term ids, and only rates
+    /// differ — the ones the rate-only rebuild of the base graph
+    /// writes, bit for bit.
+    #[test]
+    fn rescaled_model_explores_to_the_same_edges_and_terms() {
+        let (base, slow) = (paper_n2(1.0), paper_n2(1.2));
+        let (a, b) = (explore_n2(&base), explore_n2(&slow));
+        assert_eq!(all_edges(&a), all_edges(&b));
+        assert_eq!(a.terms().len(), b.terms().len());
+        let key = |t: &Term| (t.activity, t.stage(), t.prob.to_bits(), t.completes);
+        let mut moved = 0;
+        for (x, y) in a.terms().iter().zip(b.terms()) {
+            assert_eq!(key(x), key(y));
+            moved += usize::from(x.rate != y.rate);
+        }
+        assert!(moved > 0, "no term rate changed");
+        let mut rebuilt = StateSpace::from_parts(&slow, a.into_parts()).unwrap();
+        rebuilt.rebuild_rates().unwrap();
+        let bits = |ss: &StateSpace<'_>| -> Vec<u64> {
+            ss.terms().iter().map(|t| t.rate.to_bits()).collect()
+        };
+        assert_eq!(bits(&rebuilt), bits(&b));
+    }
+
+    /// Cases of one activity that reach the same marking fold into one
+    /// transition whose `prob` is their sum in case order, as the fold
+    /// has always taken it: (0.1 + 0.2) + 0.3, which is not 0.6.
+    #[test]
+    fn duplicate_outcomes_decode_to_the_summed_prob() {
+        let mut b = SanBuilder::new("m");
+        let p = b.place("p", 1);
+        let q = b.place("q", 0);
+        let r = b.place("r", 0);
+        b.add_activity(
+            Activity::timed("t", Dist::Exp { mean: 1.0 })
+                .input(p, 1)
+                .case(Case::with_prob(0.1).output(q, 1))
+                .case(Case::with_prob(0.2).output(q, 1))
+                .case(Case::with_prob(0.3).output(q, 1))
+                .case(Case::with_prob(0.4).output(r, 1)),
+        );
+        let m = b.build().unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let row = ss.outgoing(0);
+        assert_eq!(row.len(), 2, "{row:?}");
+        let to_q = row.iter().find(|t| ss.tokens(t.target)[1] == 1).unwrap();
+        let summed: f64 = 0.1 + 0.2 + 0.3;
+        assert_eq!(to_q.prob.to_bits(), summed.to_bits());
+        assert_ne!(to_q.prob.to_bits(), 0.6f64.to_bits());
+        assert_eq!(ss.terms().len(), 2);
+    }
+
+    /// Every id is stored as a `u32`: a larger cap is cut to what the
+    /// ids and the intern arena hold, a smaller one is kept.
+    #[test]
+    fn state_limit_is_capped_to_the_id_range() {
+        assert_eq!(state_limit(64), 64);
+        assert_eq!(state_limit(1 << 31), 1 << 31);
+        assert_eq!(state_limit(usize::MAX), 1 << 31);
+        assert!(state_limit(usize::MAX) - 1 <= u32::MAX as usize);
     }
 
     #[test]

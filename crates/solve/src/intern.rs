@@ -80,9 +80,14 @@ const MAX_SEG: usize = SEG0 << (DOUBLING_SEGS - 1);
 /// States covered by the doubling prefix.
 const DOUBLING_COVER: usize = SEG0 * ((1 << DOUBLING_SEGS) - 1);
 
+/// The state-count ceiling of every exploration: ids are stored as
+/// `u32` downstream (permutation, canonical map, CSR columns, transition
+/// edges), and the arena directory below covers this many states.
+pub(crate) const MAX_STATES: usize = 1 << 31;
+
 /// Arena directory size: doubling prefix + enough constant segments to
-/// cover the 2³¹-state ceiling.
-const NUM_SEGS: usize = DOUBLING_SEGS + ((1usize << 31) - DOUBLING_COVER).div_ceil(MAX_SEG);
+/// cover [`MAX_STATES`].
+const NUM_SEGS: usize = DOUBLING_SEGS + (MAX_STATES - DOUBLING_COVER).div_ceil(MAX_SEG);
 
 /// Splits a state id into `(segment, offset, segment_len)` under the
 /// doubling-then-constant layout.
@@ -200,10 +205,9 @@ impl Interner {
     }
 
     fn with_slots(words: usize, max_states: usize, slots: usize) -> Self {
-        // Beyond ~2³¹ states the exploration is hopeless anyway; the
-        // doubling segments make the directory size independent of the
-        // cap, so a generous cap costs nothing up front.
-        let capped = max_states.min(1 << 31);
+        // The doubling segments make the directory size independent of
+        // the cap, so a generous cap costs nothing up front.
+        let capped = max_states.min(MAX_STATES);
         let mut gens: Box<[OnceLock<Table>]> = (0..MAX_GENS).map(|_| OnceLock::new()).collect();
         gens[0] = OnceLock::from(Table::new(slots, 0));
         Self {

@@ -24,17 +24,16 @@
 //! Q = Σ_g coeff_g · S_g
 //! ```
 //!
-//! where `g` ranges over **activity terms** — one per distinct
-//! (activity, stage rate, branching probability) triple, i.e. the
-//! per-replica local activities and the synchronizing network
-//! activities of the composition, split per phase stage and per case —
-//! and `S_g` is a purely *structural* 0/1 incidence pattern. Every
-//! stored transition is then two `u32`s (destination + term id)
-//! instead of the CSR's `usize + f64` (8 B vs 16 B per entry), and the
-//! handful of `coeff_g` values carry all the rates, so a rate-only
-//! re-parameterization would rewrite the small coefficient table
-//! without touching the (large) structure. The descriptor is built from
-//! an explored graph, whose transitions still carry their rates.
+//! where `g` ranges over **activity terms** — the explored graph's own
+//! [`Term`] table: one term per (activity, phase stage, branching
+//! probability, completes), i.e. the per-replica local activities and
+//! the synchronizing network activities of the composition, split per
+//! phase stage and per case — and `S_g` is a purely *structural* 0/1
+//! incidence pattern. Every stored transition is then two `u32`s
+//! (destination + term id) instead of the CSR's `usize + f64` (8 B vs
+//! 16 B per entry), and the handful of `coeff_g` values carry all the
+//! rates. The descriptor is a copy of the explored graph's edges minus
+//! the self-loops, with the coefficients of its term table.
 //!
 //! # Matvec
 //!
@@ -58,34 +57,8 @@
 //! [`StateSpace::explore_absorbing_gen`] by the benchmark's `kron.*`
 //! rows and the tests.
 
-use std::collections::HashMap;
-
-use ctsim_san::ActivityId;
-
-use crate::graph::{StateSpace, Transition};
+use crate::graph::{StateSpace, Term};
 use crate::{spmv, SolveError};
-
-/// One activity term of the factored generator: a distinct
-/// (activity, stage rate, branching probability) triple. Its
-/// [`Term::coeff`] (= `rate · prob`) multiplies the term's structural
-/// incidence pattern in the sum `Q = Σ_g coeff_g · S_g`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Term {
-    /// The timed activity (composition-namespaced: per-replica local
-    /// activities and shared synchronizing activities get distinct ids).
-    pub activity: ActivityId,
-    /// Exponential stage rate (1/ms) of the activity stage.
-    pub rate: f64,
-    /// Branching probability of this outcome.
-    pub prob: f64,
-}
-
-impl Term {
-    /// The generator contribution of one structural entry of this term.
-    pub fn coeff(&self) -> f64 {
-        self.rate * self.prob
-    }
-}
 
 /// The matrix-free generator: structural transitions (destination +
 /// term id, 8 B each) plus the small per-term coefficient table. See
@@ -102,108 +75,48 @@ pub struct KronGenerator {
     /// Term ids parallel to `dst`.
     term: Vec<u32>,
     /// `coeffs[g] = terms[g].coeff()`, split out so the matvec inner
-    /// loop reads an 8 B table instead of 32 B `Term` records.
+    /// loop reads an 8 B table instead of whole `Term` records.
     coeffs: Vec<f64>,
     /// The activity terms, parallel to `coeffs`.
     terms: Vec<Term>,
 }
 
-/// Row-by-row accumulation of a [`KronGenerator`] — the descriptor
-/// counterpart of [`CtmcAcc`](crate::ctmc), which
-/// [`KronGenerator::from_state_space`] feeds the canonical rows of an
-/// explored graph.
-pub(crate) struct KronAcc {
-    row_ptr: Vec<usize>,
-    dst: Vec<u32>,
-    term: Vec<u32>,
-    coeffs: Vec<f64>,
-    terms: Vec<Term>,
-    /// Interns (activity, rate bits, prob bits) → term id.
-    index: HashMap<(ActivityId, u64, u64), u32>,
-}
-
-impl KronAcc {
-    pub(crate) fn new() -> Self {
-        Self {
-            row_ptr: vec![0],
-            dst: Vec::new(),
-            term: Vec::new(),
-            coeffs: Vec::new(),
-            terms: Vec::new(),
-            index: HashMap::new(),
-        }
-    }
-
-    /// Appends the structural row of state `src` (rows must arrive in
-    /// canonical order). On a NaN rate — an unexpanded non-exponential
-    /// activity — returns the offending activity, exactly like the CSR
-    /// accumulator.
-    pub(crate) fn push_row(&mut self, src: usize, outs: &[Transition]) -> Result<(), ActivityId> {
-        debug_assert_eq!(src, self.row_ptr.len() - 1, "rows must arrive in order");
-        for t in outs {
-            if t.rate.is_nan() {
-                return Err(t.activity);
-            }
-            if t.target == src {
-                // Self-loops are invisible to the marking process, as
-                // in the CSR build.
-                continue;
-            }
-            let key = (t.activity, t.rate.to_bits(), t.prob.to_bits());
-            let g = match self.index.get(&key) {
-                Some(&g) => g,
-                None => {
-                    let g = u32::try_from(self.terms.len()).expect("term table fits u32");
-                    let term = Term {
-                        activity: t.activity,
-                        rate: t.rate,
-                        prob: t.prob,
-                    };
-                    self.terms.push(term);
-                    self.coeffs.push(term.coeff());
-                    self.index.insert(key, g);
-                    g
-                }
-            };
-            self.dst
-                .push(u32::try_from(t.target).expect("state ids fit u32"));
-            self.term.push(g);
-        }
-        self.row_ptr.push(self.dst.len());
-        Ok(())
-    }
-
-    /// Materializes the descriptor.
-    pub(crate) fn finish(self) -> KronGenerator {
-        KronGenerator {
-            n: self.row_ptr.len() - 1,
-            row_ptr: self.row_ptr,
-            dst: self.dst,
-            term: self.term,
-            coeffs: self.coeffs,
-            terms: self.terms,
-        }
-    }
-}
-
 impl KronGenerator {
-    /// Builds the descriptor from a reachability graph, one canonical
-    /// row at a time.
+    /// Builds the descriptor from a reachability graph: its edges in
+    /// canonical row order, self-loops dropped as in the CSR build, and
+    /// the coefficients of its term table.
     ///
     /// # Errors
     /// [`SolveError::NonMarkovian`] under the same condition as
-    /// [`Ctmc::from_state_space`](crate::Ctmc::from_state_space).
+    /// [`Ctmc::from_state_space`](crate::Ctmc::from_state_space), naming
+    /// the same activity: term ids are given in row order, so the first
+    /// NaN-rate term is the one the row walk meets first.
     pub fn from_state_space(ss: &StateSpace<'_>) -> Result<Self, SolveError> {
+        let terms = ss.terms().to_vec();
+        if let Some(t) = terms.iter().find(|t| t.rate.is_nan()) {
+            return Err(SolveError::NonMarkovian {
+                activity: ss.model().activity_name(t.activity).to_string(),
+            });
+        }
         crate::catch_spill(|| {
-            let model = ss.model();
-            let mut acc = KronAcc::new();
+            let mut row_ptr = Vec::with_capacity(ss.len() + 1);
+            row_ptr.push(0);
+            let (mut dst, mut term) = (Vec::new(), Vec::new());
             for s in 0..ss.len() {
-                acc.push_row(s, &ss.outgoing(s))
-                    .map_err(|a| SolveError::NonMarkovian {
-                        activity: model.activity_name(a).to_string(),
-                    })?;
+                for e in ss.edges(s).iter().filter(|e| e.target as usize != s) {
+                    dst.push(e.target);
+                    term.push(e.term);
+                }
+                row_ptr.push(dst.len());
             }
-            Ok(acc.finish())
+            Ok(KronGenerator {
+                n: ss.len(),
+                row_ptr,
+                dst,
+                term,
+                coeffs: terms.iter().map(Term::coeff).collect(),
+                terms,
+            })
         })
     }
 

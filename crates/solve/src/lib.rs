@@ -222,7 +222,7 @@ pub use absorption::{mean_time_to_absorption, AbsorptionTimes, IterOptions};
 pub use arena::RowRef;
 pub use backend::{GeneratorBackend, SolverBackend};
 pub use ctmc::{Ctmc, Incoming};
-pub use graph::{GraphParts, ReachOptions, StateSpace, SweepProfile, Transition};
+pub use graph::{GraphParts, ReachOptions, StateSpace, SweepProfile, Term, Transition};
 pub use kron::KronGenerator;
 pub use linop::{Generator, LinOp};
 pub use reward::{expected_rate_reward, probability, AnalyticOutcome, AnalyticRun, DetachedRun};

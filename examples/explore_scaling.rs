@@ -92,9 +92,10 @@ fn main() {
     let dt = std::time::Duration::from_secs_f64(best);
     println!(
         "n={n} ph_order={ph_order} threads={threads} fp={first_passage}: \
-         {} states, {} transitions, {:.6}s, peak RSS {:.1} MB",
+         {} states, {} transitions, {} terms, {:.6}s, peak RSS {:.1} MB",
         ss.len(),
         ss.num_transitions(),
+        ss.terms().len(),
         dt.as_secs_f64(),
         peak_rss_mb()
     );

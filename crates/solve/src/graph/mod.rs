@@ -219,9 +219,9 @@ pub struct Transition {
     pub rate: f64,
     /// Whether this move completes the activity (fires its cases).
     /// `false` only for internal phase advances of expanded activities.
-    /// No solver or reward reads it: it is part of the term key, so a
-    /// phase advance and a completion never share a term or merge, and
-    /// it is reported here for callers that count completions.
+    /// No solver or reward reads it. It is carried in the term (the
+    /// stage determines it) and reported here for callers that count
+    /// completions, as the phase-type tests do.
     pub completes: bool,
     /// Index of the destination state.
     pub target: usize,

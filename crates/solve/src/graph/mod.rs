@@ -653,7 +653,7 @@ impl<'m> StateSpace<'m> {
             });
         }
         for t in &mut self.terms {
-            t.rate = expansion.stage_rate(self.model, t.activity, t.stage());
+            t.rate = expansion.stage_rate(self.model, t.activity, t.stage);
         }
         if ctsim_obs::enabled() {
             ctsim_obs::counter_add("graph_cache.rate_rebuilds", 1);
@@ -736,7 +736,7 @@ mod tests {
         let (a, b) = (explore_n2(&base), explore_n2(&slow));
         assert_eq!(all_edges(&a), all_edges(&b));
         assert_eq!(a.terms().len(), b.terms().len());
-        let key = |t: &Term| (t.activity, t.stage(), t.prob.to_bits(), t.completes);
+        let key = |t: &Term| (t.activity, t.stage, t.prob.to_bits(), t.completes);
         let mut moved = 0;
         for (x, y) in a.terms().iter().zip(b.terms()) {
             assert_eq!(key(x), key(y));

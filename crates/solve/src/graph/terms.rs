@@ -95,9 +95,8 @@ impl SpillRecord for Edge {
 pub struct Term {
     /// The timed activity whose (stage) completion drives the move.
     pub activity: ActivityId,
-    /// Index into the activity's phase-plan rates, or `u32::MAX` for an
-    /// activity without a plan.
-    stage: u32,
+    /// Index into the activity's phase-plan rates, or [`UNEXPANDED`].
+    pub(super) stage: u32,
     /// Branching probability of the outcome.
     pub prob: f64,
     /// Whether the move completes the activity (see [`Transition`]).
@@ -112,11 +111,6 @@ impl Term {
     /// `rate · prob`, the same product as [`Transition::q`].
     pub fn coeff(&self) -> f64 {
         self.rate * self.prob
-    }
-
-    /// The term's stage, as [`Outcome::stage`].
-    pub(super) fn stage(&self) -> u32 {
-        self.stage
     }
 
     /// The decoded transition of an edge of this term.

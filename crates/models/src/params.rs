@@ -225,7 +225,8 @@ impl SanParams {
     /// analytically at the given phase-type expansion order: the
     /// measured growth of the class-1 first-passage space (see the
     /// `ctsim-solve` crate docs for the table — n = 3 reaches
-    /// 1.35 × 10⁵ / 5.3 × 10⁵ / 2.3 × 10⁶ states at orders 1–3) with
+    /// 1.35 × 10⁵ / 5.3 × 10⁵ / 2.3 × 10⁶ states at orders 1–3, n = 4
+    /// reaches 1.67 × 10⁷ at orders 0–1, see `docs/MEMORY.md`) with
     /// ~2× headroom, so a run that blows past it is genuinely off the
     /// charted map rather than a victim of a tight default.
     pub fn recommended_max_states(&self, ph_order: u32) -> usize {
@@ -234,6 +235,7 @@ impl SanParams {
             (3, 0..=1) => 1 << 18,
             (3, 2) => 1 << 20,
             (3, 3) => 4 << 20,
+            (4, 0..=1) => 32 << 20,
             _ => 16 << 20,
         }
     }
@@ -364,6 +366,25 @@ mod tests {
                 paper.recommended_max_states(k) <= paper.recommended_max_states(k + 1),
                 "cap must not shrink with the order"
             );
+        }
+    }
+
+    /// n = 4 explores to 16 653 026 states at orders 0 and 1 (the
+    /// exponential model and the paper's parameters alike), which the
+    /// cap must clear with room to spare.
+    #[test]
+    fn n4_cap_clears_the_measured_space() {
+        const MEASURED: usize = 16_653_026;
+        for k in 0..=1 {
+            for params in [
+                SanParams::exponential_baseline(4),
+                SanParams::paper_baseline(4),
+            ] {
+                assert!(
+                    params.recommended_max_states(k) >= MEASURED * 3 / 2,
+                    "order {k}"
+                );
+            }
         }
     }
 

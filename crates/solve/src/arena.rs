@@ -28,8 +28,7 @@
 //! until a row does not fit; sealing freezes it behind an `Arc` and
 //! accounts its bytes against the shared spill budget; a sealed
 //! segment may then page out (`Resident` → `Spilled`), after which its
-//! bytes are immutable on disk except through
-//! `SegStore::update_rows`, which rewrites to a fresh offset.
+//! bytes are immutable on disk.
 
 use std::ops::Deref;
 use std::sync::{Arc, Mutex};
@@ -191,6 +190,19 @@ impl<T: SpillRecord> SegStore<T> {
         self.segs
             .iter()
             .any(|s| matches!(s, Segment::Spilled { .. }))
+    }
+
+    /// Bytes of the sealed segments still resident, as sealing charged
+    /// them to the spill account.
+    #[cfg(test)]
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.segs
+            .iter()
+            .map(|s| match s {
+                Segment::Resident(seg) => seg.len() * std::mem::size_of::<T>(),
+                Segment::Spilled { .. } => 0,
+            })
+            .sum()
     }
 
     /// Appends one row, returning its location.
@@ -395,101 +407,6 @@ impl<T: SpillRecord> SegStore<T> {
         }
     }
 
-    /// Rewrites every stored row in place through `f(row_index, row)`,
-    /// walking `locs` in append order (the order `append_row` produced
-    /// them). The row *shapes* are fixed — only element payloads change
-    /// — which is exactly what the rate-only rebuild of a cached
-    /// reachability graph needs.
-    ///
-    /// Spill safety: the reloaded-segment LRU is flushed up front (it
-    /// may hold pre-rewrite copies), and a rewritten spilled segment is
-    /// paged back out to a fresh offset — or kept resident if the disk
-    /// write fails — so no [`RowRef`] handed out after this call can
-    /// observe stale bytes.
-    pub(crate) fn update_rows(&mut self, locs: &[RowLoc], mut f: impl FnMut(usize, &mut [T]))
-    where
-        T: Clone,
-    {
-        self.cache
-            .get_mut()
-            .expect("segment cache poisoned")
-            .clear();
-        let mut i = 0;
-        while i < locs.len() {
-            let seg_idx = locs[i].seg as usize;
-            let mut j = i;
-            while j < locs.len() && locs[j].seg as usize == seg_idx {
-                j += 1;
-            }
-            let group = i..j;
-            i = j;
-            if seg_idx == self.segs.len() {
-                // Rows still in the open tail (store not yet finished).
-                for k in group {
-                    let (off, len) = (locs[k].off as usize, locs[k].len as usize);
-                    f(k, &mut self.tail[off..off + len]);
-                }
-                continue;
-            }
-            let spilled = match &self.segs[seg_idx] {
-                Segment::Resident(_) => None,
-                Segment::Spilled { offset, len } => Some((*offset, *len as usize)),
-            };
-            if let Some((offset, seg_len)) = spilled {
-                let spill = self
-                    .spill
-                    .clone()
-                    .expect("spilled segment without a spill backend");
-                let mut bytes = vec![0u8; seg_len * T::BYTES];
-                if let Err(e) = spill.read_back(self.read_site, offset, &mut bytes) {
-                    raise_read_failure(e);
-                }
-                let mut data: Vec<T> = bytes.chunks_exact(T::BYTES).map(T::load).collect();
-                for k in group {
-                    let (off, len) = (locs[k].off as usize, locs[k].len as usize);
-                    f(k, &mut data[off..off + len]);
-                }
-                // The spill file is append-only, so the rewritten
-                // segment goes to a fresh offset; the old bytes are
-                // dead. A write failure degrades to resident, mirroring
-                // `page_out`.
-                for (e, chunk) in data.iter().zip(bytes.chunks_exact_mut(T::BYTES)) {
-                    e.store(chunk);
-                }
-                match spill.write_out(self.write_site, &bytes) {
-                    Ok(new_offset) => {
-                        self.segs[seg_idx] = Segment::Spilled {
-                            offset: new_offset,
-                            len: seg_len as u32,
-                        };
-                    }
-                    Err(_) => {
-                        spill.add_resident(data.len() * std::mem::size_of::<T>());
-                        self.segs[seg_idx] = Segment::Resident(data.into());
-                    }
-                }
-            } else {
-                let Segment::Resident(arc) = &mut self.segs[seg_idx] else {
-                    unreachable!("segment kind checked above");
-                };
-                if Arc::get_mut(arc).is_none() {
-                    // A reloaded copy is still alive somewhere:
-                    // copy-on-write so that copy keeps its old bytes.
-                    let copy: Arc<[T]> = arc.to_vec().into();
-                    *arc = copy;
-                }
-                let data = Arc::get_mut(arc).expect("fresh Arc is unique");
-                for k in group {
-                    let (off, len) = (locs[k].off as usize, locs[k].len as usize);
-                    f(k, &mut data[off..off + len]);
-                }
-            }
-            if ctsim_obs::enabled() {
-                ctsim_obs::counter_add("arena.segment_rewrites", 1);
-            }
-        }
-    }
-
     /// Every element in append order (loading spilled segments) — for
     /// reproducibility asserts and small-space consumers, not hot
     /// paths.
@@ -582,41 +499,6 @@ mod tests {
             s.collect_all(),
             rows.iter().flatten().copied().collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn update_rows_rewrites_in_place() {
-        for budget in [None, Some(0)] {
-            let mut s = store(4, budget);
-            let rows: Vec<Vec<u64>> = (0..24u64).map(|i| vec![i, i + 100]).collect();
-            let locs: Vec<RowLoc> = rows.iter().map(|r| s.append_row(r)).collect();
-            s.finish();
-            // Prime the LRU with pre-rewrite copies of two segments.
-            assert_eq!(&*s.row(locs[0]), rows[0].as_slice());
-            assert_eq!(&*s.row(locs[23]), rows[23].as_slice());
-            s.update_rows(&locs, |i, row| {
-                for v in row.iter_mut() {
-                    *v += 1000 * (i as u64 + 1);
-                }
-            });
-            // Zig-zag across segments: every read must see the new
-            // bytes, never a stale cached copy.
-            for &k in &[0usize, 23, 12, 3, 7, 20, 0, 23] {
-                let want: Vec<u64> = rows[k].iter().map(|v| v + 1000 * (k as u64 + 1)).collect();
-                assert_eq!(
-                    &*s.row(locs[k]),
-                    want.as_slice(),
-                    "row {k} (budget {budget:?})"
-                );
-            }
-            assert_eq!(
-                s.collect_all(),
-                rows.iter()
-                    .enumerate()
-                    .flat_map(|(i, r)| r.iter().map(move |v| v + 1000 * (i as u64 + 1)))
-                    .collect::<Vec<_>>()
-            );
-        }
     }
 
     #[test]

@@ -10,16 +10,34 @@
 //! compressed-sparse-row (CSR) form with the diagonal split out, the
 //! layout both the uniformization and the Gauss–Seidel solvers want.
 //!
+//! # Entries and coefficients
+//!
+//! An off-diagonal entry is 8 bytes: a `u32` column and a `u32`
+//! coefficient id into a table the [`Ctmc`] owns. An id below the
+//! exploration's term count is that term, and its coefficient is
+//! [`Term::coeff`]. When several edges of one row reach one target
+//! (parallel transitions), their entry gets a *composite* id instead,
+//! whose coefficient is the sum of the merged terms' coefficients in
+//! edge order. Composites are keyed by the term ids they merge, so the
+//! table stays a few hundred coefficients long against millions of
+//! entries (170 terms and no composite at n = 3, order 2), and a
+//! rate-only rebuild ([`Ctmc::rebuild_values`]) rewrites the table and
+//! the diagonal, never an entry. A composite is made while exploration
+//! may still add terms, so composite ids count down from `u32::MAX` and
+//! the table keeps the composites, reversed, in front of the terms: one
+//! signed offset addresses both, and no entry moves when a later row
+//! adds a term.
+//!
 //! # Out-of-core generators
 //!
 //! When exploration runs under a spill budget
 //! ([`SpillOptions`](crate::SpillOptions)), the off-diagonal entries —
 //! the one CSR array that grows with the rate count — are accumulated
-//! into a disk-spillable `SegStore` instead of resident vectors (the
-//! `CsrBody::Paged` representation). `row_ptr`, `diag`, `initial`
-//! and `absorbing` stay resident: they are `O(states)` and every
-//! solver indexes them randomly. Row access then goes through the
-//! store's LRU pager, and the sweep kernels
+//! into a disk-spillable `SegStore` instead of a resident vector (the
+//! `CsrBody::Paged` representation). `row_ptr`, `diag`, `initial`,
+//! `absorbing` and the coefficient table stay resident: they are
+//! `O(states)` or smaller and every solver indexes them randomly. Row
+//! access then goes through the store's LRU pager, and the sweep kernels
 //! (`spmv::flow_mul`, the incoming-view transpose build) use
 //! the grouped `SegStore::stream_rows` primitive so a full pass
 //! costs one disk read per spilled segment, not per row. Paging never
@@ -27,40 +45,44 @@
 //! and every consumer walks them in the same order, so a paged solve
 //! is bit-identical to a resident one (CI-gated).
 
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use ctsim_san::ActivityId;
 
 use crate::arena::{RowLoc, SegStore};
-use crate::graph::{Edge, StateSpace, Term};
+use crate::graph::{Edge, StateSpace, Term, TERM_ID_LIMIT};
 use crate::spill::{SpillRecord, SpillShared};
 use crate::SolveError;
 
-/// One off-diagonal CSR entry in spillable form. Destinations fit
+/// One off-diagonal CSR entry: destination state and coefficient id
+/// (see the module docs), 8 bytes in RAM and on disk. Destinations fit
 /// `u32` because canonical state ids are assigned from a `u32`
-/// renumbering; rates keep full `f64` precision so the paged and
-/// resident generators are bit-identical.
-#[derive(Debug, Clone, Copy)]
+/// renumbering; the rate itself lives in the resident coefficient
+/// table, so the paged and resident generators are bit-identical.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CsrEntry {
     pub(crate) col: u32,
-    pub(crate) rate: f64,
+    pub(crate) term: u32,
 }
 
 impl SpillRecord for CsrEntry {
-    const BYTES: usize = 12;
+    const BYTES: usize = 8;
     fn store(&self, out: &mut [u8]) {
         out[..4].copy_from_slice(&self.col.to_le_bytes());
-        out[4..].copy_from_slice(&self.rate.to_le_bytes());
+        out[4..].copy_from_slice(&self.term.to_le_bytes());
     }
     fn load(bytes: &[u8]) -> Self {
+        let u = |r: Range<usize>| u32::from_le_bytes(bytes[r].try_into().expect("4B"));
         Self {
-            col: u32::from_le_bytes(bytes[..4].try_into().expect("4-byte col")),
-            rate: f64::from_le_bytes(bytes[4..].try_into().expect("8-byte rate")),
+            col: u(0..4),
+            term: u(4..8),
         }
     }
 }
 
-/// Entries per paged-CSR segment (12 bytes each → ~384 KiB segments).
+/// Entries per paged-CSR segment (8 bytes each → 256 KiB segments).
 const CSR_SEG: usize = 1 << 15;
 
 /// LRU depth for the paged-CSR store: iterative solvers sweep the rows
@@ -68,17 +90,13 @@ const CSR_SEG: usize = 1 << 15;
 /// the streaming default avoids cross-shard thrash.
 const CSR_CACHE_SLOTS: usize = 8;
 
-/// The off-diagonal storage of a [`Ctmc`]: resident twin vectors, or a
-/// disk-spillable entry store addressed per row (see the module docs).
+/// The off-diagonal storage of a [`Ctmc`]: a resident entry vector, or
+/// a disk-spillable entry store addressed per row (see the module
+/// docs).
 enum CsrBody {
-    Resident {
-        /// Column (destination-state) indices of off-diagonal entries.
-        col: Vec<usize>,
-        /// Off-diagonal rates `q_ij > 0` (1/ms).
-        rate: Vec<f64>,
-    },
+    Resident(Vec<CsrEntry>),
     Paged {
-        /// `(col, rate)` entries, rows appended in canonical order.
+        /// Entries, rows appended in canonical order.
         entries: SegStore<CsrEntry>,
         /// Where each state's row lives in `entries`.
         locs: Vec<RowLoc>,
@@ -88,10 +106,9 @@ enum CsrBody {
 impl std::fmt::Debug for CsrBody {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CsrBody::Resident { col, rate } => f
+            CsrBody::Resident(entries) => f
                 .debug_struct("Resident")
-                .field("col", col)
-                .field("rate", rate)
+                .field("entries", &entries.len())
                 .finish(),
             CsrBody::Paged { locs, .. } => {
                 f.debug_struct("Paged").field("rows", &locs.len()).finish()
@@ -101,26 +118,101 @@ impl std::fmt::Debug for CsrBody {
 }
 
 impl Clone for CsrBody {
-    /// Cloning a paged body materialises it resident: the spill file
-    /// offsets cannot be shared by two owners whose `update_rows`
-    /// rewrites would diverge. Clones of large paged generators are
-    /// therefore expensive and resident — no caller on the out-of-core
-    /// path clones the generator.
+    /// Cloning a paged body materialises it resident: two owners of
+    /// one spill file's offsets would each account the same segments.
+    /// Clones of large paged generators are therefore expensive and
+    /// resident — no caller on the out-of-core path clones the
+    /// generator.
     fn clone(&self) -> Self {
         match self {
-            CsrBody::Resident { col, rate } => CsrBody::Resident {
-                col: col.clone(),
-                rate: rate.clone(),
-            },
-            CsrBody::Paged { entries, .. } => {
-                let all = entries.collect_all();
-                CsrBody::Resident {
-                    col: all.iter().map(|e| e.col as usize).collect(),
-                    rate: all.iter().map(|e| e.rate).collect(),
+            CsrBody::Resident(entries) => CsrBody::Resident(entries.clone()),
+            CsrBody::Paged { entries, .. } => CsrBody::Resident(entries.collect_all()),
+        }
+    }
+}
+
+impl CsrBody {
+    /// Visits `rows` in order as `f(state, entries)`: resident rows as
+    /// slices, paged rows streamed through [`SegStore::stream_rows`]
+    /// at one disk read per spilled segment. Every consumer walks a
+    /// row's entries left to right, so the bits agree across bodies.
+    fn for_each_row(
+        &self,
+        row_ptr: &[usize],
+        rows: Range<usize>,
+        mut f: impl FnMut(usize, &[CsrEntry]),
+    ) {
+        match self {
+            CsrBody::Resident(entries) => {
+                for i in rows {
+                    f(i, &entries[row_ptr[i]..row_ptr[i + 1]]);
                 }
+            }
+            CsrBody::Paged { entries, locs } => {
+                let lo = rows.start;
+                entries.stream_rows(&locs[rows], |k, row| f(lo + k, row));
             }
         }
     }
+}
+
+/// The coefficient table the entries' ids index (see the module docs).
+#[derive(Debug, Clone)]
+struct Coefficients {
+    /// The exploration's terms by id — the structural key a rebuild is
+    /// checked against, and the rates the table is filled from.
+    terms: Vec<Term>,
+    /// Composite `k` (id `u32::MAX - k`): the term ids it sums, in
+    /// edge order.
+    composites: Vec<Box<[u32]>>,
+    /// The composites' coefficients, last composite first, then one
+    /// coefficient per term: id `t` sits at `composites.len() + t`,
+    /// with `t` read as an `i32`.
+    table: Vec<f64>,
+}
+
+impl Coefficients {
+    fn new(terms: &[Term], composites: Vec<Box<[u32]>>) -> Self {
+        let mut c = Coefficients {
+            terms: terms.to_vec(),
+            composites,
+            table: Vec::new(),
+        };
+        c.fill();
+        c
+    }
+
+    /// Recomputes the table from `terms` and the composite recipes.
+    fn fill(&mut self) {
+        self.table.clear();
+        let terms = &self.terms;
+        self.table.extend(
+            self.composites
+                .iter()
+                .rev()
+                .map(|ids| composite_coeff(ids, terms)),
+        );
+        self.table.extend(terms.iter().map(Term::coeff));
+    }
+
+    /// The coefficient of id `id`.
+    #[inline]
+    fn get(&self, id: u32) -> f64 {
+        self.table[self
+            .composites
+            .len()
+            .wrapping_add_signed(id as i32 as isize)]
+    }
+}
+
+/// A composite's coefficient: the coefficients of `ids` folded left to
+/// right, the sum a row with those parallel edges always had.
+fn composite_coeff(ids: &[u32], terms: &[Term]) -> f64 {
+    let mut c = terms[ids[0] as usize].coeff();
+    for &t in &ids[1..] {
+        c += terms[t as usize].coeff();
+    }
+    c
 }
 
 /// A finite-state CTMC in CSR form.
@@ -130,8 +222,10 @@ pub struct Ctmc {
     n: usize,
     /// CSR row starts into the off-diagonal entries (length `n + 1`).
     row_ptr: Vec<usize>,
-    /// Off-diagonal entries (resident vectors or a paged store).
+    /// Off-diagonal entries (a resident vector or a paged store).
     body: CsrBody,
+    /// What the entries' coefficient ids stand for.
+    coeffs: Coefficients,
     /// Diagonal entries `q_ii = -Σ_j≠i q_ij` (1/ms).
     diag: Vec<f64>,
     /// Initial probability distribution.
@@ -141,19 +235,20 @@ pub struct Ctmc {
     /// Lazily built, cached incoming (column-oriented) view — shared by
     /// every solver backend, so repeated solves on the same generator
     /// (order sweeps, residual checks, CDF grids) pay the transpose
-    /// once instead of per call.
+    /// once instead of per call. It holds coefficient ids, not rates,
+    /// so a rate-only rebuild keeps it.
     incoming: OnceLock<Incoming>,
 }
 
 /// The transposed (incoming) CSR view of the generator: for each
-/// destination state, its predecessors and the rates from them, in
-/// ascending predecessor order.
+/// destination state, its predecessors and the coefficient ids of the
+/// entries from them, in ascending predecessor order.
 #[derive(Debug, Clone)]
 pub struct Incoming {
     /// Column starts into `entries` (length `n + 1`).
     col_ptr: Vec<usize>,
-    /// `(source, rate)` pairs, grouped by destination.
-    entries: Vec<(usize, f64)>,
+    /// `(source, coefficient id)` pairs, grouped by destination.
+    entries: Vec<(u32, u32)>,
 }
 
 impl Incoming {
@@ -164,19 +259,28 @@ impl Incoming {
     /// never build it. `docs/MEMORY.md` spells this out.
     fn build(ctmc: &Ctmc) -> Self {
         let n = ctmc.n;
+        let all = 0..n;
         let mut col_ptr = vec![0usize; n + 1];
-        ctmc.for_each_entry(|_, j, _| col_ptr[j + 1] += 1);
+        ctmc.body
+            .for_each_row(&ctmc.row_ptr, all.clone(), |_, row| {
+                for e in row {
+                    col_ptr[e.col as usize + 1] += 1;
+                }
+            });
         for j in 0..n {
             col_ptr[j + 1] += col_ptr[j];
         }
         let mut cursor = col_ptr.clone();
-        let mut entries = vec![(0usize, 0.0f64); ctmc.num_rates()];
+        let mut entries = vec![(0u32, 0u32); ctmc.num_rates()];
         // Row-major traversal fills each column's predecessor list in
         // ascending source order — the deterministic summation order
         // the gather kernels rely on.
-        ctmc.for_each_entry(|i, j, r| {
-            entries[cursor[j]] = (i, r);
-            cursor[j] += 1;
+        ctmc.body.for_each_row(&ctmc.row_ptr, all, |i, row| {
+            for e in row {
+                let j = e.col as usize;
+                entries[cursor[j]] = (i as u32, e.term);
+                cursor[j] += 1;
+            }
         });
         Self { col_ptr, entries }
     }
@@ -187,52 +291,39 @@ impl Incoming {
         &self.col_ptr
     }
 
-    /// The `(source, rate)` predecessors of destination `j`.
-    pub fn column(&self, j: usize) -> &[(usize, f64)] {
+    /// The `(source, coefficient id)` predecessors of destination `j`;
+    /// [`Ctmc::coefficient`] turns an id into its rate.
+    pub(crate) fn column(&self, j: usize) -> &[(u32, u32)] {
         &self.entries[self.col_ptr[j]..self.col_ptr[j + 1]]
     }
 }
 
-/// Folds the outgoing edges of state `src` into `acc` — one
-/// `(destination, rate)` entry per distinct destination, ascending —
-/// and returns the row's diagonal; `terms` is the table the edges point
-/// into. The one accumulation behind a fresh build
-/// ([`CtmcAcc::push_row`]) and a values-only rebuild
-/// ([`Ctmc::rebuild_values`]), which is what keeps the two
-/// bit-identical. On a NaN rate — an unexpanded non-exponential
-/// activity — returns the offending activity.
-fn accumulate_row(
-    src: usize,
-    edges: &[Edge],
-    terms: &[Term],
-    acc: &mut Vec<(usize, f64)>,
-) -> Result<f64, ActivityId> {
-    acc.clear();
-    for e in edges {
-        let t = &terms[e.term as usize];
-        if t.rate.is_nan() {
-            return Err(t.activity);
+/// Hands out composite ids: one per distinct sequence of merged term
+/// ids, counting down from `u32::MAX` in first-use order.
+#[derive(Default)]
+struct CompositeIds {
+    by_terms: HashMap<Box<[u32]>, u32>,
+    /// Composite `k`'s term ids, in edge order.
+    recipes: Vec<Box<[u32]>>,
+}
+
+impl CompositeIds {
+    /// The composite id of the parallel edges `run` (one target, edge
+    /// order) and its coefficient.
+    fn intern(&mut self, run: &[Edge], terms: &[Term], ids: &mut Vec<u32>) -> (u32, f64) {
+        ids.clear();
+        ids.extend(run.iter().map(|e| e.term));
+        let coeff = composite_coeff(ids, terms);
+        if let Some(&id) = self.by_terms.get(ids.as_slice()) {
+            return (id, coeff);
         }
-        let target = e.target as usize;
-        if target == src {
-            // A completion that re-enters its source state is
-            // invisible to the marking process: it contributes
-            // neither an off-diagonal rate nor exit rate.
-            continue;
-        }
-        match acc.iter_mut().find(|(d, _)| *d == target) {
-            Some((_, existing)) => *existing += t.coeff(),
-            None => acc.push((target, t.coeff())),
-        }
+        let id = u32::MAX - self.recipes.len() as u32;
+        assert!(id >= TERM_ID_LIMIT, "composite ids stay above the term ids");
+        let recipe: Box<[u32]> = ids.as_slice().into();
+        self.by_terms.insert(recipe.clone(), id);
+        self.recipes.push(recipe);
+        (id, coeff)
     }
-    acc.sort_unstable_by_key(|&(d, _)| d);
-    // Folded from +0.0 so an empty row's diagonal is +0.0: `.sum()`
-    // would yield -0.0 there, and absorbing states compare by bits.
-    let mut d = 0.0;
-    for &(_, r) in acc.iter() {
-        d -= r;
-    }
-    Ok(d)
 }
 
 /// Row-by-row CTMC generator accumulation — the streaming counterpart
@@ -244,36 +335,20 @@ fn accumulate_row(
 /// byte-identical by construction.
 pub(crate) struct CtmcAcc {
     row_ptr: Vec<usize>,
-    body: AccBody,
+    body: CsrBody,
     diag: Vec<f64>,
-    /// Per-destination scratch of the row being accumulated.
-    row: Vec<(usize, f64)>,
-}
-
-/// Accumulator counterpart of [`CsrBody`].
-enum AccBody {
-    Resident {
-        col: Vec<usize>,
-        rate: Vec<f64>,
-    },
-    Paged {
-        entries: SegStore<CsrEntry>,
-        locs: Vec<RowLoc>,
-        row_buf: Vec<CsrEntry>,
-    },
+    composites: CompositeIds,
+    /// The row being accumulated: its off-diagonal edges, then its
+    /// entries.
+    edges: Vec<Edge>,
+    row: Vec<CsrEntry>,
+    /// Scratch for a composite's term ids.
+    ids: Vec<u32>,
 }
 
 impl CtmcAcc {
     pub(crate) fn new() -> Self {
-        Self {
-            row_ptr: vec![0],
-            body: AccBody::Resident {
-                col: Vec::new(),
-                rate: Vec::new(),
-            },
-            diag: Vec::new(),
-            row: Vec::new(),
-        }
+        Self::with_body(CsrBody::Resident(Vec::new()))
     }
 
     /// An accumulator whose off-diagonal entries live in a
@@ -285,22 +360,30 @@ impl CtmcAcc {
         entries.set_cache_slots(CSR_CACHE_SLOTS);
         entries.set_page_counter("spill.csr_paged_bytes");
         entries.set_io_sites("csr.page_in", "csr.page_out");
+        Self::with_body(CsrBody::Paged {
+            entries,
+            locs: Vec::new(),
+        })
+    }
+
+    fn with_body(body: CsrBody) -> Self {
         Self {
             row_ptr: vec![0],
-            body: AccBody::Paged {
-                entries,
-                locs: Vec::new(),
-                row_buf: Vec::new(),
-            },
+            body,
             diag: Vec::new(),
+            composites: CompositeIds::default(),
+            edges: Vec::new(),
             row: Vec::new(),
+            ids: Vec::new(),
         }
     }
 
     /// Appends the generator row of state `src` from its edges and the
-    /// term table (rows must arrive in canonical order). On a NaN rate
-    /// — an unexpanded non-exponential activity — returns the offending
-    /// activity.
+    /// term table (rows must arrive in canonical order): one entry per
+    /// distinct destination, ascending, under the edge's term or, for
+    /// parallel edges, a composite. The diagonal is folded from +0.0
+    /// over the entries in that order. On a NaN rate — an unexpanded
+    /// non-exponential activity — returns the offending activity.
     pub(crate) fn push_row(
         &mut self,
         src: usize,
@@ -308,58 +391,75 @@ impl CtmcAcc {
         terms: &[Term],
     ) -> Result<(), ActivityId> {
         debug_assert_eq!(src, self.diag.len(), "rows must arrive in order");
-        let acc = &mut self.row;
-        let d = accumulate_row(src, edges, terms, acc)?;
+        self.edges.clear();
+        for e in edges {
+            let t = &terms[e.term as usize];
+            if t.rate.is_nan() {
+                return Err(t.activity);
+            }
+            // A completion that re-enters its source state is
+            // invisible to the marking process: it contributes
+            // neither an off-diagonal rate nor exit rate.
+            if e.target as usize != src {
+                self.edges.push(*e);
+            }
+        }
+        // Stable: parallel edges keep their edge order, which is the
+        // order their composite sums them in.
+        self.edges.sort_by_key(|e| e.target);
+        self.row.clear();
+        // Folded from +0.0 so an empty row's diagonal is +0.0: `.sum()`
+        // would yield -0.0 there, and absorbing states compare by bits.
+        let mut d = 0.0;
+        let mut rest = &self.edges[..];
+        while let Some(first) = rest.first() {
+            let len = rest.iter().take_while(|e| e.target == first.target).count();
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            let (term, coeff) = match run {
+                [e] => (e.term, terms[e.term as usize].coeff()),
+                _ => self.composites.intern(run, terms, &mut self.ids),
+            };
+            d -= coeff;
+            self.row.push(CsrEntry {
+                col: run[0].target,
+                term,
+            });
+        }
         match &mut self.body {
-            AccBody::Resident { col, rate } => {
-                for &(dst, r) in acc.iter() {
-                    col.push(dst);
-                    rate.push(r);
-                }
-            }
-            AccBody::Paged {
-                entries,
-                locs,
-                row_buf,
-            } => {
-                row_buf.clear();
-                for &(dst, r) in acc.iter() {
-                    row_buf.push(CsrEntry {
-                        col: dst as u32,
-                        rate: r,
-                    });
-                }
-                locs.push(entries.append_row(row_buf));
-            }
+            CsrBody::Resident(entries) => entries.extend_from_slice(&self.row),
+            CsrBody::Paged { entries, locs } => locs.push(entries.append_row(&self.row)),
         }
         self.diag.push(d);
         self.row_ptr
-            .push(self.row_ptr.last().copied().unwrap_or(0) + acc.len());
+            .push(self.row_ptr.last().copied().unwrap_or(0) + self.row.len());
         Ok(())
     }
 
     /// Materialises the generator; `initial_pairs` is the (canonical,
-    /// sorted) initial distribution.
-    pub(crate) fn finish(self, initial_pairs: &[(usize, f64)]) -> Ctmc {
+    /// sorted) initial distribution and `terms` the exploration's
+    /// finished term table.
+    pub(crate) fn finish(self, initial_pairs: &[(usize, f64)], terms: &[Term]) -> Ctmc {
         let n = self.diag.len();
         let mut initial = vec![0.0; n];
         for &(i, p) in initial_pairs {
             initial[i] = p;
         }
         let absorbing = self.diag.iter().map(|&d| d == 0.0).collect();
-        let body = match self.body {
-            AccBody::Resident { col, rate } => CsrBody::Resident { col, rate },
-            AccBody::Paged {
-                mut entries, locs, ..
-            } => {
-                entries.finish();
-                CsrBody::Paged { entries, locs }
-            }
-        };
+        let mut body = self.body;
+        if let CsrBody::Paged { entries, .. } = &mut body {
+            entries.finish();
+        }
+        let coeffs = Coefficients::new(terms, self.composites.recipes);
+        if ctsim_obs::enabled() {
+            ctsim_obs::gauge_max("ctmc.coefficients", coeffs.table.len() as f64);
+            ctsim_obs::gauge_max("ctmc.composites", coeffs.composites.len() as f64);
+        }
         Ctmc {
             n,
             row_ptr: self.row_ptr,
             body,
+            coeffs,
             diag: self.diag,
             initial,
             absorbing,
@@ -395,30 +495,32 @@ impl Ctmc {
                     }
                 })?;
             }
-            Ok(acc.finish(&ss.initial))
+            Ok(acc.finish(&ss.initial, ss.terms()))
         })
     }
 
-    /// Rewrites the generator's *values* (off-diagonal rates, diagonal,
+    /// Rewrites the generator's *values* (coefficients, diagonal,
     /// absorbing marks) from a rate-rebuilt reachability graph, keeping
-    /// the CSR sparsity pattern — the CTMC half of the campaign
-    /// engine's rate-only rebuild (see [`StateSpace::rebuild_rates`]).
-    /// Replays the exact accumulation of [`Ctmc::from_state_space`], so
-    /// the result is byte-identical to a generator built fresh from the
-    /// same graph. The cached incoming view is invalidated; the initial
-    /// distribution is rate-independent and kept.
+    /// every entry — the CTMC half of the campaign engine's rate-only
+    /// rebuild (see [`StateSpace::rebuild_rates`]). The entries name
+    /// coefficients, not rates, so this refills the coefficient table
+    /// from the graph's terms and folds each row's diagonal from it in
+    /// one read-only pass, with the sums of a fresh build: the result
+    /// is byte-identical to a generator built fresh from the same
+    /// graph. The cached incoming view holds ids too and is kept; the
+    /// initial distribution is rate-independent and kept.
     ///
     /// # Errors
-    /// [`SolveError::NonMarkovian`] on a NaN rate (as in
-    /// `from_state_space`); [`SolveError::StructureMismatch`] if the
-    /// graph's row structure does not match this generator's sparsity —
-    /// the caller paired a generator with the wrong graph. On error the
-    /// generator may hold partially rewritten values — discard it.
+    /// [`SolveError::StructureMismatch`] if the graph has another state
+    /// count or another term table (up to rates) than the one this
+    /// generator was built from — the caller paired a generator with
+    /// the wrong graph; [`SolveError::NonMarkovian`] on a NaN rate (as
+    /// in `from_state_space`). The generator is then untouched. A
+    /// paged body that cannot be read back fails with
+    /// [`SolveError::SpillFailed`] after the table was refilled —
+    /// discard the generator then.
     pub fn rebuild_values(&mut self, ss: &StateSpace<'_>) -> Result<(), SolveError> {
-        crate::catch_spill(|| self.rebuild_values_inner(ss))
-    }
-
-    fn rebuild_values_inner(&mut self, ss: &StateSpace<'_>) -> Result<(), SolveError> {
+        let terms = ss.terms();
         if ss.len() != self.n {
             return Err(SolveError::StructureMismatch {
                 reason: format!(
@@ -428,94 +530,43 @@ impl Ctmc {
                 ),
             });
         }
-        let model = ss.model();
-        let mut acc: Vec<(usize, f64)> = Vec::new();
-        let accumulate = |s: usize, acc: &mut Vec<(usize, f64)>| {
-            accumulate_row(s, &ss.edges(s), ss.terms(), acc).map_err(|a| SolveError::NonMarkovian {
-                activity: model.activity_name(a).to_string(),
-            })
-        };
-        let row_ptr = &self.row_ptr;
-        let diag = &mut self.diag;
-        match &mut self.body {
-            CsrBody::Resident { col, rate } => {
-                for s in 0..self.n {
-                    let d = accumulate(s, &mut acc)?;
-                    let lo = row_ptr[s];
-                    let hi = row_ptr[s + 1];
-                    if acc.len() != hi - lo {
-                        return Err(SolveError::StructureMismatch {
-                            reason: format!(
-                                "row {s}: {} destinations, generator stores {}",
-                                acc.len(),
-                                hi - lo
-                            ),
-                        });
-                    }
-                    for (k, &(dst, r)) in acc.iter().enumerate() {
-                        if col[lo + k] != dst {
-                            return Err(SolveError::StructureMismatch {
-                                reason: format!(
-                                    "row {s}: destination {dst} not in sparsity pattern"
-                                ),
-                            });
-                        }
-                        rate[lo + k] = r;
-                    }
-                    diag[s] = d;
-                }
-            }
-            CsrBody::Paged { entries, locs } => {
-                // One grouped pass over the paged store: each spilled
-                // segment is read, rewritten and re-spilled once. An
-                // error inside the sweep is captured and surfaced
-                // after — the generator is then partially rewritten,
-                // exactly the "discard it" contract above.
-                let mut err: Option<SolveError> = None;
-                entries.update_rows(locs, |s, row| {
-                    if err.is_some() {
-                        return;
-                    }
-                    let d = match accumulate(s, &mut acc) {
-                        Ok(d) => d,
-                        Err(e) => {
-                            err = Some(e);
-                            return;
-                        }
-                    };
-                    if acc.len() != row.len() {
-                        err = Some(SolveError::StructureMismatch {
-                            reason: format!(
-                                "row {s}: {} destinations, generator stores {}",
-                                acc.len(),
-                                row.len()
-                            ),
-                        });
-                        return;
-                    }
-                    for (e, &(dst, r)) in row.iter_mut().zip(acc.iter()) {
-                        if e.col as usize != dst {
-                            err = Some(SolveError::StructureMismatch {
-                                reason: format!(
-                                    "row {s}: destination {dst} not in sparsity pattern"
-                                ),
-                            });
-                            return;
-                        }
-                        e.rate = r;
-                    }
-                    diag[s] = d;
-                });
-                if let Some(e) = err {
-                    return Err(e);
-                }
-            }
+        let known = &self.coeffs.terms;
+        if terms.len() != known.len() || !terms.iter().zip(known).all(|(a, b)| a.same_key(b)) {
+            return Err(SolveError::StructureMismatch {
+                reason: format!(
+                    "generator has {} terms, rebuilt graph has {} or other ones",
+                    known.len(),
+                    terms.len()
+                ),
+            });
         }
-        for (i, &d) in self.diag.iter().enumerate() {
-            self.absorbing[i] = d == 0.0;
+        if let Some(t) = terms.iter().find(|t| t.rate.is_nan()) {
+            return Err(SolveError::NonMarkovian {
+                activity: ss.model().activity_name(t.activity).to_string(),
+            });
         }
-        self.incoming = OnceLock::new();
-        Ok(())
+        self.coeffs.terms.copy_from_slice(terms);
+        self.coeffs.fill();
+        let Ctmc {
+            n,
+            row_ptr,
+            body,
+            coeffs,
+            diag,
+            absorbing,
+            ..
+        } = self;
+        crate::catch_spill(|| {
+            body.for_each_row(row_ptr, 0..*n, |i, row| {
+                let mut d = 0.0;
+                for e in row {
+                    d -= coeffs.get(e.term);
+                }
+                diag[i] = d;
+                absorbing[i] = d == 0.0;
+            });
+            Ok(())
+        })
     }
 
     /// Number of states.
@@ -524,22 +575,21 @@ impl Ctmc {
     }
 
     /// The raw CSR layout `(row_ptr, col, rate, diag)` as owned
-    /// vectors, materialising paged entries from disk when necessary —
-    /// exposed so callers can assert bit-level reproducibility of the
+    /// vectors, each entry's rate read from the coefficient table and
+    /// paged entries materialised from disk when necessary — exposed
+    /// so callers can assert bit-level reproducibility of the
     /// generator across exploration thread counts and spill budgets.
-    /// Meant for asserts and tests, not hot paths: on a paged generator
-    /// this temporarily re-materialises all `O(rates)` entries in RAM.
+    /// Meant for asserts and tests, not hot paths: it allocates
+    /// `O(rates)` vectors.
     pub fn csr_owned(&self) -> (Vec<usize>, Vec<usize>, Vec<f64>, Vec<f64>) {
-        let (col, rate) = match &self.body {
-            CsrBody::Resident { col, rate } => (col.clone(), rate.clone()),
-            CsrBody::Paged { entries, .. } => {
-                let all = entries.collect_all();
-                (
-                    all.iter().map(|e| e.col as usize).collect(),
-                    all.iter().map(|e| e.rate).collect(),
-                )
+        let mut col = Vec::with_capacity(self.num_rates());
+        let mut rate = Vec::with_capacity(self.num_rates());
+        self.body.for_each_row(&self.row_ptr, 0..self.n, |_, row| {
+            for e in row {
+                col.push(e.col as usize);
+                rate.push(self.coeffs.get(e.term));
             }
-        };
+        });
         (self.row_ptr.clone(), col, rate, self.diag.clone())
     }
 
@@ -549,6 +599,13 @@ impl Ctmc {
         &self.row_ptr
     }
 
+    /// The rate an entry's coefficient id stands for (see the module
+    /// docs).
+    #[inline]
+    pub(crate) fn coefficient(&self, id: u32) -> f64 {
+        self.coeffs.get(id)
+    }
+
     /// Whether any off-diagonal entries currently live *on disk*: true
     /// only for a paged body with at least one spilled segment. The
     /// row-sweeping in-place solvers (Gauss–Seidel) refuse such
@@ -556,60 +613,23 @@ impl Ctmc {
     /// kernels page them through the LRU.
     pub fn is_streamed(&self) -> bool {
         match &self.body {
-            CsrBody::Resident { .. } => false,
+            CsrBody::Resident(_) => false,
             CsrBody::Paged { entries, .. } => entries.has_spilled(),
         }
     }
 
-    /// Visits every off-diagonal entry as `(source, destination,
-    /// rate)` in row-major order, streaming paged segments at one disk
-    /// read per segment. The visit order is identical for both bodies.
-    fn for_each_entry(&self, mut f: impl FnMut(usize, usize, f64)) {
-        match &self.body {
-            CsrBody::Resident { col, rate } => {
-                for i in 0..self.n {
-                    for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                        f(i, col[k], rate[k]);
-                    }
-                }
-            }
-            CsrBody::Paged { entries, locs } => {
-                entries.stream_rows(locs, |i, row| {
-                    for e in row {
-                        f(i, e.col as usize, e.rate);
-                    }
-                });
-            }
-        }
-    }
-
     /// One shard of the flow product `out[i] = Σ_k q_ik · v[k]` (rows
-    /// `lo..lo + shard.len()`), matched to the storage body: resident
-    /// slices index directly, a paged body streams the shard's rows
-    /// through [`SegStore::stream_rows`]. Both walk each row's entries
-    /// left to right, so the summation order (and the bits) agree.
+    /// `lo..lo + shard.len()`), over either body: each row's entries
+    /// are summed left to right, so the bits agree.
     pub(crate) fn flow_shard(&self, lo: usize, shard: &mut [f64], v: &[f64]) {
-        match &self.body {
-            CsrBody::Resident { col, rate } => {
-                for (di, o) in shard.iter_mut().enumerate() {
-                    let i = lo + di;
-                    let mut acc = 0.0;
-                    for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                        acc += rate[k] * v[col[k]];
-                    }
-                    *o = acc;
+        self.body
+            .for_each_row(&self.row_ptr, lo..lo + shard.len(), |i, row| {
+                let mut acc = 0.0;
+                for e in row {
+                    acc += self.coeffs.get(e.term) * v[e.col as usize];
                 }
-            }
-            CsrBody::Paged { entries, locs } => {
-                entries.stream_rows(&locs[lo..lo + shard.len()], |di, row| {
-                    let mut acc = 0.0;
-                    for e in row {
-                        acc += e.rate * v[e.col as usize];
-                    }
-                    shard[di] = acc;
-                });
-            }
-        }
+                shard[i - lo] = acc;
+            });
     }
 
     /// Number of stored off-diagonal rates.
@@ -638,12 +658,19 @@ impl Ctmc {
     }
 
     /// The cached column-oriented (incoming) view: for each state, its
-    /// predecessors and the rates from them, in ascending source order.
-    /// Built on first use and kept, so repeated transient solves on the
-    /// same generator (CDF grids, order sweeps) do not pay the transpose
-    /// each call.
+    /// predecessors and the coefficient ids of their entries, in
+    /// ascending source order. Built on first use and kept — across
+    /// rate-only rebuilds too — so repeated transient solves on the
+    /// same generator (CDF grids, order sweeps, campaign points) do not
+    /// pay the transpose each call.
     pub fn incoming_view(&self) -> &Incoming {
         self.incoming.get_or_init(|| Incoming::build(self))
+    }
+
+    /// Whether the incoming view has been built and is cached.
+    #[cfg(test)]
+    pub(crate) fn has_incoming_view(&self) -> bool {
+        self.incoming.get().is_some()
     }
 
     /// Visits the off-diagonal entries of row `i` in order, calling
@@ -654,20 +681,11 @@ impl Ctmc {
     /// entry — the Gauss–Seidel sweeps and the triangular substitution
     /// run this in their innermost loop.
     pub fn for_each_in_row(&self, i: usize, mut f: impl FnMut(usize, f64)) {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        match &self.body {
-            CsrBody::Resident { col, rate } => {
-                for (&c, &r) in col[lo..hi].iter().zip(&rate[lo..hi]) {
-                    f(c, r);
-                }
+        self.body.for_each_row(&self.row_ptr, i..i + 1, |_, row| {
+            for e in row {
+                f(e.col as usize, self.coeffs.get(e.term));
             }
-            CsrBody::Paged { entries, locs } => {
-                for e in entries.row(locs[i]).iter() {
-                    f(e.col as usize, e.rate);
-                }
-            }
-        }
+        });
     }
 
     /// `out[i] = Σ_k≠i q_ik · v[k]`: the off-diagonal row product (the
@@ -717,6 +735,7 @@ impl Ctmc {
 mod tests {
     use super::*;
     use crate::graph::ReachOptions;
+    use crate::spill::SpillOptions;
     use ctsim_san::{Activity, Case, SanBuilder, SanModel};
     use ctsim_stoch::Dist;
 
@@ -811,5 +830,116 @@ mod tests {
         // Dense Q = [[-0.5, 0.5], [1.0, -1.0]].
         assert!((out[0] - (0.3 * (-0.5) + 0.7)).abs() < 1e-12);
         assert!((out[1] - (0.3 * 0.5 - 0.7)).abs() < 1e-12);
+    }
+
+    /// Three activities move the one token from `p` to `q` at rates
+    /// `1 / means[k]`: three parallel edges into one target.
+    fn parallel(means: [f64; 3]) -> SanModel {
+        let mut b = SanBuilder::new("parallel");
+        let p = b.place("p", 1);
+        let q = b.place("q", 0);
+        for (k, mean) in means.into_iter().enumerate() {
+            b.add_activity(
+                Activity::timed(format!("a{k}"), Dist::Exp { mean })
+                    .input(p, 1)
+                    .case(Case::with_prob(1.0).output(q, 1)),
+            );
+        }
+        b.build().unwrap()
+    }
+
+    /// State 0's transition rates folded left to right in `order`.
+    fn row_sum(ss: &StateSpace<'_>, order: impl Iterator<Item = usize>) -> f64 {
+        let row = ss.outgoing(0);
+        order.map(|k| row[k].q()).reduce(|a, b| a + b).unwrap()
+    }
+
+    fn csr_bits(q: &Ctmc) -> (Vec<usize>, Vec<usize>, Vec<u64>, Vec<u64>) {
+        let (row_ptr, col, rate, diag) = q.csr_owned();
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect();
+        (row_ptr, col, bits(rate), bits(diag))
+    }
+
+    /// Parallel edges merge into one entry under one composite
+    /// coefficient whose bits are the edge-order sum of the merged
+    /// terms: at a fresh build, resident and paged, and after a
+    /// rate-only rebuild, which gives a fresh build's bits.
+    #[test]
+    fn parallel_edges_share_one_composite_entry() {
+        let first = parallel([10.0, 5.0, 10.0 / 3.0]);
+        let (ss, mut q) = StateSpace::explore_ctmc(&first, &ReachOptions::default()).unwrap();
+        assert_eq!(ss.outgoing(0).len(), 3);
+        let sum = row_sum(&ss, 0..3);
+        // 0.1 + 0.2 + 0.3 rounds otherwise in reverse, so the bits pin
+        // the order.
+        assert_ne!(sum.to_bits(), row_sum(&ss, (0..3).rev()).to_bits());
+        assert_eq!(q.num_rates(), 1);
+        assert_eq!(q.coeffs.composites.len(), 1);
+        assert_eq!(q.coeffs.table.len(), ss.terms().len() + 1);
+        let (_, col, rate, diag) = q.csr_owned();
+        assert_eq!(col, [1]);
+        assert_eq!(rate[0].to_bits(), sum.to_bits());
+        assert_eq!(diag[0].to_bits(), (-sum).to_bits());
+
+        let paged_opts = ReachOptions {
+            spill: Some(SpillOptions::with_budget(0)),
+            ..ReachOptions::default()
+        };
+        let (_, paged) = StateSpace::explore_ctmc(&first, &paged_opts).unwrap();
+        assert_eq!(csr_bits(&paged), csr_bits(&q));
+
+        let second = parallel([7.0, 3.0, 11.0]);
+        let mut rebuilt = StateSpace::from_parts(&second, ss.into_parts()).unwrap();
+        rebuilt.rebuild_rates().unwrap();
+        q.rebuild_values(&rebuilt).unwrap();
+        let (fresh_ss, fresh) =
+            StateSpace::explore_ctmc(&second, &ReachOptions::default()).unwrap();
+        assert_eq!(
+            q.csr_owned().2[0].to_bits(),
+            row_sum(&fresh_ss, 0..3).to_bits()
+        );
+        assert_eq!(csr_bits(&q), csr_bits(&fresh));
+    }
+
+    /// A paged entry is charged to the spill account when its segment
+    /// seals and credited when it pages out by the same 8 bytes, so
+    /// after a build under a budget of one and a half segments the
+    /// account holds exactly the segments still resident.
+    #[test]
+    fn spill_account_holds_the_resident_csr_segments() {
+        let levels = 70_000;
+        let mut b = SanBuilder::new("ladder");
+        let a = b.place("a", levels);
+        let z = b.place("z", 0);
+        b.add_activity(
+            Activity::timed("fwd", Dist::Exp { mean: 1.0 })
+                .input(a, 1)
+                .case(Case::with_prob(1.0).output(z, 1)),
+        );
+        b.add_activity(
+            Activity::timed("bwd", Dist::Exp { mean: 2.0 })
+                .input(z, 1)
+                .case(Case::with_prob(1.0).output(a, 1)),
+        );
+        let m = b.build().unwrap();
+        let opts = ReachOptions {
+            max_states: levels as usize + 8,
+            ..ReachOptions::default()
+        };
+        let ss = StateSpace::explore(&m, &opts).unwrap();
+        let budget = CSR_SEG * 3 / 2 * CsrEntry::BYTES;
+        let spill = Arc::new(SpillShared::new(&SpillOptions::with_budget(budget)).unwrap());
+        let mut acc = CtmcAcc::new_paged(spill.clone());
+        for s in 0..ss.len() {
+            acc.push_row(s, &ss.edges(s), ss.terms()).unwrap();
+        }
+        let q = acc.finish(&ss.initial, ss.terms());
+        assert!(q.num_rates() > 4 * CSR_SEG);
+        assert!(q.is_streamed(), "the budget pages segments out");
+        let CsrBody::Paged { entries, .. } = &q.body else {
+            panic!("a paged accumulator builds a paged body");
+        };
+        assert!(entries.resident_bytes() > 0, "some segments stay resident");
+        assert_eq!(spill.resident_bytes(), entries.resident_bytes());
     }
 }

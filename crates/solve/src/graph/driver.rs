@@ -978,7 +978,7 @@ fn drive<'m, D: Dedup>(
     // back the slack, which the space would otherwise hold for life.
     asm.row_locs.shrink_to_fit();
     asm.absorbing.shrink_to_fit();
-    let gen = asm.gen.take().map(|acc| acc.finish(&initial));
+    let gen = asm.gen.take().map(|acc| acc.finish(&initial, &terms));
     let ss = StateSpace {
         model,
         base: model.num_places(),

@@ -144,8 +144,8 @@ use crate::SolveError;
 
 pub use driver::SweepProfile;
 use expand::{AbsorbFn, Expansion, ExpansionShape};
-pub(crate) use terms::Edge;
 pub use terms::Term;
+pub(crate) use terms::{Edge, TERM_ID_LIMIT};
 
 /// Exploration limits and expansion/parallelism knobs.
 #[derive(Debug, Clone)]

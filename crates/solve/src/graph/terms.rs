@@ -24,6 +24,10 @@ use crate::spill::SpillRecord;
 /// plan: its rate is the model's `1/mean` (NaN when non-exponential).
 pub(super) const UNEXPANDED: u32 = u32::MAX;
 
+/// Term ids stay below 2³¹: the CSR gives the ids above to composite
+/// coefficients (see the `ctmc` module docs).
+pub(crate) const TERM_ID_LIMIT: u32 = 1 << 31;
+
 /// One outgoing transition as successor generation writes it into a
 /// worker chain: the term's structural key plus the target in the
 /// dedup strategy's numbering. Emission merges a row of these, files
@@ -113,6 +117,15 @@ impl Term {
         self.rate * self.prob
     }
 
+    /// Whether `other` is this term up to its rate: the structure a
+    /// rate-only rebuild must keep.
+    pub(crate) fn same_key(&self, other: &Term) -> bool {
+        self.activity == other.activity
+            && self.stage == other.stage
+            && self.prob.to_bits() == other.prob.to_bits()
+            && self.completes == other.completes
+    }
+
     /// The decoded transition of an edge of this term.
     pub(super) fn decode(&self, target: u32) -> Transition {
         Transition {
@@ -155,7 +168,10 @@ impl TermTable {
                 return id;
             }
         }
-        let id = u32::try_from(self.terms.len()).expect("term ids fit u32");
+        let id = u32::try_from(self.terms.len())
+            .ok()
+            .filter(|&id| id < TERM_ID_LIMIT)
+            .expect("term ids stay below TERM_ID_LIMIT");
         let activity = ActivityId::from_index(o.activity as usize);
         self.terms.push(Term {
             activity,

@@ -425,6 +425,35 @@ mod tests {
         }
     }
 
+    /// A rate-only attach keeps the generator's cached incoming view —
+    /// it holds coefficient ids, not rates — and the CDF read through
+    /// it has a cold run's bits.
+    #[test]
+    fn attach_keeps_the_incoming_view() {
+        let reach = ReachOptions {
+            ph_order: 2,
+            ..ReachOptions::default()
+        };
+        let times = [0.5, 1.0, 2.5];
+        let opts = TransientOptions::default();
+        let base = consensus(2, 1.0);
+        let run = AnalyticRun::first_passage(&base, &reach, decided(&base)).unwrap();
+        let before = run.cdf_grid(&times, &opts).unwrap();
+        assert!(run.ctmc().has_incoming_view());
+        let view = run.ctmc().incoming_view().col_ptr().as_ptr();
+        let scaled = consensus(2, 1.2);
+        let warm = run.detach().attach(&scaled).unwrap();
+        assert!(warm.ctmc().has_incoming_view(), "attach dropped the view");
+        assert_eq!(warm.ctmc().incoming_view().col_ptr().as_ptr(), view);
+        let cold = AnalyticRun::first_passage(&scaled, &reach, decided(&scaled)).unwrap();
+        let (a, b) = (
+            warm.cdf_grid(&times, &opts).unwrap(),
+            cold.cdf_grid(&times, &opts).unwrap(),
+        );
+        assert_eq!(bits(&a), bits(&b));
+        assert_ne!(bits(&a), bits(&before), "the rates were rewritten");
+    }
+
     /// `cdf` and `cdf_grid` refuse a negative, NaN or infinite time
     /// with a typed error, anywhere in the grid.
     #[test]

@@ -208,6 +208,12 @@ impl SpillShared {
         now > self.budget
     }
 
+    /// Resident bytes on the account right now.
+    #[cfg(test)]
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.resident.load(Ordering::Relaxed)
+    }
+
     /// Whether the account is over budget right now.
     pub(crate) fn over_budget(&self) -> bool {
         self.resident.load(Ordering::Relaxed) > self.budget

@@ -137,8 +137,8 @@ pub(crate) fn vec_mul(ctmc: &Ctmc, x: &[f64], out: &mut [f64], threads: usize) {
         for (dj, o) in shard.iter_mut().enumerate() {
             let j = lo + dj;
             let mut acc = x[j] * ctmc.diag(j);
-            for &(i, r) in inc.column(j) {
-                acc += x[i] * r;
+            for &(i, t) in inc.column(j) {
+                acc += x[i as usize] * ctmc.coefficient(t);
             }
             *o = acc;
         }

@@ -48,7 +48,7 @@ fn main() {
     let opts = ReachOptions {
         ph_order,
         threads,
-        max_states: 16 << 20,
+        max_states: params.recommended_max_states(ph_order),
         spill,
         ..ReachOptions::default()
     };

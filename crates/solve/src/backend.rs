@@ -148,8 +148,9 @@ impl FromStr for SolverBackend {
 pub enum GeneratorBackend {
     /// The materialized sparse CSR matrix ([`Ctmc`](crate::Ctmc)),
     /// built during exploration — the representation every solver
-    /// runs on; 16 B of resident memory per off-diagonal rate, 24 B
-    /// once the transposed view of uniformization exists.
+    /// runs on; 8 B of resident memory per off-diagonal rate (a
+    /// column and a coefficient id), 16 B once the transposed view of
+    /// uniformization exists.
     Csr,
     /// The factored activity-term descriptor
     /// ([`KronGenerator`](crate::KronGenerator)), built from the

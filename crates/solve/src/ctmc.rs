@@ -61,7 +61,7 @@ use crate::SolveError;
 /// `u32` because canonical state ids are assigned from a `u32`
 /// renumbering; the rate itself lives in the resident coefficient
 /// table, so the paged and resident generators are bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct CsrEntry {
     pub(crate) col: u32,
     pub(crate) term: u32,
@@ -195,13 +195,14 @@ impl Coefficients {
         self.table.extend(terms.iter().map(Term::coeff));
     }
 
-    /// The coefficient of id `id`.
+    /// The id → coefficient map, with the table and its offset read
+    /// once: the sparse kernels call it per entry, and through a `&Ctmc`
+    /// (which holds a `OnceLock`) they would be reloaded after every
+    /// store.
     #[inline]
-    fn get(&self, id: u32) -> f64 {
-        self.table[self
-            .composites
-            .len()
-            .wrapping_add_signed(id as i32 as isize)]
+    fn lookup(&self) -> impl Fn(u32) -> f64 + Copy + '_ {
+        let (table, base) = (&self.table[..], self.composites.len());
+        move |id| table[base.wrapping_add_signed(id as i32 as isize)]
     }
 }
 
@@ -292,7 +293,7 @@ impl Incoming {
     }
 
     /// The `(source, coefficient id)` predecessors of destination `j`;
-    /// [`Ctmc::coefficient`] turns an id into its rate.
+    /// [`Ctmc::coefficients`] turns an id into its rate.
     pub(crate) fn column(&self, j: usize) -> &[(u32, u32)] {
         &self.entries[self.col_ptr[j]..self.col_ptr[j + 1]]
     }
@@ -310,18 +311,16 @@ struct CompositeIds {
 impl CompositeIds {
     /// The composite id of the parallel edges `run` (one target, edge
     /// order) and its coefficient.
-    fn intern(&mut self, run: &[Edge], terms: &[Term], ids: &mut Vec<u32>) -> (u32, f64) {
-        ids.clear();
-        ids.extend(run.iter().map(|e| e.term));
-        let coeff = composite_coeff(ids, terms);
-        if let Some(&id) = self.by_terms.get(ids.as_slice()) {
+    fn intern(&mut self, run: &[Edge], terms: &[Term]) -> (u32, f64) {
+        let ids: Box<[u32]> = run.iter().map(|e| e.term).collect();
+        let coeff = composite_coeff(&ids, terms);
+        if let Some(&id) = self.by_terms.get(&ids) {
             return (id, coeff);
         }
         let id = u32::MAX - self.recipes.len() as u32;
         assert!(id >= TERM_ID_LIMIT, "composite ids stay above the term ids");
-        let recipe: Box<[u32]> = ids.as_slice().into();
-        self.by_terms.insert(recipe.clone(), id);
-        self.recipes.push(recipe);
+        self.by_terms.insert(ids.clone(), id);
+        self.recipes.push(ids);
         (id, coeff)
     }
 }
@@ -342,8 +341,6 @@ pub(crate) struct CtmcAcc {
     /// entries.
     edges: Vec<Edge>,
     row: Vec<CsrEntry>,
-    /// Scratch for a composite's term ids.
-    ids: Vec<u32>,
 }
 
 impl CtmcAcc {
@@ -374,7 +371,6 @@ impl CtmcAcc {
             composites: CompositeIds::default(),
             edges: Vec::new(),
             row: Vec::new(),
-            ids: Vec::new(),
         }
     }
 
@@ -418,7 +414,7 @@ impl CtmcAcc {
             rest = tail;
             let (term, coeff) = match run {
                 [e] => (e.term, terms[e.term as usize].coeff()),
-                _ => self.composites.intern(run, terms, &mut self.ids),
+                _ => self.composites.intern(run, terms),
             };
             d -= coeff;
             self.row.push(CsrEntry {
@@ -556,11 +552,12 @@ impl Ctmc {
             absorbing,
             ..
         } = self;
+        let coeff = coeffs.lookup();
         crate::catch_spill(|| {
             body.for_each_row(row_ptr, 0..*n, |i, row| {
                 let mut d = 0.0;
                 for e in row {
-                    d -= coeffs.get(e.term);
+                    d -= coeff(e.term);
                 }
                 diag[i] = d;
                 absorbing[i] = d == 0.0;
@@ -584,10 +581,11 @@ impl Ctmc {
     pub fn csr_owned(&self) -> (Vec<usize>, Vec<usize>, Vec<f64>, Vec<f64>) {
         let mut col = Vec::with_capacity(self.num_rates());
         let mut rate = Vec::with_capacity(self.num_rates());
+        let coeff = self.coeffs.lookup();
         self.body.for_each_row(&self.row_ptr, 0..self.n, |_, row| {
             for e in row {
                 col.push(e.col as usize);
-                rate.push(self.coeffs.get(e.term));
+                rate.push(coeff(e.term));
             }
         });
         (self.row_ptr.clone(), col, rate, self.diag.clone())
@@ -599,11 +597,11 @@ impl Ctmc {
         &self.row_ptr
     }
 
-    /// The rate an entry's coefficient id stands for (see the module
-    /// docs).
+    /// The map from an entry's coefficient id to the rate it stands
+    /// for (see the module docs).
     #[inline]
-    pub(crate) fn coefficient(&self, id: u32) -> f64 {
-        self.coeffs.get(id)
+    pub(crate) fn coefficients(&self) -> impl Fn(u32) -> f64 + Copy + '_ {
+        self.coeffs.lookup()
     }
 
     /// Whether any off-diagonal entries currently live *on disk*: true
@@ -622,11 +620,12 @@ impl Ctmc {
     /// `lo..lo + shard.len()`), over either body: each row's entries
     /// are summed left to right, so the bits agree.
     pub(crate) fn flow_shard(&self, lo: usize, shard: &mut [f64], v: &[f64]) {
+        let coeff = self.coeffs.lookup();
         self.body
             .for_each_row(&self.row_ptr, lo..lo + shard.len(), |i, row| {
                 let mut acc = 0.0;
                 for e in row {
-                    acc += self.coeffs.get(e.term) * v[e.col as usize];
+                    acc += coeff(e.term) * v[e.col as usize];
                 }
                 shard[i - lo] = acc;
             });
@@ -681,11 +680,16 @@ impl Ctmc {
     /// entry — the Gauss–Seidel sweeps and the triangular substitution
     /// run this in their innermost loop.
     pub fn for_each_in_row(&self, i: usize, mut f: impl FnMut(usize, f64)) {
-        self.body.for_each_row(&self.row_ptr, i..i + 1, |_, row| {
+        let coeff = self.coeffs.lookup();
+        let mut visit = |row: &[CsrEntry]| {
             for e in row {
-                f(e.col as usize, self.coeffs.get(e.term));
+                f(e.col as usize, coeff(e.term));
             }
-        });
+        };
+        match &self.body {
+            CsrBody::Resident(entries) => visit(&entries[self.row_ptr[i]..self.row_ptr[i + 1]]),
+            CsrBody::Paged { entries, locs } => visit(&entries.row(locs[i])),
+        }
     }
 
     /// `out[i] = Σ_k≠i q_ik · v[k]`: the off-diagonal row product (the

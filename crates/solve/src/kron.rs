@@ -30,8 +30,8 @@
 //! the synchronizing network activities of the composition, split per
 //! phase stage and per case — and `S_g` is a purely *structural* 0/1
 //! incidence pattern. Every stored transition is then two `u32`s
-//! (destination + term id) instead of the CSR's `usize + f64` (8 B vs
-//! 16 B per entry), and the handful of `coeff_g` values carry all the
+//! (destination + term id), as in the CSR, whose entries name the same
+//! term ids, and the handful of `coeff_g` values carry all the
 //! rates. The descriptor is a copy of the explored graph's edges minus
 //! the self-loops, with the coefficients of its term table.
 //!

@@ -133,12 +133,13 @@ pub(crate) fn vec_mul(ctmc: &Ctmc, x: &[f64], out: &mut [f64], threads: usize) {
     assert_eq!(x.len(), ctmc.num_states());
     assert!(out.len() <= ctmc.num_states());
     let inc = ctmc.incoming_view();
+    let coeff = ctmc.coefficients();
     for_each_shard(&inc.col_ptr()[..=out.len()], threads, out, |lo, shard| {
         for (dj, o) in shard.iter_mut().enumerate() {
             let j = lo + dj;
             let mut acc = x[j] * ctmc.diag(j);
             for &(i, t) in inc.column(j) {
-                acc += x[i as usize] * ctmc.coefficient(t);
+                acc += x[i as usize] * coeff(t);
             }
             *o = acc;
         }

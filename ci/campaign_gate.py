@@ -11,15 +11,14 @@ one `cache_hit == false` row (one exploration; every other point of the
 family rebuilt rates only).
 
 With `--same-as`, the two files must hold the same rows in every
-deterministic column — all but the wall-clock timings and `cache_hit`,
-which moves when a resumed run re-explores what the other run had
-cached. This is the crash/resume contract.
+deterministic column — all but the wall-clock timings. Two runs of one
+grid explore and cache the same points, so `cache_hit` is compared too.
 """
 import csv, sys
 
 DETERMINISTIC = ["n", "ph_order", "backend", "service_scale", "net_scale",
-                 "states", "transitions", "iterations", "solved_by",
-                 "mean_ms", "cold_mean_ms", "agree"]
+                 "states", "transitions", "cache_hit", "iterations",
+                 "solved_by", "mean_ms", "cold_mean_ms", "agree"]
 
 
 def rows(path):
@@ -27,7 +26,7 @@ def rows(path):
         recs = list(csv.DictReader(f))
     if not recs:
         sys.exit(f"{path}: no rows")
-    missing = [c for c in DETERMINISTIC + ["cache_hit"] if c not in recs[0]]
+    missing = [c for c in DETERMINISTIC if c not in recs[0]]
     if missing:
         sys.exit(f"{path}: missing columns {missing}")
     return recs

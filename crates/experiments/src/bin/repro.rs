@@ -54,13 +54,11 @@
 //! Resilience knobs (see `docs/RESILIENCE.md`): `--fallback` opts the
 //! solves into graceful-degradation backend chains (Krylov →
 //! Gauss-Seidel → Jacobi on recoverable errors, recorded per row);
-//! `--checkpoint FILE` journals every completed campaign point to an
-//! append-only crash-safe file and `--resume` replays it, skipping
-//! already-solved points with bit-identical results; `--failpoints
-//! SPEC` arms the deterministic fault-injection registry with
-//! `--failpoint-seed N` feeding its per-site RNG substreams — the CI
-//! chaos job drives retry, typed failure, and crash/resume paths
-//! through exactly these flags.
+//! `--failpoints SPEC` arms the deterministic fault-injection registry
+//! on the sites of `ctsim_resilience::fail::SITES` (any other site is a
+//! usage error) with `--failpoint-seed N` feeding its per-site RNG
+//! substreams — the CI fault-injection legs drive retry and typed
+//! failure paths through exactly these flags.
 
 use std::cell::Cell;
 use std::fs;
@@ -139,8 +137,6 @@ fn parse_args() -> Result<Args, String> {
             "--backends" => campaign.backends = list(a, &flag, "backend")?,
             "--verify-cold" => campaign.verify_cold = true,
             "--fallback" => ph.fallback = true,
-            "--checkpoint" => campaign.checkpoint = Some(value(a, &flag)?),
-            "--resume" => campaign.resume = true,
             "--failpoints" => failpoints = Some(value(a, &flag)?),
             "--failpoint-seed" => failpoint_seed = value(a, &flag)?,
             "--measure" => campaign.measure = value(a, &flag)?,
@@ -149,7 +145,10 @@ fn parse_args() -> Result<Args, String> {
             "--out" => out = value(a, &flag)?,
             "--ph-order" => ph.ph_order = value(a, &flag)?,
             "--threads" => ph.threads = value(a, &flag)?,
-            "--n" => ph.n = Some(value(a, &flag)?),
+            "--n" => match value(a, &flag)? {
+                0 => return Err("--n 0: the model needs at least one process".to_string()),
+                n => ph.n = Some(n),
+            },
             "--solver" => ph.backend = value(a, &flag)?,
             "--spill-budget" => {
                 ph.spill_budget = Some(ctsim_experiments::parse_size(&value::<String>(a, &flag)?)?);
@@ -186,7 +185,7 @@ fn usage() -> String {
      [--trace FILE.json] [--metrics FILE.json] \
      [--grid FILE.csv] [--ns LIST] [--ph-orders LIST] [--service-scales LIST] \
      [--net-scales LIST] [--backends LIST] [--verify-cold] [--measure EXECUTIONS] \
-     [--fallback] [--checkpoint FILE] [--resume] [--failpoints SPEC] [--failpoint-seed N]\n\
+     [--fallback] [--failpoints SPEC] [--failpoint-seed N]\n\
      --threads T: workers (0 = all cores) for analytic and campaign, and for the measurement \
      campaigns of fig7a/fig8/fig9a/fig9b/table1; results do not depend on it"
         .to_string()
@@ -233,7 +232,7 @@ fn main() {
     };
     // Arm fault injection before any work.
     if let Some(spec) = &args.failpoints {
-        if let Err(e) = ctsim_resilience::fail::configure(spec, args.failpoint_seed) {
+        if let Err(e) = ctsim_resilience::fail::configure_known(spec, args.failpoint_seed) {
             eprintln!("{e}");
             std::process::exit(2);
         }

@@ -32,13 +32,10 @@
 //! delays untouched, which keeps every rate-only point an actual hit;
 //! the network axis remains available for local exploration.
 
-use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::path::PathBuf;
 use std::time::Instant;
 
 use ctsim_models::{build_model, SanParams};
-use ctsim_resilience::{fail, Journal};
 use ctsim_solve::{AnalyticRun, DetachedRun, IterOptions, ReachOptions, SolveError, SolverBackend};
 
 /// The structural identity of a reachability graph: grid points with
@@ -169,18 +166,6 @@ pub struct CampaignOptions {
     /// and the row records which backend actually produced the answer
     /// ([`PointRow::solved_by`]).
     pub fallback: bool,
-    /// Crash-safe checkpoint journal (`--checkpoint FILE`): every
-    /// completed point's row is appended as one fsync'd CRC-framed
-    /// record, so a killed campaign can `--resume` without re-solving
-    /// finished points. Without `--resume` an existing journal is
-    /// overwritten.
-    pub checkpoint: Option<PathBuf>,
-    /// Replay the checkpoint journal before solving (`--resume`):
-    /// journaled points are reported verbatim (bit-identical rows) and
-    /// the others solve exactly as in an uninterrupted run — no row
-    /// depends on what the journal held. Requires
-    /// [`CampaignOptions::checkpoint`].
-    pub resume: bool,
 }
 
 impl Default for CampaignOptions {
@@ -196,19 +181,17 @@ impl Default for CampaignOptions {
             verify_cold: false,
             measure: 0,
             fallback: false,
-            checkpoint: None,
-            resume: false,
         }
     }
 }
 
 /// Why a campaign failed — typed, with the failing grid point and the
-/// underlying solver or I/O error preserved for [`std::error::Error::source`]
-/// chains. Replaces the old stringly `Result<Campaign, String>`.
+/// underlying solver error preserved for [`std::error::Error::source`]
+/// chains.
 #[derive(Debug)]
 pub enum CampaignError {
     /// The grid could not be assembled (bad `--grid` file, empty axes,
-    /// or inconsistent resume flags).
+    /// or a value no model exists for).
     Grid(String),
     /// A grid point failed to build or solve.
     Point {
@@ -221,15 +204,6 @@ pub enum CampaignError {
         /// Boxed so the happy-path `Result` stays register-sized.
         source: Box<SolveError>,
     },
-    /// Checkpoint-journal I/O failed.
-    Io {
-        /// What was being read or written.
-        what: &'static str,
-        /// The file involved.
-        path: PathBuf,
-        /// The underlying I/O error.
-        source: io::Error,
-    },
 }
 
 impl std::fmt::Display for CampaignError {
@@ -241,9 +215,6 @@ impl std::fmt::Display for CampaignError {
                 "campaign {what} failed for n={} ph={} {} svc={} net={}: {source}",
                 spec.n, spec.ph_order, spec.backend, spec.service_scale, spec.net_scale
             ),
-            CampaignError::Io { what, path, source } => {
-                write!(f, "campaign {what} {}: {source}", path.display())
-            }
         }
     }
 }
@@ -253,7 +224,6 @@ impl std::error::Error for CampaignError {
         match self {
             CampaignError::Grid(_) => None,
             CampaignError::Point { source, .. } => Some(&**source),
-            CampaignError::Io { source, .. } => Some(source),
         }
     }
 }
@@ -337,195 +307,6 @@ impl PointRow {
     }
 }
 
-// --- checkpoint journal records -------------------------------------
-//
-// One frame per completed point: its `PointRow` (at most 108 bytes).
-// Every `f64` travels as raw IEEE bits, so a resumed campaign reports
-// journaled rows *byte-identically*. The framing (length + CRC + fsync
-// per append) lives in [`ctsim_resilience::Journal`]; this codec only
-// defines the payload.
-
-/// Version tag heading every checkpoint record; bump on layout change.
-/// Version 1 frames carried the point's first-passage vector after the
-/// row and are refused.
-const RECORD_VERSION: u8 = 2;
-
-fn backend_code(b: SolverBackend) -> u8 {
-    match b {
-        SolverBackend::GaussSeidel => 0,
-        SolverBackend::Jacobi => 1,
-        SolverBackend::Krylov => 2,
-    }
-}
-
-fn backend_from_code(c: u8) -> io::Result<SolverBackend> {
-    match c {
-        0 => Ok(SolverBackend::GaussSeidel),
-        1 => Ok(SolverBackend::Jacobi),
-        2 => Ok(SolverBackend::Krylov),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("checkpoint record: unknown backend code {other}"),
-        )),
-    }
-}
-
-fn encode_record(row: &PointRow) -> Vec<u8> {
-    let mut b = Vec::with_capacity(108);
-    let f = |b: &mut Vec<u8>, v: f64| b.extend_from_slice(&v.to_bits().to_le_bytes());
-    let u = |b: &mut Vec<u8>, v: u64| b.extend_from_slice(&v.to_le_bytes());
-    b.push(RECORD_VERSION);
-    u(&mut b, row.spec.n as u64);
-    b.extend_from_slice(&row.spec.ph_order.to_le_bytes());
-    b.push(backend_code(row.spec.backend));
-    f(&mut b, row.spec.service_scale);
-    f(&mut b, row.spec.net_scale);
-    u(&mut b, row.states as u64);
-    u(&mut b, row.transitions as u64);
-    b.push(row.cache_hit as u8);
-    u(&mut b, row.iterations as u64);
-    b.push(backend_code(row.solved_by));
-    f(&mut b, row.build_ms);
-    f(&mut b, row.solve_ms);
-    f(&mut b, row.mean_ms);
-    match row.cold_mean_ms {
-        Some(v) => {
-            b.push(1);
-            f(&mut b, v);
-        }
-        None => b.push(0),
-    }
-    match row.cold_ms {
-        Some(v) => {
-            b.push(1);
-            f(&mut b, v);
-        }
-        None => b.push(0),
-    }
-    match row.cold_iterations {
-        Some(v) => {
-            b.push(1);
-            u(&mut b, v as u64);
-        }
-        None => b.push(0),
-    }
-    b.push(match row.agree {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    });
-    b
-}
-
-/// A bounds-checked little-endian reader over one record payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "checkpoint record: truncated payload",
-            )
-        })?;
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn flag(&mut self) -> io::Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("checkpoint record: bad flag {other}"),
-            )),
-        }
-    }
-}
-
-fn decode_record(bytes: &[u8]) -> io::Result<PointRow> {
-    let mut r = Reader { buf: bytes, at: 0 };
-    let version = r.u8()?;
-    if version != RECORD_VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("checkpoint record: unsupported version {version}"),
-        ));
-    }
-    let spec = PointSpec {
-        n: r.u64()? as usize,
-        ph_order: r.u32()?,
-        backend: backend_from_code(r.u8()?)?,
-        service_scale: r.f64()?,
-        net_scale: r.f64()?,
-    };
-    let states = r.u64()? as usize;
-    let transitions = r.u64()? as usize;
-    let cache_hit = r.flag()?;
-    let iterations = r.u64()? as usize;
-    let solved_by = backend_from_code(r.u8()?)?;
-    let build_ms = r.f64()?;
-    let solve_ms = r.f64()?;
-    let mean_ms = r.f64()?;
-    let cold_mean_ms = r.flag()?.then(|| r.f64()).transpose()?;
-    let cold_ms = r.flag()?.then(|| r.f64()).transpose()?;
-    let cold_iterations = r.flag()?.then(|| r.u64()).transpose()?.map(|v| v as usize);
-    let agree = match r.u8()? {
-        0 => None,
-        1 => Some(false),
-        2 => Some(true),
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("checkpoint record: bad agree tag {other}"),
-            ))
-        }
-    };
-    if r.at != bytes.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "checkpoint record: trailing bytes",
-        ));
-    }
-    Ok(PointRow {
-        spec,
-        states,
-        transitions,
-        cache_hit,
-        iterations,
-        solved_by,
-        build_ms,
-        solve_ms,
-        mean_ms,
-        cold_mean_ms,
-        cold_ms,
-        cold_iterations,
-        agree,
-    })
-}
-
 /// A measured-latency reference row (testbed campaign).
 #[derive(Debug, Clone)]
 pub struct MeasuredRow {
@@ -564,6 +345,15 @@ fn scale(v: f64) -> Result<f64, String> {
     }
 }
 
+/// The model needs a process: `n = 0` has no model to solve.
+fn processes(n: usize) -> Result<usize, String> {
+    if n >= 1 {
+        Ok(n)
+    } else {
+        Err("`0` is not a process count >= 1".to_string())
+    }
+}
+
 /// Parses a campaign grid file: one `n,ph_order,backend,service_scale,
 /// net_scale` point per line; blank lines, `#` comments, and a header
 /// line are skipped.
@@ -599,7 +389,9 @@ pub fn parse_grid(text: &str) -> Result<Vec<PointSpec>, CampaignError> {
         specs.push(PointSpec {
             n: fields[0]
                 .parse()
-                .map_err(|e: std::num::ParseIntError| bad("n", e.to_string()))?,
+                .map_err(|e: std::num::ParseIntError| e.to_string())
+                .and_then(processes)
+                .map_err(|e| bad("n", e))?,
             ph_order: fields[1]
                 .parse()
                 .map_err(|e: std::num::ParseIntError| bad("ph_order", e.to_string()))?,
@@ -617,8 +409,8 @@ pub fn parse_grid(text: &str) -> Result<Vec<PointSpec>, CampaignError> {
 }
 
 /// The grid of a configuration: the parsed `--grid` file when given,
-/// otherwise the cross-product of the axis fields. Every scale of every
-/// point is finite and > 0.
+/// otherwise the cross-product of the axis fields. Every point has
+/// `n >= 1` and every scale of every point is finite and > 0.
 ///
 /// # Errors
 /// [`CampaignError::Grid`] naming the file line or the axis.
@@ -635,6 +427,9 @@ pub fn grid(opts: &CampaignOptions) -> Result<Vec<PointSpec>, CampaignError> {
         if let Some(e) = scales.iter().find_map(|&v| scale(v).err()) {
             return Err(CampaignError::Grid(format!("{axis}: {e}")));
         }
+    }
+    if let Some(e) = opts.ns.iter().find_map(|&n| processes(n).err()) {
+        return Err(CampaignError::Grid(format!("ns: {e}")));
     }
     let mut specs = Vec::new();
     for &n in &opts.ns {
@@ -667,60 +462,11 @@ pub fn grid(opts: &CampaignOptions) -> Result<Vec<PointSpec>, CampaignError> {
 ///
 /// # Errors
 /// A typed [`CampaignError`]: grid problems, the first failing point
-/// of the lowest-index failing group (wrapping its [`SolveError`]), or
-/// checkpoint I/O. Every group runs, also after another one failed.
+/// of the lowest-index failing group (wrapping its [`SolveError`]).
+/// Every group runs, also after another one failed.
 pub fn run_with(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignError> {
     let _run_span = ctsim_obs::span("experiment", "campaign").arg("threads", opts.threads);
     let specs = grid(opts)?;
-
-    // Checkpoint journal: replay completed points on --resume, start
-    // fresh otherwise. Torn trailing frames (a crash mid-append) are
-    // dropped by `Journal::open` and the affected point just re-solves.
-    if opts.resume && opts.checkpoint.is_none() {
-        return Err(CampaignError::Grid(
-            "--resume requires --checkpoint FILE".to_string(),
-        ));
-    }
-    let journal_io = |what: &'static str, path: &Path, e: io::Error| CampaignError::Io {
-        what,
-        path: path.to_path_buf(),
-        source: e,
-    };
-    let mut resumed: Vec<PointRow> = Vec::new();
-    let journal = match &opts.checkpoint {
-        Some(path) => {
-            if !opts.resume {
-                if let Err(e) = std::fs::remove_file(path) {
-                    if e.kind() != io::ErrorKind::NotFound {
-                        return Err(journal_io("resetting checkpoint", path, e));
-                    }
-                }
-            }
-            let rec = Journal::open(path).map_err(|e| journal_io("opening checkpoint", path, e))?;
-            if rec.truncated_bytes > 0 {
-                eprintln!(
-                    "campaign: checkpoint {}: dropped {} torn trailing bytes",
-                    path.display(),
-                    rec.truncated_bytes
-                );
-            }
-            for payload in &rec.records {
-                resumed.push(
-                    decode_record(payload)
-                        .map_err(|e| journal_io("decoding checkpoint record from", path, e))?,
-                );
-            }
-            if opts.resume {
-                eprintln!(
-                    "campaign: resuming from {}: {} completed points",
-                    path.display(),
-                    resumed.len()
-                );
-            }
-            Some(Mutex::new(rec.journal))
-        }
-        None => None,
-    };
 
     // Group points by structural key; groups are the parallel unit,
     // points inside a group run sequentially so the one graph passes
@@ -743,12 +489,11 @@ pub fn run_with(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignE
     let solve_threads = if workers == 1 { opts.threads } else { 1 };
 
     let start = Instant::now();
-    let journal = journal.as_ref();
     let tallies = ctsim_stoch::fan_out(
         groups.len(),
         workers,
         || (),
-        |_, g| run_group(&groups[g].1, solve_threads, opts, journal, &resumed),
+        |_, g| run_group(&groups[g].1, solve_threads, opts),
     );
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
@@ -798,32 +543,15 @@ struct Tally {
 }
 
 /// Solves one structural group sequentially, handing the group's one
-/// explored graph from point to point. Points found in the resume set
-/// are reported verbatim from the journal; they neither use nor count
-/// towards the graph hand-over.
+/// explored graph from point to point.
 fn run_group(
     points: &[PointSpec],
     solve_threads: usize,
     opts: &CampaignOptions,
-    journal: Option<&Mutex<Journal>>,
-    resumed: &[PointRow],
 ) -> Result<Tally, CampaignError> {
     let mut graph: Option<DetachedRun> = None;
     let mut out = Tally::default();
     for spec in points {
-        if let Some(row) = resumed.iter().find(|r| r.spec == *spec) {
-            eprintln!(
-                "campaign: n={} ph={} {} svc={} net={} -> mean {:.6} ms (checkpoint)",
-                spec.n,
-                spec.ph_order,
-                spec.backend,
-                spec.service_scale,
-                spec.net_scale,
-                row.mean_ms,
-            );
-            out.rows.push(row.clone());
-            continue;
-        }
         // The graph is moved into the point and comes back re-attached
         // to that point's model — one owner at a time, never a copy.
         let cached = graph.take();
@@ -836,20 +564,6 @@ fn run_group(
         }
         let (row, detached) = run_point(spec, cached, solve_threads, opts)?;
         graph = Some(detached);
-        if let Some(j) = journal {
-            // `campaign.checkpoint` is the crash-injection site: an
-            // `abort_at:K` schedule kills the process right here,
-            // leaving a journal whose last frame may be torn — exactly
-            // what `--resume` must survive.
-            let mut j = j.lock().expect("checkpoint journal poisoned");
-            fail::io_check("campaign.checkpoint")
-                .and_then(|()| j.append(&encode_record(&row)))
-                .map_err(|e| CampaignError::Io {
-                    what: "appending checkpoint record to",
-                    path: j.path().to_path_buf(),
-                    source: e,
-                })?;
-        }
         eprintln!(
             "campaign: n={} ph={} {} svc={} net={} -> mean {:.6} ms \
              ({} states, {}, {} iters, build {:.1} ms, solve {:.1} ms)",
@@ -1183,6 +897,16 @@ mod tests {
             assert!(matches!(err, CampaignError::Grid(_)), "{err:?}");
             assert!(err.to_string().contains("net scales"), "{err}");
         }
+        // So is `n = 0`, which has no model.
+        let err = parse_grid("2,2,krylov,1.0,1.0\n0,1,krylov,1,1\n").unwrap_err();
+        assert!(err.to_string().contains("line 2: bad n"), "{err}");
+        let err = grid(&CampaignOptions {
+            ns: vec![2, 0],
+            ..tiny(false)
+        })
+        .unwrap_err();
+        assert!(matches!(err, CampaignError::Grid(_)), "{err:?}");
+        assert!(err.to_string().contains("ns: `0`"), "{err}");
     }
 
     #[test]
@@ -1225,181 +949,6 @@ mod tests {
         assert!(json.contains("\"cache_hits\": 16"));
     }
 
-    /// Everything except wall-clock and cache-placement bookkeeping
-    /// must be reproduced exactly: the resume acceptance criterion.
-    /// (`cache_hit` and the `*_ms` timings legitimately differ — the
-    /// first unresumed point of a group re-explores what the
-    /// uninterrupted run had cached.)
-    fn assert_deterministically_equal(a: &Campaign, b: &Campaign) {
-        assert_eq!(a.rows.len(), b.rows.len());
-        for (x, y) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(x.spec, y.spec);
-            assert_eq!(x.states, y.states, "{:?}", x.spec);
-            assert_eq!(x.transitions, y.transitions, "{:?}", x.spec);
-            assert_eq!(x.iterations, y.iterations, "{:?}", x.spec);
-            assert_eq!(x.solved_by, y.solved_by, "{:?}", x.spec);
-            assert_eq!(
-                x.mean_ms.to_bits(),
-                y.mean_ms.to_bits(),
-                "{:?}: {} vs {}",
-                x.spec,
-                x.mean_ms,
-                y.mean_ms
-            );
-            assert_eq!(
-                x.cold_mean_ms.map(f64::to_bits),
-                y.cold_mean_ms.map(f64::to_bits),
-                "{:?}",
-                x.spec
-            );
-            assert_eq!(x.agree, y.agree, "{:?}", x.spec);
-        }
-        assert_eq!(
-            a.heatmaps(),
-            b.heatmaps(),
-            "heatmaps must be byte-identical"
-        );
-    }
-
-    #[test]
-    fn checkpoint_resume_survives_a_torn_crash_bit_identically() {
-        let path = std::env::temp_dir().join(format!(
-            "ctsim-campaign-ckpt-{}.journal",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-
-        // The reference: the same grid, uninterrupted, no journal.
-        let base = run_with(7, &tiny(true)).unwrap();
-
-        // A checkpointed run journals every completed point and changes
-        // nothing about the answers.
-        let opts = CampaignOptions {
-            checkpoint: Some(path.clone()),
-            ..tiny(true)
-        };
-        let full = run_with(7, &opts).unwrap();
-        assert_deterministically_equal(&base, &full);
-        let rec = Journal::open(&path).unwrap();
-        assert_eq!(rec.records.len(), 18, "one frame per completed point");
-        assert_eq!(rec.truncated_bytes, 0);
-        // A frame is a row: no per-state vector rides along.
-        assert!(rec.records.iter().all(|r| r.len() < 256));
-        drop(rec);
-
-        // Simulate a crash: keep the first 5 complete frames, then a
-        // torn half-written header — what SIGKILL mid-append leaves.
-        let bytes = std::fs::read(&path).unwrap();
-        let mut keep = 0usize;
-        for _ in 0..5 {
-            let len = u32::from_le_bytes(bytes[keep..keep + 4].try_into().unwrap()) as usize;
-            keep += 8 + len;
-        }
-        let mut crashed = bytes[..keep].to_vec();
-        crashed.extend_from_slice(&[0x77, 0x03, 0x00]);
-        std::fs::write(&path, &crashed).unwrap();
-
-        // Resume: the 5 journaled points replay verbatim, the torn tail
-        // is dropped, the other 13 re-solve — and every deterministic
-        // field, including the heatmaps, is bit-identical to the
-        // uninterrupted run.
-        let opts = CampaignOptions {
-            checkpoint: Some(path.clone()),
-            resume: true,
-            ..tiny(true)
-        };
-        let resumed = run_with(7, &opts).unwrap();
-        assert_deterministically_equal(&base, &resumed);
-
-        // The journal is whole again after the resumed run.
-        let rec = Journal::open(&path).unwrap();
-        assert_eq!(rec.records.len(), 18);
-        assert_eq!(rec.truncated_bytes, 0);
-        drop(rec);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    fn sample_row() -> PointRow {
-        PointRow {
-            spec: PointSpec {
-                n: 3,
-                ph_order: 2,
-                backend: SolverBackend::Krylov,
-                service_scale: 1.25,
-                net_scale: 0.8,
-            },
-            states: 4242,
-            transitions: 12345,
-            cache_hit: true,
-            iterations: 17,
-            solved_by: SolverBackend::GaussSeidel,
-            build_ms: 1.5,
-            solve_ms: 2.5,
-            mean_ms: 1.234567890123,
-            cold_mean_ms: Some(1.234567890123),
-            cold_ms: None,
-            cold_iterations: Some(33),
-            agree: Some(true),
-        }
-    }
-
-    #[test]
-    fn checkpoint_records_round_trip_through_the_codec() {
-        let row = sample_row();
-        let back = decode_record(&encode_record(&row)).unwrap();
-        assert_eq!(back.spec, row.spec);
-        assert_eq!(back.mean_ms.to_bits(), row.mean_ms.to_bits());
-        assert_eq!(back.solved_by, SolverBackend::GaussSeidel);
-        assert_eq!(back.iterations, 17);
-        assert_eq!(back.cold_iterations, Some(33));
-        assert_eq!(back.cold_ms, None);
-        assert_eq!(back.agree, Some(true));
-    }
-
-    /// Whatever bytes a journal frame holds, decoding is a typed error
-    /// or a row that encodes back to exactly those bytes — never a
-    /// panic, never a half-read record.
-    #[test]
-    fn checkpoint_codec_refuses_damage_without_panicking() {
-        fn check(bytes: &[u8]) -> bool {
-            let Ok(row) = decode_record(bytes) else {
-                return false;
-            };
-            assert_eq!(encode_record(&row), bytes, "decoded a row it did not hold");
-            true
-        }
-        let valid = encode_record(&sample_row());
-        assert!(valid.len() < 256 && check(&valid));
-        for cut in 0..valid.len() {
-            assert!(!check(&valid[..cut]), "prefix {cut} decoded");
-        }
-        let mut bytes = valid.clone();
-        for at in 0..valid.len() {
-            for mask in 1..=u8::MAX {
-                bytes[at] = valid[at] ^ mask;
-                check(&bytes);
-            }
-            bytes[at] = valid[at];
-        }
-        // What the previous layout wrote is refused by its version
-        // byte, whatever follows it.
-        bytes[0] = 1;
-        let err = decode_record(&bytes).unwrap_err().to_string();
-        assert!(err.contains("unsupported version 1"), "{err}");
-
-        let mut rng = ctsim_stoch::SimRng::new(7);
-        for _ in 0..20_000 {
-            let len = (rng.next_u64() % 257) as usize;
-            let mut bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-            check(&bytes);
-            // The same noise behind a plausible head gets past the
-            // version and tag checks more often.
-            let head = (rng.next_u64() as usize % valid.len()).min(len);
-            bytes[..head].copy_from_slice(&valid[..head]);
-            check(&bytes);
-        }
-    }
-
     #[test]
     fn campaign_errors_are_typed_displayed_and_chained() {
         use std::error::Error;
@@ -1424,28 +973,6 @@ mod tests {
         assert!(msg.contains("krylov"), "{msg}");
         let source = e.source().expect("solver error chained").to_string();
         assert!(source.contains("17"), "{source}");
-
-        let e = CampaignError::Io {
-            what: "appending checkpoint record to",
-            path: PathBuf::from("/tmp/x.journal"),
-            source: io::Error::other("disk unplugged"),
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("/tmp/x.journal"), "{msg}");
-        assert!(msg.contains("disk unplugged"), "{msg}");
-        assert!(e.source().is_some());
-
-        // `--resume` without `--checkpoint` is a typed grid error.
-        let err = run_with(
-            7,
-            &CampaignOptions {
-                resume: true,
-                ..tiny(false)
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, CampaignError::Grid(_)), "{err:?}");
-        assert!(err.to_string().contains("--resume requires --checkpoint"));
     }
 
     #[test]

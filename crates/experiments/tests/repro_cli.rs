@@ -36,6 +36,9 @@ fn unwritable_trace_path_is_an_error_not_a_panic() {
 /// code 2, never a panic.
 #[test]
 fn bad_flags_are_usage_errors_not_panics() {
+    let grid = std::env::temp_dir().join(format!("ctsim-repro-grid-{}.csv", std::process::id()));
+    std::fs::write(&grid, "2,1,krylov,1,1\n0,1,krylov,1,1\n").expect("write grid file");
+    let grid = grid.to_str().expect("utf-8 temp path");
     for (args, message) in [
         (&["fig6", "--threads"][..], "missing value for --threads"),
         (&["fig6", "--threads", "x"][..], "invalid digit found"),
@@ -54,6 +57,29 @@ fn bad_flags_are_usage_errors_not_panics() {
             ][..],
             "bad size `17179869184G`",
         ),
+        (&["analytic", "--n", "0"][..], "--n 0: the model needs"),
+        (
+            &["campaign", "--ns", "2,0"][..],
+            "ns: `0` is not a process count",
+        ),
+        (&["campaign", "--grid", grid][..], "line 2: bad n: `0`"),
+        (
+            &["campaign", "--checkpoint", "F"][..],
+            "unknown flag `--checkpoint`",
+        ),
+        (&["campaign", "--resume"][..], "unknown flag `--resume`"),
+        (
+            &["fig6", "--failpoints", "nosuch.site=always"][..],
+            "unknown site \"nosuch.site\"",
+        ),
+        (
+            &["campaign", "--failpoints", "campaign.checkpoint=first:1"][..],
+            "unknown site \"campaign.checkpoint\"",
+        ),
+        (
+            &["campaign", "--failpoints", "campaign.checkpoint=abort_at:5"][..],
+            "unknown schedule kind \"abort_at\"",
+        ),
     ] {
         let run = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)
@@ -64,6 +90,7 @@ fn bad_flags_are_usage_errors_not_panics() {
         assert!(stderr.contains(message), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked at"), "{args:?}: {stderr}");
     }
+    let _ = std::fs::remove_file(grid);
 }
 
 /// Memory follows the workers that run, not the workers requested: a

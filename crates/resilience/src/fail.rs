@@ -5,7 +5,8 @@
 //! the production default — [`hit`] is one relaxed atomic load and a
 //! branch, so the sites cost nothing. Arming a schedule with
 //! [`configure`] turns chosen hits into injected failures that exercise
-//! the retry, fallback, and checkpoint machinery end to end.
+//! the retry and fallback machinery end to end. [`SITES`] lists every
+//! site the program hits.
 //!
 //! # Schedule grammar
 //!
@@ -19,9 +20,8 @@
 //! | `nth:K`     | exactly the `K`-th hit fails                          |
 //! | `prob:P`    | each hit fails with probability `P`                   |
 //! | `1in:N`     | shorthand for `prob:1/N`                              |
-//! | `abort_at:K`| the `K`-th hit aborts the process (crash injection)   |
 //!
-//! e.g. `spill.read=first:2;ddd.append_run=1in:7;campaign.checkpoint=abort_at:3`.
+//! e.g. `csr.page_in=first:2;ddd.append_run=1in:7;solver.krylov=nth:3`.
 //!
 //! # Determinism
 //!
@@ -34,7 +34,7 @@
 //! because an injected fault either disappears under retry (the
 //! reissued read/append returns the same bytes) or kills the run with
 //! a typed error. Runs that must reproduce a fault schedule exactly
-//! (the CI chaos legs) pin `--threads 1`.
+//! (the CI fault-injection legs) pin `--threads 1`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -49,10 +49,22 @@ pub enum Action {
     /// Injected failure: the caller should behave as if the operation
     /// failed (spill sites synthesize an `io::Error`).
     Fail,
-    /// Crash injection: the caller should abort the process without
-    /// unwinding or flushing ([`io_check`] does it for you).
-    Abort,
 }
+
+/// Every failpoint site the program hits. [`configure_known`] refuses a
+/// spec naming any other site; `docs/RESILIENCE.md` tabulates them.
+pub const SITES: &[&str] = &[
+    "spill.create",
+    "arena.page_in",
+    "arena.page_out",
+    "csr.page_in",
+    "csr.page_out",
+    "pack.page_in",
+    "pack.page_out",
+    "ddd.append_run",
+    "ddd.read_run",
+    "solver.krylov",
+];
 
 #[derive(Debug, Clone, Copy)]
 enum Schedule {
@@ -61,7 +73,6 @@ enum Schedule {
     Every(u64),
     Nth(u64),
     Prob(f64),
-    AbortAt(u64),
 }
 
 struct Rule {
@@ -74,7 +85,7 @@ struct Rule {
 /// Fast-path arm flag: one relaxed load decides whether [`hit`] takes
 /// the locked slow path at all.
 static ARMED: AtomicBool = AtomicBool::new(false);
-/// Total injected failures (including aborts) since process start.
+/// Total injected failures since process start.
 static INJECTED: AtomicU64 = AtomicU64::new(0);
 static PLAN: Mutex<Vec<Rule>> = Mutex::new(Vec::new());
 /// Serializes tests that arm the process-wide registry.
@@ -82,8 +93,29 @@ static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 /// Parses and arms a fault schedule. Replaces any previous schedule.
 /// See the module docs for the grammar; `seed` feeds the per-site
-/// [`SimRng`] substreams of probabilistic schedules.
+/// [`SimRng`] substreams of probabilistic schedules. Any site name is
+/// accepted; [`configure_known`] admits only the program's [`SITES`].
 pub fn configure(spec: &str, seed: u64) -> Result<(), String> {
+    arm(parse(spec, seed)?);
+    Ok(())
+}
+
+/// [`configure`] for a spec from the command line: a site outside
+/// [`SITES`] is an error, not a schedule that never fires.
+pub fn configure_known(spec: &str, seed: u64) -> Result<(), String> {
+    let rules = parse(spec, seed)?;
+    if let Some(rule) = rules.iter().find(|r| !SITES.contains(&r.site.as_str())) {
+        return Err(format!(
+            "failpoint spec: unknown site {:?} (sites: {})",
+            rule.site,
+            SITES.join(", ")
+        ));
+    }
+    arm(rules);
+    Ok(())
+}
+
+fn parse(spec: &str, seed: u64) -> Result<Vec<Rule>, String> {
     let root = SimRng::new(seed);
     let mut rules = Vec::new();
     for part in spec.split([';', ',']) {
@@ -106,9 +138,12 @@ pub fn configure(spec: &str, seed: u64) -> Result<(), String> {
     if rules.is_empty() {
         return Err("failpoint spec is empty".into());
     }
+    Ok(rules)
+}
+
+fn arm(rules: Vec<Rule>) {
     *PLAN.lock().expect("failpoint plan poisoned") = rules;
     ARMED.store(true, Ordering::Release);
-    Ok(())
 }
 
 /// Disarms every failpoint (hits go back to the one-atomic-load fast
@@ -136,7 +171,6 @@ fn parse_schedule(s: &str) -> Result<Schedule, String> {
         "first" => Ok(Schedule::First(count()?)),
         "every" => Ok(Schedule::Every(count()?)),
         "nth" => Ok(Schedule::Nth(count()?)),
-        "abort_at" => Ok(Schedule::AbortAt(count()?)),
         "1in" => Ok(Schedule::Prob(1.0 / count()? as f64)),
         "prob" => {
             let p = arg
@@ -167,62 +201,30 @@ fn hit_slow(site: &str) -> Action {
         return Action::Proceed;
     };
     rule.hits += 1;
-    let action = match rule.schedule {
-        Schedule::Always => Action::Fail,
-        Schedule::First(k) => {
-            if rule.hits <= k {
-                Action::Fail
-            } else {
-                Action::Proceed
-            }
-        }
-        Schedule::Every(n) => {
-            if rule.hits % n == 0 {
-                Action::Fail
-            } else {
-                Action::Proceed
-            }
-        }
-        Schedule::Nth(k) => {
-            if rule.hits == k {
-                Action::Fail
-            } else {
-                Action::Proceed
-            }
-        }
-        Schedule::Prob(p) => {
-            if rule.rng.chance(p) {
-                Action::Fail
-            } else {
-                Action::Proceed
-            }
-        }
-        Schedule::AbortAt(k) => {
-            if rule.hits == k {
-                Action::Abort
-            } else {
-                Action::Proceed
-            }
-        }
+    let fail = match rule.schedule {
+        Schedule::Always => true,
+        Schedule::First(k) => rule.hits <= k,
+        Schedule::Every(n) => rule.hits % n == 0,
+        Schedule::Nth(k) => rule.hits == k,
+        Schedule::Prob(p) => rule.rng.chance(p),
     };
-    if action != Action::Proceed {
-        INJECTED.fetch_add(1, Ordering::Relaxed);
-        if ctsim_obs::enabled() {
-            ctsim_obs::counter_add("resilience.injected_faults", 1);
-            ctsim_obs::instant(
-                "failpoint",
-                site.to_string(),
-                vec![("hit", rule.hits.into())],
-            );
-        }
+    if !fail {
+        return Action::Proceed;
     }
-    action
+    INJECTED.fetch_add(1, Ordering::Relaxed);
+    if ctsim_obs::enabled() {
+        ctsim_obs::counter_add("resilience.injected_faults", 1);
+        ctsim_obs::instant(
+            "failpoint",
+            site.to_string(),
+            vec![("hit", rule.hits.into())],
+        );
+    }
+    Action::Fail
 }
 
 /// [`hit`] specialized for I/O sites: `Fail` becomes a synthetic
-/// `io::Error` tagged with the site name, `Abort` aborts the process on
-/// the spot (the whole point of crash injection is that no destructor,
-/// flush, or unwind runs).
+/// `io::Error` tagged with the site name.
 #[inline]
 pub fn io_check(site: &str) -> std::io::Result<()> {
     match hit(site) {
@@ -230,16 +232,11 @@ pub fn io_check(site: &str) -> std::io::Result<()> {
         Action::Fail => Err(std::io::Error::other(format!(
             "injected fault (failpoint {site})"
         ))),
-        Action::Abort => {
-            // Flush nothing: simulate SIGKILL as closely as safe Rust can.
-            eprintln!("failpoint {site}: injected crash (abort)");
-            std::process::abort()
-        }
     }
 }
 
 /// Total injected failures since process start (monotonic; survives
-/// [`disarm`]). The CI chaos job gates on this being nonzero.
+/// [`disarm`]). The CI fault-injection legs gate on this being nonzero.
 pub fn injected_total() -> u64 {
     INJECTED.load(Ordering::Relaxed)
 }
@@ -306,5 +303,47 @@ mod tests {
         for bad in ["", "a", "a=unknown", "a=prob:2.0", "a=first:0", "a=first:x"] {
             assert!(configure(bad, 0).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn configure_known_admits_only_catalogued_sites() {
+        let _guard = test_lock();
+        let err = configure_known("csr.page_in=first:1;nosuch.site=always", 0).unwrap_err();
+        assert!(err.contains("unknown site \"nosuch.site\""), "{err}");
+        assert_eq!(
+            hit("csr.page_in"),
+            Action::Proceed,
+            "a refused spec arms nothing"
+        );
+        let every: Vec<String> = SITES.iter().map(|s| format!("{s}=always")).collect();
+        configure_known(&every.join(";"), 0).unwrap();
+        disarm();
+    }
+
+    /// The site table of `docs/RESILIENCE.md` names exactly [`SITES`].
+    #[test]
+    fn the_documented_site_table_mirrors_the_catalogue() {
+        let doc = include_str!("../../../docs/RESILIENCE.md");
+        let table = doc
+            .split("### Site catalog")
+            .nth(1)
+            .and_then(|t| t.split("\n\n").find(|p| p.starts_with('|')))
+            .expect("a site table under `### Site catalog`");
+        let mut documented: Vec<&str> = table
+            .lines()
+            .skip(2)
+            .flat_map(|row| {
+                row.split('|')
+                    .nth(1)
+                    .unwrap_or("")
+                    .split('`')
+                    .skip(1)
+                    .step_by(2)
+            })
+            .collect();
+        documented.sort_unstable();
+        let mut sites = SITES.to_vec();
+        sites.sort_unstable();
+        assert_eq!(documented, sites);
     }
 }

@@ -4,11 +4,11 @@
 //! The paper is a dependability study of a consensus algorithm under
 //! crash faults; this crate gives the *engine itself* a fault story so
 //! the scenario×load campaigns of the ROADMAP can inject faults into
-//! the model without the pipeline falling over on its own. Three
+//! the model without the pipeline falling over on its own. Two
 //! pieces, each usable alone:
 //!
 //! - [`fail`] — a process-wide **failpoint registry**. Call sites name
-//!   themselves (`fail::hit("spill.read")`) and a configured schedule
+//!   themselves (`fail::hit("solver.krylov")`) and a configured schedule
 //!   decides, deterministically, which hits turn into injected
 //!   failures. Disabled (the default) a hit is one relaxed atomic load
 //!   — no lock, no clock, no allocation — so production paths carry
@@ -24,24 +24,17 @@
 //!   waited. Exhaustion surfaces the full attempt trace for typed
 //!   errors upstream ([`SolveError::SpillFailed`] keeps it in the
 //!   rendered message).
-//! - [`journal`] — an append-only, CRC-framed, fsync'd **journal** for
-//!   crash-safe checkpoint/resume. Torn or corrupt tail frames (the
-//!   signature of a crash mid-append) are detected by checksum and
-//!   truncated away on open, so a SIGKILLed campaign resumes from the
-//!   last *complete* record.
 //!
 //! Telemetry: when [`ctsim_obs::enabled`], injected faults bump
 //! `resilience.injected_faults` and emit `failpoint.<site>` instants;
 //! retries bump `resilience.retries` and `resilience.backoff_virtual_us`.
-//! The CI chaos job gates on `resilience.injected_faults > 0` so a
-//! mis-wired schedule cannot silently run fault-free.
+//! The CI out-of-core job gates on `resilience.injected_faults > 0` so
+//! a mis-wired schedule cannot silently run fault-free.
 //!
 //! [`SolveError::SpillFailed`]: ../ctsim_solve/enum.SolveError.html
 
 pub mod fail;
-pub mod journal;
 pub mod retry;
 
 pub use fail::{configure, disarm, injected_total, Action};
-pub use journal::Journal;
 pub use retry::{with_retries, RetryExhausted, RetryPolicy};

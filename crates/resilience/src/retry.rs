@@ -149,6 +149,9 @@ mod tests {
 
     #[test]
     fn succeeds_after_transient_failures_and_records_the_trace() {
+        // `reset_budgets` clears every op's budget, so the tests that
+        // spend one run one at a time.
+        let _guard = crate::fail::test_lock();
         reset_budgets();
         let mut calls = 0;
         let out = with_retries(&RetryPolicy::default(), "test.transient", || {
@@ -164,6 +167,7 @@ mod tests {
 
     #[test]
     fn exhaustion_carries_every_attempt() {
+        let _guard = crate::fail::test_lock();
         reset_budgets();
         let err = with_retries(
             &RetryPolicy {
@@ -198,6 +202,7 @@ mod tests {
 
     #[test]
     fn op_budget_degrades_to_fail_fast() {
+        let _guard = crate::fail::test_lock();
         reset_budgets();
         let policy = RetryPolicy {
             max_attempts: 4,

@@ -55,8 +55,6 @@ pub enum Action {
 /// spec naming any other site; `docs/RESILIENCE.md` tabulates them.
 pub const SITES: &[&str] = &[
     "spill.create",
-    "arena.page_in",
-    "arena.page_out",
     "csr.page_in",
     "csr.page_out",
     "pack.page_in",

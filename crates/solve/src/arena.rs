@@ -1,12 +1,10 @@
 //! Flat, segmented, optionally disk-spillable row storage.
 //!
-//! `SegStore` replaces the former per-state `Vec<Vec<Transition>>`
-//! representation of the reachability graph: rows (one state's
-//! transitions, or one state's packed words) are appended back to back
-//! into fixed-capacity segments, so a multi-million-state exploration
-//! pays a few hundred segment allocations instead of one heap
-//! allocation per state, and the final "CSR assembly" is a straight
-//! copy in canonical order rather than a per-row re-allocation.
+//! `SegStore` holds the rows that may page to disk under a spill
+//! budget — one state's CSR entries, or one state's packed words —
+//! back to back in fixed-capacity segments, so a multi-million-state
+//! exploration pays a few hundred segment allocations instead of one
+//! heap allocation per state.
 //!
 //! Rows never straddle a segment boundary (a row that does not fit the
 //! open segment seals it and starts the next; a row longer than the
@@ -123,10 +121,9 @@ pub(crate) struct SegStore<T: SpillRecord> {
     /// Extra `ctsim-obs` counter credited with every byte paged back
     /// in (e.g. `spill.csr_paged_bytes` for the generator store).
     page_counter: Option<&'static str>,
-    /// Failpoint site names for this store's page-in / page-out I/O
-    /// (see `docs/RESILIENCE.md`); defaults suit the transition arena,
-    /// the packed-state and CSR stores override them so fault
-    /// schedules can target one consumer.
+    /// Failpoint site names of this store's page-in / page-out I/O
+    /// (see `docs/RESILIENCE.md`), one pair per consumer so fault
+    /// schedules can target it.
     read_site: &'static str,
     write_site: &'static str,
 }
@@ -145,7 +142,13 @@ fn raise_read_failure(e: crate::SolveError) -> ! {
 }
 
 impl<T: SpillRecord> SegStore<T> {
-    pub(crate) fn new(cap: usize, spill: Option<Arc<SpillShared>>) -> Self {
+    /// An empty store of `cap`-element segments whose page-in and
+    /// page-out failpoint sites are `[read, write]`.
+    pub(crate) fn new(
+        cap: usize,
+        spill: Option<Arc<SpillShared>>,
+        [read_site, write_site]: [&'static str; 2],
+    ) -> Self {
         assert!(cap > 0);
         Self {
             cap,
@@ -157,16 +160,9 @@ impl<T: SpillRecord> SegStore<T> {
             cache: Mutex::new(Vec::with_capacity(CACHE_SLOTS)),
             cache_slots: CACHE_SLOTS,
             page_counter: None,
-            read_site: "arena.page_in",
-            write_site: "arena.page_out",
+            read_site,
+            write_site,
         }
-    }
-
-    /// Names this store's page-in / page-out failpoint sites so fault
-    /// schedules can single it out.
-    pub(crate) fn set_io_sites(&mut self, read: &'static str, write: &'static str) {
-        self.read_site = read;
-        self.write_site = write;
     }
 
     /// Raises (or lowers) the reloaded-segment LRU depth. Stores that
@@ -364,6 +360,13 @@ impl<T: SpillRecord> SegStore<T> {
         arc
     }
 
+    /// Empties the reloaded-segment LRU. Reloaded segments sit outside
+    /// the spill account, so a one-off pass (the generator's value
+    /// fill) gives them back instead of holding them for the next user.
+    pub(crate) fn clear_cache(&self) {
+        self.cache.lock().expect("segment cache poisoned").clear();
+    }
+
     /// Streams the rows addressed by `locs` (in the given order) into
     /// `f(index_within_locs, row_slice)`, loading each spilled segment
     /// at most once per run of consecutive rows that live in it. This
@@ -434,7 +437,7 @@ mod tests {
     fn store(cap: usize, budget: Option<usize>) -> SegStore<u64> {
         let spill =
             budget.map(|b| Arc::new(SpillShared::new(&SpillOptions::with_budget(b)).unwrap()));
-        SegStore::new(cap, spill)
+        SegStore::new(cap, spill, ["test.read", "test.write"])
     }
 
     #[test]

@@ -13,27 +13,38 @@
 //! # Entries and coefficients
 //!
 //! An off-diagonal entry is 8 bytes: a `u32` column and a `u32`
-//! coefficient id into a table the [`Ctmc`] owns. An id below the
-//! exploration's term count is that term, and its coefficient is
-//! [`Term::coeff`]. When several edges of one row reach one target
-//! (parallel transitions), their entry gets a *composite* id instead,
-//! whose coefficient is the sum of the merged terms' coefficients in
-//! edge order. Composites are keyed by the term ids they merge, so the
-//! table stays a few hundred coefficients long against millions of
-//! entries (170 terms and no composite at n = 3, order 2), and a
-//! rate-only rebuild ([`Ctmc::rebuild_values`]) rewrites the table and
-//! the diagonal, never an entry. A composite is made while exploration
-//! may still add terms, so composite ids count down from `u32::MAX` and
-//! the table keeps the composites, reversed, in front of the terms: one
-//! signed offset addresses both, and no entry moves when a later row
-//! adds a term.
+//! coefficient id. An id below the exploration's term count is that
+//! term, and its coefficient is [`Term::coeff`]. When several edges of
+//! one row reach one target (parallel transitions), their entry gets a
+//! *composite* id instead, whose recipe is the merged term ids in edge
+//! order and whose coefficient is the sum of their coefficients in that
+//! order. Composites are keyed by their recipe, so the table stays a
+//! few hundred coefficients long against millions of entries (170
+//! terms and no composite at n = 3, order 2). A composite is made while
+//! exploration may still add terms, so composite ids count down from
+//! `u32::MAX` and the table keeps the composites, reversed, in front of
+//! the terms: one signed offset addresses both, and no entry moves when
+//! a later row adds a term.
+//!
+//! # One structure, shared
+//!
+//! Exploration emits every merged row once, into a [`Csr`]: `row_ptr`,
+//! the entries and the composite recipes. It names no rate, so it is
+//! the reachability graph's own transition store — the
+//! [`StateSpace`] holds it behind an `Arc` and decodes its rows — and a
+//! [`Ctmc`] is a view of it: the shared structure plus what depends on
+//! the rates, namely the coefficient table, the diagonal, the initial
+//! vector and the absorbing marks, filled in one read-only pass over
+//! the entries. Building a generator therefore copies no entry, and a
+//! rate-only rebuild ([`Ctmc::rebuild_values`]) rewrites only the
+//! table and the diagonal.
 //!
 //! # Out-of-core generators
 //!
 //! When exploration runs under a spill budget
-//! ([`SpillOptions`](crate::SpillOptions)), the off-diagonal entries —
-//! the one CSR array that grows with the rate count — are accumulated
-//! into a disk-spillable `SegStore` instead of a resident vector (the
+//! ([`SpillOptions`](crate::SpillOptions)), the entries — the one CSR
+//! array that grows with the rate count — are accumulated into a
+//! disk-spillable `SegStore` instead of a resident vector (the
 //! `CsrBody::Paged` representation). `row_ptr`, `diag`, `initial`,
 //! `absorbing` and the coefficient table stay resident: they are
 //! `O(states)` or smaller and every solver indexes them randomly. Row
@@ -49,10 +60,8 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use ctsim_san::ActivityId;
-
 use crate::arena::{RowLoc, SegStore};
-use crate::graph::{Edge, StateSpace, Term, TERM_ID_LIMIT};
+use crate::graph::{StateSpace, Term, TERM_ID_LIMIT};
 use crate::spill::{SpillRecord, SpillShared};
 use crate::SolveError;
 
@@ -61,7 +70,9 @@ use crate::SolveError;
 /// `u32` because canonical state ids are assigned from a `u32`
 /// renumbering; the rate itself lives in the resident coefficient
 /// table, so the paged and resident generators are bit-identical.
-#[derive(Debug, Clone, Copy)]
+/// Emission also uses it for one edge of a row before the merge: a
+/// target and a term id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CsrEntry {
     pub(crate) col: u32,
     pub(crate) term: u32,
@@ -90,9 +101,8 @@ const CSR_SEG: usize = 1 << 15;
 /// the streaming default avoids cross-shard thrash.
 const CSR_CACHE_SLOTS: usize = 8;
 
-/// The off-diagonal storage of a [`Ctmc`]: a resident entry vector, or
-/// a disk-spillable entry store addressed per row (see the module
-/// docs).
+/// The entry storage of a [`Csr`]: a resident vector, or a
+/// disk-spillable store addressed per row (see the module docs).
 enum CsrBody {
     Resident(Vec<CsrEntry>),
     Paged {
@@ -117,33 +127,36 @@ impl std::fmt::Debug for CsrBody {
     }
 }
 
-impl Clone for CsrBody {
-    /// Cloning a paged body materialises it resident: two owners of
-    /// one spill file's offsets would each account the same segments.
-    /// Clones of large paged generators are therefore expensive and
-    /// resident — no caller on the out-of-core path clones the
-    /// generator.
-    fn clone(&self) -> Self {
-        match self {
-            CsrBody::Resident(entries) => CsrBody::Resident(entries.clone()),
-            CsrBody::Paged { entries, .. } => CsrBody::Resident(entries.collect_all()),
-        }
-    }
+/// The structural CSR of a reachability graph: each state's merged
+/// off-diagonal transitions as entries, in canonical order, and the
+/// recipes of the composite ids among them. Exploration builds it once
+/// ([`CsrBuilder`]); the [`StateSpace`] and every [`Ctmc`] built from
+/// it share it (see the module docs).
+#[derive(Debug)]
+pub(crate) struct Csr {
+    /// Row starts into the entries (length `n + 1`).
+    row_ptr: Vec<usize>,
+    body: CsrBody,
+    /// Composite `k` (id `u32::MAX - k`): the term ids it sums, in
+    /// edge order.
+    composites: Vec<Box<[u32]>>,
 }
 
-impl CsrBody {
+impl Csr {
+    /// Number of rows (states).
+    pub(crate) fn len(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
     /// Visits `rows` in order as `f(state, entries)`: resident rows as
-    /// slices, paged rows streamed through [`SegStore::stream_rows`]
-    /// at one disk read per spilled segment. Every consumer walks a
-    /// row's entries left to right, so the bits agree across bodies.
-    fn for_each_row(
-        &self,
-        row_ptr: &[usize],
-        rows: Range<usize>,
-        mut f: impl FnMut(usize, &[CsrEntry]),
-    ) {
-        match self {
+    /// slices of one hoisted entry slice, paged rows streamed through
+    /// [`SegStore::stream_rows`] at one disk read per spilled segment.
+    /// Every consumer walks a row's entries left to right, so the bits
+    /// agree across bodies.
+    fn for_each_row(&self, rows: Range<usize>, mut f: impl FnMut(usize, &[CsrEntry])) {
+        match &self.body {
             CsrBody::Resident(entries) => {
+                let (entries, row_ptr) = (&entries[..], &self.row_ptr[..]);
                 for i in rows {
                     f(i, &entries[row_ptr[i]..row_ptr[i + 1]]);
                 }
@@ -154,6 +167,32 @@ impl CsrBody {
             }
         }
     }
+
+    /// Calls `f` with the entries of row `i`; a paged row is served
+    /// through the store's LRU pager.
+    fn with_row<R>(&self, i: usize, f: impl FnOnce(&[CsrEntry]) -> R) -> R {
+        match &self.body {
+            CsrBody::Resident(entries) => f(&entries[self.row_ptr[i]..self.row_ptr[i + 1]]),
+            CsrBody::Paged { entries, locs } => f(&entries.row(locs[i])),
+        }
+    }
+
+    /// Visits the transitions of row `i` as `f(target, term id)`, in
+    /// entry order: a composite entry once per merged term, in edge
+    /// order. Self-loops were never stored, so none is visited.
+    pub(crate) fn for_each_edge(&self, i: usize, mut f: impl FnMut(u32, u32)) {
+        self.with_row(i, |row| {
+            for e in row {
+                if e.term < TERM_ID_LIMIT {
+                    f(e.col, e.term);
+                } else {
+                    for &t in self.composites[(u32::MAX - e.term) as usize].iter() {
+                        f(e.col, t);
+                    }
+                }
+            }
+        });
+    }
 }
 
 /// The coefficient table the entries' ids index (see the module docs).
@@ -162,36 +201,37 @@ struct Coefficients {
     /// The exploration's terms by id — the structural key a rebuild is
     /// checked against, and the rates the table is filled from.
     terms: Vec<Term>,
-    /// Composite `k` (id `u32::MAX - k`): the term ids it sums, in
-    /// edge order.
-    composites: Vec<Box<[u32]>>,
     /// The composites' coefficients, last composite first, then one
-    /// coefficient per term: id `t` sits at `composites.len() + t`,
-    /// with `t` read as an `i32`.
+    /// coefficient per term: id `t` sits at `table.len() - terms.len()
+    /// + t`, with `t` read as an `i32`.
     table: Vec<f64>,
 }
 
 impl Coefficients {
-    fn new(terms: &[Term], composites: Vec<Box<[u32]>>) -> Self {
+    /// Fills the table from `terms` and the composite recipes.
+    fn new(terms: &[Term], composites: &[Box<[u32]>]) -> Self {
         let mut c = Coefficients {
             terms: terms.to_vec(),
-            composites,
             table: Vec::new(),
         };
-        c.fill();
+        c.fill(composites);
         c
     }
 
-    /// Recomputes the table from `terms` and the composite recipes.
-    fn fill(&mut self) {
-        self.table.clear();
+    /// Recomputes the table from `terms` and the composite recipes: a
+    /// composite's coefficient is its terms' coefficients folded left
+    /// to right, the sum a row with those parallel edges always had.
+    fn fill(&mut self, composites: &[Box<[u32]>]) {
         let terms = &self.terms;
-        self.table.extend(
-            self.composites
-                .iter()
-                .rev()
-                .map(|ids| composite_coeff(ids, terms)),
-        );
+        let coeff = |t: &u32| terms[*t as usize].coeff();
+        self.table.clear();
+        self.table.extend(composites.iter().rev().map(|ids| {
+            let mut c = coeff(&ids[0]);
+            for t in &ids[1..] {
+                c += coeff(t);
+            }
+            c
+        }));
         self.table.extend(terms.iter().map(Term::coeff));
     }
 
@@ -201,30 +241,19 @@ impl Coefficients {
     /// store.
     #[inline]
     fn lookup(&self) -> impl Fn(u32) -> f64 + Copy + '_ {
-        let (table, base) = (&self.table[..], self.composites.len());
+        let (table, base) = (&self.table[..], self.table.len() - self.terms.len());
         move |id| table[base.wrapping_add_signed(id as i32 as isize)]
     }
 }
 
-/// A composite's coefficient: the coefficients of `ids` folded left to
-/// right, the sum a row with those parallel edges always had.
-fn composite_coeff(ids: &[u32], terms: &[Term]) -> f64 {
-    let mut c = terms[ids[0] as usize].coeff();
-    for &t in &ids[1..] {
-        c += terms[t as usize].coeff();
-    }
-    c
-}
-
-/// A finite-state CTMC in CSR form.
+/// A finite-state CTMC in CSR form: a view of the shared structural
+/// [`Csr`] with the values the rates give it (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Ctmc {
     /// Number of states.
     n: usize,
-    /// CSR row starts into the off-diagonal entries (length `n + 1`).
-    row_ptr: Vec<usize>,
-    /// Off-diagonal entries (a resident vector or a paged store).
-    body: CsrBody,
+    /// The off-diagonal structure, shared with the state space.
+    csr: Arc<Csr>,
     /// What the entries' coefficient ids stand for.
     coeffs: Coefficients,
     /// Diagonal entries `q_ii = -Σ_j≠i q_ij` (1/ms).
@@ -262,12 +291,11 @@ impl Incoming {
         let n = ctmc.n;
         let all = 0..n;
         let mut col_ptr = vec![0usize; n + 1];
-        ctmc.body
-            .for_each_row(&ctmc.row_ptr, all.clone(), |_, row| {
-                for e in row {
-                    col_ptr[e.col as usize + 1] += 1;
-                }
-            });
+        ctmc.csr.for_each_row(all.clone(), |_, row| {
+            for e in row {
+                col_ptr[e.col as usize + 1] += 1;
+            }
+        });
         for j in 0..n {
             col_ptr[j + 1] += col_ptr[j];
         }
@@ -276,7 +304,7 @@ impl Incoming {
         // Row-major traversal fills each column's predecessor list in
         // ascending source order — the deterministic summation order
         // the gather kernels rely on.
-        ctmc.body.for_each_row(&ctmc.row_ptr, all, |i, row| {
+        ctmc.csr.for_each_row(all, |i, row| {
             for e in row {
                 let j = e.col as usize;
                 entries[cursor[j]] = (i as u32, e.term);
@@ -310,168 +338,148 @@ struct CompositeIds {
 
 impl CompositeIds {
     /// The composite id of the parallel edges `run` (one target, edge
-    /// order) and its coefficient.
-    fn intern(&mut self, run: &[Edge], terms: &[Term]) -> (u32, f64) {
+    /// order).
+    fn intern(&mut self, run: &[CsrEntry]) -> u32 {
         let ids: Box<[u32]> = run.iter().map(|e| e.term).collect();
-        let coeff = composite_coeff(&ids, terms);
         if let Some(&id) = self.by_terms.get(&ids) {
-            return (id, coeff);
+            return id;
         }
         let id = u32::MAX - self.recipes.len() as u32;
         assert!(id >= TERM_ID_LIMIT, "composite ids stay above the term ids");
         self.by_terms.insert(ids.clone(), id);
         self.recipes.push(ids);
-        (id, coeff)
+        id
     }
 }
 
-/// Row-by-row CTMC generator accumulation — the streaming counterpart
-/// of [`Ctmc::from_state_space`]. The exploration pipeline feeds it
-/// each canonical row as soon as that row's BFS level is renumbered
-/// (see `StateSpace::explore_ctmc`), so the CSR build overlaps the
-/// exploration of later levels; `from_state_space` drives the same
-/// accumulator sequentially, making the two construction paths
-/// byte-identical by construction.
-pub(crate) struct CtmcAcc {
+/// Row-by-row construction of the structural [`Csr`]. Emission feeds
+/// it each canonical row as soon as that row's BFS level is renumbered,
+/// so the build overlaps the exploration of later levels. It reads no
+/// rate: a NaN rate fails later, at the [`Ctmc`] build.
+pub(crate) struct CsrBuilder {
     row_ptr: Vec<usize>,
     body: CsrBody,
-    diag: Vec<f64>,
     composites: CompositeIds,
-    /// The row being accumulated: its off-diagonal edges, then its
-    /// entries.
-    edges: Vec<Edge>,
+    /// The row being accumulated.
     row: Vec<CsrEntry>,
 }
 
-impl CtmcAcc {
-    pub(crate) fn new() -> Self {
-        Self::with_body(CsrBody::Resident(Vec::new()))
+/// Appends `items` to `v`, growing its capacity by a quarter instead
+/// of doubling it: the entries and `row_ptr` are the largest arrays an
+/// exploration grows, and a doubled capacity is up to twice their live
+/// heap until [`CsrBuilder::finish`] trims it. A large block is
+/// usually remapped rather than copied when it grows; a small one
+/// grows by at least 1 Ki elements, so short rows do not reallocate
+/// row by row.
+fn extend_by_quarters<T: Copy>(v: &mut Vec<T>, items: &[T]) {
+    if v.capacity() - v.len() < items.len() {
+        v.reserve_exact(items.len().max(v.len() / 4).max(1 << 10));
     }
+    v.extend_from_slice(items);
+}
 
-    /// An accumulator whose off-diagonal entries live in a
+impl CsrBuilder {
+    /// An empty builder. With a spill backend the entries live in a
     /// disk-spillable store sharing the exploration's spill budget —
-    /// the out-of-core CSR build. `row_ptr`/`diag` stay resident (see
-    /// the module docs).
-    pub(crate) fn new_paged(spill: Arc<SpillShared>) -> Self {
-        let mut entries = SegStore::new(CSR_SEG, Some(spill));
-        entries.set_cache_slots(CSR_CACHE_SLOTS);
-        entries.set_page_counter("spill.csr_paged_bytes");
-        entries.set_io_sites("csr.page_in", "csr.page_out");
-        Self::with_body(CsrBody::Paged {
-            entries,
-            locs: Vec::new(),
-        })
-    }
-
-    fn with_body(body: CsrBody) -> Self {
+    /// the out-of-core CSR; `row_ptr` stays resident (see the module
+    /// docs).
+    pub(crate) fn new(spill: Option<Arc<SpillShared>>) -> Self {
+        let body = match spill {
+            None => CsrBody::Resident(Vec::new()),
+            Some(spill) => {
+                let mut entries =
+                    SegStore::new(CSR_SEG, Some(spill), ["csr.page_in", "csr.page_out"]);
+                entries.set_cache_slots(CSR_CACHE_SLOTS);
+                entries.set_page_counter("spill.csr_paged_bytes");
+                CsrBody::Paged {
+                    entries,
+                    locs: Vec::new(),
+                }
+            }
+        };
         Self {
             row_ptr: vec![0],
             body,
-            diag: Vec::new(),
             composites: CompositeIds::default(),
-            edges: Vec::new(),
             row: Vec::new(),
         }
     }
 
-    /// Appends the generator row of state `src` from its edges and the
-    /// term table (rows must arrive in canonical order): one entry per
-    /// distinct destination, ascending, under the edge's term or, for
-    /// parallel edges, a composite. The diagonal is folded from +0.0
-    /// over the entries in that order. On a NaN rate — an unexpanded
-    /// non-exponential activity — returns the offending activity.
-    pub(crate) fn push_row(
-        &mut self,
-        src: usize,
-        edges: &[Edge],
-        terms: &[Term],
-    ) -> Result<(), ActivityId> {
-        debug_assert_eq!(src, self.diag.len(), "rows must arrive in order");
-        self.edges.clear();
-        for e in edges {
-            let t = &terms[e.term as usize];
-            if t.rate.is_nan() {
-                return Err(t.activity);
-            }
-            // A completion that re-enters its source state is
-            // invisible to the marking process: it contributes
-            // neither an off-diagonal rate nor exit rate.
-            if e.target as usize != src {
-                self.edges.push(*e);
-            }
-        }
+    /// Appends the row of state `src` (rows must arrive in canonical
+    /// order) from its edges, given as `(target, term id)` entries and
+    /// reordered in place: one entry per distinct destination other
+    /// than `src`, ascending, under the edge's term or, for parallel
+    /// edges, a composite. A completion that re-enters its source state
+    /// is invisible to the marking process — it contributes neither an
+    /// off-diagonal rate nor exit rate — so it is not stored.
+    pub(crate) fn push_row(&mut self, src: usize, edges: &mut Vec<CsrEntry>) {
+        debug_assert_eq!(src + 1, self.row_ptr.len(), "rows must arrive in order");
+        edges.retain(|e| e.col as usize != src);
         // Stable: parallel edges keep their edge order, which is the
         // order their composite sums them in.
-        self.edges.sort_by_key(|e| e.target);
+        edges.sort_by_key(|e| e.col);
         self.row.clear();
-        // Folded from +0.0 so an empty row's diagonal is +0.0: `.sum()`
-        // would yield -0.0 there, and absorbing states compare by bits.
-        let mut d = 0.0;
-        let mut rest = &self.edges[..];
+        let mut rest = &edges[..];
         while let Some(first) = rest.first() {
-            let len = rest.iter().take_while(|e| e.target == first.target).count();
+            let len = rest.iter().take_while(|e| e.col == first.col).count();
             let (run, tail) = rest.split_at(len);
             rest = tail;
-            let (term, coeff) = match run {
-                [e] => (e.term, terms[e.term as usize].coeff()),
-                _ => self.composites.intern(run, terms),
+            let term = match run {
+                [e] => e.term,
+                _ => self.composites.intern(run),
             };
-            d -= coeff;
             self.row.push(CsrEntry {
-                col: run[0].target,
+                col: first.col,
                 term,
             });
         }
         match &mut self.body {
-            CsrBody::Resident(entries) => entries.extend_from_slice(&self.row),
+            CsrBody::Resident(entries) => extend_by_quarters(entries, &self.row),
             CsrBody::Paged { entries, locs } => locs.push(entries.append_row(&self.row)),
         }
-        self.diag.push(d);
-        self.row_ptr
-            .push(self.row_ptr.last().copied().unwrap_or(0) + self.row.len());
-        Ok(())
+        let next = self.row_ptr.last().copied().unwrap_or(0) + self.row.len();
+        extend_by_quarters(&mut self.row_ptr, &[next]);
     }
 
-    /// Materialises the generator; `initial_pairs` is the (canonical,
-    /// sorted) initial distribution and `terms` the exploration's
-    /// finished term table.
-    pub(crate) fn finish(self, initial_pairs: &[(usize, f64)], terms: &[Term]) -> Ctmc {
-        let n = self.diag.len();
-        let mut initial = vec![0.0; n];
-        for &(i, p) in initial_pairs {
-            initial[i] = p;
-        }
-        let absorbing = self.diag.iter().map(|&d| d == 0.0).collect();
+    /// The finished structure. `row_ptr` grew by doubling and is
+    /// complete now, so its slack is given back: the structure lives
+    /// as long as the space and its generators.
+    pub(crate) fn finish(self) -> Csr {
         let mut body = self.body;
-        if let CsrBody::Paged { entries, .. } = &mut body {
-            entries.finish();
+        match &mut body {
+            CsrBody::Resident(entries) => entries.shrink_to_fit(),
+            CsrBody::Paged { entries, locs } => {
+                entries.finish();
+                locs.shrink_to_fit();
+            }
         }
-        let coeffs = Coefficients::new(terms, self.composites.recipes);
-        if ctsim_obs::enabled() {
-            ctsim_obs::gauge_max("ctmc.coefficients", coeffs.table.len() as f64);
-            ctsim_obs::gauge_max("ctmc.composites", coeffs.composites.len() as f64);
-        }
-        Ctmc {
-            n,
-            row_ptr: self.row_ptr,
+        let mut row_ptr = self.row_ptr;
+        row_ptr.shrink_to_fit();
+        Csr {
+            row_ptr,
             body,
-            coeffs,
-            diag: self.diag,
-            initial,
-            absorbing,
-            incoming: OnceLock::new(),
+            composites: self.composites.recipes,
         }
     }
 }
 
+/// [`SolveError::NonMarkovian`] naming the activity of the space's
+/// first NaN-rate term — an unexpanded non-exponential activity — if
+/// it has one.
+pub(crate) fn markovian(ss: &StateSpace<'_>) -> Result<(), SolveError> {
+    match ss.terms().iter().find(|t| t.rate.is_nan()) {
+        Some(t) => Err(SolveError::NonMarkovian {
+            activity: ss.model().activity_name(t.activity).to_string(),
+        }),
+        None => Ok(()),
+    }
+}
+
 impl Ctmc {
-    /// Builds the generator matrix from a reachability graph.
-    ///
-    /// Prefer `StateSpace::explore_ctmc` /
-    /// `StateSpace::explore_absorbing_ctmc` when the graph is being
-    /// explored anyway: they assemble the identical generator *during*
-    /// exploration (pipelined per BFS level) instead of in a second
-    /// pass over the transition arena.
+    /// The generator of an explored reachability graph: a view of the
+    /// space's shared [`Csr`], with the coefficient table, diagonal,
+    /// initial vector and absorbing marks filled in one read-only pass
+    /// over its entries. No entry is copied.
     ///
     /// # Errors
     /// [`SolveError::NonMarkovian`] if any transition is driven by a
@@ -479,20 +487,31 @@ impl Ctmc {
     /// (its `rate` is NaN): the embedded process is then not a CTMC and
     /// the analytic path does not apply — raise
     /// [`ReachOptions::ph_order`](crate::ReachOptions::ph_order) or use
-    /// the simulator.
+    /// the simulator. Term ids are given in row order, so the first
+    /// NaN-rate term is the one a walk over the rows meets first.
     pub fn from_state_space(ss: &StateSpace<'_>) -> Result<Self, SolveError> {
-        crate::catch_spill(|| {
-            let model = ss.model();
-            let mut acc = CtmcAcc::new();
-            for s in 0..ss.len() {
-                acc.push_row(s, &ss.edges(s), ss.terms()).map_err(|a| {
-                    SolveError::NonMarkovian {
-                        activity: model.activity_name(a).to_string(),
-                    }
-                })?;
-            }
-            Ok(acc.finish(&ss.initial, ss.terms()))
-        })
+        markovian(ss)?;
+        let csr = Arc::clone(ss.csr());
+        let n = csr.len();
+        let mut initial = vec![0.0; n];
+        for &(i, p) in &ss.initial {
+            initial[i] = p;
+        }
+        let mut q = Ctmc {
+            n,
+            coeffs: Coefficients::new(ss.terms(), &csr.composites),
+            csr,
+            diag: vec![0.0; n],
+            initial,
+            absorbing: vec![false; n],
+            incoming: OnceLock::new(),
+        };
+        q.fill_diagonal()?;
+        if ctsim_obs::enabled() {
+            ctsim_obs::gauge_max("ctmc.coefficients", q.coeffs.table.len() as f64);
+            ctsim_obs::gauge_max("ctmc.composites", q.csr.composites.len() as f64);
+        }
+        Ok(q)
     }
 
     /// Rewrites the generator's *values* (coefficients, diagonal,
@@ -501,10 +520,10 @@ impl Ctmc {
     /// rebuild (see [`StateSpace::rebuild_rates`]). The entries name
     /// coefficients, not rates, so this refills the coefficient table
     /// from the graph's terms and folds each row's diagonal from it in
-    /// one read-only pass, with the sums of a fresh build: the result
-    /// is byte-identical to a generator built fresh from the same
-    /// graph. The cached incoming view holds ids too and is kept; the
-    /// initial distribution is rate-independent and kept.
+    /// the read-only pass of a fresh build: the result is
+    /// byte-identical to a generator built fresh from the same graph.
+    /// The cached incoming view holds ids too and is kept; the initial
+    /// distribution is rate-independent and kept.
     ///
     /// # Errors
     /// [`SolveError::StructureMismatch`] if the graph has another state
@@ -536,17 +555,22 @@ impl Ctmc {
                 ),
             });
         }
-        if let Some(t) = terms.iter().find(|t| t.rate.is_nan()) {
-            return Err(SolveError::NonMarkovian {
-                activity: ss.model().activity_name(t.activity).to_string(),
-            });
-        }
+        markovian(ss)?;
         self.coeffs.terms.copy_from_slice(terms);
-        self.coeffs.fill();
+        self.coeffs.fill(&self.csr.composites);
+        self.fill_diagonal()
+    }
+
+    /// Folds each row's diagonal from +0.0 over its entries' current
+    /// coefficients, in entry order, and marks the rows it leaves at
+    /// zero absorbing. Folded from +0.0 so an empty row's diagonal is
+    /// +0.0: `.sum()` would yield -0.0 there, and absorbing states
+    /// compare by bits. A paged body leaves the pass with a cold LRU,
+    /// as it left emission.
+    fn fill_diagonal(&mut self) -> Result<(), SolveError> {
         let Ctmc {
             n,
-            row_ptr,
-            body,
+            csr,
             coeffs,
             diag,
             absorbing,
@@ -554,7 +578,7 @@ impl Ctmc {
         } = self;
         let coeff = coeffs.lookup();
         crate::catch_spill(|| {
-            body.for_each_row(row_ptr, 0..*n, |i, row| {
+            csr.for_each_row(0..*n, |i, row| {
                 let mut d = 0.0;
                 for e in row {
                     d -= coeff(e.term);
@@ -563,7 +587,11 @@ impl Ctmc {
                 absorbing[i] = d == 0.0;
             });
             Ok(())
-        })
+        })?;
+        if let CsrBody::Paged { entries, .. } = &csr.body {
+            entries.clear_cache();
+        }
+        Ok(())
     }
 
     /// Number of states.
@@ -582,19 +610,19 @@ impl Ctmc {
         let mut col = Vec::with_capacity(self.num_rates());
         let mut rate = Vec::with_capacity(self.num_rates());
         let coeff = self.coeffs.lookup();
-        self.body.for_each_row(&self.row_ptr, 0..self.n, |_, row| {
+        self.csr.for_each_row(0..self.n, |_, row| {
             for e in row {
                 col.push(e.col as usize);
                 rate.push(coeff(e.term));
             }
         });
-        (self.row_ptr.clone(), col, rate, self.diag.clone())
+        (self.csr.row_ptr.clone(), col, rate, self.diag.clone())
     }
 
     /// The CSR row-offset array (length `n + 1`) — always resident,
     /// the shard-balancing input of the parallel kernels.
     pub(crate) fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
+        &self.csr.row_ptr
     }
 
     /// The map from an entry's coefficient id to the rate it stands
@@ -610,7 +638,7 @@ impl Ctmc {
     /// generators (see [`SolveError::ResidentOnly`]); the streaming
     /// kernels page them through the LRU.
     pub fn is_streamed(&self) -> bool {
-        match &self.body {
+        match &self.csr.body {
             CsrBody::Resident(_) => false,
             CsrBody::Paged { entries, .. } => entries.has_spilled(),
         }
@@ -621,19 +649,18 @@ impl Ctmc {
     /// are summed left to right, so the bits agree.
     pub(crate) fn flow_shard(&self, lo: usize, shard: &mut [f64], v: &[f64]) {
         let coeff = self.coeffs.lookup();
-        self.body
-            .for_each_row(&self.row_ptr, lo..lo + shard.len(), |i, row| {
-                let mut acc = 0.0;
-                for e in row {
-                    acc += coeff(e.term) * v[e.col as usize];
-                }
-                shard[i - lo] = acc;
-            });
+        self.csr.for_each_row(lo..lo + shard.len(), |i, row| {
+            let mut acc = 0.0;
+            for e in row {
+                acc += coeff(e.term) * v[e.col as usize];
+            }
+            shard[i - lo] = acc;
+        });
     }
 
     /// Number of stored off-diagonal rates.
     pub fn num_rates(&self) -> usize {
-        self.row_ptr[self.n]
+        self.csr.row_ptr[self.n]
     }
 
     /// The initial probability distribution.
@@ -666,6 +693,13 @@ impl Ctmc {
         self.incoming.get_or_init(|| Incoming::build(self))
     }
 
+    /// Whether this generator is a view of `ss`'s own transition
+    /// store (the same allocation, not an equal copy).
+    #[cfg(test)]
+    pub(crate) fn shares_store_with(&self, ss: &StateSpace<'_>) -> bool {
+        Arc::ptr_eq(&self.csr, ss.csr())
+    }
+
     /// Whether the incoming view has been built and is cached.
     #[cfg(test)]
     pub(crate) fn has_incoming_view(&self) -> bool {
@@ -681,15 +715,11 @@ impl Ctmc {
     /// run this in their innermost loop.
     pub fn for_each_in_row(&self, i: usize, mut f: impl FnMut(usize, f64)) {
         let coeff = self.coeffs.lookup();
-        let mut visit = |row: &[CsrEntry]| {
+        self.csr.with_row(i, |row| {
             for e in row {
                 f(e.col as usize, coeff(e.term));
             }
-        };
-        match &self.body {
-            CsrBody::Resident(entries) => visit(&entries[self.row_ptr[i]..self.row_ptr[i + 1]]),
-            CsrBody::Paged { entries, locs } => visit(&entries.row(locs[i])),
-        }
+        });
     }
 
     /// `out[i] = Σ_k≠i q_ik · v[k]`: the off-diagonal row product (the
@@ -878,7 +908,7 @@ mod tests {
         // the order.
         assert_ne!(sum.to_bits(), row_sum(&ss, (0..3).rev()).to_bits());
         assert_eq!(q.num_rates(), 1);
-        assert_eq!(q.coeffs.composites.len(), 1);
+        assert_eq!(q.csr.composites.len(), 1);
         assert_eq!(q.coeffs.table.len(), ss.terms().len() + 1);
         let (_, col, rate, diag) = q.csr_owned();
         assert_eq!(col, [1]);
@@ -933,17 +963,125 @@ mod tests {
         let ss = StateSpace::explore(&m, &opts).unwrap();
         let budget = CSR_SEG * 3 / 2 * CsrEntry::BYTES;
         let spill = Arc::new(SpillShared::new(&SpillOptions::with_budget(budget)).unwrap());
-        let mut acc = CtmcAcc::new_paged(spill.clone());
+        let mut builder = CsrBuilder::new(Some(spill.clone()));
+        let mut row = Vec::new();
         for s in 0..ss.len() {
-            acc.push_row(s, &ss.edges(s), ss.terms()).unwrap();
+            row.clear();
+            ss.csr()
+                .for_each_edge(s, |col, term| row.push(CsrEntry { col, term }));
+            builder.push_row(s, &mut row);
         }
-        let q = acc.finish(&ss.initial, ss.terms());
-        assert!(q.num_rates() > 4 * CSR_SEG);
-        assert!(q.is_streamed(), "the budget pages segments out");
-        let CsrBody::Paged { entries, .. } = &q.body else {
-            panic!("a paged accumulator builds a paged body");
+        let csr = builder.finish();
+        assert!(csr.row_ptr[csr.len()] > 4 * CSR_SEG);
+        let CsrBody::Paged { entries, .. } = &csr.body else {
+            panic!("a builder with a spill backend builds a paged body");
         };
+        assert!(entries.has_spilled(), "the budget pages segments out");
         assert!(entries.resident_bytes() > 0, "some segments stay resident");
         assert_eq!(spill.resident_bytes(), entries.resident_bytes());
+    }
+
+    /// The structure and values of a generator, in bits: `row_ptr`,
+    /// the `(column, coefficient id)` entries, the coefficient table
+    /// and the diagonal.
+    type StructureBits = (Vec<usize>, Vec<(u32, u32)>, Vec<u64>, Vec<u64>);
+
+    fn structure_bits(q: &Ctmc) -> StructureBits {
+        let mut entries = Vec::new();
+        q.csr.for_each_row(0..q.n, |_, row| {
+            entries.extend(row.iter().map(|e| (e.col, e.term)));
+        });
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (
+            q.csr.row_ptr.clone(),
+            entries,
+            bits(&q.coeffs.table),
+            bits(&q.diag),
+        )
+    }
+
+    /// A generator built from an explored space equals the fused one
+    /// (explore plus generator in one call) bit for bit — `row_ptr`,
+    /// entries, coefficients and diagonal — on the paper's model at
+    /// n = 2, orders 0–2 (order 0 on its exponential parameters), at
+    /// 1, 2 and 4 threads, resident and under a zero spill budget, and
+    /// both equal the one-thread resident build.
+    #[test]
+    fn a_generator_of_an_explored_space_equals_the_fused_one() {
+        for order in 0..=2u32 {
+            let params = if order == 0 {
+                ctsim_models::SanParams::exponential_baseline(2)
+            } else {
+                ctsim_models::SanParams::paper_baseline(2)
+            };
+            let model = ctsim_models::build_model(&params);
+            let decided = ctsim_models::decided_place_ids(&model, 2);
+            let goal = move |m: &ctsim_san::Marking| decided.iter().any(|&d| m.get(d) > 0);
+            let mut reference = None;
+            for threads in [1usize, 2, 4] {
+                for spill in [None, Some(SpillOptions::with_budget(0))] {
+                    let opts = ReachOptions {
+                        ph_order: order,
+                        threads,
+                        spill,
+                        ..ReachOptions::default()
+                    };
+                    let what = format!("order {order}, {threads} threads, {:?}", opts.spill);
+                    let ss = StateSpace::explore_absorbing(&model, &opts, &goal).unwrap();
+                    let built = Ctmc::from_state_space(&ss).unwrap();
+                    assert!(built.shares_store_with(&ss), "{what}");
+                    let (_, fused) =
+                        StateSpace::explore_absorbing_ctmc(&model, &opts, &goal).unwrap();
+                    let bits = structure_bits(&built);
+                    assert_eq!(bits, structure_bits(&fused), "{what}");
+                    assert_eq!(built.initial(), fused.initial(), "{what}");
+                    let reference = reference.get_or_insert_with(|| bits.clone());
+                    assert_eq!(&bits, reference, "{what}");
+                }
+            }
+        }
+    }
+
+    /// A self-loop and two activities into one target: the space
+    /// counts all three transitions, the CSR stores one composite entry
+    /// and no self-loop, `outgoing` decodes the composite into its two
+    /// transitions, and the Kronecker descriptor stores both.
+    #[test]
+    fn self_loops_are_counted_not_stored_and_parallel_edges_merge() {
+        let mut b = SanBuilder::new("m");
+        let p = b.place("p", 1);
+        let q = b.place("q", 0);
+        b.add_activity(
+            Activity::timed("spin", Dist::Exp { mean: 1.0 })
+                .input(p, 1)
+                .case(Case::with_prob(1.0).output(p, 1)),
+        );
+        for (name, mean) in [("a", 2.0), ("b", 4.0)] {
+            b.add_activity(
+                Activity::timed(name, Dist::Exp { mean })
+                    .input(p, 1)
+                    .case(Case::with_prob(1.0).output(q, 1)),
+            );
+        }
+        let m = b.build().unwrap();
+        let (ss, gen) = StateSpace::explore_ctmc(&m, &ReachOptions::default()).unwrap();
+        assert_eq!(ss.len(), 2);
+        assert_eq!(ss.num_transitions(), 3, "the self-loop is counted");
+        let (row_ptr, entries, _, diag) = structure_bits(&gen);
+        assert_eq!(row_ptr, [0, 1, 1]);
+        assert_eq!(
+            entries,
+            [(1, u32::MAX)],
+            "one composite entry, no self-loop"
+        );
+        assert_eq!(*gen.csr.composites, [Box::from([1, 2])]);
+        assert_eq!(f64::from_bits(diag[0]), -(0.5 + 0.25));
+        let row = ss.outgoing(0);
+        let names: Vec<&str> = row.iter().map(|t| m.activity_name(t.activity)).collect();
+        assert_eq!(names, ["a", "b"], "{row:?}");
+        assert!(row.iter().all(|t| t.target == 1));
+        let kron = crate::KronGenerator::from_state_space(&ss).unwrap();
+        assert_eq!(kron.num_entries(), 2);
+        assert_eq!(kron.num_entries(), gen.num_rates() + 1);
     }
 }

@@ -1,29 +1,23 @@
 //! The output side of the streaming pipeline: worker-local transition
 //! chains, and the [`Assembly`] that streams each closed BFS level —
-//! canonical state by canonical state — into the packed-state store,
-//! the flat transition arena with its term table, and (optionally) the
-//! CSR generator.
+//! canonical state by canonical state — into the packed-state store and
+//! the structural CSR with its term table.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ctsim_san::SanModel;
 
-use super::driver::{Abort, Dedup};
+use super::driver::Dedup;
 use super::expand::Expansion;
-use super::terms::{Edge, Outcome, TermTable};
+use super::terms::{Outcome, TermTable};
 use super::PackedStates;
-use crate::arena::{RowLoc, SegStore};
-use crate::ctmc::CtmcAcc;
+use crate::arena::SegStore;
+use crate::ctmc::{CsrBuilder, CsrEntry};
 use crate::spill::SpillShared;
-use crate::SolveError;
 
 /// Transitions per worker-local chain segment (see [`WorkerChain`]).
 const CHAIN_SEG: usize = 1 << 14;
-
-/// Nominal edges per segment of the final transition arena (256 KiB of
-/// 8-byte edges — the spill paging unit).
-const TRANS_SEG: usize = 1 << 15;
 
 /// Nominal `u64` words per segment of the packed-state store.
 const PACKED_SEG: usize = 1 << 16;
@@ -118,9 +112,11 @@ impl RunSlot {
 /// Opens the spill-mode canonical packed-state store: `words` per row,
 /// pageable under the shared budget.
 pub(super) fn packed_store(words: usize, spill: Arc<SpillShared>) -> SegStore<u64> {
-    let mut store = SegStore::new(states_per_seg(words) * words, Some(spill));
-    store.set_io_sites("pack.page_in", "pack.page_out");
-    store
+    SegStore::new(
+        states_per_seg(words) * words,
+        Some(spill),
+        ["pack.page_in", "pack.page_out"],
+    )
 }
 
 /// Seals a [`packed_store`] into the finished state table.
@@ -149,22 +145,20 @@ pub(super) struct PendingLevel<L> {
 }
 
 /// The output side of the streaming pipeline: the canonical packed
-/// states (held in the strategy's [`Dedup::States`]), the flat
-/// transition arena and its term table, and (optionally) the CSR
-/// generator accumulated row by row as levels are emitted.
+/// states (held in the strategy's [`Dedup::States`]), and the
+/// structural CSR and its term table, accumulated row by row as levels
+/// are emitted.
 pub(super) struct Assembly<'m, 'a, D: Dedup> {
     model: &'m SanModel,
     /// Where a new term's rate comes from.
     expansion: &'a Expansion,
     pub(super) states: D::States,
-    pub(super) trans: SegStore<Edge>,
+    pub(super) csr: CsrBuilder,
     pub(super) terms: TermTable,
-    pub(super) row_locs: Vec<RowLoc>,
     pub(super) absorbing: Vec<bool>,
     pub(super) total_trans: usize,
-    pub(super) gen: Option<CtmcAcc>,
     merge_buf: Vec<Outcome>,
-    edge_buf: Vec<Edge>,
+    edge_buf: Vec<CsrEntry>,
     runs_buf: Vec<RunSlot>,
     /// Emptied worker chains awaiting reuse by a later level.
     pub(super) chain_pool: Vec<WorkerChain>,
@@ -179,25 +173,16 @@ impl<'m, 'a, D: Dedup> Assembly<'m, 'a, D> {
         model: &'m SanModel,
         expansion: &'a Expansion,
         states: D::States,
-        want_ctmc: bool,
         spill: Option<Arc<SpillShared>>,
     ) -> Self {
-        // With a spill backend the CSR accumulator pages its entry
-        // segments out under the shared budget.
-        let gen = want_ctmc.then(|| match &spill {
-            Some(s) => CtmcAcc::new_paged(s.clone()),
-            None => CtmcAcc::new(),
-        });
         Assembly {
             model,
             expansion,
             states,
-            trans: SegStore::new(TRANS_SEG, spill),
+            csr: CsrBuilder::new(spill),
             terms: TermTable::new(model.num_activities()),
-            row_locs: Vec::new(),
             absorbing: Vec::new(),
             total_trans: 0,
-            gen,
             merge_buf: Vec::new(),
             edge_buf: Vec::new(),
             runs_buf: Vec::new(),
@@ -225,23 +210,18 @@ impl<'m, 'a, D: Dedup> Assembly<'m, 'a, D> {
     }
 
     /// Streams one explored level into the canonical stores: states in
-    /// packed-key order, per-row retarget → sort → merge → term ids, and
-    /// one generator row per state when a CTMC is being built. Term ids
-    /// are given here, in canonical row order, so the table is the same
-    /// for every thread count, spill budget and dedup strategy. In
-    /// parallel explorations this runs *while the next level is still
-    /// being expanded* — the explore → CSR handoff is pipelined, not
-    /// serial.
+    /// packed-key order, and per row retarget → sort → merge → term ids
+    /// → one CSR row. Term ids are given here, in canonical row order,
+    /// so the table is the same for every thread count, spill budget
+    /// and dedup strategy. In parallel explorations this runs *while
+    /// the next level is still being expanded* — the explore → CSR
+    /// handoff is pipelined, not serial.
     ///
     /// The visit order, each state's key and absorbing flag, and the
     /// map from the ids the chains carry (provisional intern ids or
     /// worker-local candidate indices) to canonical ids are read
     /// through the strategy; canonical ids are `lo + rank` either way.
-    pub(super) fn emit_level(
-        &mut self,
-        dedup: &D,
-        level: PendingLevel<D::Level>,
-    ) -> Result<(), Abort> {
+    pub(super) fn emit_level(&mut self, dedup: &D, level: PendingLevel<D::Level>) {
         let PendingLevel {
             lo,
             hi,
@@ -255,7 +235,7 @@ impl<'m, 'a, D: Dedup> Assembly<'m, 'a, D> {
         self.index_runs(lo, hi, &chains);
         for rank in 0..(hi - lo) {
             let src = lo + rank;
-            debug_assert_eq!(src, self.row_locs.len(), "levels emitted in order");
+            debug_assert_eq!(src, self.absorbing.len(), "levels emitted in order");
             let (i, absorbing) = dedup.emit_state(&mut self.states, &data, lo, rank);
             self.absorbing.push(absorbing);
             self.merge_buf.clear();
@@ -275,22 +255,13 @@ impl<'m, 'a, D: Dedup> Assembly<'m, 'a, D> {
                 let term = self.terms.intern(o, |a, stage| {
                     self.expansion.stage_rate(self.model, a, stage)
                 });
-                self.edge_buf.push(Edge {
-                    target: o.target,
+                self.edge_buf.push(CsrEntry {
+                    col: o.target,
                     term,
                 });
             }
-            if let Some(acc) = &mut self.gen {
-                acc.push_row(src, &self.edge_buf, self.terms.terms())
-                    .map_err(|a| {
-                        Abort::Solve(SolveError::NonMarkovian {
-                            activity: self.model.activity_name(a).to_string(),
-                        })
-                    })?;
-            }
-            let loc = self.trans.append_row(&self.edge_buf);
-            self.row_locs.push(loc);
             self.total_trans += self.edge_buf.len();
+            self.csr.push_row(src, &mut self.edge_buf);
         }
         // Recycle the emitted level's chains instead of freeing them:
         // the next levels reuse the same capacity, keeping the resident
@@ -301,7 +272,6 @@ impl<'m, 'a, D: Dedup> Assembly<'m, 'a, D> {
         }
         self.level_pool.extend(D::recycle(data));
         self.emit_time += started.elapsed();
-        Ok(())
     }
 }
 

@@ -22,7 +22,6 @@ use super::assembly::{packed_store, seal_packed, Assembly, PendingLevel, WorkerC
 use super::expand::{AbsorbFn, Expansion, Explorer, Scratch};
 use super::{state_limit, PackedStates, ReachOptions, StateSpace};
 use crate::arena::SegStore;
-use crate::ctmc::Ctmc;
 use crate::ddd::{resolve_level, CandSet, DedupSink, Frontier, VisitedRuns};
 use crate::intern::{InternFull, Interner};
 use crate::pack::{PackOverflow, StateLayout};
@@ -687,8 +686,7 @@ pub(super) fn explore<'m>(
     model: &'m SanModel,
     opts: &ReachOptions,
     absorb: Option<&AbsorbFn<'_>>,
-    want_ctmc: bool,
-) -> Result<(StateSpace<'m>, Option<Ctmc>), SolveError> {
+) -> Result<StateSpace<'m>, SolveError> {
     // Every id below is stored as a `u32`: cap the state limit so that a
     // larger space fails on the cap instead of wrapping.
     let opts = &ReachOptions {
@@ -708,20 +706,21 @@ pub(super) fn explore<'m>(
         .filter(|s| s.dedup == DedupMode::External);
     loop {
         let explorer = Explorer::new(model, opts, &expansion, absorb, &layout);
-        let attempt = match external {
-            Some(sopts) => External::seed(&explorer, sopts)
-                .and_then(|seed| drive(&explorer, workers, seed, want_ctmc)),
-            None => Resident::seed(&explorer, workers)
-                .and_then(|seed| drive(&explorer, workers, seed, want_ctmc)),
-        };
+        let attempt =
+            match external {
+                Some(sopts) => External::seed(&explorer, sopts)
+                    .and_then(|seed| drive(&explorer, workers, seed)),
+                None => Resident::seed(&explorer, workers)
+                    .and_then(|seed| drive(&explorer, workers, seed)),
+            };
         match attempt {
-            Ok((mut ss, gen)) => {
+            Ok(mut ss) => {
                 ss.profile.layout_restarts = restarts;
                 if ctsim_obs::enabled() {
                     ctsim_obs::counter_add("explore.layout_restarts", 0);
                     ctsim_obs::gauge_max("explore.words_per_state", layout.words() as f64);
                 }
-                return Ok((ss, gen));
+                return Ok(ss);
             }
             // Place fields overflowed: restart from scratch with each
             // reported place on the rung that holds its value. Every
@@ -744,14 +743,12 @@ pub(super) fn explore<'m>(
 /// The level-synchronous breadth-first sweep. Every level is expanded
 /// by up to `workers` threads claiming frontier chunks from a shared
 /// cursor; the *previous* level is renumbered and streamed into the
-/// canonical stores (and the generator) while the current one is
-/// expanded.
+/// canonical stores while the current one is expanded.
 fn drive<'m, D: Dedup>(
     explorer: &Explorer<'m, '_>,
     workers: usize,
     seed: Seed<D>,
-    want_ctmc: bool,
-) -> Result<(StateSpace<'m>, Option<Ctmc>), Abort> {
+) -> Result<StateSpace<'m>, Abort> {
     let Seed {
         mut dedup,
         states,
@@ -760,7 +757,7 @@ fn drive<'m, D: Dedup>(
     } = seed;
     let model = explorer.model;
     let layout = explorer.layout;
-    let mut asm = Assembly::<D>::new(model, explorer.expansion, states, want_ctmc, spill);
+    let mut asm = Assembly::<D>::new(model, explorer.expansion, states, spill);
     let mut pending: Option<PendingLevel<D::Level>> = None;
     // A worker's state is built the first time a level runs that many
     // workers, so a thread count beyond what any level uses costs no
@@ -832,28 +829,23 @@ fn drive<'m, D: Dedup>(
             // chains before this level allocates new ones), then
             // expand inline.
             if let Some(p) = pending.take() {
-                asm.emit_level(&dedup, p)?;
+                asm.emit_level(&dedup, p);
             }
             expanding = Instant::now();
             outcomes.push(worker_loop(&mut worker_states[0]));
         } else {
             let p = pending.take();
             expanding = Instant::now();
-            let emitted = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = worker_states
                     .iter_mut()
                     .take(effective)
                     .map(|st| scope.spawn(|| worker_loop(st)))
                     .collect();
                 // Overlap: stream the previous level into the
-                // canonical stores (and the generator) while the
-                // workers expand this one.
-                let r = match p {
-                    Some(level) => asm.emit_level(&dedup, level),
-                    None => Ok(()),
-                };
-                if r.is_err() {
-                    failed.store(true, Ordering::Relaxed);
+                // canonical stores while the workers expand this one.
+                if let Some(level) = p {
+                    asm.emit_level(&dedup, level);
                 }
                 for h in handles {
                     outcomes.push(h.join().unwrap_or_else(|payload| {
@@ -862,9 +854,7 @@ fn drive<'m, D: Dedup>(
                         std::panic::resume_unwind(payload)
                     }));
                 }
-                r
             });
-            outcomes.push(emitted);
         }
         // Packed-width overflows beat any other abort, and all of them
         // are kept so the retry widens every place that overflowed: it
@@ -949,11 +939,10 @@ fn drive<'m, D: Dedup>(
         lvl_lo = lvl_hi;
     }
     if let Some(p) = pending.take() {
-        asm.emit_level(&dedup, p)?;
+        asm.emit_level(&dedup, p);
     }
     profile.emit_us = asm.emit_time.as_micros() as u64;
 
-    asm.trans.finish();
     let terms = asm.terms.finish();
     if ctsim_obs::enabled() {
         ctsim_obs::gauge_set("explore.states_total", lvl_lo as f64);
@@ -972,30 +961,26 @@ fn drive<'m, D: Dedup>(
     }
     // The frontier is empty, so no key is looked up again: let the
     // strategy release what only lookups needed before the generator's
-    // assembly allocates its arrays.
+    // arrays are allocated.
     let packed = dedup.finish(asm.states);
     // The per-state arrays grew by doubling and are complete now: give
     // back the slack, which the space would otherwise hold for life.
-    asm.row_locs.shrink_to_fit();
     asm.absorbing.shrink_to_fit();
-    let gen = asm.gen.take().map(|acc| acc.finish(&initial, &terms));
-    let ss = StateSpace {
+    Ok(StateSpace {
         model,
         base: model.num_places(),
         phase_slots: explorer.expansion.num_slots(),
         layout: layout.clone(),
         packed,
         profile,
-        trans: asm.trans,
+        csr: Arc::new(asm.csr.finish()),
         terms,
-        row_locs: asm.row_locs,
         total_trans: asm.total_trans,
         initial,
         absorbing: asm.absorbing,
         ph_order: explorer.opts.ph_order,
         shape: explorer.expansion.shape(model),
-    };
-    Ok((ss, gen))
+    })
 }
 
 #[cfg(test)]

@@ -37,13 +37,21 @@
 //!
 //! # Edges and terms
 //!
-//! The arena stores one 8-byte edge per transition — canonical target
-//! and term id — against a per-exploration table of [`Term`]s:
-//! (activity, phase stage, probability, completes) plus the rate the
-//! model gives that stage. The key is structural, so a re-parameterised
-//! model explores to the same edges and term ids, and the rate-only
-//! rebuild rewrites the table alone. [`StateSpace::outgoing`] decodes a
-//! row into [`Transition`]s.
+//! A merged transition is an edge — canonical target and term id —
+//! against a per-exploration table of [`Term`]s: (activity, phase
+//! stage, probability, completes) plus the rate the model gives that
+//! stage. The key is structural, so a re-parameterised model explores
+//! to the same edges and term ids, and the rate-only rebuild rewrites
+//! the table alone.
+//!
+//! The edges are stored once, as the structural CSR of the generator
+//! (`ctmc::Csr`): one 8-byte entry per distinct target of a row,
+//! ascending, whose id is the edge's term or, when parallel edges reach
+//! one target, a composite reciping their terms. Self-loops never reach
+//! the generator, so they are not stored; [`StateSpace::num_transitions`]
+//! still counts them. The space and every [`Ctmc`] built from it share
+//! that structure, and [`StateSpace::outgoing`] decodes a row into
+//! [`Transition`]s, splitting a composite by its recipe.
 //!
 //! # Compact state encoding
 //!
@@ -69,15 +77,11 @@
 //! Transitions never touch the heap per state: each worker appends the
 //! rows it generates into its own chain of fixed-capacity segments
 //! (`WorkerChain`), and when a level finishes it is renumbered, given
-//! term ids and **streamed** into the final flat arena (`arena::SegStore`)
-//! — and, through [`StateSpace::explore_ctmc`], straight into the CSR
-//! generator — *while the workers already expand the next level*. The
-//! former `Vec<Vec<Transition>>` representation (one heap allocation
-//! and ~40 bytes of `Vec` bookkeeping per state, plus a full
-//! post-exploration copy) is gone; assembly is a per-level permutation
-//! into contiguous storage. With [`ReachOptions::spill`] set, cold
-//! arena segments additionally page out to a temp file under a RAM
-//! budget, which is what lets spaces larger than memory explore.
+//! term ids and **streamed** into the structural CSR *while the workers
+//! already expand the next level*; assembly is a per-level permutation
+//! into contiguous storage. With [`ReachOptions::spill`] set, cold CSR
+//! segments additionally page out to a temp file under a RAM budget,
+//! which is what lets spaces larger than memory explore.
 //!
 //! The price of concurrent interning is that state ids become
 //! race-ordered ("provisional"); determinism is restored by a
@@ -120,10 +124,10 @@
 //!
 //! The module is split by stage: `expand` (phase plans, successor
 //! generation, vanishing resolution), `driver` (the loop and the two
-//! strategies), `assembly` (canonical emission into the transition
-//! arena and the generator), `terms` (the worker record, the edge and
-//! the term table), and this file (options, [`Transition`], the
-//! [`StateSpace`] API, [`GraphParts`], the rate-only rebuild).
+//! strategies), `assembly` (canonical emission into the structural
+//! CSR), `terms` (the worker record and the term table), and this file
+//! (options, [`Transition`], the [`StateSpace`] API, [`GraphParts`],
+//! the rate-only rebuild).
 
 mod assembly;
 mod driver;
@@ -132,9 +136,11 @@ mod terms;
 
 use ctsim_san::{ActivityId, Marking, SanModel};
 
+use std::sync::Arc;
+
 use crate::arena::{RowLoc, RowRef, SegStore};
 use crate::backend::GeneratorBackend;
-use crate::ctmc::Ctmc;
+use crate::ctmc::{Csr, Ctmc};
 use crate::intern::Interner;
 use crate::kron::KronGenerator;
 use crate::linop::Generator;
@@ -145,7 +151,7 @@ use crate::SolveError;
 pub use driver::SweepProfile;
 use expand::{AbsorbFn, Expansion, ExpansionShape};
 pub use terms::Term;
-pub(crate) use terms::{Edge, TERM_ID_LIMIT};
+pub(crate) use terms::TERM_ID_LIMIT;
 
 /// Exploration limits and expansion/parallelism knobs.
 #[derive(Debug, Clone)]
@@ -197,7 +203,7 @@ fn state_limit(max_states: usize) -> usize {
 }
 
 /// One probabilistic transition of the reachability graph, decoded
-/// from an arena edge and its [`Term`] by [`StateSpace::outgoing`]:
+/// from a CSR entry and its [`Term`] by [`StateSpace::outgoing`]:
 /// completing `activity` (or, for expanded activities, one exponential
 /// stage of it) in the source state leads to tangible state `target`
 /// with probability `prob` (case probability × vanishing-path
@@ -258,16 +264,13 @@ pub struct StateSpace<'m> {
     /// Canonically ordered packed states — either a spillable copy or
     /// a zero-copy view into the intern arena.
     packed: PackedStates,
-    /// The flat transition arena: every state's merged outgoing
-    /// transitions as edges, canonical order, each row one contiguous
-    /// slice.
-    trans: SegStore<Edge>,
-    /// The term table the edges point into.
+    /// Every state's merged outgoing transitions, self-loops left out
+    /// (an empty row for absorbing states): the structural CSR, shared
+    /// with every [`Ctmc`] built from this space.
+    csr: Arc<Csr>,
+    /// The term table the entries point into.
     terms: Vec<Term>,
-    /// Per-state row location in `trans` (empty row for absorbing
-    /// states).
-    row_locs: Vec<RowLoc>,
-    /// Total transitions across all rows.
+    /// Total transitions across all rows, self-loops included.
     total_trans: usize,
     /// Initial probability distribution over tangible states (the
     /// initial marking's vanishing chain may branch probabilistically,
@@ -329,9 +332,8 @@ pub struct GraphParts {
     ph_order: u32,
     layout: StateLayout,
     packed: PackedStates,
-    trans: SegStore<Edge>,
+    csr: Arc<Csr>,
     terms: Vec<Term>,
-    row_locs: Vec<RowLoc>,
     total_trans: usize,
     initial: Vec<(usize, f64)>,
     absorbing: Vec<bool>,
@@ -342,7 +344,7 @@ pub struct GraphParts {
 impl GraphParts {
     /// Number of tangible states in the detached graph.
     pub fn num_states(&self) -> usize {
-        self.row_locs.len()
+        self.csr.len()
     }
 
     /// Total transitions in the detached graph.
@@ -364,38 +366,39 @@ impl std::fmt::Debug for GraphParts {
 impl<'m> StateSpace<'m> {
     /// Explores the full tangible state space (no absorbing predicate).
     pub fn explore(model: &'m SanModel, opts: &ReachOptions) -> Result<Self, SolveError> {
-        Self::explore_inner(model, opts, None, false).map(|(ss, _)| ss)
+        Self::explore_inner(model, opts, None)
     }
 
-    /// [`StateSpace::explore`] with the CTMC generator built *in the
-    /// same pass*: each BFS level's CSR rows are assembled as soon as
-    /// the level is canonically renumbered (overlapping the exploration
-    /// of the next level), so the explore → CSR phases pipeline instead
-    /// of running serially. The result is byte-identical to exploring
-    /// first and calling [`Ctmc::from_state_space`](crate::Ctmc::from_state_space)
-    /// afterwards.
+    /// [`StateSpace::explore`] and the CTMC generator: exploration
+    /// emits the CSR structure level by level while later levels are
+    /// still being expanded, and
+    /// [`Ctmc::from_state_space`](crate::Ctmc::from_state_space) adds
+    /// the values in one read-only pass, sharing the structure.
     pub fn explore_ctmc(
         model: &'m SanModel,
         opts: &ReachOptions,
     ) -> Result<(Self, Ctmc), SolveError> {
-        Self::explore_with_ctmc(model, opts, None)
+        let ss = Self::explore(model, opts)?;
+        let q = Ctmc::from_state_space(&ss)?;
+        Ok((ss, q))
     }
 
-    /// [`StateSpace::explore_absorbing`] with the CTMC generator built
-    /// in the same streaming pass — see [`StateSpace::explore_ctmc`].
+    /// [`StateSpace::explore_absorbing`] and the CTMC generator — see
+    /// [`StateSpace::explore_ctmc`].
     pub fn explore_absorbing_ctmc(
         model: &'m SanModel,
         opts: &ReachOptions,
         absorb: impl Fn(&Marking) -> bool + Sync,
     ) -> Result<(Self, Ctmc), SolveError> {
-        Self::explore_with_ctmc(model, opts, Some(&absorb))
+        let ss = Self::explore_absorbing(model, opts, absorb)?;
+        let q = Ctmc::from_state_space(&ss)?;
+        Ok((ss, q))
     }
 
     /// [`StateSpace::explore_absorbing_ctmc`] generalized over the
     /// generator representation: the returned [`Generator`] is the CSR
-    /// matrix, built in the same streaming pass, or the factored
-    /// Kronecker-style descriptor ([`KronGenerator`]), built from the
-    /// explored graph afterwards.
+    /// matrix or the factored Kronecker-style descriptor
+    /// ([`KronGenerator`]), both built from the explored graph.
     pub fn explore_absorbing_gen(
         model: &'m SanModel,
         opts: &ReachOptions,
@@ -429,30 +432,17 @@ impl<'m> StateSpace<'m> {
         opts: &ReachOptions,
         absorb: impl Fn(&Marking) -> bool + Sync,
     ) -> Result<Self, SolveError> {
-        Self::explore_inner(model, opts, Some(&absorb), false).map(|(ss, _)| ss)
-    }
-
-    fn explore_with_ctmc(
-        model: &'m SanModel,
-        opts: &ReachOptions,
-        absorb: Option<&AbsorbFn<'_>>,
-    ) -> Result<(Self, Ctmc), SolveError> {
-        let (ss, q) = Self::explore_inner(model, opts, absorb, true)?;
-        Ok((
-            ss,
-            q.expect("the sweep builds the generator it was asked for"),
-        ))
+        Self::explore_inner(model, opts, Some(&absorb))
     }
 
     fn explore_inner(
         model: &'m SanModel,
         opts: &ReachOptions,
         absorb: Option<&AbsorbFn<'_>>,
-        want_ctmc: bool,
-    ) -> Result<(Self, Option<Ctmc>), SolveError> {
-        // All spill read-back failures below (packed states, transition
-        // arena, paged CSR) surface typed through this boundary.
-        crate::catch_spill(|| driver::explore(model, opts, absorb, want_ctmc))
+    ) -> Result<Self, SolveError> {
+        // All spill read-back failures below (packed states, paged CSR,
+        // external dedup runs) surface typed through this boundary.
+        crate::catch_spill(|| driver::explore(model, opts, absorb))
     }
 
     /// The model this space was explored from.
@@ -462,32 +452,34 @@ impl<'m> StateSpace<'m> {
 
     /// Number of tangible states.
     pub fn len(&self) -> usize {
-        self.row_locs.len()
+        self.csr.len()
     }
 
     /// Whether the space is empty (never true after exploration).
     pub fn is_empty(&self) -> bool {
-        self.row_locs.is_empty()
+        self.len() == 0
     }
 
-    /// The merged outgoing transitions of state `i` (empty for
-    /// absorbing states), decoded from the row's edges and the term
-    /// table into an owned row. Meant for tests and inspection: the
-    /// generator builds read the edges in place.
+    /// The merged outgoing transitions of state `i` other than
+    /// self-loops (empty for absorbing states), ascending by target,
+    /// decoded from the row's CSR entries and the term table into an
+    /// owned row. An entry that merges parallel edges (a composite)
+    /// decodes to one transition per merged edge, in edge order.
+    /// Self-loops are counted by [`StateSpace::num_transitions`] but
+    /// not stored: they never reach the generator. Meant for tests and
+    /// inspection: the generator builds read the entries in place.
     pub fn outgoing(&self, i: usize) -> RowRef<'_, Transition> {
-        let row = self.edges(i);
-        RowRef::owned(
-            row.iter()
-                .map(|e| self.terms[e.term as usize].decode(e.target))
-                .collect(),
-        )
+        let mut row = Vec::new();
+        self.csr.for_each_edge(i, |target, term| {
+            row.push(self.terms[term as usize].decode(target));
+        });
+        RowRef::owned(row)
     }
 
-    /// The edges of state `i`, one contiguous row slice of the arena.
-    /// The guard keeps a spilled segment alive while the row is
-    /// borrowed; without spill it is a plain slice borrow.
-    pub(crate) fn edges(&self, i: usize) -> RowRef<'_, Edge> {
-        self.trans.row(self.row_locs[i])
+    /// The structural CSR this space's transitions live in, shared
+    /// with the generators built from it.
+    pub(crate) fn csr(&self) -> &Arc<Csr> {
+        &self.csr
     }
 
     /// The term table, by term id.
@@ -495,7 +487,7 @@ impl<'m> StateSpace<'m> {
         &self.terms
     }
 
-    /// Total number of transitions.
+    /// Total number of merged transitions, self-loops included.
     pub fn num_transitions(&self) -> usize {
         self.total_trans
     }
@@ -576,9 +568,8 @@ impl<'m> StateSpace<'m> {
             ph_order: self.ph_order,
             layout: self.layout,
             packed: self.packed,
-            trans: self.trans,
+            csr: self.csr,
             terms: self.terms,
-            row_locs: self.row_locs,
             total_trans: self.total_trans,
             initial: self.initial,
             absorbing: self.absorbing,
@@ -611,9 +602,8 @@ impl<'m> StateSpace<'m> {
             phase_slots: parts.phase_slots,
             layout: parts.layout,
             packed: parts.packed,
-            trans: parts.trans,
+            csr: parts.csr,
             terms: parts.terms,
-            row_locs: parts.row_locs,
             total_trans: parts.total_trans,
             initial: parts.initial,
             absorbing: parts.absorbing,
@@ -627,13 +617,13 @@ impl<'m> StateSpace<'m> {
     /// re-parameterised) model, without re-exploring — the rate-only
     /// rebuild of the campaign engine. When two grid points share
     /// structure (same net, same `ph_order`, same expansion shape) but
-    /// differ in timing parameters, the reachability graph, its edges
-    /// and its CSR sparsity are identical; only rate values change.
+    /// differ in timing parameters, the reachability graph and its CSR
+    /// entries are identical; only rate values change.
     ///
     /// A rate is a function of a term's (activity, stage): `1/mean` of
     /// an unexpanded activity, or the stage rate of an expanded one's
     /// phase plan. So this rewrites the term table — O(terms) — and
-    /// reads neither an edge nor a packed key. Probabilities are
+    /// reads neither an entry nor a packed key. Probabilities are
     /// structural, so the table — and a CSR rebuilt from it via
     /// [`Ctmc::rebuild_values`] — is bit-identical to a fresh
     /// exploration of the new model. The initial distribution and
@@ -722,8 +712,13 @@ mod tests {
             .unwrap()
     }
 
-    fn all_edges(ss: &StateSpace<'_>) -> Vec<Edge> {
-        (0..ss.len()).flat_map(|i| ss.edges(i).to_vec()).collect()
+    fn all_edges(ss: &StateSpace<'_>) -> Vec<(u32, u32)> {
+        let mut edges = Vec::new();
+        for i in 0..ss.len() {
+            ss.csr
+                .for_each_edge(i, |target, term| edges.push((target, term)));
+        }
+        edges
     }
 
     /// Terms are keyed by structure: a model 1.2× slower on its CPU

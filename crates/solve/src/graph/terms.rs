@@ -3,9 +3,9 @@
 //! A reachability graph has a few transitions per state but only a few
 //! hundred distinct *terms*: (activity, phase stage, branching
 //! probability, completes) combinations — 1 930 132 transitions against
-//! 170 terms at n = 3, order 2. The arena therefore stores one 8-byte
-//! [`Edge`] (target, term id) per transition, and each exploration
-//! builds its table of [`Term`]s, which carries the rates.
+//! 170 terms at n = 3, order 2. The structural CSR therefore stores
+//! one 8-byte (target, term id) entry per merged transition, and each
+//! exploration builds its table of [`Term`]s, which carries the rates.
 //!
 //! A term is keyed by *structure* only: the stage is an index into the
 //! activity's phase plan (or [`UNEXPANDED`]), never its rate, and a
@@ -18,7 +18,6 @@
 use ctsim_san::ActivityId;
 
 use super::Transition;
-use crate::spill::SpillRecord;
 
 /// The stage of a transition driven by an activity without a phase
 /// plan: its rate is the model's `1/mean` (NaN when non-exponential).
@@ -31,7 +30,7 @@ pub(crate) const TERM_ID_LIMIT: u32 = 1 << 31;
 /// One outgoing transition as successor generation writes it into a
 /// worker chain: the term's structural key plus the target in the
 /// dedup strategy's numbering. Emission merges a row of these, files
-/// each under its term and keeps only the [`Edge`].
+/// each under its term and keeps only the target and the term id.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Outcome {
     /// Branching probability of this outcome.
@@ -65,30 +64,6 @@ impl Outcome {
             activity: a.index() as u32,
             stage,
             completes,
-        }
-    }
-}
-
-/// One stored transition: canonical target and term id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Edge {
-    pub(crate) target: u32,
-    pub(crate) term: u32,
-}
-
-impl SpillRecord for Edge {
-    const BYTES: usize = 8;
-
-    fn store(&self, out: &mut [u8]) {
-        out[..4].copy_from_slice(&self.target.to_le_bytes());
-        out[4..].copy_from_slice(&self.term.to_le_bytes());
-    }
-
-    fn load(bytes: &[u8]) -> Self {
-        let u = |r: std::ops::Range<usize>| u32::from_le_bytes(bytes[r].try_into().expect("4B"));
-        Edge {
-            target: u(0..4),
-            term: u(4..8),
         }
     }
 }
@@ -182,11 +157,6 @@ impl TermTable {
         });
         ids.push(id);
         id
-    }
-
-    /// The terms so far, by id.
-    pub(super) fn terms(&self) -> &[Term] {
-        &self.terms
     }
 
     /// The finished table (the per-activity index is dropped).

@@ -32,8 +32,9 @@
 //! incidence pattern. Every stored transition is then two `u32`s
 //! (destination + term id), as in the CSR, whose entries name the same
 //! term ids, and the handful of `coeff_g` values carry all the
-//! rates. The descriptor is a copy of the explored graph's edges minus
-//! the self-loops, with the coefficients of its term table.
+//! rates. The descriptor copies the explored graph's shared CSR entries
+//! (which hold no self-loop) and splits each composite entry back into
+//! one entry per merged term, with the coefficients of its term table.
 //!
 //! # Matvec
 //!
@@ -82,31 +83,26 @@ pub struct KronGenerator {
 }
 
 impl KronGenerator {
-    /// Builds the descriptor from a reachability graph: its edges in
-    /// canonical row order, self-loops dropped as in the CSR build, and
-    /// the coefficients of its term table.
+    /// Builds the descriptor from a reachability graph: its shared CSR
+    /// entries in canonical row order, each composite split into its
+    /// merged terms, and the coefficients of its term table.
     ///
     /// # Errors
     /// [`SolveError::NonMarkovian`] under the same condition as
     /// [`Ctmc::from_state_space`](crate::Ctmc::from_state_space), naming
-    /// the same activity: term ids are given in row order, so the first
-    /// NaN-rate term is the one the row walk meets first.
+    /// the same activity.
     pub fn from_state_space(ss: &StateSpace<'_>) -> Result<Self, SolveError> {
+        crate::ctmc::markovian(ss)?;
         let terms = ss.terms().to_vec();
-        if let Some(t) = terms.iter().find(|t| t.rate.is_nan()) {
-            return Err(SolveError::NonMarkovian {
-                activity: ss.model().activity_name(t.activity).to_string(),
-            });
-        }
         crate::catch_spill(|| {
             let mut row_ptr = Vec::with_capacity(ss.len() + 1);
             row_ptr.push(0);
             let (mut dst, mut term) = (Vec::new(), Vec::new());
             for s in 0..ss.len() {
-                for e in ss.edges(s).iter().filter(|e| e.target as usize != s) {
-                    dst.push(e.target);
-                    term.push(e.term);
-                }
+                ss.csr().for_each_edge(s, |target, t| {
+                    dst.push(target);
+                    term.push(t);
+                });
                 row_ptr.push(dst.len());
             }
             Ok(KronGenerator {
@@ -125,8 +121,9 @@ impl KronGenerator {
         self.n
     }
 
-    /// Number of stored structural entries (≥ the CSR's rate count:
-    /// parallel activity transitions stay separate here).
+    /// Number of stored structural entries: one per merged transition
+    /// other than a self-loop, so the CSR's rate count plus, for each
+    /// entry that merges parallel transitions, all of them but one.
     pub fn num_entries(&self) -> usize {
         self.dst.len()
     }

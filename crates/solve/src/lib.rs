@@ -91,20 +91,19 @@
 //! (~4–8× less per-state memory; `n = 3` phase-type spaces with
 //! millions of states fit comfortably in RAM).
 //!
-//! Transitions live in a flat segmented arena instead of one `Vec` per
-//! state: workers append rows into per-worker segment chains, and each
-//! BFS level is renumbered and streamed into the canonical arena — and
-//! through [`StateSpace::explore_ctmc`] directly into the CSR
-//! generator — while the next level is still being expanded, so the
-//! explore → CSR phases pipeline instead of running serially and the
-//! per-level buffers are recycled rather than reallocated. With
-//! [`ReachOptions::spill`] set ([`SpillOptions`]; CLI
-//! `--spill-budget`), cold arena segments page out to an unlinked temp
-//! file under a RAM budget and are read back through a small LRU —
-//! results are byte-identical with spill on or off (property-tested),
-//! which is what lets state spaces larger than memory explore. The
-//! budget caps the run's bulk state as a whole: transition arena,
-//! packed states, the paged CSR entries of the generator, and — via
+//! Transitions have one store, the generator's structural CSR: workers
+//! append rows into per-worker segment chains, and each BFS level is
+//! renumbered and streamed into the CSR's entries while the next level
+//! is still being expanded, so the explore → CSR phases pipeline
+//! instead of running serially and the per-level buffers are recycled
+//! rather than reallocated. The [`StateSpace`] and every [`Ctmc`] built
+//! from it share those entries. With [`ReachOptions::spill`] set
+//! ([`SpillOptions`]; CLI `--spill-budget`), cold CSR segments page out
+//! to an unlinked temp file under a RAM budget and are read back
+//! through a small LRU — results are byte-identical with spill on or
+//! off (property-tested), which is what lets state spaces larger than
+//! memory explore. The budget caps the run's bulk state as a whole:
+//! packed states, the paged CSR entries, and — via
 //! [`DedupMode`] — the dedup structure itself. When the resident
 //! intern table outgrows its share of the budget, exploration restarts
 //! in external-memory mode (sort each frontier, sort-merge it against

@@ -306,6 +306,24 @@ mod tests {
         }
     }
 
+    /// A fused run holds one transition store: its space and its
+    /// generator point at the same entry allocation and nothing else
+    /// holds one — after a detach and re-attach too.
+    #[test]
+    fn a_fused_run_holds_one_transition_store() {
+        let model = chain(&[1.0, 3.0]);
+        let goal = model.place("p2").unwrap();
+        let run =
+            AnalyticRun::first_passage(&model, &ReachOptions::default(), move |m| m.get(goal) > 0)
+                .unwrap();
+        assert!(run.ctmc.shares_store_with(&run.space));
+        assert_eq!(std::sync::Arc::strong_count(run.space.csr()), 2);
+        let slower = chain(&[2.0, 5.0]);
+        let run = run.detach().attach(&slower).unwrap();
+        assert!(run.ctmc.shares_store_with(&run.space));
+        assert_eq!(std::sync::Arc::strong_count(run.space.csr()), 2);
+    }
+
     /// A model that can deadlock outside the goal set must refuse to
     /// report a (meaningless, finite) mean — while the CDF still shows
     /// where the reachable probability mass plateaus.

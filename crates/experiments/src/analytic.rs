@@ -56,11 +56,11 @@ pub struct AnalyticOptions {
     /// test gates their agreement to ≤ 1e-6 relative.
     pub backend: SolverBackend,
     /// RAM budget (bytes) for the exploration's and solve's bulk
-    /// arrays — the transition arena, the packed states, the CSR
-    /// entries, and (under [`DedupMode::Auto`]) the intern table's
-    /// estimated footprint; beyond it cold segments page to a temp
-    /// file (`repro analytic --spill-budget 512M`). `None` keeps
-    /// everything resident. Results are byte-identical either way.
+    /// arrays — the packed states, the CSR entries, and (under
+    /// [`DedupMode::Auto`]) the intern table's estimated footprint;
+    /// beyond it cold segments page to a temp file (`repro analytic
+    /// --spill-budget 512M`). `None` keeps everything resident.
+    /// Results are byte-identical either way.
     pub spill_budget: Option<usize>,
     /// How exploration deduplicates states when a spill budget is set
     /// (`repro analytic --dedup auto|resident|external`): the resident

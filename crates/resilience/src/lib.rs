@@ -28,8 +28,9 @@
 //! Telemetry: when [`ctsim_obs::enabled`], injected faults bump
 //! `resilience.injected_faults` and emit `failpoint.<site>` instants;
 //! retries bump `resilience.retries` and `resilience.backoff_virtual_us`.
-//! The CI out-of-core job gates on `resilience.injected_faults > 0` so
-//! a mis-wired schedule cannot silently run fault-free.
+//! The CI out-of-core job gates on the exact `resilience.injected_faults`
+//! count its schedule arms, so a mis-wired schedule cannot silently run
+//! fault-free, or with only some of its faults.
 //!
 //! [`SolveError::SpillFailed`]: ../ctsim_solve/enum.SolveError.html
 

@@ -170,7 +170,7 @@ impl Csr {
 
     /// Calls `f` with the entries of row `i`; a paged row is served
     /// through the store's LRU pager.
-    fn with_row<R>(&self, i: usize, f: impl FnOnce(&[CsrEntry]) -> R) -> R {
+    fn with_row(&self, i: usize, f: impl FnOnce(&[CsrEntry])) {
         match &self.body {
             CsrBody::Resident(entries) => f(&entries[self.row_ptr[i]..self.row_ptr[i + 1]]),
             CsrBody::Paged { entries, locs } => f(&entries.row(locs[i])),

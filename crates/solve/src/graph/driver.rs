@@ -200,7 +200,7 @@ pub(super) struct Seed<D: Dedup> {
     states: D::States,
     /// Initial distribution over canonical ids, ascending.
     initial: Vec<(usize, f64)>,
-    /// Spill backend of the transition arena and the generator.
+    /// Spill backend of the CSR entries (and of the packed states).
     spill: Option<Arc<SpillShared>>,
 }
 

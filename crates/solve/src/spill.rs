@@ -1,8 +1,8 @@
 //! Disk spill for the exploration's and the solve's bulk arrays.
 //!
-//! The flat transition arena, the packed-state array (see
-//! [`crate::arena`]), and — since the out-of-core work — the CSR
-//! generator entries dominate the memory footprint of a large run.
+//! The packed-state array (see [`crate::arena`]) and the CSR entries —
+//! the one transition store, shared by the state space and its
+//! generators — dominate the memory footprint of a large run.
 //! With [`SpillOptions`] set, their *sealed* segments are paged out to
 //! one shared unlinked temp file whenever the resident total exceeds
 //! the configured budget, oldest segment first — exactly the access
@@ -87,8 +87,8 @@ impl std::str::FromStr for DedupMode {
 #[derive(Debug, Clone)]
 pub struct SpillOptions {
     /// Target ceiling (bytes) on the *resident* bulk state of a run:
-    /// sealed segments of the transition arena, the packed-state
-    /// array, and the paged CSR entries, plus (under
+    /// sealed segments of the packed-state array and the paged CSR
+    /// entries, plus (under
     /// [`DedupMode::Auto`]) the estimated intern-table footprint that
     /// triggers the switch to external-memory dedup. Per-level scratch
     /// (worker chains, the sort buffers of one frontier) is not

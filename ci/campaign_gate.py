@@ -18,7 +18,7 @@ import csv, sys
 
 DETERMINISTIC = ["n", "ph_order", "backend", "service_scale", "net_scale",
                  "states", "transitions", "cache_hit", "iterations",
-                 "solved_by", "mean_ms", "cold_mean_ms", "agree"]
+                 "mean_ms", "cold_mean_ms", "agree"]
 
 
 def rows(path):

@@ -68,12 +68,6 @@ pub struct AnalyticOptions {
     /// duplicate detection. Ignored without `--spill-budget`. Results
     /// are byte-identical across modes.
     pub dedup: DedupMode,
-    /// Opt-in solver fallback chains (`repro analytic --fallback`):
-    /// on a recoverable backend failure the solve walks
-    /// [`SolverBackend::fallback_after`] instead of failing; the
-    /// backend that actually produced each mean is recorded in
-    /// [`AnalyticOutcome::solved_by`](ctsim_solve::AnalyticOutcome).
-    pub fallback: bool,
 }
 
 impl Default for AnalyticOptions {
@@ -85,7 +79,6 @@ impl Default for AnalyticOptions {
             backend: SolverBackend::default(),
             spill_budget: None,
             dedup: DedupMode::default(),
-            fallback: false,
         }
     }
 }
@@ -109,10 +102,8 @@ pub struct AnalyticRow {
     /// excluding exploration and the CDF grid. This is what
     /// `--solver` trades off; 0 when the row was skipped.
     pub solve_ms: f64,
-    /// Which backend produced the analytic columns: the order-K solve's
-    /// [`AnalyticOutcome::solved_by`](ctsim_solve::AnalyticOutcome), so
-    /// a `--fallback` substitute shows here. A skipped row keeps the
-    /// requested backend.
+    /// The backend that solved the analytic columns
+    /// ([`AnalyticOptions::backend`]).
     pub backend: SolverBackend,
     /// Tangible states of the underlying CTMC (0 when skipped).
     pub states: usize,
@@ -221,9 +212,6 @@ struct Solved {
     /// Wall-clock of the mean solves alone (no exploration, no CDF
     /// grid).
     solve_ms: f64,
-    /// The backend that produced `mean_ms` (the order-K mean of an
-    /// extrapolated row).
-    solved_by: SolverBackend,
 }
 
 /// Largest state space for which the overlay CDF is evaluated. The
@@ -247,7 +235,6 @@ fn solve_options(
     params: &SanParams,
 ) -> SolveOptions {
     let mut opts = SolveOptions::ph_with_backend(order, ph.threads, ph.backend);
-    opts.iter.fallback = ph.fallback;
     opts.reach.max_states = if ph.n.is_some() {
         params.recommended_max_states(order)
     } else {
@@ -285,7 +272,6 @@ fn solve_mean_and_cdf(
         states: mean.states,
         cdf,
         solve_ms,
-        solved_by: mean.solved_by,
     })
 }
 
@@ -321,7 +307,6 @@ fn overlay_row(
             row.analytic_ms = Some(solved.mean_ms);
             row.ph_raw_ms = solved.raw_ms;
             row.solve_ms = solved.solve_ms;
-            row.backend = solved.solved_by;
             row.states = solved.states;
             row.cdf = solved.cdf;
         }

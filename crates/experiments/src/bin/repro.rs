@@ -51,14 +51,11 @@
 //! to stderr. A file that cannot be written is an error (exit 1).
 //! Telemetry never changes results — it only observes.
 //!
-//! Resilience knobs (see `docs/RESILIENCE.md`): `--fallback` opts the
-//! solves into graceful-degradation backend chains (Krylov →
-//! Gauss-Seidel → Jacobi on recoverable errors, recorded per row);
-//! `--failpoints SPEC` arms the deterministic fault-injection registry
-//! on the sites of `ctsim_resilience::fail::SITES` (any other site is a
-//! usage error) with `--failpoint-seed N` feeding its per-site RNG
-//! substreams — the CI fault-injection legs drive retry and typed
-//! failure paths through exactly these flags.
+//! Fault injection (see `docs/RESILIENCE.md`): `--failpoints SPEC`
+//! arms the deterministic fault-injection registry on the sites of
+//! `ctsim_resilience::fail::SITES` (any other site is a usage error)
+//! with `always` or `first:K` schedules — the CI fault-injection legs
+//! drive retry and typed failure paths through exactly this flag.
 
 use std::cell::Cell;
 use std::fs;
@@ -78,7 +75,6 @@ struct Args {
     trace: Option<PathBuf>,
     metrics: Option<PathBuf>,
     failpoints: Option<String>,
-    failpoint_seed: u64,
 }
 
 /// The value after `flag`, parsed: "missing value for FLAG" when the
@@ -125,7 +121,6 @@ fn parse_args() -> Result<Args, String> {
     let mut campaign = CampaignOptions::default();
     let (mut trace, mut metrics) = (None, None);
     let mut failpoints = None;
-    let mut failpoint_seed = 0u64;
     while let Some(flag) = args.next() {
         let a = &mut args;
         match flag.as_str() {
@@ -136,9 +131,7 @@ fn parse_args() -> Result<Args, String> {
             "--net-scales" => campaign.net_scales = list(a, &flag, "net scale")?,
             "--backends" => campaign.backends = list(a, &flag, "backend")?,
             "--verify-cold" => campaign.verify_cold = true,
-            "--fallback" => ph.fallback = true,
             "--failpoints" => failpoints = Some(value(a, &flag)?),
-            "--failpoint-seed" => failpoint_seed = value(a, &flag)?,
             "--measure" => campaign.measure = value(a, &flag)?,
             "--scale" => scale = value(a, &flag)?,
             "--seed" => seed = value(a, &flag)?,
@@ -159,10 +152,9 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
     }
-    // The shared knobs drive the campaign too: one `--threads` /
-    // `--fallback` set regardless of the subcommand.
+    // The shared knob drives the campaign too: one `--threads` set
+    // regardless of the subcommand.
     campaign.threads = ph.threads;
-    campaign.fallback = ph.fallback;
     Ok(Args {
         command,
         scale,
@@ -173,7 +165,6 @@ fn parse_args() -> Result<Args, String> {
         trace,
         metrics,
         failpoints,
-        failpoint_seed,
     })
 }
 
@@ -185,7 +176,7 @@ fn usage() -> String {
      [--trace FILE.json] [--metrics FILE.json] \
      [--grid FILE.csv] [--ns LIST] [--ph-orders LIST] [--service-scales LIST] \
      [--net-scales LIST] [--backends LIST] [--verify-cold] [--measure EXECUTIONS] \
-     [--fallback] [--failpoints SPEC] [--failpoint-seed N]\n\
+     [--failpoints SPEC]\n\
      --threads T: workers (0 = all cores) for analytic and campaign, and for the measurement \
      campaigns of fig7a/fig8/fig9a/fig9b/table1; results do not depend on it"
         .to_string()
@@ -232,11 +223,11 @@ fn main() {
     };
     // Arm fault injection before any work.
     if let Some(spec) = &args.failpoints {
-        if let Err(e) = ctsim_resilience::fail::configure_known(spec, args.failpoint_seed) {
+        if let Err(e) = ctsim_resilience::fail::configure_known(spec) {
             eprintln!("{e}");
             std::process::exit(2);
         }
-        eprintln!("failpoints armed (seed {})", args.failpoint_seed);
+        eprintln!("failpoints armed");
     }
     // Telemetry is captured here, once, around whichever subcommands
     // run, and written out whatever they returned: the trace of a

@@ -160,12 +160,6 @@ pub struct CampaignOptions {
     /// `n` with this many executions, reporting measured rows next to
     /// the analytic grid (`0` = off).
     pub measure: u32,
-    /// Opt-in solver fallback chains (`repro campaign --fallback`):
-    /// on a recoverable backend failure the solve walks
-    /// [`SolverBackend::fallback_after`] instead of failing the point,
-    /// and the row records which backend actually produced the answer
-    /// ([`PointRow::solved_by`]).
-    pub fallback: bool,
 }
 
 impl Default for CampaignOptions {
@@ -180,7 +174,6 @@ impl Default for CampaignOptions {
             threads: 0,
             verify_cold: false,
             measure: 0,
-            fallback: false,
         }
     }
 }
@@ -242,10 +235,6 @@ pub struct PointRow {
     pub cache_hit: bool,
     /// Iterations of the solve.
     pub iterations: usize,
-    /// The backend that actually produced `mean_ms` — differs from
-    /// `spec.backend` only when a fallback chain
-    /// ([`CampaignOptions::fallback`]) stepped in.
-    pub solved_by: SolverBackend,
     /// Wall-clock of the graph phase: rate rebuild on a hit, full
     /// exploration + CSR assembly on a miss (ms).
     pub build_ms: f64,
@@ -274,7 +263,7 @@ impl PointRow {
     /// the columns by these names.
     pub fn csv_header() -> &'static str {
         "n,ph_order,backend,service_scale,net_scale,states,transitions,cache_hit,\
-         iterations,solved_by,build_ms,solve_ms,total_ms,mean_ms,cold_mean_ms,cold_ms,agree"
+         iterations,build_ms,solve_ms,total_ms,mean_ms,cold_mean_ms,cold_ms,agree"
     }
 
     /// The CSV rendering of this row.
@@ -284,7 +273,7 @@ impl PointRow {
             Some(b) => b.to_string(),
         };
         format!(
-            "{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.3},{:.9},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.3},{:.9},{},{},{}",
             self.spec.n,
             self.spec.ph_order,
             self.spec.backend,
@@ -294,7 +283,6 @@ impl PointRow {
             self.transitions,
             self.cache_hit,
             self.iterations,
-            self.solved_by,
             self.build_ms,
             self.solve_ms,
             self.total_ms(),
@@ -651,7 +639,6 @@ fn run_point(
     let iter = IterOptions {
         backend: spec.backend,
         threads: solve_threads,
-        fallback: opts.fallback,
         ..IterOptions::default()
     };
     let solve_start = Instant::now();
@@ -680,7 +667,6 @@ fn run_point(
         transitions: run.space().num_transitions(),
         cache_hit,
         iterations: sol.iterations,
-        solved_by: sol.solved_by,
         build_ms,
         solve_ms,
         mean_ms: sol.mean_ms,

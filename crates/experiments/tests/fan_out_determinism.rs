@@ -52,7 +52,7 @@ fn failing_groups_report_the_same_error_at_one_and_four_threads() {
         threads,
         ..CampaignOptions::default()
     };
-    fail::configure("solver.krylov=always", 0).unwrap();
+    fail::configure("solver.krylov=always").unwrap();
     let errors = [1, 4].map(|threads| campaign::run_with(1, &opts(threads)));
     fail::disarm();
     let [one, four] = errors.map(|r| r.expect_err("the Krylov points must fail"));

@@ -80,6 +80,19 @@ fn bad_flags_are_usage_errors_not_panics() {
             &["campaign", "--failpoints", "campaign.checkpoint=abort_at:5"][..],
             "unknown schedule kind \"abort_at\"",
         ),
+        (&["analytic", "--fallback"][..], "unknown flag `--fallback`"),
+        (
+            &["fig6", "--failpoint-seed", "7"][..],
+            "unknown flag `--failpoint-seed`",
+        ),
+        (
+            &["analytic", "--failpoints", "csr.page_in=every:3"][..],
+            "unknown schedule kind \"every\"",
+        ),
+        (
+            &["analytic", "--failpoints", "pack.page_in=first:1"][..],
+            "unknown site \"pack.page_in\"",
+        ),
     ] {
         let run = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)

@@ -5,8 +5,8 @@
 //! the production default — [`hit`] is one relaxed atomic load and a
 //! branch, so the sites cost nothing. Arming a schedule with
 //! [`configure`] turns chosen hits into injected failures that exercise
-//! the retry and fallback machinery end to end. [`SITES`] lists every
-//! site the program hits.
+//! the retry machinery and the typed error paths end to end. [`SITES`]
+//! lists every site a `repro` run can fire.
 //!
 //! # Schedule grammar
 //!
@@ -16,20 +16,14 @@
 //! |-------------|-------------------------------------------------------|
 //! | `always`    | every hit fails (drives retry *exhaustion*)           |
 //! | `first:K`   | the first `K` hits fail, later hits succeed           |
-//! | `every:N`   | every `N`-th hit fails                                |
-//! | `nth:K`     | exactly the `K`-th hit fails                          |
-//! | `prob:P`    | each hit fails with probability `P`                   |
-//! | `1in:N`     | shorthand for `prob:1/N`                              |
 //!
-//! e.g. `csr.page_in=first:2;ddd.append_run=1in:7;solver.krylov=nth:3`.
+//! e.g. `csr.page_in=first:2;ddd.read_run=first:1`.
 //!
 //! # Determinism
 //!
-//! Probabilistic schedules draw from a [`SimRng`] substream derived
-//! from the configured seed and the site name, and count-based
-//! schedules depend only on the site's hit counter — so a `(spec,
-//! seed)` pair replays the identical fault sequence per site. Under
-//! multiple worker threads the *assignment* of hit indices to logical
+//! A schedule depends only on the site's hit counter, so a spec
+//! replays the identical fault sequence per site. Under multiple
+//! worker threads the *assignment* of hit indices to logical
 //! operations can vary with interleaving; results still cannot drift,
 //! because an injected fault either disappears under retry (the
 //! reissued read/append returns the same bytes) or kills the run with
@@ -38,8 +32,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
-
-use ctsim_stoch::SimRng;
 
 /// What a hit at an armed failpoint should do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,13 +43,14 @@ pub enum Action {
     Fail,
 }
 
-/// Every failpoint site the program hits. [`configure_known`] refuses a
-/// spec naming any other site; `docs/RESILIENCE.md` tabulates them.
+/// Every failpoint site a `repro` run can fire. [`configure_known`]
+/// refuses a spec naming any other site; `docs/RESILIENCE.md`
+/// tabulates them. `pack.page_in` is not among them: only library
+/// calls read the paged packed-state store back.
 pub const SITES: &[&str] = &[
     "spill.create",
     "csr.page_in",
     "csr.page_out",
-    "pack.page_in",
     "pack.page_out",
     "ddd.append_run",
     "ddd.read_run",
@@ -68,15 +61,11 @@ pub const SITES: &[&str] = &[
 enum Schedule {
     Always,
     First(u64),
-    Every(u64),
-    Nth(u64),
-    Prob(f64),
 }
 
 struct Rule {
     site: String,
     schedule: Schedule,
-    rng: SimRng,
     hits: u64,
 }
 
@@ -90,18 +79,17 @@ static PLAN: Mutex<Vec<Rule>> = Mutex::new(Vec::new());
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 /// Parses and arms a fault schedule. Replaces any previous schedule.
-/// See the module docs for the grammar; `seed` feeds the per-site
-/// [`SimRng`] substreams of probabilistic schedules. Any site name is
-/// accepted; [`configure_known`] admits only the program's [`SITES`].
-pub fn configure(spec: &str, seed: u64) -> Result<(), String> {
-    arm(parse(spec, seed)?);
+/// See the module docs for the grammar. Any site name is accepted;
+/// [`configure_known`] admits only the program's [`SITES`].
+pub fn configure(spec: &str) -> Result<(), String> {
+    arm(parse(spec)?);
     Ok(())
 }
 
 /// [`configure`] for a spec from the command line: a site outside
 /// [`SITES`] is an error, not a schedule that never fires.
-pub fn configure_known(spec: &str, seed: u64) -> Result<(), String> {
-    let rules = parse(spec, seed)?;
+pub fn configure_known(spec: &str) -> Result<(), String> {
+    let rules = parse(spec)?;
     if let Some(rule) = rules.iter().find(|r| !SITES.contains(&r.site.as_str())) {
         return Err(format!(
             "failpoint spec: unknown site {:?} (sites: {})",
@@ -113,8 +101,7 @@ pub fn configure_known(spec: &str, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-fn parse(spec: &str, seed: u64) -> Result<Vec<Rule>, String> {
-    let root = SimRng::new(seed);
+fn parse(spec: &str) -> Result<Vec<Rule>, String> {
     let mut rules = Vec::new();
     for part in spec.split([';', ',']) {
         let part = part.trim();
@@ -129,7 +116,6 @@ fn parse(spec: &str, seed: u64) -> Result<Vec<Rule>, String> {
         rules.push(Rule {
             site: site.trim().to_string(),
             schedule,
-            rng: root.substream_named(site.trim()),
             hits: 0,
         });
     }
@@ -159,27 +145,14 @@ fn parse_schedule(s: &str) -> Result<Schedule, String> {
     let (kind, arg) = s
         .split_once(':')
         .ok_or_else(|| format!("unknown schedule {s:?}"))?;
-    let count = || {
-        arg.parse::<u64>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("{kind}:{arg}: expected a positive integer"))
-    };
-    match kind {
-        "first" => Ok(Schedule::First(count()?)),
-        "every" => Ok(Schedule::Every(count()?)),
-        "nth" => Ok(Schedule::Nth(count()?)),
-        "1in" => Ok(Schedule::Prob(1.0 / count()? as f64)),
-        "prob" => {
-            let p = arg
-                .parse::<f64>()
-                .ok()
-                .filter(|p| (0.0..=1.0).contains(p))
-                .ok_or_else(|| format!("prob:{arg}: expected a probability in [0, 1]"))?;
-            Ok(Schedule::Prob(p))
-        }
-        other => Err(format!("unknown schedule kind {other:?}")),
+    if kind != "first" {
+        return Err(format!("unknown schedule kind {kind:?}"));
     }
+    arg.parse::<u64>()
+        .ok()
+        .filter(|&n| n > 0)
+        .map(Schedule::First)
+        .ok_or_else(|| format!("first:{arg}: expected a positive integer"))
 }
 
 /// Registers a hit at `site` and returns what the schedule decided.
@@ -202,9 +175,6 @@ fn hit_slow(site: &str) -> Action {
     let fail = match rule.schedule {
         Schedule::Always => true,
         Schedule::First(k) => rule.hits <= k,
-        Schedule::Every(n) => rule.hits % n == 0,
-        Schedule::Nth(k) => rule.hits == k,
-        Schedule::Prob(p) => rule.rng.chance(p),
     };
     if !fail {
         return Action::Proceed;
@@ -252,42 +222,22 @@ mod tests {
     #[test]
     fn schedules_fire_deterministically() {
         let _guard = test_lock();
-        configure("a=first:2;b=every:3;c=nth:2", 7).unwrap();
+        configure("a=first:2;b=always").unwrap();
         assert_eq!(hit("a"), Action::Fail);
         assert_eq!(hit("a"), Action::Fail);
         assert_eq!(hit("a"), Action::Proceed);
-        assert_eq!(hit("b"), Action::Proceed);
-        assert_eq!(hit("b"), Action::Proceed);
         assert_eq!(hit("b"), Action::Fail);
-        assert_eq!(hit("c"), Action::Proceed);
-        assert_eq!(hit("c"), Action::Fail);
-        assert_eq!(hit("c"), Action::Proceed);
+        assert_eq!(hit("b"), Action::Fail);
+        assert_eq!(hit("b"), Action::Fail);
         assert_eq!(hit("unlisted"), Action::Proceed);
         disarm();
         assert_eq!(hit("a"), Action::Proceed);
     }
 
     #[test]
-    fn probabilistic_schedules_replay_with_the_seed() {
-        let _guard = test_lock();
-        let draw = |seed: u64| -> Vec<Action> {
-            configure("p=prob:0.4", seed).unwrap();
-            let v = (0..64).map(|_| hit("p")).collect();
-            disarm();
-            v
-        };
-        let a = draw(42);
-        let b = draw(42);
-        let c = draw(43);
-        assert_eq!(a, b, "same seed, same schedule");
-        assert_ne!(a, c, "different seed, different schedule");
-        assert!(a.contains(&Action::Fail) && a.contains(&Action::Proceed));
-    }
-
-    #[test]
     fn io_check_tags_the_site() {
         let _guard = test_lock();
-        configure("io.site=always", 0).unwrap();
+        configure("io.site=always").unwrap();
         let before = injected_total();
         let err = io_check("io.site").unwrap_err();
         assert!(err.to_string().contains("failpoint io.site"), "{err}");
@@ -298,15 +248,26 @@ mod tests {
 
     #[test]
     fn malformed_specs_are_rejected() {
-        for bad in ["", "a", "a=unknown", "a=prob:2.0", "a=first:0", "a=first:x"] {
-            assert!(configure(bad, 0).is_err(), "{bad:?} should be rejected");
+        for bad in [
+            "",
+            "a",
+            "a=unknown",
+            "a=prob:2.0",
+            "a=first:0",
+            "a=first:x",
+            "a=every:3",
+            "a=nth:2",
+            "a=prob:0.5",
+            "a=1in:7",
+        ] {
+            assert!(configure(bad).is_err(), "{bad:?} should be rejected");
         }
     }
 
     #[test]
     fn configure_known_admits_only_catalogued_sites() {
         let _guard = test_lock();
-        let err = configure_known("csr.page_in=first:1;nosuch.site=always", 0).unwrap_err();
+        let err = configure_known("csr.page_in=first:1;nosuch.site=always").unwrap_err();
         assert!(err.contains("unknown site \"nosuch.site\""), "{err}");
         assert_eq!(
             hit("csr.page_in"),
@@ -314,7 +275,7 @@ mod tests {
             "a refused spec arms nothing"
         );
         let every: Vec<String> = SITES.iter().map(|s| format!("{s}=always")).collect();
-        configure_known(&every.join(";"), 0).unwrap();
+        configure_known(&every.join(";")).unwrap();
         disarm();
     }
 

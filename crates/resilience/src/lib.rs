@@ -12,9 +12,8 @@
 //!   decides, deterministically, which hits turn into injected
 //!   failures. Disabled (the default) a hit is one relaxed atomic load
 //!   — no lock, no clock, no allocation — so production paths carry
-//!   the sites for free. Schedules draw from a [`ctsim_stoch::SimRng`]
-//!   substream per site, so a `(spec, seed)` pair reproduces the same
-//!   fault sequence bit-for-bit on every run, thread count, and
+//!   the sites for free. A schedule counts the hits of its site, so a
+//!   spec reproduces the same fault sequence on every run and
 //!   machine.
 //! - [`retry`] — a bounded **retry policy** with deterministic
 //!   *virtual* backoff: the exponential backoff schedule is computed

@@ -102,15 +102,6 @@ pub struct IterOptions {
     /// bit-identical for every value; Gauss–Seidel is sequential by
     /// construction and ignores this.
     pub threads: usize,
-    /// Opt-in graceful degradation: when the selected backend fails
-    /// recoverably, walk the fallback chain
-    /// ([`SolverBackend::fallback_after`]) — `Krylov NotConverged →
-    /// Gauss-Seidel`, `Gauss-Seidel ResidentOnly → Jacobi` — instead
-    /// of surfacing the error. The result records which backend
-    /// actually produced the answer in [`AbsorptionTimes::solved_by`].
-    /// Off by default: agreement gates and bit-identity tests want the
-    /// backend they asked for or a loud error.
-    pub fallback: bool,
 }
 
 impl Default for IterOptions {
@@ -120,7 +111,6 @@ impl Default for IterOptions {
             max_iterations: 100_000,
             backend: SolverBackend::default(),
             threads: 1,
-            fallback: false,
         }
     }
 }
@@ -149,21 +139,16 @@ pub struct AbsorptionTimes {
     pub iterations: usize,
     /// Final sup-norm residual of `Q_TT τ + 1`.
     pub residual: f64,
-    /// The backend that actually produced this answer — differs from
-    /// [`IterOptions::backend`] only when a fallback chain
-    /// ([`IterOptions::fallback`]) stepped in.
+    /// The backend that produced this answer: always
+    /// [`IterOptions::backend`]. Kept because the benchmark's
+    /// `solve_n3_ph2` workload checks it; it goes once the benchmark
+    /// stops reading it.
     pub solved_by: SolverBackend,
 }
 
 /// Solves the expected time to absorption from every state with the
 /// backend named in `opts`, under the `solver` span
 /// `mean_time_to_absorption` and the spill catch.
-///
-/// With [`IterOptions::fallback`] a recoverable failure moves on to
-/// [`SolverBackend::fallback_after`] instead of surfacing. Each step
-/// taken is recorded — the `resilience.fallbacks` counter and a trace
-/// instant naming the edge — so a `--fallback` answer is auditable
-/// after the fact.
 ///
 /// # Errors
 /// * [`SolveError::NoAbsorbingStates`] if the chain has none.
@@ -184,35 +169,10 @@ pub fn mean_time_to_absorption(
     let _span = ctsim_obs::span("solver", "mean_time_to_absorption")
         .arg("backend", opts.backend.to_string())
         .arg("states", n);
-    crate::catch_spill(|| {
-        let mut backend = opts.backend;
-        loop {
-            let solved = match backend {
-                SolverBackend::GaussSeidel => absorption_gauss_seidel(op, opts),
-                SolverBackend::Jacobi => absorption_jacobi(op, opts),
-                SolverBackend::Krylov => krylov::absorption(op, opts),
-            };
-            let err = match solved {
-                Err(e) if opts.fallback => e,
-                other => return other,
-            };
-            let Some(next) = backend.fallback_after(&err) else {
-                return Err(err);
-            };
-            if ctsim_obs::enabled() {
-                ctsim_obs::counter_add("resilience.fallbacks", 1);
-                ctsim_obs::instant(
-                    "resilience",
-                    "fallback.mean_time_to_absorption",
-                    vec![
-                        ("from", backend.name().into()),
-                        ("to", next.name().into()),
-                        ("cause", err.to_string().into()),
-                    ],
-                );
-            }
-            backend = next;
-        }
+    crate::catch_spill(|| match opts.backend {
+        SolverBackend::GaussSeidel => absorption_gauss_seidel(op, opts),
+        SolverBackend::Jacobi => absorption_jacobi(op, opts),
+        SolverBackend::Krylov => krylov::absorption(op, opts),
     })
 }
 

@@ -26,6 +26,10 @@
 //! generator only through the front-to-back sharded SpMV, which
 //! streams paged segments through the LRU — they are the out-of-core
 //! backends (see `docs/MEMORY.md`).
+//!
+//! A solve runs the backend it was asked for and nothing else: a
+//! backend that fails returns its typed error, and no other backend
+//! is tried in its place.
 
 use std::fmt;
 use std::str::FromStr;
@@ -79,39 +83,6 @@ impl SolverBackend {
             SolverBackend::GaussSeidel => "gauss_seidel",
             SolverBackend::Jacobi => "jacobi",
             SolverBackend::Krylov => "krylov",
-        }
-    }
-
-    /// The graceful-degradation chain: which backend to try next after
-    /// `err`, or `None` when the failure is not one a different backend
-    /// could recover from (model errors like
-    /// [`NoAbsorbingStates`](crate::SolveError::NoAbsorbingStates) fail
-    /// on every backend, and spill exhaustion already spent its retry
-    /// budget).
-    ///
-    /// Two edges, chosen so every step strictly increases robustness:
-    ///
-    /// * `Krylov` + [`NotConverged`](crate::SolveError::NotConverged)
-    ///   → `GaussSeidel` — restarted GMRES can stagnate on chains where
-    ///   the stationary sweeps still grind to the answer.
-    /// * `GaussSeidel` + [`ResidentOnly`](crate::SolveError::ResidentOnly)
-    ///   → `Jacobi` — the reference backend refuses streamed (disk-
-    ///   paged) generators; Jacobi consumes them shard-by-shard.
-    ///
-    /// Composed, a streamed generator under `--fallback` walks
-    /// `Krylov → GaussSeidel → Jacobi` and still terminates: `Jacobi`
-    /// has no outgoing edge. Only consulted when
-    /// [`IterOptions::fallback`](crate::IterOptions::fallback) is set.
-    pub fn fallback_after(self, err: &crate::SolveError) -> Option<SolverBackend> {
-        use crate::SolveError;
-        match (self, err) {
-            (SolverBackend::Krylov, SolveError::NotConverged { .. }) => {
-                Some(SolverBackend::GaussSeidel)
-            }
-            (SolverBackend::GaussSeidel, SolveError::ResidentOnly { .. }) => {
-                Some(SolverBackend::Jacobi)
-            }
-            _ => None,
         }
     }
 }

@@ -272,9 +272,10 @@ where
 /// module docs). The dispatcher has already verified an absorbing
 /// state exists.
 pub(crate) fn absorption(op: &Ctmc, opts: &IterOptions) -> Result<AbsorptionTimes, SolveError> {
-    // Deterministic chaos hook for the fallback chain: an armed
-    // `solver.krylov` failpoint makes this backend report stagnation
-    // without spending any iterations.
+    // Deterministic fault hook: an armed `solver.krylov` failpoint
+    // makes this backend report stagnation without spending any
+    // iterations, so a test or a `repro --failpoints` run can reach
+    // the typed `NotConverged` path on demand.
     if matches!(
         ctsim_resilience::fail::hit("solver.krylov"),
         ctsim_resilience::fail::Action::Fail

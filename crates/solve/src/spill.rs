@@ -372,14 +372,14 @@ mod tests {
         // Two injected failures, then the real read goes through: the
         // retry policy (4 attempts) absorbs them and the caller sees
         // the same bytes as a fault-free run.
-        fail::configure("test.read=first:2", 0).unwrap();
+        fail::configure("test.read=first:2").unwrap();
         let mut buf = [0u8; 16];
         s.read_back("test.read", off, &mut buf).unwrap();
         assert_eq!(buf, [42u8; 16]);
 
         // An always-failing site exhausts the policy into the typed
         // error: op, path, and every attempt survive into the render.
-        fail::configure("test.read=always", 0).unwrap();
+        fail::configure("test.read=always").unwrap();
         let err = s.read_back("test.read", off, &mut buf).unwrap_err();
         fail::disarm();
         let SolveError::SpillFailed {

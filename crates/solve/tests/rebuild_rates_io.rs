@@ -1,5 +1,5 @@
 //! The rate-only rebuild rewrites the term table and nothing else:
-//! under a zero spill budget, which pages the transition arena out, it
+//! under a zero spill budget, which pages the CSR entries out, it
 //! pages no segment in or out — its cost is O(terms),
 //! not O(transitions).
 //!

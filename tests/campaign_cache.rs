@@ -1,7 +1,7 @@
 //! Properties of the scenario-campaign machinery: the rate-only
 //! rebuild of a cached reachability graph must be **byte-identical** to
 //! a fresh exploration at the new rates — across exploration thread
-//! counts and with the transition arena spilled to disk under an
+//! counts and with the CSR spilled to disk under an
 //! adversarial budget — and the grid-file parser must turn any text
 //! into points it can sort or a typed error.
 //!
@@ -210,7 +210,7 @@ proptest! {
 
 /// The path the campaign benchmark runs: order 0, exponential-only, no
 /// phase counter anywhere — so no packed key is fetched — with the
-/// transition arena and the packed states spilled under a 4 KB budget.
+/// CSR and the packed states spilled under a 4 KB budget.
 #[test]
 fn order_zero_rate_rebuild_under_spill_is_byte_identical() {
     let means = [0.4, 0.9, 1.4, 0.6];

@@ -1,9 +1,9 @@
 //! Determinism and equivalence properties of the streaming exploration
-//! pipeline: the canonical state numbering, the flat transition arena,
-//! and the CSR generator must be byte-identical for every thread count
-//! and every spill setting, and the pipelined `explore_ctmc` must
-//! produce exactly the generator a post-hoc `Ctmc::from_state_space`
-//! builds.
+//! pipeline: the canonical state numbering and the structural CSR that
+//! exploration emits (its one transition store) must be byte-identical
+//! for every thread count and every spill setting, and the pipelined
+//! `explore_ctmc` must produce exactly the generator a post-hoc
+//! `Ctmc::from_state_space` builds.
 
 use ct_consensus_repro::san::{Activity, Case, SanBuilder, SanModel};
 use ct_consensus_repro::solve::{

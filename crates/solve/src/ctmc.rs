@@ -28,7 +28,7 @@
 //!
 //! # One structure, shared
 //!
-//! Exploration emits every merged row once, into a [`Csr`]: `row_ptr`,
+//! Exploration emits every merged row once, into a `Csr`: `row_ptr`,
 //! the entries and the composite recipes. It names no rate, so it is
 //! the reachability graph's own transition store — the
 //! [`StateSpace`] holds it behind an `Arc` and decodes its rows — and a
@@ -63,7 +63,7 @@ use std::sync::{Arc, OnceLock};
 use crate::arena::{RowLoc, SegStore};
 use crate::graph::{StateSpace, Term, TERM_ID_LIMIT};
 use crate::spill::{SpillRecord, SpillShared};
-use crate::SolveError;
+use crate::{reserve_by_quarters, SolveError};
 
 /// One off-diagonal CSR entry: destination state and coefficient id
 /// (see the module docs), 8 bytes in RAM and on disk. Destinations fit
@@ -247,7 +247,7 @@ impl Coefficients {
 }
 
 /// A finite-state CTMC in CSR form: a view of the shared structural
-/// [`Csr`] with the values the rates give it (see the module docs).
+/// `Csr` with the values the rates give it (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Ctmc {
     /// Number of states.
@@ -364,20 +364,6 @@ pub(crate) struct CsrBuilder {
     row: Vec<CsrEntry>,
 }
 
-/// Appends `items` to `v`, growing its capacity by a quarter instead
-/// of doubling it: the entries and `row_ptr` are the largest arrays an
-/// exploration grows, and a doubled capacity is up to twice their live
-/// heap until [`CsrBuilder::finish`] trims it. A large block is
-/// usually remapped rather than copied when it grows; a small one
-/// grows by at least 1 Ki elements, so short rows do not reallocate
-/// row by row.
-fn extend_by_quarters<T: Copy>(v: &mut Vec<T>, items: &[T]) {
-    if v.capacity() - v.len() < items.len() {
-        v.reserve_exact(items.len().max(v.len() / 4).max(1 << 10));
-    }
-    v.extend_from_slice(items);
-}
-
 impl CsrBuilder {
     /// An empty builder. With a spill backend the entries live in a
     /// disk-spillable store sharing the exploration's spill budget —
@@ -434,16 +420,20 @@ impl CsrBuilder {
             });
         }
         match &mut self.body {
-            CsrBody::Resident(entries) => extend_by_quarters(entries, &self.row),
+            CsrBody::Resident(entries) => {
+                reserve_by_quarters(entries, self.row.len());
+                entries.extend_from_slice(&self.row);
+            }
             CsrBody::Paged { entries, locs } => locs.push(entries.append_row(&self.row)),
         }
         let next = self.row_ptr.last().copied().unwrap_or(0) + self.row.len();
-        extend_by_quarters(&mut self.row_ptr, &[next]);
+        reserve_by_quarters(&mut self.row_ptr, 1);
+        self.row_ptr.push(next);
     }
 
-    /// The finished structure. `row_ptr` grew by doubling and is
-    /// complete now, so its slack is given back: the structure lives
-    /// as long as the space and its generators.
+    /// The finished structure. The entries and `row_ptr` grew by
+    /// quarters and are complete now, so their slack is given back: the
+    /// structure lives as long as the space and its generators.
     pub(crate) fn finish(self) -> Csr {
         let mut body = self.body;
         match &mut body {
@@ -477,7 +467,7 @@ pub(crate) fn markovian(ss: &StateSpace<'_>) -> Result<(), SolveError> {
 
 impl Ctmc {
     /// The generator of an explored reachability graph: a view of the
-    /// space's shared [`Csr`], with the coefficient table, diagonal,
+    /// space's shared `Csr`, with the coefficient table, diagonal,
     /// initial vector and absorbing marks filled in one read-only pass
     /// over its entries. No entry is copied.
     ///

@@ -14,6 +14,7 @@ use super::terms::{Outcome, TermTable};
 use super::PackedStates;
 use crate::arena::SegStore;
 use crate::ctmc::{CsrBuilder, CsrEntry};
+use crate::reserve_by_quarters;
 use crate::spill::SpillShared;
 
 /// Transitions per worker-local chain segment (see [`WorkerChain`]).
@@ -36,10 +37,11 @@ struct Run {
 /// appended back to back (no per-state heap allocation, no shared
 /// allocator traffic between workers) plus the run index locating each
 /// expanded state's row. Chains are recycled level to level through
-/// `Assembly::chain_pool` — the emission clears them and hands them
-/// back, so the steady state allocates no per-level buffers at all
-/// (which also keeps the allocator's resident footprint flat: the old
-/// per-level churn left the heap fragmented at peak).
+/// `Assembly::chain_pool` — the emission clears them, trimmed to what
+/// their level used, and hands them back, so a level allocates only
+/// the segments it needs beyond the level emitted before it (which
+/// also keeps the allocator's resident footprint flat: freeing every
+/// chain every level left the heap fragmented at peak).
 #[derive(Default)]
 pub(super) struct WorkerChain {
     segs: Vec<Vec<Outcome>>,
@@ -79,11 +81,16 @@ impl WorkerChain {
         self.runs.iter().map(|r| r.len as usize).sum()
     }
 
-    /// Clears content, keeping every buffer's capacity for reuse.
+    /// Clears content for a later level, keeping the capacity this
+    /// level used and giving back the rest: levels swell and shrink, and
+    /// a chain sized for the widest level would hold that size to the
+    /// end of the exploration, where the heap peaks.
     fn reset(&mut self) {
+        self.segs.retain(|s| !s.is_empty());
         for s in &mut self.segs {
             s.clear();
         }
+        self.runs.shrink_to_fit();
         self.runs.clear();
         self.cur = 0;
     }
@@ -197,6 +204,7 @@ impl<'m, 'a, D: Dedup> Assembly<'m, 'a, D> {
     fn index_runs(&mut self, lo: usize, hi: usize, chains: &[WorkerChain]) {
         self.runs_buf.clear();
         self.runs_buf.resize(hi - lo, RunSlot::NONE);
+        self.runs_buf.shrink_to_fit();
         for (ci, chain) in chains.iter().enumerate() {
             for r in &chain.runs {
                 self.runs_buf[r.prov as usize - lo] = RunSlot {
@@ -233,6 +241,7 @@ impl<'m, 'a, D: Dedup> Assembly<'m, 'a, D> {
             .arg("states", hi - lo);
         let started = Instant::now();
         self.index_runs(lo, hi, &chains);
+        reserve_by_quarters(&mut self.absorbing, hi - lo);
         for rank in 0..(hi - lo) {
             let src = lo + rank;
             debug_assert_eq!(src, self.absorbing.len(), "levels emitted in order");
@@ -264,8 +273,8 @@ impl<'m, 'a, D: Dedup> Assembly<'m, 'a, D> {
             self.csr.push_row(src, &mut self.edge_buf);
         }
         // Recycle the emitted level's chains instead of freeing them:
-        // the next levels reuse the same capacity, keeping the resident
-        // footprint flat instead of fragmenting the heap at peak.
+        // the next levels reuse the capacity it used, keeping the
+        // resident footprint flat instead of fragmenting the heap.
         for mut chain in chains {
             chain.reset();
             self.chain_pool.push(chain);

@@ -26,7 +26,7 @@ use crate::ddd::{resolve_level, CandSet, DedupSink, Frontier, VisitedRuns};
 use crate::intern::{InternFull, Interner};
 use crate::pack::{PackOverflow, StateLayout};
 use crate::spill::{DedupMode, SpillOptions, SpillShared};
-use crate::SolveError;
+use crate::{reserve_by_quarters, SolveError};
 
 /// Why an exploration attempt stopped: place fields overflowed (retry
 /// with those places wider), the resident intern table outgrew its
@@ -379,6 +379,8 @@ impl Resident {
             &keys[at..at + words]
         };
         merge_runs(&mut order, &mut spare, run_len, |&a, &b| key(a).cmp(key(b)));
+        debug_assert_eq!(self.canon.len(), lo, "levels close in order");
+        reserve_by_quarters(&mut self.canon, len);
         self.canon.resize(hi, 0);
         for (rank, &prov) in order.iter().enumerate() {
             self.canon[prov as usize] = (lo + rank) as u32;
@@ -508,7 +510,10 @@ impl Dedup for Resident {
         let prov = level.order[rank];
         let i = prov as usize - lo;
         match states {
-            ResidentStates::Perm(perm) => perm.push(prov),
+            ResidentStates::Perm(perm) => {
+                reserve_by_quarters(perm, 1);
+                perm.push(prov);
+            }
             ResidentStates::Packed(store) => {
                 store.append_row(&level.keys[i * self.words..(i + 1) * self.words]);
             }
@@ -520,7 +525,14 @@ impl Dedup for Resident {
         &self.canon
     }
 
-    fn recycle(level: ResidentLevel) -> Option<ResidentLevel> {
+    /// Keeps the buffers at the size the emitted level used, as
+    /// `WorkerChain` does its segments.
+    fn recycle(mut level: ResidentLevel) -> Option<ResidentLevel> {
+        let len = level.order.len();
+        level.order.shrink_to_fit();
+        level.keys.shrink_to_fit();
+        level.spare.truncate(len);
+        level.spare.shrink_to_fit();
         Some(level)
     }
 
@@ -544,8 +556,10 @@ impl Dedup for Resident {
             // arena is freed wholesale right here.
             ResidentStates::Packed(store) => seal_packed(store, self.words),
             // Default: keep the arena (hash table dropped) — the
-            // states exist exactly once in memory.
-            ResidentStates::Perm(perm) => {
+            // states exist exactly once in memory. The permutation
+            // lives as long as the space: give back its slack.
+            ResidentStates::Perm(mut perm) => {
+                perm.shrink_to_fit();
                 let mut interner = self.interner;
                 interner.drop_tables();
                 PackedStates::Interned { interner, perm }
@@ -740,6 +754,25 @@ pub(super) fn explore<'m>(
     }
 }
 
+/// What the workers of one level abort the attempt with, if anything.
+/// Packed-width overflows beat any other abort, and every worker's are
+/// kept, in worker order, so the retry widens every place that
+/// overflowed: it re-examines the same reachable set, so a racing
+/// cap/vanishing error (if genuine) recurs there. Otherwise the first
+/// worker's abort wins.
+fn level_abort(outcomes: Vec<Result<(), Abort>>) -> Option<Abort> {
+    let mut err: Option<Abort> = None;
+    for e in outcomes.into_iter().filter_map(Result::err) {
+        match (&mut err, e) {
+            (Some(Abort::Pack(all)), Abort::Pack(more)) => all.extend(more),
+            (slot, e @ Abort::Pack(_)) => *slot = Some(e),
+            (slot, e) if slot.is_none() => *slot = Some(e),
+            _ => {}
+        }
+    }
+    err
+}
+
 /// The level-synchronous breadth-first sweep. Every level is expanded
 /// by up to `workers` threads claiming frontier chunks from a shared
 /// cursor; the *previous* level is renumbered and streamed into the
@@ -856,20 +889,7 @@ fn drive<'m, D: Dedup>(
                 }
             });
         }
-        // Packed-width overflows beat any other abort, and all of them
-        // are kept so the retry widens every place that overflowed: it
-        // re-examines the same reachable set, so a racing
-        // cap/vanishing error (if genuine) recurs there.
-        let mut err: Option<Abort> = None;
-        for e in outcomes.into_iter().filter_map(Result::err) {
-            match (&mut err, e) {
-                (Some(Abort::Pack(all)), Abort::Pack(more)) => all.extend(more),
-                (slot, e @ Abort::Pack(_)) => *slot = Some(e),
-                (slot, e) if slot.is_none() => *slot = Some(e),
-                _ => {}
-            }
-        }
-        if let Some(e) = err {
+        if let Some(e) = level_abort(outcomes) {
             return Err(e);
         }
         let wall = micros(expanding);
@@ -963,7 +983,7 @@ fn drive<'m, D: Dedup>(
     // strategy release what only lookups needed before the generator's
     // arrays are allocated.
     let packed = dedup.finish(asm.states);
-    // The per-state arrays grew by doubling and are complete now: give
+    // The per-state arrays grew by quarters and are complete now: give
     // back the slack, which the space would otherwise hold for life.
     asm.absorbing.shrink_to_fit();
     Ok(StateSpace {
@@ -1055,6 +1075,37 @@ mod tests {
                 assert_eq!(level.keys, keys);
             }
         }
+    }
+
+    /// Several workers overflowing in one level abort it with every
+    /// overflow, in worker order, over any other abort before or after
+    /// them — so one restart widens every place the level overflowed.
+    /// (An exploration cannot force this: the first worker to fail stops
+    /// the others' claims, so whether a second one overflows too is a
+    /// race.) Without overflows the first worker's abort wins.
+    #[test]
+    fn a_level_aborts_with_every_workers_overflows() {
+        let over = |place, value| PackOverflow { place, value };
+        let cap = || Abort::Solve(SolveError::StateSpaceTooLarge { limit: 64 });
+        let outcomes = vec![
+            Err(cap()),
+            Err(Abort::Pack(vec![over(3, 2)])),
+            Ok(()),
+            Err(Abort::Pack(vec![over(7, 4), over(1, 300)])),
+            Err(Abort::Ddd),
+            Err(Abort::Pack(vec![over(3, 5)])),
+        ];
+        match level_abort(outcomes) {
+            Some(Abort::Pack(all)) => {
+                assert_eq!(all, [over(3, 2), over(7, 4), over(1, 300), over(3, 5)]);
+            }
+            _ => panic!("the overflows must win"),
+        }
+        match level_abort(vec![Ok(()), Err(cap()), Err(Abort::Ddd)]) {
+            Some(Abort::Solve(SolveError::StateSpaceTooLarge { limit: 64 })) => {}
+            _ => panic!("the first worker's abort must win"),
+        }
+        assert!(level_abort(vec![Ok(()), Ok(())]).is_none());
     }
 
     /// The simulator's instantaneous livelock is a solver error.

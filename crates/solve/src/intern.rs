@@ -18,19 +18,21 @@
 //!   past other states — performs **loads only**: no lock word, no
 //!   reference count, nothing another worker's cache must give up.
 //! * **A segmented append-only arena.** State ids come from one global
-//!   `fetch_add` counter and index geometrically growing segments
-//!   (512 states, then 1024, 2048, … up to a 128k-state plateau)
-//!   allocated on demand through `OnceLock`, so a state's packed words
+//!   `fetch_add` counter and index segments allocated on demand through
+//!   `OnceLock`: 512 states, then doubling up to a plateau granule the
+//!   state cap sets (cap / 4096, clamped to 512 … 128 Ki states; 512 at
+//!   every n = 3 cap), then one granule each. A state's packed words
 //!   never move once written — readers need no locks, ids handed to
 //!   one worker stay valid for every other worker, a hundred-state
 //!   exploration allocates kilobytes, a multi-million-state one
-//!   over-allocates at most one plateau granule, and the fixed
-//!   directory addresses the full 2³¹-state ceiling.
+//!   over-allocates at most one granule, and the directory, fixed at
+//!   construction, addresses every id below the cap in at most 16 Ki
+//!   segments.
 //! * **Growth at the level boundary.** The driver is single-threaded
 //!   between two BFS levels, and that is where the table grows:
 //!   [`Interner::provision`] (`&mut self`, so provably alone) rebuilds
 //!   it for the states so far plus those the next level is expected to
-//!   add, at no more than 50 % load. The rebuild re-reads nothing from
+//!   add, at no more than 69 % load. The rebuild re-reads nothing from
 //!   the arena — a slot carries the hash bits its new position is
 //!   computed from — so it is a sequential pass over the old slots.
 //! * **The rare level that outgrows its provision** (or a caller that
@@ -60,46 +62,80 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// States in the first arena segment (power of two); segment `k < `
-/// [`DOUBLING_SEGS`] holds `SEG0 << k` states, so early segments
-/// double — a hundred-state exploration allocates kilobytes — while
-/// segments past [`MAX_SEG`] states stay constant-size, bounding the
-/// tail over-allocation of a multi-million-state space to one
-/// [`MAX_SEG`] granule instead of the ~2× a pure doubling ladder pays
-/// (at 9 packed words per consensus state that difference alone is
-/// over a hundred MB at n = 3 order 3).
+/// States in the first arena segment (power of two).
 const SEG0: usize = 1 << 9;
 
-/// Number of doubling segments before the size plateaus.
-const DOUBLING_SEGS: usize = 9;
+/// The largest plateau granule, in states (power of two).
+const MAX_SEG: usize = 1 << 17;
 
-/// Constant segment size after the doubling prefix (= the last
-/// doubling size, `SEG0 << (DOUBLING_SEGS - 1)`).
-const MAX_SEG: usize = SEG0 << (DOUBLING_SEGS - 1);
-
-/// States covered by the doubling prefix.
-const DOUBLING_COVER: usize = SEG0 * ((1 << DOUBLING_SEGS) - 1);
+/// A cap of `c` states sets the plateau granule to `c / CAP_SEGS`
+/// states (rounded up to a power of two and clamped to
+/// [`SEG0`]`..=`[`MAX_SEG`]), so no exploration needs more than about
+/// `CAP_SEGS` plateau segments.
+const CAP_SEGS: usize = 1 << 12;
 
 /// The state-count ceiling of every exploration: ids are stored as
 /// `u32` downstream (permutation, canonical map, CSR columns, transition
-/// edges), and the arena directory below covers this many states.
+/// edges), and the arena directory covers this many states.
 pub(crate) const MAX_STATES: usize = 1 << 31;
 
-/// Arena directory size: doubling prefix + enough constant segments to
-/// cover [`MAX_STATES`].
-const NUM_SEGS: usize = DOUBLING_SEGS + (MAX_STATES - DOUBLING_COVER).div_ceil(MAX_SEG);
+/// The arena's segment layout under one state cap: segment `k` below
+/// `doubling` holds `SEG0 << k` states, so early segments double — a
+/// hundred-state exploration allocates kilobytes — and every later one
+/// holds one plateau granule, so a space of any size over-allocates at
+/// most one granule. The granule grows with the cap: a small one
+/// keeps the tail slack of a half-million-state space to tens of KB,
+/// and a large one keeps the directory of a 2³¹-state cap within
+/// 16 Ki segments.
+#[derive(Debug, Clone, Copy)]
+struct SegLayout {
+    /// log₂ of the plateau granule.
+    shift: u32,
+    /// Number of doubling segments, the last one a granule.
+    doubling: usize,
+    /// States covered by the doubling segments.
+    cover: usize,
+}
 
-/// Splits a state id into `(segment, offset, segment_len)` under the
-/// doubling-then-constant layout.
-fn seg_of(id: usize) -> (usize, usize, usize) {
-    if id < DOUBLING_COVER {
-        let b = id / SEG0 + 1;
-        let k = (usize::BITS - 1 - b.leading_zeros()) as usize;
-        let base = SEG0 * ((1 << k) - 1);
-        (k, id - base, SEG0 << k)
-    } else {
-        let past = id - DOUBLING_COVER;
-        (DOUBLING_SEGS + past / MAX_SEG, past % MAX_SEG, MAX_SEG)
+impl SegLayout {
+    fn for_cap(max_states: usize) -> Self {
+        let granule = (max_states / CAP_SEGS)
+            .next_power_of_two()
+            .clamp(SEG0, MAX_SEG);
+        let doubling = (granule / SEG0).trailing_zeros() as usize + 1;
+        Self {
+            shift: granule.trailing_zeros(),
+            doubling,
+            cover: SEG0 * ((1 << doubling) - 1),
+        }
+    }
+
+    fn granule(&self) -> usize {
+        1 << self.shift
+    }
+
+    /// Splits a state id into `(segment, offset, segment_len)`.
+    #[inline]
+    fn seg_of(&self, id: usize) -> (usize, usize, usize) {
+        if id < self.cover {
+            let b = id / SEG0 + 1;
+            let k = (usize::BITS - 1 - b.leading_zeros()) as usize;
+            let base = SEG0 * ((1 << k) - 1);
+            (k, id - base, SEG0 << k)
+        } else {
+            let past = id - self.cover;
+            let granule = self.granule();
+            (
+                self.doubling + (past >> self.shift),
+                past & (granule - 1),
+                granule,
+            )
+        }
+    }
+
+    /// Directory entries that address ids `0..max_states`.
+    fn segments(&self, max_states: usize) -> usize {
+        self.seg_of(max_states.max(1) - 1).0 + 1
     }
 }
 
@@ -112,10 +148,17 @@ const BUSY: u64 = u64::MAX;
 /// [`Interner::provision`] grows it level by level.
 const INITIAL_SLOTS: usize = 1 << 12;
 
-/// Load, in eighths, past which an insert opens the next generation.
-/// Above the 50 % [`Interner::provision`] aims for, so a level may
-/// overrun its estimate by a quarter before the rare path runs.
-const LOAD_MAX: usize = 5;
+/// Load, in sixteenths, that [`Interner::provision`] sizes a table for:
+/// the smallest power of two that holds the states at no more than
+/// 11/16 (69 %), so a freshly provisioned table is 34–69 % full.
+const LOAD_TARGET: usize = 11;
+
+/// Load, in sixteenths, past which an insert opens the next generation.
+/// 14/11 of [`LOAD_TARGET`], so a level may overrun its estimate by a
+/// quarter before the rare path runs, and the 2/16 above it leave one
+/// free slot per eight slots for the writers that land one insert past
+/// the limit (see [`Interner::new`]).
+const LOAD_MAX: usize = 14;
 
 /// Generations a level can open: each doubles the previous one, so
 /// this many cover any table the slot format can index.
@@ -156,7 +199,7 @@ impl Table {
 
     /// Entries past which an insert opens the next generation.
     fn limit(&self) -> usize {
-        self.slots.len() / 8 * LOAD_MAX
+        self.slots.len() / 16 * LOAD_MAX
     }
 }
 
@@ -182,7 +225,9 @@ pub(crate) struct Interner {
     /// Generations opened by inserts, and entries moved by rebuilds.
     midlevel_grows: AtomicU64,
     rehashed_entries: u64,
-    /// Packed state words, `(SEG0 << k) * words` in segment `k`.
+    /// Where a state id's words and flag live.
+    layout: SegLayout,
+    /// Packed state words, `segment_len * words` in each segment.
     state_segs: Box<[OnceLock<Box<[AtomicU64]>>]>,
     /// One absorbing flag per state, same segment layout.
     flag_segs: Box<[OnceLock<Box<[AtomicU8]>>]>,
@@ -199,15 +244,18 @@ impl Interner {
     pub(crate) fn new(words: usize, max_states: usize, workers: usize) -> Self {
         // Every writer may land one insert past `Table::limit` before
         // it stops to open the next generation: keep that many slots
-        // free above the limit, so no generation ever fills.
+        // free above the limit (one in eight, under `LOAD_MAX`), so no
+        // generation ever fills.
         let slots = (workers * 8).next_power_of_two().max(INITIAL_SLOTS);
         Self::with_slots(words, max_states, slots)
     }
 
     fn with_slots(words: usize, max_states: usize, slots: usize) -> Self {
-        // The doubling segments make the directory size independent of
-        // the cap, so a generous cap costs nothing up front.
+        // The directory covers the ids below the cap in at most 16 Ki
+        // empty cells; segments are allocated as ids reach them.
         let capped = max_states.min(MAX_STATES);
+        let layout = SegLayout::for_cap(capped);
+        let segs = layout.segments(capped);
         let mut gens: Box<[OnceLock<Table>]> = (0..MAX_GENS).map(|_| OnceLock::new()).collect();
         gens[0] = OnceLock::from(Table::new(slots, 0));
         Self {
@@ -218,8 +266,9 @@ impl Interner {
             opening: Mutex::new(()),
             midlevel_grows: AtomicU64::new(0),
             rehashed_entries: 0,
-            state_segs: (0..NUM_SEGS).map(|_| OnceLock::new()).collect(),
-            flag_segs: (0..NUM_SEGS).map(|_| OnceLock::new()).collect(),
+            layout,
+            state_segs: (0..segs).map(|_| OnceLock::new()).collect(),
+            flag_segs: (0..segs).map(|_| OnceLock::new()).collect(),
             count: Isolated(AtomicUsize::new(0)),
         }
     }
@@ -399,13 +448,16 @@ impl Interner {
     }
 
     /// Makes room, between two levels, for `expected` further states at
-    /// no more than 50 % load, and folds any generations the last level
-    /// opened back into one table. Doubling only, so the table is never
-    /// more than twice what the states it was last sized for need.
+    /// no more than [`LOAD_TARGET`] load, and folds any generations the
+    /// last level opened back into one table. Doubling only, so the
+    /// table is never more than twice what the states it was last sized
+    /// for need.
     pub(crate) fn provision(&mut self, expected: usize) {
         let newest = *self.newest.get_mut();
         let have = self.table(newest).slots.len();
-        let want = ((self.len() + expected) * 2).next_power_of_two();
+        let want = ((self.len() + expected) * 16)
+            .div_ceil(LOAD_TARGET)
+            .next_power_of_two();
         if newest == 0 && want <= have {
             return;
         }
@@ -434,7 +486,7 @@ impl Interner {
     /// Copies state `id`'s packed words into `out`.
     pub(crate) fn read_state(&self, id: usize, out: &mut [u64]) {
         debug_assert_eq!(out.len(), self.words);
-        let (k, off, _) = seg_of(id);
+        let (k, off, _) = self.layout.seg_of(id);
         let seg = self.state_segs[k].get().expect("state segment published");
         let base = off * self.words;
         for (w, o) in out.iter_mut().enumerate() {
@@ -468,13 +520,13 @@ impl Interner {
 
     /// Whether state `id` was flagged absorbing at intern time.
     pub(crate) fn absorbing(&self, id: usize) -> bool {
-        let (k, off, _) = seg_of(id);
+        let (k, off, _) = self.layout.seg_of(id);
         let seg = self.flag_segs[k].get().expect("flag segment published");
         seg[off].load(Ordering::Relaxed) != 0
     }
 
     fn key_eq(&self, id: usize, key: &[u64]) -> bool {
-        let (k, off, _) = seg_of(id);
+        let (k, off, _) = self.layout.seg_of(id);
         let seg = self.state_segs[k].get().expect("state segment published");
         let base = off * self.words;
         key.iter()
@@ -484,7 +536,7 @@ impl Interner {
 
     fn write_state(&self, id: usize, key: &[u64], absorbing: bool) {
         let words = self.words;
-        let (k, off, seg_len) = seg_of(id);
+        let (k, off, seg_len) = self.layout.seg_of(id);
         let seg = self.state_segs[k]
             .get_or_init(|| (0..seg_len * words).map(|_| AtomicU64::new(0)).collect());
         let base = off * words;
@@ -548,32 +600,49 @@ pub(crate) fn hash_key(key: &[u64]) -> u64 {
 mod tests {
     use super::*;
 
+    /// The caps the test layouts are built for: the default and n = 3
+    /// order-2 cap (512-state granule, no doubling past segment 0), the
+    /// n = 3 order-3 cap, the n = 4 cap, and the 2³¹ ceiling (the
+    /// 128 Ki-state granule).
+    const CAPS: [usize; 4] = [1 << 20, 4 << 20, 32 << 20, MAX_STATES];
+
     #[test]
     fn segments_partition_the_id_space() {
-        // Consecutive ids walk segments without gaps or overlaps,
-        // across the doubling → constant-size boundary.
-        let mut expect_seg = 0usize;
-        let mut expect_off = 0usize;
-        for id in 0..(DOUBLING_COVER + 3 * MAX_SEG) {
-            let (k, off, len) = seg_of(id);
-            assert_eq!((k, off), (expect_seg, expect_off), "id {id}");
-            let expect_len = if k < DOUBLING_SEGS {
-                SEG0 << k
-            } else {
-                MAX_SEG
-            };
-            assert_eq!(len, expect_len, "id {id}");
-            expect_off += 1;
-            if expect_off == len {
-                expect_seg += 1;
-                expect_off = 0;
+        for cap in CAPS {
+            let layout = SegLayout::for_cap(cap);
+            let granule = layout.granule();
+            assert_eq!(granule, (cap / CAP_SEGS).clamp(SEG0, MAX_SEG), "cap {cap}");
+            // Consecutive ids walk segments without gaps or overlaps,
+            // across the doubling → granule boundary.
+            let mut expect_seg = 0usize;
+            let mut expect_off = 0usize;
+            for id in 0..(layout.cover + 3 * granule) {
+                let (k, off, len) = layout.seg_of(id);
+                assert_eq!((k, off), (expect_seg, expect_off), "cap {cap}, id {id}");
+                let expect_len = if k < layout.doubling {
+                    SEG0 << k
+                } else {
+                    granule
+                };
+                assert_eq!(len, expect_len, "cap {cap}, id {id}");
+                expect_off += 1;
+                if expect_off == len {
+                    expect_seg += 1;
+                    expect_off = 0;
+                }
             }
+            // The last doubling segment is one granule, so past the
+            // doubling prefix the tail over-allocation is one granule.
+            assert_eq!(SEG0 << (layout.doubling - 1), granule);
+            assert_eq!(layout.seg_of(layout.cover).0, layout.doubling);
+            // The directory covers the cap, in no more cells than the
+            // ceiling's (9 doubling segments and 16 383 granules).
+            let dir = layout.segments(cap);
+            assert_eq!(layout.seg_of(cap - 1).0, dir - 1, "cap {cap}");
+            assert!(dir <= 16_392, "cap {cap}: {dir} segments");
         }
-        // Past the plateau the tail over-allocation is one MAX_SEG.
-        assert_eq!(seg_of(DOUBLING_COVER).0, DOUBLING_SEGS);
-        // The fixed directory covers the 2³¹ ceiling.
-        let (k, _, _) = seg_of((1usize << 31) - 1);
-        assert!(k < NUM_SEGS, "segment {k} out of directory");
+        // A cap below one segment still gets one.
+        assert_eq!(SegLayout::for_cap(3).segments(3), 1);
     }
 
     #[test]
@@ -720,8 +789,14 @@ mod tests {
         }
     }
 
+    /// Whether a table of `slots` holding `used` states is in the band a
+    /// provision leaves: at most [`LOAD_TARGET`], and above half of it.
+    fn provisioned_load(used: usize, slots: usize) -> bool {
+        used * 16 <= slots * LOAD_TARGET && used * 32 > slots * LOAD_TARGET
+    }
+
     /// A table provisioned for what a level brings does not leave the
-    /// one-table fast path, and stays within 25–50 % load.
+    /// one-table fast path, and stays within 34–69 % load.
     #[test]
     fn provisioned_levels_never_open_a_generation() {
         let mut t = Interner::new(1, 1 << 20, 2);
@@ -737,7 +812,62 @@ mod tests {
         let stats = t.table_stats();
         assert_eq!(stats.midlevel_grows, 0);
         assert_eq!(stats.used, next as usize);
-        assert!(stats.used * 2 <= stats.slots && stats.used * 4 > stats.slots);
+        assert!(
+            provisioned_load(stats.used, stats.slots),
+            "{} states in {} slots",
+            stats.used,
+            stats.slots
+        );
+    }
+
+    /// After provisioned levels the arena holds the states and at most
+    /// one granule more, and the table is in the provisioned band: on a
+    /// cap whose granule (4096 states) comes after three doubling
+    /// segments, with the states ending inside a granule.
+    #[test]
+    fn provisioned_levels_hold_no_more_than_one_granule_of_slack() {
+        const WORDS: usize = 3;
+        let mut t = Interner::new(WORDS, 16 << 20, 2);
+        let granule = t.layout.granule();
+        assert_eq!((granule, t.layout.doubling), (4096, 4));
+        let mut next = 0u64;
+        for level in 0..30u64 {
+            let adds = 50 + level * 40;
+            t.provision(adds as usize);
+            for _ in 0..adds {
+                t.intern(&[next, !next, next >> 3], || false).unwrap();
+                next += 1;
+            }
+        }
+        let states = next as usize;
+        assert!(states > t.layout.cover + granule);
+        assert_ne!((states - t.layout.cover) % granule, 0);
+        let arena: usize = t
+            .state_segs
+            .iter()
+            .filter_map(|s| s.get())
+            .map(|s| s.len() * 8)
+            .sum();
+        let flags: usize = t
+            .flag_segs
+            .iter()
+            .filter_map(|s| s.get())
+            .map(|s| s.len())
+            .sum();
+        assert!(arena >= states * WORDS * 8);
+        assert!(
+            arena <= (states + granule) * WORDS * 8,
+            "{arena} arena bytes for {states} states"
+        );
+        assert!(flags <= states + granule);
+        let stats = t.table_stats();
+        assert_eq!(stats.midlevel_grows, 0);
+        assert!(
+            provisioned_load(stats.used, stats.slots),
+            "{} states in {} slots",
+            stats.used,
+            stats.slots
+        );
     }
 
     /// Pairs of `keys` whose hashes agree in the 32 bits a table slot

@@ -54,13 +54,17 @@ const RESTART: usize = 30;
 /// into steepest descent.
 const MIN_RESTART: usize = 4;
 
-/// States beyond which the Krylov basis is trimmed to bound memory
-/// (basis memory is `(restart + 1) × n × 8` bytes).
+/// States beyond which the Krylov basis is trimmed to bound memory. A
+/// full basis is `(restart + 1) × n × 8` bytes; it grows one vector per
+/// Arnoldi step, so a solve whose first check converges (every
+/// first-passage chain of the paper's model) holds none of it, only
+/// three n-vectors (24 B/state).
 const BIG_SYSTEM: usize = 1 << 20;
 
-/// Restart dimension for big systems: `(16 + 1) × 8 ≈ 136` bytes of
-/// basis per state, so even the 2.3M-state n = 3 order-3 space costs
-/// ~320 MB — small next to the exploration's own footprint.
+/// Restart dimension for big systems: at most `(16 + 1) × 8 = 136`
+/// bytes of basis per state, about 318 MB on the 2.3 M-state n = 3
+/// order-3 space — most of that exploration's own live heap, which is
+/// why the basis is trimmed there.
 const BIG_RESTART: usize = 16;
 
 /// The Arnoldi dimension per restart cycle of an `n`-state system.
@@ -70,28 +74,32 @@ fn restart_dim(n: usize) -> usize {
 }
 
 /// One restarted-GMRES solve of the preconditioned system given by
-/// `apply` (which must write `A·v` into its second argument). `x` holds
-/// the initial guess and receives the solution. `check` maps the
-/// current iterate to the true (unpreconditioned) sup-norm residual the
-/// caller gates on. Returns `(matvecs, residual)` on convergence.
-fn gmres<A, C>(
+/// `apply` (which must write `A·v` into its second argument) and the
+/// right-hand side `b` (entry by entry). `x` holds the initial guess
+/// and receives the solution. `check` maps the current iterate to the
+/// true (unpreconditioned) sup-norm residual the caller gates on; the
+/// last call is on the returned iterate. Returns `(matvecs, residual)`
+/// on convergence.
+fn gmres<A, B, C>(
     n: usize,
     apply: A,
-    b: &[f64],
+    b: B,
     x: &mut [f64],
     opts: &IterOptions,
     check: C,
 ) -> Result<(usize, f64), SolveError>
 where
     A: Fn(&[f64], &mut [f64]),
+    B: Fn(usize) -> f64,
     C: Fn(&[f64]) -> f64,
 {
     let m = restart_dim(n);
     let mut matvecs = 0usize;
     let mut best_true = f64::INFINITY;
     let mut stagnant = 0u32;
-    let mut w = vec![0.0; n];
-    // Krylov basis, reused across cycles.
+    // Krylov basis, reused across cycles. A solve whose first check
+    // converges allocates none of it; the others add one vector per
+    // Arnoldi step, up to `m + 1`.
     let mut basis: Vec<Vec<f64>> = Vec::new();
     let mut cycle = 0usize;
     loop {
@@ -149,13 +157,17 @@ where
             });
         }
 
-        // r = b - A x.
-        apply(x, &mut w);
+        // r = b - A x, in the basis vector it is normalised into.
+        if basis.is_empty() {
+            basis.push(vec![0.0; n]);
+        }
+        let r = &mut basis[0];
+        apply(x, r);
         matvecs += 1;
         let mut beta2 = 0.0;
-        for (wi, &bi) in w.iter_mut().zip(b) {
-            *wi = bi - *wi;
-            beta2 += *wi * *wi;
+        for (i, ri) in r.iter_mut().enumerate() {
+            *ri = b(i) - *ri;
+            beta2 += *ri * *ri;
         }
         let beta = beta2.sqrt();
         if !(beta.is_finite() && beta > 0.0) {
@@ -167,11 +179,8 @@ where
         // Arnoldi with modified Gram–Schmidt; Givens rotations keep the
         // Hessenberg triangular and expose the least-squares residual
         // |g[j+1]| for free.
-        if basis.is_empty() {
-            basis.resize_with(m + 1, || vec![0.0; n]);
-        }
-        for (vi, &wi) in basis[0].iter_mut().zip(w.iter()) {
-            *vi = wi / beta;
+        for vi in r.iter_mut() {
+            *vi /= beta;
         }
         let mut h = vec![vec![0.0f64; m]; m + 1];
         let mut cs = vec![0.0f64; m];
@@ -184,6 +193,9 @@ where
         let inner_tol = (opts.tolerance * 1e-2).max(beta * 1e-14);
         let mut steps = 0usize;
         for j in 0..m {
+            if basis.len() == j + 1 {
+                basis.push(vec![0.0; n]);
+            }
             let (head, tail) = basis.split_at_mut(j + 1);
             apply(&head[j], &mut tail[0]);
             matvecs += 1;
@@ -290,17 +302,17 @@ pub(crate) fn absorption(op: &Ctmc, opts: &IterOptions) -> Result<AbsorptionTime
     // `B τ = c` with `B = -Q_TT` over transient rows (positive
     // diagonal), identity on absorbing rows. GMRES iterates the
     // preconditioned variable `u` with `τ = (D − U)^{-1} u`.
-    let c: Vec<f64> = (0..n)
-        .map(|i| if op.is_absorbing(i) { 0.0 } else { 1.0 })
-        .collect();
-    // Scratch buffers hoisted out of the closures: `apply` runs once
-    // per Arnoldi step and must not allocate an n-vector each time.
-    let apply_z = RefCell::new(vec![0.0; n]);
+    let c = |i: usize| if op.is_absorbing(i) { 0.0 } else { 1.0 };
+    // Scratch hoisted out of the closures, which run once per Arnoldi
+    // step or cycle and must not allocate an n-vector each time: the
+    // recovered `z = (D − U)^{-1} u`, shared by `apply` and `check`
+    // (each fills it before reading it), and `check`'s product.
+    let scratch = RefCell::new((vec![0.0; n], vec![0.0; n]));
     let apply = |u: &[f64], out: &mut [f64]| {
-        let mut z = apply_z.borrow_mut();
+        let (z, _) = &mut *scratch.borrow_mut();
         z.copy_from_slice(u);
-        op.upper_solve(&mut z);
-        op.apply(&z, out, threads);
+        op.upper_solve(z);
+        op.apply(z, out, threads);
         for i in 0..n {
             out[i] = if op.is_absorbing(i) {
                 z[i]
@@ -311,10 +323,8 @@ pub(crate) fn absorption(op: &Ctmc, opts: &IterOptions) -> Result<AbsorptionTime
     };
     // True residual: sup-norm of `q_ii τ_i + flow_i + 1` over transient
     // states — the Gauss–Seidel defect, evaluated on the recovered τ.
-    let scratch = RefCell::new((vec![0.0; n], vec![0.0; n]));
     let check = |u: &[f64]| {
-        let mut s = scratch.borrow_mut();
-        let (z, flow) = &mut *s;
+        let (z, flow) = &mut *scratch.borrow_mut();
         z.copy_from_slice(u);
         op.upper_solve(z);
         op.apply(z, flow, threads);
@@ -329,10 +339,11 @@ pub(crate) fn absorption(op: &Ctmc, opts: &IterOptions) -> Result<AbsorptionTime
     // u₀ = c makes the initial guess τ₀ = (D − U)^{-1} c — one backward
     // Gauss–Seidel sweep from zero, already the exact solution on
     // acyclic chains.
-    let mut u = c.clone();
-    let (iterations, residual) = gmres(n, apply, &c, &mut u, opts, check)?;
-    let mut tau = u;
-    op.upper_solve(&mut tau);
+    let mut u: Vec<f64> = (0..n).map(c).collect();
+    let (iterations, residual) = gmres(n, apply, c, &mut u, opts, check)?;
+    drop(u);
+    // The converging check recovered τ from the returned iterate.
+    let (mut tau, _) = scratch.into_inner();
     if tau.iter().any(|t| !t.is_finite()) {
         return Err(SolveError::NotConverged {
             iterations,

@@ -311,6 +311,20 @@ pub fn extrapolated_mean(orders: &[(u32, f64)]) -> Option<f64> {
     }
 }
 
+/// Makes room in `v` for `additional` more elements, growing its
+/// capacity by a quarter instead of doubling it. The CSR entries and
+/// `row_ptr`, the per-state arrays of an exploration and its canonical
+/// map are the largest vectors the pipeline grows, and a doubled
+/// capacity is up to twice their live heap at the exploration's peak.
+/// A large block is usually remapped rather than copied when it grows;
+/// a small one grows by at least 1 Ki elements, so element-by-element
+/// pushes do not reallocate each time.
+pub(crate) fn reserve_by_quarters<T>(v: &mut Vec<T>, additional: usize) {
+    if v.capacity() - v.len() < additional {
+        v.reserve_exact(additional.max(v.len() / 4).max(1 << 10));
+    }
+}
+
 /// Why an analytic solve failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveError {

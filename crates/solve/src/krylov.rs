@@ -341,7 +341,6 @@ pub(crate) fn absorption(op: &Ctmc, opts: &IterOptions) -> Result<AbsorptionTime
     // acyclic chains.
     let mut u: Vec<f64> = (0..n).map(c).collect();
     let (iterations, residual) = gmres(n, apply, c, &mut u, opts, check)?;
-    drop(u);
     // The converging check recovered τ from the returned iterate.
     let (mut tau, _) = scratch.into_inner();
     if tau.iter().any(|t| !t.is_finite()) {

@@ -6,8 +6,9 @@ Reads a `repro --metrics` document of a resident exploration and fails
 unless no BFS level outgrew the table sized for it
 (`intern.midlevel_grows` is 0 — the mid-level overflow path is for the
 rare level, not for the CI models), the table is not oversized either
-(`intern.occupancy` within 0.2 … 0.69: a provisioned table is the
-smallest power of two that holds its states at 11/16 load), and the
+(occupancy `intern.used_slots / intern.table_slots` within 0.2 … 0.69:
+a provisioned table is the smallest power of two that holds its states
+at 11/16 load), and the
 widest packed key of the run (`explore.words_per_state`) is at most 9
 words — what one bit per place plus the learned extensions give the
 n = 3 order-2 model.
@@ -36,13 +37,19 @@ def main(path):
     with open(path) as f:
         metrics = json.load(f)
     grows = metrics["counters"]["intern.midlevel_grows"]
-    occupancy = metrics["gauges"]["intern.occupancy"]
+    # Both gauges keep the run's maximum: the largest table's.
+    used = metrics["gauges"]["intern.used_slots"]
+    slots = metrics["gauges"]["intern.table_slots"]
+    occupancy = used / slots
     words = metrics["gauges"]["explore.words_per_state"]
     restarts = metrics["counters"]["explore.layout_restarts"]
     terms = metrics["gauges"]["explore.terms"]
     coefficients = metrics["gauges"]["ctmc.coefficients"]
     composites = metrics["gauges"]["ctmc.composites"]
-    print(f"intern.midlevel_grows = {grows}, intern.occupancy = {occupancy:.3f}")
+    print(
+        f"intern.midlevel_grows = {grows}, "
+        f"occupancy = {used:g} / {slots:g} slots = {occupancy:.3f}"
+    )
     print(f"explore.words_per_state = {words:g}, explore.layout_restarts = {restarts}")
     print(f"explore.terms = {terms:g}")
     print(f"ctmc.coefficients = {coefficients:g}, ctmc.composites = {composites:g}")

@@ -152,13 +152,14 @@ impl<V: Clone, F> ConsensusNode<V, F> {
         f(&mut self.consensus, &mut env, &|q| fd.is_suspected(q));
     }
 
-    /// Feeds the detector's pending suspicion transitions to the engine.
+    /// Feeds the detector's pending suspicion transitions to the engine
+    /// (which never calls into the detector, so raises none).
     fn pump<M>(&mut self, ctx: &mut Ctx<'_, M>)
     where
         M: InstanceWire<V> + Clone,
         F: FailureDetector<M>,
     {
-        for ev in self.fd.drain_events() {
+        while let Some(ev) = self.fd.drain_events() {
             self.engine(ctx, |c, env, d| {
                 c.on_suspicion(env, ev.target, ev.suspected, d)
             });
@@ -538,13 +539,14 @@ mod tests {
                     log: Vec::new(),
                 },
             );
-            rt.run_until(SimTime::from_ms(20.0 + gap_ms * executions as f64));
-            let mistakes: usize = (0..n)
+            let end = SimTime::from_ms(20.0 + gap_ms * executions as f64);
+            rt.run_until(end);
+            let mistakes: u64 = (0..n)
                 .map(|i| {
                     let fd = &rt.node(ProcessId(i)).host.fd;
                     (0..n)
-                        .map(|q| fd.history(ProcessId(q)).len())
-                        .sum::<usize>()
+                        .map(|q| fd.pair_qos(ProcessId(q), end).n_ts)
+                        .sum::<u64>()
                 })
                 .sum();
             assert!(mistakes > 0, "gap {gap_ms}: T = 3 ms must cause suspicions");

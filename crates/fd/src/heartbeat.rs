@@ -14,12 +14,15 @@
 //! precise timers (the paper built a 1 µs native-code clock), so
 //! suspicions start promptly once the silence exceeds `T`.
 //!
-//! Every suspicion-state transition is recorded with its timestamp; the
-//! histories feed [`crate::qos`].
+//! Each suspicion-state transition updates its target's QoS tally
+//! ([`HeartbeatFd::pair_qos`]) and is queued once for the client.
+
+use std::collections::VecDeque;
 
 use ctsim_des::{SimDuration, SimTime};
 use ctsim_neko::{Ctx, ProcessId, TimerKind};
 
+use crate::qos::{PairQos, PairTally};
 use crate::{FailureDetector, FdEvent};
 
 /// Timer-token namespace: the heartbeat loop.
@@ -49,7 +52,7 @@ impl FdParams {
 /// The heartbeat failure-detector module of one process.
 ///
 /// One instance monitors all `n-1` other processes (the paper describes
-/// this as `n-1` conceptual detectors; histories are kept per target).
+/// this as `n-1` conceptual detectors; a tally is kept per target).
 #[derive(Debug)]
 pub struct HeartbeatFd {
     me: ProcessId,
@@ -57,10 +60,10 @@ pub struct HeartbeatFd {
     params: FdParams,
     /// Local-clock time of the last message seen from each process.
     last_heard: Vec<SimTime>,
-    suspected: Vec<bool>,
-    events: Vec<FdEvent>,
-    /// Per-target transition history: (true time, new suspicion state).
-    history: Vec<Vec<(SimTime, bool)>>,
+    /// Per-target suspicion state and QoS tally, in true time.
+    pairs: Vec<PairTally>,
+    /// Transitions the client has not taken yet.
+    events: VecDeque<FdEvent>,
     started: bool,
 }
 
@@ -72,9 +75,8 @@ impl HeartbeatFd {
             n,
             params,
             last_heard: vec![SimTime::ZERO; n],
-            suspected: vec![false; n],
-            events: Vec::new(),
-            history: vec![Vec::new(); n],
+            pairs: vec![PairTally::default(); n],
+            events: VecDeque::new(),
             started: false,
         }
     }
@@ -84,20 +86,19 @@ impl HeartbeatFd {
         self.params
     }
 
-    /// The recorded suspicion-transition history for target `q`:
-    /// `(true time, suspected)` pairs in chronological order.
-    pub fn history(&self, q: ProcessId) -> &[(SimTime, bool)] {
-        &self.history[q.0]
+    /// Paper §4's QoS estimates for target `q`, trusted at time zero,
+    /// over the true-time window `[0, end]`; `end` is positive and no
+    /// earlier than `q`'s last transition.
+    pub fn pair_qos(&self, q: ProcessId, end: SimTime) -> PairQos {
+        self.pairs[q.0].qos(end)
     }
 
     fn transition<M>(&mut self, ctx: &mut Ctx<'_, M>, q: ProcessId, suspected: bool)
     where
         M: Clone,
     {
-        if self.suspected[q.0] != suspected {
-            self.suspected[q.0] = suspected;
-            self.history[q.0].push((ctx.now_true(), suspected));
-            self.events.push(FdEvent {
+        if self.pairs[q.0].set(ctx.now_true(), suspected) {
+            self.events.push_back(FdEvent {
                 target: q,
                 suspected,
             });
@@ -182,11 +183,11 @@ impl<M: Clone> FailureDetector<M> for HeartbeatFd {
     }
 
     fn is_suspected(&self, q: ProcessId) -> bool {
-        self.suspected[q.0]
+        self.pairs[q.0].suspected
     }
 
-    fn drain_events(&mut self) -> Vec<FdEvent> {
-        std::mem::take(&mut self.events)
+    fn drain_events(&mut self) -> Option<FdEvent> {
+        self.events.pop_front()
     }
 }
 
@@ -241,13 +242,12 @@ mod tests {
     fn generous_timeout_produces_no_suspicions() {
         // T = 200 ms: far above any batching/pause artifact.
         let mut rt = fd_runtime(3, 200.0, 1, false);
-        rt.run_until(ctsim_des::SimTime::from_secs(3.0));
+        let end = SimTime::from_secs(3.0);
+        rt.run_until(end);
         for i in 0..3 {
             for j in 0..3 {
-                assert!(
-                    rt.node(ProcessId(i)).fd.history(ProcessId(j)).is_empty(),
-                    "p{i} wrongly suspected p{j}"
-                );
+                let q = rt.node(ProcessId(i)).fd.pair_qos(ProcessId(j), end);
+                assert_eq!((q.n_ts, q.n_st), (0, 0), "p{i} wrongly suspected p{j}");
             }
         }
     }
@@ -256,19 +256,20 @@ mod tests {
     fn crashed_process_gets_suspected_permanently() {
         let mut rt = fd_runtime(3, 50.0, 2, false);
         rt.crash(ProcessId(2));
-        rt.run_until(ctsim_des::SimTime::from_secs(2.0));
+        let end = SimTime::from_secs(2.0);
+        rt.run_until(end);
         for i in 0..2 {
             let fd = &rt.node(ProcessId(i)).fd;
             assert!(
                 FailureDetector::<u8>::is_suspected(fd, ProcessId(2)),
                 "p{i} must suspect the crashed p3"
             );
-            // Exactly one transition: trust -> suspect, never back.
-            let h = fd.history(ProcessId(2));
-            assert_eq!(h.len(), 1, "history {h:?}");
-            assert!(h[0].1);
+            // Exactly one transition: trust -> suspect, never back, so
+            // the suspicion has lasted from detection to the end.
+            let q = fd.pair_qos(ProcessId(2), end);
+            assert_eq!((q.n_ts, q.n_st), (1, 0), "{q:?}");
             // Detection happened after roughly T (plus tick quantization).
-            let td = h[0].0.as_ms();
+            let td = end.as_ms() - q.t_s;
             assert!(
                 (50.0..150.0).contains(&td),
                 "detection time {td} vs T=50 + coarse-tick slack"
@@ -282,36 +283,24 @@ mod tests {
         // mistakes must occur, and every mistake must heal (processes
         // are all correct).
         let mut rt = fd_runtime(3, 5.0, 3, false);
-        rt.run_until(ctsim_des::SimTime::from_secs(2.0));
+        let end = SimTime::from_secs(2.0);
+        rt.run_until(end);
         let mut mistakes = 0;
         for i in 0..3 {
             for j in 0..3 {
                 if i == j {
                     continue;
                 }
-                let h = rt.node(ProcessId(i)).fd.history(ProcessId(j));
-                mistakes += h.iter().filter(|(_, s)| *s).count();
-                // Transitions must alternate starting with `suspect`.
-                for (k, &(_, s)) in h.iter().enumerate() {
-                    assert_eq!(s, k % 2 == 0, "non-alternating history {h:?}");
-                }
+                let fd = &rt.node(ProcessId(i)).fd;
+                let q = fd.pair_qos(ProcessId(j), end);
+                mistakes += q.n_ts;
+                // Transitions alternate starting with `suspect`, so
+                // every suspicion but a still-open one has healed.
+                let open = FailureDetector::<u8>::is_suspected(fd, ProcessId(j));
+                assert_eq!(q.n_ts, q.n_st + open as u64, "p{i} on p{j}: {q:?}");
             }
         }
         assert!(mistakes > 10, "expected frequent mistakes, got {mistakes}");
-        // Mistakes heal: currently-suspected pairs are transient; after
-        // the last heartbeat exchange the final state can be either, but
-        // the *number* of suspect and trust transitions differs by ≤ 1.
-        for i in 0..3 {
-            for j in 0..3 {
-                if i == j {
-                    continue;
-                }
-                let h = rt.node(ProcessId(i)).fd.history(ProcessId(j));
-                let ts = h.iter().filter(|(_, s)| *s).count() as i64;
-                let st = h.iter().filter(|(_, s)| !*s).count() as i64;
-                assert!((ts - st).abs() <= 1);
-            }
-        }
     }
 
     #[test]
@@ -361,25 +350,35 @@ mod tests {
                 chat: p.0 == 0,
             },
         );
-        rt.run_until(ctsim_des::SimTime::from_secs(2.0));
-        let h = rt.node(ProcessId(1)).fd.history(ProcessId(0));
-        assert!(
-            h.is_empty(),
-            "app traffic must keep the detector quiet, got {h:?}"
+        let end = SimTime::from_secs(2.0);
+        rt.run_until(end);
+        let q = rt.node(ProcessId(1)).fd.pair_qos(ProcessId(0), end);
+        assert_eq!(
+            q.n_ts, 0,
+            "app traffic must keep the detector quiet, got {q:?}"
         );
     }
 
     #[test]
     fn events_are_drained_once() {
         let mut rt = fd_runtime(2, 5.0, 8, false);
-        rt.run_until(ctsim_des::SimTime::from_secs(1.0));
-        let n1: usize = (0..2)
-            .map(|i| FailureDetector::<u8>::drain_events(&mut rt.node_mut(ProcessId(i)).fd).len())
+        let end = SimTime::from_secs(1.0);
+        rt.run_until(end);
+        let mut drain = |i: usize| {
+            let fd = &mut rt.node_mut(ProcessId(i)).fd;
+            std::iter::from_fn(|| FailureDetector::<u8>::drain_events(fd)).count() as u64
+        };
+        let n1 = drain(0) + drain(1);
+        let n2 = drain(0) + drain(1);
+        // Each transition is queued once: the tallies count as many.
+        let tallied: u64 = (0..2)
+            .map(|i| {
+                let q = rt.node(ProcessId(i)).fd.pair_qos(ProcessId(1 - i), end);
+                q.n_ts + q.n_st
+            })
             .sum();
         assert!(n1 > 0);
-        let n2: usize = (0..2)
-            .map(|i| FailureDetector::<u8>::drain_events(&mut rt.node_mut(ProcessId(i)).fd).len())
-            .sum();
+        assert_eq!(n1, tallied, "one event per transition");
         assert_eq!(n2, 0, "second drain must be empty");
     }
 }

@@ -10,9 +10,12 @@
 //!
 //! Run classes 1 and 2 of the paper use idealized failure detectors
 //! ("complete and accurate"): [`OracleFd`] provides those. Class 3 uses
-//! the real [`HeartbeatFd`], whose histories feed the QoS estimation of
-//! [`qos`] — mistake recurrence time `T_MR` and mistake duration `T_M` —
-//! exactly with the two equations of paper §4.
+//! the real [`HeartbeatFd`]. It keeps, per monitored process, only the
+//! three numbers paper §4 estimates QoS from — suspected time,
+//! trust→suspect and suspect→trust counts — folded as each transition
+//! happens, and [`HeartbeatFd::pair_qos`] turns them into the mistake
+//! recurrence time `T_MR` and mistake duration `T_M` of [`qos`] with the
+//! two equations of §4. No transition is logged.
 
 pub mod heartbeat;
 pub mod oracle;
@@ -20,7 +23,7 @@ pub mod qos;
 
 pub use heartbeat::{FdParams, HeartbeatFd};
 pub use oracle::OracleFd;
-pub use qos::{aggregate_qos, estimate_pair_qos, PairHistory, PairQos, QosSummary};
+pub use qos::{aggregate_qos, PairQos, QosSummary};
 
 use ctsim_neko::{Ctx, ProcessId};
 
@@ -49,8 +52,8 @@ pub trait FailureDetector<M> {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, token: u64) -> bool;
     /// Is `q` currently suspected?
     fn is_suspected(&self, q: ProcessId) -> bool;
-    /// Drains suspicion-state changes since the last call.
-    fn drain_events(&mut self) -> Vec<FdEvent>;
+    /// Takes the oldest suspicion-state change not taken yet.
+    fn drain_events(&mut self) -> Option<FdEvent>;
 }
 
 #[cfg(test)]

@@ -47,8 +47,8 @@ impl<M> FailureDetector<M> for OracleFd {
         self.suspected[q.0]
     }
 
-    fn drain_events(&mut self) -> Vec<FdEvent> {
-        Vec::new()
+    fn drain_events(&mut self) -> Option<FdEvent> {
+        None
     }
 }
 
@@ -76,6 +76,6 @@ mod tests {
     #[test]
     fn oracle_emits_no_events() {
         let mut fd = OracleFd::suspecting(3, &[ProcessId(1)]);
-        assert!(FailureDetector::<u8>::drain_events(&mut fd).is_empty());
+        assert!(FailureDetector::<u8>::drain_events(&mut fd).is_none());
     }
 }

@@ -19,7 +19,8 @@
 //! timer of a crashed host is dropped when it comes due. A timer that
 //! comes due during a host's stop-the-world pause is re-queued at the
 //! pause end with a fresh sequence number, so it fires after whatever
-//! was already due at that instant.
+//! was already due at that instant. A queue event is 16 bytes: it
+//! carries host indices as `u16`, so a cluster has at most 65 536 hosts.
 //!
 //! [`ClusterNet::traffic`] counts what the cluster did: events by kind,
 //! timers, messages and the peak number of pending events.
@@ -152,11 +153,11 @@ struct NagleGate {
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    CpuDone(usize),
+    CpuDone(u16),
     HubDone,
-    NagleFlush { from: usize, to: usize, epoch: u64 },
-    GcStart(usize),
-    Timer { host: HostId, token: u64 },
+    NagleFlush { from: u16, to: u16, epoch: u64 },
+    GcStart(u16),
+    Timer { host: u16, token: u64 },
 }
 
 /// The simulated cluster (see the [crate docs](crate)).
@@ -188,15 +189,16 @@ impl<P> std::fmt::Debug for ClusterNet<P> {
 }
 
 impl<P> ClusterNet<P> {
-    /// Builds a cluster of `n` hosts with identical parameters.
+    /// Builds a cluster of `n` ≤ 65 536 hosts with identical parameters.
     pub fn new(n: usize, net: NetParams, host_params: HostParams, rng: SimRng) -> Self {
+        assert!(n <= 1 << 16, "at most 65 536 hosts");
         let mut queue = EventQueue::new();
         let mut hosts = Vec::with_capacity(n);
         for i in 0..n {
             let mut hrng = rng.substream(1000 + i as u64);
             if host_params.gc_enabled {
                 let first = SimDuration::from_ms(host_params.gc_interval.sample(&mut hrng));
-                queue.schedule_at(SimTime::ZERO + first, Ev::GcStart(i));
+                queue.schedule_at(SimTime::ZERO + first, Ev::GcStart(i as u16));
             }
             hosts.push(Host {
                 params: host_params.clone(),
@@ -343,8 +345,8 @@ impl<P> ClusterNet<P> {
                 delay + SimDuration::from_ms(j)
             }
         };
-        self.queue
-            .schedule_at(self.queue.now() + actual, Ev::Timer { host: h, token });
+        let (at, host) = (self.queue.now() + actual, h.0 as u16);
+        self.queue.schedule_at(at, Ev::Timer { host, token });
     }
 
     /// Processes internal events until the next observable occurrence at
@@ -363,6 +365,7 @@ impl<P> ClusterNet<P> {
             let (now, ev) = self.queue.pop().expect("peeked");
             match ev {
                 Ev::CpuDone(h) => {
+                    let h = usize::from(h);
                     self.traffic.cpu_events += 1;
                     let kind = {
                         let host = &mut self.hosts[h];
@@ -416,6 +419,7 @@ impl<P> ClusterNet<P> {
                     );
                 }
                 Ev::NagleFlush { from, to, epoch } => {
+                    let (from, to) = (usize::from(from), usize::from(to));
                     self.traffic.nagle_events += 1;
                     if self.nagle[from][to].epoch != epoch {
                         continue; // superseded by an app-message flush
@@ -432,7 +436,8 @@ impl<P> ClusterNet<P> {
                         self.schedule_nagle_flush(from, to, e);
                     }
                 }
-                Ev::GcStart(h) => {
+                Ev::GcStart(g) => {
+                    let h = usize::from(g);
                     self.traffic.gc_events += 1;
                     let (dur, next) = {
                         let host = &mut self.hosts[h];
@@ -442,7 +447,7 @@ impl<P> ClusterNet<P> {
                         )
                     };
                     self.queue
-                        .schedule_in(SimDuration::from_ms(dur.max(0.0) + next), Ev::GcStart(h));
+                        .schedule_in(SimDuration::from_ms(dur.max(0.0) + next), Ev::GcStart(g));
                     if !self.hosts[h].crashed {
                         // The pause preempts: goes to the queue front.
                         self.hosts[h].queue.push_front(Job {
@@ -453,12 +458,12 @@ impl<P> ClusterNet<P> {
                 }
                 Ev::Timer { host, token } => {
                     self.traffic.timer_events += 1;
-                    if self.hosts[host.0].crashed {
+                    if self.hosts[usize::from(host)].crashed {
                         self.traffic.timers_dropped += 1;
                         continue;
                     }
                     // A stop-the-world pause delays thread wake-ups.
-                    let until = self.hosts[host.0].gc_until;
+                    let until = self.hosts[usize::from(host)].gc_until;
                     if now < until {
                         self.traffic.timers_deferred += 1;
                         self.queue.schedule_at(until, Ev::Timer { host, token });
@@ -467,7 +472,7 @@ impl<P> ClusterNet<P> {
                     self.traffic.timers_fired += 1;
                     return Some(Delivery::Timer {
                         at: now,
-                        host,
+                        host: HostId(host.into()),
                         token,
                     });
                 }
@@ -484,6 +489,7 @@ impl<P> ClusterNet<P> {
 
     fn schedule_nagle_flush(&mut self, from: usize, to: usize, epoch: u64) {
         let ack = self.net.delayed_ack.sample(&mut self.rng);
+        let (from, to) = (from as u16, to as u16);
         self.queue.schedule_in(
             SimDuration::from_ms(ack),
             Ev::NagleFlush { from, to, epoch },
@@ -546,7 +552,7 @@ impl<P> ClusterNet<P> {
                         host.gc_until = now + job.cost;
                     }
                     host.current = Some(job.kind);
-                    self.queue.schedule_in(job.cost, Ev::CpuDone(h));
+                    self.queue.schedule_in(job.cost, Ev::CpuDone(h as u16));
                 }
             }
         }
@@ -889,5 +895,17 @@ mod tests {
         assert_eq!(t.timer_events, 4, "the deferred timer pops twice");
         assert_eq!(t.gc_events, 2, "one pause start per host");
         assert_eq!(t.peak_pending, 5, "two pause starts and three timers");
+    }
+
+    #[test]
+    fn events_are_16_bytes() {
+        assert_eq!(std::mem::size_of::<Ev>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65 536 hosts")]
+    fn more_hosts_than_a_u16_index_are_rejected() {
+        // Refused before anything is allocated.
+        let _ = cluster((1 << 16) + 1);
     }
 }

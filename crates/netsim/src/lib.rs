@@ -31,7 +31,8 @@
 //!   makes the failure-detector QoS collapse below `T ≈ 40 ms`.
 //!
 //! The crate is payload-generic: it moves opaque `P` values from sender
-//! to receiver and never inspects them.
+//! to receiver and never inspects them. It has at most 65 536 hosts, so
+//! that a queue event is 16 bytes (see [`cluster`]).
 
 pub mod cluster;
 pub mod params;

@@ -538,16 +538,12 @@ impl Dedup for Resident {
 
     fn finish(self, states: ResidentStates) -> PackedStates {
         if ctsim_obs::enabled() {
-            // Snapshot the intern table before it is dropped.
+            // Snapshot the intern table before it is dropped. A run
+            // explores more than once; its largest table is the one
+            // kept (the largest holds the most states too).
             let t = self.interner.table_stats();
-            let occ = if t.slots > 0 {
-                t.used as f64 / t.slots as f64
-            } else {
-                0.0
-            };
-            ctsim_obs::gauge_set("intern.occupancy", occ);
-            ctsim_obs::gauge_set("intern.used_slots", t.used as f64);
-            ctsim_obs::gauge_set("intern.table_slots", t.slots as f64);
+            ctsim_obs::gauge_max("intern.used_slots", t.used as f64);
+            ctsim_obs::gauge_max("intern.table_slots", t.slots as f64);
             ctsim_obs::counter_add("intern.midlevel_grows", t.midlevel_grows);
             ctsim_obs::counter_add("intern.rehashed_entries", t.rehashed_entries);
         }

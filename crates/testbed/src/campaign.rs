@@ -4,10 +4,7 @@
 use ctsim_core::consensus::ConsensusMsg;
 use ctsim_core::node::{ConsensusNode, InstanceWire};
 use ctsim_des::{SimDuration, SimTime};
-use ctsim_fd::{
-    aggregate_qos, estimate_pair_qos, FailureDetector, FdParams, HeartbeatFd, OracleFd,
-    PairHistory, QosSummary,
-};
+use ctsim_fd::{aggregate_qos, FailureDetector, FdParams, HeartbeatFd, OracleFd, QosSummary};
 use ctsim_neko::{Ctx, Node, ProcessId, Runtime, TimerKind};
 use ctsim_netsim::Traffic;
 use ctsim_stoch::{OnlineStats, SimRng};
@@ -44,10 +41,11 @@ struct CampaignNode<F> {
     gap: SimDuration,
     /// The failure detector persists across executions, as in §4.
     host: ConsensusNode<u64, F>,
-    /// Local-clock decision stamps per execution.
-    decided_local: Vec<Option<SimTime>>,
-    /// Rounds executed per finished execution (diagnostics).
-    rounds_per_exec: Vec<u64>,
+    /// Local-clock decision stamps per execution ([`SimTime::MAX`]: none).
+    decided_local: Vec<SimTime>,
+    /// Rounds executed by the finished executions, and their number.
+    rounds_sum: u64,
+    finished: u64,
 }
 
 impl<F> CampaignNode<F> {
@@ -57,15 +55,18 @@ impl<F> CampaignNode<F> {
             warmup: SimDuration::from_ms(cfg.warmup_ms),
             gap: SimDuration::from_ms(cfg.isolation_gap_ms),
             host: ConsensusNode::passive(me, cfg.n, fd),
-            decided_local: vec![None; cfg.executions as usize],
-            rounds_per_exec: Vec::new(),
+            decided_local: vec![SimTime::MAX; cfg.executions as usize],
+            rounds_sum: 0,
+            finished: 0,
         }
     }
 
     /// Call after anything that touched the engine.
     fn record_decision(&mut self) {
         if let Some(t) = self.host.consensus.decided_at_local() {
-            self.decided_local[self.host.instance() as usize].get_or_insert(t);
+            // An engine decides once, so its stamp never changes.
+            let stamp = &mut self.decided_local[self.host.instance() as usize];
+            *stamp = t.min(*stamp);
         }
     }
 }
@@ -99,8 +100,8 @@ impl<F: FailureDetector<Tagged>> Node<Tagged> for CampaignNode<F> {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Tagged>, token: u64) {
         if token < self.executions as u64 {
             if token > self.host.instance() {
-                self.rounds_per_exec
-                    .push(self.host.consensus.rounds_executed());
+                self.rounds_sum += self.host.consensus.rounds_executed();
+                self.finished += 1;
                 self.host.advance(token);
                 while self.host.replay_next(ctx) {}
             }
@@ -168,18 +169,13 @@ pub fn run_campaign(cfg: &TestbedConfig) -> CampaignResult {
         FdSetup::Heartbeat { timeout } => run(
             cfg,
             |p| HeartbeatFd::new(p, cfg.n, FdParams::with_timeout(timeout)),
-            // Whole-experiment QoS from the heartbeat histories.
+            // Whole-experiment QoS from the detectors' tallies.
             |rt, end| {
                 let mut pairs = Vec::new();
                 for i in 0..cfg.n {
                     let hb = &rt.node(ProcessId(i)).host.fd;
                     for j in (0..cfg.n).filter(|&j| j != i) {
-                        pairs.push(estimate_pair_qos(&PairHistory {
-                            transitions: hb.history(ProcessId(j)),
-                            start: SimTime::ZERO,
-                            end,
-                            initially_suspected: false,
-                        }));
+                        pairs.push(hb.pair_qos(ProcessId(j), end));
                     }
                 }
                 Some(aggregate_qos(&pairs))
@@ -219,7 +215,8 @@ fn run<F: FailureDetector<Tagged>>(
         let nominal = cfg.warmup_ms + cfg.isolation_gap_ms * k as f64;
         let mut best: Option<f64> = None;
         for i in 0..n {
-            if let Some(t) = rt.node(ProcessId(i)).decided_local[k] {
+            let t = rt.node(ProcessId(i)).decided_local[k];
+            if t != SimTime::MAX {
                 let l = (t.as_ms() - nominal).max(0.0);
                 best = Some(best.map_or(l, |b: f64| b.min(l)));
             }
@@ -235,8 +232,8 @@ fn run<F: FailureDetector<Tagged>>(
     let mut rounds_sum = 0u64;
     let mut rounds_cnt = 0u64;
     for node in rt.nodes() {
-        rounds_sum += node.rounds_per_exec.iter().sum::<u64>();
-        rounds_cnt += node.rounds_per_exec.len() as u64;
+        rounds_sum += node.rounds_sum;
+        rounds_cnt += node.finished;
     }
     let mean_rounds = if rounds_cnt == 0 {
         0.0

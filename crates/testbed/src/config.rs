@@ -127,6 +127,7 @@ impl TestbedConfig {
     /// Panics on nonsensical settings.
     pub fn validate(&self) {
         assert!(self.n >= 1, "need at least one process");
+        assert!(self.n <= 1 << 16, "at most 65 536 processes");
         assert!(self.executions >= 1, "need at least one execution");
         assert!(self.isolation_gap_ms > 0.0);
         if let FdSetup::Heartbeat { timeout } = self.fd {

@@ -11,8 +11,9 @@
 //!   NTP-synchronized clocks (±50 µs) and measured with a 1 µs
 //!   native-code clock;
 //! * failure detectors are *not* reset between executions; their QoS
-//!   metrics are estimated from suspicion histories over the **whole**
-//!   experiment with the two equations of §4;
+//!   metrics are estimated over the **whole** experiment with the two
+//!   equations of §4, from per-pair suspected time and transition
+//!   counts that each detector tallies as it goes;
 //! * run classes: (1) no failures and no suspicions — oracle detectors,
 //!   (2) one initial crash with complete and accurate detectors,
 //!   (3) no crashes but real heartbeat detectors with wrong suspicions.

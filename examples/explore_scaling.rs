@@ -24,8 +24,14 @@ use ctsim_experiments::{parse_size, peak_rss_mb};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Decimal megabytes, as `ctbench` and the ledgers count them.
 fn mb(bytes: usize) -> f64 {
-    bytes as f64 / (1 << 20) as f64
+    bytes as f64 / 1e6
+}
+
+/// Peak RSS in decimal megabytes (`peak_rss_mb` counts MiB).
+fn peak_rss() -> f64 {
+    peak_rss_mb() * (1 << 20) as f64 / 1e6
 }
 
 fn main() {
@@ -67,7 +73,7 @@ fn main() {
             out.mean_ms,
             explored.as_secs_f64(),
             start.elapsed().as_secs_f64(),
-            peak_rss_mb()
+            peak_rss()
         );
         println!("peak live heap {:.1} MB", mb(alloc_counter::peak_bytes()));
         return;
@@ -97,7 +103,7 @@ fn main() {
         ss.num_transitions(),
         ss.terms().len(),
         dt.as_secs_f64(),
-        peak_rss_mb()
+        peak_rss()
     );
     let profile = ss.sweep_profile();
     println!(

@@ -16,10 +16,9 @@ The largest term table of the run (`explore.terms`) must stay within
 twice the 170 terms of the n = 3 order-2 model: terms are keyed by
 activity, phase stage, probability and completion, so a key that picked
 up a per-state value would grow the table toward one term per
-transition. The generator's coefficient table (`ctmc.coefficients`:
-the terms plus the composite coefficients of parallel transitions,
-`ctmc.composites`) is held to the same bound: a CSR entry names a
-coefficient, so a coefficient that picked up a per-entry value would
+transition. The generator's coefficient table (`ctmc.coefficients`,
+one coefficient per term) is held to the same bound: a CSR entry names
+a coefficient, so a coefficient that picked up a per-entry value would
 grow the table toward one coefficient per rate. Also prints how many
 exploration attempts restarted to widen a place
 (`explore.layout_restarts`).
@@ -45,14 +44,13 @@ def main(path):
     restarts = metrics["counters"]["explore.layout_restarts"]
     terms = metrics["gauges"]["explore.terms"]
     coefficients = metrics["gauges"]["ctmc.coefficients"]
-    composites = metrics["gauges"]["ctmc.composites"]
     print(
         f"intern.midlevel_grows = {grows}, "
         f"occupancy = {used:g} / {slots:g} slots = {occupancy:.3f}"
     )
     print(f"explore.words_per_state = {words:g}, explore.layout_restarts = {restarts}")
     print(f"explore.terms = {terms:g}")
-    print(f"ctmc.coefficients = {coefficients:g}, ctmc.composites = {composites:g}")
+    print(f"ctmc.coefficients = {coefficients:g}")
     ok = True
     if grows != 0:
         print(f"::error::{grows} BFS level(s) outgrew the intern table provisioned for them")
@@ -70,8 +68,8 @@ def main(path):
         ok = False
     if coefficients > MAX_TERMS:
         print(
-            f"::error::a generator coefficient table of {coefficients:g} coefficients "
-            f"({composites:g} composite), more than {MAX_TERMS}"
+            f"::error::a generator coefficient table of {coefficients:g} coefficients, "
+            f"more than {MAX_TERMS}"
         )
         ok = False
     return 0 if ok else 1

@@ -2,14 +2,14 @@
 //! message and suspicion events.
 
 use ctsim_des::SimTime;
-use ctsim_neko::{Ctx, ProcessId};
+use ctsim_neko::ProcessId;
 
 /// The environment a consensus engine runs in: message output, handler
 /// CPU billing, and clocks.
 ///
-/// [`ctsim_neko::Ctx`] implements it directly; wrappers can reinterpret
-/// the traffic — e.g. the atomic-broadcast layer tags consensus messages
-/// with an instance number before putting them on the wire.
+/// [`crate::ConsensusNode`] implements it over its `ctsim_neko::Ctx`,
+/// wrapping each message in the host's wire type: untagged for a single
+/// consensus, tagged with the instance number under atomic broadcast.
 pub trait ConsensusEnv<V> {
     /// Sends a consensus message to one process.
     fn send(&mut self, to: ProcessId, msg: ConsensusMsg<V>);
@@ -22,24 +22,6 @@ pub trait ConsensusEnv<V> {
     fn now_local(&self) -> SimTime;
     /// True simulation time (instrumentation only).
     fn now_true(&self) -> SimTime;
-}
-
-impl<'b, V: Clone> ConsensusEnv<V> for Ctx<'b, ConsensusMsg<V>> {
-    fn send(&mut self, to: ProcessId, msg: ConsensusMsg<V>) {
-        Ctx::send(self, to, msg);
-    }
-    fn broadcast_others(&mut self, msg: ConsensusMsg<V>) {
-        Ctx::broadcast_others(self, msg);
-    }
-    fn charge_work(&mut self) {
-        Ctx::charge_work(self);
-    }
-    fn now_local(&self) -> SimTime {
-        Ctx::now_local(self)
-    }
-    fn now_true(&self) -> SimTime {
-        Ctx::now_true(self)
-    }
 }
 
 /// The wire messages of the algorithm.
@@ -130,8 +112,8 @@ impl<V> Default for RoundTally<V> {
 ///
 /// The engine is transport-agnostic: the owner forwards messages via
 /// [`CtConsensus::on_message`] and failure-detector transitions via
-/// [`CtConsensus::on_suspicion`]; outgoing messages go through the
-/// [`Ctx`]. The `suspected` closure passed to the event handlers is the
+/// [`CtConsensus::on_suspicion`]; outgoing messages go through its
+/// [`ConsensusEnv`]. The `suspected` closure passed to the event handlers is the
 /// failure-detector query `D_p` of the model. See
 /// [`crate::ConsensusNode`] for a ready-made wrapper.
 #[derive(Debug)]

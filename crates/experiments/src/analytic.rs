@@ -63,10 +63,11 @@ pub struct AnalyticOptions {
     /// Results are byte-identical either way.
     pub spill_budget: Option<usize>,
     /// How exploration deduplicates states when a spill budget is set
-    /// (`repro analytic --dedup auto|resident|external`): the resident
-    /// sharded intern table, or external-memory BFS with delayed
-    /// duplicate detection. Ignored without `--spill-budget`. Results
-    /// are byte-identical across modes.
+    /// (`repro analytic --dedup auto|external`): the resident sharded
+    /// intern table until it outgrows its share of the budget, or
+    /// external-memory BFS with delayed duplicate detection from the
+    /// start. Ignored without `--spill-budget`. Results are
+    /// byte-identical across modes.
     pub dedup: DedupMode,
 }
 

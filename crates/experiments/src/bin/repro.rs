@@ -15,11 +15,8 @@
 //! structural family (cached reachability + rate-only CSR rebuild).
 //! `--verify-cold` re-runs every point cold and records per-row
 //! bit-for-bit agreement plus the measured speedup (the CI campaign job
-//! gates on those columns); `--measure E` adds testbed
-//! measured-latency reference rows with `E` executions per `n`. Output:
-//! `campaign.csv` (per-point rows), `campaign_heatmap_*.csv` (dense
-//! latency grids), `campaign_summary.json`, and, with `--measure`,
-//! `campaign_measured.csv`.
+//! gates on those columns). Output: `campaign.csv` (per-point rows)
+//! and `campaign_summary.json`.
 //!
 //! Text renderings (with the paper's reference values inline) go to
 //! stdout; CSV series go to `--out` (default `results/`). A result
@@ -132,7 +129,6 @@ fn parse_args() -> Result<Args, String> {
             "--backends" => campaign.backends = list(a, &flag, "backend")?,
             "--verify-cold" => campaign.verify_cold = true,
             "--failpoints" => failpoints = Some(value(a, &flag)?),
-            "--measure" => campaign.measure = value(a, &flag)?,
             "--scale" => scale = value(a, &flag)?,
             "--seed" => seed = value(a, &flag)?,
             "--out" => out = value(a, &flag)?,
@@ -172,10 +168,10 @@ fn usage() -> String {
     "usage: repro <fig6|fig7a|fig7b|table1|fig8|fig9a|fig9b|ablations|throughput|analytic|campaign|all> \
      [--scale quick|default|full] [--seed N] [--out DIR] [--ph-order K] [--threads T] [--n N] \
      [--solver gauss-seidel|jacobi|krylov] [--spill-budget BYTES[K|M|G]] \
-     [--dedup auto|resident|external] \
+     [--dedup auto|external] \
      [--trace FILE.json] [--metrics FILE.json] \
      [--grid FILE.csv] [--ns LIST] [--ph-orders LIST] [--service-scales LIST] \
-     [--net-scales LIST] [--backends LIST] [--verify-cold] [--measure EXECUTIONS] \
+     [--net-scales LIST] [--backends LIST] [--verify-cold] \
      [--failpoints SPEC]\n\
      --threads T: workers (0 = all cores) for analytic and campaign, and for the measurement \
      campaigns of fig7a/fig8/fig9a/fig9b/table1; results do not depend on it"
@@ -558,21 +554,7 @@ fn run_commands(args: &Args) -> i32 {
             PointRow::csv_header(),
             c.rows.iter().map(PointRow::csv),
         );
-        // Heat-map blocks arrive as complete CSV documents: their
-        // column set depends on the grid.
-        for (name, csv) in c.heatmaps() {
-            out.write(&format!("campaign_{name}.csv"), csv);
-        }
         out.write("campaign_summary.json", c.summary_json());
-        if !c.measured.is_empty() {
-            out.csv(
-                "campaign_measured.csv",
-                "n,measured_ms,ci90",
-                c.measured
-                    .iter()
-                    .map(|m| format!("{},{:.4},{:.4}", m.n, m.mean_ms, m.ci90)),
-            );
-        }
     }
 
     if !ran {

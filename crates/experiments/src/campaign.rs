@@ -47,22 +47,9 @@ use ctsim_solve::{AnalyticRun, DetachedRun, IterOptions, ReachOptions, SolveErro
 pub struct StructuralKey {
     /// Number of hosts (the paper's `n`).
     pub n: usize,
-    /// Phase-type expansion order (0 = no expansion).
+    /// Phase-type expansion order (0 = no expansion, which also
+    /// selects the exponential model family).
     pub ph_order: u32,
-    /// Free-form topology / model-family discriminator (e.g.
-    /// `"paper"` vs `"exponential"`, crash scenarios, FD variants).
-    pub topology: String,
-}
-
-impl StructuralKey {
-    /// A key for the paper's consensus model family.
-    pub fn new(n: usize, ph_order: u32, topology: impl Into<String>) -> Self {
-        Self {
-            n,
-            ph_order,
-            topology: topology.into(),
-        }
-    }
 }
 
 /// One grid point: the structural axes (`n`, `ph_order`) plus the
@@ -89,14 +76,9 @@ pub struct PointSpec {
 impl PointSpec {
     /// The structural identity of this point's reachability graph.
     pub fn key(&self) -> StructuralKey {
-        StructuralKey::new(self.n, self.ph_order, self.family())
-    }
-
-    fn family(&self) -> &'static str {
-        if self.ph_order == 0 {
-            "exponential"
-        } else {
-            "paper"
+        StructuralKey {
+            n: self.n,
+            ph_order: self.ph_order,
         }
     }
 
@@ -156,10 +138,6 @@ pub struct CampaignOptions {
     /// agreement + the measured speedup. This is what the CI campaign
     /// job gates on.
     pub verify_cold: bool,
-    /// Run the testbed's measured-latency campaign for each distinct
-    /// `n` with this many executions, reporting measured rows next to
-    /// the analytic grid (`0` = off).
-    pub measure: u32,
 }
 
 impl Default for CampaignOptions {
@@ -173,7 +151,6 @@ impl Default for CampaignOptions {
             backends: vec![SolverBackend::GaussSeidel, SolverBackend::Krylov],
             threads: 0,
             verify_cold: false,
-            measure: 0,
         }
     }
 }
@@ -295,17 +272,6 @@ impl PointRow {
     }
 }
 
-/// A measured-latency reference row (testbed campaign).
-#[derive(Debug, Clone)]
-pub struct MeasuredRow {
-    /// Number of processes.
-    pub n: usize,
-    /// Measured mean consensus latency (ms).
-    pub mean_ms: f64,
-    /// 90 % CI half-width of the mean (ms).
-    pub ci90: f64,
-}
-
 /// The campaign result: one row per grid point, plus cache and timing
 /// aggregates.
 #[derive(Debug, Clone)]
@@ -313,8 +279,6 @@ pub struct Campaign {
     /// Solved grid points, sorted by
     /// `(n, ph_order, backend, net_scale, service_scale)`.
     pub rows: Vec<PointRow>,
-    /// Measured-latency rows (`--measure` only), by `n` ascending.
-    pub measured: Vec<MeasuredRow>,
     /// Solved points that found their group's graph already explored.
     pub cache_hits: u64,
     /// Solved points that had no graph to start from.
@@ -445,14 +409,15 @@ pub fn grid(opts: &CampaignOptions) -> Result<Vec<PointSpec>, CampaignError> {
     Ok(specs)
 }
 
-/// Runs the campaign. `seed` only feeds the `--measure` testbed rows —
-/// the analytic grid is deterministic.
+/// Runs the campaign. The grid is deterministic, so no seed enters it:
+/// `_seed` is unused and stays only because `ctbench` calls this
+/// signature.
 ///
 /// # Errors
 /// A typed [`CampaignError`]: grid problems, the first failing point
 /// of the lowest-index failing group (wrapping its [`SolveError`]).
 /// Every group runs, also after another one failed.
-pub fn run_with(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignError> {
+pub fn run_with(_seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignError> {
     let _run_span = ctsim_obs::span("experiment", "campaign").arg("threads", opts.threads);
     let specs = grid(opts)?;
 
@@ -496,25 +461,8 @@ pub fn run_with(seed: u64, opts: &CampaignOptions) -> Result<Campaign, CampaignE
     }
     rows.sort_by(|a, b| a.spec.order(&b.spec));
 
-    let mut measured = Vec::new();
-    if opts.measure > 0 {
-        let mut ns: Vec<usize> = rows.iter().map(|r| r.spec.n).collect();
-        ns.sort_unstable();
-        ns.dedup();
-        for n in ns {
-            let r =
-                crate::run_campaign(&ctsim_testbed::TestbedConfig::class1(n, opts.measure, seed));
-            measured.push(MeasuredRow {
-                n,
-                mean_ms: r.mean(),
-                ci90: r.ci90(),
-            });
-        }
-    }
-
     Ok(Campaign {
         rows,
-        measured,
         cache_hits,
         cache_misses,
         wall_ms,
@@ -699,58 +647,6 @@ impl Campaign {
             .map(|cold| cold / warmed)
     }
 
-    /// Latency heat-map blocks: for every `(n, ph_order, backend)` a
-    /// dense `service_scale × net_scale` matrix of mean latencies,
-    /// rendered as CSV (first column `service_scale`, one column per
-    /// net scale). Returns `(block_name, csv_text)` pairs.
-    pub fn heatmaps(&self) -> Vec<(String, String)> {
-        let mut blocks: Vec<(usize, u32, &'static str)> = Vec::new();
-        for r in &self.rows {
-            let b = (r.spec.n, r.spec.ph_order, r.spec.backend.name());
-            if !blocks.contains(&b) {
-                blocks.push(b);
-            }
-        }
-        blocks
-            .into_iter()
-            .map(|(n, ph_order, backend)| {
-                let rows: Vec<&PointRow> = self
-                    .rows
-                    .iter()
-                    .filter(|r| {
-                        r.spec.n == n
-                            && r.spec.ph_order == ph_order
-                            && r.spec.backend.name() == backend
-                    })
-                    .collect();
-                let mut svc: Vec<f64> = rows.iter().map(|r| r.spec.service_scale).collect();
-                svc.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                svc.dedup();
-                let mut net: Vec<f64> = rows.iter().map(|r| r.spec.net_scale).collect();
-                net.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                net.dedup();
-                let mut csv = String::from("service_scale");
-                for x in &net {
-                    csv.push_str(&format!(",net_{x}"));
-                }
-                csv.push('\n');
-                for &s in &svc {
-                    csv.push_str(&format!("{s}"));
-                    for &x in &net {
-                        let cell = rows
-                            .iter()
-                            .find(|r| r.spec.service_scale == s && r.spec.net_scale == x)
-                            .map_or(String::new(), |r| format!("{:.9}", r.mean_ms));
-                        csv.push(',');
-                        csv.push_str(&cell);
-                    }
-                    csv.push('\n');
-                }
-                (format!("heatmap_n{n}_ph{ph_order}_{backend}"), csv)
-            })
-            .collect()
-    }
-
     /// Aggregate summary as a small JSON document (hand-rolled like the
     /// bench harness — the workspace carries no JSON dependency).
     pub fn summary_json(&self) -> String {
@@ -813,12 +709,6 @@ impl Campaign {
                 self.campaign_point_ms(),
             ));
         }
-        for m in &self.measured {
-            s.push_str(&format!(
-                "measured n={}: {:.3} ms +/- {:.3} (testbed campaign)\n",
-                m.n, m.mean_ms, m.ci90
-            ));
-        }
         s
     }
 }
@@ -853,9 +743,13 @@ mod tests {
         keys.dedup();
         keys.sort_by_key(|k| k.ph_order);
         keys.dedup();
-        assert_eq!(keys.len(), 2);
-        assert_eq!(keys[0].topology, "exponential");
-        assert_eq!(keys[1].topology, "paper");
+        assert_eq!(
+            keys,
+            [
+                StructuralKey { n: 2, ph_order: 0 },
+                StructuralKey { n: 2, ph_order: 2 }
+            ]
+        );
     }
 
     #[test]
@@ -930,7 +824,6 @@ mod tests {
             PointRow::csv_header().split(',').count()
         );
         assert!(csv.ends_with(",true"));
-        assert!(!c.heatmaps().is_empty());
         let json = c.summary_json();
         assert!(json.contains("\"cache_hits\": 16"));
     }

@@ -63,8 +63,9 @@ pub(crate) fn run_campaign(cfg: &ctsim_testbed::TestbedConfig) -> ctsim_testbed:
     r
 }
 
-/// Peak resident-set size of this process in MB (`VmHWM` from
-/// `/proc/self/status`; 0.0 where that interface is unavailable).
+/// Peak resident-set size of this process in decimal megabytes
+/// (`VmHWM` from `/proc/self/status`, which counts KiB; 0.0 where that
+/// interface is unavailable).
 /// The `repro analytic` command records this next to its results so CI
 /// can track the memory footprint of the analytic pipeline.
 pub fn peak_rss_mb() -> f64 {
@@ -77,7 +78,7 @@ pub fn peak_rss_mb() -> f64 {
                 .trim()
                 .parse()
                 .unwrap_or(0.0);
-            return kb / 1024.0;
+            return kb * 1024.0 / 1e6;
         }
     }
     0.0

@@ -93,6 +93,18 @@ fn bad_flags_are_usage_errors_not_panics() {
             &["analytic", "--failpoints", "pack.page_in=first:1"][..],
             "unknown site \"pack.page_in\"",
         ),
+        (
+            &["campaign", "--measure", "5"][..],
+            "unknown flag `--measure`",
+        ),
+        (
+            &["analytic", "--dedup", "resident"][..],
+            "unknown dedup mode \"resident\"",
+        ),
+        (
+            &["analytic", "--dedup", "ddd"][..],
+            "unknown dedup mode \"ddd\"",
+        ),
     ] {
         let run = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)

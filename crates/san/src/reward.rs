@@ -228,7 +228,7 @@ mod tests {
     }
 
     /// A worker recycles one simulator, so whatever a replication does
-    /// to it — a rate reward, a trace, a forced marking, a run — must be
+    /// to it — a trace, a forced marking, a run — must be
     /// gone when the next one starts; and a sample must not depend on
     /// which worker ran it, at block boundaries in particular.
     #[test]
@@ -237,24 +237,20 @@ mod tests {
         let (p, q) = (m.place("p").unwrap(), m.place("q").unwrap());
         let horizon = SimTime::from_secs(1e3);
         // Even indices dirty the simulator: they start with two tokens
-        // and stop at the second completion, integrating a reward and
-        // tracing along the way.
+        // and stop at the second completion, tracing along the way.
         let reward = |i: usize, sim: &mut Simulator<'_>| {
             assert_eq!(sim.now(), SimTime::ZERO);
             assert_eq!(sim.marking(), &m.initial_marking());
             assert!(sim.firing_counts().iter().all(|&c| c == 0));
             assert!(sim.trace().is_empty());
-            assert_eq!((sim.reward_integral(), sim.time_average()), (0.0, 0.0));
             if i % 2 == 0 {
                 sim.force_marking(p, 2);
-                sim.set_rate_reward(move |mk| mk.get(p) as f64);
                 sim.record_trace(true);
                 let out = sim.run_until(|mk| mk.get(q) > 1, horizon);
                 assert_eq!(sim.trace().len(), 2);
-                Some(out.time.as_ms() + sim.reward_integral())
+                Some(out.time.as_ms())
             } else {
                 let out = sim.run_until(|mk| mk.get(q) > 0, horizon);
-                assert_eq!(sim.reward_integral(), 0.0, "no reward was registered");
                 Some(out.time.as_ms())
             }
         };

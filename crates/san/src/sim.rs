@@ -67,9 +67,6 @@ use ctsim_stoch::SimRng;
 
 use crate::model::{ActivityId, Marking, SanModel, Timing, WATCH_ANY};
 
-/// A rate-reward function over the marking.
-type RewardFn = Box<dyn Fn(&Marking) -> f64>;
-
 /// Why a run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
@@ -155,9 +152,6 @@ pub struct Simulator<'m> {
     changed_scratch: Vec<usize>,
     ties: Vec<(u64, ActivityId, f64)>,
     trace: Option<Vec<(SimTime, ActivityId)>>,
-    rate_reward: Option<RewardFn>,
-    reward_integral: f64,
-    reward_last: SimTime,
     initialized: bool,
     /// Guard against instantaneous livelock (per settle pass).
     max_instantaneous_burst: u64,
@@ -198,9 +192,6 @@ impl<'m> Simulator<'m> {
             changed_scratch: Vec::new(),
             ties: Vec::new(),
             trace: None,
-            rate_reward: None,
-            reward_integral: 0.0,
-            reward_last: SimTime::ZERO,
             initialized: false,
             max_instantaneous_burst: 1_000_000,
         }
@@ -208,7 +199,7 @@ impl<'m> Simulator<'m> {
 
     /// Rewinds this simulator to what [`Simulator::new`] would return
     /// for the same model and `rng` — initial marking, time zero, no
-    /// pending events, zero counts, no rate reward, tracing off —
+    /// pending events, zero counts, tracing off —
     /// keeping every buffer, so a replication loop that recycles one
     /// simulator allocates nothing in steady state. A run after `reset`
     /// is bit-identical to the same run on a new simulator. The enabling
@@ -230,9 +221,6 @@ impl<'m> Simulator<'m> {
         self.enabled_instantaneous.clear();
         self.touched.clear();
         self.trace = None;
-        self.rate_reward = None;
-        self.reward_integral = 0.0;
-        self.reward_last = SimTime::ZERO;
         self.initialized = false;
     }
 
@@ -271,45 +259,6 @@ impl<'m> Simulator<'m> {
         (self.completions, self.enabling_evals, self.dependent_visits)
     }
 
-    /// Registers a rate reward: a function of the marking whose value
-    /// is integrated over time as the simulation runs (UltraSAN's
-    /// rate-reward variables). Query the accumulated integral with
-    /// [`Simulator::reward_integral`] or the long-run average with
-    /// [`Simulator::time_average`].
-    pub fn set_rate_reward(&mut self, f: impl Fn(&Marking) -> f64 + 'static) {
-        self.rate_reward = Some(Box::new(f));
-        self.reward_last = self.queue.now();
-    }
-
-    /// The accumulated rate-reward integral `∫ f(marking) dt` in
-    /// reward-units × milliseconds.
-    pub fn reward_integral(&self) -> f64 {
-        self.reward_integral
-    }
-
-    /// The time-averaged rate reward so far (integral / elapsed time);
-    /// 0 before any time has passed. The elapsed time is the furthest
-    /// instant the integral has been accrued to (the horizon, when a
-    /// run ends there).
-    pub fn time_average(&self) -> f64 {
-        let t = self.reward_last.max(self.queue.now()).as_ms();
-        if t <= 0.0 {
-            0.0
-        } else {
-            self.reward_integral / t
-        }
-    }
-
-    fn accrue_reward_to(&mut self, t: SimTime) {
-        if let Some(f) = &self.rate_reward {
-            let dt = t.saturating_since(self.reward_last).as_ms();
-            if dt > 0.0 {
-                self.reward_integral += f(&self.marking) * dt;
-            }
-        }
-        self.reward_last = t;
-    }
-
     /// Enables recording of every completion (time + activity), for
     /// tests and debugging.
     pub fn record_trace(&mut self, on: bool) {
@@ -343,15 +292,13 @@ impl<'m> Simulator<'m> {
                 return self.outcome(StopReason::Deadlock);
             };
             if t > horizon {
-                self.accrue_reward_to(horizon);
                 return RunOutcome {
                     time: horizon,
                     reason: StopReason::Horizon,
                     completions: self.completions,
                 };
             }
-            let (when, act) = self.queue.pop().expect("peeked event must pop");
-            self.accrue_reward_to(when);
+            let (_, act) = self.queue.pop().expect("peeked event must pop");
             self.pending[act.index()] = None;
             debug_assert!(
                 self.model.is_enabled(act, &self.marking),
@@ -1372,89 +1319,5 @@ mod oracle_tests {
         );
         let m = b.build().unwrap();
         Simulator::new(&m, SimRng::new(1)).run_until(|_| false, SimTime::from_ms(5.0));
-    }
-}
-
-#[cfg(test)]
-mod reward_tests {
-    use super::*;
-    use crate::model::{Activity, Case, SanBuilder};
-    use ctsim_stoch::Dist;
-
-    /// The paper's two-state FD submodel: the time-averaged suspicion
-    /// indicator must converge to T_M / T_MR (stationary probability).
-    #[test]
-    fn rate_reward_recovers_stationary_suspicion_probability() {
-        let (t_mr, t_m) = (40.0, 8.0);
-        let mut b = SanBuilder::new("fd");
-        let trust = b.place("trust", 1);
-        let susp = b.place("susp", 0);
-        b.add_activity(
-            Activity::timed("ts", Dist::Exp { mean: t_mr - t_m })
-                .input(trust, 1)
-                .case(Case::with_prob(1.0).output(susp, 1)),
-        );
-        b.add_activity(
-            Activity::timed("st", Dist::Exp { mean: t_m })
-                .input(susp, 1)
-                .case(Case::with_prob(1.0).output(trust, 1)),
-        );
-        let model = b.build().unwrap();
-        let mut sim = Simulator::new(&model, SimRng::new(3));
-        sim.set_rate_reward(move |m| m.get(susp) as f64);
-        sim.run_until(|_| false, SimTime::from_secs(300.0));
-        let avg = sim.time_average();
-        let expect = t_m / t_mr;
-        assert!(
-            (avg - expect).abs() < 0.01,
-            "time-average {avg} vs stationary {expect}"
-        );
-    }
-
-    /// The integral accrues exactly over deterministic segments,
-    /// including the final partial segment up to the horizon.
-    #[test]
-    fn rate_reward_integral_is_exact_for_deterministic_model() {
-        let mut b = SanBuilder::new("m");
-        let p = b.place("p", 1);
-        let q = b.place("q", 0);
-        b.add_activity(
-            Activity::timed("t", Dist::Det(4.0))
-                .input(p, 1)
-                .case(Case::with_prob(1.0).output(q, 1)),
-        );
-        // A self-looping background clock keeps the model alive so the
-        // run reaches the horizon instead of deadlocking at t = 4.
-        let r = b.place("r", 1);
-        b.add_activity(
-            Activity::timed("clock", Dist::Det(3.0))
-                .input(r, 1)
-                .case(Case::with_prob(1.0).output(r, 1)),
-        );
-        let model = b.build().unwrap();
-        let mut sim = Simulator::new(&model, SimRng::new(1));
-        sim.set_rate_reward(move |m| m.get(p) as f64);
-        // p holds a token during [0, 4); horizon at 10: integral = 4.
-        let out = sim.run_until(|_| false, SimTime::from_ms(10.0));
-        assert_eq!(out.reason, StopReason::Horizon);
-        assert!((sim.reward_integral() - 4.0).abs() < 1e-9);
-        assert!((sim.time_average() - 0.4).abs() < 1e-9);
-    }
-
-    /// Reward of an empty model accrues nothing and divides safely.
-    #[test]
-    fn rate_reward_zero_time_is_safe() {
-        let mut b = SanBuilder::new("m");
-        let p = b.place("p", 1);
-        b.add_activity(
-            Activity::instantaneous("a")
-                .input(p, 1)
-                .case(Case::with_prob(1.0)),
-        );
-        let model = b.build().unwrap();
-        let mut sim = Simulator::new(&model, SimRng::new(1));
-        sim.set_rate_reward(|_| 1.0);
-        sim.run_until(|_| false, SimTime::from_ms(5.0));
-        assert_eq!(sim.time_average(), 0.0, "no time passed");
     }
 }

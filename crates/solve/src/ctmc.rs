@@ -12,26 +12,19 @@
 //!
 //! # Entries and coefficients
 //!
-//! An off-diagonal entry is 8 bytes: a `u32` column and a `u32`
-//! coefficient id. An id below the exploration's term count is that
-//! term, and its coefficient is [`Term::coeff`]. When several edges of
-//! one row reach one target (parallel transitions), their entry gets a
-//! *composite* id instead, whose recipe is the merged term ids in edge
-//! order and whose coefficient is the sum of their coefficients in that
-//! order. Composites are keyed by their recipe, so the table stays a
-//! few hundred coefficients long against millions of entries (170
-//! terms and no composite at n = 3, order 2). A composite is made while
-//! exploration may still add terms, so composite ids count down from
-//! `u32::MAX` and the table keeps the composites, reversed, in front of
-//! the terms: one signed offset addresses both, and no entry moves when
-//! a later row adds a term.
+//! An off-diagonal entry is 8 bytes: a `u32` column and a `u32` term
+//! id, whose coefficient is [`Term::coeff`]. The table is the term
+//! table's coefficients by id, a few hundred against millions of
+//! entries (170 terms at n = 3, order 2). Parallel transitions — several
+//! edges of one row into one target — keep one entry each, in edge
+//! order, so every consumer folds them edge by edge.
 //!
 //! # One structure, shared
 //!
-//! Exploration emits every merged row once, into a `Csr`: `row_ptr`,
-//! the entries and the composite recipes. It names no rate, so it is
-//! the reachability graph's own transition store — the
-//! [`StateSpace`] holds it behind an `Arc` and decodes its rows — and a
+//! Exploration emits every merged row once, into a `Csr`: `row_ptr`
+//! and the entries. It names no rate, so it is the reachability
+//! graph's own transition store — the [`StateSpace`] holds it behind
+//! an `Arc` and decodes its rows — and a
 //! [`Ctmc`] is a view of it: the shared structure plus what depends on
 //! the rates, namely the coefficient table, the diagonal, the initial
 //! vector and the absorbing marks, filled in one read-only pass over
@@ -56,12 +49,11 @@
 //! and every consumer walks them in the same order, so a paged solve
 //! is bit-identical to a resident one (CI-gated).
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use crate::arena::{RowLoc, SegStore};
-use crate::graph::{StateSpace, Term, TERM_ID_LIMIT};
+use crate::graph::{StateSpace, Term};
 use crate::spill::{SpillRecord, SpillShared};
 use crate::{reserve_by_quarters, SolveError};
 
@@ -128,18 +120,14 @@ impl std::fmt::Debug for CsrBody {
 }
 
 /// The structural CSR of a reachability graph: each state's merged
-/// off-diagonal transitions as entries, in canonical order, and the
-/// recipes of the composite ids among them. Exploration builds it once
-/// ([`CsrBuilder`]); the [`StateSpace`] and every [`Ctmc`] built from
-/// it share it (see the module docs).
+/// off-diagonal transitions as entries, in canonical order. Exploration
+/// builds it once ([`CsrBuilder`]); the [`StateSpace`] and every
+/// [`Ctmc`] built from it share it (see the module docs).
 #[derive(Debug)]
 pub(crate) struct Csr {
     /// Row starts into the entries (length `n + 1`).
     row_ptr: Vec<usize>,
     body: CsrBody,
-    /// Composite `k` (id `u32::MAX - k`): the term ids it sums, in
-    /// edge order.
-    composites: Vec<Box<[u32]>>,
 }
 
 impl Csr {
@@ -178,18 +166,11 @@ impl Csr {
     }
 
     /// Visits the transitions of row `i` as `f(target, term id)`, in
-    /// entry order: a composite entry once per merged term, in edge
-    /// order. Self-loops were never stored, so none is visited.
+    /// entry order. Self-loops were never stored, so none is visited.
     pub(crate) fn for_each_edge(&self, i: usize, mut f: impl FnMut(u32, u32)) {
         self.with_row(i, |row| {
             for e in row {
-                if e.term < TERM_ID_LIMIT {
-                    f(e.col, e.term);
-                } else {
-                    for &t in self.composites[(u32::MAX - e.term) as usize].iter() {
-                        f(e.col, t);
-                    }
-                }
+                f(e.col, e.term);
             }
         });
     }
@@ -201,48 +182,26 @@ struct Coefficients {
     /// The exploration's terms by id — the structural key a rebuild is
     /// checked against, and the rates the table is filled from.
     terms: Vec<Term>,
-    /// The composites' coefficients, last composite first, then one
-    /// coefficient per term: id `t` sits at `table.len() - terms.len()
-    /// + t`, with `t` read as an `i32`.
+    /// Each term's coefficient, by term id.
     table: Vec<f64>,
 }
 
 impl Coefficients {
-    /// Fills the table from `terms` and the composite recipes.
-    fn new(terms: &[Term], composites: &[Box<[u32]>]) -> Self {
-        let mut c = Coefficients {
+    /// Fills the table from `terms`.
+    fn new(terms: &[Term]) -> Self {
+        Coefficients {
             terms: terms.to_vec(),
-            table: Vec::new(),
-        };
-        c.fill(composites);
-        c
+            table: terms.iter().map(Term::coeff).collect(),
+        }
     }
 
-    /// Recomputes the table from `terms` and the composite recipes: a
-    /// composite's coefficient is its terms' coefficients folded left
-    /// to right, the sum a row with those parallel edges always had.
-    fn fill(&mut self, composites: &[Box<[u32]>]) {
-        let terms = &self.terms;
-        let coeff = |t: &u32| terms[*t as usize].coeff();
-        self.table.clear();
-        self.table.extend(composites.iter().rev().map(|ids| {
-            let mut c = coeff(&ids[0]);
-            for t in &ids[1..] {
-                c += coeff(t);
-            }
-            c
-        }));
-        self.table.extend(terms.iter().map(Term::coeff));
-    }
-
-    /// The id → coefficient map, with the table and its offset read
-    /// once: the sparse kernels call it per entry, and through a `&Ctmc`
-    /// (which holds a `OnceLock`) they would be reloaded after every
-    /// store.
+    /// The id → coefficient map, with the table read once: the sparse
+    /// kernels call it per entry, and through a `&Ctmc` (which holds a
+    /// `OnceLock`) it would be reloaded after every store.
     #[inline]
     fn lookup(&self) -> impl Fn(u32) -> f64 + Copy + '_ {
-        let (table, base) = (&self.table[..], self.table.len() - self.terms.len());
-        move |id| table[base.wrapping_add_signed(id as i32 as isize)]
+        let table = &self.table[..];
+        move |id| table[id as usize]
     }
 }
 
@@ -327,31 +286,6 @@ impl Incoming {
     }
 }
 
-/// Hands out composite ids: one per distinct sequence of merged term
-/// ids, counting down from `u32::MAX` in first-use order.
-#[derive(Default)]
-struct CompositeIds {
-    by_terms: HashMap<Box<[u32]>, u32>,
-    /// Composite `k`'s term ids, in edge order.
-    recipes: Vec<Box<[u32]>>,
-}
-
-impl CompositeIds {
-    /// The composite id of the parallel edges `run` (one target, edge
-    /// order).
-    fn intern(&mut self, run: &[CsrEntry]) -> u32 {
-        let ids: Box<[u32]> = run.iter().map(|e| e.term).collect();
-        if let Some(&id) = self.by_terms.get(&ids) {
-            return id;
-        }
-        let id = u32::MAX - self.recipes.len() as u32;
-        assert!(id >= TERM_ID_LIMIT, "composite ids stay above the term ids");
-        self.by_terms.insert(ids.clone(), id);
-        self.recipes.push(ids);
-        id
-    }
-}
-
 /// Row-by-row construction of the structural [`Csr`]. Emission feeds
 /// it each canonical row as soon as that row's BFS level is renumbered,
 /// so the build overlaps the exploration of later levels. It reads no
@@ -359,9 +293,6 @@ impl CompositeIds {
 pub(crate) struct CsrBuilder {
     row_ptr: Vec<usize>,
     body: CsrBody,
-    composites: CompositeIds,
-    /// The row being accumulated.
-    row: Vec<CsrEntry>,
 }
 
 impl CsrBuilder {
@@ -386,47 +317,29 @@ impl CsrBuilder {
         Self {
             row_ptr: vec![0],
             body,
-            composites: CompositeIds::default(),
-            row: Vec::new(),
         }
     }
 
     /// Appends the row of state `src` (rows must arrive in canonical
     /// order) from its edges, given as `(target, term id)` entries and
-    /// reordered in place: one entry per distinct destination other
-    /// than `src`, ascending, under the edge's term or, for parallel
-    /// edges, a composite. A completion that re-enters its source state
-    /// is invisible to the marking process — it contributes neither an
-    /// off-diagonal rate nor exit rate — so it is not stored.
+    /// reordered in place: one entry per edge other than a self-loop,
+    /// ascending by destination, parallel edges in edge order. A
+    /// completion that re-enters its source state is invisible to the
+    /// marking process — it contributes neither an off-diagonal rate
+    /// nor exit rate — so it is not stored.
     pub(crate) fn push_row(&mut self, src: usize, edges: &mut Vec<CsrEntry>) {
         debug_assert_eq!(src + 1, self.row_ptr.len(), "rows must arrive in order");
         edges.retain(|e| e.col as usize != src);
-        // Stable: parallel edges keep their edge order, which is the
-        // order their composite sums them in.
+        // Stable: parallel edges keep their edge order.
         edges.sort_by_key(|e| e.col);
-        self.row.clear();
-        let mut rest = &edges[..];
-        while let Some(first) = rest.first() {
-            let len = rest.iter().take_while(|e| e.col == first.col).count();
-            let (run, tail) = rest.split_at(len);
-            rest = tail;
-            let term = match run {
-                [e] => e.term,
-                _ => self.composites.intern(run),
-            };
-            self.row.push(CsrEntry {
-                col: first.col,
-                term,
-            });
-        }
         match &mut self.body {
             CsrBody::Resident(entries) => {
-                reserve_by_quarters(entries, self.row.len());
-                entries.extend_from_slice(&self.row);
+                reserve_by_quarters(entries, edges.len());
+                entries.extend_from_slice(edges);
             }
-            CsrBody::Paged { entries, locs } => locs.push(entries.append_row(&self.row)),
+            CsrBody::Paged { entries, locs } => locs.push(entries.append_row(edges)),
         }
-        let next = self.row_ptr.last().copied().unwrap_or(0) + self.row.len();
+        let next = self.row_ptr.last().copied().unwrap_or(0) + edges.len();
         reserve_by_quarters(&mut self.row_ptr, 1);
         self.row_ptr.push(next);
     }
@@ -445,11 +358,7 @@ impl CsrBuilder {
         }
         let mut row_ptr = self.row_ptr;
         row_ptr.shrink_to_fit();
-        Csr {
-            row_ptr,
-            body,
-            composites: self.composites.recipes,
-        }
+        Csr { row_ptr, body }
     }
 }
 
@@ -489,7 +398,7 @@ impl Ctmc {
         }
         let mut q = Ctmc {
             n,
-            coeffs: Coefficients::new(ss.terms(), &csr.composites),
+            coeffs: Coefficients::new(ss.terms()),
             csr,
             diag: vec![0.0; n],
             initial,
@@ -499,7 +408,6 @@ impl Ctmc {
         q.fill_diagonal()?;
         if ctsim_obs::enabled() {
             ctsim_obs::gauge_max("ctmc.coefficients", q.coeffs.table.len() as f64);
-            ctsim_obs::gauge_max("ctmc.composites", q.csr.composites.len() as f64);
         }
         Ok(q)
     }
@@ -546,8 +454,7 @@ impl Ctmc {
             });
         }
         markovian(ss)?;
-        self.coeffs.terms.copy_from_slice(terms);
-        self.coeffs.fill(&self.csr.composites);
+        self.coeffs = Coefficients::new(terms);
         self.fill_diagonal()
     }
 
@@ -872,10 +779,11 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// State 0's transition rates folded left to right in `order`.
-    fn row_sum(ss: &StateSpace<'_>, order: impl Iterator<Item = usize>) -> f64 {
+    /// State 0's diagonal: its transition rates subtracted from +0.0
+    /// left to right in `order`.
+    fn row_diag(ss: &StateSpace<'_>, order: impl Iterator<Item = usize>) -> f64 {
         let row = ss.outgoing(0);
-        order.map(|k| row[k].q()).reduce(|a, b| a + b).unwrap()
+        order.fold(0.0, |d, k| d - row[k].q())
     }
 
     fn csr_bits(q: &Ctmc) -> (Vec<usize>, Vec<usize>, Vec<u64>, Vec<u64>) {
@@ -884,26 +792,30 @@ mod tests {
         (row_ptr, col, bits(rate), bits(diag))
     }
 
-    /// Parallel edges merge into one entry under one composite
-    /// coefficient whose bits are the edge-order sum of the merged
-    /// terms: at a fresh build, resident and paged, and after a
+    /// Parallel edges into one target keep one entry each, in edge
+    /// order, under their own terms, and the diagonal folds them edge
+    /// by edge: at a fresh build, resident and paged, and after a
     /// rate-only rebuild, which gives a fresh build's bits.
     #[test]
     fn parallel_edges_share_one_composite_entry() {
         let first = parallel([10.0, 5.0, 10.0 / 3.0]);
         let (ss, mut q) = StateSpace::explore_ctmc(&first, &ReachOptions::default()).unwrap();
-        assert_eq!(ss.outgoing(0).len(), 3);
-        let sum = row_sum(&ss, 0..3);
-        // 0.1 + 0.2 + 0.3 rounds otherwise in reverse, so the bits pin
+        let row = ss.outgoing(0);
+        assert_eq!(row.len(), 3);
+        let d = row_diag(&ss, 0..3);
+        // 0.1, 0.2 and 0.3 round otherwise in reverse, so the bits pin
         // the order.
-        assert_ne!(sum.to_bits(), row_sum(&ss, (0..3).rev()).to_bits());
-        assert_eq!(q.num_rates(), 1);
-        assert_eq!(q.csr.composites.len(), 1);
-        assert_eq!(q.coeffs.table.len(), ss.terms().len() + 1);
+        assert_ne!(d.to_bits(), row_diag(&ss, (0..3).rev()).to_bits());
+        assert_eq!(q.num_rates(), 3);
+        assert_eq!(q.coeffs.table.len(), ss.terms().len());
         let (_, col, rate, diag) = q.csr_owned();
-        assert_eq!(col, [1]);
-        assert_eq!(rate[0].to_bits(), sum.to_bits());
-        assert_eq!(diag[0].to_bits(), (-sum).to_bits());
+        assert_eq!(col, [1, 1, 1]);
+        let edge_rates: Vec<u64> = row.iter().map(|t| t.q().to_bits()).collect();
+        assert_eq!(
+            rate.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+            edge_rates
+        );
+        assert_eq!(diag[0].to_bits(), d.to_bits());
 
         let paged_opts = ReachOptions {
             spill: Some(SpillOptions::with_budget(0)),
@@ -919,8 +831,8 @@ mod tests {
         let (fresh_ss, fresh) =
             StateSpace::explore_ctmc(&second, &ReachOptions::default()).unwrap();
         assert_eq!(
-            q.csr_owned().2[0].to_bits(),
-            row_sum(&fresh_ss, 0..3).to_bits()
+            q.csr_owned().3[0].to_bits(),
+            row_diag(&fresh_ss, 0..3).to_bits()
         );
         assert_eq!(csr_bits(&q), csr_bits(&fresh));
     }
@@ -1033,9 +945,9 @@ mod tests {
     }
 
     /// A self-loop and two activities into one target: the space
-    /// counts all three transitions, the CSR stores one composite entry
-    /// and no self-loop, `outgoing` decodes the composite into its two
-    /// transitions, and the Kronecker descriptor stores both.
+    /// counts all three transitions, the CSR stores one entry per
+    /// parallel edge and no self-loop, `outgoing` decodes both in edge
+    /// order, and the Kronecker descriptor stores the same two.
     #[test]
     fn self_loops_are_counted_not_stored_and_parallel_edges_merge() {
         let mut b = SanBuilder::new("m");
@@ -1058,13 +970,8 @@ mod tests {
         assert_eq!(ss.len(), 2);
         assert_eq!(ss.num_transitions(), 3, "the self-loop is counted");
         let (row_ptr, entries, _, diag) = structure_bits(&gen);
-        assert_eq!(row_ptr, [0, 1, 1]);
-        assert_eq!(
-            entries,
-            [(1, u32::MAX)],
-            "one composite entry, no self-loop"
-        );
-        assert_eq!(*gen.csr.composites, [Box::from([1, 2])]);
+        assert_eq!(row_ptr, [0, 2, 2]);
+        assert_eq!(entries, [(1, 1), (1, 2)], "two entries, no self-loop");
         assert_eq!(f64::from_bits(diag[0]), -(0.5 + 0.25));
         let row = ss.outgoing(0);
         let names: Vec<&str> = row.iter().map(|t| m.activity_name(t.activity)).collect();
@@ -1072,6 +979,6 @@ mod tests {
         assert!(row.iter().all(|t| t.target == 1));
         let kron = crate::KronGenerator::from_state_space(&ss).unwrap();
         assert_eq!(kron.num_entries(), 2);
-        assert_eq!(kron.num_entries(), gen.num_rates() + 1);
+        assert_eq!(kron.num_entries(), gen.num_rates());
     }
 }

@@ -307,11 +307,7 @@ impl Resident {
             canon: Vec::new(),
             lo: 0,
             cur: ResidentLevel::default(),
-            auto_limit: opts
-                .spill
-                .as_ref()
-                .filter(|s| s.dedup == DedupMode::Auto)
-                .map(|s| s.budget_bytes / 2),
+            auto_limit: opts.spill.as_ref().map(|s| s.budget_bytes / 2),
         };
         dedup.cur = dedup.canonize(None);
         Ok(Seed {

@@ -45,13 +45,12 @@
 //! the table alone.
 //!
 //! The edges are stored once, as the structural CSR of the generator
-//! (`ctmc::Csr`): one 8-byte entry per distinct target of a row,
-//! ascending, whose id is the edge's term or, when parallel edges reach
-//! one target, a composite reciping their terms. Self-loops never reach
-//! the generator, so they are not stored; [`StateSpace::num_transitions`]
-//! still counts them. The space and every [`Ctmc`] built from it share
-//! that structure, and [`StateSpace::outgoing`] decodes a row into
-//! [`Transition`]s, splitting a composite by its recipe.
+//! (`ctmc::Csr`): one 8-byte (target, term id) entry per edge of a row,
+//! ascending by target, parallel edges in edge order. Self-loops never
+//! reach the generator, so they are not stored;
+//! [`StateSpace::num_transitions`] still counts them. The space and
+//! every [`Ctmc`] built from it share that structure, and
+//! [`StateSpace::outgoing`] decodes a row into [`Transition`]s.
 //!
 //! # Compact state encoding
 //!
@@ -151,7 +150,6 @@ use crate::SolveError;
 pub use driver::SweepProfile;
 use expand::{AbsorbFn, Expansion, ExpansionShape};
 pub use terms::Term;
-pub(crate) use terms::TERM_ID_LIMIT;
 
 /// Exploration limits and expansion/parallelism knobs.
 #[derive(Debug, Clone)]
@@ -463,11 +461,10 @@ impl<'m> StateSpace<'m> {
     /// The merged outgoing transitions of state `i` other than
     /// self-loops (empty for absorbing states), ascending by target,
     /// decoded from the row's CSR entries and the term table into an
-    /// owned row. An entry that merges parallel edges (a composite)
-    /// decodes to one transition per merged edge, in edge order.
-    /// Self-loops are counted by [`StateSpace::num_transitions`] but
-    /// not stored: they never reach the generator. Meant for tests and
-    /// inspection: the generator builds read the entries in place.
+    /// owned row, parallel edges in edge order. Self-loops are counted
+    /// by [`StateSpace::num_transitions`] but not stored: they never
+    /// reach the generator. Meant for tests and inspection: the
+    /// generator builds read the entries in place.
     pub fn outgoing(&self, i: usize) -> RowRef<'_, Transition> {
         let mut row = Vec::new();
         self.csr.for_each_edge(i, |target, term| {

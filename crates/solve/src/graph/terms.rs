@@ -23,10 +23,6 @@ use super::Transition;
 /// plan: its rate is the model's `1/mean` (NaN when non-exponential).
 pub(super) const UNEXPANDED: u32 = u32::MAX;
 
-/// Term ids stay below 2³¹: the CSR gives the ids above to composite
-/// coefficients (see the `ctmc` module docs).
-pub(crate) const TERM_ID_LIMIT: u32 = 1 << 31;
-
 /// One outgoing transition as successor generation writes it into a
 /// worker chain: the term's structural key plus the target in the
 /// dedup strategy's numbering. Emission merges a row of these, files
@@ -143,10 +139,7 @@ impl TermTable {
                 return id;
             }
         }
-        let id = u32::try_from(self.terms.len())
-            .ok()
-            .filter(|&id| id < TERM_ID_LIMIT)
-            .expect("term ids stay below TERM_ID_LIMIT");
+        let id = u32::try_from(self.terms.len()).expect("term ids fit a u32");
         let activity = ActivityId::from_index(o.activity as usize);
         self.terms.push(Term {
             activity,

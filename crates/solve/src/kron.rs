@@ -33,8 +33,7 @@
 //! (destination + term id), as in the CSR, whose entries name the same
 //! term ids, and the handful of `coeff_g` values carry all the
 //! rates. The descriptor copies the explored graph's shared CSR entries
-//! (which hold no self-loop) and splits each composite entry back into
-//! one entry per merged term, with the coefficients of its term table.
+//! (which hold no self-loop), with the coefficients of its term table.
 //!
 //! # Matvec
 //!
@@ -84,8 +83,8 @@ pub struct KronGenerator {
 
 impl KronGenerator {
     /// Builds the descriptor from a reachability graph: its shared CSR
-    /// entries in canonical row order, each composite split into its
-    /// merged terms, and the coefficients of its term table.
+    /// entries in canonical row order and the coefficients of its term
+    /// table.
     ///
     /// # Errors
     /// [`SolveError::NonMarkovian`] under the same condition as

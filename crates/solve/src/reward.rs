@@ -1,9 +1,8 @@
 //! Layer 4: reward evaluation over solved distributions.
 //!
-//! The simulator accumulates rate rewards by integrating a marking
-//! function along one trajectory ([`ctsim_san::Simulator::set_rate_reward`]).
-//! The analytic path evaluates the *same closures* against a
-//! probability vector instead: `E[f(M(t))] = Σ_s π_s(t) · f(marking_s)`.
+//! A rate reward is a function of the marking; the analytic path
+//! evaluates it against a probability vector:
+//! `E[f(M(t))] = Σ_s π_s(t) · f(marking_s)`.
 //! [`AnalyticRun`] packages the common first-passage workflow ("time
 //! until a predicate holds") into a `RunOutcome`-style result
 //! comparable against [`ctsim_san::replicate`] statistics.
@@ -239,8 +238,7 @@ mod tests {
     /// The paper's two-state FD submodel solved analytically: started
     /// trusting, the suspicion probability at time `t` is
     /// `(T_M/T_MR)·(1 − e^{−t·T_MR/(T_M(T_MR−T_M))})`, which tends to the
-    /// QoS ratio T_M / T_MR — the quantity the simulator's rate reward
-    /// recovers by integration.
+    /// QoS ratio T_M / T_MR.
     #[test]
     fn fd_suspicion_rate_reward_matches_qos_ratio() {
         let (t_mr, t_m) = (40.0, 8.0);
@@ -304,6 +302,67 @@ mod tests {
             let f = run.cdf(t, &TransientOptions::default()).unwrap();
             let expect = 1.0 - (r2 * (-r1 * t).exp() - r1 * (-r2 * t).exp()) / (r2 - r1);
             assert!((f - expect).abs() < 1e-9, "t={t}: {f} vs {expect}");
+        }
+    }
+
+    /// Three exponential activities from `p` to `q` (rates 0.1, 0.2 and
+    /// 0.3 per ms) and a self-loop on `p`: parallel edges into one
+    /// target plus one the generator never sees. The first passage to
+    /// `q` is exponential with rate `Λ = Σλᵢ = 0.6`, so its mean is
+    /// 5/3 ms and its CDF `1 − e^{−Λt}` — on every backend, resident
+    /// and paged (where Gauss–Seidel refuses, as it must, the paged
+    /// generator).
+    #[test]
+    fn parallel_transitions_match_the_closed_form() {
+        let mut b = SanBuilder::new("parallel");
+        let p = b.place("p", 1);
+        let q = b.place("q", 0);
+        b.add_activity(
+            Activity::timed("spin", Dist::Exp { mean: 1.0 })
+                .input(p, 1)
+                .case(Case::with_prob(1.0).output(p, 1)),
+        );
+        for (k, mean) in [10.0, 5.0, 10.0 / 3.0].into_iter().enumerate() {
+            b.add_activity(
+                Activity::timed(format!("a{k}"), Dist::Exp { mean })
+                    .input(p, 1)
+                    .case(Case::with_prob(1.0).output(q, 1)),
+            );
+        }
+        let model = b.build().unwrap();
+        let rate = 0.1 + 0.2 + 0.3;
+        for spill in [None, Some(crate::SpillOptions::with_budget(0))] {
+            let paged = spill.is_some();
+            let opts = ReachOptions {
+                spill,
+                ..ReachOptions::default()
+            };
+            let run = AnalyticRun::first_passage(&model, &opts, move |m| m.get(q) > 0).unwrap();
+            assert_eq!(run.generator().num_rates(), 3, "{:?}", opts.spill);
+            assert_eq!(run.generator().is_streamed(), paged);
+            for backend in [
+                crate::SolverBackend::GaussSeidel,
+                crate::SolverBackend::Jacobi,
+                crate::SolverBackend::Krylov,
+            ] {
+                let what = format!("{backend}, {:?}", opts.spill);
+                let mean = run.mean(&IterOptions::with_backend(backend, 1));
+                if paged && backend == crate::SolverBackend::GaussSeidel {
+                    assert!(
+                        matches!(mean, Err(SolveError::ResidentOnly { .. })),
+                        "{what}: {mean:?}"
+                    );
+                    continue;
+                }
+                let mean = mean.unwrap();
+                let rel = (mean.mean_ms - 5.0 / 3.0).abs() / (5.0 / 3.0);
+                assert!(rel < 1e-12, "{what}: mean {} vs 5/3", mean.mean_ms);
+            }
+            for t in [0.5, 2.0, 6.0] {
+                let f = run.cdf(t, &TransientOptions::default()).unwrap();
+                let expect = 1.0 - (-rate * t).exp();
+                assert!((f - expect).abs() < 1e-9, "t={t}: {f} vs {expect}");
+            }
         }
     }
 

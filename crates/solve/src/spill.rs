@@ -40,10 +40,6 @@ pub enum DedupMode {
     /// footprint outgrows its share of the spill budget.
     #[default]
     Auto,
-    /// Always dedup in RAM (the pre-out-of-core behaviour): fastest,
-    /// but the intern arena is then a hard RAM floor of
-    /// `states × (8·words + 1)` bytes plus the hash tables.
-    Resident,
     /// Force external-memory BFS with delayed duplicate detection from
     /// level 0 (sort each frontier, sort-merge against the on-disk
     /// visited runs). Mostly useful for tests and comparisons; `Auto`
@@ -52,11 +48,10 @@ pub enum DedupMode {
 }
 
 impl DedupMode {
-    /// The CLI slug (`auto` / `resident` / `external`).
+    /// The CLI slug (`auto` / `external`).
     pub fn name(&self) -> &'static str {
         match self {
             DedupMode::Auto => "auto",
-            DedupMode::Resident => "resident",
             DedupMode::External => "external",
         }
     }
@@ -73,10 +68,9 @@ impl std::str::FromStr for DedupMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "auto" => Ok(DedupMode::Auto),
-            "resident" => Ok(DedupMode::Resident),
-            "external" | "ddd" => Ok(DedupMode::External),
+            "external" => Ok(DedupMode::External),
             other => Err(format!(
-                "unknown dedup mode {other:?} (expected auto, resident, or external)"
+                "unknown dedup mode {other:?} (expected auto or external)"
             )),
         }
     }
@@ -99,8 +93,9 @@ pub struct SpillOptions {
     /// creation, so a crash leaks no file). Defaults to
     /// [`std::env::temp_dir`].
     pub dir: Option<PathBuf>,
-    /// How exploration deduplicates states (resident intern table vs.
-    /// external-memory sort-merge).
+    /// How exploration deduplicates states (resident intern table
+    /// until it outgrows its share of the budget, or external-memory
+    /// sort-merge from the start).
     pub dedup: DedupMode,
 }
 

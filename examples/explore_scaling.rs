@@ -29,11 +29,6 @@ fn mb(bytes: usize) -> f64 {
     bytes as f64 / 1e6
 }
 
-/// Peak RSS in decimal megabytes (`peak_rss_mb` counts MiB).
-fn peak_rss() -> f64 {
-    peak_rss_mb() * (1 << 20) as f64 / 1e6
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let n: usize = args.first().map_or(3, |s| s.parse().unwrap());
@@ -73,7 +68,7 @@ fn main() {
             out.mean_ms,
             explored.as_secs_f64(),
             start.elapsed().as_secs_f64(),
-            peak_rss()
+            peak_rss_mb()
         );
         println!("peak live heap {:.1} MB", mb(alloc_counter::peak_bytes()));
         return;
@@ -103,7 +98,7 @@ fn main() {
         ss.num_transitions(),
         ss.terms().len(),
         dt.as_secs_f64(),
-        peak_rss()
+        peak_rss_mb()
     );
     let profile = ss.sweep_profile();
     println!(

@@ -2,11 +2,13 @@
 """Gate on the measurement engine's event and timer counts.
 
 Reads a `repro --metrics` document of a measurement run (`repro fig8`)
-and prints the events and timers per execution. Fails when a `net.*`
-counter is missing, when no CPU, hub or timer event was processed, or
-when more timers fired or were dropped than were set: a pending timer
-lives only in the event queue, so each one must come out of it at most
-once.
+and prints the events and timers per execution. Fails when a counter is
+missing, when no CPU, hub or timer event was processed, when more timers
+fired or were dropped than were set (a pending timer lives only in the
+event queue, so each one must come out of it at most once), or when the
+most events one campaign had pending (`des.queue_peak_len`) reaches a
+campaign's execution count: each process keeps only its next execution
+timer pending, so the pending set must not grow with the executions.
 """
 
 import json
@@ -27,6 +29,9 @@ REQUIRED = [
     "net.messages.app",
     "net.messages.heartbeat",
     "net.messages.delivered",
+    "testbed.campaigns",
+    "testbed.executions",
+    "des.queue_peak_len",
 ]
 
 
@@ -37,7 +42,7 @@ def main(path):
     if missing:
         print(f"::error::missing counters: {', '.join(missing)}")
         return 1
-    execs = counters.get("testbed.executions", 0)
+    execs = counters["testbed.executions"]
     per = max(execs, 1)
     events = sum(counters[f"net.events.{k}"] for k in ("cpu", "hub", "timer", "gc", "nagle"))
     print(
@@ -47,7 +52,7 @@ def main(path):
         f"timer {counters['net.events.timer'] / per:.1f}), "
         f"{counters['net.timers.set'] / per:.1f} timers set, "
         f"{counters['net.timers.fired'] / per:.1f} fired; "
-        f"des.queue_peak_len = {counters.get('des.queue_peak_len')}"
+        f"des.queue_peak_len = {counters['des.queue_peak_len']}"
     )
     failed = False
     for kind in ("cpu", "hub", "timer"):
@@ -61,6 +66,14 @@ def main(path):
         print(
             f"::error::{fired} timers fired and {dropped} dropped, "
             f"but only {set_} were set"
+        )
+        failed = True
+    per_campaign = execs / max(counters["testbed.campaigns"], 1)
+    peak = counters["des.queue_peak_len"]
+    if peak >= per_campaign:
+        print(
+            f"::error::a campaign had {peak} events pending at once, at least as many as "
+            f"its {per_campaign:.0f} executions: execution timers are armed ahead"
         )
         failed = True
     return 1 if failed else 0

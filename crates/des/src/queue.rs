@@ -36,6 +36,13 @@
 //! may always schedule at `now`. [`EventQueue::clear`] resets it to
 //! `(now, 0)` and [`EventQueue::reset`] to `(0, 0)`.
 //!
+//! A caller that knows a series of future events in advance but wants
+//! only the next one pending can reserve their sequence numbers up front
+//! ([`EventQueue::reserve_seqs`]) and schedule each under its own later
+//! ([`EventQueue::schedule_reserved`]): the keys, hence the pop order,
+//! are those of scheduling them all at once, provided each is scheduled
+//! before the clock passes its key.
+//!
 //! A bucket is a singly linked list through one arena of entries with a
 //! free list, so moving an entry between buckets relinks it in place and
 //! a queue allocates no more than a binary heap would: a short-lived
@@ -193,50 +200,35 @@ impl<E> EventQueue<E> {
         let t = t.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let cell = Slot {
-            seq,
-            event: Some(event),
-        };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = cell;
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("more than 2^32 live events");
-                self.slots.push(cell);
-                slot
-            }
-        };
-        self.live += 1;
-        let entry = Entry {
-            time: t.as_nanos(),
-            seq,
-            slot,
-            next: NIL,
-        };
-        let b = bucket_of(entry.key(), self.last);
-        let i = match self.spare {
-            NIL => {
-                let i = u32::try_from(self.entries.len())
-                    .ok()
-                    .filter(|&i| i != NIL)
-                    .expect("more than 2^32 - 1 queued entries");
-                self.entries.push(entry);
-                i
-            }
-            i => {
-                self.spare = self.entries[i as usize].next;
-                self.entries[i as usize] = entry;
-                i
-            }
-        };
-        self.stored += 1;
-        self.link(i, b);
-        if self.min_bucket.is_some_and(|m| b <= m) {
-            self.min_bucket = None;
-        }
-        EventHandle { seq, slot }
+        self.insert(t, seq, event)
+    }
+
+    /// Reserves `count` consecutive sequence numbers, as `count` calls of
+    /// [`EventQueue::schedule_at`] would use, and returns the first. An
+    /// event scheduled later under one of them with
+    /// [`EventQueue::schedule_reserved`] gets the key it would have had
+    /// if it had been scheduled now, so it breaks ties the same way.
+    pub fn reserve_seqs(&mut self, count: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += count;
+        first
+    }
+
+    /// Schedules `event` at `t` under `seq`, a sequence number from
+    /// [`EventQueue::reserve_seqs`] that no other event has used. The
+    /// key `(t, seq)` must be above the last popped key: the caller
+    /// arms the event before the clock passes it, which a time after
+    /// [`EventQueue::now`] guarantees.
+    pub fn schedule_reserved(&mut self, t: SimTime, seq: u64, event: E) -> EventHandle {
+        debug_assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was not reserved"
+        );
+        debug_assert!(
+            (u128::from(t.as_nanos()) << 64) | u128::from(seq) > self.last,
+            "reserved key ({t}, {seq}) not above the last popped key"
+        );
+        self.insert(t, seq, event)
     }
 
     /// Schedules `event` after a delay from the current time.
@@ -311,6 +303,55 @@ impl<E> EventQueue<E> {
         self.now = SimTime::ZERO;
         self.clear();
         self.fired = 0;
+    }
+
+    /// Puts event `seq` at `t` into the slab and its bucket.
+    #[inline(always)]
+    fn insert(&mut self, t: SimTime, seq: u64, event: E) -> EventHandle {
+        let cell = Slot {
+            seq,
+            event: Some(event),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = cell;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("more than 2^32 live events");
+                self.slots.push(cell);
+                slot
+            }
+        };
+        self.live += 1;
+        let entry = Entry {
+            time: t.as_nanos(),
+            seq,
+            slot,
+            next: NIL,
+        };
+        let b = bucket_of(entry.key(), self.last);
+        let i = match self.spare {
+            NIL => {
+                let i = u32::try_from(self.entries.len())
+                    .ok()
+                    .filter(|&i| i != NIL)
+                    .expect("more than 2^32 - 1 queued entries");
+                self.entries.push(entry);
+                i
+            }
+            i => {
+                self.spare = self.entries[i as usize].next;
+                self.entries[i as usize] = entry;
+                i
+            }
+        };
+        self.stored += 1;
+        self.link(i, b);
+        if self.min_bucket.is_some_and(|m| b <= m) {
+            self.min_bucket = None;
+        }
+        EventHandle { seq, slot }
     }
 
     /// Puts entry `i` at the head of bucket `b`.

@@ -11,7 +11,9 @@
 //! draw from every handle ever issued: live, fired, cancelled, or issued
 //! before a `clear`/`reset`. One property keeps over 20 000 far-future
 //! events pending underneath the churn, the shape of a measurement
-//! campaign that arms all its execution timers at time zero.
+//! campaign that arms all its execution timers at time zero. Another
+//! schedules a timer series lazily under reserved sequence numbers and
+//! pops it in the order of the same series scheduled at once.
 //!
 //! Each case is seeded; a failure names its seed so the case can be
 //! rerun on its own (`CASE_SEED=<seed> cargo test -p ctsim-des
@@ -250,5 +252,63 @@ fn far_future_backlog_does_not_disturb_the_near_term() {
             return Err(format!("only {left} events pending before the drain"));
         }
         h.drain()
+    });
+}
+
+/// A series of `count` events at `start + k·period + jitter_k` with
+/// `jitter_k ≤ period`, scheduled lazily — event `k + 1` under its
+/// reserved sequence number when `k` pops — pops exactly as the same
+/// series scheduled at once, amid random schedules that tie with it.
+#[test]
+fn reserved_series_pops_like_eager_schedules() {
+    for_cases("reserved_series", 64, |rng| {
+        let period = [1, 2, 7][rng.below(3) as usize];
+        let count = 1 + rng.below(200);
+        let start = rng.below(8);
+        let times: Vec<u64> = (0..count)
+            .map(|k| start + k * period + rng.below(period + 1))
+            .collect();
+        // Payloads: the series is `0..count`, other events count on.
+        let mut eager = EventQueue::new();
+        let mut lazy = EventQueue::new();
+        for (k, &t) in times.iter().enumerate() {
+            eager.schedule_at(SimTime::from_nanos(t), k as u32);
+        }
+        let seq0 = lazy.reserve_seqs(count);
+        lazy.schedule_reserved(SimTime::from_nanos(times[0]), seq0, 0);
+        let mut next_id = count as u32;
+        let mut popped = 0;
+        while popped < count {
+            if rng.below(3) == 0 {
+                let t = eager.now().as_nanos() + TIGHT[rng.below(4) as usize];
+                eager.schedule_at(SimTime::from_nanos(t), next_id);
+                lazy.schedule_at(SimTime::from_nanos(t), next_id);
+                next_id += 1;
+                continue;
+            }
+            let want = eager.pop();
+            let got = lazy.pop();
+            if got != want {
+                return Err(format!("pop: lazy {got:?}, eager {want:?}"));
+            }
+            let Some((_, id)) = got else { break };
+            let k = u64::from(id);
+            if k < count {
+                popped += 1;
+                if k + 1 < count {
+                    let t = SimTime::from_nanos(times[k as usize + 1]);
+                    lazy.schedule_reserved(t, seq0 + k + 1, id + 1);
+                }
+            }
+        }
+        loop {
+            let (want, got) = (eager.pop(), lazy.pop());
+            if got != want {
+                return Err(format!("drain: lazy {got:?}, eager {want:?}"));
+            }
+            if got.is_none() {
+                return Ok(());
+            }
+        }
     });
 }

@@ -1,4 +1,4 @@
-//! Ablations of the modelling choices DESIGN.md calls out — each one
+//! Ablations of the reproduction's modelling choices — each one
 //! isolates a mechanism the reproduction depends on and shows what the
 //! results would look like without it.
 //!

@@ -351,7 +351,7 @@ fn run_commands(args: &Args) -> i32 {
                     r.n,
                     r.meas,
                     r.meas_ci90,
-                    r.sim.map_or(String::new(), |s| format!("{s:.4}")),
+                    ctsim_experiments::csv_cell(r.sim),
                 )
             }),
         );
@@ -367,12 +367,7 @@ fn run_commands(args: &Args) -> i32 {
         out.csv(
             "fig8.csv",
             "n,timeout_ms,t_mr_ms,t_mr_ci90,t_m_ms,t_m_ci90",
-            f8.points.iter().map(|p| {
-                format!(
-                    "{},{},{:.4},{:.4},{:.4},{:.4}",
-                    p.n, p.timeout, p.t_mr, p.t_mr_ci90, p.t_m, p.t_m_ci90
-                )
-            }),
+            f8.points.iter().map(|p| p.fig8_row()),
         );
     }
 
@@ -383,12 +378,7 @@ fn run_commands(args: &Args) -> i32 {
         out.csv(
             "fig9a.csv",
             "n,timeout_ms,latency_ms,latency_ci90,undecided_frac",
-            f8.points.iter().map(|p| {
-                format!(
-                    "{},{},{:.4},{:.4},{:.4}",
-                    p.n, p.timeout, p.latency, p.latency_ci90, p.undecided_frac
-                )
-            }),
+            f8.points.iter().map(|p| p.fig9a_row()),
         );
     }
 
@@ -410,12 +400,7 @@ fn run_commands(args: &Args) -> i32 {
         out.csv(
             "fig9b.csv",
             "n,timeout_ms,meas_ms,sim_det_ms,sim_exp_ms,t_mr_ms,t_m_ms",
-            f9b.rows.iter().map(|r| {
-                format!(
-                    "{},{},{:.4},{:.4},{:.4},{:.4},{:.4}",
-                    r.n, r.timeout, r.measured, r.sim_det, r.sim_exp, r.t_mr, r.t_m
-                )
-            }),
+            f9b.rows.iter().map(|r| r.csv_row()),
         );
     }
 

@@ -20,7 +20,8 @@ use ctsim_testbed::{CampaignResult, TestbedConfig};
 use crate::run_campaign;
 use crate::scale::Scale;
 
-/// QoS and latency estimates for one (n, T) setting.
+/// QoS and latency estimates for one (n, T) setting. A mean over no
+/// sample and a CI over fewer than two are `None`.
 #[derive(Debug, Clone)]
 pub struct QosPoint {
     /// Number of processes.
@@ -30,16 +31,17 @@ pub struct QosPoint {
     /// Mean mistake recurrence time over runs with mistakes (ms);
     /// infinite if no run observed a mistake.
     pub t_mr: f64,
-    /// 90 % CI half-width of `t_mr` across runs.
-    pub t_mr_ci90: f64,
-    /// Mean mistake duration (ms).
-    pub t_m: f64,
-    /// 90 % CI half-width of `t_m` across runs.
-    pub t_m_ci90: f64,
-    /// Mean consensus latency (ms) across runs (Fig. 9(a)'s y-value).
-    pub latency: f64,
-    /// 90 % CI half-width of the latency across runs.
-    pub latency_ci90: f64,
+    /// 90 % CI half-width of `t_mr` across runs with mistakes.
+    pub t_mr_ci90: Option<f64>,
+    /// Mean mistake duration (ms) over runs with mistakes.
+    pub t_m: Option<f64>,
+    /// 90 % CI half-width of `t_m` across runs with mistakes.
+    pub t_m_ci90: Option<f64>,
+    /// Mean consensus latency (ms) across the runs in which some
+    /// execution decided (Fig. 9(a)'s y-value).
+    pub latency: Option<f64>,
+    /// 90 % CI half-width of the latency across those runs.
+    pub latency_ci90: Option<f64>,
     /// Fraction of executions that never decided (diagnostics).
     pub undecided_frac: f64,
     /// Runs (out of `qos_runs`) in which at least one mistake occurred.
@@ -63,6 +65,16 @@ fn run_one(scale: Scale, seed: u64, n: usize, timeout: f64, r: usize) -> Campaig
         timeout,
         seed ^ (0x9e37 * (r as u64 + 1)) ^ ((n as u64) << 32),
     ))
+}
+
+/// The mean of `s`, if it has a sample.
+fn mean(s: &OnlineStats) -> Option<f64> {
+    (s.count() > 0).then(|| s.mean())
+}
+
+/// The 90 % CI half-width of `s`, if it has two samples.
+fn ci90(s: &OnlineStats) -> Option<f64> {
+    (s.count() > 1).then(|| s.ci_half_width(0.90))
 }
 
 /// Folds the runs of one (n, T) setting, in run order.
@@ -89,16 +101,12 @@ fn fold(n: usize, timeout: f64, runs: &[CampaignResult]) -> QosPoint {
     QosPoint {
         n,
         timeout,
-        t_mr: if t_mr.count() == 0 {
-            f64::INFINITY
-        } else {
-            t_mr.mean()
-        },
-        t_mr_ci90: t_mr.ci_half_width(0.90),
-        t_m: t_m.mean(),
-        t_m_ci90: t_m.ci_half_width(0.90),
-        latency: lat.mean(),
-        latency_ci90: lat.ci_half_width(0.90),
+        t_mr: mean(&t_mr).unwrap_or(f64::INFINITY),
+        t_mr_ci90: ci90(&t_mr),
+        t_m: mean(&t_m),
+        t_m_ci90: ci90(&t_m),
+        latency: mean(&lat),
+        latency_ci90: ci90(&lat),
         undecided_frac: undecided as f64 / total.max(1) as f64,
         runs_with_mistakes: with_mistakes,
         runs: runs.len() as u32,
@@ -143,6 +151,36 @@ pub fn run(scale: Scale, seed: u64, threads: usize) -> Fig8 {
     Fig8 { points }
 }
 
+impl QosPoint {
+    /// The point's `fig8.csv` row: `n,timeout_ms,t_mr_ms,t_mr_ci90,
+    /// t_m_ms,t_m_ci90`, an undefined statistic as an empty cell.
+    pub fn fig8_row(&self) -> String {
+        format!(
+            "{},{},{:.4},{},{},{}",
+            self.n,
+            self.timeout,
+            self.t_mr,
+            crate::csv_cell(self.t_mr_ci90),
+            crate::csv_cell(self.t_m),
+            crate::csv_cell(self.t_m_ci90),
+        )
+    }
+
+    /// The point's `fig9a.csv` row: `n,timeout_ms,latency_ms,
+    /// latency_ci90,undecided_frac`, an undefined statistic as an empty
+    /// cell.
+    pub fn fig9a_row(&self) -> String {
+        format!(
+            "{},{},{},{},{:.4}",
+            self.n,
+            self.timeout,
+            crate::csv_cell(self.latency),
+            crate::csv_cell(self.latency_ci90),
+            self.undecided_frac,
+        )
+    }
+}
+
 impl Fig8 {
     /// The point for (n, T), if part of the sweep.
     pub fn point(&self, n: usize, timeout: f64) -> Option<&QosPoint> {
@@ -159,13 +197,13 @@ impl Fig8 {
         s.push_str("   n |     T |    T_MR | ±ci90   |     T_M | ±ci90   | mistakes\n");
         for p in &self.points {
             s.push_str(&format!(
-                "{:>4} |{:>6.1} |{} |{:>8.2} |{} |{:>8.2} | {}/{}\n",
+                "{:>4} |{:>6.1} |{} |{:>8} |{} |{:>8} | {}/{}\n",
                 p.n,
                 p.timeout,
                 crate::cell(p.t_mr),
-                p.t_mr_ci90,
-                crate::cell(p.t_m),
-                p.t_m_ci90,
+                p.t_mr_ci90.map_or(String::new(), |c| format!("{c:.2}")),
+                crate::opt_cell(p.t_m),
+                p.t_m_ci90.map_or(String::new(), |c| format!("{c:.2}")),
                 p.runs_with_mistakes,
                 p.runs,
             ));
@@ -185,7 +223,8 @@ mod tests {
         // Small T: constant mistakes with short recurrence.
         assert_eq!(small.runs_with_mistakes, small.runs);
         assert!(small.t_mr < 100.0, "T_MR {}", small.t_mr);
-        assert!(small.t_m < 15.0, "T_M {} must stay bounded", small.t_m);
+        let t_m = small.t_m.expect("every run saw mistakes");
+        assert!(t_m < 15.0, "T_M {t_m} must stay bounded");
         // Large T: mistakes rare or absent; recurrence far larger.
         assert!(
             large.t_mr > 10.0 * small.t_mr,
@@ -199,11 +238,25 @@ mod tests {
     fn latency_decreases_from_small_to_large_t() {
         let small = run_point(Scale::Quick, 13, 3, 1.0, 1);
         let large = run_point(Scale::Quick, 13, 3, 100.0, 1);
-        assert!(
-            small.latency > large.latency,
-            "fig9a trend: {} !> {}",
-            small.latency,
-            large.latency
-        );
+        let (small, large) = (small.latency.unwrap(), large.latency.unwrap());
+        assert!(small > large, "fig9a trend: {small} !> {large}");
+    }
+
+    /// A point where no execution decided has no latency, and a single
+    /// run gives no CI: their cells are empty, not zeros.
+    #[test]
+    fn undefined_statistics_are_empty_cells() {
+        let runs = [run_campaign(&TestbedConfig::class3(9, 3, 1.0, 5))];
+        let p = fold(9, 1.0, &runs);
+        assert_eq!(p.fig9a_row(), "9,1,,,1.0000");
+        let row = p.fig8_row();
+        let cells: Vec<&str> = row.split(',').collect();
+        assert_eq!(p.runs_with_mistakes, 1, "{row}");
+        assert_eq!(cells.len(), 6);
+        assert!(cells[2].parse::<f64>().is_ok() && cells[4].parse::<f64>().is_ok());
+        assert_eq!((cells[3], cells[5]), ("", ""), "{row}");
+
+        let quiet = fold(9, 1.0, &[]);
+        assert_eq!(quiet.fig8_row(), "9,1,inf,,,");
     }
 }

@@ -25,16 +25,35 @@ pub struct Fig9bRow {
     pub n: usize,
     /// The timeout `T` (ms).
     pub timeout: f64,
-    /// Measured latency (ms) from the class-3 campaigns.
-    pub measured: f64,
+    /// Measured latency (ms) from the class-3 campaigns; `None` where no
+    /// execution decided.
+    pub measured: Option<f64>,
     /// SAN latency with deterministic sojourns (ms).
     pub sim_det: f64,
     /// SAN latency with exponential sojourns (ms).
     pub sim_exp: f64,
     /// The QoS fed into the model.
     pub t_mr: f64,
-    /// The QoS fed into the model.
-    pub t_m: f64,
+    /// The QoS fed into the model (`None`: no run saw a mistake).
+    pub t_m: Option<f64>,
+}
+
+impl Fig9bRow {
+    /// The row of `fig9b.csv`: `n,timeout_ms,meas_ms,sim_det_ms,
+    /// sim_exp_ms,t_mr_ms,t_m_ms`, an undefined statistic as an empty
+    /// cell.
+    pub fn csv_row(&self) -> String {
+        format!(
+            "{},{},{},{:.4},{:.4},{:.4},{}",
+            self.n,
+            self.timeout,
+            crate::csv_cell(self.measured),
+            self.sim_det,
+            self.sim_exp,
+            self.t_mr,
+            crate::csv_cell(self.t_m),
+        )
+    }
 }
 
 /// Fig. 9(b) dataset.
@@ -53,11 +72,11 @@ pub fn render_fig9a(fig8: &Fig8) -> String {
     s.push_str("   n |     T | latency | ±ci90   | undecided\n");
     for p in &fig8.points {
         s.push_str(&format!(
-            "{:>4} |{:>6.1} |{} |{:>8.3} | {:>5.1}%\n",
+            "{:>4} |{:>6.1} |{} |{:>8} | {:>5.1}%\n",
             p.n,
             p.timeout,
-            crate::cell(p.latency),
-            p.latency_ci90,
+            crate::opt_cell(p.latency),
+            p.latency_ci90.map_or(String::new(), |c| format!("{c:.3}")),
             100.0 * p.undecided_frac,
         ));
     }
@@ -78,17 +97,15 @@ pub fn run_fig9b(scale: Scale, seed: u64, fig6: &Fig6, fig8: &Fig8) -> Fig9b {
                 .enumerate()
             {
                 let mut params = fig6.san_params(n, 0.025);
-                params.fd = if point.t_mr.is_finite() && point.runs_with_mistakes > 0 {
-                    // Guard the T_M < T_MR invariant against estimator
-                    // noise at extreme settings.
-                    let t_m = point.t_m.min(0.9 * point.t_mr).max(1e-3);
-                    FdModel::TwoState {
+                params.fd = match point.t_m {
+                    Some(t_m) if point.t_mr.is_finite() => FdModel::TwoState {
                         t_mr: point.t_mr,
-                        t_m,
+                        // Guard the T_M < T_MR invariant against
+                        // estimator noise at extreme settings.
+                        t_m: t_m.min(0.9 * point.t_mr).max(1e-3),
                         dist,
-                    }
-                } else {
-                    FdModel::Accurate
+                    },
+                    _ => FdModel::Accurate,
                 };
                 let reps = latency_replications(&params, scale.san_reps(), seed, 60_000.0);
                 sims[k] = reps.mean();
@@ -119,27 +136,31 @@ impl Fig9b {
                 "{:>4} |{:>6.1} |{} |{} |{} |{} |{}\n",
                 r.n,
                 r.timeout,
-                crate::cell(r.measured),
+                crate::opt_cell(r.measured),
                 crate::cell(r.sim_det),
                 crate::cell(r.sim_exp),
                 crate::cell(r.t_mr),
-                crate::cell(r.t_m),
+                crate::opt_cell(r.t_m),
             ));
         }
         s
     }
 
     /// The paper's validation statement, checked on this data: relative
-    /// sim/meas gap at the largest T vs the smallest T.
+    /// sim/meas gap at the largest T vs the smallest T with a
+    /// measurement.
     pub fn validation_gaps(&self, n: usize) -> Option<(f64, f64)> {
-        let rows: Vec<&Fig9bRow> = self.rows.iter().filter(|r| r.n == n).collect();
-        let first = rows.first()?;
-        let last = rows.last()?;
-        let gap = |r: &Fig9bRow| {
-            let sim = 0.5 * (r.sim_det + r.sim_exp);
-            (sim - r.measured).abs() / r.measured.max(1e-9)
-        };
-        Some((gap(first), gap(last)))
+        let gaps: Vec<f64> = self
+            .rows
+            .iter()
+            .filter(|r| r.n == n)
+            .filter_map(|r| {
+                let measured = r.measured?;
+                let sim = 0.5 * (r.sim_det + r.sim_exp);
+                Some((sim - measured).abs() / measured.max(1e-9))
+            })
+            .collect();
+        Some((*gaps.first()?, *gaps.last()?))
     }
 }
 
@@ -163,10 +184,10 @@ mod tests {
         // Good QoS: the model must approach the measurement (within
         // ~35% — the paper's "results match").
         let sim = 0.5 * (large.sim_det + large.sim_exp);
+        let measured = large.measured.expect("large T decides");
         assert!(
-            (sim - large.measured).abs() < 0.35 * large.measured,
-            "large-T mismatch: sim {sim} vs meas {}",
-            large.measured
+            (sim - measured).abs() < 0.35 * measured,
+            "large-T mismatch: sim {sim} vs meas {measured}"
         );
         let rendered = f9.render();
         assert!(rendered.contains("sim det"));

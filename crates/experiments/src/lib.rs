@@ -9,15 +9,14 @@
 //! | [`table1`] | Table 1 — latency under no crash / coordinator crash / participant crash, measurements and simulation |
 //! | [`fig8`] | Fig. 8 — failure-detector QoS (`T_MR`, `T_M`) vs timeout `T` |
 //! | [`fig9`] | Fig. 9(a) latency vs `T` from measurements; Fig. 9(b) measurements vs SAN with deterministic/exponential FD sojourns |
-//! | [`ablations`] | the modelling-choice ablations DESIGN.md calls out |
+//! | [`ablations`] | ablations of the reproduction's modelling choices |
 //! | [`throughput`] | the paper's announced future work (§2.3): chained-consensus throughput |
 //! | [`analytic`] | analytic (CTMC) solution of the exponential model overlaid on the Fig. 7 / Table 1 simulations |
 //! | [`campaign`] | scenario-campaign engine: parameter grids through the solver with cached reachability and rate-only CSR rebuilds |
 //!
 //! Every module returns a plain-data result struct and renders a
 //! paper-style text table including the paper's reference values where
-//! the paper states them, so divergences are visible at a glance
-//! (recorded in `EXPERIMENTS.md`).
+//! the paper states them, so divergences are visible at a glance.
 
 pub mod ablations;
 pub mod analytic;
@@ -33,7 +32,8 @@ pub mod throughput;
 pub use scale::Scale;
 
 /// Runs one measurement campaign and folds what its emulated cluster
-/// did into `ctsim-obs` counters: `testbed.executions`, the `net.events.*`,
+/// did into `ctsim-obs` counters: `testbed.campaigns`,
+/// `testbed.executions`, the `net.events.*`,
 /// `net.timers.*` and `net.messages.*` sums, and `des.queue_peak_len`,
 /// the most events any campaign had pending at once. Every campaign the
 /// experiments run goes through here.
@@ -41,6 +41,7 @@ pub(crate) fn run_campaign(cfg: &ctsim_testbed::TestbedConfig) -> ctsim_testbed:
     let r = ctsim_testbed::run_campaign(cfg);
     let t = &r.traffic;
     for (name, n) in [
+        ("testbed.campaigns", 1),
         ("testbed.executions", r.per_exec.len() as u64),
         ("net.events.cpu", t.cpu_events),
         ("net.events.hub", t.hub_events),
@@ -121,4 +122,15 @@ pub(crate) fn cell(x: f64) -> String {
     } else {
         format!("{x:>8.3}")
     }
+}
+
+/// [`cell`] of a statistic that may be undefined, blank when it is.
+pub(crate) fn opt_cell(x: Option<f64>) -> String {
+    x.map_or_else(|| " ".repeat(8), cell)
+}
+
+/// A CSV cell of a statistic that may be undefined: four decimals, or
+/// empty when it is.
+pub fn csv_cell(x: Option<f64>) -> String {
+    x.map_or(String::new(), |v| format!("{v:.4}"))
 }

@@ -9,18 +9,23 @@ use ctsim_resilience::fail;
 use ctsim_solve::SolverBackend;
 
 /// Every field of a point, floats as their bits.
-fn bits(p: &QosPoint) -> (usize, [u64; 8], u32, u32) {
+fn bits(p: &QosPoint) -> (usize, [Option<u64>; 8], u32, u32) {
     let floats = [
-        p.timeout,
-        p.t_mr,
+        Some(p.timeout),
+        Some(p.t_mr),
         p.t_mr_ci90,
         p.t_m,
         p.t_m_ci90,
         p.latency,
         p.latency_ci90,
-        p.undecided_frac,
+        Some(p.undecided_frac),
     ];
-    (p.n, floats.map(f64::to_bits), p.runs_with_mistakes, p.runs)
+    (
+        p.n,
+        floats.map(|x| x.map(f64::to_bits)),
+        p.runs_with_mistakes,
+        p.runs,
+    )
 }
 
 #[test]

@@ -28,7 +28,6 @@
 //! the Java implementation). The paper folds this cost into parameter
 //! fitting; making it explicit lets the same calibration reproduce both
 //! the raw delay CDF of Fig. 6 and the consensus latencies of Fig. 7.
-//! See `DESIGN.md` and `EXPERIMENTS.md`.
 
 pub mod build;
 pub mod latency;

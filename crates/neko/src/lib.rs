@@ -14,7 +14,8 @@
 //! * [`Ctx::send_heartbeat`] — failure-detector heartbeats (subject to
 //!   the cluster's TCP batching),
 //! * [`Ctx::set_timer`] — coarse (OS tick) or precise (native clock)
-//!   timers,
+//!   timers, and [`Ctx::set_timer_series`] — a series of precise timers
+//!   a period apart,
 //! * [`Ctx::charge_work`] — bills the CPU for the work this handler
 //!   performs, the dominant per-message cost of the Java implementation,
 //! * [`Ctx::now_local`] — the host's NTP-disciplined clock (true time
@@ -177,6 +178,21 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// its token.
     pub fn set_timer(&mut self, delay: SimDuration, kind: TimerKind, token: u64) {
         self.net.set_timer(HostId(self.me.0), delay, kind, token);
+    }
+
+    /// Arms `count` precise timers: timer `k` calls [`Node::on_timer`]
+    /// with `token0 + k` after `first + k·period`, exactly as `count`
+    /// calls of [`Ctx::set_timer`] would, but only the next one is
+    /// pending at a time (see [`ClusterNet::set_timer_series`]).
+    pub fn set_timer_series(
+        &mut self,
+        first: SimDuration,
+        period: SimDuration,
+        count: u64,
+        token0: u64,
+    ) {
+        self.net
+            .set_timer_series(HostId(self.me.0), first, period, count, token0);
     }
 
     /// This process's RNG substream (for randomized protocols).

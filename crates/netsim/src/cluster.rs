@@ -22,6 +22,15 @@
 //! was already due at that instant. A queue event is 16 bytes: it
 //! carries host indices as `u16`, so a cluster has at most 65 536 hosts.
 //!
+//! [`ClusterNet::set_timer_series`] sets `count` precise timers a period
+//! apart but keeps only the next one in the queue: timer `k + 1` is
+//! armed when timer `k`'s event is popped, whether it then fires, is
+//! deferred or is dropped. The series reserves its sequence numbers and
+//! advances the host's RNG past its jitter draws when it is set, and
+//! draws the jitters later from a copy of the RNG taken then, so every
+//! event, time and sample is the one `count` calls of
+//! [`ClusterNet::set_timer`] would have made.
+//!
 //! [`ClusterNet::traffic`] counts what the cluster did: events by kind,
 //! timers, messages and the peak number of pending events.
 
@@ -158,6 +167,23 @@ enum Ev {
     NagleFlush { from: u16, to: u16, epoch: u64 },
     GcStart(u16),
     Timer { host: u16, token: u64 },
+    Series(u32),
+}
+
+/// A precise-timer series (see the [module docs](self)): timer `k` is due
+/// at `set_at + (first + period·k + jitter_k)` with token `token0 + k`,
+/// under sequence number `seq0 + k`; `next` is the timer in the queue.
+struct TimerSeries {
+    host: u16,
+    set_at: SimTime,
+    first: SimDuration,
+    period: SimDuration,
+    count: u64,
+    token0: u64,
+    seq0: u64,
+    next: u64,
+    /// The host's RNG as it was when the series was set.
+    rng: SimRng,
 }
 
 /// The simulated cluster (see the [crate docs](crate)).
@@ -171,6 +197,8 @@ pub struct ClusterNet<P> {
     hub_busy: bool,
     hub_current: Option<Msg<P>>,
     queue: EventQueue<Ev>,
+    /// The timer series; `Ev::Series(i)` is the next timer of `series[i]`.
+    series: Vec<TimerSeries>,
     rng: SimRng,
     /// While a handler runs, jobs for this host are inserted at the
     /// front of its CPU queue in submission order.
@@ -223,6 +251,7 @@ impl<P> ClusterNet<P> {
             hub_busy: false,
             hub_current: None,
             queue,
+            series: Vec::new(),
             rng: rng.substream(1),
             handler: None,
             traffic: Traffic::default(),
@@ -349,6 +378,86 @@ impl<P> ClusterNet<P> {
         self.queue.schedule_at(at, Ev::Timer { host, token });
     }
 
+    /// Sets `count` precise timers on a host, as `count` calls of
+    /// [`ClusterNet::set_timer`] with delay `first + period·k`, kind
+    /// [`TimerKind::Precise`] and token `token0 + k` would, but with only
+    /// the next one pending (see the [module docs](self)).
+    ///
+    /// # Panics
+    /// Panics if the host's precise-timer jitter can exceed `period`:
+    /// two timers of the series could then fire out of order, which a
+    /// series that arms one timer at a time cannot reproduce.
+    pub fn set_timer_series(
+        &mut self,
+        h: HostId,
+        first: SimDuration,
+        period: SimDuration,
+        count: u64,
+        token0: u64,
+    ) {
+        if count == 0 {
+            return;
+        }
+        let host = &mut self.hosts[h.0];
+        let jitter = &host.params.precise_timer_jitter;
+        assert!(
+            jitter.cdf(period.as_ms()) >= 1.0,
+            "a precise-timer jitter can exceed the series period"
+        );
+        self.traffic.precise_timers += count;
+        let rng = host.rng.clone();
+        for _ in 0..count {
+            jitter.sample(&mut host.rng);
+        }
+        let id = u32::try_from(self.series.len()).expect("at most 2^32 timer series");
+        self.series.push(TimerSeries {
+            host: h.0 as u16,
+            set_at: self.queue.now(),
+            first,
+            period,
+            count,
+            token0,
+            seq0: self.queue.reserve_seqs(count),
+            next: 0,
+            rng,
+        });
+        self.arm_series(id);
+    }
+
+    /// Queues the next timer of series `id` under its reserved sequence
+    /// number.
+    fn arm_series(&mut self, id: u32) {
+        let s = &mut self.series[id as usize];
+        let params = &self.hosts[usize::from(s.host)].params;
+        let j = params.precise_timer_jitter.sample(&mut s.rng);
+        let at = s.set_at + (s.first + s.period * s.next + SimDuration::from_ms(j));
+        self.queue
+            .schedule_reserved(at, s.seq0 + s.next, Ev::Series(id));
+    }
+
+    /// A timer event of `host` came due at `now`: drops it on a crashed
+    /// host, defers it past a pause, or returns its delivery.
+    fn timer_due(&mut self, now: SimTime, host: u16, token: u64) -> Option<Delivery<P>> {
+        self.traffic.timer_events += 1;
+        if self.hosts[usize::from(host)].crashed {
+            self.traffic.timers_dropped += 1;
+            return None;
+        }
+        // A stop-the-world pause delays thread wake-ups.
+        let until = self.hosts[usize::from(host)].gc_until;
+        if now < until {
+            self.traffic.timers_deferred += 1;
+            self.queue.schedule_at(until, Ev::Timer { host, token });
+            return None;
+        }
+        self.traffic.timers_fired += 1;
+        Some(Delivery::Timer {
+            at: now,
+            host: HostId(host.into()),
+            token,
+        })
+    }
+
     /// Processes internal events until the next observable occurrence at
     /// or before `horizon`. Returns `None` when no further occurrence
     /// exists within the horizon (time stops at the last processed
@@ -457,24 +566,20 @@ impl<P> ClusterNet<P> {
                     }
                 }
                 Ev::Timer { host, token } => {
-                    self.traffic.timer_events += 1;
-                    if self.hosts[usize::from(host)].crashed {
-                        self.traffic.timers_dropped += 1;
-                        continue;
+                    if let Some(d) = self.timer_due(now, host, token) {
+                        return Some(d);
                     }
-                    // A stop-the-world pause delays thread wake-ups.
-                    let until = self.hosts[usize::from(host)].gc_until;
-                    if now < until {
-                        self.traffic.timers_deferred += 1;
-                        self.queue.schedule_at(until, Ev::Timer { host, token });
-                        continue;
+                }
+                Ev::Series(id) => {
+                    let s = &mut self.series[id as usize];
+                    let (host, token) = (s.host, s.token0 + s.next);
+                    s.next += 1;
+                    if s.next < s.count {
+                        self.arm_series(id);
                     }
-                    self.traffic.timers_fired += 1;
-                    return Some(Delivery::Timer {
-                        at: now,
-                        host: HostId(host.into()),
-                        token,
-                    });
+                    if let Some(d) = self.timer_due(now, host, token) {
+                        return Some(d);
+                    }
                 }
             }
         }
@@ -895,6 +1000,100 @@ mod tests {
         assert_eq!(t.timer_events, 4, "the deferred timer pops twice");
         assert_eq!(t.gc_events, 2, "one pause start per host");
         assert_eq!(t.peak_pending, 5, "two pause starts and three timers");
+    }
+
+    /// Three hosts on shared-period timers with message traffic, pauses
+    /// and a crash; each timer delivery sends a message and sets a
+    /// coarse timer, so the timers' jitter draws interleave with other
+    /// draws on the host RNG. Without jitter, the coarse timers land on
+    /// the instants of later precise ones, so ties are broken by
+    /// sequence number. Returns the deliveries and the traffic.
+    fn timer_workload(series: bool, jitter: Dist) -> (Vec<(u64, usize, usize, u64)>, Traffic) {
+        let params = HostParams {
+            precise_timer_jitter: jitter,
+            timer_extra: Dist::Det(0.0),
+            gc_interval: Dist::Det(37.0),
+            gc_duration: Dist::Det(12.0),
+            ..HostParams::default()
+        };
+        let mut net: ClusterNet<u32> =
+            ClusterNet::new(3, NetParams::default(), params, SimRng::new(5));
+        let (first, period) = (SimDuration::from_ms(5.0), SimDuration::from_ms(10.0));
+        for h in 0..3 {
+            let token0 = 100 * h as u64;
+            if series {
+                net.set_timer_series(HostId(h), first, period, 30, token0);
+            } else {
+                for k in 0..30 {
+                    net.set_timer(
+                        HostId(h),
+                        first + period * k,
+                        TimerKind::Precise,
+                        token0 + k,
+                    );
+                }
+            }
+        }
+        let mut out = Vec::new();
+        let mut crashed = false;
+        while let Some(d) = net.advance(SimTime::from_ms(400.0)) {
+            out.push(match d {
+                Delivery::Timer { at, host, token } => {
+                    let to = HostId((host.0 + 1) % 3);
+                    net.send(host, to, MsgClass::App, 100, token as u32);
+                    net.set_timer(host, SimDuration::from_ms(1.0), TimerKind::Coarse, 1000);
+                    (at.as_nanos(), host.0, host.0, token)
+                }
+                Delivery::Message {
+                    at,
+                    from,
+                    to,
+                    payload,
+                    ..
+                } => (at.as_nanos(), from.0, to.0, u64::from(payload)),
+            });
+            if !crashed && net.now() >= SimTime::from_ms(120.0) {
+                net.crash_host(HostId(2));
+                crashed = true;
+            }
+        }
+        (out, net.traffic())
+    }
+
+    #[test]
+    fn a_timer_series_delivers_what_eager_timers_deliver() {
+        for jitter in [Dist::Uniform { lo: 0.0, hi: 0.05 }, Dist::Det(0.0)] {
+            let (eager, te) = timer_workload(false, jitter.clone());
+            let (lazy, tl) = timer_workload(true, jitter.clone());
+            assert_eq!(lazy, eager, "{jitter:?}");
+            assert!(te.timers_deferred > 0 && te.timers_dropped > 0, "{te:?}");
+            assert!(tl.peak_pending < te.peak_pending, "{tl:?} vs {te:?}");
+            let pending = Traffic {
+                peak_pending: 0,
+                ..tl
+            };
+            assert_eq!(
+                pending,
+                Traffic {
+                    peak_pending: 0,
+                    ..te
+                },
+                "{jitter:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a precise-timer jitter can exceed the series period")]
+    fn a_series_refuses_a_jitter_wider_than_its_period() {
+        let params = HostParams {
+            precise_timer_jitter: Dist::Uniform { lo: 0.0, hi: 2.0 },
+            ..quiet_host()
+        };
+        let mut net: ClusterNet<u32> =
+            ClusterNet::new(1, NetParams::default(), params, SimRng::new(1));
+        let ms = SimDuration::from_ms(1.0);
+        net.set_timer_series(HostId(0), ms, ms, 10, 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Parameters of the simulated cluster.
 //!
-//! Defaults are calibrated (see `EXPERIMENTS.md`) so that the measured
+//! Defaults are calibrated so that the measured
 //! unicast end-to-end delay distribution reproduces the bimodal fit of
 //! the paper's Fig. 6 — `U[0.1, 0.13]` ms with probability ≈ 0.8 and a
 //! `U[~0.145, ~0.35]` ms tail — and so that the class-1 consensus

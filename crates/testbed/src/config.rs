@@ -130,6 +130,11 @@ impl TestbedConfig {
         assert!(self.n <= 1 << 16, "at most 65 536 processes");
         assert!(self.executions >= 1, "need at least one execution");
         assert!(self.isolation_gap_ms > 0.0);
+        // The execution timers are armed one at a time, in order.
+        assert!(
+            self.host.precise_timer_jitter.cdf(self.isolation_gap_ms) >= 1.0,
+            "a precise-timer jitter can exceed the isolation gap"
+        );
         if let FdSetup::Heartbeat { timeout } = self.fd {
             assert!(timeout > 0.0, "timeout must be positive");
             assert!(
@@ -175,6 +180,14 @@ mod tests {
     fn class3_with_crash_rejected() {
         let mut c = TestbedConfig::class3(3, 10, 5.0, 1);
         c.crash = CrashScenario::Coordinator;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "a precise-timer jitter can exceed the isolation gap")]
+    fn jitter_wider_than_the_gap_rejected() {
+        let mut c = TestbedConfig::class1(3, 10, 1);
+        c.host.precise_timer_jitter = ctsim_stoch::Dist::Uniform { lo: 0.0, hi: 12.0 };
         c.validate();
     }
 

@@ -1,6 +1,5 @@
 //! The Chandra–Toueg ◇S consensus algorithm — the protocol whose
-//! performance the DSN 2002 paper analyzes — plus an atomic-broadcast
-//! layer built on it (the paper's motivating application, §2.3).
+//! performance the DSN 2002 paper analyzes.
 //!
 //! # The algorithm (paper §2.1)
 //!
@@ -31,13 +30,10 @@
 //! a pluggable failure detector, the engine of the current instance and
 //! the buffer of traffic for instances not reached yet, and tags what
 //! the engine sends through [`InstanceWire`] (see [`node`]). On its own
-//! it is a runnable [`ctsim_neko::Node`] for a single consensus;
-//! [`abcast`] (atomic broadcast by transformation to consensus) and the
-//! campaign and throughput processes of `ctsim-testbed` drive it
-//! through a sequence of instances and differ only in when the next
-//! one starts.
+//! it is a runnable [`ctsim_neko::Node`] for a single consensus; the
+//! campaign process of `ctsim-testbed` drives it through a sequence of
+//! instances, one per measured execution.
 
-pub mod abcast;
 pub mod consensus;
 pub mod node;
 

@@ -1,27 +1,28 @@
 //! The sequenced consensus host: a failure detector and the engine of
 //! the current consensus instance, packaged for a [`ctsim_neko::Node`].
 //!
-//! Every process of the measurement engine — the single-shot
-//! [`ConsensusNode`] itself, the atomic-broadcast replica, the
-//! campaign and throughput processes of `ctsim-testbed` — hosts
-//! [`CtConsensus`] the same way; they differ only in *when the next
-//! instance starts* and *what they record*. The host makes five moves:
+//! Over plain [`ConsensusMsg`], [`ConsensusNode`] is itself a node that
+//! runs one consensus. The campaign process of `ctsim-testbed` hosts it
+//! over a tagged wire and starts instance `k` at its `k`-th execution
+//! timer, whatever became of `k − 1`. The host makes five moves:
 //!
 //! * [`alive`](ConsensusNode::alive) — any message is a liveness proof:
 //!   the detector hears of it first, then its suspicion transitions
 //!   reach the engine, and only then is the message itself processed;
-//! * [`fd_timer`](ConsensusNode::fd_timer) — a timer token is the
-//!   detector's (its transitions reach the engine) or the caller's;
+//! * [`fd_timer`](ConsensusNode::fd_timer) — a detector timer: its
+//!   transitions reach the engine;
 //! * [`deliver`](ConsensusNode::deliver) — a consensus message of a
 //!   finished instance is dropped, of a future one buffered, of the
 //!   current one fed to the engine;
 //! * [`propose`](ConsensusNode::propose) — starts the current instance;
 //! * [`advance`](ConsensusNode::advance) — a fresh engine for instance
-//!   `k`; what was buffered for `k` is fed by
-//!   [`replay_next`](ConsensusNode::replay_next), older traffic is
-//!   discarded.
+//!   `k`, fed what was buffered for `k` in arrival order; older traffic
+//!   is discarded.
 //!
-//! Outgoing traffic is tagged with the instance through [`InstanceWire`].
+//! The buffer keeps the channels reliable, as the algorithm assumes: a
+//! message that reaches a process still on an earlier instance is
+//! delayed, not lost. Outgoing traffic is tagged with the instance
+//! through [`InstanceWire`].
 
 use std::cmp::Ordering;
 
@@ -123,17 +124,6 @@ impl<V: Clone, F> ConsensusNode<V, F> {
         self.instance
     }
 
-    /// Switches to instance `k > instance()` with a fresh engine and
-    /// discards what was buffered for older instances. What was
-    /// buffered for `k` stays until [`Self::replay_next`] feeds it: the
-    /// caller decides what happens between two replayed messages.
-    pub fn advance(&mut self, k: u64) {
-        debug_assert!(k > self.instance);
-        self.instance = k;
-        self.consensus = CtConsensus::new(self.me, self.n);
-        self.future.retain(|(_, i, _)| *i >= k);
-    }
-
     /// Runs `f` on the engine with its environment and the detector
     /// query `D_p`.
     fn engine<M>(
@@ -177,45 +167,36 @@ impl<V: Clone, F> ConsensusNode<V, F> {
         self.pump(ctx);
     }
 
-    /// Offers a timer token to the detector; `false` means the token is
-    /// the caller's.
-    pub fn fd_timer<M>(&mut self, ctx: &mut Ctx<'_, M>, token: u64) -> bool
+    /// A timer token that is not the caller's: the detector's, whose
+    /// transitions then reach the engine.
+    pub fn fd_timer<M>(&mut self, ctx: &mut Ctx<'_, M>, token: u64)
     where
         M: InstanceWire<V> + Clone,
         F: FailureDetector<M>,
     {
-        let consumed = self.fd.on_timer(ctx, token);
-        if consumed {
+        if self.fd.on_timer(ctx, token) {
             self.pump(ctx);
         }
-        consumed
     }
 
     /// A consensus message of `instance` arrived (after
-    /// [`Self::alive`]). Returns whether the engine saw it.
+    /// [`Self::alive`]).
     pub fn deliver<M>(
         &mut self,
         ctx: &mut Ctx<'_, M>,
         from: ProcessId,
         instance: u64,
         msg: ConsensusMsg<V>,
-    ) -> bool
-    where
+    ) where
         M: InstanceWire<V> + Clone,
         F: FailureDetector<M>,
     {
         match instance.cmp(&self.instance) {
             // Finished: stale, dropped without work.
-            Ordering::Less => false,
+            Ordering::Less => {}
             // Not reached yet (clock skew, a faster peer): buffer.
-            Ordering::Greater => {
-                self.future.push((from, instance, msg));
-                false
-            }
-            Ordering::Equal => {
-                self.engine(ctx, |c, env, d| c.on_message(env, from, msg, d));
-                true
-            }
+            Ordering::Greater => self.future.push((from, instance, msg)),
+            Ordering::Equal => self.engine(ctx, |c, env, d| c.on_message(env, from, msg, d)),
         }
     }
 
@@ -228,20 +209,22 @@ impl<V: Clone, F> ConsensusNode<V, F> {
         self.engine(ctx, |c, env, d| c.propose(env, value, d));
     }
 
-    /// Feeds the oldest message buffered for the current instance;
-    /// `false` when there is none.
-    pub fn replay_next<M>(&mut self, ctx: &mut Ctx<'_, M>) -> bool
+    /// Switches to instance `k > instance()` with a fresh engine,
+    /// discards what was buffered for older instances and feeds what
+    /// was buffered for `k`, in arrival order.
+    pub fn advance<M>(&mut self, ctx: &mut Ctx<'_, M>, k: u64)
     where
         M: InstanceWire<V> + Clone,
         F: FailureDetector<M>,
     {
-        let cur = self.instance;
-        let Some(at) = self.future.iter().position(|(_, i, _)| *i == cur) else {
-            return false;
-        };
-        let (from, _, msg) = self.future.remove(at);
-        self.deliver(ctx, from, cur, msg);
-        true
+        debug_assert!(k > self.instance);
+        self.instance = k;
+        self.consensus = CtConsensus::new(self.me, self.n);
+        self.future.retain(|(_, i, _)| *i >= k);
+        while let Some(at) = self.future.iter().position(|(_, i, _)| *i == k) {
+            let (from, _, msg) = self.future.remove(at);
+            self.deliver(ctx, from, k, msg);
+        }
     }
 }
 
@@ -462,13 +445,15 @@ mod tests {
     }
 
     /// The campaign policy, written against the host alone: instance
-    /// `k` starts at the precise timer `20 ms + k·gap` whatever became
-    /// of `k − 1`, and `(instance, decision)` is logged before each
-    /// advance.
+    /// `k` starts at the precise timer `20 ms + lag + k·gap` whatever
+    /// became of `k − 1`, and `(instance, decision)` is logged before
+    /// each advance.
     struct Timed {
         host: ConsensusNode<u64, HeartbeatFd>,
         executions: u64,
         gap: SimDuration,
+        /// How late this process starts every instance.
+        lag: SimDuration,
         log: Vec<(u64, Option<u64>)>,
     }
 
@@ -477,7 +462,7 @@ mod tests {
             self.host.fd.on_start(ctx);
             for k in 0..self.executions {
                 ctx.set_timer(
-                    SimDuration::from_ms(20.0) + self.gap * k,
+                    SimDuration::from_ms(20.0) + self.lag + self.gap * k,
                     TimerKind::Precise,
                     k,
                 );
@@ -500,8 +485,7 @@ mod tests {
                     self.host.instance(),
                     self.host.consensus.decision().copied(),
                 ));
-                self.host.advance(token);
-                while self.host.replay_next(ctx) {}
+                self.host.advance(ctx, token);
             }
             if !self.host.consensus.has_started() {
                 // The value names its instance, so a decision leaked
@@ -536,6 +520,7 @@ mod tests {
                     ),
                     executions,
                     gap: SimDuration::from_ms(gap_ms),
+                    lag: SimDuration::ZERO,
                     log: Vec::new(),
                 },
             );
@@ -582,6 +567,44 @@ mod tests {
                 rounds_beyond_first,
                 "gap {gap_ms}: some instance must be decided past round 1"
             );
+        }
+    }
+
+    /// The future-instance buffer: the last process starts every
+    /// instance 2 ms late, so the coordinator's proposal and `Decide`
+    /// of instance `k ≥ 1` reach it while it is still on `k − 1`. They
+    /// are buffered and fed when it advances, so it decides every
+    /// instance with the others; dropped, it would decide none after
+    /// the first. The 100 ms timeout suspects no one.
+    #[test]
+    fn a_late_process_decides_from_what_was_buffered() {
+        let (n, executions) = (3, 30u64);
+        let mut rt = Runtime::new(
+            n,
+            NetParams::default(),
+            quiet_host(),
+            NodeConfig::default(),
+            SimRng::new(5),
+            |p| Timed {
+                host: ConsensusNode::passive(
+                    p,
+                    n,
+                    HeartbeatFd::new(p, n, FdParams::with_timeout(100.0)),
+                ),
+                executions,
+                gap: SimDuration::from_ms(10.0),
+                lag: SimDuration::from_ms(if p.0 == n - 1 { 2.0 } else { 0.0 }),
+                log: Vec::new(),
+            },
+        );
+        rt.run_until(SimTime::from_ms(20.0 + 10.0 * executions as f64));
+        let coordinator = rt.node(ProcessId(0)).log.clone();
+        assert_eq!(coordinator.len() as u64, executions - 1);
+        for (k, &(instance, d)) in coordinator.iter().enumerate() {
+            assert_eq!((instance, d), (k as u64, Some(1000 * k as u64 + 100)));
+        }
+        for i in 1..n {
+            assert_eq!(rt.node(ProcessId(i)).log, coordinator, "p{}", i + 1);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the DSN 2002 paper.
 //!
 //! ```text
-//! repro <fig6|fig7a|fig7b|table1|fig8|fig9a|fig9b|campaign|all> \
+//! repro <fig6|fig7a|fig7b|table1|fig8|fig9a|fig9b|ablations|analytic|campaign|all> \
 //!       [--scale quick|default|full] [--seed N] [--out DIR] \
 //!       [--ph-order K] [--threads T] [--n N] [--solver BACKEND] \
 //!       [--trace FILE.json] [--metrics FILE.json]
@@ -60,7 +60,7 @@ use std::path::{Path, PathBuf};
 
 use ctsim_experiments::analytic::AnalyticOptions;
 use ctsim_experiments::campaign::{self, CampaignOptions, PointRow};
-use ctsim_experiments::{ablations, analytic, fig6, fig7, fig8, fig9, table1, throughput, Scale};
+use ctsim_experiments::{ablations, analytic, fig6, fig7, fig8, fig9, table1, Scale};
 
 struct Args {
     command: String,
@@ -165,7 +165,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: repro <fig6|fig7a|fig7b|table1|fig8|fig9a|fig9b|ablations|throughput|analytic|campaign|all> \
+    "usage: repro <fig6|fig7a|fig7b|table1|fig8|fig9a|fig9b|ablations|analytic|campaign|all> \
      [--scale quick|default|full] [--seed N] [--out DIR] [--ph-order K] [--threads T] [--n N] \
      [--solver gauss-seidel|jacobi|krylov] [--spill-budget BYTES[K|M|G]] \
      [--dedup auto|external] \
@@ -415,22 +415,6 @@ fn run_commands(args: &Args) -> i32 {
             a.rows
                 .iter()
                 .map(|r| format!("{:?},{:?},{:.4},{:.4}", r.name, r.metric, r.with, r.without)),
-        );
-    }
-
-    if want("throughput") {
-        ran = true;
-        let t = throughput::run(args.scale, args.seed);
-        println!("{}", t.render());
-        out.csv(
-            "throughput.csv",
-            "n,per_second,inter_decision_ms,isolated_latency_ms",
-            t.rows.iter().map(|r| {
-                format!(
-                    "{},{:.2},{:.4},{:.4}",
-                    r.n, r.per_second, r.inter_decision_ms, r.isolated_latency_ms
-                )
-            }),
         );
     }
 

@@ -10,7 +10,6 @@
 //! | [`fig8`] | Fig. 8 — failure-detector QoS (`T_MR`, `T_M`) vs timeout `T` |
 //! | [`fig9`] | Fig. 9(a) latency vs `T` from measurements; Fig. 9(b) measurements vs SAN with deterministic/exponential FD sojourns |
 //! | [`ablations`] | ablations of the reproduction's modelling choices |
-//! | [`throughput`] | the paper's announced future work (§2.3): chained-consensus throughput |
 //! | [`analytic`] | analytic (CTMC) solution of the exponential model overlaid on the Fig. 7 / Table 1 simulations |
 //! | [`campaign`] | scenario-campaign engine: parameter grids through the solver with cached reachability and rate-only CSR rebuilds |
 //!
@@ -27,7 +26,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod scale;
 pub mod table1;
-pub mod throughput;
 
 pub use scale::Scale;
 

@@ -105,6 +105,7 @@ fn bad_flags_are_usage_errors_not_panics() {
             &["analytic", "--dedup", "ddd"][..],
             "unknown dedup mode \"ddd\"",
         ),
+        (&["throughput"][..], "usage: repro <fig6|"),
     ] {
         let run = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)

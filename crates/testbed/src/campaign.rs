@@ -98,8 +98,7 @@ impl<F: FailureDetector<Tagged>> Node<Tagged> for CampaignNode<F> {
             if token > self.host.instance() {
                 self.rounds_sum += self.host.consensus.rounds_executed();
                 self.finished += 1;
-                self.host.advance(token);
-                while self.host.replay_next(ctx) {}
+                self.host.advance(ctx, token);
             }
             if !self.host.consensus.has_started() {
                 self.host.propose(ctx, 100 + ctx.me().0 as u64);

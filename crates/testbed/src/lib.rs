@@ -20,25 +20,19 @@
 //!
 //! [`run_campaign`] reproduces that procedure end to end;
 //! [`delays::measure_delays`] reproduces the §5.1 message-delay
-//! measurements (Fig. 6) used to parameterize the SAN model;
-//! [`measure_throughput`] is the chained scenario the paper announces
-//! as future work.
+//! measurements (Fig. 6) used to parameterize the SAN model.
 //!
-//! The processes of both scenarios are policies over the one consensus
-//! host, `ctsim_core::node::ConsensusNode`: a campaign process starts
-//! execution `k` at the precise timer `warmup + k·gap` and records
-//! decision stamps and rounds; a throughput process starts `k + 1` the
-//! moment it decides `k` and records decision times and values. The
-//! failure-detector plumbing, the execution tag ([`Tagged`]), the
-//! stale-drop / future-buffer rule and the engine's environment live in
-//! the host.
+//! A campaign process is a policy over the consensus host,
+//! `ctsim_core::node::ConsensusNode`: it starts execution `k` at the
+//! precise timer `warmup + k·gap` and records decision stamps and
+//! rounds. The failure-detector plumbing, the execution tag
+//! ([`Tagged`]), the stale-drop / future-buffer rule and the engine's
+//! environment live in the host.
 
 pub mod campaign;
 pub mod config;
 pub mod delays;
-pub mod throughput;
 
 pub use campaign::{run_campaign, CampaignResult, Tagged};
 pub use config::{CrashScenario, FdSetup, TestbedConfig};
 pub use delays::{measure_delays, DelayMeasurements};
-pub use throughput::{measure_throughput, ThroughputResult};

@@ -107,8 +107,7 @@ impl Node<Tagged> for Exec {
             return;
         }
         if token > self.host.instance() {
-            self.host.advance(token);
-            while self.host.replay_next(ctx) {}
+            self.host.advance(ctx, token);
         }
         if !self.host.consensus.has_started() {
             self.host.propose(ctx, 100 + ctx.me().0 as u64);

@@ -5,17 +5,11 @@
 //! `Ctx::charge_work` and the per-node RNG: one moved draw shifts every
 //! later latency of a campaign. The in-crate tests assert ranges and
 //! orderings and would not notice. The digests below were recorded
-//! before the four hosts of `CtConsensus` became policies over one
-//! sequenced host in `ctsim-core`; a change to `neko`, `core`, `fd` or
-//! `testbed` that keeps them keeps every sample to the bit.
+//! before the campaign process became a policy over the sequenced host
+//! in `ctsim-core`; a change to `neko`, `core`, `fd` or `testbed` that
+//! keeps them keeps every sample to the bit.
 
-use ctsim_core::abcast::{AbcastMsg, AbcastNode};
-use ctsim_des::{SimDuration, SimTime};
-use ctsim_fd::{FailureDetector, FdParams, HeartbeatFd, OracleFd};
-use ctsim_neko::{Ctx, Node, NodeConfig, ProcessId, Runtime, TimerKind};
-use ctsim_netsim::{HostParams, NetParams};
-use ctsim_stoch::SimRng;
-use ctsim_testbed::{measure_throughput, run_campaign, CrashScenario, TestbedConfig};
+use ctsim_testbed::{run_campaign, CrashScenario, TestbedConfig};
 
 /// FNV-1a, one 64-bit word at a time.
 fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -138,111 +132,4 @@ fn class3_campaigns_match_the_recorded_digests() {
             ),
         ),
     ]);
-}
-
-#[test]
-fn chained_throughput_matches_the_recorded_count_and_rate() {
-    let r = measure_throughput(3, 400.0, 5);
-    assert_eq!(
-        (r.decided, r.per_second.to_bits()),
-        (313, 0x4088_8300_0000_0000),
-        "decided {}, per_second {:#x}",
-        r.decided,
-        r.per_second.to_bits()
-    );
-}
-
-/// A replica that abroadcasts its payloads from staggered timers, so
-/// that instances overlap and consensus messages of instance `k + 1`
-/// reach replicas still deciding `k`.
-struct Sender<F> {
-    abcast: AbcastNode<u64, F>,
-    payloads: Vec<u64>,
-}
-
-/// First timer token of a [`Sender`]; below every failure-detector
-/// token.
-const SEND: u64 = 100;
-
-impl<F: FailureDetector<AbcastMsg<u64>>> Node<AbcastMsg<u64>> for Sender<F> {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, AbcastMsg<u64>>) {
-        self.abcast.on_start(ctx);
-        let offset = 0.11 * ctx.me().0 as f64;
-        for k in 0..self.payloads.len() {
-            ctx.set_timer(
-                SimDuration::from_ms(1.0 + offset + 0.37 * k as f64),
-                TimerKind::Precise,
-                SEND + k as u64,
-            );
-        }
-    }
-    fn on_app_message(
-        &mut self,
-        ctx: &mut Ctx<'_, AbcastMsg<u64>>,
-        from: ProcessId,
-        msg: AbcastMsg<u64>,
-    ) {
-        self.abcast.on_app_message(ctx, from, msg);
-    }
-    fn on_heartbeat(&mut self, ctx: &mut Ctx<'_, AbcastMsg<u64>>, from: ProcessId) {
-        self.abcast.on_heartbeat(ctx, from);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, AbcastMsg<u64>>, token: u64) {
-        match token.checked_sub(SEND) {
-            Some(k) if (k as usize) < self.payloads.len() => {
-                self.abcast.abroadcast(ctx, self.payloads[k as usize]);
-            }
-            _ => self.abcast.on_timer(ctx, token),
-        }
-    }
-}
-
-/// Runs `n` replicas, each abroadcasting `per_replica` payloads, and
-/// returns the digest of every replica's delivery order.
-fn abcast_orders<F: FailureDetector<AbcastMsg<u64>>>(
-    n: usize,
-    per_replica: u64,
-    seed: u64,
-    fd: impl Fn(ProcessId) -> F,
-) -> Vec<u64> {
-    let mut rt = Runtime::new(
-        n,
-        NetParams::default(),
-        HostParams::default(),
-        NodeConfig::default(),
-        SimRng::new(seed),
-        |p| Sender {
-            abcast: AbcastNode::new(p, n, fd(p)),
-            payloads: (0..per_replica).map(|k| 1000 * p.0 as u64 + k).collect(),
-        },
-    );
-    rt.run_until(SimTime::from_secs(1.0));
-    (0..n)
-        .map(|i| {
-            let log = rt.node(ProcessId(i)).abcast.delivered();
-            assert_eq!(
-                log.len() as u64,
-                n as u64 * per_replica,
-                "replica {i} delivered everything"
-            );
-            digest(
-                log.iter()
-                    .flat_map(|&(origin, seq, payload)| [origin as u64, seq, payload]),
-            )
-        })
-        .collect()
-}
-
-#[test]
-fn abcast_delivery_orders_match_the_recorded_digests() {
-    let oracle = abcast_orders(3, 12, 7, |_| OracleFd::accurate(3));
-    assert_eq!(oracle, [0x7738_d68d_d605_24fd; 3], "oracle: {oracle:#x?}");
-    // T = 4 ms: wrong suspicions while instances are in flight.
-    let heartbeat = abcast_orders(3, 12, 7, |p| {
-        HeartbeatFd::new(p, 3, FdParams::with_timeout(4.0))
-    });
-    assert_eq!(
-        heartbeat, [0xab0b_286c_d8fd_2087; 3],
-        "heartbeat: {heartbeat:#x?}"
-    );
 }
